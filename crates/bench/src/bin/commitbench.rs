@@ -4,7 +4,8 @@
 //! Measures committed transactions per second across
 //! configuration (single-latch baseline, sharding-only,
 //! group-commit-only, full pipeline) × workers × key distribution
-//! (uniform disjoint-shard, YCSB Zipfian hot-shard) × isolation, with a
+//! (uniform disjoint-shard, YCSB Zipfian hot-shard, everyone on one
+//! table) × isolation, with a
 //! synced WAL so a flush has a real price. Alongside the throughput
 //! cells it runs per-isolation lost-update anomaly cells and
 //! cross-checks each against the `feral-sdg` static verdict and a
@@ -96,6 +97,9 @@ enum Dist {
     /// Every commit draws its table from a YCSB scrambled Zipfian: one
     /// very hot shard.
     Zipfian,
+    /// Every worker commits into table 0 — the paper's signup path: one
+    /// `users` table, one shard latch, batching or nothing.
+    OneTable,
 }
 
 impl Dist {
@@ -103,6 +107,7 @@ impl Dist {
         match self {
             Dist::UniformDisjoint => "uniform",
             Dist::Zipfian => "zipfian",
+            Dist::OneTable => "one-table",
         }
     }
 }
@@ -192,6 +197,7 @@ fn timed_run(
                     let table = match dist {
                         Dist::UniformDisjoint => w % TABLES,
                         Dist::Zipfian => zipf.next_key() as usize,
+                        Dist::OneTable => 0,
                     };
                     db.txn()
                         .isolation(isolation)
@@ -453,7 +459,7 @@ fn main() -> ExitCode {
     let mut cells = Vec::new();
     for cfg in &configs {
         for &isolation in &isolations {
-            for dist in [Dist::UniformDisjoint, Dist::Zipfian] {
+            for dist in [Dist::UniformDisjoint, Dist::Zipfian, Dist::OneTable] {
                 for &workers in &worker_counts {
                     cells.push(throughput_cell(
                         cfg, dist, isolation, workers, commits, runs,

@@ -29,21 +29,28 @@
 //!   equals timestamp order (role 3). Deadlock-freedom: a transaction
 //!   with an allocated timestamp never blocks on a latch again, so the
 //!   lowest unpublished timestamp can always make progress.
-//! * Versions are installed (under the latches) *before* the clock
-//!   advances, and `publish` advances the clock strictly in timestamp
-//!   order — so `clock = T` still implies every commit `≤ T` is fully
-//!   installed, which is the invariant every snapshot read relies on.
+//! * The latches cover only what they order: validate → queue the WAL
+//!   record → install versions → push the history summary, then they
+//!   **drop**. Installed versions carry `begin = ts > clock`, so no
+//!   snapshot sees them yet. The committer waits for its record to be
+//!   durable with no latch held, and `publish` advances the clock
+//!   strictly in timestamp order — so `clock = T` implies every commit
+//!   `≤ T` is fully installed **and in the log**, the invariant every
+//!   snapshot read relies on.
 //! * The **group-commit buffer** batches framed WAL records: a
 //!   committing thread enqueues and, if no flush is in flight, becomes
 //!   the *leader* — it may linger up to `group_commit_max_wait` for the
 //!   batch to fill (bounded by `group_commit_max_batch`), then writes
 //!   the whole batch with one flush (+ optional fsync). Followers park
-//!   until their record's sequence number is durable. One fsync then
-//!   covers many commits — the classic group-commit win.
-//! * A failed flush **poisons** the log (`broken`): the file may end in
-//!   torn bytes, and recovery stops at the first tear, so any record
-//!   appended after it would be unreachable — acknowledging such a
-//!   commit would be a durability lie. All later appends fail fast.
+//!   until their record's sequence number is durable. One fsync covers
+//!   every committer in flight, same table or not.
+//! * A failed flush **poisons** the log (`broken`) and **freezes the
+//!   clock** at the last durable timestamp: the file may end in torn
+//!   bytes and recovery stops at the first tear, so acknowledging any
+//!   record behind it would be a durability lie. Committers of the
+//!   failed batch and of records queued behind it get the error and
+//!   never publish (their versions stay above the clock, invisible);
+//!   records already durable still publish; later appends fail fast.
 //!
 //! Under a `feral_hooks` scheduler commits are **turn-atomic**: the only
 //! yield point on the commit path is `Site::TxnCommit` at entry, so sim
@@ -106,10 +113,10 @@ struct GroupState {
 /// see [`CommitPipeline::lock_shards`]), and the group buffer and
 /// publish lock are terminal — nothing else is ever acquired under
 /// them. `wait_durable` upholds the group terminal by dropping its
-/// guard around the WAL write.
+/// guard around the WAL write; it and `publish` run with no shard latch
+/// held (`racer/tests/live_tree.rs` pins the absent edges).
 // racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::group
 // racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::active
-// racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::publish_lock
 // racer:terminal feraldb::CommitPipeline::group
 // racer:terminal feraldb::CommitPipeline::publish_lock
 // racer:terminal feraldb::DbInner::wal
@@ -121,7 +128,8 @@ pub(crate) struct CommitPipeline {
     /// Highest allocated commit timestamp (the clock trails it until
     /// publication catches up).
     ts_alloc: AtomicU64,
-    publish_lock: Mutex<()>,
+    /// Timestamps installed and durable, parked until a predecessor publishes.
+    publish_lock: Mutex<BTreeSet<u64>>,
     publish_cv: Condvar,
     group: Mutex<GroupState>,
     /// Signaled when a batch flush completes (or the log breaks).
@@ -145,7 +153,7 @@ impl CommitPipeline {
                 .collect(),
             active: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             ts_alloc: AtomicU64::new(1),
-            publish_lock: Mutex::new(()),
+            publish_lock: Mutex::new(BTreeSet::new()),
             publish_cv: Condvar::new(),
             group: Mutex::new(GroupState {
                 buf: VecDeque::new(),
@@ -193,19 +201,11 @@ impl CommitPipeline {
         guards
     }
 
-    /// Latch every shard (ascending). Freezes installs and — because
-    /// publication happens under the latches — the clock. Vacuum uses
-    /// this to take a stable pruning horizon.
+    /// Latch every shard (ascending). Freezes installs, not the clock:
+    /// commits already installed may still publish. Vacuum uses this so
+    /// no version lands mid-sweep.
     pub(crate) fn lock_all_shards(&self) -> Vec<MutexGuard<'_, ShardCore>> {
         self.shards.iter().map(|s| s.lock()).collect()
-    }
-
-    /// Allocate the next commit timestamp (memory-only path; the WAL
-    /// path allocates inside [`CommitPipeline::enqueue_commit`] so log
-    /// order equals timestamp order). Callers must already hold their
-    /// full shard-latch set.
-    pub(crate) fn alloc_ts(&self) -> u64 {
-        self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Fast-forward the allocator after WAL replay.
@@ -264,14 +264,20 @@ impl CommitPipeline {
 
     // -- group commit ----------------------------------------------------
 
-    /// Enqueue a commit record, allocating its timestamp inside the
-    /// buffer mutex (log order = timestamp order). Returns `(ts, seq)`.
+    /// Allocate the next commit timestamp and — with a WAL bound (`log`)
+    /// — queue the record `build` makes from it, inside the buffer mutex
+    /// (log order = timestamp order). Callers hold their full latch set;
+    /// they install at `ts`, drop the latches, then `wait_durable(seq)`.
     /// Errors (without allocating) when the log is poisoned.
-    fn enqueue_commit(
+    pub(crate) fn stamp_commit(
         &self,
         stats: &Stats,
+        log: bool,
         build: impl FnOnce(u64) -> WalRecord,
     ) -> DbResult<(u64, u64)> {
+        if !log {
+            return Ok((self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1, 0));
+        }
         let mut g = self.group.lock();
         if let Some(msg) = &g.broken {
             return Err(DbError::Internal(msg.clone()));
@@ -301,15 +307,23 @@ impl CommitPipeline {
     }
 
     /// Park until record `my_seq` is durable, electing this thread as
-    /// the flush leader whenever no flush is in flight.
-    fn wait_durable(&self, writer: &Mutex<WalWriter>, stats: &Stats, my_seq: u64) -> DbResult<()> {
+    /// the flush leader whenever no flush is in flight. Durability is
+    /// checked before poison: a record flushed ahead of a failed batch is
+    /// acknowledged as usual. On `Err` the record is not in the log and
+    /// the caller must not publish its timestamp.
+    pub(crate) fn wait_durable(
+        &self,
+        writer: &Mutex<WalWriter>,
+        stats: &Stats,
+        my_seq: u64,
+    ) -> DbResult<()> {
         let mut g = self.group.lock();
         loop {
-            if let Some(msg) = &g.broken {
-                return Err(DbError::Internal(msg.clone()));
-            }
             if g.durable_seq >= my_seq {
                 return Ok(());
+            }
+            if let Some(msg) = &g.broken {
+                return Err(DbError::Internal(msg.clone()));
             }
             if g.flushing {
                 // another leader is writing our batch (or an earlier one)
@@ -354,6 +368,7 @@ impl CommitPipeline {
             let result = writer.lock().write_frames(&bytes);
             g = self.group.lock();
             g.flushing = false;
+            self.flushed_cv.notify_all();
             match result {
                 Ok(()) => {
                     g.durable_seq += take as u64;
@@ -365,35 +380,11 @@ impl CommitPipeline {
                         take as u64,
                         bytes.len() as u64,
                     );
-                    self.flushed_cv.notify_all();
                 }
                 Err(e) => {
                     g.broken = Some(format!("WAL poisoned by failed flush: {e}"));
-                    self.flushed_cv.notify_all();
-                    self.fill_cv.notify_all();
                     return Err(e);
                 }
-            }
-        }
-    }
-
-    /// Log a commit record durably through the group buffer, returning
-    /// its timestamp. On flush failure the already-allocated timestamp
-    /// is published empty (no installed effects) so later commits don't
-    /// stall on the gap, and the error propagates to abort the caller.
-    pub(crate) fn commit_durable(
-        &self,
-        writer: &Mutex<WalWriter>,
-        stats: &Stats,
-        clock: &AtomicU64,
-        build: impl FnOnce(u64) -> WalRecord,
-    ) -> DbResult<u64> {
-        let (ts, seq) = self.enqueue_commit(stats, build)?;
-        match self.wait_durable(writer, stats, seq) {
-            Ok(()) => Ok(ts),
-            Err(e) => {
-                self.publish(clock, ts);
-                Err(e)
             }
         }
     }
@@ -412,23 +403,36 @@ impl CommitPipeline {
 
     // -- publication -----------------------------------------------------
 
-    /// Advance the clock to `ts`, waiting (hooks-aware) until every
-    /// earlier timestamp has published. Callers have already installed
-    /// their versions, so `clock = T` ⇒ all commits `≤ T` are visible.
+    /// Publish `ts` and return once the clock has reached it. Callers
+    /// have installed their versions and seen their record durable; a
+    /// timestamp whose flush failed never gets here — that freezes the
+    /// clock. Whoever finds the clock right below its own timestamp
+    /// advances it over every contiguous successor parked in `ready`: a
+    /// committer descheduled before publishing wakes its convoy at once.
     pub(crate) fn publish(&self, clock: &AtomicU64, ts: u64) {
-        let mut g = self.publish_lock.lock();
-        while clock.load(Ordering::SeqCst) != ts - 1 {
+        let mut ready = self.publish_lock.lock();
+        if clock.load(Ordering::SeqCst) + 1 == ts {
+            let mut upto = ts;
+            while ready.remove(&(upto + 1)) {
+                upto += 1;
+            }
+            clock.store(upto, Ordering::SeqCst);
+            if upto > ts {
+                self.publish_cv.notify_all();
+            }
+            return;
+        }
+        ready.insert(ts);
+        while clock.load(Ordering::SeqCst) < ts {
             if feral_hooks::active() {
                 // unreachable under turn-atomic commits; defensive
-                drop(g);
+                drop(ready);
                 let _ = feral_hooks::wait(feral_hooks::WaitKind::Commit);
-                g = self.publish_lock.lock();
+                ready = self.publish_lock.lock();
             } else {
-                self.publish_cv.wait(&mut g);
+                self.publish_cv.wait(&mut ready);
             }
         }
-        clock.store(ts, Ordering::SeqCst);
-        self.publish_cv.notify_all();
     }
 }
 
@@ -482,19 +486,25 @@ mod tests {
     fn publish_orders_timestamps() {
         let p = pipeline(2);
         let clock = AtomicU64::new(1);
-        let t2 = p.alloc_ts();
-        let t3 = p.alloc_ts();
-        assert_eq!((t2, t3), (2, 3));
         std::thread::scope(|s| {
-            s.spawn(|| {
-                // t3 must wait for t2 even when it gets here first
-                p.publish(&clock, t3);
-            });
-            std::thread::sleep(Duration::from_millis(20));
+            // 3, 4 and 6 must wait for 2 even though they get here first
+            for ts in [3, 4, 6] {
+                let (p, clock) = (&p, &clock);
+                s.spawn(move || p.publish(clock, ts));
+            }
+            while p.publish_lock.lock().len() < 3 {
+                std::thread::yield_now();
+            }
             assert_eq!(clock.load(Ordering::SeqCst), 1);
-            p.publish(&clock, t2);
+            // 2 carries its contiguous successors with it, not the one
+            // past the gap
+            p.publish(&clock, 2);
+            assert_eq!(clock.load(Ordering::SeqCst), 4);
+            assert_eq!(p.publish_lock.lock().len(), 1);
+            p.publish(&clock, 5);
         });
-        assert_eq!(clock.load(Ordering::SeqCst), 3);
+        assert_eq!(clock.load(Ordering::SeqCst), 6);
+        assert!(p.publish_lock.lock().is_empty());
     }
 
     #[test]

@@ -386,6 +386,17 @@ impl Database {
         }
     }
 
+    /// Run `f` with the WAL writer held, so every group-commit flush
+    /// parks until `f` returns — the batching tests' port for piling
+    /// committers into one flush deterministically. Arm
+    /// [`Database::set_wal_fail_after`] *before* calling this (it takes
+    /// the same lock). Without a bound WAL `f` just runs.
+    #[doc(hidden)]
+    pub fn with_wal_stalled<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _writer = self.inner.wal.as_ref().map(|w| w.lock());
+        f()
+    }
+
     /// Number of commit shards the pipeline runs with.
     pub fn commit_shards(&self) -> usize {
         self.inner.pipeline.shard_count()
@@ -807,10 +818,14 @@ impl Database {
     /// Reclaim version history unreachable by any active snapshot. Returns
     /// the number of versions reclaimed.
     ///
-    /// Holds every commit-shard latch for the duration: that freezes
-    /// version installation **and** the clock (publication happens under
-    /// the latches), so a commit can't land mid-vacuum and have versions
-    /// its transaction still needs reclaimed early.
+    /// Holds every commit-shard latch for the duration, so no version is
+    /// installed mid-sweep. The clock may still advance (commits that
+    /// installed earlier publish without a latch), which is harmless: the
+    /// horizon is taken under the active-slice locks, so it is `<=` the
+    /// clock and `<=` every present or future snapshot, while an
+    /// installed-but-unpublished commit stamped its versions `> clock` —
+    /// neither they nor the versions and index postings they supersede
+    /// are at or below the horizon.
     pub fn vacuum(&self) -> usize {
         let _latches = self.inner.pipeline.lock_all_shards();
         let horizon = self
@@ -843,9 +858,9 @@ impl Database {
     /// touching only the given shards. The retention floor applies per
     /// shard. A committer prunes exactly the shards it wrote: history
     /// only grows through writes, so every shard is cleaned by its own
-    /// writers — and the prune never blocks on an *unrelated* shard's
-    /// latch (which a group-commit leader may hold across a whole
-    /// linger + fsync).
+    /// writers — and the prune never queues on an *unrelated* shard's
+    /// latch. Summaries of installed-but-unpublished commits carry
+    /// timestamps above the clock, hence above the horizon, and stay.
     pub(crate) fn prune_committed(&self, shards: impl IntoIterator<Item = usize>) {
         let horizon = self.oldest_active_snapshot();
         let floor = self.inner.config.committed_history_floor;

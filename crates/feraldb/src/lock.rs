@@ -58,8 +58,14 @@ pub enum LockMode {
 struct LockState {
     /// Current holders and their strongest held mode.
     holders: Vec<(TxnId, LockMode)>,
-    /// Number of transactions currently blocked on this lock (diagnostics).
+    /// Number of transactions currently blocked on this lock; a cell with
+    /// waiters is never retired.
     waiters: usize,
+    /// Set, under the state mutex, by the release that removes this cell
+    /// from the lock table. An acquirer that fetched the cell before the
+    /// removal must fetch again: a grant on the orphan would let a later
+    /// acquirer be granted the same key on a fresh cell.
+    retired: bool,
 }
 
 impl LockState {
@@ -145,8 +151,13 @@ impl LockManager {
     /// holder is alone. Returns `Ok(true)` if the lock was (newly or
     /// already) held, so callers can record it for release.
     pub fn acquire(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> DbResult<()> {
-        let cell = self.cell(key);
+        let mut cell = self.cell(key);
         let mut state = cell.state.lock();
+        while state.retired {
+            drop(state);
+            cell = self.cell(key);
+            state = cell.state.lock();
+        }
         if let Some(held) = state.mode_of(txn) {
             if held == LockMode::Exclusive || mode == LockMode::Shared {
                 return Ok(());
@@ -192,8 +203,13 @@ impl LockManager {
 
     /// Try to acquire without blocking. Returns `false` if unavailable.
     pub fn try_acquire(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> bool {
-        let cell = self.cell(key);
+        let mut cell = self.cell(key);
         let mut state = cell.state.lock();
+        while state.retired {
+            drop(state);
+            cell = self.cell(key);
+            state = cell.state.lock();
+        }
         if let Some(held) = state.mode_of(txn) {
             if held == LockMode::Exclusive || mode == LockMode::Shared {
                 return true;
@@ -230,8 +246,9 @@ impl LockManager {
             drop(state);
             let mut table = self.table.lock();
             if let Some(c) = table.get(key) {
-                let s = c.state.lock();
+                let mut s = c.state.lock();
                 if s.holders.is_empty() && s.waiters == 0 {
+                    s.retired = true;
                     drop(s);
                     table.remove(key);
                 }
@@ -321,6 +338,37 @@ mod tests {
         lm.release(1, &key());
         h.join().unwrap();
         assert!(got.load(Ordering::SeqCst));
+    }
+
+    /// Mutual exclusion must survive the idle-cell cleanup: an acquirer
+    /// that fetched a cell just before a release retired it must not be
+    /// granted on the orphan while a later acquirer is granted on a fresh
+    /// cell for the same key (and its own release, finding the fresh
+    /// cell, would strand the orphan's waiters until they time out).
+    /// Three threads do a non-atomic read-modify-write under the X lock;
+    /// one double grant loses an increment.
+    #[test]
+    fn exclusive_holds_across_idle_cell_cleanup() {
+        const THREADS: u64 = 3;
+        const ROUNDS: u64 = 50_000;
+        let lm = LockManager::new(Duration::from_secs(5));
+        let counter = std::sync::atomic::AtomicU64::new(0);
+        thread::scope(|s| {
+            for t in 0..THREADS {
+                let (lm, counter) = (&lm, &counter);
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        let txn = 1 + t + r * THREADS;
+                        lm.acquire(txn, &key(), LockMode::Exclusive).unwrap();
+                        let seen = counter.load(Ordering::SeqCst);
+                        std::hint::spin_loop();
+                        counter.store(seen + 1, Ordering::SeqCst);
+                        lm.release(txn, &key());
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), THREADS * ROUNDS);
     }
 
     #[test]

@@ -1241,14 +1241,14 @@ impl Transaction {
             .map(|p| pipeline.shard_of(p.table))
             .collect();
         let write_shards = shard_ids.clone();
+        let mut read_tables: BTreeSet<TableId> = BTreeSet::new();
         if self.isolation == IsolationLevel::Serializable {
-            shard_ids.extend(self.read_rows.iter().map(|(t, _)| pipeline.shard_of(*t)));
-            shard_ids.extend(self.read_preds.iter().map(|p| {
-                pipeline.shard_of(match p {
-                    PredRead::WholeTable(t) => *t,
-                    PredRead::Eq { table, .. } => *table,
-                })
+            read_tables.extend(self.read_rows.iter().map(|(t, _)| *t));
+            read_tables.extend(self.read_preds.iter().map(|p| match p {
+                PredRead::WholeTable(t) => *t,
+                PredRead::Eq { table, .. } => *table,
             }));
+            shard_ids.extend(read_tables.iter().map(|t| pipeline.shard_of(*t)));
         }
         // Canonical (ascending) acquisition order — no latch deadlock.
         let mut guards = pipeline.lock_shards(&shard_ids, &db.inner.stats);
@@ -1262,20 +1262,9 @@ impl Transaction {
             // commit-segment footprint: the validator re-reads every
             // registered read table, the install loop publishes every
             // written table, and the timestamp publish ticks the clock
-            if self.isolation == IsolationLevel::Serializable {
-                let read_tables: BTreeSet<TableId> = self
-                    .read_rows
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .chain(self.read_preds.iter().map(|p| match p {
-                        PredRead::WholeTable(t) => *t,
-                        PredRead::Eq { table, .. } => *table,
-                    }))
-                    .collect();
-                for tid in read_tables {
-                    let name = self.entry(tid).schema.name.clone();
-                    self.note_table_access(&name, feral_hooks::AccessMode::Read);
-                }
+            for &tid in &read_tables {
+                let name = self.entry(tid).schema.name.clone();
+                self.note_table_access(&name, feral_hooks::AccessMode::Read);
             }
             let written: BTreeSet<TableId> = self
                 .writes
@@ -1301,14 +1290,14 @@ impl Transaction {
                 return Err(DbError::SerializationFailure { detail });
             }
         }
-        // Redo logging: append the commit record BEFORE installing, so a
-        // crash between append and install replays to the committed state.
-        // Insert row ids are deterministic (heap appends for a table are
-        // serialized by its shard latch), so they can be precomputed. The
-        // commit timestamp is allocated inside the group buffer, keeping
-        // log order equal to timestamp order.
-        let commit_ts = if let Some(wal) = &db.inner.wal {
-            let mut wal_writes = Vec::new();
+        // Redo logging: queue the commit record BEFORE installing; it is
+        // flushed after the latches drop and before publication. Insert
+        // row ids are precomputed: queueing and heap appends both happen
+        // under the table's shard latch. The timestamp is allocated
+        // inside the group buffer, so log order = timestamp order.
+        let wal = db.inner.wal.as_ref();
+        let mut wal_writes = Vec::new();
+        if wal.is_some() {
             let mut next_row: HashMap<TableId, u64> = HashMap::new();
             for p in &self.writes {
                 if p.dead {
@@ -1343,22 +1332,22 @@ impl Transaction {
                     }
                 }
             }
-            match pipeline.commit_durable(wal, &db.inner.stats, &db.inner.clock, |ts| {
-                crate::wal::WalRecord::Commit {
-                    commit_ts: ts,
-                    writes: wal_writes,
-                }
-            }) {
-                Ok(ts) => ts,
-                Err(e) => {
-                    drop(guards);
-                    self.finish(false);
-                    return Err(e);
-                }
+        }
+        let stamped = pipeline.stamp_commit(&db.inner.stats, wal.is_some(), |ts| {
+            crate::wal::WalRecord::Commit {
+                commit_ts: ts,
+                writes: wal_writes,
             }
-        } else {
-            pipeline.alloc_ts()
+        });
+        let (commit_ts, wal_seq) = match stamped {
+            Ok(stamp) => stamp,
+            Err(e) => {
+                drop(guards);
+                self.finish(false);
+                return Err(e);
+            }
         };
+        // Installed at `commit_ts > clock`: invisible until `publish`.
         let mut rows: Vec<(TableId, RowId)> = Vec::new();
         let mut images: WriteImages = Vec::new();
         for p in &self.writes {
@@ -1416,11 +1405,18 @@ impl Transaction {
                 core.history.push_back(summary.clone());
             }
         }
-        // Publish while still holding the latches: vacuum latching all
-        // shards therefore freezes the clock too, and `clock = T` keeps
-        // implying every commit `<= T` is fully installed.
-        pipeline.publish(&db.inner.clock, commit_ts);
+        // Everything the latches order is fixed, so the flush is awaited
+        // without them and covers every committer in flight, same table
+        // or not. If it fails, the versions stay installed above a clock
+        // that never reaches them.
         drop(guards);
+        if let Some(wal) = wal {
+            if let Err(e) = pipeline.wait_durable(wal, &db.inner.stats, wal_seq) {
+                self.finish(false);
+                return Err(e);
+            }
+        }
+        pipeline.publish(&db.inner.clock, commit_ts);
         // Write footprint for the runtime auditor, in the same order
         // the images were installed — built from the published summary
         // *after* the latches drop, so image hashing never extends the

@@ -1,0 +1,275 @@
+//! What the commit shard latches do not cover. A committer validates,
+//! enqueues its WAL record, installs its versions and pushes its history
+//! summary under the latches of the tables it wrote, then drops them and
+//! only afterwards waits for the flush and publishes. These tests stall
+//! the WAL writer (`Database::with_wal_stalled`) to hold commits in that
+//! installed-but-unpublished state deterministically.
+
+use feral_db::{
+    ColumnDef, Config, DataType, Database, Datum, IsolationLevel, Predicate, TableSchema,
+    WalRecord, WalWrite,
+};
+
+mod common;
+use common::eventually;
+
+fn wal_path(name: &str) -> std::path::PathBuf {
+    common::wal_path("latch-scope", name)
+}
+
+fn open(path: &std::path::Path) -> Database {
+    Database::open(Config {
+        wal_path: Some(path.to_path_buf()),
+        wal_sync: true,
+        ..Config::default()
+    })
+    .unwrap()
+}
+
+/// `n` of every row of `items` matching `pred`, in heap order.
+fn values(tx: &mut feral_db::Transaction, pred: &Predicate) -> Vec<i64> {
+    let rows = tx.scan("items", pred).unwrap();
+    rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect()
+}
+
+/// Six threads commit into the SAME table while the writer is stalled:
+/// all six must get their records into the buffer behind the stalled
+/// flush, so at most two flushes (the leader's batch taken before it
+/// parked, then everything queued behind it) cover six appends — and log
+/// order = timestamp order = heap row-id order when the log is replayed.
+///
+/// On the parent of this change the test fails at the first assertion:
+/// the leader held `items`' shard latch across its flush, the other five
+/// queued on the latch instead of in the buffer, and every batch on one
+/// table was pinned at size 1 (`wal_flushes == wal_appends`).
+#[test]
+fn committers_on_one_table_share_a_flush() {
+    const N: u64 = 6;
+    let path = wal_path("one-table");
+    let db = open(&path);
+    db.create_table(TableSchema::new(
+        "items",
+        vec![ColumnDef::new("n", DataType::Int)],
+    ))
+    .unwrap();
+    let before = db.stats().snapshot();
+    std::thread::scope(|s| {
+        db.with_wal_stalled(|| {
+            for n in 0..N {
+                let db = db.clone();
+                s.spawn(move || {
+                    db.txn()
+                        .run(|tx| tx.insert_pairs("items", &[("n", Datum::Int(n as i64))]))
+                        .unwrap();
+                });
+            }
+            assert!(
+                eventually(|| db.stats().snapshot().diff(&before).wal_appends == N),
+                "all {N} committers on one table must enqueue while the flush is stalled"
+            );
+        });
+    });
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!((d.commits, d.wal_appends), (N, N));
+    assert_eq!(d.group_commit_batches, d.wal_flushes);
+    assert!(
+        d.wal_flushes <= 2 && d.wal_flushes < d.wal_appends,
+        "{N} appends behind one stalled flush took {} flushes",
+        d.wal_flushes
+    );
+    let mean_batch = d.wal_appends / d.group_commit_batches;
+    assert!(mean_batch >= 2, "some batch held at least two records");
+    drop(db);
+
+    let (records, _) = feral_db::wal::read_log(&path).unwrap();
+    let inserts: Vec<(u64, u64, i64)> = records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Commit { commit_ts, writes } => match writes.as_slice() {
+                [WalWrite::Insert { row, tuple, .. }] => {
+                    Some((*commit_ts, *row, tuple[1].as_int().unwrap()))
+                }
+                other => panic!("single-insert commits only, got {other:?}"),
+            },
+            _ => None,
+        })
+        .collect();
+    assert_eq!(inserts.len() as u64, N);
+    for (i, pair) in inserts.windows(2).enumerate() {
+        assert!(pair[0].0 < pair[1].0, "log order = timestamp order at {i}");
+    }
+    let rows: Vec<u64> = inserts.iter().map(|(_, row, _)| *row).collect();
+    assert_eq!(rows, (0..N).collect::<Vec<_>>(), "log order = row-id order");
+    // replay verifies each logged row id against the heap position it gets
+    let db = open(&path);
+    let mut tx = db.txn().begin();
+    let logged: Vec<i64> = inserts.iter().map(|(_, _, n)| *n).collect();
+    assert_eq!(values(&mut tx, &Predicate::True), logged);
+}
+
+/// Vacuum against installed-but-unpublished commits, with an old
+/// snapshot pinned. Vacuum latches every shard, which excludes installs
+/// but not commits that are waiting for their flush — so it runs
+/// *while* three updates and a delete sit in the heap above the clock. Nothing the pinned snapshot (or a fresh one) needs
+/// may be reclaimed, and no index posting may be swept early: the old
+/// keys must stay reachable through the index until the old snapshot is
+/// gone and the commits are published.
+#[test]
+fn vacuum_spares_what_unpublished_commits_supersede() {
+    let path = wal_path("vacuum");
+    let db = open(&path);
+    db.create_table(TableSchema::new(
+        "items",
+        vec![ColumnDef::new("n", DataType::Int)],
+    ))
+    .unwrap();
+    db.create_index("items", &["n"], false).unwrap();
+    db.txn()
+        .run(|tx| {
+            for n in 0..4 {
+                tx.insert_pairs("items", &[("n", Datum::Int(n))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    let mut pinned = db.txn().isolation(IsolationLevel::Snapshot).begin();
+    assert_eq!(values(&mut pinned, &Predicate::True), vec![0, 1, 2, 3]);
+
+    // rows 0..=2 move to key n+100, row 3 is deleted — four concurrent
+    // transactions on one table, each on its own row
+    let rewrite = |db: &Database, n: i64| {
+        db.txn()
+            .run(|tx| {
+                let (rref, tuple) = tx.scan("items", &Predicate::eq(1, n))?.remove(0);
+                if n == 3 {
+                    return tx.delete("items", rref);
+                }
+                let mut next = (*tuple).clone();
+                next[1] = Datum::Int(n + 100);
+                tx.update("items", rref, next)
+            })
+            .unwrap();
+    };
+    let before = db.stats().snapshot();
+    std::thread::scope(|s| {
+        db.with_wal_stalled(|| {
+            for n in 0..4 {
+                let db = db.clone();
+                s.spawn(move || rewrite(&db, n));
+            }
+            assert!(eventually(|| db
+                .stats()
+                .snapshot()
+                .diff(&before)
+                .wal_appends
+                == 4));
+            // all four are installed, none is published
+            let probes = db.stats().snapshot().index_probes;
+            for _ in 0..3 {
+                assert_eq!(db.vacuum(), 0, "nothing is reclaimable yet");
+                let mut fresh = db.txn().begin();
+                for view in [&mut pinned, &mut fresh] {
+                    assert_eq!(values(view, &Predicate::True), vec![0, 1, 2, 3]);
+                    for n in 0..4 {
+                        // through the index: the old-key postings survive
+                        assert_eq!(values(view, &Predicate::eq(1, n)), vec![n]);
+                        assert!(values(view, &Predicate::eq(1, n + 100)).is_empty());
+                    }
+                }
+            }
+            assert!(
+                db.stats().snapshot().index_probes > probes,
+                "the equality scans above went through the index"
+            );
+        });
+    });
+    // published: a fresh snapshot moves on, the pinned one does not —
+    // however often vacuum runs under it
+    for _ in 0..3 {
+        assert_eq!(
+            db.vacuum(),
+            0,
+            "the pinned snapshot still needs every version"
+        );
+        assert_eq!(values(&mut pinned, &Predicate::True), vec![0, 1, 2, 3]);
+        for n in 0..4 {
+            assert_eq!(values(&mut pinned, &Predicate::eq(1, n)), vec![n]);
+        }
+        let mut fresh = db.txn().begin();
+        assert_eq!(values(&mut fresh, &Predicate::True), vec![100, 101, 102]);
+    }
+    drop(pinned);
+    assert_eq!(db.vacuum(), 3, "the three superseded versions go");
+    let mut fresh = db.txn().begin();
+    assert_eq!(values(&mut fresh, &Predicate::True), vec![100, 101, 102]);
+    for n in 0..4 {
+        assert!(values(&mut fresh, &Predicate::eq(1, n)).is_empty());
+    }
+}
+
+/// The same property without the stall: vacuum loops against a stream
+/// of durable updates on one table while a pinned snapshot re-reads it.
+/// Whatever the interleaving of install, flush, publish and sweep, the
+/// pinned view never changes and the final state has every update.
+#[test]
+fn vacuum_loop_against_inflight_commits_keeps_a_pinned_snapshot_stable() {
+    const WRITERS: i64 = 3;
+    const ROUNDS: i64 = 40;
+    let path = wal_path("vacuum-loop");
+    let db = open(&path);
+    db.create_table(TableSchema::new(
+        "items",
+        vec![ColumnDef::new("n", DataType::Int)],
+    ))
+    .unwrap();
+    db.create_index("items", &["n"], false).unwrap();
+    db.txn()
+        .run(|tx| {
+            for w in 0..WRITERS {
+                tx.insert_pairs("items", &[("n", Datum::Int(w * 1000))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    let mut pinned = db.txn().isolation(IsolationLevel::Snapshot).begin();
+    let original: Vec<i64> = (0..WRITERS).map(|w| w * 1000).collect();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let vacuum = s.spawn(|| {
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                db.vacuum();
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let db = db.clone();
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        let from = w * 1000 + r;
+                        db.txn()
+                            .run(|tx| {
+                                let (rref, tuple) =
+                                    tx.scan("items", &Predicate::eq(1, from))?.remove(0);
+                                let mut next = (*tuple).clone();
+                                next[1] = Datum::Int(from + 1);
+                                tx.update("items", rref, next)
+                            })
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        while !writers.iter().all(|w| w.is_finished()) {
+            assert_eq!(values(&mut pinned, &Predicate::True), original);
+            for &n in &original {
+                assert_eq!(values(&mut pinned, &Predicate::eq(1, n)), vec![n]);
+            }
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        vacuum.join().unwrap();
+    });
+    assert_eq!(values(&mut pinned, &Predicate::True), original);
+    let mut fresh = db.txn().begin();
+    let moved: Vec<i64> = original.iter().map(|n| n + ROUNDS).collect();
+    assert_eq!(values(&mut fresh, &Predicate::True), moved);
+}

@@ -1,19 +1,21 @@
 //! Group-commit crash recovery: injected torn writes mid-batch, exact
-//! complete-record-prefix replay (no torn or phantom commits), and the
-//! poisoned-log contract after a failed flush.
+//! complete-record-prefix replay (no torn or phantom commits), the
+//! poisoned-log contract after a failed flush (the clock freezes at the
+//! last durable commit), and "visible ⇒ durable" under concurrent
+//! committers on one table.
 
 use feral_db::{
     ColumnDef, Config, DataType, Database, Datum, IsolationLevel, Predicate, TableSchema,
+    WalRecord, WalWrite,
 };
-use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-fn wal_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("feral-group-commit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(format!("{name}.wal"));
-    let _ = std::fs::remove_file(&p);
-    p
+mod common;
+use common::eventually;
+
+fn wal_path(name: &str) -> std::path::PathBuf {
+    common::wal_path("group-commit", name)
 }
 
 fn config(path: &std::path::Path) -> Config {
@@ -34,17 +36,43 @@ fn insert_one(db: &Database, n: i64) -> Result<(), feral_db::DbError> {
     })
 }
 
-fn recovered_values(path: &std::path::Path) -> Vec<i64> {
-    let db = Database::open(config(path)).unwrap();
+/// The `n` of every visible `items` row, in heap (row-id) order; empty
+/// when the table does not exist — a cut before the DDL record recovers
+/// a database without the table at all, the empty prefix.
+fn visible_values(db: &Database) -> Vec<i64> {
     let mut tx = db.txn().begin();
-    // a cut before the DDL record recovers a database without the
-    // table at all — the empty prefix
     let Ok(rows) = tx.scan("items", &Predicate::True) else {
         return Vec::new();
     };
-    let mut vals: Vec<i64> = rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect();
+    rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect()
+}
+
+/// Recover `path` (replay verifies every logged insert row id) and read
+/// `items` back in heap order.
+fn recovered_in_heap_order(path: &std::path::Path) -> Vec<i64> {
+    visible_values(&Database::open(config(path)).unwrap())
+}
+
+fn recovered_values(path: &std::path::Path) -> Vec<i64> {
+    let mut vals = recovered_in_heap_order(path);
     vals.sort_unstable();
     vals
+}
+
+/// The `n` of every single-insert commit record in the log, in log order.
+fn logged_values(path: &std::path::Path) -> Vec<i64> {
+    let (records, _) = feral_db::wal::read_log(path).unwrap();
+    let mut out = Vec::new();
+    for r in records {
+        if let WalRecord::Commit { writes, .. } = r {
+            for w in writes {
+                if let WalWrite::Insert { tuple, .. } = w {
+                    out.push(tuple[1].as_int().unwrap());
+                }
+            }
+        }
+    }
+    out
 }
 
 /// A torn write mid-record must recover exactly the acked prefix — no
@@ -113,29 +141,85 @@ fn fail_budget_spans_multiple_flushes() {
     assert_eq!(recovered_values(&path), vec![1, 2, 3]);
 }
 
-/// A failed flush poisons the log: every later commit fails fast (its
-/// record would sit behind the torn tail, unreachable by recovery) and
-/// the database keeps serving reads.
+/// A failed flush poisons the log and freezes the clock, here with
+/// several committers on ONE table parked on the flush that fails. They
+/// install their versions and drop the table's latch before the flush,
+/// so when it fails those versions are already in the heap: the clock
+/// must stay below them. With the writer
+/// stalled, four committers enqueue (one leads, three follow — or some
+/// ride in the leader's batch; the outcome is the same) and the first
+/// write tears mid-record. Then: every one gets the error and no reader
+/// at any isolation level ever sees their rows; later commits fail
+/// fast; reads keep working; recovery yields the pre-poison prefix.
 #[test]
 fn failed_flush_poisons_the_log() {
+    const PARKED: i64 = 4;
     let path = wal_path("poison");
     let db = Database::open(config(&path)).unwrap();
     db.create_table(items_schema()).unwrap();
     insert_one(&db, 1).unwrap();
-    db.set_wal_fail_after(Some(0));
-    insert_one(&db, 2).unwrap_err();
-    let err = insert_one(&db, 3).unwrap_err();
-    assert!(
-        err.to_string().contains("poisoned"),
-        "later commits report the poisoned log, got: {err}"
-    );
-    // reads still work; only commit 1 is visible
-    let mut tx = db.txn().begin();
-    assert_eq!(tx.count("items", &Predicate::True).unwrap(), 1);
-    // recovery sees the pre-poison prefix
-    drop(tx);
+    insert_one(&db, 2).unwrap();
+    // an old snapshot pinned across the failure
+    let mut pinned = db.txn().isolation(IsolationLevel::Snapshot).begin();
+    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 2);
+
+    db.set_wal_fail_after(Some(5));
+    let before = db.stats().snapshot();
+    let errors: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = db.with_wal_stalled(|| {
+            let handles = (10..10 + PARKED)
+                .map(|n| {
+                    let db = db.clone();
+                    s.spawn(move || insert_one(&db, n))
+                })
+                .collect();
+            assert!(
+                eventually(|| db.stats().snapshot().diff(&before).wal_appends == PARKED as u64),
+                "committers must enqueue behind a stalled flush on their own table"
+            );
+            // installed, not durable, not published: invisible right now
+            assert_eq!(visible_values(&db), vec![1, 2]);
+            handles
+        });
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap_err().to_string())
+            .collect()
+    });
+    for err in &errors {
+        assert!(
+            err.contains("torn write") || err.contains("poisoned"),
+            "every parked committer must see the failed flush, got: {err}"
+        );
+    }
+    assert_eq!(db.stats().snapshot().diff(&before).commits, 0);
+    // later commits fail fast
+    let err = insert_one(&db, 99).unwrap_err().to_string();
+    assert!(err.contains("poisoned"), "got: {err}");
+    // reads keep working at the frozen clock, at every isolation level,
+    // and never observe a row of the failed flush
+    for iso in [
+        IsolationLevel::ReadCommitted,
+        IsolationLevel::RepeatableRead,
+        IsolationLevel::Snapshot,
+        IsolationLevel::Serializable,
+    ] {
+        let mut tx = db.txn().isolation(iso).begin();
+        let rows = tx.scan("items", &Predicate::True).unwrap();
+        let vals: Vec<i64> = rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect();
+        assert_eq!(vals, vec![1, 2], "under {iso}");
+        for n in 10..10 + PARKED {
+            assert_eq!(tx.count("items", &Predicate::eq(1, n)).unwrap(), 0);
+        }
+    }
+    assert_eq!(db.count_rows("items").unwrap(), 2);
+    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 2);
+    // vacuum at the frozen clock changes nothing a reader can see
+    drop(pinned);
+    db.vacuum();
+    assert_eq!(visible_values(&db), vec![1, 2]);
     drop(db);
-    assert_eq!(recovered_values(&path), vec![1]);
+    assert_eq!(recovered_in_heap_order(&path), vec![1, 2]);
 }
 
 /// Physical truncation sweep: chopping the log at every byte boundary
@@ -167,6 +251,108 @@ fn truncation_at_any_byte_recovers_a_prefix() {
         seen_lens.contains(&4) && seen_lens.contains(&0),
         "sweep covered both the full log and the empty log: {seen_lens:?}"
     );
+}
+
+/// Spawn `threads` committers, each inserting `per_thread` distinct
+/// values into the one `items` table through a synced WAL.
+fn commit_concurrently(db: &Database, threads: i64, per_thread: i64) {
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let db = db.clone();
+            s.spawn(move || {
+                for i in 0..per_thread {
+                    insert_one(&db, t * 1000 + i).unwrap();
+                }
+            });
+        }
+    });
+}
+
+/// The truncation sweep again, over a log written by concurrent
+/// committers on ONE table (multi-record batches, row ids assigned under
+/// the table's latch but flushed outside it). Every cut must replay —
+/// redo's row-id verification never trips — to exactly the log-order
+/// prefix, in heap order: log order = row-id order.
+#[test]
+fn truncation_of_a_concurrent_one_table_log_recovers_a_prefix() {
+    let path = wal_path("sweep-concurrent");
+    {
+        let db = Database::open(Config {
+            wal_sync: true,
+            ..config(&path)
+        })
+        .unwrap();
+        db.create_table(items_schema()).unwrap();
+        commit_concurrently(&db, 4, 12);
+    }
+    let order = logged_values(&path);
+    assert_eq!(order.len(), 48);
+    let full = std::fs::read(&path).unwrap();
+    let copy = wal_path("sweep-concurrent-copy");
+    let mut seen_lens = std::collections::BTreeSet::new();
+    for cut in (0..=full.len()).rev().step_by(7).chain([full.len()]) {
+        std::fs::write(&copy, &full[..cut]).unwrap();
+        let vals = recovered_in_heap_order(&copy);
+        assert_eq!(vals, order[..vals.len()], "cut at {cut} bytes");
+        seen_lens.insert(vals.len());
+    }
+    assert_eq!(
+        seen_lens.len(),
+        order.len() + 1,
+        "a 7-byte step lands inside every record: every prefix length recovered"
+    );
+}
+
+/// Visible ⇒ durable. Versions are installed before their record is
+/// flushed, so the only thing keeping an undurable row out of a reader's
+/// sight is the publish order. A reader polls `items` while three
+/// threads commit into it through a synced WAL; whenever new rows become
+/// visible it copies the log as it is at that instant and recovers the
+/// copy, which must contain every row the reader saw.
+#[test]
+fn a_visible_row_is_already_in_the_log() {
+    const THREADS: i64 = 3;
+    const PER_THREAD: i64 = 25;
+    let path = wal_path("visible-durable");
+    let copy = wal_path("visible-durable-copy");
+    let db = Database::open(Config {
+        wal_sync: true,
+        ..config(&path)
+    })
+    .unwrap();
+    db.create_table(items_schema()).unwrap();
+    let done = AtomicBool::new(false);
+    let checks = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (mut seen, mut checks) = (0, 0);
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                let visible = visible_values(&db);
+                if visible.len() > seen {
+                    seen = visible.len();
+                    checks += 1;
+                    std::fs::copy(&path, &copy).unwrap();
+                    let recovered = recovered_in_heap_order(&copy);
+                    assert!(
+                        recovered.len() >= visible.len()
+                            && recovered[..visible.len()] == visible[..],
+                        "visible rows {visible:?} missing from the log copy {recovered:?}"
+                    );
+                }
+                if finished {
+                    return checks;
+                }
+            }
+        });
+        commit_concurrently(&db, THREADS, PER_THREAD);
+        done.store(true, Ordering::SeqCst);
+        reader.join().unwrap()
+    });
+    assert!(
+        checks >= 2,
+        "the reader raced the committers ({checks} checks)"
+    );
+    assert_eq!(visible_values(&db).len() as i64, THREADS * PER_THREAD);
 }
 
 /// With lingering group commit and commits on distinct shards, leader

@@ -52,6 +52,22 @@ fn extraction_sees_the_commit_pipeline_discipline() {
         edge.is_some_and(|m| m.blocking),
         "shards -> group blocking edge missing: extraction regressed"
     );
+    // ...but not across the flush or the publish wait: a committer
+    // drops its latches before `wait_durable` and `publish`, which is
+    // what lets one fsync cover every committer on a table.
+    for slow in [
+        "feraldb::DbInner::wal",
+        "feraldb::CommitPipeline::publish_lock",
+    ] {
+        let edge = (
+            "feraldb::CommitPipeline::shards".to_string(),
+            slow.to_string(),
+        );
+        assert!(
+            !a.graph.edges.contains_key(&edge),
+            "{slow} is acquired under a commit shard latch"
+        );
+    }
     // ...and the declared discipline is actually loaded from the tree.
     assert!(
         !a.decls.orders.is_empty(),

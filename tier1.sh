@@ -141,4 +141,15 @@ cargo run --release -q -p feral-net -- loadbench --smoke --out "$LOAD_OUT" > /de
 cargo run --release -q -p feral-bench --bin checkreport -- --load "$LOAD_OUT"
 rm -f "$LOAD_OUT"
 
+echo "== tier1: end-to-end benchmark smoke gate (feral-benchmark all --smoke) =="
+# Gates on its own exit code: the four BENCHMARK.json workloads (durable
+# signup over TCP, read-mostly over TCP and in process, planner-hot in
+# process) at tiny counts, each in a process of its own — output checks,
+# sent == correct + failed accounting, the durable workload's "0
+# acknowledged signups missing after recovery", integrity_audit() == 0.
+# benchmark/ is a package of its own (own lock file and target dir), so
+# this is also the only gate that notices an engine or wire API change
+# the benchmark no longer compiles against.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- all --smoke > /dev/null
+
 echo "== tier1: OK =="
