@@ -99,9 +99,9 @@ struct GroupState {
     /// a solo steady state (last batch = 1) skips the fill linger, so
     /// group commit costs uncontended workloads nothing.
     last_take: usize,
-    /// Set by a failed flush: the log tail may be torn, so every later
+    /// `Err` after a failed flush: the log tail may be torn, so every later
     /// append must fail (records behind a tear are unrecoverable).
-    broken: Option<String>,
+    broken: DbResult<()>,
 }
 
 /// Sharded commit state: shard latches + history slices, the active-txn
@@ -161,7 +161,7 @@ impl CommitPipeline {
                 durable_seq: 0,
                 flushing: false,
                 last_take: 1,
-                broken: None,
+                broken: Ok(()),
             }),
             flushed_cv: Condvar::new(),
             fill_cv: Condvar::new(),
@@ -279,9 +279,7 @@ impl CommitPipeline {
             return Ok((self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1, 0));
         }
         let mut g = self.group.lock();
-        if let Some(msg) = &g.broken {
-            return Err(DbError::Internal(msg.clone()));
-        }
+        g.broken.clone()?;
         let ts = self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1;
         let framed = frame_record(&build(ts));
         g.buf.push_back(framed);
@@ -292,12 +290,16 @@ impl CommitPipeline {
         Ok((ts, seq))
     }
 
+    /// `Err` once a flush has failed: what a validator that trips over
+    /// the failed batch's history summaries reports, not a retryable conflict.
+    pub(crate) fn check_unbroken(&self) -> DbResult<()> {
+        self.group.lock().broken.clone()
+    }
+
     /// Enqueue a non-commit (DDL) record; no timestamp involved.
     fn enqueue_record(&self, stats: &Stats, record: &WalRecord) -> DbResult<u64> {
         let mut g = self.group.lock();
-        if let Some(msg) = &g.broken {
-            return Err(DbError::Internal(msg.clone()));
-        }
+        g.broken.clone()?;
         g.buf.push_back(frame_record(record));
         let seq = g.next_seq;
         g.next_seq += 1;
@@ -322,9 +324,7 @@ impl CommitPipeline {
             if g.durable_seq >= my_seq {
                 return Ok(());
             }
-            if let Some(msg) = &g.broken {
-                return Err(DbError::Internal(msg.clone()));
-            }
+            g.broken.clone()?;
             if g.flushing {
                 // another leader is writing our batch (or an earlier one)
                 if feral_hooks::active() {
@@ -382,7 +382,8 @@ impl CommitPipeline {
                     );
                 }
                 Err(e) => {
-                    g.broken = Some(format!("WAL poisoned by failed flush: {e}"));
+                    let msg = format!("WAL poisoned by failed flush: {e}");
+                    g.broken = Err(DbError::Internal(msg));
                     return Err(e);
                 }
             }

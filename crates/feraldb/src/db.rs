@@ -502,7 +502,7 @@ impl Database {
                     .get(&table)
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
                 let entry = cat.table(tid);
-                let (old, _, _) = entry.heap.latest(row as usize).ok_or(DbError::NoSuchRow)?;
+                let old = entry.heap.newest(row as usize).ok_or(DbError::NoSuchRow)?;
                 let tuple = Arc::new(tuple);
                 entry
                     .heap
@@ -524,7 +524,7 @@ impl Database {
                     .get(&table)
                     .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
                 let entry = cat.table(tid);
-                entry.heap.latest(row as usize).ok_or(DbError::NoSuchRow)?;
+                entry.heap.newest(row as usize).ok_or(DbError::NoSuchRow)?;
                 entry.heap.install_delete(row as usize, commit_ts);
             }
         }

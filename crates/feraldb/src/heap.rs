@@ -136,13 +136,30 @@ impl Heap {
             .map(|v| v.tuple.clone())
     }
 
-    /// The newest committed tuple of `row` along with liveness and its
-    /// `begin` timestamp — what in-database constraint checks look at.
-    pub fn latest(&self, row: RowId) -> Option<(Arc<Tuple>, bool, u64)> {
+    /// The newest version of `row` published at `clock`, with its liveness
+    /// at `clock` and its `begin` timestamp — what post-lock re-reads and
+    /// in-database constraint checks look at. Versions above the clock are
+    /// installed but not (yet, or after a failed flush ever) committed:
+    /// their writer still holds the row and key locks unless its flush
+    /// failed, so under a lock this is the latest committed image.
+    pub fn latest(&self, row: RowId, clock: u64) -> Option<(Arc<Tuple>, bool, u64)> {
+        let rows = self.rows.read();
+        let v = rows
+            .get(row)?
+            .versions
+            .iter()
+            .rev()
+            .find(|v| v.begin <= clock)?;
+        Some((v.tuple.clone(), v.end == 0 || v.end > clock, v.begin))
+    }
+
+    /// The newest installed tuple of `row`, published or not. Only WAL
+    /// replay may use this: it runs before the clock is set.
+    pub fn newest(&self, row: RowId) -> Option<Arc<Tuple>> {
         let rows = self.rows.read();
         rows.get(row)
             .and_then(|c| c.latest())
-            .map(|v| (v.tuple.clone(), v.end == 0, v.begin))
+            .map(|v| v.tuple.clone())
     }
 
     /// Collect `(row_id, tuple)` for every row visible at `ts` that matches
@@ -164,9 +181,11 @@ impl Heap {
         out
     }
 
-    /// Collect `(row_id, tuple)` for every row whose *latest committed*
-    /// version is live and matches `filter` — the read used by in-database
-    /// constraint enforcement, which must see past its own snapshot.
+    /// Collect `(row_id, tuple)` for every row whose newest installed
+    /// version — published or not — is live and matches `filter`. Only
+    /// index backfill may use this (a posting for a version still above
+    /// the clock is harmless: readers resolve visibility in the heap);
+    /// constraint checks read `scan_visible` at the clock instead.
     pub fn scan_latest<F>(&self, mut filter: F) -> Vec<(RowId, Arc<Tuple>)>
     where
         F: FnMut(&Tuple) -> bool,
@@ -255,10 +274,17 @@ mod tests {
         assert!(h.install_update(r, 20, t(2)));
         assert_eq!(h.visible(r, 15).unwrap()[0], Datum::Int(1));
         assert_eq!(h.visible(r, 20).unwrap()[0], Datum::Int(2));
-        let (latest, live, begin) = h.latest(r).unwrap();
+        let (latest, live, begin) = h.latest(r, 20).unwrap();
         assert_eq!(latest[0], Datum::Int(2));
         assert!(live);
         assert_eq!(begin, 20);
+        // a version above the clock is not the latest committed one
+        let (latest, live, begin) = h.latest(r, 19).unwrap();
+        assert_eq!(latest[0], Datum::Int(1));
+        assert!(live, "the superseding version is unpublished at 19");
+        assert_eq!(begin, 10);
+        assert!(h.latest(r, 9).is_none());
+        assert_eq!(h.newest(r).unwrap()[0], Datum::Int(2));
     }
 
     #[test]
@@ -268,8 +294,10 @@ mod tests {
         assert!(h.install_delete(r, 30));
         assert!(h.visible(r, 29).is_some());
         assert!(h.visible(r, 30).is_none());
-        let (_, live, _) = h.latest(r).unwrap();
+        let (_, live, _) = h.latest(r, 30).unwrap();
         assert!(!live);
+        let (_, live, _) = h.latest(r, 29).unwrap();
+        assert!(live, "the delete is unpublished at 29");
         // double delete is rejected
         assert!(!h.install_delete(r, 40));
         // update of a dead row is rejected

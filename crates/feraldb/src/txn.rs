@@ -174,6 +174,15 @@ impl Transaction {
         }
     }
 
+    /// The published clock, which bounds every "committed-latest" read.
+    /// A version above it is installed but unacknowledged — in flight, or
+    /// stranded by a failed flush — and must never be observed. Read it
+    /// *after* taking the row or key lock: the previous holder released
+    /// only after `publish`, so its version is at or below this value.
+    fn committed_ts(&self) -> u64 {
+        self.db.inner.clock.load(Ordering::SeqCst)
+    }
+
     fn entry(&self, table: TableId) -> Arc<TableEntry> {
         self.db.inner.catalog.read().table(table)
     }
@@ -508,7 +517,7 @@ impl Transaction {
             self.lock(LockKey::Row(tid, row), LockMode::Exclusive)?;
             // re-read after lock: the row may have been updated or deleted
             // by a transaction that committed while we waited
-            let Some((latest, live, begin)) = entry.heap.latest(row) else {
+            let Some((latest, live, begin)) = entry.heap.latest(row, self.committed_ts()) else {
                 continue;
             };
             if !live || !pred.matches(&latest) {
@@ -598,6 +607,7 @@ impl Transaction {
             }
         }
         // committed-latest state via the index
+        let clock = self.committed_ts();
         for row in idx.rows_for(key) {
             if exclude == Some(RowRef::Committed(row)) {
                 continue;
@@ -609,7 +619,7 @@ impl Transaction {
                     continue;
                 }
             }
-            if let Some((latest, live, _)) = entry.heap.latest(row) {
+            if let Some((latest, live, _)) = entry.heap.latest(row, clock) {
                 if live && !idx.key_has_null(&latest) && idx.key_of(&latest) == key {
                     return true;
                 }
@@ -672,13 +682,14 @@ impl Transaction {
         let idx = self.pkey_index(fk.parent_table);
         let mut key = Vec::new();
         parent_id.encode_key(&mut key);
+        let clock = self.committed_ts();
         for row in idx.rows_for(&key) {
             if let Some(&i) = self.write_by_row.get(&(fk.parent_table, row)) {
                 if !self.writes[i].dead && matches!(self.writes[i].op, PendingOp::Delete { .. }) {
                     continue; // we are deleting it
                 }
             }
-            if let Some((latest, live, _)) = parent_entry.heap.latest(row) {
+            if let Some((latest, live, _)) = parent_entry.heap.latest(row, clock) {
                 if live && latest[0].sql_eq(parent_id) == Some(true) {
                     return true;
                 }
@@ -720,9 +731,9 @@ impl Transaction {
         self.note_table_access(&child_entry.schema.name, feral_hooks::AccessMode::Read);
         let col = fk.child_cols[0];
         let mut out = Vec::new();
-        let committed = child_entry
-            .heap
-            .scan_latest(|t| t[col].sql_eq(parent_id) == Some(true));
+        let committed = child_entry.heap.scan_visible(self.committed_ts(), |t| {
+            t[col].sql_eq(parent_id) == Some(true)
+        });
         for (row, tuple) in committed {
             match self
                 .write_by_row
@@ -899,7 +910,10 @@ impl Transaction {
                 self.lock(LockKey::Row(tid, row), LockMode::Exclusive)?;
                 // post-lock committed-latest re-read (first-updater check)
                 self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
-                let (latest, live, begin) = entry.heap.latest(row).ok_or(DbError::NoSuchRow)?;
+                let (latest, live, begin) = entry
+                    .heap
+                    .latest(row, self.committed_ts())
+                    .ok_or(DbError::NoSuchRow)?;
                 if !live {
                     return if self.isolation.first_updater_wins() {
                         Stats::bump(&self.db.inner.stats.write_conflicts);
@@ -977,7 +991,10 @@ impl Transaction {
                 if let Some(img) = self.read_ref(tid, rref) {
                     img
                 } else {
-                    let (latest, live, _) = entry.heap.latest(row).ok_or(DbError::NoSuchRow)?;
+                    let (latest, live, _) = entry
+                        .heap
+                        .latest(row, self.committed_ts())
+                        .ok_or(DbError::NoSuchRow)?;
                     if !live {
                         return Err(DbError::NoSuchRow);
                     }
@@ -1016,7 +1033,10 @@ impl Transaction {
                 self.lock(LockKey::Row(tid, row), LockMode::Exclusive)?;
                 // post-lock committed-latest re-read (first-updater check)
                 self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
-                let (latest, live, begin) = entry.heap.latest(row).ok_or(DbError::NoSuchRow)?;
+                let (latest, live, begin) = entry
+                    .heap
+                    .latest(row, self.committed_ts())
+                    .ok_or(DbError::NoSuchRow)?;
                 if !live {
                     return if self.isolation.first_updater_wins() {
                         Stats::bump(&self.db.inner.stats.write_conflicts);
@@ -1092,7 +1112,20 @@ impl Transaction {
     /// wrote). Summaries may appear in several slices; re-checking a
     /// duplicate is harmless. Per-slice order is timestamp order, so
     /// the walk stops at the first summary at or below our snapshot.
-    fn validate_serializable(
+    ///
+    /// After a failed flush the failed batch's summaries stay in the
+    /// histories above every later snapshot; a conflict is then reported
+    /// as the poisoned log it is, not as a retryable failure.
+    fn validate_serializable(&self, guards: &[(usize, MutexGuard<'_, ShardCore>)]) -> DbResult<()> {
+        let Err(detail) = self.find_rw_conflict(guards) else {
+            return Ok(());
+        };
+        self.db.inner.pipeline.check_unbroken()?;
+        Stats::bump(&self.db.inner.stats.serialization_failures);
+        Err(DbError::SerializationFailure { detail })
+    }
+
+    fn find_rw_conflict(
         &self,
         guards: &[(usize, MutexGuard<'_, ShardCore>)],
     ) -> Result<(), String> {
@@ -1283,11 +1316,10 @@ impl Transaction {
             });
         }
         if self.isolation == IsolationLevel::Serializable {
-            if let Err(detail) = self.validate_serializable(&guards) {
+            if let Err(e) = self.validate_serializable(&guards) {
                 drop(guards);
                 self.finish(false);
-                Stats::bump(&db.inner.stats.serialization_failures);
-                return Err(DbError::SerializationFailure { detail });
+                return Err(e);
             }
         }
         // Redo logging: queue the commit record BEFORE installing; it is

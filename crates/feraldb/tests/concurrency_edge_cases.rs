@@ -54,12 +54,17 @@ fn deadlock_is_broken_by_lock_timeout() {
     let ids = seed(&db, 2);
     let (a, b) = (ids[0], ids[1]);
     let barrier = Arc::new(Barrier::new(2));
+    // T2 asks a third of a timeout later, so the two waits do not expire
+    // together: T1 is the victim and T2 inherits its lock.
     let mk = |first: i64, second: i64, db: Database, barrier: Arc<Barrier>| {
         thread::spawn(move || -> Result<(), DbError> {
             let mut tx = db.txn().begin();
             let rows = tx.select_for_update("kv", &Predicate::eq(0, first))?;
             assert_eq!(rows.len(), 1);
             barrier.wait(); // both hold their first lock
+            if first > second {
+                thread::sleep(std::time::Duration::from_millis(50));
+            }
             let rows = tx.select_for_update("kv", &Predicate::eq(0, second))?;
             assert_eq!(rows.len(), 1);
             tx.commit()

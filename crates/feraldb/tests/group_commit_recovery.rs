@@ -5,8 +5,8 @@
 //! committers on one table.
 
 use feral_db::{
-    ColumnDef, Config, DataType, Database, Datum, IsolationLevel, Predicate, TableSchema,
-    WalRecord, WalWrite,
+    ColumnDef, Config, DataType, Database, Datum, DbError, DbResult, IsolationLevel, OnDelete,
+    Predicate, RowRef, TableSchema, Transaction, WalRecord, WalWrite,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -141,44 +141,115 @@ fn fail_budget_spans_multiple_flushes() {
     assert_eq!(recovered_values(&path), vec![1, 2, 3]);
 }
 
+/// Column `col` of every row of `table` a fresh transaction sees.
+fn column(db: &Database, table: &str, col: usize) -> Vec<i64> {
+    let mut tx = db.txn().begin();
+    let rows = tx.scan(table, &Predicate::True).unwrap();
+    rows.iter().map(|(_, t)| t[col].as_int().unwrap()).collect()
+}
+
+/// The committed row of `items` whose `n` is `n`.
+fn item(tx: &mut Transaction, n: i64) -> RowRef {
+    tx.scan("items", &Predicate::eq(1, n)).unwrap().remove(0).0
+}
+
 /// A failed flush poisons the log and freezes the clock, here with
 /// several committers on ONE table parked on the flush that fails. They
 /// install their versions and drop the table's latch before the flush,
-/// so when it fails those versions are already in the heap: the clock
-/// must stay below them. With the writer
-/// stalled, four committers enqueue (one leads, three follow — or some
-/// ride in the leader's batch; the outcome is the same) and the first
-/// write tears mid-record. Then: every one gets the error and no reader
-/// at any isolation level ever sees their rows; later commits fail
-/// fast; reads keep working; recovery yields the pre-poison prefix.
+/// so when it fails those versions are already at the head of their row
+/// chains: the clock must stay below them, and every read that looks
+/// past a snapshot — `select_for_update`'s post-lock re-read, the write
+/// paths' first-updater re-read, unique and foreign-key checks — must
+/// stop at the clock too. With the writer stalled, nine committers
+/// enqueue (inserts, an update, a delete, a parent insert, a parent
+/// delete, a child insert; one leads, the rest follow or ride in its
+/// batch — the outcome is the same) and the first write tears
+/// mid-record. Then: every one gets the error and no reader at any
+/// isolation level ever sees their writes, directly or through a
+/// constraint verdict; later commits fail fast; reads keep working;
+/// recovery yields the pre-poison prefix.
 #[test]
 fn failed_flush_poisons_the_log() {
-    const PARKED: i64 = 4;
+    type Committer = Box<dyn FnOnce(&Database) -> DbResult<()> + Send>;
     let path = wal_path("poison");
     let db = Database::open(config(&path)).unwrap();
     db.create_table(items_schema()).unwrap();
-    insert_one(&db, 1).unwrap();
-    insert_one(&db, 2).unwrap();
+    db.create_index("items", &["n"], true).unwrap();
+    db.create_table(TableSchema::new("parents", vec![]))
+        .unwrap();
+    db.create_table(TableSchema::new(
+        "kids",
+        vec![ColumnDef::new("parent_id", DataType::Int)],
+    ))
+    .unwrap();
+    db.add_foreign_key("kids", "parent_id", "parents", OnDelete::Restrict)
+        .unwrap();
+    for n in 1..=3 {
+        insert_one(&db, n).unwrap();
+    }
+    db.txn()
+        .run(|tx| {
+            tx.insert_pairs("parents", &[("id", Datum::Int(1))])?;
+            tx.insert_pairs("parents", &[("id", Datum::Int(2))])?;
+            Ok(())
+        })
+        .unwrap();
     // an old snapshot pinned across the failure
     let mut pinned = db.txn().isolation(IsolationLevel::Snapshot).begin();
-    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 2);
+    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 3);
+
+    let mut parked: Vec<Committer> = (10..14)
+        .map(|n| Box::new(move |db: &Database| insert_one(db, n)) as Committer)
+        .collect();
+    parked.push(Box::new(|db| {
+        db.txn().run(|tx| {
+            let row = item(tx, 2);
+            tx.update("items", row, vec![Datum::Null, Datum::Int(20)])
+        })
+    }));
+    parked.push(Box::new(|db| {
+        db.txn().run(|tx| {
+            let row = item(tx, 3);
+            tx.delete("items", row)
+        })
+    }));
+    parked.push(Box::new(|db| {
+        db.txn().run(|tx| {
+            tx.insert_pairs("parents", &[("id", Datum::Int(7))])
+                .map(|_| ())
+        })
+    }));
+    parked.push(Box::new(|db| {
+        db.txn().run(|tx| {
+            let (row, _) = tx.get_by_id("parents", 2)?.unwrap();
+            tx.delete("parents", row)
+        })
+    }));
+    parked.push(Box::new(|db| {
+        db.txn().run(|tx| {
+            tx.insert_pairs("kids", &[("parent_id", Datum::Int(1))])
+                .map(|_| ())
+        })
+    }));
+    let parked_count = parked.len() as u64;
 
     db.set_wal_fail_after(Some(5));
     let before = db.stats().snapshot();
     let errors: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = db.with_wal_stalled(|| {
-            let handles = (10..10 + PARKED)
-                .map(|n| {
+            let handles = parked
+                .into_iter()
+                .map(|commit| {
                     let db = db.clone();
-                    s.spawn(move || insert_one(&db, n))
+                    s.spawn(move || commit(&db))
                 })
                 .collect();
             assert!(
-                eventually(|| db.stats().snapshot().diff(&before).wal_appends == PARKED as u64),
+                eventually(|| db.stats().snapshot().diff(&before).wal_appends == parked_count),
                 "committers must enqueue behind a stalled flush on their own table"
             );
             // installed, not durable, not published: invisible right now
-            assert_eq!(visible_values(&db), vec![1, 2]);
+            assert_eq!(visible_values(&db), vec![1, 2, 3]);
             handles
         });
         handles
@@ -197,29 +268,82 @@ fn failed_flush_poisons_the_log() {
     let err = insert_one(&db, 99).unwrap_err().to_string();
     assert!(err.contains("poisoned"), "got: {err}");
     // reads keep working at the frozen clock, at every isolation level,
-    // and never observe a row of the failed flush
+    // and never observe a write of the failed flush
     for iso in [
         IsolationLevel::ReadCommitted,
         IsolationLevel::RepeatableRead,
         IsolationLevel::Snapshot,
         IsolationLevel::Serializable,
     ] {
-        let mut tx = db.txn().isolation(iso).begin();
-        let rows = tx.scan("items", &Predicate::True).unwrap();
-        let vals: Vec<i64> = rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect();
-        assert_eq!(vals, vec![1, 2], "under {iso}");
-        for n in 10..10 + PARKED {
+        let begin = || db.txn().isolation(iso).begin();
+        let values = |rows: Vec<(RowRef, std::sync::Arc<feral_db::Tuple>)>| -> Vec<i64> {
+            rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect()
+        };
+        let mut tx = begin();
+        let scanned = values(tx.scan("items", &Predicate::True).unwrap());
+        assert_eq!(scanned, vec![1, 2, 3], "scan under {iso}");
+        for n in [10, 11, 12, 13, 20] {
             assert_eq!(tx.count("items", &Predicate::eq(1, n)).unwrap(), 0);
         }
+        // the post-lock re-read returns the old images: the update to 20
+        // and the delete of 3 were reported failed
+        let locked = values(tx.select_for_update("items", &Predicate::True).unwrap());
+        assert_eq!(locked, vec![1, 2, 3], "select_for_update under {iso}");
+        drop(tx);
+
+        // write paths re-read the old images too: no phantom value, no
+        // conflict with a commit that never happened
+        let mut tx = begin();
+        let row = item(&mut tx, 2);
+        tx.update_with("items", row, |t| {
+            assert_eq!(t[1], Datum::Int(2), "update_with under {iso}");
+            t.clone()
+        })
+        .unwrap();
+        let row = item(&mut tx, 3);
+        tx.delete("items", row).unwrap();
+        let err = tx.commit().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "under {iso} got: {err}");
+
+        // unique verdicts: 2 and 3 are still taken (their update and
+        // delete failed), 20 and 10 are free (so were those inserts)
+        let insert = |table: &str, col: &str, v: i64| {
+            let mut tx = begin();
+            tx.insert_pairs(table, &[(col, Datum::Int(v))]).map(|_| ())
+        };
+        for taken in [2, 3] {
+            let verdict = insert("items", "n", taken);
+            assert!(
+                matches!(verdict, Err(DbError::UniqueViolation { .. })),
+                "n={taken} under {iso}: {verdict:?}"
+            );
+        }
+        for free in [20, 10] {
+            insert("items", "n", free).unwrap();
+        }
+        // foreign-key verdicts: parent 7 was never inserted, parent 2
+        // never deleted, and no child row pins parent 1
+        let verdict = insert("kids", "parent_id", 7);
+        assert!(
+            matches!(verdict, Err(DbError::ForeignKeyViolation { .. })),
+            "parent 7 under {iso}: {verdict:?}"
+        );
+        insert("kids", "parent_id", 2).unwrap();
+        let mut tx = begin();
+        let (row, _) = tx.get_by_id("parents", 1).unwrap().unwrap();
+        tx.delete("parents", row).unwrap();
     }
-    assert_eq!(db.count_rows("items").unwrap(), 2);
-    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 2);
+    assert_eq!(db.count_rows("items").unwrap(), 3);
+    assert_eq!(pinned.count("items", &Predicate::True).unwrap(), 3);
     // vacuum at the frozen clock changes nothing a reader can see
     drop(pinned);
     db.vacuum();
-    assert_eq!(visible_values(&db), vec![1, 2]);
+    assert_eq!(visible_values(&db), vec![1, 2, 3]);
     drop(db);
-    assert_eq!(recovered_in_heap_order(&path), vec![1, 2]);
+    let db = Database::open(config(&path)).unwrap();
+    assert_eq!(visible_values(&db), vec![1, 2, 3]);
+    assert_eq!(column(&db, "parents", 0), vec![1, 2]);
+    assert_eq!(column(&db, "kids", 0), Vec::<i64>::new());
 }
 
 /// Physical truncation sweep: chopping the log at every byte boundary
