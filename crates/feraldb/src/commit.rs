@@ -32,25 +32,40 @@
 //! * The latches cover only what they order: validate → queue the WAL
 //!   record → install versions → push the history summary, then they
 //!   **drop**. Installed versions carry `begin = ts > clock`, so no
-//!   snapshot sees them yet. The committer waits for its record to be
-//!   durable with no latch held, and `publish` advances the clock
-//!   strictly in timestamp order — so `clock = T` implies every commit
-//!   `≤ T` is fully installed **and in the log**, the invariant every
-//!   snapshot read relies on.
-//! * The **group-commit buffer** batches framed WAL records: a
-//!   committing thread enqueues and, if no flush is in flight, becomes
-//!   the *leader* — it may linger up to `group_commit_max_wait` for the
-//!   batch to fill (bounded by `group_commit_max_batch`), then writes
-//!   the whole batch with one flush (+ optional fsync). Followers park
-//!   until their record's sequence number is durable. One fsync covers
-//!   every committer in flight, same table or not.
+//!   snapshot sees them yet. What the commit still owes — durable wait,
+//!   publish, audit, prune, lock release — is its *tail*
+//!   ([`CommitTail`](crate::tail::CommitTail)), settled with no latch
+//!   held. `publish` advances the clock strictly in timestamp order — so
+//!   `clock = T` implies every commit `≤ T` is fully installed **and in
+//!   the log**, the invariant every snapshot read relies on.
+//! * The **group-commit buffer** batches framed WAL records. Whoever
+//!   wants a record durable and finds no flush in flight becomes the
+//!   *leader* (`lead`): it may linger up to `group_commit_max_wait` for
+//!   its first batch to fill (bounded by `group_commit_max_batch`), then
+//!   writes batch after batch, one flush (+ optional fsync) each. A
+//!   synchronous committer sleeps in `wait_durable` until its sequence
+//!   number is durable. A **deferred** commit (`feral_db::defer_durable`)
+//!   sleeps nowhere: its tail is `park`ed in the buffer, and the leader
+//!   hands every parked tail a flush covered to a non-blocking `publish`
+//!   — the tail is completed, and its caller's callback run, by whoever
+//!   advances the clock over its timestamp. So one fsync covers every
+//!   commit in flight however few threads there are.
+//! * **No orphans**: a stamped record always has someone who will flush
+//!   it — its own committer until it sleeps in `wait_durable` or parks its
+//!   tail, the leader from then on. The leader leaves only under the
+//!   buffer mutex and only when no parked tail remains (see `lead`).
+//!   Tails are completed with neither the buffer mutex nor the publish
+//!   lock held; both stay terminal.
 //! * A failed flush **poisons** the log (`broken`) and **freezes the
 //!   clock** at the last durable timestamp: the file may end in torn
 //!   bytes and recovery stops at the first tear, so acknowledging any
 //!   record behind it would be a durability lie. Committers of the
 //!   failed batch and of records queued behind it get the error and
 //!   never publish (their versions stay above the clock, invisible);
-//!   records already durable still publish; later appends fail fast.
+//!   every parked tail is completed with the error, exactly once, by the
+//!   leader whose flush failed (its locks are released, its callback
+//!   told); a tail parked later is completed with it on the spot.
+//!   Records already durable still publish; later appends fail fast.
 //!
 //! Under a `feral_hooks` scheduler commits are **turn-atomic**: the only
 //! yield point on the commit path is `Site::TxnCommit` at entry, so sim
@@ -64,10 +79,11 @@ use crate::error::{DbError, DbResult};
 use crate::lock::TxnId;
 use crate::schema::TableId;
 use crate::stats::Stats;
+use crate::tail::ParkedTail;
 use crate::txn::CommittedTxn;
 use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,6 +118,10 @@ struct GroupState {
     /// `Err` after a failed flush: the log tail may be torn, so every later
     /// append must fail (records behind a tear are unrecoverable).
     broken: DbResult<()>,
+    /// Tails of deferred commits whose record is not durable yet, in
+    /// sequence order. Non-empty only while `flushing`: the leader owns
+    /// them until the flush that covers them (or poisons the log).
+    parked: VecDeque<Box<ParkedTail>>,
 }
 
 /// Sharded commit state: shard latches + history slices, the active-txn
@@ -112,8 +132,10 @@ struct GroupState {
 /// on every tier-1 run: shard latches are outermost (taken ascending,
 /// see [`CommitPipeline::lock_shards`]), and the group buffer and
 /// publish lock are terminal — nothing else is ever acquired under
-/// them. `wait_durable` upholds the group terminal by dropping its
-/// guard around the WAL write; it and `publish` run with no shard latch
+/// them. The flush loop upholds the group terminal by dropping its
+/// guard around the WAL write and around the hand-off of parked tails;
+/// `publish` collects the tails it advanced over and completes them
+/// after dropping the publish lock. All of it runs with no shard latch
 /// held (`racer/tests/live_tree.rs` pins the absent edges).
 // racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::group
 // racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::active
@@ -128,8 +150,10 @@ pub(crate) struct CommitPipeline {
     /// Highest allocated commit timestamp (the clock trails it until
     /// publication catches up).
     ts_alloc: AtomicU64,
-    /// Timestamps installed and durable, parked until a predecessor publishes.
-    publish_lock: Mutex<BTreeSet<u64>>,
+    /// Timestamps installed and durable, parked until a predecessor
+    /// publishes: `None` for a committer asleep on `publish_cv`, the tail
+    /// itself for a deferred commit nobody is waiting on.
+    publish_lock: Mutex<BTreeMap<u64, Option<Box<ParkedTail>>>>,
     publish_cv: Condvar,
     group: Mutex<GroupState>,
     /// Signaled when a batch flush completes (or the log breaks).
@@ -153,7 +177,7 @@ impl CommitPipeline {
                 .collect(),
             active: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             ts_alloc: AtomicU64::new(1),
-            publish_lock: Mutex::new(BTreeSet::new()),
+            publish_lock: Mutex::new(BTreeMap::new()),
             publish_cv: Condvar::new(),
             group: Mutex::new(GroupState {
                 buf: VecDeque::new(),
@@ -162,6 +186,7 @@ impl CommitPipeline {
                 flushing: false,
                 last_take: 1,
                 broken: Ok(()),
+                parked: VecDeque::new(),
             }),
             flushed_cv: Condvar::new(),
             fill_cv: Condvar::new(),
@@ -267,7 +292,7 @@ impl CommitPipeline {
     /// Allocate the next commit timestamp and — with a WAL bound (`log`)
     /// — queue the record `build` makes from it, inside the buffer mutex
     /// (log order = timestamp order). Callers hold their full latch set;
-    /// they install at `ts`, drop the latches, then `wait_durable(seq)`.
+    /// they install at `ts`, drop the latches, then settle (or park) the tail.
     /// Errors (without allocating) when the log is poisoned.
     pub(crate) fn stamp_commit(
         &self,
@@ -296,6 +321,11 @@ impl CommitPipeline {
         self.group.lock().broken.clone()
     }
 
+    /// Whether a leader is in the flush loop (its batch is already taken).
+    pub(crate) fn flush_in_flight(&self) -> bool {
+        self.group.lock().flushing
+    }
+
     /// Enqueue a non-commit (DDL) record; no timestamp involved.
     fn enqueue_record(&self, stats: &Stats, record: &WalRecord) -> DbResult<u64> {
         let mut g = self.group.lock();
@@ -308,15 +338,16 @@ impl CommitPipeline {
         Ok(seq)
     }
 
-    /// Park until record `my_seq` is durable, electing this thread as
-    /// the flush leader whenever no flush is in flight. Durability is
-    /// checked before poison: a record flushed ahead of a failed batch is
-    /// acknowledged as usual. On `Err` the record is not in the log and
-    /// the caller must not publish its timestamp.
+    /// Sleep until record `my_seq` is durable, leading the flush whenever
+    /// none is in flight. Durability is checked before poison: a record
+    /// flushed ahead of a failed batch is acknowledged as usual. On `Err`
+    /// the record is not in the log and the caller must not publish its
+    /// timestamp.
     pub(crate) fn wait_durable(
         &self,
         writer: &Mutex<WalWriter>,
         stats: &Stats,
+        clock: &AtomicU64,
         my_seq: u64,
     ) -> DbResult<()> {
         let mut g = self.group.lock();
@@ -325,39 +356,91 @@ impl CommitPipeline {
                 return Ok(());
             }
             g.broken.clone()?;
-            if g.flushing {
-                // another leader is writing our batch (or an earlier one)
-                if feral_hooks::active() {
-                    // turn-atomic commits make a concurrent flusher
-                    // impossible under a scheduler; stay live regardless
-                    drop(g);
-                    let _ = feral_hooks::wait(feral_hooks::WaitKind::Commit);
-                    g = self.group.lock();
-                } else {
-                    self.flushed_cv.wait(&mut g);
-                }
-                continue;
+            if !g.flushing {
+                g.flushing = true;
+                drop(g);
+                self.lead(writer, stats, clock, Some(my_seq));
+                g = self.group.lock();
+            } else if feral_hooks::active() {
+                // turn-atomic commits make a concurrent flusher
+                // impossible under a scheduler; stay live regardless
+                drop(g);
+                let _ = feral_hooks::wait(feral_hooks::WaitKind::Commit);
+                g = self.group.lock();
+            } else {
+                // the leader is writing our batch (or an earlier one)
+                self.flushed_cv.wait(&mut g);
             }
-            // become the leader
+        }
+    }
+
+    /// Hand a deferred commit's tail to the flush: nobody sleeps for it.
+    /// Already durable → published (and completed) at once; log poisoned →
+    /// completed with the error at once; otherwise it joins `parked`, and
+    /// the leader — this thread, if no flush is in flight — will complete
+    /// it from the flush that covers it.
+    pub(crate) fn park(
+        &self,
+        writer: &Mutex<WalWriter>,
+        stats: &Stats,
+        clock: &AtomicU64,
+        parked: Box<ParkedTail>,
+    ) {
+        let mut g = self.group.lock();
+        if g.durable_seq >= parked.tail.wal_seq {
+            drop(g);
+            return self.publish(clock, parked.tail.commit_ts, Some(parked));
+        }
+        if let Err(e) = g.broken.clone() {
+            drop(g);
+            return parked.complete(Err(e));
+        }
+        // registration order is not sequence order across threads
+        let seq = parked.tail.wal_seq;
+        let at = g.parked.partition_point(|p| p.tail.wal_seq < seq);
+        g.parked.insert(at, parked);
+        if !g.flushing {
             g.flushing = true;
-            let concurrency_hint = g.last_take.max(g.buf.len());
-            if self.max_wait > Duration::ZERO && !feral_hooks::active() && concurrency_hint > 1 {
-                // Linger up to `max_wait` for followers to fill the
-                // batch, exiting early the moment it reaches
-                // `max_batch` — so `max_batch` sized near the expected
-                // commit concurrency gives full batches with no
-                // trailing wait. The previous batch size gates the
-                // linger (PostgreSQL's commit_siblings idea): a solo
-                // steady state (last batch = 1) skips it entirely, so
-                // group commit costs uncontended workloads nothing,
-                // while any observed batching makes the next leader
-                // wait and lets the batch grow back to the offered
-                // concurrency.
-                let deadline = Instant::now() + self.max_wait;
-                while g.buf.len() < self.max_batch
-                    && !self.fill_cv.wait_until(&mut g, deadline).timed_out()
-                {}
-            }
+            drop(g);
+            self.lead(writer, stats, clock, None);
+        }
+    }
+
+    /// The one flush loop. The caller found no flush in flight and the
+    /// log unbroken, and claimed `flushing` under the group mutex; it
+    /// stays set until this thread leaves, so there is one leader at a
+    /// time. Each turn writes up to `max_batch` records with one flush
+    /// (+ fsync) and, the group mutex released, hands every parked tail
+    /// the flush covered to `publish`.
+    ///
+    /// The leader may leave only under the group mutex and only when
+    /// nothing it is answerable for remains: a thread waiting on its
+    /// `own` record leaves once that is durable and no parked tail is
+    /// left (what remains in the buffer belongs to sleepers, who wake on
+    /// `flushed_cv` and lead, or to deferred committers still on their
+    /// way to `park`); a thread with nothing of its own to wait for
+    /// flushes until the buffer is empty. Either way no parked tail is
+    /// ever left behind `flushing == false` — the no-orphan invariant.
+    /// A failed flush poisons the log and completes every parked tail
+    /// with the error: none of them can become durable any more.
+    fn lead(&self, writer: &Mutex<WalWriter>, stats: &Stats, clock: &AtomicU64, own: Option<u64>) {
+        let mut g = self.group.lock();
+        let concurrency_hint = g.last_take.max(g.buf.len());
+        if self.max_wait > Duration::ZERO && !feral_hooks::active() && concurrency_hint > 1 {
+            // Linger (first batch only) up to `max_wait` for the batch to
+            // fill, exiting early the moment it reaches `max_batch`. The
+            // previous batch size gates the linger (PostgreSQL's
+            // commit_siblings idea): a solo steady state (last batch = 1)
+            // skips it entirely, so group commit costs uncontended
+            // workloads nothing, while any observed batching makes the
+            // next leader wait and lets the batch grow back to the
+            // offered concurrency.
+            let deadline = Instant::now() + self.max_wait;
+            while g.buf.len() < self.max_batch
+                && !self.fill_cv.wait_until(&mut g, deadline).timed_out()
+            {}
+        }
+        loop {
             let take = g.buf.len().min(self.max_batch);
             g.last_take = take.max(1);
             let mut bytes = Vec::new();
@@ -367,26 +450,44 @@ impl CommitPipeline {
             drop(g);
             let result = writer.lock().write_frames(&bytes);
             g = self.group.lock();
-            g.flushing = false;
-            self.flushed_cv.notify_all();
-            match result {
-                Ok(()) => {
-                    g.durable_seq += take as u64;
-                    Stats::bump(&stats.group_commit_batches);
-                    Stats::bump(&stats.wal_flushes);
-                    feral_trace::record(
-                        feral_trace::EventKind::Site(feral_hooks::Site::WalFlush),
-                        0,
-                        take as u64,
-                        bytes.len() as u64,
-                    );
+            if let Err(e) = result {
+                let msg = format!("WAL poisoned by failed flush: {e}");
+                g.broken = Err(DbError::Internal(msg));
+                g.flushing = false;
+                let failed: Vec<Box<ParkedTail>> = g.parked.drain(..).collect();
+                let poison = g.broken.clone();
+                self.flushed_cv.notify_all();
+                drop(g);
+                for tail in failed {
+                    tail.complete(poison.clone());
                 }
-                Err(e) => {
-                    let msg = format!("WAL poisoned by failed flush: {e}");
-                    g.broken = Err(DbError::Internal(msg));
-                    return Err(e);
-                }
+                return;
             }
+            g.durable_seq += take as u64;
+            Stats::bump(&stats.group_commit_batches);
+            Stats::bump(&stats.wal_flushes);
+            feral_trace::record(
+                feral_trace::EventKind::Site(feral_hooks::Site::WalFlush),
+                0,
+                take as u64,
+                bytes.len() as u64,
+            );
+            let covered = g
+                .parked
+                .partition_point(|p| p.tail.wal_seq <= g.durable_seq);
+            let durable: Vec<Box<ParkedTail>> = g.parked.drain(..covered).collect();
+            let done = g.buf.is_empty()
+                || (own.is_some_and(|seq| g.durable_seq >= seq) && g.parked.is_empty());
+            g.flushing = !done;
+            self.flushed_cv.notify_all();
+            drop(g);
+            for parked in durable {
+                self.publish(clock, parked.tail.commit_ts, Some(parked));
+            }
+            if done {
+                return;
+            }
+            g = self.group.lock();
         }
     }
 
@@ -396,35 +497,49 @@ impl CommitPipeline {
         &self,
         writer: &Mutex<WalWriter>,
         stats: &Stats,
+        clock: &AtomicU64,
         record: &WalRecord,
     ) -> DbResult<()> {
         let seq = self.enqueue_record(stats, record)?;
-        self.wait_durable(writer, stats, seq)
+        self.wait_durable(writer, stats, clock, seq)
     }
 
     // -- publication -----------------------------------------------------
 
-    /// Publish `ts` and return once the clock has reached it. Callers
-    /// have installed their versions and seen their record durable; a
-    /// timestamp whose flush failed never gets here — that freezes the
-    /// clock. Whoever finds the clock right below its own timestamp
-    /// advances it over every contiguous successor parked in `ready`: a
-    /// committer descheduled before publishing wakes its convoy at once.
-    pub(crate) fn publish(&self, clock: &AtomicU64, ts: u64) {
+    /// Publish `ts`: the caller's versions are installed and its record is
+    /// durable; a timestamp whose flush failed never gets here — that
+    /// freezes the clock. Whoever finds the clock right below its own
+    /// timestamp advances it over every contiguous successor parked in
+    /// `ready`, wakes the sleepers among them and — with `publish_lock`
+    /// released — completes the tails among them, in timestamp order.
+    ///
+    /// With `tail == None` (a synchronous committer) this returns once the
+    /// clock has reached `ts`, sleeping if a predecessor is still out; the
+    /// caller completes its own tail. With `Some(tail)` it never sleeps:
+    /// the tail is completed here, or parked for whoever advances the
+    /// clock over `ts`.
+    pub(crate) fn publish(&self, clock: &AtomicU64, ts: u64, tail: Option<Box<ParkedTail>>) {
         let mut ready = self.publish_lock.lock();
         if clock.load(Ordering::SeqCst) + 1 == ts {
+            let mut tails: Vec<Box<ParkedTail>> = tail.into_iter().collect();
             let mut upto = ts;
-            while ready.remove(&(upto + 1)) {
+            while let Some(parked) = ready.remove(&(upto + 1)) {
                 upto += 1;
+                tails.extend(parked);
             }
             clock.store(upto, Ordering::SeqCst);
             if upto > ts {
                 self.publish_cv.notify_all();
             }
+            drop(ready);
+            for tail in tails {
+                tail.complete(Ok(()));
+            }
             return;
         }
-        ready.insert(ts);
-        while clock.load(Ordering::SeqCst) < ts {
+        let sleeps = tail.is_none();
+        ready.insert(ts, tail);
+        while sleeps && clock.load(Ordering::SeqCst) < ts {
             if feral_hooks::active() {
                 // unreachable under turn-atomic commits; defensive
                 drop(ready);
@@ -491,7 +606,7 @@ mod tests {
             // 3, 4 and 6 must wait for 2 even though they get here first
             for ts in [3, 4, 6] {
                 let (p, clock) = (&p, &clock);
-                s.spawn(move || p.publish(clock, ts));
+                s.spawn(move || p.publish(clock, ts, None));
             }
             while p.publish_lock.lock().len() < 3 {
                 std::thread::yield_now();
@@ -499,10 +614,10 @@ mod tests {
             assert_eq!(clock.load(Ordering::SeqCst), 1);
             // 2 carries its contiguous successors with it, not the one
             // past the gap
-            p.publish(&clock, 2);
+            p.publish(&clock, 2, None);
             assert_eq!(clock.load(Ordering::SeqCst), 4);
             assert_eq!(p.publish_lock.lock().len(), 1);
-            p.publish(&clock, 5);
+            p.publish(&clock, 5, None);
         });
         assert_eq!(clock.load(Ordering::SeqCst), 6);
         assert!(p.publish_lock.lock().is_empty());

@@ -369,9 +369,12 @@ impl Database {
             return Ok(());
         }
         if let Some(wal) = &self.inner.wal {
-            self.inner
-                .pipeline
-                .append_durable(wal, &self.inner.stats, record)?;
+            self.inner.pipeline.append_durable(
+                wal,
+                &self.inner.stats,
+                &self.inner.clock,
+                record,
+            )?;
         }
         Ok(())
     }
@@ -395,6 +398,14 @@ impl Database {
     pub fn with_wal_stalled<R>(&self, f: impl FnOnce() -> R) -> R {
         let _writer = self.inner.wal.as_ref().map(|w| w.lock());
         f()
+    }
+
+    /// Whether some thread is leading a group-commit flush right now —
+    /// with [`Database::with_wal_stalled`], how the batching tests know a
+    /// leader has taken its batch and is parked on the writer.
+    #[doc(hidden)]
+    pub fn wal_flush_in_flight(&self) -> bool {
+        self.inner.pipeline.flush_in_flight()
     }
 
     /// Number of commit shards the pipeline runs with.
@@ -750,6 +761,9 @@ impl Database {
         isolation: IsolationLevel,
         label: Option<&'static str>,
     ) -> Transaction {
+        // a commit this thread deferred must be published first: the new
+        // transaction's snapshot and lock requests have to see it
+        crate::tail::settle_scope();
         feral_hooks::yield_point(feral_hooks::Site::TxnBegin);
         let id = self.inner.txn_ids.fetch_add(1, Ordering::SeqCst);
         feral_trace::record(

@@ -56,6 +56,7 @@ pub mod lock;
 pub mod predicate;
 pub mod schema;
 pub mod stats;
+pub(crate) mod tail;
 pub mod txn;
 pub mod value;
 pub mod wal;
@@ -68,6 +69,7 @@ pub use lock::{LockKey, LockMode};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColumnDef, ForeignKey, IndexDef, OnDelete, TableId, TableSchema};
 pub use stats::{Stats, StatsSnapshot};
+pub use tail::{defer_durable, PendingCommit};
 pub use txn::{RowRef, Savepoint, Transaction};
 pub use value::{DataType, Datum, Tuple};
 pub use wal::{WalRecord, WalWrite};

@@ -10,6 +10,7 @@ use crate::lock::{LockKey, LockMode, TxnId};
 use crate::predicate::Predicate;
 use crate::schema::{ForeignKey, IndexId, OnDelete, TableId};
 use crate::stats::Stats;
+use crate::tail::CommitTail;
 use crate::value::{encode_composite_key, Datum, Tuple};
 use parking_lot::MutexGuard;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -217,21 +218,6 @@ impl Transaction {
     /// recorded (auditor on, and this transaction not sampled out).
     fn audits_reads(&self) -> bool {
         self.audit_capture
-    }
-
-    /// Column-value hashes of a tuple image in the auditor's footprint
-    /// vocabulary (used for predicate-vs-write-image matching).
-    fn audit_image(tuple: &Tuple) -> Vec<u64> {
-        let mut buf = Vec::new();
-        tuple
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                buf.clear();
-                d.encode_key(&mut buf);
-                feral_audit::column_value_hash(i, &buf)
-            })
-            .collect()
     }
 
     /// Column-value hashes of an equality fingerprint.
@@ -524,7 +510,7 @@ impl Transaction {
                 continue;
             }
             if self.isolation.first_updater_wins() && begin > self.snapshot {
-                self.finish(false);
+                self.abort();
                 Stats::bump(&self.db.inner.stats.write_conflicts);
                 return Err(DbError::WriteConflict);
             }
@@ -1214,41 +1200,6 @@ impl Transaction {
         result
     }
 
-    /// Deliver this transaction's access footprint to the runtime
-    /// auditor at commit and mirror the outcome into engine stats.
-    /// No-op when auditing is off.
-    fn deliver_audit_footprint(&mut self, commit_ts: u64, writes: Vec<feral_audit::WriteRecord>) {
-        let Some(auditor) = self.db.inner.auditor.as_ref() else {
-            return;
-        };
-        if !self.audit_capture {
-            auditor.observe_commit_marker(self.label, self.isolation.name());
-            return;
-        }
-        let outcome = auditor.observe_commit(feral_audit::TxnFootprint {
-            txn: self.id,
-            begin_ts: self.snapshot,
-            commit_ts,
-            isolation: self.isolation.name(),
-            template: self.label,
-            reads: std::mem::take(&mut self.audit_reads),
-            writes,
-            sampled_out: false,
-        });
-        if outcome != feral_audit::CommitOutcome::default() {
-            let stats = &self.db.inner.stats;
-            stats
-                .audit_edges
-                .fetch_add(outcome.edges_added, Ordering::Relaxed);
-            stats
-                .audit_cycles
-                .fetch_add(outcome.cycles_found, Ordering::Relaxed);
-            stats
-                .audit_drops
-                .fetch_add(outcome.dropped, Ordering::Relaxed);
-        }
-    }
-
     fn commit_inner(&mut self) -> DbResult<()> {
         feral_hooks::yield_point(feral_hooks::Site::TxnCommit);
         self.ensure_open()?;
@@ -1258,11 +1209,11 @@ impl Transaction {
             // transaction anomaly under snapshot isolation). Their
             // "commit timestamp" is the clock at commit.
             let read_ts = self.db.inner.clock.load(Ordering::SeqCst);
-            self.deliver_audit_footprint(read_ts, Vec::new());
-            self.finish(true);
+            self.tail(read_ts, 0, None, BTreeSet::new())
+                .complete(&self.db, true);
             return Ok(());
         }
-        let db = self.db.clone();
+        let db = &self.db;
         let pipeline = &db.inner.pipeline;
         // Shard set: every table written, plus — under Serializable —
         // every table read, so validation runs against exactly the
@@ -1318,7 +1269,7 @@ impl Transaction {
         if self.isolation == IsolationLevel::Serializable {
             if let Err(e) = self.validate_serializable(&guards) {
                 drop(guards);
-                self.finish(false);
+                self.abort();
                 return Err(e);
             }
         }
@@ -1375,7 +1326,7 @@ impl Transaction {
             Ok(stamp) => stamp,
             Err(e) => {
                 drop(guards);
-                self.finish(false);
+                self.abort();
                 return Err(e);
             }
         };
@@ -1437,72 +1388,58 @@ impl Transaction {
                 core.history.push_back(summary.clone());
             }
         }
-        // Everything the latches order is fixed, so the flush is awaited
-        // without them and covers every committer in flight, same table
-        // or not. If it fails, the versions stay installed above a clock
-        // that never reaches them.
+        // Everything the latches order is fixed: what is left — durable
+        // wait, publish, audit, prune, lock release — is the commit tail,
+        // settled here with no latch held (one flush covers every
+        // committer in flight, same table or not) or handed to the
+        // `defer_durable` scope this thread is in. If the flush fails,
+        // the versions stay installed above a clock that never reaches
+        // them.
         drop(guards);
-        if let Some(wal) = wal {
-            if let Err(e) = pipeline.wait_durable(wal, &db.inner.stats, wal_seq) {
-                self.finish(false);
-                return Err(e);
-            }
+        let tail = self.tail(commit_ts, wal_seq, Some(summary), write_shards);
+        match crate::tail::defer(&self.db, tail) {
+            None => Ok(()),
+            Some(tail) => tail.settle(&self.db),
         }
-        pipeline.publish(&db.inner.clock, commit_ts);
-        // Write footprint for the runtime auditor, in the same order
-        // the images were installed — built from the published summary
-        // *after* the latches drop, so image hashing never extends the
-        // critical section other committers queue on. Transactions
-        // outside the sampled slice skip capture entirely and deliver
-        // a bare commit marker.
-        let audit_writes: Vec<feral_audit::WriteRecord> = if self.audit_capture {
-            summary
-                .rows
-                .iter()
-                .zip(summary.images.iter())
-                .map(|((tid, row), (_, old, new))| feral_audit::WriteRecord {
-                    table: feral_trace::fnv64(self.entry(*tid).schema.name.as_bytes()),
-                    row: *row as u64,
-                    old: old.as_deref().map(Self::audit_image),
-                    new: new.as_deref().map(Self::audit_image),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.deliver_audit_footprint(commit_ts, audit_writes);
-        self.db.prune_committed(write_shards.iter().copied());
-        self.finish(true);
-        Ok(())
+    }
+
+    /// Close the transaction and move what its commit still owes into a
+    /// [`CommitTail`]; `Vec`s are moved, nothing is allocated.
+    fn tail(
+        &mut self,
+        commit_ts: u64,
+        wal_seq: u64,
+        summary: Option<Arc<CommittedTxn>>,
+        write_shards: BTreeSet<usize>,
+    ) -> CommitTail {
+        self.open = false;
+        CommitTail {
+            txn: self.id,
+            commit_ts,
+            wal_seq,
+            locks: std::mem::take(&mut self.locks),
+            summary,
+            write_shards,
+            isolation: self.isolation,
+            snapshot: self.snapshot,
+            label: self.label,
+            audit_reads: std::mem::take(&mut self.audit_reads),
+            audit_capture: self.audit_capture,
+        }
     }
 
     /// Roll back the transaction, discarding buffered writes.
     pub fn rollback(&mut self) {
         if self.open {
-            self.finish(false);
+            self.abort();
         }
     }
 
-    fn finish(&mut self, committed: bool) {
+    /// Abort: the one way a transaction ends without a [`CommitTail`].
+    fn abort(&mut self) {
         self.open = false;
-        self.db.inner.locks.release_all(self.id, &self.locks);
+        crate::tail::finish_txn(&self.db, self.id, &self.locks, false);
         self.locks.clear();
-        self.db.inner.pipeline.deregister_active(self.id);
-        if committed {
-            Stats::bump(&self.db.inner.stats.commits);
-            feral_trace::record(
-                feral_trace::EventKind::Site(feral_hooks::Site::TxnCommit),
-                self.id,
-                0,
-                0,
-            );
-        } else {
-            if let Some(auditor) = &self.db.inner.auditor {
-                auditor.observe_abort(self.id);
-            }
-            Stats::bump(&self.db.inner.stats.aborts);
-            feral_trace::record(feral_trace::EventKind::Abort, self.id, 0, 0);
-        }
     }
 
     /// Record one application-level validation probe (the feral
@@ -1522,7 +1459,7 @@ impl Transaction {
 impl Drop for Transaction {
     fn drop(&mut self) {
         if self.open {
-            self.finish(false);
+            self.abort();
         }
     }
 }

@@ -9,10 +9,21 @@ use feral_db::{
     Predicate, TableSchema,
 };
 
+mod common;
+
 fn audited_db(iso: IsolationLevel, mode: AuditMode) -> Database {
+    audited_db_with(iso, mode, None)
+}
+
+fn audited_db_with(
+    iso: IsolationLevel,
+    mode: AuditMode,
+    wal_path: Option<std::path::PathBuf>,
+) -> Database {
     let db = Database::new(Config {
         default_isolation: iso,
         audit_mode: mode,
+        wal_path,
         ..Config::default()
     });
     db.create_table(TableSchema::new(
@@ -64,6 +75,45 @@ fn snapshot_isolation_write_skew_is_detected_live() {
     // The snapshot round-trips through the export schema.
     feral_db::AuditSnapshot::from_json(&feral_audit::validate_audit_json(&snap.to_json()).unwrap())
         .unwrap();
+}
+
+/// The footprint is delivered from the commit tail, on whichever thread
+/// completes it. The same skew committed through `defer_durable` — the
+/// first commit settled when the second is deferred, the second from its
+/// flush completion — gets the same verdict and the same edge count as
+/// two synchronous commits on a log-bound database.
+#[test]
+fn deferred_commits_leave_the_same_audit_trail() {
+    let audit = |name: &str, deferred: bool| {
+        let path = common::wal_path("audit-live", name);
+        let db = audited_db_with(IsolationLevel::Snapshot, AuditMode::Full, Some(path));
+        if deferred {
+            let ((r1, r2), pending) =
+                feral_db::defer_durable(|| run_write_skew(&db, IsolationLevel::Snapshot));
+            r1.and(r2).unwrap();
+            assert_eq!(db.stats().snapshot().commits, 1, "the second is parked");
+            let (tx, rx) = std::sync::mpsc::channel();
+            pending
+                .expect("a logged commit in the scope is deferred")
+                .on_complete(move |durable| tx.send(durable).unwrap());
+            rx.recv().unwrap().unwrap();
+        } else {
+            let (r1, r2) = run_write_skew(&db, IsolationLevel::Snapshot);
+            r1.and(r2).unwrap();
+        }
+        let snap = db.audit_snapshot().expect("auditing is on");
+        let stats = db.stats().snapshot();
+        assert_eq!((stats.commits, stats.aborts), (2, 0));
+        let verdicts: Vec<_> = snap
+            .verdicts
+            .iter()
+            .map(|v| (v.templates.clone(), v.cells.clone()))
+            .collect();
+        (snap.cycles, snap.edges, stats.audit_edges, verdicts)
+    };
+    let synchronous = audit("sync", false);
+    assert_eq!(synchronous.0, 1, "SI admitted the skew");
+    assert_eq!(audit("deferred", true), synchronous);
 }
 
 #[test]

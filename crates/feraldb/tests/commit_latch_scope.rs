@@ -4,11 +4,18 @@
 //! only afterwards waits for the flush and publishes. These tests stall
 //! the WAL writer (`Database::with_wal_stalled`) to hold commits in that
 //! installed-but-unpublished state deterministically.
+//!
+//! The second half is about who pays that wait. Inside
+//! `feral_db::defer_durable` a commit hands its tail (durable wait →
+//! publish → lock release) to the flush instead of sleeping through it:
+//! one thread can fill a whole batch, the leader never leaves a parked
+//! tail behind, and code inside the scope still sees its own commits.
 
 use feral_db::{
-    ColumnDef, Config, DataType, Database, Datum, IsolationLevel, Predicate, TableSchema,
-    WalRecord, WalWrite,
+    defer_durable, ColumnDef, Config, DataType, Database, Datum, DbResult, IsolationLevel,
+    PendingCommit, Predicate, TableSchema, WalRecord, WalWrite,
 };
+use std::sync::{Arc, Mutex};
 
 mod common;
 use common::eventually;
@@ -18,12 +25,68 @@ fn wal_path(name: &str) -> std::path::PathBuf {
 }
 
 fn open(path: &std::path::Path) -> Database {
+    open_with(path, Config::default())
+}
+
+fn open_with(path: &std::path::Path, config: Config) -> Database {
     Database::open(Config {
         wal_path: Some(path.to_path_buf()),
         wal_sync: true,
-        ..Config::default()
+        ..config
     })
     .unwrap()
+}
+
+fn items_table(db: &Database) {
+    db.create_table(TableSchema::new(
+        "items",
+        vec![ColumnDef::new("n", DataType::Int)],
+    ))
+    .unwrap();
+}
+
+fn insert(db: &Database, n: i64) -> DbResult<()> {
+    db.txn().run(|tx| {
+        tx.insert_pairs("items", &[("n", Datum::Int(n))])
+            .map(|_| ())
+    })
+}
+
+/// Insert `n` with the durable wait deferred.
+fn insert_deferred(db: &Database, n: i64) -> PendingCommit {
+    let (inserted, pending) = defer_durable(|| insert(db, n));
+    inserted.unwrap();
+    pending.expect("a durable commit inside the scope is deferred")
+}
+
+/// The `n` of every insert in a copy of the log taken right now.
+fn in_a_copy_of_the_log(path: &std::path::Path) -> Vec<i64> {
+    static COPIES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let k = COPIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let copy = path.with_extension(format!("copy{k}"));
+    std::fs::copy(path, &copy).unwrap();
+    let logged = common::logged_values(&copy);
+    let _ = std::fs::remove_file(&copy);
+    logged
+}
+
+/// Acknowledge `pending` into `fired` — after checking, at the instant
+/// the callback runs, that the row is visible and in a copy of the log.
+fn ack_into(
+    pending: PendingCommit,
+    n: i64,
+    db: &Database,
+    path: &std::path::Path,
+    fired: &Arc<Mutex<Vec<i64>>>,
+) {
+    let (db, path, fired) = (db.clone(), path.to_path_buf(), fired.clone());
+    pending.on_complete(move |durable| {
+        durable.unwrap();
+        let mut tx = db.txn().begin();
+        assert_eq!(values(&mut tx, &Predicate::eq(1, n)), vec![n], "visible");
+        assert!(in_a_copy_of_the_log(&path).contains(&n), "{n} is logged");
+        fired.lock().unwrap().push(n);
+    });
 }
 
 /// `n` of every row of `items` matching `pred`, in heap order.
@@ -47,11 +110,7 @@ fn committers_on_one_table_share_a_flush() {
     const N: u64 = 6;
     let path = wal_path("one-table");
     let db = open(&path);
-    db.create_table(TableSchema::new(
-        "items",
-        vec![ColumnDef::new("n", DataType::Int)],
-    ))
-    .unwrap();
+    items_table(&db);
     let before = db.stats().snapshot();
     std::thread::scope(|s| {
         db.with_wal_stalled(|| {
@@ -118,11 +177,7 @@ fn committers_on_one_table_share_a_flush() {
 fn vacuum_spares_what_unpublished_commits_supersede() {
     let path = wal_path("vacuum");
     let db = open(&path);
-    db.create_table(TableSchema::new(
-        "items",
-        vec![ColumnDef::new("n", DataType::Int)],
-    ))
-    .unwrap();
+    items_table(&db);
     db.create_index("items", &["n"], false).unwrap();
     db.txn()
         .run(|tx| {
@@ -217,11 +272,7 @@ fn vacuum_loop_against_inflight_commits_keeps_a_pinned_snapshot_stable() {
     const ROUNDS: i64 = 40;
     let path = wal_path("vacuum-loop");
     let db = open(&path);
-    db.create_table(TableSchema::new(
-        "items",
-        vec![ColumnDef::new("n", DataType::Int)],
-    ))
-    .unwrap();
+    items_table(&db);
     db.create_index("items", &["n"], false).unwrap();
     db.txn()
         .run(|tx| {
@@ -272,4 +323,165 @@ fn vacuum_loop_against_inflight_commits_keeps_a_pinned_snapshot_stable() {
     let mut fresh = db.txn().begin();
     let moved: Vec<i64> = original.iter().map(|n| n + ROUNDS).collect();
     assert_eq!(values(&mut fresh, &Predicate::True), moved);
+}
+
+/// ONE thread commits eight times into one table before anything is
+/// flushed: the batch is no longer capped by the number of threads
+/// parked in the durable wait. All eight land in one flush, and each is
+/// acknowledged — in timestamp order — only once its row is visible and
+/// its record is in the log.
+#[test]
+fn one_thread_fills_a_batch_with_deferred_commits() {
+    const N: i64 = 8;
+    let path = wal_path("deferred-batch");
+    let db = open(&path);
+    items_table(&db);
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let before = db.stats().snapshot();
+    std::thread::scope(|s| {
+        db.with_wal_stalled(|| {
+            s.spawn(|| {
+                let pending: Vec<PendingCommit> = (0..N).map(|n| insert_deferred(&db, n)).collect();
+                // the first to register finds no flush in flight and leads
+                // it — parked on the stalled writer with all eight taken
+                for (n, pending) in (0..N).zip(pending) {
+                    ack_into(pending, n, &db, &path, &fired);
+                }
+            });
+            assert!(eventually(|| db.wal_flush_in_flight()));
+            let d = db.stats().snapshot().diff(&before);
+            assert_eq!((d.wal_appends, d.wal_flushes, d.commits), (N as u64, 0, 0));
+            let mut tx = db.txn().begin();
+            assert!(values(&mut tx, &Predicate::True).is_empty(), "not yet");
+            assert!(fired.lock().unwrap().is_empty());
+        });
+    });
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!(
+        (d.wal_appends, d.wal_flushes, d.group_commit_batches),
+        (N as u64, 1, 1),
+        "one thread, eight commits, one flush"
+    );
+    assert_eq!(d.commits, N as u64);
+    assert_eq!(*fired.lock().unwrap(), (0..N).collect::<Vec<_>>());
+}
+
+/// No tail is orphaned. A synchronous committer leads the first flush;
+/// behind it queue three deferred commits, a second synchronous one and
+/// three more deferred, with `group_commit_max_batch` 4. The second
+/// flush satisfies every sleeper — and the leader still may not leave:
+/// the last three records belong to tails nobody else will ever flush.
+/// Every record is logged and every callback fires with no further
+/// commit arriving.
+#[test]
+fn the_leader_drains_what_nobody_else_will_flush() {
+    let path = wal_path("no-orphan");
+    let db = open_with(
+        &path,
+        Config {
+            group_commit_max_batch: 4,
+            ..Config::default()
+        },
+    );
+    items_table(&db);
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let before = db.stats().snapshot();
+    let appended = |n: u64| eventually(|| db.stats().snapshot().diff(&before).wal_appends == n);
+    std::thread::scope(|s| {
+        db.with_wal_stalled(|| {
+            s.spawn(|| insert(&db, 100).unwrap());
+            // the leader has taken its batch of one and is on the writer
+            assert!(eventually(|| db.wal_flush_in_flight()));
+            for n in 0..3 {
+                ack_into(insert_deferred(&db, n), n, &db, &path, &fired);
+            }
+            s.spawn(|| insert(&db, 101).unwrap());
+            assert!(appended(5));
+            for n in 3..6 {
+                ack_into(insert_deferred(&db, n), n, &db, &path, &fired);
+            }
+            assert!(fired.lock().unwrap().is_empty());
+            assert_eq!(db.stats().snapshot().diff(&before).wal_flushes, 0);
+        });
+    });
+    // both synchronous committers are back; nothing else will commit
+    assert!(eventually(|| fired.lock().unwrap().len() == 6));
+    assert_eq!(*fired.lock().unwrap(), (0..6).collect::<Vec<_>>());
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!((d.wal_appends, d.commits), (8, 8));
+    assert_eq!(d.wal_flushes, 3, "batches of 1, 4 and 3");
+    assert!(!db.wal_flush_in_flight());
+    let mut logged = in_a_copy_of_the_log(&path);
+    logged.sort_unstable();
+    assert_eq!(logged, vec![0, 1, 2, 3, 4, 5, 100, 101]);
+}
+
+/// Code inside the scope sees its own commits: beginning a second
+/// transaction settles the pending one first, so it reads the first
+/// one's row and takes the same row lock without waiting on itself.
+#[test]
+fn a_second_transaction_in_the_scope_settles_the_first() {
+    let path = wal_path("scope-settles");
+    let db = open_with(
+        &path,
+        Config {
+            lock_timeout: std::time::Duration::from_millis(200),
+            ..Config::default()
+        },
+    );
+    items_table(&db);
+    let before = db.stats().snapshot();
+    let (seen, pending) = defer_durable(|| {
+        insert(&db, 1).unwrap();
+        assert_eq!(db.stats().snapshot().diff(&before).commits, 0, "parked");
+        db.txn()
+            .run(|tx| {
+                let mut rows = tx.select_for_update("items", &Predicate::True)?;
+                let (rref, tuple) = rows.remove(0);
+                let mut next = (*tuple).clone();
+                next[1] = Datum::Int(2);
+                tx.update("items", rref, next)?;
+                Ok(tuple[1].as_int().unwrap())
+            })
+            .unwrap()
+    });
+    assert_eq!(seen, 1, "the second transaction read the first one's row");
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!((d.commits, d.lock_timeouts), (1, 0));
+    pending
+        .expect("the update is the one left pending")
+        .wait()
+        .unwrap();
+    assert_eq!(db.stats().snapshot().diff(&before).commits, 2);
+    let mut tx = db.txn().begin();
+    assert_eq!(values(&mut tx, &Predicate::True), vec![2]);
+}
+
+/// Under a `feral_hooks` scheduler commits are turn-atomic, so the scope
+/// defers nothing: the commit is complete when `commit` returns.
+#[test]
+fn the_scope_is_inert_under_a_schedule_hook() {
+    struct PassThrough;
+    impl feral_hooks::ScheduleHook for PassThrough {
+        fn yield_point(&self, _: usize, _: feral_hooks::Site) {}
+        fn wait(&self, _: usize, _: feral_hooks::WaitKind) -> feral_hooks::WaitOutcome {
+            feral_hooks::WaitOutcome::Proceed
+        }
+        fn progress(&self) {}
+        fn register_child(&self, _: bool) -> usize {
+            0
+        }
+        fn worker_finished(&self, _: usize) {}
+        fn os_block_begin(&self, _: usize) {}
+        fn os_block_end(&self, _: usize) {}
+    }
+    let path = wal_path("hooked");
+    let db = open(&path);
+    items_table(&db);
+    let _worker = feral_hooks::Registration::new(Arc::new(PassThrough), 0).activate();
+    let (inserted, pending) = defer_durable(|| insert(&db, 1));
+    inserted.unwrap();
+    assert!(pending.is_none());
+    assert_eq!(db.stats().snapshot().commits, 1);
+    assert_eq!(in_a_copy_of_the_log(&path), vec![1]);
 }

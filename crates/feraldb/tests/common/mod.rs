@@ -1,6 +1,8 @@
 //! Helpers shared by the WAL-backed integration suites.
+#![allow(dead_code)] // not every suite uses every helper
 
-use std::path::PathBuf;
+use feral_db::{WalRecord, WalWrite};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// A fresh log path `<tmp>/feral-<suite>-<pid>/<name>.wal`.
@@ -22,4 +24,21 @@ pub fn eventually(mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(1));
     }
     true
+}
+
+/// Column 1 (the first user column) of every insert in the log at `path`,
+/// in log order.
+pub fn logged_values(path: &Path) -> Vec<i64> {
+    let (records, _) = feral_db::wal::read_log(path).unwrap();
+    let mut out = Vec::new();
+    for r in records {
+        if let WalRecord::Commit { writes, .. } = r {
+            for w in writes {
+                if let WalWrite::Insert { tuple, .. } = w {
+                    out.push(tuple[1].as_int().unwrap());
+                }
+            }
+        }
+    }
+    out
 }

@@ -5,14 +5,15 @@
 //! committers on one table.
 
 use feral_db::{
-    ColumnDef, Config, DataType, Database, Datum, DbError, DbResult, IsolationLevel, OnDelete,
-    Predicate, RowRef, TableSchema, Transaction, WalRecord, WalWrite,
+    defer_durable, ColumnDef, Config, DataType, Database, Datum, DbError, DbResult, IsolationLevel,
+    OnDelete, PendingCommit, Predicate, RowRef, TableSchema, Transaction,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 mod common;
-use common::eventually;
+use common::{eventually, logged_values};
 
 fn wal_path(name: &str) -> std::path::PathBuf {
     common::wal_path("group-commit", name)
@@ -57,22 +58,6 @@ fn recovered_values(path: &std::path::Path) -> Vec<i64> {
     let mut vals = recovered_in_heap_order(path);
     vals.sort_unstable();
     vals
-}
-
-/// The `n` of every single-insert commit record in the log, in log order.
-fn logged_values(path: &std::path::Path) -> Vec<i64> {
-    let (records, _) = feral_db::wal::read_log(path).unwrap();
-    let mut out = Vec::new();
-    for r in records {
-        if let WalRecord::Commit { writes, .. } = r {
-            for w in writes {
-                if let WalWrite::Insert { tuple, .. } = w {
-                    out.push(tuple[1].as_int().unwrap());
-                }
-            }
-        }
-    }
-    out
 }
 
 /// A torn write mid-record must recover exactly the acked prefix — no
@@ -168,6 +153,14 @@ fn item(tx: &mut Transaction, n: i64) -> RowRef {
 /// isolation level ever sees their writes, directly or through a
 /// constraint verdict; later commits fail fast; reads keep working;
 /// recovery yields the pre-poison prefix.
+///
+/// Beside them, commits whose durable wait was deferred
+/// (`defer_durable`) are parked on the same flush — two inserts, an
+/// update, a parent delete — and one more is stamped but registered only
+/// after the failure. Nobody sleeps for those, so the failed flush itself
+/// must settle them: each callback gets the poison error exactly once,
+/// none fires `Ok`, and their locks are released (a later writer of the
+/// same rows reaches "poisoned" at once, not a lock timeout).
 #[test]
 fn failed_flush_poisons_the_log() {
     type Committer = Box<dyn FnOnce(&Database) -> DbResult<()> + Send>;
@@ -191,6 +184,7 @@ fn failed_flush_poisons_the_log() {
         .run(|tx| {
             tx.insert_pairs("parents", &[("id", Datum::Int(1))])?;
             tx.insert_pairs("parents", &[("id", Datum::Int(2))])?;
+            tx.insert_pairs("parents", &[("id", Datum::Int(3))])?;
             Ok(())
         })
         .unwrap();
@@ -233,11 +227,42 @@ fn failed_flush_poisons_the_log() {
     }));
     let parked_count = parked.len() as u64;
 
+    let deferred: Vec<(&str, Committer)> = vec![
+        ("insert 30", Box::new(|db| insert_one(db, 30))),
+        ("insert 31", Box::new(|db| insert_one(db, 31))),
+        (
+            "update 1 -> 21",
+            Box::new(|db| {
+                db.txn().run(|tx| {
+                    let row = item(tx, 1);
+                    tx.update("items", row, vec![Datum::Null, Datum::Int(21)])
+                })
+            }),
+        ),
+        (
+            "delete parent 3",
+            Box::new(|db| {
+                db.txn().run(|tx| {
+                    let (row, _) = tx.get_by_id("parents", 3)?.unwrap();
+                    tx.delete("parents", row)
+                })
+            }),
+        ),
+    ];
+    let deferred_count = deferred.len() as u64 + 1;
+    type Acks = Mutex<Vec<(&'static str, DbResult<()>)>>;
+    let acks: Arc<Acks> = Arc::default();
+    let ack_into = |pending: PendingCommit, what: &'static str| {
+        let acks = acks.clone();
+        pending.on_complete(move |durable| acks.lock().unwrap().push((what, durable)));
+    };
+
     db.set_wal_fail_after(Some(5));
     let before = db.stats().snapshot();
-    let errors: Vec<String> = std::thread::scope(|s| {
-        let handles: Vec<_> = db.with_wal_stalled(|| {
-            let handles = parked
+    let appended = |n: u64| eventually(|| db.stats().snapshot().diff(&before).wal_appends == n);
+    let (errors, late): (Vec<String>, PendingCommit) = std::thread::scope(|s| {
+        let (handles, late) = db.with_wal_stalled(|| {
+            let handles: Vec<_> = parked
                 .into_iter()
                 .map(|commit| {
                     let db = db.clone();
@@ -245,18 +270,53 @@ fn failed_flush_poisons_the_log() {
                 })
                 .collect();
             assert!(
-                eventually(|| db.stats().snapshot().diff(&before).wal_appends == parked_count),
+                appended(parked_count),
                 "committers must enqueue behind a stalled flush on their own table"
             );
+            // one of them leads the flush; the deferred commits below join
+            // it without a thread of their own
+            assert!(eventually(|| db.wal_flush_in_flight()));
+            for (what, commit) in deferred {
+                let (committed, pending) = defer_durable(|| commit(&db));
+                committed.unwrap();
+                ack_into(pending.expect("deferred"), what);
+            }
+            let (committed, late) = defer_durable(|| insert_one(&db, 32));
+            committed.unwrap();
+            assert!(appended(parked_count + deferred_count));
+            assert!(acks.lock().unwrap().is_empty());
             // installed, not durable, not published: invisible right now
             assert_eq!(visible_values(&db), vec![1, 2, 3]);
-            handles
+            (handles, late.expect("deferred"))
         });
-        handles
+        let errors = handles
             .into_iter()
             .map(|h| h.join().unwrap().unwrap_err().to_string())
-            .collect()
+            .collect();
+        (errors, late)
     });
+    // the failed flush settled every parked tail before its leader returned
+    assert_eq!(acks.lock().unwrap().len() as u64, deferred_count - 1);
+    // registered after the poison: settled on the spot
+    ack_into(late, "insert 32");
+    let mut acked: Vec<&str> = Vec::new();
+    for (what, durable) in acks.lock().unwrap().iter() {
+        let err = durable.clone().expect_err(what).to_string();
+        assert!(err.contains("poisoned"), "{what} got: {err}");
+        acked.push(what);
+    }
+    acked.sort_unstable();
+    assert_eq!(
+        acked,
+        [
+            "delete parent 3",
+            "insert 30",
+            "insert 31",
+            "insert 32",
+            "update 1 -> 21"
+        ],
+        "every deferred commit hears of the failure exactly once"
+    );
     for err in &errors {
         assert!(
             err.contains("torn write") || err.contains("poisoned"),
@@ -282,7 +342,7 @@ fn failed_flush_poisons_the_log() {
         let mut tx = begin();
         let scanned = values(tx.scan("items", &Predicate::True).unwrap());
         assert_eq!(scanned, vec![1, 2, 3], "scan under {iso}");
-        for n in [10, 11, 12, 13, 20] {
+        for n in [10, 11, 12, 13, 20, 21, 30, 31, 32] {
             assert_eq!(tx.count("items", &Predicate::eq(1, n)).unwrap(), 0);
         }
         // the post-lock re-read returns the old images: the update to 20
@@ -302,6 +362,11 @@ fn failed_flush_poisons_the_log() {
         .unwrap();
         let row = item(&mut tx, 3);
         tx.delete("items", row).unwrap();
+        // row 1 was locked by a deferred update: the failed flush let go
+        let asked = Instant::now();
+        let row = item(&mut tx, 1);
+        tx.delete("items", row).unwrap();
+        assert!(asked.elapsed() < Duration::from_secs(1), "no lock wait");
         let err = tx.commit().unwrap_err().to_string();
         assert!(err.contains("poisoned"), "under {iso} got: {err}");
 
@@ -311,24 +376,25 @@ fn failed_flush_poisons_the_log() {
             let mut tx = begin();
             tx.insert_pairs(table, &[(col, Datum::Int(v))]).map(|_| ())
         };
-        for taken in [2, 3] {
+        for taken in [1, 2, 3] {
             let verdict = insert("items", "n", taken);
             assert!(
                 matches!(verdict, Err(DbError::UniqueViolation { .. })),
                 "n={taken} under {iso}: {verdict:?}"
             );
         }
-        for free in [20, 10] {
+        for free in [20, 10, 21, 30, 32] {
             insert("items", "n", free).unwrap();
         }
-        // foreign-key verdicts: parent 7 was never inserted, parent 2
-        // never deleted, and no child row pins parent 1
+        // foreign-key verdicts: parent 7 was never inserted, parents 2
+        // and 3 never deleted, and no child row pins parent 1
         let verdict = insert("kids", "parent_id", 7);
         assert!(
             matches!(verdict, Err(DbError::ForeignKeyViolation { .. })),
             "parent 7 under {iso}: {verdict:?}"
         );
         insert("kids", "parent_id", 2).unwrap();
+        insert("kids", "parent_id", 3).unwrap();
         let mut tx = begin();
         let (row, _) = tx.get_by_id("parents", 1).unwrap().unwrap();
         tx.delete("parents", row).unwrap();
@@ -342,7 +408,7 @@ fn failed_flush_poisons_the_log() {
     drop(db);
     let db = Database::open(config(&path)).unwrap();
     assert_eq!(visible_values(&db), vec![1, 2, 3]);
-    assert_eq!(column(&db, "parents", 0), vec![1, 2]);
+    assert_eq!(column(&db, "parents", 0), vec![1, 2, 3]);
     assert_eq!(column(&db, "kids", 0), Vec::<i64>::new());
 }
 

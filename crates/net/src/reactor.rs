@@ -16,6 +16,7 @@
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -296,7 +297,7 @@ pub use sys::Poller;
 /// the loop drains the pipe and treats it as "check your queues".
 pub struct Waker {
     reader: UnixStream,
-    writer: UnixStream,
+    writer: Arc<UnixStream>,
 }
 
 impl Waker {
@@ -305,7 +306,10 @@ impl Waker {
         let (reader, writer) = UnixStream::pair()?;
         reader.set_nonblocking(true)?;
         writer.set_nonblocking(true)?;
-        Ok(Waker { reader, writer })
+        Ok(Waker {
+            reader,
+            writer: Arc::new(writer),
+        })
     }
 
     /// The fd to register with the poller (readable interest).
@@ -316,7 +320,7 @@ impl Waker {
     /// A handle other threads use to wake the loop.
     pub fn handle(&self) -> WakeHandle {
         WakeHandle {
-            writer: self.writer.try_clone().expect("clone waker fd"),
+            writer: self.writer.clone(),
         }
     }
 
@@ -330,17 +334,11 @@ impl Waker {
     }
 }
 
-/// The write half of a [`Waker`], cloneable across threads.
+/// The write half of a [`Waker`]. Clones share one descriptor, so
+/// handing a handle to another thread or closure is not a system call.
+#[derive(Clone)]
 pub struct WakeHandle {
-    writer: UnixStream,
-}
-
-impl Clone for WakeHandle {
-    fn clone(&self) -> Self {
-        WakeHandle {
-            writer: self.writer.try_clone().expect("clone waker fd"),
-        }
-    }
+    writer: Arc<UnixStream>,
 }
 
 impl WakeHandle {
@@ -348,7 +346,7 @@ impl WakeHandle {
     /// pending, which is just as good — the error is ignored.
     pub fn wake(&self) {
         use std::io::Write;
-        let _ = (&self.writer).write(&[1u8]);
+        let _ = (&*self.writer).write(&[1u8]);
     }
 }
 

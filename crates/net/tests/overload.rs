@@ -266,13 +266,8 @@ fn overload_sheds_never_corrupt_integrity() {
                 Err(e) => panic!("send failed: {e}"),
             }
         }
-        loop {
-            match wire::take_frame(&mut inbuf).expect("well-formed frame") {
-                Some(payload) => {
-                    responses.push(wire::decode_response(&payload).expect("decodable"))
-                }
-                None => break,
-            }
+        while let Some(payload) = wire::take_frame(&mut inbuf).expect("well-formed frame") {
+            responses.push(wire::decode_response(&payload).expect("decodable"));
         }
         match conn.read(&mut chunk) {
             Ok(0) => panic!("server closed"),

@@ -79,6 +79,44 @@ fn extraction_sees_the_commit_pipeline_discipline() {
     );
 }
 
+/// Commit tails are completed — locks released, history pruned, the
+/// auditor fed, the caller's callback run — by the flush leader and by
+/// whoever advances the clock, with neither the group buffer nor the
+/// publish lock held: both stay terminal. The absence only means
+/// something if extraction sees that `complete` takes locks and that the
+/// flush loop and `publish` reach it.
+#[test]
+fn commit_tails_are_completed_under_no_pipeline_lock() {
+    let a = analysis();
+    let complete = &a.graph.reaches["CommitTail::complete"];
+    for taken in [
+        "feraldb::LockManager::table",
+        "feraldb::CommitPipeline::active",
+        "feraldb::CommitPipeline::shards",
+    ] {
+        assert!(complete.contains(taken), "complete no longer takes {taken}");
+    }
+    for caller in ["CommitPipeline::lead", "CommitPipeline::publish"] {
+        assert!(
+            a.graph.reaches[caller].contains("feraldb::LockManager::table"),
+            "{caller} no longer reaches CommitTail::complete"
+        );
+    }
+    for terminal in [
+        "feraldb::CommitPipeline::group",
+        "feraldb::CommitPipeline::publish_lock",
+    ] {
+        assert!(a.decls.terminals.contains(terminal));
+        let under: Vec<_> = a
+            .graph
+            .edges
+            .keys()
+            .filter(|(from, _)| from == terminal)
+            .collect();
+        assert!(under.is_empty(), "acquired under {terminal}: {under:?}");
+    }
+}
+
 #[test]
 fn extraction_sees_the_trace_ring_seqlock() {
     let a = analysis();

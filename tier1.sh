@@ -9,13 +9,18 @@ echo "== tier1: release build =="
 cargo build --release
 
 echo "== tier1: clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier1: rustfmt check =="
 cargo fmt --check
 
 echo "== tier1: test suite =="
 cargo test -q
+# The bare command above runs the facade crate only. The engine, the
+# wire tier and the service layer carry the commit-path invariants
+# (visible => durable, ack => durable, no orphaned commit tail, the
+# overload contract), so their suites are gated by name.
+cargo test -q -p feral-db -p feral-net -p feral-server
 
 echo "== tier1: feral-sim bounded systematic sweep =="
 # The full matrix is exhaustive in < 10k schedules per cell; the bound
