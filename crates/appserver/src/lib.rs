@@ -500,17 +500,30 @@ impl Service for Deployment {
     }
 }
 
+/// One thread stripe of a [`PooledService`]: the idle session and the
+/// call count of the threads that map to it, padded so a caller checks
+/// its session in and out on a line no other caller writes.
+#[repr(align(128))]
+struct SessionStripe {
+    idle: parking_lot::Mutex<Option<Session>>,
+    calls: AtomicU64,
+}
+
 /// An in-process [`Service`] with a bounded session pool instead of
 /// worker threads: each call checks a [`feral_orm::Session`] out (or
-/// opens one when the pool is dry), runs the request on the *calling*
-/// thread, and returns the session if the pool has room. This is the
+/// opens one when its stripe is dry), runs the request on the *calling*
+/// thread, and returns the session if the stripe has room. This is the
 /// shape a networked frontend's executor threads front the database
 /// with — `pool` plays the role of the Rails database connection pool.
+///
+/// The pool is `pool` stripes of one idle session each, a caller using
+/// the stripe of its thread ([`feral_db::thread_slot`]): up to `pool`
+/// threads each keep reusing a session of their own, and any further
+/// threads share stripes, opening a session when they find theirs out.
 pub struct PooledService {
     app: App,
-    sessions: parking_lot::Mutex<Vec<Session>>,
+    stripes: Vec<SessionStripe>,
     pool: usize,
-    calls: AtomicU64,
 }
 
 impl PooledService {
@@ -519,32 +532,43 @@ impl PooledService {
     pub fn new(app: App, pool: usize) -> Self {
         PooledService {
             app,
-            sessions: parking_lot::Mutex::new(Vec::with_capacity(pool)),
+            stripes: (0..pool.max(1))
+                .map(|_| SessionStripe {
+                    idle: parking_lot::Mutex::new(None),
+                    calls: AtomicU64::new(0),
+                })
+                .collect(),
             pool,
-            calls: AtomicU64::new(0),
         }
     }
 
     /// Requests served so far.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.calls.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Sessions currently idle in the pool.
     pub fn idle_sessions(&self) -> usize {
-        self.sessions.lock().len()
+        self.stripes
+            .iter()
+            .filter(|s| s.idle.lock().is_some())
+            .count()
     }
 }
 
 impl Service for PooledService {
     fn call(&self, request: Request) -> Response {
-        let checked_out = self.sessions.lock().pop();
+        let stripe = &self.stripes[feral_db::thread_slot() % self.stripes.len()];
+        let checked_out = std::mem::take(&mut *stripe.idle.lock());
         let mut session = checked_out.unwrap_or_else(|| self.app.session());
         let response = handle(&mut session, request);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut pool = self.sessions.lock();
-        if pool.len() < self.pool {
-            pool.push(session);
+        stripe.calls.fetch_add(1, Ordering::Relaxed);
+        if self.pool > 0 {
+            // a sharer of this stripe may have returned its session first
+            stripe.idle.lock().get_or_insert(session);
         }
         response
     }

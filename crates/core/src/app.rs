@@ -7,6 +7,7 @@ use crate::session::Session;
 use feral_db::{ColumnDef, Database, Datum, IsolationLevel, OnDelete, Predicate, TableSchema};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,11 +22,16 @@ pub struct App {
 pub(crate) struct AppInner {
     pub(crate) db: Database,
     pub(crate) models: RwLock<HashMap<String, Arc<ModelDef>>>,
-    /// Artificial delay injected between a save's validation pass and its
-    /// write, modelling controller/VM/network latency between the SQL
-    /// statements of a production deployment. Widens the race window the
-    /// paper's experiments exercise; zero by default.
-    pub(crate) validation_write_delay: RwLock<Duration>,
+    /// Bumped (under the `models` write lock) by every registration. A
+    /// [`Session`] caches the definitions it resolved and revalidates the
+    /// cache against this, so a request takes no lock to name its model.
+    pub(crate) models_generation: AtomicU64,
+    /// Artificial delay, in nanoseconds, injected between a save's
+    /// validation pass and its write, modelling controller/VM/network
+    /// latency between the SQL statements of a production deployment.
+    /// Widens the race window the paper's experiments exercise; zero by
+    /// default.
+    pub(crate) validation_write_delay_nanos: AtomicU64,
 }
 
 impl App {
@@ -35,7 +41,8 @@ impl App {
             inner: Arc::new(AppInner {
                 db,
                 models: RwLock::new(HashMap::new()),
-                validation_write_delay: RwLock::new(Duration::ZERO),
+                models_generation: AtomicU64::new(0),
+                validation_write_delay_nanos: AtomicU64::new(0),
             }),
         }
     }
@@ -53,27 +60,47 @@ impl App {
 
     /// Configure the validate→write delay (see `AppInner` docs).
     pub fn set_validation_write_delay(&self, d: Duration) {
-        *self.inner.validation_write_delay.write() = d;
+        let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.inner
+            .validation_write_delay_nanos
+            .store(nanos, Ordering::Relaxed);
+    }
+
+    pub(crate) fn validation_write_delay(&self) -> Duration {
+        Duration::from_nanos(
+            self.inner
+                .validation_write_delay_nanos
+                .load(Ordering::Relaxed),
+        )
+    }
+
+    /// Add `def` to the registry under its write lock and publish a new
+    /// definition generation.
+    fn register(
+        &self,
+        models: &mut HashMap<String, Arc<ModelDef>>,
+        def: &Arc<ModelDef>,
+    ) -> OrmResult<()> {
+        if models.contains_key(&def.name) {
+            return Err(OrmError::Config(format!(
+                "model {} already defined",
+                def.name
+            )));
+        }
+        models.insert(def.name.clone(), def.clone());
+        self.inner.models_generation.fetch_add(1, Ordering::Release);
+        Ok(())
     }
 
     /// Register a model and create its backing table (the analogue of
     /// running the model's creation migration).
     pub fn define(&self, def: ModelDef) -> OrmResult<Arc<ModelDef>> {
         let def = Arc::new(def);
-        {
-            let mut models = self.inner.models.write();
-            if models.contains_key(&def.name) {
-                return Err(OrmError::Config(format!(
-                    "model {} already defined",
-                    def.name
-                )));
-            }
-            models.insert(def.name.clone(), def.clone());
-        }
+        self.register(&mut self.inner.models.write(), &def)?;
         let columns: Vec<ColumnDef> = def
-            .column_order()
-            .into_iter()
-            .map(|(name, ty)| ColumnDef::new(name, ty))
+            .columns()
+            .iter()
+            .map(|(name, ty)| ColumnDef::new(name.clone(), *ty))
             .collect();
         self.inner
             .db
@@ -88,23 +115,17 @@ impl App {
         if self.inner.db.table_id(&def.table).is_ok() {
             let def = Arc::new(def);
             let mut models = self.inner.models.write();
-            if models.contains_key(&def.name) {
-                return Err(OrmError::Config(format!(
-                    "model {} already defined",
-                    def.name
-                )));
-            }
             // sanity-check the recovered schema against the definition
             let info = self.inner.db.table_info(&def.table)?;
-            for (name, _) in def.column_order() {
-                if info.schema.column_index(&name).is_err() {
+            for (name, _) in def.columns() {
+                if info.schema.column_index(name).is_err() {
                     return Err(OrmError::Config(format!(
                         "recovered table {} lacks column {name} declared by model {}",
                         def.table, def.name
                     )));
                 }
             }
-            models.insert(def.name.clone(), def.clone());
+            self.register(&mut models, &def)?;
             return Ok(def);
         }
         self.define(def)
@@ -128,6 +149,11 @@ impl App {
     /// Instantiate a new, blank record of `model`.
     pub fn new_record(&self, model: &str) -> OrmResult<Record> {
         Ok(Record::new(self.model(model)?))
+    }
+
+    /// The registry's definition generation (see `AppInner`).
+    pub(crate) fn models_generation(&self) -> u64 {
+        self.inner.models_generation.load(Ordering::Acquire)
     }
 
     /// Open a session (one worker's connection) at the database's default
@@ -182,32 +208,37 @@ impl App {
 
     // --- helpers shared by the persistence/validation layers -----------
 
-    /// Build an engine predicate for `(attribute, value)` equalities on
-    /// `model` (NULL values become `IS NULL` tests, as Rails generates).
-    pub(crate) fn conds_to_pred(
-        &self,
-        model: &ModelDef,
-        conds: &[(String, Datum)],
-    ) -> OrmResult<Predicate> {
-        let mut pred = Predicate::True;
-        for (field, value) in conds {
-            let col = model
-                .column_index(field)
-                .ok_or_else(|| OrmError::Config(format!("{} has no column {field}", model.name)))?;
-            let clause = if value.is_null() {
-                Predicate::IsNull(col)
-            } else {
-                Predicate::eq(col, value.clone())
-            };
-            pred = pred.and(clause);
-        }
-        Ok(pred)
-    }
-
     /// Resolve an association target model.
     pub(crate) fn target_of(&self, assoc: &Association) -> OrmResult<Arc<ModelDef>> {
         self.model(&assoc.target)
     }
+}
+
+/// Build an engine predicate for `(attribute, value)` equalities on
+/// `model` (NULL values become `IS NULL` tests, as Rails generates). The
+/// conditions are borrowed as the caller holds them; no conditions match
+/// every row.
+pub(crate) fn conds_to_pred(
+    model: &ModelDef,
+    conds: &[(impl AsRef<str>, Datum)],
+) -> OrmResult<Predicate> {
+    let mut pred: Option<Predicate> = None;
+    for (field, value) in conds {
+        let field = field.as_ref();
+        let col = model
+            .column_index(field)
+            .ok_or_else(|| OrmError::Config(format!("{} has no column {field}", model.name)))?;
+        let clause = if value.is_null() {
+            Predicate::IsNull(col)
+        } else {
+            Predicate::eq(col, value.clone())
+        };
+        pred = Some(match pred {
+            Some(p) => p.and(clause),
+            None => clause,
+        });
+    }
+    Ok(pred.unwrap_or(Predicate::True))
 }
 
 impl std::fmt::Debug for App {

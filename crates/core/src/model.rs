@@ -5,6 +5,14 @@
 //! declarations. Models are defined with the fluent [`ModelBuilder`] and
 //! registered with [`crate::App::define`], which creates the backing table
 //! (one table per model, Fowler's Active Record pattern).
+//!
+//! The backing table's column layout — `id`, the declared attributes, then
+//! the bookkeeping columns — is fixed once, by [`ModelBuilder::finish`].
+//! Every request resolves attribute names against it (a finder's
+//! conditions, a record's reads, the wire encoding of a reply), so
+//! [`ModelDef::columns`] lends it out and [`ModelDef::column_index`]
+//! searches it in place; [`ModelDef::column_order`] is the owned copy for
+//! the few callers that want one.
 
 use crate::errors::{Errors, OrmResult};
 use crate::inflect;
@@ -311,6 +319,8 @@ pub struct ModelDef {
     pub timestamps: bool,
     /// Lifecycle callbacks, run in declaration order per hook point.
     pub callbacks: Vec<(CallbackKind, String, CallbackFn)>,
+    /// The backing table's column layout, fixed by [`ModelBuilder::finish`].
+    columns: Vec<(String, DataType)>,
 }
 
 impl ModelDef {
@@ -327,28 +337,25 @@ impl ModelDef {
                 lock_version: false,
                 timestamps: true,
                 callbacks: Vec::new(),
+                columns: Vec::new(),
             },
         }
     }
 
-    /// Full column order of the backing table: `id`, declared attributes,
-    /// then `lock_version` and timestamp columns when enabled.
-    pub fn column_order(&self) -> Vec<(String, DataType)> {
-        let mut cols = vec![("id".to_string(), DataType::Int)];
-        cols.extend(self.attributes.iter().cloned());
-        if self.lock_version {
-            cols.push(("lock_version".to_string(), DataType::Int));
-        }
-        if self.timestamps {
-            cols.push(("created_at".to_string(), DataType::Timestamp));
-            cols.push(("updated_at".to_string(), DataType::Timestamp));
-        }
-        cols
+    /// Full column layout of the backing table, borrowed: `id`, declared
+    /// attributes, then `lock_version` and timestamp columns when enabled.
+    pub fn columns(&self) -> &[(String, DataType)] {
+        &self.columns
     }
 
-    /// Position of `column` in [`ModelDef::column_order`].
+    /// An owned copy of [`ModelDef::columns`].
+    pub fn column_order(&self) -> Vec<(String, DataType)> {
+        self.columns.clone()
+    }
+
+    /// Position of `column` in [`ModelDef::columns`].
     pub fn column_index(&self, column: &str) -> Option<usize> {
-        self.column_order().iter().position(|(n, _)| n == column)
+        self.columns.iter().position(|(n, _)| n == column)
     }
 
     /// Whether `name` is a declared attribute (or bookkeeping column).
@@ -807,8 +814,22 @@ impl ModelBuilder {
         self
     }
 
-    /// Finish building.
-    pub fn finish(self) -> ModelDef {
+    /// Finish building: fixes the column layout the model's records,
+    /// finders and wire encoding all index into.
+    pub fn finish(mut self) -> ModelDef {
+        let def = &mut self.def;
+        def.columns = vec![("id".to_string(), DataType::Int)];
+        def.columns.extend(def.attributes.iter().cloned());
+        if def.lock_version {
+            def.columns
+                .push(("lock_version".to_string(), DataType::Int));
+        }
+        if def.timestamps {
+            def.columns
+                .push(("created_at".to_string(), DataType::Timestamp));
+            def.columns
+                .push(("updated_at".to_string(), DataType::Timestamp));
+        }
         self.def
     }
 }
@@ -847,6 +868,7 @@ mod tests {
             cols,
             vec!["id", "sku", "lock_version", "created_at", "updated_at"]
         );
+        assert_eq!(m.columns(), m.column_order().as_slice());
         assert_eq!(m.column_index("sku"), Some(1));
         assert!(m.has_column("updated_at"));
     }

@@ -2,12 +2,12 @@
 //! persistence operations (`save`, `create`, `destroy`, finders, locking,
 //! `Model.transaction` blocks).
 
-use crate::app::App;
+use crate::app::{conds_to_pred, App};
 use crate::errors::{OrmError, OrmResult};
 use crate::model::{AssocKind, CallbackKind, Dependent, ModelDef, Validator};
 use crate::record::Record;
 use crate::validations::{datum_fingerprint, validate_record, TxnQueryCtx};
-use feral_db::{Datum, IsolationLevel, Predicate, RowRef, Transaction};
+use feral_db::{Datum, IsolationLevel, Predicate, RowRef, Transaction, Tuple};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -30,6 +30,11 @@ pub struct Session {
     app: App,
     isolation: IsolationLevel,
     current: Option<Transaction>,
+    /// Definitions this session has resolved, valid while the app's
+    /// definition generation is `models_generation`: naming a model takes
+    /// no lock on the shared registry.
+    models: Vec<Arc<ModelDef>>,
+    models_generation: u64,
 }
 
 impl Session {
@@ -38,7 +43,24 @@ impl Session {
             app,
             isolation,
             current: None,
+            models: Vec::new(),
+            models_generation: 0,
         }
+    }
+
+    /// Look up a model by class name, through the session-local cache.
+    fn model(&mut self, name: &str) -> OrmResult<Arc<ModelDef>> {
+        let generation = self.app.models_generation();
+        if generation != self.models_generation {
+            self.models.clear();
+            self.models_generation = generation;
+        }
+        if let Some(def) = self.models.iter().find(|def| def.name == name) {
+            return Ok(def.clone());
+        }
+        let def = self.app.model(name)?;
+        self.models.push(def.clone());
+        Ok(def)
     }
 
     /// The owning application.
@@ -62,12 +84,12 @@ impl Session {
         &mut self,
         f: impl FnOnce(&App, &mut Transaction) -> OrmResult<T>,
     ) -> OrmResult<T> {
-        let app = self.app.clone();
+        let app = &self.app;
         if let Some(tx) = self.current.as_mut() {
-            return f(&app, tx);
+            return f(app, tx);
         }
         let mut tx = app.db().txn().isolation(self.isolation).begin();
-        match f(&app, &mut tx) {
+        match f(app, &mut tx) {
             Ok(v) => {
                 tx.commit()?;
                 Ok(v)
@@ -132,7 +154,7 @@ impl Session {
     /// Returns `Ok(false)` (with `record.errors` populated) when a
     /// validation fails — Rails' non-bang semantics.
     pub fn save(&mut self, record: &mut Record) -> OrmResult<bool> {
-        let delay = *self.app.inner.validation_write_delay.read();
+        let delay = self.app.validation_write_delay();
         let was_new = !record.is_persisted();
         run_callbacks(record, CallbackKind::BeforeValidation);
         let save_span = feral_trace::start_phase(feral_trace::Phase::Save);
@@ -197,7 +219,7 @@ impl Session {
     /// `Model.create(attrs)`: build, save (non-bang), return the record
     /// (check `is_persisted`/`errors` for the outcome).
     pub fn create(&mut self, model: &str, attrs: &[(&str, Datum)]) -> OrmResult<Record> {
-        let mut record = self.app.new_record(model)?;
+        let mut record = Record::new(self.model(model)?);
         record.assign(attrs);
         self.save(&mut record)?;
         Ok(record)
@@ -205,7 +227,7 @@ impl Session {
 
     /// `Model.create!(attrs)`.
     pub fn create_strict(&mut self, model: &str, attrs: &[(&str, Datum)]) -> OrmResult<Record> {
-        let mut record = self.app.new_record(model)?;
+        let mut record = Record::new(self.model(model)?);
         record.assign(attrs);
         self.save_strict(&mut record)?;
         Ok(record)
@@ -287,20 +309,17 @@ impl Session {
 
     /// `Model.where(attrs)` — all matching records.
     pub fn where_(&mut self, model: &str, conds: &[(&str, Datum)]) -> OrmResult<Vec<Record>> {
-        let def = self.app.model(model)?;
-        let owned: Vec<(String, Datum)> = conds
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect();
-        let app = self.app.clone();
-        self.with_txn(move |_, tx| {
-            let pred = app.conds_to_pred(&def, &owned)?;
-            let rows = tx.scan(&def.table, &pred)?;
-            Ok(rows
-                .into_iter()
-                .map(|(_, t)| Record::from_tuple(def.clone(), &t))
-                .collect())
-        })
+        let def = self.model(model)?;
+        let rows = self.with_txn(|_, tx| {
+            let pred = conds_to_pred(&def, conds)?;
+            Ok(tx.scan(&def.table, &pred)?)
+        })?;
+        // `repeat_n` moves its item into the last pair: a point read
+        // hands its one record the handle it resolved, cloning nothing
+        Ok(std::iter::repeat_n(def, rows.len())
+            .zip(rows)
+            .map(|(def, (_, row))| Record::from_row(def, row))
+            .collect())
     }
 
     /// `Model.all`.
@@ -318,15 +337,13 @@ impl Session {
         descending: bool,
         limit: Option<usize>,
     ) -> OrmResult<Vec<Record>> {
-        let def = self.app.model(model)?;
+        let def = self.model(model)?;
         let col = def
             .column_index(order_field)
             .ok_or_else(|| OrmError::Config(format!("{model} has no column {order_field}")))?;
         let mut rows = self.where_(model, conds)?;
         rows.sort_by(|a, b| {
-            let fa = a.to_tuple()[col].clone();
-            let fb = b.to_tuple()[col].clone();
-            let ord = fa.cmp(&fb);
+            let ord = a.at(col).cmp(b.at(col));
             if descending {
                 ord.reverse()
             } else {
@@ -359,11 +376,7 @@ impl Session {
         conds: &[(&str, Datum)],
         sets: &[(&str, Datum)],
     ) -> OrmResult<usize> {
-        let def = self.app.model(model)?;
-        let owned_conds: Vec<(String, Datum)> = conds
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect();
+        let def = self.model(model)?;
         let owned_sets: Vec<(usize, Datum)> = sets
             .iter()
             .map(|(k, v)| {
@@ -372,9 +385,8 @@ impl Session {
                     .ok_or_else(|| OrmError::Config(format!("{model} has no column {k}")))
             })
             .collect::<OrmResult<_>>()?;
-        let app = self.app.clone();
-        self.with_txn(move |_, tx| {
-            let pred = app.conds_to_pred(&def, &owned_conds)?;
+        self.with_txn(|_, tx| {
+            let pred = conds_to_pred(&def, conds)?;
             let rows = tx.scan(&def.table, &pred)?;
             let n = rows.len();
             for (rref, tuple) in rows {
@@ -391,21 +403,16 @@ impl Session {
     /// `Model.where(conds).delete_all` — direct bulk DELETE, skipping
     /// callbacks and dependent-association logic. Returns rows deleted.
     pub fn delete_all(&mut self, model: &str, conds: &[(&str, Datum)]) -> OrmResult<usize> {
-        let def = self.app.model(model)?;
-        let owned: Vec<(String, Datum)> = conds
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect();
-        let app = self.app.clone();
-        self.with_txn(move |_, tx| {
-            let pred = app.conds_to_pred(&def, &owned)?;
+        let def = self.model(model)?;
+        self.with_txn(|_, tx| {
+            let pred = conds_to_pred(&def, conds)?;
             Ok(tx.delete_where(&def.table, &pred)?)
         })
     }
 
     /// `Model.count`.
     pub fn count(&mut self, model: &str) -> OrmResult<usize> {
-        let def = self.app.model(model)?;
+        let def = self.model(model)?;
         self.with_txn(|_, tx| Ok(tx.count(&def.table, &Predicate::True)?))
     }
 
@@ -472,7 +479,7 @@ impl Session {
             return Err(OrmError::Config("cannot reload an unsaved record".into()));
         };
         let fresh = self.find(&model.name, id)?;
-        record.refresh_from(&fresh.to_tuple());
+        record.refresh_from(Arc::new(fresh.to_tuple()));
         Ok(())
     }
 
@@ -488,14 +495,14 @@ impl Session {
         let Some(id) = record.id() else {
             return Err(OrmError::Config("cannot lock an unsaved record".into()));
         };
-        let tuple = self.with_txn(|_, tx| {
+        let row: Arc<Tuple> = self.with_txn(|_, tx| {
             let rows = tx.select_for_update(&model.table, &Predicate::eq(0, id))?;
             rows.into_iter()
                 .next()
-                .map(|(_, t)| (*t).clone())
+                .map(|(_, row)| row)
                 .ok_or_else(|| OrmError::RecordNotFound(format!("{} with id={id}", model.name)))
         })?;
-        record.refresh_from(&tuple);
+        record.refresh_from(row);
         Ok(())
     }
 
@@ -512,14 +519,10 @@ impl Session {
     }
 }
 
-/// Locate the committed row for `id`, returning its `RowRef` and tuple.
-fn locate(
-    tx: &mut Transaction,
-    model: &ModelDef,
-    id: i64,
-) -> OrmResult<Option<(RowRef, feral_db::Tuple)>> {
+/// Locate the committed row for `id`.
+fn locate(tx: &mut Transaction, model: &ModelDef, id: i64) -> OrmResult<Option<RowRef>> {
     let rows = tx.scan(&model.table, &Predicate::eq(0, id))?;
-    Ok(rows.into_iter().next().map(|(r, t)| (r, (*t).clone())))
+    Ok(rows.into_iter().next().map(|(rref, _)| rref))
 }
 
 /// Insert or update `record` (validations already passed).
@@ -531,7 +534,7 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
             record.set("created_at", Datum::Timestamp(now));
             record.set("updated_at", Datum::Timestamp(now));
         }
-        if model.lock_version && record.get("lock_version").is_null() {
+        if model.lock_version && record.attr("lock_version").is_null() {
             record.set("lock_version", 0i64);
         }
         let rref = tx.insert(&model.table, record.to_tuple())?;
@@ -559,7 +562,7 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
         let lv_col = model
             .column_index("lock_version")
             .ok_or_else(|| OrmError::Config("lock_version column missing".into()))?;
-        let mine = record.get("lock_version").as_int().unwrap_or(0);
+        let mine = record.attr("lock_version").as_int().unwrap_or(0);
         let theirs = current[lv_col].as_int().unwrap_or(0);
         if mine != theirs {
             return Err(OrmError::StaleObject(format!(
@@ -574,7 +577,7 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
         tx.update(&model.table, rref, record.to_tuple())?;
         return Ok(());
     }
-    let Some((rref, _)) = locate(tx, &model, id)? else {
+    let Some(rref) = locate(tx, &model, id)? else {
         return Err(OrmError::RecordNotFound(format!(
             "{} with id={id} (row vanished before update)",
             model.name
@@ -601,7 +604,7 @@ fn trace_save_writes(tx: &Transaction, record: &Record) {
             feral_trace::record(
                 feral_trace::EventKind::SaveWrite,
                 tx.id(),
-                datum_fingerprint(&record.get(field)),
+                datum_fingerprint(record.attr(field)),
                 table_hash,
             );
         }
@@ -610,8 +613,11 @@ fn trace_save_writes(tx: &Transaction, record: &Record) {
 
 /// Run the callbacks of `kind` declared on the record's model.
 fn run_callbacks(record: &mut Record, kind: CallbackKind) {
-    let callbacks = record.model.callbacks.clone();
-    for (k, _, f) in &callbacks {
+    if record.model.callbacks.is_empty() {
+        return;
+    }
+    let model = record.model.clone();
+    for (k, _, f) in &model.callbacks {
         if *k == kind {
             f(record);
         }
@@ -733,7 +739,7 @@ fn destroy_in_txn(
         tx.delete(&model.table, rref)?;
         // destroy runs each record's counter-cache bookkeeping (delete,
         // by contrast, skips it — which is how Rails counters drift)
-        let rec = Record::from_tuple(model.clone(), &tuple);
+        let rec = Record::from_row(model.clone(), tuple);
         maintain_counter_caches(app, tx, &rec, -1)?;
     }
     Ok(())

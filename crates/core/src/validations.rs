@@ -6,7 +6,7 @@
 //! UDFs that query) issue plain `SELECT` probes with **no predicate
 //! locks**, which is why they are unsafe below Serializable isolation.
 
-use crate::app::App;
+use crate::app::{conds_to_pred, App};
 use crate::errors::{Errors, OrmError, OrmResult};
 use crate::model::{AssocKind, ModelDef, Numericality, QueryCtx, Validator};
 use crate::pattern;
@@ -29,17 +29,17 @@ pub(crate) struct TxnQueryCtx<'a> {
 impl QueryCtx for TxnQueryCtx<'_> {
     fn count_where(&mut self, model: &str, conds: &[(String, Datum)]) -> OrmResult<usize> {
         let def = self.app.model(model)?;
-        let pred = self.app.conds_to_pred(&def, conds)?;
+        let pred = conds_to_pred(&def, conds)?;
         Ok(self.tx.count(&def.table, &pred)?)
     }
 
     fn fetch_where(&mut self, model: &str, conds: &[(String, Datum)]) -> OrmResult<Vec<Record>> {
         let def = self.app.model(model)?;
-        let pred = self.app.conds_to_pred(&def, conds)?;
+        let pred = conds_to_pred(&def, conds)?;
         let rows = self.tx.scan(&def.table, &pred)?;
         Ok(rows
             .into_iter()
-            .map(|(_, t)| Record::from_tuple(def.clone(), &t))
+            .map(|(_, row)| Record::from_row(def.clone(), row))
             .collect())
     }
 }
@@ -91,9 +91,9 @@ pub(crate) fn validate_record(
     depth: usize,
 ) -> OrmResult<Errors> {
     let mut errors = Errors::new();
-    let model = record.model.clone();
+    let model = &record.model;
     for v in &model.validators {
-        run_validator(app, tx, record, &model, v, depth, &mut errors)?;
+        run_validator(app, tx, record, model, v, depth, &mut errors)?;
     }
     Ok(errors)
 }
@@ -112,18 +112,18 @@ fn run_validator(
             // presence of an association probes the database (App. B.2)
             if let Some(assoc) = model.association(field) {
                 if assoc.kind == AssocKind::BelongsTo {
-                    let fk_value = record.get(&assoc.foreign_key);
+                    let fk_value = record.attr(&assoc.foreign_key);
                     // a NULL fk is blank without probing; otherwise the
                     // feral SELECT decides
                     if fk_value.is_null()
-                        || !associated_row_exists(app, tx, &assoc.target, &fk_value)?
+                        || !associated_row_exists(app, tx, &assoc.target, fk_value)?
                     {
                         errors.add(field.clone(), "can't be blank");
                     }
                     return Ok(());
                 }
             }
-            if blank(&record.get(field)) {
+            if blank(record.attr(field)) {
                 errors.add(field.clone(), "can't be blank");
             }
         }
@@ -132,16 +132,7 @@ fn run_validator(
             scope,
             case_sensitive,
         } => {
-            run_uniqueness(
-                app,
-                tx,
-                record,
-                model,
-                field,
-                scope,
-                *case_sensitive,
-                errors,
-            )?;
+            run_uniqueness(tx, record, model, field, scope, *case_sensitive, errors)?;
         }
         Validator::Length {
             field,
@@ -149,7 +140,7 @@ fn run_validator(
             max,
             allow_nil,
         } => {
-            let value = record.get(field);
+            let value = record.attr(field);
             if value.is_null() {
                 if !*allow_nil {
                     if let Some(m) = min {
@@ -161,7 +152,7 @@ fn run_validator(
                 }
                 return Ok(());
             }
-            let len = match &value {
+            let len = match value {
                 Datum::Text(s) => s.chars().count(),
                 other => other.to_string().len(),
             };
@@ -183,14 +174,14 @@ fn run_validator(
             }
         }
         Validator::Inclusion { field, within } => {
-            let value = record.get(field);
-            if !within.iter().any(|w| w.sql_eq(&value) == Some(true)) {
+            let value = record.attr(field);
+            if !within.iter().any(|w| w.sql_eq(value) == Some(true)) {
                 errors.add(field.clone(), "is not included in the list");
             }
         }
         Validator::Exclusion { field, from } => {
-            let value = record.get(field);
-            if from.iter().any(|w| w.sql_eq(&value) == Some(true)) {
+            let value = record.attr(field);
+            if from.iter().any(|w| w.sql_eq(value) == Some(true)) {
                 errors.add(field.clone(), "is reserved");
             }
         }
@@ -202,7 +193,7 @@ fn run_validator(
             with,
             allow_nil,
         } => {
-            let value = record.get(field);
+            let value = record.attr(field);
             if value.is_null() && *allow_nil {
                 return Ok(());
             }
@@ -212,7 +203,7 @@ fn run_validator(
             }
         }
         Validator::Email { field } => {
-            let value = record.get(field);
+            let value = record.attr(field);
             let ok = value
                 .as_text()
                 .map(|s| pattern::email_pattern().is_match(s))
@@ -225,8 +216,8 @@ fn run_validator(
             }
         }
         Validator::Confirmation { field } => {
-            let confirmation = record.get(&format!("{field}_confirmation"));
-            if !confirmation.is_null() && confirmation.sql_eq(&record.get(field)) != Some(true) {
+            let confirmation = record.attr(&format!("{field}_confirmation"));
+            if !confirmation.is_null() && confirmation.sql_eq(record.attr(field)) != Some(true) {
                 errors.add(
                     format!("{field}_confirmation"),
                     format!("doesn't match {field}"),
@@ -234,8 +225,8 @@ fn run_validator(
             }
         }
         Validator::Acceptance { field } => {
-            let value = record.get(field);
-            let accepted = matches!(&value, Datum::Bool(true))
+            let value = record.attr(field);
+            let accepted = matches!(value, Datum::Bool(true))
                 || value.as_text().is_some_and(|s| s == "1" || s == "true")
                 || value.as_int().is_some_and(|i| i == 1);
             if !accepted {
@@ -246,7 +237,7 @@ fn run_validator(
             run_associated(app, tx, record, model, assoc, depth, errors)?;
         }
         Validator::AttachmentContentType { field, allowed } => {
-            let value = record.get(&format!("{field}_content_type"));
+            let value = record.attr(&format!("{field}_content_type"));
             let ok = value
                 .as_text()
                 .map(|s| allowed.iter().any(|a| a == s))
@@ -256,7 +247,7 @@ fn run_validator(
             }
         }
         Validator::AttachmentSize { field, max_bytes } => {
-            let value = record.get(&format!("{field}_file_size"));
+            let value = record.attr(&format!("{field}_file_size"));
             match value.as_int() {
                 Some(sz) if sz <= *max_bytes => {}
                 _ => errors.add(
@@ -278,9 +269,7 @@ fn run_validator(
 /// own row when persisted. Runs at whatever isolation the enclosing
 /// transaction has — no predicate lock is taken, which is the defect the
 /// paper quantifies.
-#[allow(clippy::too_many_arguments)]
 fn run_uniqueness(
-    app: &App,
     tx: &mut Transaction,
     record: &Record,
     model: &Arc<ModelDef>,
@@ -289,21 +278,21 @@ fn run_uniqueness(
     case_sensitive: bool,
     errors: &mut Errors,
 ) -> OrmResult<()> {
-    let value = record.get(field);
+    let value = record.attr(field);
     let col = model
         .column_index(field)
         .ok_or_else(|| OrmError::Config(format!("{} has no column {field}", model.name)))?;
     tx.note_validation_probe(
-        datum_fingerprint(&value),
+        datum_fingerprint(value),
         feral_trace::fnv64(model.table.as_bytes()),
     );
 
     let taken = if case_sensitive || !matches!(value, Datum::Text(_)) {
-        let mut conds: Vec<(String, Datum)> = vec![(field.to_string(), value.clone())];
+        let mut conds: Vec<(&str, Datum)> = vec![(field, value.clone())];
         for s in scope {
-            conds.push((s.clone(), record.get(s)));
+            conds.push((s, record.get(s)));
         }
-        let pred = app.conds_to_pred(model, &conds)?;
+        let pred = conds_to_pred(model, &conds)?;
         let rows = tx.scan(&model.table, &pred)?;
         rows.iter()
             .any(|(_, t)| record.id().is_none() || t[0].as_int() != record.id())
@@ -318,8 +307,8 @@ fn run_uniqueness(
                 let sc = model.column_index(s).unwrap_or(usize::MAX);
                 t.get(sc)
                     .map(|d| {
-                        d.sql_eq(&record.get(s)) == Some(true)
-                            || (d.is_null() && record.get(s).is_null())
+                        d.sql_eq(record.attr(s)) == Some(true)
+                            || (d.is_null() && record.attr(s).is_null())
                     })
                     .unwrap_or(false)
             });
@@ -337,18 +326,18 @@ fn run_uniqueness(
 }
 
 fn run_numericality(record: &Record, field: &str, opts: &Numericality, errors: &mut Errors) {
-    let value = record.get(field);
+    let value = record.attr(field);
     if value.is_null() {
         if !opts.allow_nil {
             errors.add(field.to_string(), "is not a number");
         }
         return;
     }
-    let Some(n) = numeric_of(&value) else {
+    let Some(n) = numeric_of(value) else {
         errors.add(field.to_string(), "is not a number");
         return;
     };
-    if opts.only_integer && !is_integer(&value) {
+    if opts.only_integer && !is_integer(value) {
         errors.add(field.to_string(), "must be an integer");
         return;
     }
@@ -419,7 +408,7 @@ fn run_associated(
     let target = app.target_of(assoc)?;
     let associated: Vec<Record> = match assoc.kind {
         AssocKind::BelongsTo => {
-            let fk_value = record.get(&assoc.foreign_key);
+            let fk_value = record.attr(&assoc.foreign_key);
             if fk_value.is_null() {
                 return Ok(());
             }
@@ -429,7 +418,7 @@ fn run_associated(
                 return Ok(());
             }
             rows.into_iter()
-                .map(|(_, t)| Record::from_tuple(target.clone(), &t))
+                .map(|(_, row)| Record::from_row(target.clone(), row))
                 .collect()
         }
         AssocKind::HasOne | AssocKind::HasMany => {
@@ -444,7 +433,7 @@ fn run_associated(
             })?;
             tx.scan(&target.table, &Predicate::eq(col, id))?
                 .into_iter()
-                .map(|(_, t)| Record::from_tuple(target.clone(), &t))
+                .map(|(_, row)| Record::from_row(target.clone(), row))
                 .collect()
         }
     };

@@ -384,6 +384,60 @@ fn reload_refreshes_attributes() {
 }
 
 #[test]
+fn assigning_to_a_read_record_never_touches_the_stored_row() {
+    let app = blog_app();
+    let mut s = app.session();
+    let id = s
+        .create_strict("Author", &[("name", Datum::text("ada"))])
+        .unwrap()
+        .id()
+        .unwrap();
+    let stored = |app: &App| {
+        let mut tx = app.db().txn().begin();
+        let (_, row) = tx.get_by_id("authors", id).unwrap().unwrap();
+        row
+    };
+    let before = stored(&app);
+
+    // the record shares the heap's row; an assignment lands in its overlay
+    let mut a = s.find("Author", id).unwrap();
+    a.assign(&[("name", Datum::text("grace"))]);
+    a.set("nickname", "virtual");
+    let mut merged = (*before).clone();
+    merged[1] = Datum::text("grace");
+    assert_eq!(a.to_tuple(), merged, "to_tuple is the overlay over the row");
+    assert_eq!(a.get("nickname"), Datum::text("virtual"));
+    assert_eq!(
+        a.to_tuple().len(),
+        a.model.columns().len(),
+        "a virtual attribute is not a column"
+    );
+
+    // a second reader and the heap still see the stored image
+    assert_eq!(
+        s.find("Author", id).unwrap().get("name"),
+        Datum::text("ada")
+    );
+    let after = stored(&app);
+    assert!(std::sync::Arc::ptr_eq(&before, &after));
+    assert_eq!(after[1], Datum::text("ada"));
+
+    // a clone goes its own way
+    let mut b = a.clone();
+    b.set("name", "barbara");
+    assert_eq!(a.get("name"), Datum::text("grace"));
+    assert_eq!(b.get("name"), Datum::text("barbara"));
+
+    // saving writes the merge as a new version; the old row is as it was
+    assert!(s.save(&mut a).unwrap());
+    assert_eq!(
+        s.find("Author", id).unwrap().get("name"),
+        Datum::text("grace")
+    );
+    assert_eq!(before[1], Datum::text("ada"));
+}
+
+#[test]
 fn delete_skips_dependent_callbacks() {
     let app = blog_app();
     let mut s = app.session();

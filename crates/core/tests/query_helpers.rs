@@ -67,6 +67,48 @@ fn where_order_limit_sorts_and_bounds() {
 }
 
 #[test]
+fn where_order_limit_keeps_ties_stable_and_sorts_nulls_first() {
+    let app = app();
+    seed(&app);
+    let mut s = app.session();
+    // two ties on 30 plays (with "alpha") and a NULL, created in this order
+    for (t, p) in [
+        ("zeta", Datum::Int(30)),
+        ("eta", Datum::Null),
+        ("theta", Datum::Int(30)),
+    ] {
+        s.create_strict("Song", &[("title", Datum::text(t)), ("plays", p)])
+            .unwrap();
+    }
+    let titles = |rows: &[feral_orm::Record]| -> Vec<String> {
+        rows.iter()
+            .map(|r| r.get("title").as_text().unwrap().to_string())
+            .collect()
+    };
+    // ascending: NULL sorts first, ties keep scan (insertion) order
+    let asc = s
+        .where_order_limit("Song", &[], "plays", false, None)
+        .unwrap();
+    assert_eq!(
+        titles(&asc),
+        ["eta", "beta", "delta", "alpha", "zeta", "theta", "epsilon", "gamma"]
+    );
+    // descending reverses the keys, not the order within a tie
+    let desc = s
+        .where_order_limit("Song", &[], "plays", true, Some(6))
+        .unwrap();
+    assert_eq!(
+        titles(&desc),
+        ["gamma", "epsilon", "alpha", "zeta", "theta", "delta"]
+    );
+    // the comparison reads the stored rows in place: nothing was assigned
+    assert!(asc.iter().all(|r| r.is_persisted()));
+    assert!(s
+        .where_order_limit("Song", &[], "no_such_column", false, None)
+        .is_err());
+}
+
+#[test]
 fn pluck_extracts_one_column() {
     let app = app();
     seed(&app);

@@ -83,7 +83,7 @@ use crate::tail::ParkedTail;
 use crate::txn::CommittedTxn;
 use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,6 +98,17 @@ pub(crate) struct ShardCore {
     /// tables, oldest at front. Per-shard push order equals timestamp
     /// order (timestamps are allocated under the full latch set).
     pub(crate) history: VecDeque<Arc<CommittedTxn>>,
+}
+
+/// One thread stripe of the active-snapshot registry (txn id, snapshot
+/// ts), padded so a thread's begin/finish writes a line no other thread's
+/// does. A transaction registers on the stripe of the thread that begins
+/// it and carries the stripe index to wherever it finishes — a deferred
+/// commit's tail completes on the flusher's thread. A stripe holds the
+/// handful of transactions its threads have open, so it is a plain list.
+#[repr(align(128))]
+struct ActiveStripe {
+    txns: Mutex<Vec<(TxnId, u64)>>,
 }
 
 /// The group-commit buffer: framed records awaiting one leader flush.
@@ -125,7 +136,7 @@ struct GroupState {
 }
 
 /// Sharded commit state: shard latches + history slices, the active-txn
-/// map slices, the timestamp allocator, the publish clock wait, and the
+/// stripes, the timestamp allocator, the publish clock wait, and the
 /// group-commit buffer.
 ///
 /// The latch discipline below is declared for `feral-racer` and checked
@@ -138,15 +149,15 @@ struct GroupState {
 /// after dropping the publish lock. All of it runs with no shard latch
 /// held (`racer/tests/live_tree.rs` pins the absent edges).
 // racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::group
-// racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::active
+// racer:order feraldb::CommitPipeline::shards < feraldb::ActiveStripe::txns
 // racer:terminal feraldb::CommitPipeline::group
 // racer:terminal feraldb::CommitPipeline::publish_lock
 // racer:terminal feraldb::DbInner::wal
 pub(crate) struct CommitPipeline {
     shards: Vec<Mutex<ShardCore>>,
-    /// Active-transaction snapshots (txn id → snapshot ts), sliced by
-    /// txn id so begin/finish on different slices don't contend.
-    active: Vec<Mutex<HashMap<TxnId, u64>>>,
+    /// Active-transaction snapshots, striped by the beginning thread so
+    /// begin/finish on different threads touch different lines.
+    active: Vec<ActiveStripe>,
     /// Highest allocated commit timestamp (the clock trails it until
     /// publication catches up).
     ts_alloc: AtomicU64,
@@ -175,7 +186,11 @@ impl CommitPipeline {
                     })
                 })
                 .collect(),
-            active: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            active: (0..n)
+                .map(|_| ActiveStripe {
+                    txns: Mutex::new(Vec::new()),
+                })
+                .collect(),
             ts_alloc: AtomicU64::new(1),
             publish_lock: Mutex::new(BTreeMap::new()),
             publish_cv: Condvar::new(),
@@ -217,7 +232,7 @@ impl CommitPipeline {
             let guard = match self.shards[i].try_lock() {
                 Some(g) => g,
                 None => {
-                    Stats::bump(&stats.commit_shard_conflicts);
+                    Stats::bump(&stats.local().commit_shard_conflicts);
                     self.shards[i].lock()
                 }
             };
@@ -238,37 +253,38 @@ impl CommitPipeline {
         self.ts_alloc.fetch_max(ts, Ordering::SeqCst);
     }
 
-    // -- active-transaction slices --------------------------------------
+    // -- active-transaction stripes -------------------------------------
 
-    fn active_slice(&self, id: TxnId) -> &Mutex<HashMap<TxnId, u64>> {
-        &self.active[id as usize % self.active.len()]
-    }
-
-    /// Register a beginning transaction: read the clock and record the
-    /// snapshot under the slice lock, so a vacuum holding the slice
-    /// locks can never miss a registration that already took its
-    /// snapshot.
-    pub(crate) fn register_active(&self, id: TxnId, clock: &AtomicU64) -> u64 {
-        let mut slice = self.active_slice(id).lock();
+    /// Register a beginning transaction on the calling thread's stripe:
+    /// read the clock and record the snapshot under the stripe lock, so a
+    /// vacuum holding every stripe lock can never miss a registration
+    /// that already took its snapshot. Returns the snapshot and the
+    /// stripe, which the transaction hands back to `deregister_active`.
+    pub(crate) fn register_active(&self, id: TxnId, clock: &AtomicU64) -> (u64, usize) {
+        let stripe = crate::stats::thread_slot() % self.active.len();
+        let mut txns = self.active[stripe].txns.lock();
         let snapshot = clock.load(Ordering::SeqCst);
-        slice.insert(id, snapshot);
-        snapshot
+        txns.push((id, snapshot));
+        (snapshot, stripe)
     }
 
-    /// Remove a finished transaction from its slice.
-    pub(crate) fn deregister_active(&self, id: TxnId) {
-        self.active_slice(id).lock().remove(&id);
+    /// Remove a finished transaction from the stripe it registered on.
+    pub(crate) fn deregister_active(&self, stripe: usize, id: TxnId) {
+        let mut txns = self.active[stripe].txns.lock();
+        if let Some(at) = txns.iter().position(|(txn, _)| *txn == id) {
+            txns.swap_remove(at);
+        }
     }
 
     /// Oldest snapshot among active transactions, or the clock when none
-    /// are active. Holds **all** slice locks (ascending) while computing
+    /// are active. Holds **all** stripe locks (ascending) while computing
     /// the minimum and reading the fallback clock, mirroring the seed's
     /// single-lock begin/vacuum coordination.
     pub(crate) fn oldest_active_snapshot(&self, clock: &AtomicU64) -> u64 {
-        let slices: Vec<_> = self.active.iter().map(|s| s.lock()).collect();
-        slices
+        let stripes: Vec<_> = self.active.iter().map(|s| s.txns.lock()).collect();
+        stripes
             .iter()
-            .flat_map(|s| s.values().copied())
+            .flat_map(|s| s.iter().map(|(_, snapshot)| *snapshot))
             .min()
             .unwrap_or_else(|| clock.load(Ordering::SeqCst))
     }
@@ -310,7 +326,7 @@ impl CommitPipeline {
         g.buf.push_back(framed);
         let seq = g.next_seq;
         g.next_seq += 1;
-        Stats::bump(&stats.wal_appends);
+        Stats::bump(&stats.local().wal_appends);
         self.fill_cv.notify_all();
         Ok((ts, seq))
     }
@@ -333,7 +349,7 @@ impl CommitPipeline {
         g.buf.push_back(frame_record(record));
         let seq = g.next_seq;
         g.next_seq += 1;
-        Stats::bump(&stats.wal_appends);
+        Stats::bump(&stats.local().wal_appends);
         self.fill_cv.notify_all();
         Ok(seq)
     }
@@ -464,8 +480,8 @@ impl CommitPipeline {
                 return;
             }
             g.durable_seq += take as u64;
-            Stats::bump(&stats.group_commit_batches);
-            Stats::bump(&stats.wal_flushes);
+            Stats::bump(&stats.local().group_commit_batches);
+            Stats::bump(&stats.local().wal_flushes);
             feral_trace::record(
                 feral_trace::EventKind::Site(feral_hooks::Site::WalFlush),
                 0,
@@ -592,7 +608,7 @@ mod tests {
             drop(held);
         });
         assert_eq!(
-            stats.commit_shard_conflicts.load(Ordering::Relaxed),
+            stats.snapshot().commit_shard_conflicts,
             1,
             "the held shard 2 must be counted as contended"
         );
@@ -624,19 +640,24 @@ mod tests {
     }
 
     #[test]
-    fn active_slices_compute_oldest_snapshot() {
+    fn active_stripes_compute_oldest_snapshot() {
         let p = pipeline(4);
         let clock = AtomicU64::new(10);
         assert_eq!(p.oldest_active_snapshot(&clock), 10);
-        let s1 = p.register_active(1, &clock);
+        let (s1, stripe1) = p.register_active(1, &clock);
         assert_eq!(s1, 10);
         clock.store(15, Ordering::SeqCst);
-        let s2 = p.register_active(2, &clock);
+        // a second thread registers on its own stripe; the horizon spans both
+        let (s2, stripe2) =
+            std::thread::scope(|s| s.spawn(|| p.register_active(2, &clock)).join().unwrap());
         assert_eq!(s2, 15);
         assert_eq!(p.oldest_active_snapshot(&clock), 10);
-        p.deregister_active(1);
+        // a transaction may finish on a thread other than the one it began on
+        p.deregister_active(stripe2, 2);
+        assert_eq!(p.oldest_active_snapshot(&clock), 10);
+        p.deregister_active(stripe1, 1);
         assert_eq!(p.oldest_active_snapshot(&clock), 15);
-        p.deregister_active(2);
-        assert_eq!(p.oldest_active_snapshot(&clock), 15);
+        assert!(p.active.iter().all(|s| s.txns.lock().is_empty()));
+        assert_eq!(std::mem::align_of::<ActiveStripe>(), 128);
     }
 }

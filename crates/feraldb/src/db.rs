@@ -227,8 +227,10 @@ pub(crate) struct TableEntry {
     pub(crate) heap: Arc<Heap>,
     /// Auto-increment sequence for the `id` column.
     pub(crate) id_seq: AtomicI64,
-    /// Indexes declared on this table.
-    pub(crate) indexes: Vec<IndexId>,
+    /// Indexes declared on this table, the primary key's first. Held by
+    /// handle, so walking a table's indexes needs the entry and nothing
+    /// else from the catalog.
+    pub(crate) indexes: Vec<Arc<IndexData>>,
 }
 
 /// Catalog: names → tables/indexes/constraints.
@@ -236,7 +238,8 @@ pub(crate) struct TableEntry {
 pub(crate) struct Catalog {
     pub(crate) tables: Vec<Arc<TableEntry>>,
     pub(crate) table_names: HashMap<String, TableId>,
-    pub(crate) indexes: Vec<Arc<IndexData>>,
+    /// Index name → id. Ids are dense in creation order; the data hangs
+    /// off the owning table's entry.
     pub(crate) index_names: HashMap<String, IndexId>,
     pub(crate) foreign_keys: Vec<Arc<ForeignKey>>,
 }
@@ -246,8 +249,14 @@ impl Catalog {
         self.tables[id.0 as usize].clone()
     }
 
-    pub(crate) fn index(&self, id: IndexId) -> Arc<IndexData> {
-        self.indexes[id.0 as usize].clone()
+    /// Name → id and entry in one step, borrowed: what a statement needs
+    /// from the catalog, without a handle clone per lookup.
+    pub(crate) fn resolve(&self, name: &str) -> DbResult<(TableId, &Arc<TableEntry>)> {
+        let id = *self
+            .table_names
+            .get(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.into()))?;
+        Ok((id, &self.tables[id.0 as usize]))
     }
 
     /// Foreign keys whose child is `table`.
@@ -276,7 +285,7 @@ pub(crate) struct DbInner {
     /// Logical clock: the newest published commit timestamp.
     pub(crate) clock: AtomicU64,
     /// The sharded commit pipeline: shard latches + history slices,
-    /// active-transaction slices, timestamp allocation, group-commit
+    /// active-transaction stripes, timestamp allocation, group-commit
     /// batching, and timestamp-ordered publication.
     pub(crate) pipeline: CommitPipeline,
     /// Transaction id allocator.
@@ -486,11 +495,7 @@ impl Database {
         let cat = self.inner.catalog.read();
         match w {
             WalWrite::Insert { table, row, tuple } => {
-                let tid = *cat
-                    .table_names
-                    .get(&table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let entry = cat.table(tid);
+                let (tid, entry) = cat.resolve(&table)?;
                 if let Some(id) = tuple.first().and_then(|d| d.as_int()) {
                     let m = max_ids.entry(tid).or_insert(0);
                     *m = (*m).max(id);
@@ -502,17 +507,12 @@ impl Database {
                         "replay row id mismatch for {table}: got {got}, logged {row}"
                     )));
                 }
-                for &iid in &entry.indexes {
-                    let idx = cat.index(iid);
+                for idx in &entry.indexes {
                     idx.insert_entry(idx.key_of(&tuple), got);
                 }
             }
             WalWrite::Update { table, row, tuple } => {
-                let tid = *cat
-                    .table_names
-                    .get(&table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let entry = cat.table(tid);
+                let (_, entry) = cat.resolve(&table)?;
                 let old = entry.heap.newest(row as usize).ok_or(DbError::NoSuchRow)?;
                 let tuple = Arc::new(tuple);
                 entry
@@ -520,8 +520,7 @@ impl Database {
                     .install_update(row as usize, commit_ts, tuple.clone());
                 // same policy as the live commit path: old-key postings
                 // stay until vacuum, readers re-verify
-                for &iid in &entry.indexes {
-                    let idx = cat.index(iid);
+                for idx in &entry.indexes {
                     let ok = idx.key_of(&old);
                     let nk = idx.key_of(&tuple);
                     if ok != nk {
@@ -530,11 +529,7 @@ impl Database {
                 }
             }
             WalWrite::Delete { table, row } => {
-                let tid = *cat
-                    .table_names
-                    .get(&table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
-                let entry = cat.table(tid);
+                let (_, entry) = cat.resolve(&table)?;
                 entry.heap.newest(row as usize).ok_or(DbError::NoSuchRow)?;
                 entry.heap.install_delete(row as usize, commit_ts);
             }
@@ -593,22 +588,16 @@ impl Database {
 
     /// Look up a table id by name.
     pub fn table_id(&self, name: &str) -> DbResult<TableId> {
-        self.inner
-            .catalog
-            .read()
-            .table_names
-            .get(name)
-            .copied()
-            .ok_or_else(|| DbError::NoSuchTable(name.into()))
+        Ok(self.inner.catalog.read().resolve(name)?.0)
     }
 
     /// Catalog info for a table.
     pub fn table_info(&self, name: &str) -> DbResult<TableInfo> {
-        let id = self.table_id(name)?;
         let cat = self.inner.catalog.read();
+        let (id, entry) = cat.resolve(name)?;
         Ok(TableInfo {
             id,
-            schema: cat.table(id).schema.clone(),
+            schema: entry.schema.clone(),
         })
     }
 
@@ -643,13 +632,16 @@ impl Database {
             .iter()
             .map(|c| entry.schema.column_index(c))
             .collect::<DbResult<Vec<_>>>()?;
-        let id = IndexId(cat.indexes.len() as u32);
-        let data = Arc::new(IndexData::new(IndexDef {
-            name: name.into(),
-            table,
-            cols: col_ids,
-            unique,
-        }));
+        let id = IndexId(cat.index_names.len() as u32);
+        let data = Arc::new(IndexData::new(
+            id,
+            IndexDef {
+                name: name.into(),
+                table,
+                cols: col_ids,
+                unique,
+            },
+        ));
         // Backfill from the latest committed rows. If uniqueness is violated
         // by existing data, index creation fails (as ALTER TABLE would).
         let existing = entry.heap.scan_latest(|_| true);
@@ -673,16 +665,15 @@ impl Database {
             columns: cols.iter().map(|c| c.to_string()).collect(),
             unique,
         };
-        cat.indexes.push(data);
         // register on the table
         let entry_mut = Arc::get_mut(&mut cat.tables[table.0 as usize]);
         match entry_mut {
-            Some(e) => e.indexes.push(id),
+            Some(e) => e.indexes.push(data),
             None => {
                 // table entry is shared; rebuild it with the new index list
                 let old = cat.tables[table.0 as usize].clone();
                 let mut indexes = old.indexes.clone();
-                indexes.push(id);
+                indexes.push(data);
                 cat.tables[table.0 as usize] = Arc::new(TableEntry {
                     schema: old.schema.clone(),
                     heap: old.heap.clone(),
@@ -773,12 +764,12 @@ impl Database {
             label.map_or(0, |l| feral_trace::fnv64(l.as_bytes())),
         );
         // The pipeline reads the clock and registers the snapshot under
-        // the transaction's active-slice lock: vacuum computes its horizon
-        // holding all slice locks, so it can never observe an empty active
+        // this thread's active-stripe lock: vacuum computes its horizon
+        // holding all stripe locks, so it can never observe an empty active
         // set *after* this transaction has taken its snapshot but *before*
         // it is registered (which would let vacuum reclaim versions this
         // snapshot still needs).
-        let snapshot = self.inner.pipeline.register_active(id, &self.inner.clock);
+        let (snapshot, active_stripe) = self.inner.pipeline.register_active(id, &self.inner.clock);
         if let Some(auditor) = &self.inner.auditor {
             // The begin timestamp pins the auditor's GC watermark: no
             // dependency node this transaction could still reference is
@@ -796,7 +787,7 @@ impl Database {
                 mode: feral_hooks::AccessMode::Read,
             });
         }
-        Transaction::new(self.clone(), id, isolation, snapshot, label)
+        Transaction::new(self.clone(), id, active_stripe, isolation, snapshot, label)
     }
 
     /// Point-in-time export of the runtime audit surface (edge and
@@ -835,7 +826,7 @@ impl Database {
     /// Holds every commit-shard latch for the duration, so no version is
     /// installed mid-sweep. The clock may still advance (commits that
     /// installed earlier publish without a latch), which is harmless: the
-    /// horizon is taken under the active-slice locks, so it is `<=` the
+    /// horizon is taken under the active-stripe locks, so it is `<=` the
     /// clock and `<=` every present or future snapshot, while an
     /// installed-but-unpublished commit stamped its versions `> clock` —
     /// neither they nor the versions and index postings they supersede
@@ -854,8 +845,8 @@ impl Database {
             // (commit installs never remove postings — see commit_inner)
             let dead: std::collections::BTreeSet<_> =
                 entry.heap.dead_rows(horizon).into_iter().collect();
-            for &iid in &entry.indexes {
-                cat.index(iid).sweep_rows(&dead);
+            for idx in &entry.indexes {
+                idx.sweep_rows(&dead);
             }
         }
         reclaimed

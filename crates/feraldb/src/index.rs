@@ -7,23 +7,32 @@
 //! tuple — [`crate::Database`] does this centrally.
 
 use crate::heap::RowId;
-use crate::schema::IndexDef;
+use crate::schema::{IndexDef, IndexId};
 use crate::value::{encode_composite_key, Tuple};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-/// One index's data plus its catalog definition.
+/// One index's data plus its catalog identity and definition.
+///
+/// Readers visit postings *under* the map's read latch and resolve each
+/// row in the heap from there ([`IndexData::any_row`]), so the one nesting
+/// of the two storage latches is index map → heap rows. Writers never nest
+/// them: a commit installs the heap version, lets go, then posts.
+// racer:order feraldb::IndexData::map < feraldb::Heap::rows
 pub struct IndexData {
+    /// Catalog id, fixed at `create_index` time — what key locks name.
+    pub id: IndexId,
     /// Catalog definition (name, table, columns, uniqueness).
     pub def: IndexDef,
     map: RwLock<BTreeMap<Vec<u8>, BTreeSet<RowId>>>,
 }
 
 impl IndexData {
-    /// Create an empty index for `def`.
-    pub fn new(def: IndexDef) -> Self {
+    /// Create an empty index `id` for `def`.
+    pub fn new(id: IndexId, def: IndexDef) -> Self {
         IndexData {
+            id,
             def,
             map: RwLock::new(BTreeMap::new()),
         }
@@ -56,13 +65,15 @@ impl IndexData {
         }
     }
 
-    /// Row ids posted under exactly `key`.
-    pub fn rows_for(&self, key: &[u8]) -> Vec<RowId> {
+    /// Whether `hit` accepts any row posted under exactly `key`. Postings
+    /// are visited in row order under the read latch, stopping at the
+    /// first acceptance; a `hit` that always declines visits them all.
+    /// Nothing is copied out: an equality key almost always posts one row.
+    pub fn any_row(&self, key: &[u8], hit: impl FnMut(RowId) -> bool) -> bool {
         self.map
             .read()
             .get(key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+            .is_some_and(|rows| rows.iter().copied().any(hit))
     }
 
     /// Row ids posted under keys in `[lo, hi)` (encoded bounds); either
@@ -117,13 +128,24 @@ mod tests {
     use crate::value::Datum;
 
     fn idx(cols: Vec<usize>, unique: bool) -> IndexData {
-        let _ = IndexId(0);
-        IndexData::new(IndexDef {
-            name: "index_t_on_k".into(),
-            table: TableId(0),
-            cols,
-            unique,
-        })
+        IndexData::new(
+            IndexId(0),
+            IndexDef {
+                name: "index_t_on_k".into(),
+                table: TableId(0),
+                cols,
+                unique,
+            },
+        )
+    }
+
+    fn rows_for(ix: &IndexData, key: &[u8]) -> Vec<RowId> {
+        let mut rows = Vec::new();
+        ix.any_row(key, |row| {
+            rows.push(row);
+            false
+        });
+        rows
     }
 
     #[test]
@@ -133,11 +155,19 @@ mod tests {
         let k = ix.key_of(&t1);
         ix.insert_entry(k.clone(), 0);
         ix.insert_entry(k.clone(), 5);
-        assert_eq!(ix.rows_for(&k), vec![0, 5]);
+        assert_eq!(rows_for(&ix, &k), vec![0, 5]);
+        // the walk stops at the first accepted posting
+        let mut visited = 0;
+        assert!(ix.any_row(&k, |_| {
+            visited += 1;
+            true
+        }));
+        assert_eq!(visited, 1);
         ix.remove_entry(&k, 0);
-        assert_eq!(ix.rows_for(&k), vec![5]);
+        assert_eq!(rows_for(&ix, &k), vec![5]);
         ix.remove_entry(&k, 5);
-        assert!(ix.rows_for(&k).is_empty());
+        assert!(rows_for(&ix, &k).is_empty());
+        assert!(!ix.any_row(&k, |_| true));
         assert_eq!(ix.key_count(), 0);
     }
 

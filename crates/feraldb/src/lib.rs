@@ -68,7 +68,7 @@ pub use heap::RowId;
 pub use lock::{LockKey, LockMode};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColumnDef, ForeignKey, IndexDef, OnDelete, TableId, TableSchema};
-pub use stats::{Stats, StatsSnapshot};
+pub use stats::{thread_slot, Stats, StatsSnapshot, StatsStripe};
 pub use tail::{defer_durable, PendingCommit};
 pub use txn::{RowRef, Savepoint, Transaction};
 pub use value::{DataType, Datum, Tuple};

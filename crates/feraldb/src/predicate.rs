@@ -190,6 +190,21 @@ impl Predicate {
         }
     }
 
+    /// The value the first top-level equality conjunct pins `col` to — the
+    /// [`Predicate::equality_fingerprint`] entry for `col`, borrowed. An
+    /// index probe builds its key from these without owning a fingerprint.
+    pub fn equality_on(&self, col: usize) -> Option<&Datum> {
+        match self {
+            Predicate::Cmp {
+                col: c,
+                op: CmpOp::Eq,
+                value,
+            } if *c == col => Some(value),
+            Predicate::And(ps) => ps.iter().find_map(|p| p.equality_on(col)),
+            _ => None,
+        }
+    }
+
     /// Top-level range conjuncts: `(col, op, value)` triples where `op`
     /// is an ordering comparison. The planner uses these for index range
     /// scans; matches are always re-verified against the full predicate.
@@ -304,9 +319,14 @@ mod tests {
         });
         let fp = p.equality_fingerprint();
         assert_eq!(fp, vec![(1usize, Datum::text("k"))]);
+        // the borrowed view agrees, column by column
+        assert_eq!(p.equality_on(1), Some(&Datum::text("k")));
+        assert_eq!(p.equality_on(2), None, "a range is not an equality");
+        assert_eq!(Predicate::eq(3, 7i64).equality_on(3), Some(&Datum::Int(7)));
         // Or-predicates cannot be fingerprinted as equalities
         let q = Predicate::Or(vec![Predicate::eq(1, "a"), Predicate::eq(1, "b")]);
         assert!(q.equality_fingerprint().is_empty());
+        assert_eq!(q.equality_on(1), None);
     }
 
     #[test]

@@ -1,111 +1,168 @@
 //! Engine statistics counters.
 //!
-//! The experiments report anomaly and abort counts, so the engine keeps
-//! cheap atomic counters for every interesting event.
+//! The experiments report anomaly and abort counts, so the engine keeps a
+//! counter for every interesting event. Counting must not be coordination:
+//! a `GET` bumps `scans`, `index_probes` and `commits`, and with one cell
+//! per counter every reader in the process would write the same cache line
+//! three times per request. So the counters are **striped by thread**:
+//! each thread bumps the cells of its own cache-line-padded
+//! [`StatsStripe`] ([`Stats::local`]), and [`Stats::snapshot`] sums the
+//! stripes. Every bump lands in exactly one cell, so a snapshot taken once
+//! the bumping threads are quiescent is exact, and so is a
+//! [`StatsSnapshot::diff`] of two such snapshots; under concurrent bumps a
+//! snapshot is a consistent lower bound per counter, as it was before.
+//!
+//! The four counters after the stripes are plain cells: the `audit_*`
+//! ones are `store`d from the auditor's authoritative totals
+//! ([`crate::Database::audit_snapshot`]), which has no striped meaning,
+//! and fail-safe escalations are rare by construction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Monotonic event counters, updated with relaxed atomics.
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// Transactions committed.
-    pub commits: AtomicU64,
-    /// Transactions rolled back (explicitly or via error).
-    pub aborts: AtomicU64,
-    /// Lock waits that ended in timeout (deadlock resolution).
-    pub lock_timeouts: AtomicU64,
-    /// First-updater-wins aborts under SI/Serializable.
-    pub write_conflicts: AtomicU64,
-    /// Backward-validation aborts under Serializable.
-    pub serialization_failures: AtomicU64,
-    /// Writes rejected by in-database unique constraints.
-    pub unique_violations: AtomicU64,
-    /// Writes rejected by in-database foreign-key constraints.
-    pub fk_violations: AtomicU64,
-    /// Row insert operations buffered.
-    pub inserts: AtomicU64,
-    /// Row update operations buffered.
-    pub updates: AtomicU64,
-    /// Row delete operations buffered.
-    pub deletes: AtomicU64,
-    /// Scan statements executed.
-    pub scans: AtomicU64,
-    /// Index-probe scans (vs full heap scans).
-    pub index_probes: AtomicU64,
-    /// Application-level validation probes (the feral
-    /// `SELECT … LIMIT 1` issued by ORM uniqueness/presence checks).
-    pub validation_probes: AtomicU64,
-    /// WAL records appended.
-    pub wal_appends: AtomicU64,
-    /// Commit-shard latches that were contended on acquisition (a
-    /// committing transaction found another commit holding one of its
-    /// shards and had to wait).
-    pub commit_shard_conflicts: AtomicU64,
-    /// Group-commit batches flushed by a leader (each covers one or
-    /// more WAL records).
-    pub group_commit_batches: AtomicU64,
-    /// Physical WAL flush (+ optional fsync) operations. With group
-    /// commit this grows once per batch while [`Stats::wal_appends`]
-    /// grows once per record; the ratio is the batching factor.
-    pub wal_flushes: AtomicU64,
-    /// Dependency edges (wr/ww/rw) added to the runtime audit graph.
-    pub audit_edges: AtomicU64,
-    /// Critical cycles (anomaly verdicts) found by the runtime auditor.
-    pub audit_cycles: AtomicU64,
-    /// Transaction footprints dropped because the audit buffer was
-    /// saturated (the graph is conservative-incomplete past this point).
-    pub audit_drops: AtomicU64,
-    /// Transactions started via [`crate::TxnOptions::planned`] whose
-    /// template had no [`crate::IsolationPlan`] assignment and were
-    /// fail-safe escalated to the plan's default level.
-    pub plan_failsafe_escalations: AtomicU64,
+/// Number of thread stripes. Threads are numbered as they first touch the
+/// engine ([`thread_slot`]), so the first eight never share a stripe.
+const STRIPES: usize = 8;
+
+static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A point-in-time copy of [`Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`Stats::commits`].
-    pub commits: u64,
-    /// See [`Stats::aborts`].
-    pub aborts: u64,
-    /// See [`Stats::lock_timeouts`].
-    pub lock_timeouts: u64,
-    /// See [`Stats::write_conflicts`].
-    pub write_conflicts: u64,
-    /// See [`Stats::serialization_failures`].
-    pub serialization_failures: u64,
-    /// See [`Stats::unique_violations`].
-    pub unique_violations: u64,
-    /// See [`Stats::fk_violations`].
-    pub fk_violations: u64,
-    /// See [`Stats::inserts`].
-    pub inserts: u64,
-    /// See [`Stats::updates`].
-    pub updates: u64,
-    /// See [`Stats::deletes`].
-    pub deletes: u64,
-    /// See [`Stats::scans`].
-    pub scans: u64,
-    /// See [`Stats::index_probes`].
-    pub index_probes: u64,
-    /// See [`Stats::validation_probes`].
-    pub validation_probes: u64,
-    /// See [`Stats::wal_appends`].
-    pub wal_appends: u64,
-    /// See [`Stats::commit_shard_conflicts`].
-    pub commit_shard_conflicts: u64,
-    /// See [`Stats::group_commit_batches`].
-    pub group_commit_batches: u64,
-    /// See [`Stats::wal_flushes`].
-    pub wal_flushes: u64,
-    /// See [`Stats::audit_edges`].
-    pub audit_edges: u64,
-    /// See [`Stats::audit_cycles`].
-    pub audit_cycles: u64,
-    /// See [`Stats::audit_drops`].
-    pub audit_drops: u64,
-    /// See [`Stats::plan_failsafe_escalations`].
-    pub plan_failsafe_escalations: u64,
+/// A small dense number for the calling thread, assigned the first time
+/// it asks. Thread-striped structures (these counters, the
+/// active-snapshot registry, a service's session pool) pick their stripe
+/// as `thread_slot() % stripes`, so one thread keeps hitting lines no
+/// other thread writes.
+pub fn thread_slot() -> usize {
+    THREAD_SLOT.with(|slot| *slot)
+}
+
+/// Defines the counters once: the striped cells, the plain cells, the
+/// snapshot struct, and the three views over it (`snapshot`, `diff`,
+/// `fields`) that must list every counter in declaration order.
+macro_rules! counters {
+    (
+        striped { $($(#[$sdoc:meta])* $s:ident,)* }
+        plain { $($(#[$pdoc:meta])* $p:ident,)* }
+    ) => {
+        /// One thread stripe of the monotonic event counters, padded so
+        /// no two stripes share a cache line (or an adjacent-line
+        /// prefetch pair).
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct StatsStripe {
+            $($(#[$sdoc])* pub $s: AtomicU64,)*
+        }
+
+        /// Monotonic event counters, updated with relaxed atomics: bump
+        /// through [`Stats::local`], read through [`Stats::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct Stats {
+            stripes: [StatsStripe; STRIPES],
+            $($(#[$pdoc])* pub $p: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`Stats`], summed over the stripes.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$sdoc])* pub $s: u64,)*
+            $($(#[$pdoc])* pub $p: u64,)*
+        }
+
+        impl Stats {
+            /// Copy all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let mut snap = StatsSnapshot {
+                    $($p: self.$p.load(Ordering::Relaxed),)*
+                    ..StatsSnapshot::default()
+                };
+                for stripe in &self.stripes {
+                    $(snap.$s += stripe.$s.load(Ordering::Relaxed);)*
+                }
+                snap
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Difference of two snapshots (`self - earlier`), saturating:
+            /// the counters accumulated over a measurement window.
+            pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($s: self.$s.saturating_sub(earlier.$s),)*
+                    $($p: self.$p.saturating_sub(earlier.$p),)*
+                }
+            }
+
+            /// All counters as `(name, value)` pairs, in declaration order —
+            /// the exporter-friendly view (JSON / Prometheus reports iterate
+            /// this instead of hard-coding field names).
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $((stringify!($s), self.$s),)*
+                    $((stringify!($p), self.$p),)*
+                ]
+            }
+        }
+    };
+}
+
+counters! {
+    striped {
+        /// Transactions committed.
+        commits,
+        /// Transactions rolled back (explicitly or via error).
+        aborts,
+        /// Lock waits that ended in timeout (deadlock resolution).
+        lock_timeouts,
+        /// First-updater-wins aborts under SI/Serializable.
+        write_conflicts,
+        /// Backward-validation aborts under Serializable.
+        serialization_failures,
+        /// Writes rejected by in-database unique constraints.
+        unique_violations,
+        /// Writes rejected by in-database foreign-key constraints.
+        fk_violations,
+        /// Row insert operations buffered.
+        inserts,
+        /// Row update operations buffered.
+        updates,
+        /// Row delete operations buffered.
+        deletes,
+        /// Scan statements executed.
+        scans,
+        /// Index-probe scans (vs full heap scans).
+        index_probes,
+        /// Application-level validation probes (the feral
+        /// `SELECT … LIMIT 1` issued by ORM uniqueness/presence checks).
+        validation_probes,
+        /// WAL records appended.
+        wal_appends,
+        /// Commit-shard latches that were contended on acquisition (a
+        /// committing transaction found another commit holding one of its
+        /// shards and had to wait).
+        commit_shard_conflicts,
+        /// Group-commit batches flushed by a leader (each covers one or
+        /// more WAL records).
+        group_commit_batches,
+        /// Physical WAL flush (+ optional fsync) operations. With group
+        /// commit this grows once per batch while `wal_appends` grows
+        /// once per record; the ratio is the batching factor.
+        wal_flushes,
+    }
+    plain {
+        /// Dependency edges (wr/ww/rw) added to the runtime audit graph.
+        audit_edges,
+        /// Critical cycles (anomaly verdicts) found by the runtime auditor.
+        audit_cycles,
+        /// Transaction footprints dropped because the audit buffer was
+        /// saturated (the graph is conservative-incomplete past this point).
+        audit_drops,
+        /// Transactions started via [`crate::TxnOptions::planned`] whose
+        /// template had no [`crate::IsolationPlan`] assignment and were
+        /// fail-safe escalated to the plan's default level.
+        plan_failsafe_escalations,
+    }
 }
 
 impl Stats {
@@ -115,107 +172,17 @@ impl Stats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Copy all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            lock_timeouts: self.lock_timeouts.load(Ordering::Relaxed),
-            write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
-            serialization_failures: self.serialization_failures.load(Ordering::Relaxed),
-            unique_violations: self.unique_violations.load(Ordering::Relaxed),
-            fk_violations: self.fk_violations.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            updates: self.updates.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
-            index_probes: self.index_probes.load(Ordering::Relaxed),
-            validation_probes: self.validation_probes.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            commit_shard_conflicts: self.commit_shard_conflicts.load(Ordering::Relaxed),
-            group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
-            wal_flushes: self.wal_flushes.load(Ordering::Relaxed),
-            audit_edges: self.audit_edges.load(Ordering::Relaxed),
-            audit_cycles: self.audit_cycles.load(Ordering::Relaxed),
-            audit_drops: self.audit_drops.load(Ordering::Relaxed),
-            plan_failsafe_escalations: self.plan_failsafe_escalations.load(Ordering::Relaxed),
-        }
+    /// The calling thread's stripe: `Stats::bump(&stats.local().scans)`.
+    #[inline]
+    pub fn local(&self) -> &StatsStripe {
+        &self.stripes[thread_slot() % STRIPES]
     }
 }
 
 impl StatsSnapshot {
-    /// Difference of two snapshots (`self - earlier`), saturating:
-    /// the counters accumulated over a measurement window.
-    pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits.saturating_sub(earlier.commits),
-            aborts: self.aborts.saturating_sub(earlier.aborts),
-            lock_timeouts: self.lock_timeouts.saturating_sub(earlier.lock_timeouts),
-            write_conflicts: self.write_conflicts.saturating_sub(earlier.write_conflicts),
-            serialization_failures: self
-                .serialization_failures
-                .saturating_sub(earlier.serialization_failures),
-            unique_violations: self
-                .unique_violations
-                .saturating_sub(earlier.unique_violations),
-            fk_violations: self.fk_violations.saturating_sub(earlier.fk_violations),
-            inserts: self.inserts.saturating_sub(earlier.inserts),
-            updates: self.updates.saturating_sub(earlier.updates),
-            deletes: self.deletes.saturating_sub(earlier.deletes),
-            scans: self.scans.saturating_sub(earlier.scans),
-            index_probes: self.index_probes.saturating_sub(earlier.index_probes),
-            validation_probes: self
-                .validation_probes
-                .saturating_sub(earlier.validation_probes),
-            wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
-            commit_shard_conflicts: self
-                .commit_shard_conflicts
-                .saturating_sub(earlier.commit_shard_conflicts),
-            group_commit_batches: self
-                .group_commit_batches
-                .saturating_sub(earlier.group_commit_batches),
-            wal_flushes: self.wal_flushes.saturating_sub(earlier.wal_flushes),
-            audit_edges: self.audit_edges.saturating_sub(earlier.audit_edges),
-            audit_cycles: self.audit_cycles.saturating_sub(earlier.audit_cycles),
-            audit_drops: self.audit_drops.saturating_sub(earlier.audit_drops),
-            plan_failsafe_escalations: self
-                .plan_failsafe_escalations
-                .saturating_sub(earlier.plan_failsafe_escalations),
-        }
-    }
-
     /// Alias for [`StatsSnapshot::diff`], kept for existing callers.
     pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         self.diff(earlier)
-    }
-
-    /// All counters as `(name, value)` pairs, in declaration order —
-    /// the exporter-friendly view (JSON / Prometheus reports iterate
-    /// this instead of hard-coding field names).
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("commits", self.commits),
-            ("aborts", self.aborts),
-            ("lock_timeouts", self.lock_timeouts),
-            ("write_conflicts", self.write_conflicts),
-            ("serialization_failures", self.serialization_failures),
-            ("unique_violations", self.unique_violations),
-            ("fk_violations", self.fk_violations),
-            ("inserts", self.inserts),
-            ("updates", self.updates),
-            ("deletes", self.deletes),
-            ("scans", self.scans),
-            ("index_probes", self.index_probes),
-            ("validation_probes", self.validation_probes),
-            ("wal_appends", self.wal_appends),
-            ("commit_shard_conflicts", self.commit_shard_conflicts),
-            ("group_commit_batches", self.group_commit_batches),
-            ("wal_flushes", self.wal_flushes),
-            ("audit_edges", self.audit_edges),
-            ("audit_cycles", self.audit_cycles),
-            ("audit_drops", self.audit_drops),
-            ("plan_failsafe_escalations", self.plan_failsafe_escalations),
-        ]
     }
 }
 
@@ -226,13 +193,13 @@ mod tests {
     #[test]
     fn snapshot_and_delta() {
         let s = Stats::default();
-        Stats::bump(&s.commits);
-        Stats::bump(&s.commits);
-        Stats::bump(&s.aborts);
+        Stats::bump(&s.local().commits);
+        Stats::bump(&s.local().commits);
+        Stats::bump(&s.local().aborts);
         let a = s.snapshot();
         assert_eq!(a.commits, 2);
         assert_eq!(a.aborts, 1);
-        Stats::bump(&s.commits);
+        Stats::bump(&s.local().commits);
         let b = s.snapshot();
         let d = b.delta(&a);
         assert_eq!(d.commits, 1);
@@ -240,16 +207,66 @@ mod tests {
     }
 
     #[test]
-    fn diff_covers_the_new_counters() {
+    fn snapshot_sums_every_stripe() {
         let s = Stats::default();
-        Stats::bump(&s.validation_probes);
-        Stats::bump(&s.validation_probes);
-        Stats::bump(&s.wal_appends);
+        for (i, stripe) in s.stripes.iter().enumerate() {
+            stripe.scans.fetch_add(i as u64 + 1, Ordering::Relaxed);
+        }
+        let total = (1..=STRIPES as u64).sum::<u64>();
+        assert_eq!(s.snapshot().scans, total);
+        assert_eq!(std::mem::align_of::<StatsStripe>(), 128);
+        // a thread keeps its stripe
+        assert!(std::ptr::eq(s.local(), s.local()));
+    }
+
+    #[test]
+    fn concurrent_bumps_sum_exactly() {
+        const THREADS: u64 = 8;
+        const BUMPS: u64 = 10_000;
+        let s = Stats::default();
+        Stats::bump(&s.local().scans);
+        let earlier = s.snapshot();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..BUMPS {
+                        Stats::bump(&s.local().scans);
+                        Stats::bump(&s.local().commits);
+                    }
+                });
+            }
+        });
+        let now = s.snapshot();
+        assert_eq!(now.scans, THREADS * BUMPS + 1);
+        assert_eq!(now.commits, THREADS * BUMPS);
+        let d = now.diff(&earlier);
+        assert_eq!(
+            (d.scans, d.commits, d.aborts),
+            (THREADS * BUMPS, THREADS * BUMPS, 0)
+        );
+    }
+
+    #[test]
+    fn diff_covers_striped_and_plain_counters() {
+        let s = Stats::default();
+        Stats::bump(&s.local().validation_probes);
+        Stats::bump(&s.local().validation_probes);
+        Stats::bump(&s.local().wal_appends);
+        Stats::bump(&s.audit_edges);
+        Stats::bump(&s.audit_edges);
+        Stats::bump(&s.audit_cycles);
+        Stats::bump(&s.plan_failsafe_escalations);
         let a = s.snapshot();
-        Stats::bump(&s.validation_probes);
+        Stats::bump(&s.local().validation_probes);
+        Stats::bump(&s.audit_edges);
+        Stats::bump(&s.audit_drops);
         let d = s.snapshot().diff(&a);
         assert_eq!(d.validation_probes, 1);
         assert_eq!(d.wal_appends, 0);
+        assert_eq!(d.audit_edges, 1);
+        assert_eq!(d.audit_cycles, 0);
+        assert_eq!(d.audit_drops, 1);
+        assert_eq!(d.plan_failsafe_escalations, 0);
     }
 
     #[test]
@@ -279,9 +296,9 @@ mod tests {
         };
         let fields = snap.fields();
         assert_eq!(fields.len(), 21);
-        // Every value appears exactly once — a new field added to the
-        // struct without extending fields() trips this sum check.
+        // Every value appears exactly once, in declaration order.
         assert_eq!(fields.iter().map(|(_, v)| v).sum::<u64>(), (1..=21).sum());
+        assert_eq!(fields[0], ("commits", 1));
         assert_eq!(fields[12], ("validation_probes", 13));
         assert_eq!(fields[13], ("wal_appends", 14));
         assert_eq!(fields[14], ("commit_shard_conflicts", 15));
@@ -291,22 +308,5 @@ mod tests {
         assert_eq!(fields[18], ("audit_cycles", 19));
         assert_eq!(fields[19], ("audit_drops", 20));
         assert_eq!(fields[20], ("plan_failsafe_escalations", 21));
-    }
-
-    #[test]
-    fn diff_covers_the_audit_counters() {
-        let s = Stats::default();
-        Stats::bump(&s.audit_edges);
-        Stats::bump(&s.audit_edges);
-        Stats::bump(&s.audit_cycles);
-        Stats::bump(&s.plan_failsafe_escalations);
-        let a = s.snapshot();
-        Stats::bump(&s.audit_edges);
-        Stats::bump(&s.audit_drops);
-        let d = s.snapshot().diff(&a);
-        assert_eq!(d.audit_edges, 1);
-        assert_eq!(d.audit_cycles, 0);
-        assert_eq!(d.audit_drops, 1);
-        assert_eq!(d.plan_failsafe_escalations, 0);
     }
 }

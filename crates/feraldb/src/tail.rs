@@ -34,6 +34,9 @@ use std::sync::Arc;
 /// borrows the database it belongs to; only a parked one owns a handle.
 pub(crate) struct CommitTail {
     pub(crate) txn: TxnId,
+    /// Stripe of the active-snapshot registry the transaction registered
+    /// on: the tail may complete on another thread than the one it began on.
+    pub(crate) active_stripe: usize,
     /// The stamped timestamp (for a read-only commit: the clock it read).
     pub(crate) commit_ts: u64,
     /// Sequence number of the WAL record; 0 when nothing was logged.
@@ -80,7 +83,7 @@ impl CommitTail {
                 db.prune_committed(self.write_shards.iter().copied());
             }
         }
-        finish_txn(db, self.txn, &self.locks, durable);
+        finish_txn(db, self.txn, self.active_stripe, &self.locks, durable);
     }
 
     /// Deliver the access footprint to the runtime auditor and mirror the
@@ -152,11 +155,17 @@ fn audit_image(tuple: &Tuple) -> Vec<u64> {
 
 /// The end of every transaction, committed or not: release its locks,
 /// leave the active set, count and trace the outcome.
-pub(crate) fn finish_txn(db: &Database, id: TxnId, locks: &[LockKey], committed: bool) {
+pub(crate) fn finish_txn(
+    db: &Database,
+    id: TxnId,
+    active_stripe: usize,
+    locks: &[LockKey],
+    committed: bool,
+) {
     db.inner.locks.release_all(id, locks);
-    db.inner.pipeline.deregister_active(id);
+    db.inner.pipeline.deregister_active(active_stripe, id);
     if committed {
-        Stats::bump(&db.inner.stats.commits);
+        Stats::bump(&db.inner.stats.local().commits);
         feral_trace::record(
             feral_trace::EventKind::Site(feral_hooks::Site::TxnCommit),
             id,
@@ -167,7 +176,7 @@ pub(crate) fn finish_txn(db: &Database, id: TxnId, locks: &[LockKey], committed:
         if let Some(auditor) = &db.inner.auditor {
             auditor.observe_abort(id);
         }
-        Stats::bump(&db.inner.stats.aborts);
+        Stats::bump(&db.inner.stats.local().aborts);
         feral_trace::record(feral_trace::EventKind::Abort, id, 0, 0);
     }
 }

@@ -8,12 +8,13 @@ use crate::heap::RowId;
 use crate::index::IndexData;
 use crate::lock::{LockKey, LockMode, TxnId};
 use crate::predicate::Predicate;
-use crate::schema::{ForeignKey, IndexId, OnDelete, TableId};
+use crate::schema::{ForeignKey, OnDelete, TableId};
 use crate::stats::Stats;
 use crate::tail::CommitTail;
 use crate::value::{encode_composite_key, Datum, Tuple};
 use parking_lot::MutexGuard;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -94,6 +95,9 @@ pub struct Savepoint {
 pub struct Transaction {
     db: Database,
     id: TxnId,
+    /// Stripe of the active-snapshot registry this transaction is
+    /// registered on (see `CommitPipeline::register_active`).
+    active_stripe: usize,
     isolation: IsolationLevel,
     snapshot: u64,
     open: bool,
@@ -119,6 +123,7 @@ impl Transaction {
     pub(crate) fn new(
         db: Database,
         id: TxnId,
+        active_stripe: usize,
         isolation: IsolationLevel,
         snapshot: u64,
         label: Option<&'static str>,
@@ -127,6 +132,7 @@ impl Transaction {
         Transaction {
             db,
             id,
+            active_stripe,
             isolation,
             snapshot,
             open: true,
@@ -189,8 +195,9 @@ impl Transaction {
     }
 
     fn resolve(&self, table: &str) -> DbResult<(TableId, Arc<TableEntry>)> {
-        let id = self.db.table_id(table)?;
-        Ok((id, self.entry(id)))
+        let cat = self.db.inner.catalog.read();
+        let (id, entry) = cat.resolve(table)?;
+        Ok((id, entry.clone()))
     }
 
     /// The schema of `table` (catalog lookup; usable mid-transaction by
@@ -253,29 +260,36 @@ impl Transaction {
             }
             Err(e) => {
                 if matches!(e, DbError::LockTimeout { .. }) {
-                    Stats::bump(&self.db.inner.stats.lock_timeouts);
+                    Stats::bump(&self.db.inner.stats.local().lock_timeouts);
                 }
                 Err(e)
             }
         }
     }
 
-    fn indexes_of(&self, table: TableId) -> Vec<Arc<IndexData>> {
-        let cat = self.db.inner.catalog.read();
-        let entry = cat.table(table);
-        entry.indexes.iter().map(|&i| cat.index(i)).collect()
-    }
-
-    fn index_id_of(&self, idx: &IndexData) -> IndexId {
-        let cat = self.db.inner.catalog.read();
-        cat.index_names[&idx.def.name]
-    }
-
-    fn pkey_index(&self, table: TableId) -> Arc<IndexData> {
-        // create_table registers the pkey index first
-        let cat = self.db.inner.catalog.read();
-        let entry = cat.table(table);
-        cat.index(entry.indexes[0])
+    /// Overlay this transaction's own write of committed `row` (if any)
+    /// on the image a scan resolved for it: an update shows its new image
+    /// when that still matches, a delete hides the row.
+    fn overlay_committed(
+        &self,
+        tid: TableId,
+        row: RowId,
+        tuple: Arc<Tuple>,
+        pred: &Predicate,
+        out: &mut Vec<(RowRef, Arc<Tuple>)>,
+    ) {
+        match self.write_by_row.get(&(tid, row)).map(|&i| &self.writes[i]) {
+            Some(p) if !p.dead => match &p.op {
+                PendingOp::Update { new, .. } => {
+                    if pred.matches(new) {
+                        out.push((RowRef::Committed(row), new.clone()));
+                    }
+                }
+                PendingOp::Delete { .. } => {}
+                PendingOp::Insert { .. } => {}
+            },
+            _ => out.push((RowRef::Committed(row), tuple)),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -293,126 +307,67 @@ impl Transaction {
             0,
         );
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
-        self.note_table_access(table, self.read_mode());
-        Stats::bump(&self.db.inner.stats.scans);
-        let read_ts = self.read_ts();
-        let fingerprint = pred.equality_fingerprint();
-
-        // try to serve the scan from an equality index
-        let mut used_index = false;
-        let mut committed: Vec<(RowId, Arc<Tuple>)> = Vec::new();
-        let mut probed = false;
-        if !fingerprint.is_empty() {
-            for idx in self.indexes_of(tid) {
-                let covered: Option<Vec<Datum>> = idx
-                    .def
-                    .cols
-                    .iter()
-                    .map(|c| {
-                        fingerprint
-                            .iter()
-                            .find(|(fc, _)| fc == c)
-                            .map(|(_, v)| v.clone())
-                    })
-                    .collect();
-                if let Some(key_vals) = covered {
-                    let key = {
-                        let mut buf = Vec::new();
-                        for v in &key_vals {
-                            v.encode_key(&mut buf);
-                        }
-                        buf
-                    };
-                    for row in idx.rows_for(&key) {
+        let mut out: Vec<(RowRef, Arc<Tuple>)> = Vec::new();
+        // One catalog touch resolves name → table → covering index. An
+        // equality probe runs right here, on handles borrowed under the
+        // catalog guard: the key is encoded from the predicate, and each
+        // posting is resolved in the heap as the index hands it out — no
+        // handle is cloned and nothing but `out` is built. Only the range
+        // and full-table paths take handles out and let the catalog go
+        // (they can run long, and a queued DDL writer would stall readers).
+        let (tid, read_ts, unprobed) = {
+            let cat = self.db.inner.catalog.read();
+            let (tid, entry) = cat.resolve(table)?;
+            self.note_table_access(table, self.read_mode());
+            Stats::bump(&self.db.inner.stats.local().scans);
+            let read_ts = self.read_ts();
+            let covering = entry
+                .indexes
+                .iter()
+                .find_map(|idx| equality_key(idx, pred).map(|key| (idx, key)));
+            match covering {
+                Some((idx, key)) => {
+                    idx.any_row(&key, |row| {
                         if let Some(t) = entry.heap.visible(row, read_ts) {
                             if pred.matches(&t) {
-                                committed.push((row, t));
+                                self.overlay_committed(tid, row, t, pred, &mut out);
                             }
                         }
-                    }
-                    used_index = true;
-                    probed = true;
-                    Stats::bump(&self.db.inner.stats.index_probes);
-                    break;
+                        false
+                    });
+                    Stats::bump(&self.db.inner.stats.local().index_probes);
+                    (tid, read_ts, None)
                 }
+                None => (
+                    tid,
+                    read_ts,
+                    Some((entry.clone(), range_bounds(entry, pred))),
+                ),
             }
-        }
-        // fall back to an index *range* scan when a single-column index
-        // covers a top-level range conjunct
-        if !probed {
-            let ranges = pred.range_fingerprint();
-            if !ranges.is_empty() {
-                for idx in self.indexes_of(tid) {
-                    if idx.def.cols.len() != 1 {
-                        continue;
-                    }
-                    let col = idx.def.cols[0];
-                    let mut lo = std::ops::Bound::Unbounded;
-                    let mut hi = std::ops::Bound::Unbounded;
-                    let mut applicable = false;
-                    for (rc, op, value) in &ranges {
-                        if *rc != col || value.is_null() {
-                            continue;
-                        }
-                        let mut enc = Vec::new();
-                        value.encode_key(&mut enc);
-                        match op {
-                            crate::predicate::CmpOp::Gt => {
-                                lo = std::ops::Bound::Excluded(enc);
-                                applicable = true;
-                            }
-                            crate::predicate::CmpOp::Ge => {
-                                lo = std::ops::Bound::Included(enc);
-                                applicable = true;
-                            }
-                            crate::predicate::CmpOp::Lt => {
-                                hi = std::ops::Bound::Excluded(enc);
-                                applicable = true;
-                            }
-                            crate::predicate::CmpOp::Le => {
-                                hi = std::ops::Bound::Included(enc);
-                                applicable = true;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if !applicable {
-                        continue;
-                    }
+        };
+        let used_index = unprobed.is_none();
+        if let Some((entry, range)) = unprobed {
+            let committed = match range {
+                // an index *range* scan: a single-column index covers a
+                // top-level range conjunct
+                Some((idx, lo, hi)) => {
+                    let mut rows = Vec::new();
                     for row in idx.rows_in_bounds(lo, hi) {
                         if let Some(t) = entry.heap.visible(row, read_ts) {
                             if pred.matches(&t) {
-                                committed.push((row, t));
+                                rows.push((row, t));
                             }
                         }
                     }
-                    committed.sort_by_key(|(row, _)| *row);
-                    committed.dedup_by_key(|(row, _)| *row);
-                    probed = true;
-                    Stats::bump(&self.db.inner.stats.index_probes);
-                    break;
+                    rows.sort_by_key(|(row, _)| *row);
+                    rows.dedup_by_key(|(row, _)| *row);
+                    Stats::bump(&self.db.inner.stats.local().index_probes);
+                    rows
                 }
-            }
-        }
-        if !probed {
-            committed = entry.heap.scan_visible(read_ts, |t| pred.matches(t));
-        }
-
-        // overlay own writes
-        let mut out: Vec<(RowRef, Arc<Tuple>)> = Vec::new();
-        for (row, tuple) in committed {
-            match self.write_by_row.get(&(tid, row)).map(|&i| &self.writes[i]) {
-                Some(p) if !p.dead => match &p.op {
-                    PendingOp::Update { new, .. } => {
-                        if pred.matches(new) {
-                            out.push((RowRef::Committed(row), new.clone()));
-                        }
-                    }
-                    PendingOp::Delete { .. } => {}
-                    PendingOp::Insert { .. } => {}
-                },
-                _ => out.push((RowRef::Committed(row), tuple)),
+                None => entry.heap.scan_visible(read_ts, |t| pred.matches(t)),
+            };
+            for (row, tuple) in committed {
+                self.overlay_committed(tid, row, tuple, pred, &mut out);
             }
         }
         for p in &self.writes {
@@ -424,6 +379,13 @@ impl Transaction {
                 }
             }
         }
+
+        // the owned fingerprint is only for those who keep it
+        let fingerprint = if self.audits_reads() || self.isolation == IsolationLevel::Serializable {
+            pred.equality_fingerprint()
+        } else {
+            Vec::new()
+        };
 
         // capture the read footprint for the runtime auditor — every
         // isolation level, unlike the Serializable-only validation
@@ -495,7 +457,7 @@ impl Transaction {
         // always a committed-latest read (the post-lock re-read), even
         // under snapshot isolation
         self.note_table_access(table, feral_hooks::AccessMode::Read);
-        Stats::bump(&self.db.inner.stats.scans);
+        Stats::bump(&self.db.inner.stats.local().scans);
         let read_ts = self.db.inner.clock.load(Ordering::SeqCst);
         let candidates = entry.heap.scan_visible(read_ts, |t| pred.matches(t));
         let mut out = Vec::new();
@@ -511,7 +473,7 @@ impl Transaction {
             }
             if self.isolation.first_updater_wins() && begin > self.snapshot {
                 self.abort();
-                Stats::bump(&self.db.inner.stats.write_conflicts);
+                Stats::bump(&self.db.inner.stats.local().write_conflicts);
                 return Err(DbError::WriteConflict);
             }
             if self.isolation == IsolationLevel::Serializable {
@@ -594,24 +556,24 @@ impl Transaction {
         }
         // committed-latest state via the index
         let clock = self.committed_ts();
-        for row in idx.rows_for(key) {
+        idx.any_row(key, |row| {
             if exclude == Some(RowRef::Committed(row)) {
-                continue;
+                return false;
             }
             if let Some(&i) = self.write_by_row.get(&(tid, row)) {
                 // row is being rewritten by us; its pending image was
                 // already considered above
                 if !self.writes[i].dead {
-                    continue;
+                    return false;
                 }
             }
-            if let Some((latest, live, _)) = entry.heap.latest(row, clock) {
-                if live && !idx.key_has_null(&latest) && idx.key_of(&latest) == key {
-                    return true;
-                }
-            }
-        }
-        false
+            entry
+                .heap
+                .latest(row, clock)
+                .is_some_and(|(latest, live, _)| {
+                    live && !idx.key_has_null(&latest) && idx.key_of(&latest) == key
+                })
+        })
     }
 
     /// Run in-database unique checks for writing `tuple` (as `target`) into
@@ -620,13 +582,12 @@ impl Transaction {
     /// change are skipped).
     fn check_unique_indexes(
         &mut self,
-        tid: TableId,
-        entry: &Arc<TableEntry>,
+        entry: &TableEntry,
         tuple: &Tuple,
         prev: Option<&Tuple>,
         target: RowRef,
     ) -> DbResult<()> {
-        for idx in self.indexes_of(tid) {
+        for idx in &entry.indexes {
             if !idx.def.unique || idx.key_has_null(tuple) {
                 continue;
             }
@@ -636,10 +597,9 @@ impl Transaction {
                     continue; // key unchanged
                 }
             }
-            let idx_id = self.index_id_of(&idx);
-            self.lock(LockKey::Key(idx_id, key.clone()), LockMode::Exclusive)?;
-            if self.unique_key_taken(entry, &idx, &key, Some(target)) {
-                Stats::bump(&self.db.inner.stats.unique_violations);
+            self.lock(LockKey::Key(idx.id, key.clone()), LockMode::Exclusive)?;
+            if self.unique_key_taken(entry, idx, &key, Some(target)) {
+                Stats::bump(&self.db.inner.stats.local().unique_violations);
                 return Err(DbError::UniqueViolation {
                     index: idx.def.name.clone(),
                     key: render_key(tuple, &idx.def.cols),
@@ -651,8 +611,7 @@ impl Transaction {
 
     /// Whether the parent row referenced by `fk` with key `parent_id`
     /// effectively exists (committed-latest overlaid with own writes).
-    fn parent_exists(&self, fk: &ForeignKey, parent_id: &Datum) -> bool {
-        let parent_entry = self.entry(fk.parent_table);
+    fn parent_exists(&self, fk: &ForeignKey, parent_entry: &TableEntry, parent_id: &Datum) -> bool {
         self.note_table_access(&parent_entry.schema.name, feral_hooks::AccessMode::Read);
         // own pending inserts into the parent
         for p in &self.writes {
@@ -665,23 +624,22 @@ impl Transaction {
                 }
             }
         }
-        let idx = self.pkey_index(fk.parent_table);
+        // create_table registers the pkey index first
+        let idx = &parent_entry.indexes[0];
         let mut key = Vec::new();
         parent_id.encode_key(&mut key);
         let clock = self.committed_ts();
-        for row in idx.rows_for(&key) {
+        idx.any_row(&key, |row| {
             if let Some(&i) = self.write_by_row.get(&(fk.parent_table, row)) {
                 if !self.writes[i].dead && matches!(self.writes[i].op, PendingOp::Delete { .. }) {
-                    continue; // we are deleting it
+                    return false; // we are deleting it
                 }
             }
-            if let Some((latest, live, _)) = parent_entry.heap.latest(row, clock) {
-                if live && latest[0].sql_eq(parent_id) == Some(true) {
-                    return true;
-                }
-            }
-        }
-        false
+            parent_entry
+                .heap
+                .latest(row, clock)
+                .is_some_and(|(latest, live, _)| live && latest[0].sql_eq(parent_id) == Some(true))
+        })
     }
 
     /// In-database FK child-side check for writing `tuple` into `table`:
@@ -694,13 +652,15 @@ impl Transaction {
             if parent_id.is_null() {
                 continue; // MATCH SIMPLE: NULL references nothing
             }
-            let parent_pkey = self.pkey_index(fk.parent_table);
-            let idx_id = self.index_id_of(&parent_pkey);
+            let parent_entry = self.entry(fk.parent_table);
             let mut key = Vec::new();
             parent_id.encode_key(&mut key);
-            self.lock(LockKey::Key(idx_id, key), LockMode::Shared)?;
-            if !self.parent_exists(&fk, parent_id) {
-                Stats::bump(&self.db.inner.stats.fk_violations);
+            self.lock(
+                LockKey::Key(parent_entry.indexes[0].id, key),
+                LockMode::Shared,
+            )?;
+            if !self.parent_exists(&fk, &parent_entry, parent_id) {
+                Stats::bump(&self.db.inner.stats.local().fk_violations);
                 return Err(DbError::ForeignKeyViolation {
                     constraint: fk.name.clone(),
                     detail: format!("referenced parent {parent_id} does not exist"),
@@ -752,20 +712,23 @@ impl Transaction {
 
     /// Parent-side FK enforcement on delete: X-lock the parent key to block
     /// concurrent child inserts, then RESTRICT / CASCADE / SET NULL.
-    fn check_foreign_keys_parent_delete(&mut self, tid: TableId, tuple: &Tuple) -> DbResult<()> {
+    fn check_foreign_keys_parent_delete(
+        &mut self,
+        tid: TableId,
+        entry: &TableEntry,
+        tuple: &Tuple,
+    ) -> DbResult<()> {
         let fks = self.db.inner.catalog.read().fks_of_parent(tid);
         for fk in fks {
             let parent_id = tuple[0].clone();
-            let parent_pkey = self.pkey_index(tid);
-            let idx_id = self.index_id_of(&parent_pkey);
             let mut key = Vec::new();
             parent_id.encode_key(&mut key);
-            self.lock(LockKey::Key(idx_id, key), LockMode::Exclusive)?;
+            self.lock(LockKey::Key(entry.indexes[0].id, key), LockMode::Exclusive)?;
             let children = self.children_of(&fk, &parent_id);
             match fk.on_delete {
                 OnDelete::Restrict => {
                     if !children.is_empty() {
-                        Stats::bump(&self.db.inner.stats.fk_violations);
+                        Stats::bump(&self.db.inner.stats.local().fk_violations);
                         return Err(DbError::ForeignKeyViolation {
                             constraint: fk.name.clone(),
                             detail: format!("{} dependent row(s) in child table", children.len()),
@@ -807,7 +770,7 @@ impl Transaction {
         entry.schema.check_tuple(&tuple)?;
         let local = self.next_local;
         let target = RowRef::Own(local);
-        self.check_unique_indexes(tid, &entry, &tuple, None, target)?;
+        self.check_unique_indexes(&entry, &tuple, None, target)?;
         self.check_foreign_keys_child(tid, &tuple)?;
         self.next_local += 1;
         let i = self.writes.len();
@@ -820,7 +783,7 @@ impl Transaction {
             dead: false,
         });
         self.own_inserts.insert(local, i);
-        Stats::bump(&self.db.inner.stats.inserts);
+        Stats::bump(&self.db.inner.stats.local().inserts);
         Ok(target)
     }
 
@@ -884,12 +847,12 @@ impl Transaction {
                 }
                 new_tuple[0] = prev[0].clone();
                 entry.schema.check_tuple(&new_tuple)?;
-                self.check_unique_indexes(tid, &entry, &new_tuple, Some(&prev), rref)?;
+                self.check_unique_indexes(&entry, &new_tuple, Some(&prev), rref)?;
                 self.check_foreign_keys_child(tid, &new_tuple)?;
                 if let PendingOp::Insert { tuple, .. } = &mut self.writes[i].op {
                     *tuple = Arc::new(new_tuple);
                 }
-                Stats::bump(&self.db.inner.stats.updates);
+                Stats::bump(&self.db.inner.stats.local().updates);
                 Ok(())
             }
             RowRef::Committed(row) => {
@@ -902,7 +865,7 @@ impl Transaction {
                     .ok_or(DbError::NoSuchRow)?;
                 if !live {
                     return if self.isolation.first_updater_wins() {
-                        Stats::bump(&self.db.inner.stats.write_conflicts);
+                        Stats::bump(&self.db.inner.stats.local().write_conflicts);
                         Err(DbError::WriteConflict)
                     } else {
                         Err(DbError::NoSuchRow)
@@ -912,7 +875,7 @@ impl Transaction {
                     && begin > self.snapshot
                     && !self.write_by_row.contains_key(&(tid, row))
                 {
-                    Stats::bump(&self.db.inner.stats.write_conflicts);
+                    Stats::bump(&self.db.inner.stats.local().write_conflicts);
                     return Err(DbError::WriteConflict);
                 }
                 // base image: our own pending new image if we already wrote
@@ -933,7 +896,7 @@ impl Transaction {
                     };
                 new_tuple[0] = base[0].clone();
                 entry.schema.check_tuple(&new_tuple)?;
-                self.check_unique_indexes(tid, &entry, &new_tuple, Some(&effective_prev), rref)?;
+                self.check_unique_indexes(&entry, &new_tuple, Some(&effective_prev), rref)?;
                 self.check_foreign_keys_child(tid, &new_tuple)?;
                 let pending = Pending {
                     table: tid,
@@ -951,7 +914,7 @@ impl Transaction {
                         self.write_by_row.insert((tid, row), self.writes.len() - 1);
                     }
                 }
-                Stats::bump(&self.db.inner.stats.updates);
+                Stats::bump(&self.db.inner.stats.local().updates);
                 Ok(())
             }
         }
@@ -1010,9 +973,9 @@ impl Transaction {
                     PendingOp::Insert { tuple, .. } => tuple.clone(),
                     _ => return Err(DbError::Internal("own ref is not an insert".into())),
                 };
-                self.check_foreign_keys_parent_delete(tid, &tuple)?;
+                self.check_foreign_keys_parent_delete(tid, &entry, &tuple)?;
                 self.writes[i].dead = true;
-                Stats::bump(&self.db.inner.stats.deletes);
+                Stats::bump(&self.db.inner.stats.local().deletes);
                 Ok(())
             }
             RowRef::Committed(row) => {
@@ -1025,7 +988,7 @@ impl Transaction {
                     .ok_or(DbError::NoSuchRow)?;
                 if !live {
                     return if self.isolation.first_updater_wins() {
-                        Stats::bump(&self.db.inner.stats.write_conflicts);
+                        Stats::bump(&self.db.inner.stats.local().write_conflicts);
                         Err(DbError::WriteConflict)
                     } else {
                         Err(DbError::NoSuchRow)
@@ -1035,7 +998,7 @@ impl Transaction {
                     && begin > self.snapshot
                     && !self.write_by_row.contains_key(&(tid, row))
                 {
-                    Stats::bump(&self.db.inner.stats.write_conflicts);
+                    Stats::bump(&self.db.inner.stats.local().write_conflicts);
                     return Err(DbError::WriteConflict);
                 }
                 let base = match self.write_by_row.get(&(tid, row)).map(|&i| &self.writes[i]) {
@@ -1051,7 +1014,7 @@ impl Transaction {
                     }) => return Err(DbError::NoSuchRow),
                     _ => latest.clone(),
                 };
-                self.check_foreign_keys_parent_delete(tid, &base)?;
+                self.check_foreign_keys_parent_delete(tid, &entry, &base)?;
                 let pending = Pending {
                     table: tid,
                     op: PendingOp::Delete { row, base },
@@ -1064,7 +1027,7 @@ impl Transaction {
                         self.write_by_row.insert((tid, row), self.writes.len() - 1);
                     }
                 }
-                Stats::bump(&self.db.inner.stats.deletes);
+                Stats::bump(&self.db.inner.stats.local().deletes);
                 Ok(())
             }
         }
@@ -1107,7 +1070,7 @@ impl Transaction {
             return Ok(());
         };
         self.db.inner.pipeline.check_unbroken()?;
-        Stats::bump(&self.db.inner.stats.serialization_failures);
+        Stats::bump(&self.db.inner.stats.local().serialization_failures);
         Err(DbError::SerializationFailure { detail })
     }
 
@@ -1338,11 +1301,11 @@ impl Transaction {
                 continue;
             }
             let entry = self.entry(p.table);
-            let indexes = self.indexes_of(p.table);
+            let indexes = &entry.indexes;
             match &p.op {
                 PendingOp::Insert { tuple, .. } => {
                     let row = entry.heap.install_insert(commit_ts, tuple.clone());
-                    for idx in &indexes {
+                    for idx in indexes {
                         idx.insert_entry(idx.key_of(tuple), row);
                     }
                     rows.push((p.table, row));
@@ -1355,7 +1318,7 @@ impl Transaction {
                     // readers re-verify the indexed columns against the
                     // tuple they resolve (vacuum sweeps it once no
                     // snapshot can see the old version)
-                    for idx in &indexes {
+                    for idx in indexes {
                         let old_key = idx.key_of(base);
                         let new_key = idx.key_of(new);
                         if old_key != new_key {
@@ -1415,6 +1378,7 @@ impl Transaction {
         self.open = false;
         CommitTail {
             txn: self.id,
+            active_stripe: self.active_stripe,
             commit_ts,
             wal_seq,
             locks: std::mem::take(&mut self.locks),
@@ -1438,7 +1402,7 @@ impl Transaction {
     /// Abort: the one way a transaction ends without a [`CommitTail`].
     fn abort(&mut self) {
         self.open = false;
-        crate::tail::finish_txn(&self.db, self.id, &self.locks, false);
+        crate::tail::finish_txn(&self.db, self.id, self.active_stripe, &self.locks, false);
         self.locks.clear();
     }
 
@@ -1446,7 +1410,7 @@ impl Transaction {
     /// `SELECT … LIMIT 1`). Called by ORM uniqueness/presence checks so
     /// the paper's key operation shows up in [`Stats`] and the trace.
     pub fn note_validation_probe(&self, key_hash: u64, table_hash: u64) {
-        Stats::bump(&self.db.inner.stats.validation_probes);
+        Stats::bump(&self.db.inner.stats.local().validation_probes);
         feral_trace::record(
             feral_trace::EventKind::UniqueProbe,
             self.id,
@@ -1464,6 +1428,53 @@ impl Drop for Transaction {
     }
 }
 
+/// The probe key of `idx` when top-level equality conjuncts of `pred` pin
+/// every indexed column, encoded straight from the predicate's values.
+fn equality_key(idx: &IndexData, pred: &Predicate) -> Option<Vec<u8>> {
+    let mut key = Vec::with_capacity(16);
+    for &col in &idx.def.cols {
+        pred.equality_on(col)?.encode_key(&mut key);
+    }
+    Some(key)
+}
+
+type RangeBounds = (Arc<IndexData>, Bound<Vec<u8>>, Bound<Vec<u8>>);
+
+/// The first single-column index of `entry` that a top-level range
+/// conjunct of `pred` bounds, with the encoded bounds.
+fn range_bounds(entry: &TableEntry, pred: &Predicate) -> Option<RangeBounds> {
+    let ranges = pred.range_fingerprint();
+    if ranges.is_empty() {
+        return None;
+    }
+    for idx in &entry.indexes {
+        if idx.def.cols.len() != 1 {
+            continue;
+        }
+        let col = idx.def.cols[0];
+        let mut lo = Bound::Unbounded;
+        let mut hi = Bound::Unbounded;
+        for (rc, op, value) in &ranges {
+            if *rc != col || value.is_null() {
+                continue;
+            }
+            let mut enc = Vec::new();
+            value.encode_key(&mut enc);
+            match op {
+                crate::predicate::CmpOp::Gt => lo = Bound::Excluded(enc),
+                crate::predicate::CmpOp::Ge => lo = Bound::Included(enc),
+                crate::predicate::CmpOp::Lt => hi = Bound::Excluded(enc),
+                crate::predicate::CmpOp::Le => hi = Bound::Included(enc),
+                _ => {}
+            }
+        }
+        if (&lo, &hi) != (&Bound::Unbounded, &Bound::Unbounded) {
+            return Some((idx.clone(), lo, hi));
+        }
+    }
+    None
+}
+
 fn render_key(tuple: &Tuple, cols: &[usize]) -> String {
     let vals: Vec<String> = cols.iter().map(|&c| tuple[c].to_string()).collect();
     format!("({})", vals.join(", "))
@@ -1472,4 +1483,60 @@ fn render_key(tuple: &Tuple, cols: &[usize]) -> String {
 /// Re-export for key rendering in diagnostics.
 pub(crate) fn _encode(tuple: &Tuple, cols: &[usize]) -> Vec<u8> {
     encode_composite_key(tuple, cols)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::Config;
+    use crate::schema::{ColumnDef, TableSchema};
+    use crate::value::DataType;
+    use std::time::Duration;
+
+    /// The key lock a unique insert takes names the index by the id the
+    /// catalog gave it at `create_index` time — what the by-name lookup
+    /// this replaced returned — so two writers of one key still meet on
+    /// the same lock.
+    #[test]
+    fn a_unique_insert_locks_its_key_under_the_catalog_id_of_the_index() {
+        let db = Database::new(Config {
+            lock_timeout: Duration::from_millis(50),
+            ..Config::default()
+        });
+        db.create_table(TableSchema::new(
+            "users",
+            vec![ColumnDef::new("email", DataType::Text)],
+        ))
+        .unwrap();
+        let created = db.create_index("users", &["email"], true).unwrap();
+        let by_name = db.inner.catalog.read().index_names["index_users_on_email"];
+        assert_eq!(created, by_name);
+        let entry = db.inner.catalog.read().table(db.table_id("users").unwrap());
+        let ids: Vec<_> = entry.indexes.iter().map(|idx| idx.id).collect();
+        assert_eq!(
+            ids,
+            [db.inner.catalog.read().index_names["users_pkey"], by_name]
+        );
+
+        let email = [("email", Datum::text("a@example.com"))];
+        let mut key = Vec::new();
+        email[0].1.encode_key(&mut key);
+        let mut first = db.txn().begin();
+        first.insert_pairs("users", &email).unwrap();
+        assert!(first.locks.contains(&LockKey::Key(by_name, key)));
+        // a second writer of the key waits on that lock while the first is open...
+        let mut second = db.txn().begin();
+        assert!(matches!(
+            second.insert_pairs("users", &email),
+            Err(DbError::LockTimeout { .. })
+        ));
+        second.rollback();
+        // ...and is refused once the first has committed
+        first.commit().unwrap();
+        let mut third = db.txn().begin();
+        assert!(matches!(
+            third.insert_pairs("users", &email),
+            Err(DbError::UniqueViolation { .. })
+        ));
+    }
 }

@@ -416,6 +416,56 @@ fn the_leader_drains_what_nobody_else_will_flush() {
     assert_eq!(logged, vec![0, 1, 2, 3, 4, 5, 100, 101]);
 }
 
+/// The active-snapshot registry is striped by the *beginning* thread, and
+/// a deferred tail completes on whichever thread advances the clock over
+/// it. A transaction begun on one thread and completed on another must
+/// still leave its own stripe: otherwise its snapshot pins the vacuum
+/// horizon for good. The update below supersedes one version; with no
+/// registration left the horizon is the clock and vacuum reclaims it.
+#[test]
+fn a_tail_completed_on_another_thread_leaves_no_registration() {
+    let path = wal_path("cross-thread-tail");
+    let db = open(&path);
+    items_table(&db);
+    insert(&db, 1).unwrap();
+    let threads = Arc::new(Mutex::new(None));
+    std::thread::scope(|s| {
+        db.with_wal_stalled(|| {
+            // a synchronous committer leads the stalled flush ...
+            s.spawn(|| insert(&db, 100).unwrap());
+            assert!(eventually(|| db.wal_flush_in_flight()));
+            // ... and owns the tail this thread begins, commits and parks
+            s.spawn(|| {
+                let began_on = std::thread::current().id();
+                let (updated, pending) = defer_durable(|| {
+                    db.txn().run(|tx| {
+                        let rows = tx.scan("items", &Predicate::eq(1, 1i64))?;
+                        tx.update("items", rows[0].0, vec![Datum::Null, Datum::Int(2)])
+                    })
+                });
+                updated.unwrap();
+                let threads = threads.clone();
+                pending.unwrap().on_complete(move |durable| {
+                    durable.unwrap();
+                    *threads.lock().unwrap() = Some((began_on, std::thread::current().id()));
+                });
+            })
+            .join()
+            .unwrap();
+            assert!(threads.lock().unwrap().is_none(), "parked, not completed");
+        });
+    });
+    let (began_on, completed_on) = threads.lock().unwrap().expect("the tail was completed");
+    assert_ne!(
+        began_on, completed_on,
+        "the flush leader completed the tail"
+    );
+    let mut tx = db.txn().begin();
+    assert_eq!(values(&mut tx, &Predicate::True), vec![2, 100]);
+    tx.commit().unwrap();
+    assert_eq!(db.vacuum(), 1, "no snapshot is left to pin the old version");
+}
+
 /// Code inside the scope sees its own commits: beginning a second
 /// transaction settles the pending one first, so it reads the first
 /// one's row and takes the same row lock without waiting on itself.

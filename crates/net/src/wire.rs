@@ -27,9 +27,10 @@
 //! [`Op::Custom`] requests carry a closure and cannot cross the wire;
 //! encoding one is an [`WireError::Unencodable`] error by design.
 
-use feral_db::{Datum, DbError};
+use feral_db::{DataType, Datum, DbError};
 use feral_orm::{ModelDef, OrmError, Record};
 use feral_server::{Op, Request, Response};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Protocol version, negotiated implicitly (bumped on breaking change).
@@ -237,11 +238,11 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
         Response::Found(record) => {
             payload.push(ST_FOUND);
             put_str(&mut payload, &record.model.name);
-            let cols = record.model.column_order();
+            let cols = record.model.columns();
             payload.extend_from_slice(&(cols.len().min(u16::MAX as usize) as u16).to_le_bytes());
-            for (name, _) in cols {
-                put_str(&mut payload, &name);
-                put_datum(&mut payload, &record.get(&name));
+            for (col, (name, _)) in cols.iter().enumerate() {
+                put_str(&mut payload, name);
+                put_datum(&mut payload, record.at(col));
             }
         }
         Response::NotFound => payload.push(ST_NOT_FOUND),
@@ -309,11 +310,14 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> WireResult<String> {
+    fn str_ref(&mut self) -> WireResult<&'a str> {
         let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| WireError::Malformed("non-UTF-8 string".into()))
+    }
+
+    fn str(&mut self) -> WireResult<String> {
+        self.str_ref().map(str::to_string)
     }
 
     fn datum(&mut self) -> WireResult<Datum> {
@@ -382,7 +386,10 @@ pub fn decode_request(payload: &[u8]) -> WireResult<(u64, Request)> {
 /// `Found` records are rebuilt against a synthesized [`ModelDef`] whose
 /// column order matches the wire encoding; attribute names, values, and
 /// `id()` round-trip, model-level metadata (validations, associations)
-/// deliberately does not — the client holds no schema.
+/// deliberately does not — the client holds no schema. The definition is
+/// synthesized once per reply *shape* (model name, column names, column
+/// types) and reused from a per-thread cache, so a reply of a shape this
+/// thread has decoded before allocates only its values.
 pub fn decode_response(payload: &[u8]) -> WireResult<(u64, Response)> {
     let mut c = Cursor::new(payload);
     let request_id = c.u64()?;
@@ -391,15 +398,15 @@ pub fn decode_response(payload: &[u8]) -> WireResult<(u64, Response)> {
         ST_CREATED => Response::Created(c.i64()?),
         ST_DESTROYED => Response::Destroyed,
         ST_FOUND => {
-            let model_name = c.str()?;
+            let model_name = c.str_ref()?;
             let n = c.u16()? as usize;
             let mut cols = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = c.str()?;
+                let name = c.str_ref()?;
                 let value = c.datum()?;
                 cols.push((name, value));
             }
-            Response::Found(rebuild_record(&model_name, cols))
+            Response::Found(rebuild_record(model_name, cols))
         }
         ST_NOT_FOUND => Response::NotFound,
         ST_INVALID => {
@@ -422,31 +429,69 @@ pub fn decode_response(payload: &[u8]) -> WireResult<(u64, Response)> {
     Ok((request_id, response))
 }
 
-fn rebuild_record(model_name: &str, cols: Vec<(String, Datum)>) -> Record {
-    // `ModelDef::build` owns the implicit `id` column; declare the rest
-    // in wire order, typed by the datum that arrived
-    let mut b = ModelDef::build(model_name).without_timestamps();
-    for (name, value) in cols.iter().filter(|(n, _)| n != "id") {
-        b = match value {
-            Datum::Int(_) | Datum::Timestamp(_) | Datum::Bool(_) => b.integer(name.clone()),
-            Datum::Float(_) => b.float(name.clone()),
-            _ => b.string(name.clone()),
-        };
+/// Reply shapes one thread keeps a synthesized definition for; the
+/// oldest goes first. A client sees a handful (one per model it reads),
+/// and a peer inventing shapes cannot grow the cache past this.
+const SHAPE_CACHE: usize = 32;
+
+thread_local! {
+    static SHAPES: RefCell<Vec<Arc<ModelDef>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The column type a synthesized definition gives a wire value.
+fn wire_type(value: &Datum) -> DataType {
+    match value {
+        Datum::Int(_) | Datum::Timestamp(_) | Datum::Bool(_) => DataType::Int,
+        Datum::Float(_) => DataType::Float,
+        _ => DataType::Text,
     }
-    let model = Arc::new(b.finish());
-    let tuple: feral_db::Tuple = {
-        let order = model.column_order();
-        order
-            .iter()
-            .map(|(name, _)| {
-                cols.iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or(Datum::Null)
-            })
-            .collect()
-    };
-    Record::from_tuple(model, &tuple)
+}
+
+/// The synthesized definition for a reply of this shape: from the
+/// thread's cache, or built (and cached) now. `ModelDef::build` owns the
+/// implicit `id` column; the rest are declared in wire order, typed by
+/// the datum that arrived.
+fn synthesized_model(model_name: &str, cols: &[(&str, Datum)]) -> Arc<ModelDef> {
+    let declared = || cols.iter().filter(|(name, _)| *name != "id");
+    SHAPES.with(|shapes| {
+        let mut shapes = shapes.borrow_mut();
+        let seen = shapes.iter().find(|def| {
+            def.name == model_name
+                && def.attributes.len() == declared().count()
+                && declared()
+                    .zip(&def.attributes)
+                    .all(|((name, value), (n, ty))| name == n && wire_type(value) == *ty)
+        });
+        if let Some(def) = seen {
+            return def.clone();
+        }
+        let mut b = ModelDef::build(model_name).without_timestamps();
+        for (name, value) in declared() {
+            b = b.attribute(*name, wire_type(value));
+        }
+        let def = Arc::new(b.finish());
+        if shapes.len() == SHAPE_CACHE {
+            shapes.remove(0);
+        }
+        shapes.push(def.clone());
+        def
+    })
+}
+
+fn rebuild_record(model_name: &str, mut cols: Vec<(&str, Datum)>) -> Record {
+    let model = synthesized_model(model_name, &cols);
+    let row: feral_db::Tuple = model
+        .columns()
+        .iter()
+        .map(|(name, _)| {
+            cols.iter_mut()
+                .find(|(n, _)| n == name)
+                .map_or(Datum::Null, |(_, value)| {
+                    std::mem::replace(value, Datum::Null)
+                })
+        })
+        .collect();
+    Record::from_row(model, Arc::new(row))
 }
 
 // ---------------------------------------------------------------- framing
@@ -569,6 +614,56 @@ mod tests {
         assert_eq!(out.get("name"), Datum::text("ada"));
         assert_eq!(out.get("age"), Datum::Int(36));
         assert!(out.is_persisted());
+    }
+
+    #[test]
+    fn found_definitions_are_cached_per_reply_shape() {
+        let found = |model: ModelDef, attrs: &[(&str, Datum)]| {
+            let mut rec = Record::new(Arc::new(model));
+            rec.set("id", 5i64).assign(attrs);
+            let f = encode_response(1, &Response::Found(rec));
+            match decode_response(payload_of(&f)).unwrap().1 {
+                Response::Found(out) => out,
+                other => panic!("expected Found, got {other:?}"),
+            }
+        };
+        let narrow = || {
+            ModelDef::build("Shape")
+                .string("name")
+                .without_timestamps()
+                .finish()
+        };
+        let wide = || {
+            ModelDef::build("Shape")
+                .string("name")
+                .integer("age")
+                .without_timestamps()
+                .finish()
+        };
+        let a = found(narrow(), &[("name", Datum::text("a"))]);
+        let b = found(narrow(), &[("name", Datum::text("b"))]);
+        assert!(
+            Arc::ptr_eq(&a.model, &b.model),
+            "same shape, one definition"
+        );
+        assert_eq!(b.get("name"), Datum::text("b"));
+        // the column set of the same model changes between two replies
+        let c = found(
+            wide(),
+            &[("name", Datum::text("c")), ("age", Datum::Int(3))],
+        );
+        assert!(!Arc::ptr_eq(&a.model, &c.model));
+        assert_eq!(c.model.columns().len(), 3);
+        assert_eq!(c.get("age"), Datum::Int(3));
+        assert_eq!(c.id(), Some(5));
+        // ...and so does a column's type: a NULL arrives as text
+        let d = found(wide(), &[("name", Datum::text("d"))]);
+        assert!(!Arc::ptr_eq(&c.model, &d.model));
+        assert!(d.get("age").is_null());
+        // the narrow shape is still served from the cache afterwards
+        let e = found(narrow(), &[("name", Datum::text("e"))]);
+        assert!(Arc::ptr_eq(&a.model, &e.model));
+        assert_eq!(e.to_tuple(), vec![Datum::Int(5), Datum::text("e")]);
     }
 
     #[test]

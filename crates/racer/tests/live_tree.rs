@@ -91,7 +91,7 @@ fn commit_tails_are_completed_under_no_pipeline_lock() {
     let complete = &a.graph.reaches["CommitTail::complete"];
     for taken in [
         "feraldb::LockManager::table",
-        "feraldb::CommitPipeline::active",
+        "feraldb::ActiveStripe::txns",
         "feraldb::CommitPipeline::shards",
     ] {
         assert!(complete.contains(taken), "complete no longer takes {taken}");

@@ -19,8 +19,10 @@ cargo test -q
 # The bare command above runs the facade crate only. The engine, the
 # wire tier and the service layer carry the commit-path invariants
 # (visible => durable, ack => durable, no orphaned commit tail, the
-# overload contract), so their suites are gated by name.
-cargo test -q -p feral-db -p feral-net -p feral-server
+# overload contract), and the ORM carries the read path's (a record
+# shares the stored row and never writes it; allocations per find and
+# per create stay bounded), so their suites are gated by name.
+cargo test -q -p feral-db -p feral-orm -p feral-net -p feral-server
 
 echo "== tier1: feral-sim bounded systematic sweep =="
 # The full matrix is exhaustive in < 10k schedules per cell; the bound
