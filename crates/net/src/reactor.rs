@@ -329,8 +329,9 @@ impl Waker {
     pub fn drain(&mut self) {
         use std::io::Read;
         let mut buf = [0u8; 64];
-        // nonblocking: stop on WouldBlock (pipe empty)
-        while matches!(self.reader.read(&mut buf), Ok(n) if n > 0) {}
+        // a short read emptied the pipe — no second read to be told so;
+        // a byte written from now on reports readable again
+        while matches!(self.reader.read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 
@@ -417,8 +418,9 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(5000, &mut events).unwrap();
         assert!(events.iter().any(|e| e.token == 0 && e.readable));
-        waker.drain();
+        // both bytes are in the pipe before the one drain
         t.join().unwrap();
+        waker.drain();
         // drained: an immediate wait reports nothing
         let mut events = Vec::new();
         poller.wait(0, &mut events).unwrap();

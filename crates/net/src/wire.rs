@@ -31,6 +31,7 @@ use feral_db::{DataType, Datum, DbError};
 use feral_orm::{ModelDef, OrmError, Record};
 use feral_server::{Op, Request, Response};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Protocol version, negotiated implicitly (bumped on breaking change).
@@ -496,23 +497,35 @@ fn rebuild_record(model_name: &str, mut cols: Vec<(&str, Datum)>) -> Record {
 
 // ---------------------------------------------------------------- framing
 
-/// Incremental frame extractor over a receive buffer. Returns the
-/// payload of the first complete frame (draining it from `buf`), `None`
-/// when more bytes are needed, or an error for an oversized
+/// Where the first frame of `buf` lies, without copying it: the range
+/// of its payload within `buf` and the bytes the whole frame occupies
+/// (prefix included) — advance a cursor by that much and call again.
+/// `None` when more bytes are needed; an error for an oversized
 /// announcement (the connection should be dropped).
-pub fn take_frame(buf: &mut Vec<u8>) -> WireResult<Option<Vec<u8>>> {
-    if buf.len() < 4 {
+pub fn frame_at(buf: &[u8]) -> WireResult<Option<(Range<usize>, usize)>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    let payload = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
+    Ok(Some((4..4 + len, 4 + len)))
+}
+
+/// Incremental frame extractor over a receive buffer: [`frame_at`], with
+/// the payload copied out and the frame drained from `buf`. A reader
+/// that expects many frames per buffer should walk it with [`frame_at`]
+/// and drain once.
+pub fn take_frame(buf: &mut Vec<u8>) -> WireResult<Option<Vec<u8>>> {
+    let Some((payload, used)) = frame_at(buf)? else {
+        return Ok(None);
+    };
+    let payload = buf[payload].to_vec();
+    buf.drain(..used);
     Ok(Some(payload))
 }
 

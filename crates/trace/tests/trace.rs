@@ -127,15 +127,19 @@ fn live_tracing_end_to_end() {
         std::thread::spawn(move || {
             // Hammer the flight recorder while writers are mid-stream:
             // merged_tail must never panic or return torn events.
+            // At least once: on a busy two-core box the writers can be
+            // done before this thread is first scheduled.
             let mut dumps = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let tail = feral_trace::flight_recorder(256);
                 for pair in tail.windows(2) {
                     assert!(pair[0].seq < pair[1].seq, "dump not seq-ordered");
                 }
                 dumps += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break dumps;
+                }
             }
-            dumps
         })
     };
     let writers: Vec<_> = (0..WRITERS)

@@ -15,14 +15,13 @@ echo "== tier1: rustfmt check =="
 cargo fmt --check
 
 echo "== tier1: test suite =="
+# `default-members` is the whole workspace, so the bare command runs
+# every crate's suites: the commit-path invariants of the engine, the
+# wire tier and the service layer (visible => durable, ack => durable,
+# no orphaned commit tail, the overload contract, no lost wake-up), the
+# ORM's read-path bounds, and the simulator, sdg, plan, audit and racer
+# suites that used to be gated by nothing.
 cargo test -q
-# The bare command above runs the facade crate only. The engine, the
-# wire tier and the service layer carry the commit-path invariants
-# (visible => durable, ack => durable, no orphaned commit tail, the
-# overload contract), and the ORM carries the read path's (a record
-# shares the stored row and never writes it; allocations per find and
-# per create stay bounded), so their suites are gated by name.
-cargo test -q -p feral-db -p feral-orm -p feral-net -p feral-server
 
 echo "== tier1: feral-sim bounded systematic sweep =="
 # The full matrix is exhaustive in < 10k schedules per cell; the bound
