@@ -31,7 +31,8 @@
 //! executions of one feral workload (five ORM transaction templates,
 //! 8 workers) into `BENCH_planner.json`. Its gates: every plan cell
 //! re-certifies through feral-sim, the planner is at least as fast as
-//! all-serializable at 8 workers, and both run anomaly-free.
+//! all-serializable at 8 workers, both run anomaly-free, and every probe
+//! a template issues is served by an index (`index_probes == scans`).
 //!
 //! The `audit` subcommand ablates the runtime DSG auditor (off vs
 //! sampled vs full capture) over the same planner workload at 8 workers
@@ -630,6 +631,9 @@ mod planner {
         std: f64,
         committed: u64,
         anomalies: Anomalies,
+        /// Scan statements / index-probe scans over the timed runs.
+        scans: u64,
+        index_probes: u64,
     }
 
     /// Everything the JSON artifact reports besides the plan itself.
@@ -641,7 +645,7 @@ mod planner {
         certs: &'a [Option<CellCert>],
         rows: &'a [CfgRow],
         ratio: f64,
-        gates: (bool, bool, bool),
+        gates: (bool, bool, bool, bool),
     }
 
     fn render_json(plan: &IsolationPlan, report: &Report<'_>) -> String {
@@ -708,23 +712,26 @@ mod planner {
             let _ = writeln!(
                 out,
                 "    {{\"config\": \"{}\", \"workers\": {WORKERS}, \"txns_per_sec\": {:.1}, \
-                 \"stddev\": {:.1}, \"committed\": {}, \"anomalies\": {}}}{}",
+                 \"stddev\": {:.1}, \"committed\": {}, \"scans\": {}, \"index_probes\": {}, \
+                 \"anomalies\": {}}}{}",
                 r.name,
                 r.mean,
                 r.std,
                 r.committed,
+                r.scans,
+                r.index_probes,
                 r.anomalies.json(),
                 if i + 1 < rows.len() { "," } else { "" }
             );
         }
-        let (cert_ok, speed_ok, clean_ok) = gates;
+        let (cert_ok, speed_ok, clean_ok, indexed_ok) = gates;
         out.push_str("  ],\n");
         let _ = writeln!(
             out,
             "  \"gates\": {{\"planner_vs_serializable_ratio\": {ratio:.2}, \"required\": {SPEED_GATE}, \
              \"certificates\": {cert_ok}, \"speedup\": {speed_ok}, \"planned_runs_clean\": {clean_ok}, \
-             \"pass\": {}}}\n}}",
-            cert_ok && speed_ok && clean_ok
+             \"probes_index_backed\": {indexed_ok}, \"pass\": {}}}\n}}",
+            cert_ok && speed_ok && clean_ok && indexed_ok
         );
         out
     }
@@ -785,6 +792,7 @@ mod planner {
         let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut committed = [0u64; 3];
         let mut anomalies = [Anomalies::default(); 3];
+        let mut scans = [(0u64, 0u64); 3];
         for run in 0..runs {
             for (i, (_, cfg_plan)) in configs.iter().enumerate() {
                 let outcome = timed_run(
@@ -796,6 +804,8 @@ mod planner {
                 samples[i].push(outcome.tput);
                 committed[i] += outcome.committed;
                 anomalies[i].add(outcome.anomalies);
+                scans[i].0 += outcome.stats.scans;
+                scans[i].1 += outcome.stats.index_probes;
             }
         }
         let mut rows = Vec::new();
@@ -811,6 +821,8 @@ mod planner {
                 std,
                 committed: committed[i],
                 anomalies: anomalies[i],
+                scans: scans[i].0,
+                index_probes: scans[i].1,
             });
         }
 
@@ -823,6 +835,9 @@ mod planner {
         // claims safety; the read-committed ablation is reported, not
         // gated — its anomalies are the point
         let clean_ok = rows[0].anomalies.total() == 0 && rows[1].anomalies.total() == 0;
+        // the workload measures coordination only while no template walks
+        // a table: a probe that lost its index fails the run
+        let indexed_ok = rows[0].scans > 0 && rows[0].index_probes >= rows[0].scans;
 
         let json = render_json(
             &plan,
@@ -834,7 +849,7 @@ mod planner {
                 certs: &certs,
                 rows: &rows,
                 ratio,
-                gates: (cert_ok, speed_ok, clean_ok),
+                gates: (cert_ok, speed_ok, clean_ok, indexed_ok),
             },
         );
         let path = args.get_str("out").unwrap_or("BENCH_planner.json");
@@ -858,7 +873,14 @@ mod planner {
                 rows[1].anomalies.describe()
             );
         }
-        if cert_ok && speed_ok && clean_ok {
+        if !indexed_ok {
+            eprintln!(
+                "commitbench: GATE FAILED: the planner configuration served {} of {} scans \
+                 from an index — a template fell back to a table walk",
+                rows[0].index_probes, rows[0].scans
+            );
+        }
+        if cert_ok && speed_ok && clean_ok && indexed_ok {
             println!(
                 "commitbench planner: all gates pass ({ratio:.2}x all-serializable, 0 anomalies)"
             );

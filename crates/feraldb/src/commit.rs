@@ -15,14 +15,17 @@
 //! This module re-provides each role without global serialization:
 //!
 //! * Tables are hash-partitioned over `Config::commit_shards` **commit
-//!   shards** (`shard_of`). A committing transaction latches the shards
+//!   shards** (`shard_of`, at most [`MAX_SHARDS`]: a shard set is one
+//!   `u64`). A committing transaction latches the shards
 //!   of every table it wrote — plus, under Serializable, every table it
 //!   read — in **ascending shard order** (canonical order ⇒ no
 //!   latch-latch deadlock). Non-overlapping transactions proceed in
 //!   parallel. Each shard owns the slice of committed-transaction write
 //!   summaries for its tables, so serializable validation reads exactly
 //!   the histories its latches protect (role 2), and same-table row-id
-//!   assignment is serialized by the table's shard latch (role 4).
+//!   assignment is serialized by the table's shard latch (role 4). The
+//!   committer that pushes a slice past twice the retention floor prunes
+//!   it, under the latch it already holds (`push_history`).
 //! * Commit timestamps are allocated from `ts_alloc` only **after** a
 //!   transaction holds its full latch set; on the WAL path the
 //!   allocation happens inside the group-buffer mutex, so log order
@@ -33,7 +36,7 @@
 //!   record → install versions → push the history summary, then they
 //!   **drop**. Installed versions carry `begin = ts > clock`, so no
 //!   snapshot sees them yet. What the commit still owes — durable wait,
-//!   publish, audit, prune, lock release — is its *tail*
+//!   publish, audit, lock release — is its *tail*
 //!   ([`CommitTail`](crate::tail::CommitTail)), settled with no latch
 //!   held. `publish` advances the clock strictly in timestamp order — so
 //!   `clock = T` implies every commit `≤ T` is fully installed **and in
@@ -83,7 +86,7 @@ use crate::tail::ParkedTail;
 use crate::txn::CommittedTxn;
 use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,6 +101,21 @@ pub(crate) struct ShardCore {
     /// tables, oldest at front. Per-shard push order equals timestamp
     /// order (timestamps are allocated under the full latch set).
     pub(crate) history: VecDeque<Arc<CommittedTxn>>,
+}
+
+/// Most commit shards a pipeline runs with: a shard set is one `u64`.
+pub(crate) const MAX_SHARDS: usize = 64;
+
+/// The shard latches one commit holds, by shard index.
+pub(crate) struct ShardGuards<'a> {
+    cores: [Option<MutexGuard<'a, ShardCore>>; MAX_SHARDS],
+}
+
+impl ShardGuards<'_> {
+    /// The committed-history slices under the held latches.
+    pub(crate) fn histories(&self) -> impl Iterator<Item = &VecDeque<Arc<CommittedTxn>>> {
+        self.cores.iter().flatten().map(|core| &core.history)
+    }
 }
 
 /// One thread stripe of the active-snapshot registry (txn id, snapshot
@@ -173,11 +191,14 @@ pub(crate) struct CommitPipeline {
     fill_cv: Condvar,
     max_batch: usize,
     max_wait: Duration,
+    /// Times the horizon was computed (every stripe lock taken).
+    #[cfg(test)]
+    pub(crate) horizon_scans: AtomicU64,
 }
 
 impl CommitPipeline {
     pub(crate) fn new(shards: usize, max_batch: usize, max_wait: Duration) -> CommitPipeline {
-        let n = shards.max(1);
+        let n = shards.clamp(1, MAX_SHARDS);
         CommitPipeline {
             shards: (0..n)
                 .map(|_| {
@@ -207,6 +228,8 @@ impl CommitPipeline {
             fill_cv: Condvar::new(),
             max_batch: max_batch.max(1),
             max_wait,
+            #[cfg(test)]
+            horizon_scans: AtomicU64::new(0),
         }
     }
 
@@ -220,25 +243,58 @@ impl CommitPipeline {
         table.0 as usize % self.shards.len()
     }
 
-    /// Acquire a shard set in canonical (ascending) order. Contended
-    /// acquisitions are counted in `commit_shard_conflicts`.
-    pub(crate) fn lock_shards<'a>(
-        &'a self,
-        ids: &BTreeSet<usize>,
-        stats: &Stats,
-    ) -> Vec<(usize, MutexGuard<'a, ShardCore>)> {
-        let mut guards = Vec::with_capacity(ids.len());
-        for &i in ids {
-            let guard = match self.shards[i].try_lock() {
+    /// Acquire the shard set `mask` (bit `i` = shard `i`) in canonical
+    /// (ascending) order. Contended acquisitions are counted in
+    /// `commit_shard_conflicts`.
+    pub(crate) fn lock_shards(&self, mask: u64, stats: &Stats) -> ShardGuards<'_> {
+        let mut held = ShardGuards {
+            cores: [const { None }; MAX_SHARDS],
+        };
+        for (i, shard) in self.shards.iter().enumerate() {
+            if mask & (1 << i) == 0 {
+                continue;
+            }
+            held.cores[i] = Some(match shard.try_lock() {
                 Some(g) => g,
                 None => {
                     Stats::bump(&stats.local().commit_shard_conflicts);
-                    self.shards[i].lock()
+                    shard.lock()
                 }
-            };
-            guards.push((i, guard));
+            });
         }
-        guards
+        held
+    }
+
+    /// Push a commit's summary onto the history of every shard in
+    /// `written` (all held in `held`), so a serializable validator
+    /// latching any of its read-table shards sees it. A slice this pushes
+    /// past twice `floor` is pruned back to `floor` (or to what an active
+    /// snapshot can still conflict with) here, under the latch; only then
+    /// is the horizon computed — it takes every active-stripe lock.
+    pub(crate) fn push_history(
+        &self,
+        held: &mut ShardGuards<'_>,
+        written: u64,
+        summary: &Arc<CommittedTxn>,
+        clock: &AtomicU64,
+        floor: usize,
+    ) {
+        let mut horizon = None;
+        for (i, core) in held.cores.iter_mut().enumerate() {
+            let Some(core) = core.as_mut().filter(|_| written & (1 << i) != 0) else {
+                continue;
+            };
+            core.history.push_back(summary.clone());
+            if core.history.len() <= 2 * floor.max(1) {
+                continue;
+            }
+            let horizon = *horizon.get_or_insert_with(|| self.oldest_active_snapshot(clock));
+            while core.history.len() > floor
+                && core.history.front().is_some_and(|c| c.commit_ts <= horizon)
+            {
+                core.history.pop_front();
+            }
+        }
     }
 
     /// Latch every shard (ascending). Freezes installs, not the clock:
@@ -281,26 +337,14 @@ impl CommitPipeline {
     /// the minimum and reading the fallback clock, mirroring the seed's
     /// single-lock begin/vacuum coordination.
     pub(crate) fn oldest_active_snapshot(&self, clock: &AtomicU64) -> u64 {
+        #[cfg(test)]
+        self.horizon_scans.fetch_add(1, Ordering::Relaxed);
         let stripes: Vec<_> = self.active.iter().map(|s| s.txns.lock()).collect();
         stripes
             .iter()
             .flat_map(|s| s.iter().map(|(_, snapshot)| *snapshot))
             .min()
             .unwrap_or_else(|| clock.load(Ordering::SeqCst))
-    }
-
-    /// Prune one shard's history down to `floor` entries, dropping only
-    /// summaries no active snapshot can still conflict with.
-    pub(crate) fn prune_history(&self, shard: usize, horizon: u64, floor: usize) {
-        let mut core = self.shards[shard].lock();
-        while core.history.len() > floor {
-            match core.history.front() {
-                Some(front) if front.commit_ts <= horizon => {
-                    core.history.pop_front();
-                }
-                _ => break,
-            }
-        }
     }
 
     // -- group commit ----------------------------------------------------
@@ -522,6 +566,22 @@ impl CommitPipeline {
 
     // -- publication -----------------------------------------------------
 
+    /// Before a conflict retry: give the core away until every commit
+    /// stamped so far has published. The winner may be installed but not
+    /// published — descheduled between dropping its latches and `publish`
+    /// — and a retry begun before it publishes loses to it again, in
+    /// microseconds: a whole retry budget burns inside one quantum.
+    /// Bounded, because after a failed flush the clock never catches up.
+    pub(crate) fn yield_until_published(&self, clock: &AtomicU64) {
+        let stamped = self.ts_alloc.load(Ordering::SeqCst);
+        for _ in 0..64 {
+            if clock.load(Ordering::SeqCst) >= stamped {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     /// Publish `ts`: the caller's versions are installed and its record is
     /// durable; a timestamp whose flush failed never gets here — that
     /// freezes the clock. Whoever finds the clock right below its own
@@ -586,8 +646,55 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_clamps_to_one() {
+    fn shard_count_is_clamped_to_what_a_mask_can_name() {
         assert_eq!(pipeline(0).shard_count(), 1);
+        assert_eq!(pipeline(64).shard_count(), 64);
+        let p = pipeline(1000);
+        assert_eq!(p.shard_count(), MAX_SHARDS);
+        assert_eq!(p.shard_of(TableId(127)), 63);
+        let held = p.lock_shards(u64::MAX, &Stats::default());
+        assert_eq!(held.histories().count(), MAX_SHARDS);
+    }
+
+    /// A slice is pruned by the push that takes it past twice the floor,
+    /// down to the floor or to what an active snapshot still needs — and
+    /// the horizon is not looked at before that.
+    #[test]
+    fn history_is_pruned_under_the_latch_once_a_slice_doubles() {
+        let p = pipeline(2);
+        let stats = Stats::default();
+        let clock = AtomicU64::new(100);
+        let push = |ts: u64| {
+            let summary = Arc::new(CommittedTxn {
+                commit_ts: ts,
+                writes: Vec::new(),
+            });
+            let mut held = p.lock_shards(0b11, &stats);
+            p.push_history(&mut held, 0b01, &summary, &clock, 4);
+        };
+        let len = |shard: usize| p.shards[shard].lock().history.len();
+        for ts in 1..=8 {
+            push(ts);
+        }
+        assert_eq!((len(0), len(1)), (8, 0), "only the written shard grows");
+        assert_eq!(p.horizon_scans.load(Ordering::Relaxed), 0);
+        push(9);
+        assert_eq!(len(0), 4, "no active snapshot: back to the floor");
+        assert_eq!(p.horizon_scans.load(Ordering::Relaxed), 1);
+        // a snapshot at 7 still needs every summary above it
+        clock.store(7, Ordering::SeqCst);
+        let (_, stripe) = p.register_active(1, &clock);
+        for ts in 10..=14 {
+            push(ts);
+        }
+        let kept: Vec<u64> = p.shards[0]
+            .lock()
+            .history
+            .iter()
+            .map(|c| c.commit_ts)
+            .collect();
+        assert_eq!(kept, (8..=14).collect::<Vec<_>>());
+        p.deregister_active(stripe, 1);
     }
 
     #[test]
@@ -598,10 +705,9 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {
-                let ids: BTreeSet<usize> = [1, 2].into_iter().collect();
                 tx.send(()).unwrap();
-                let guards = p.lock_shards(&ids, &stats);
-                assert_eq!(guards.len(), 2);
+                let held = p.lock_shards(0b0110, &stats);
+                assert_eq!(held.histories().count(), 2);
             });
             rx.recv().unwrap();
             std::thread::sleep(Duration::from_millis(20));

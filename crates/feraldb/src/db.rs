@@ -172,7 +172,8 @@ pub struct Config {
     /// Number of commit shards: commit validation/installation is
     /// hash-partitioned by table across this many latches, so commits
     /// touching disjoint shards proceed in parallel. `1` reproduces the
-    /// old single-latch commit path.
+    /// old single-latch commit path. A commit names its shard set in one
+    /// `u64`, so values above 64 are clamped to 64 (and 0 to 1).
     pub commit_shards: usize,
     /// Group commit: most records one WAL flush covers. `1` flushes
     /// every record individually (the old per-commit behaviour).
@@ -225,12 +226,18 @@ impl Default for Config {
 pub(crate) struct TableEntry {
     pub(crate) schema: TableSchema,
     pub(crate) heap: Arc<Heap>,
-    /// Auto-increment sequence for the `id` column.
-    pub(crate) id_seq: AtomicI64,
+    /// Auto-increment sequence for the `id` column, shared by every copy
+    /// of the entry DDL makes.
+    pub(crate) id_seq: Arc<AtomicI64>,
     /// Indexes declared on this table, the primary key's first. Held by
     /// handle, so walking a table's indexes needs the entry and nothing
     /// else from the catalog.
     pub(crate) indexes: Vec<Arc<IndexData>>,
+    /// Foreign keys this table is the child of (checked on its inserts
+    /// and updates).
+    pub(crate) fks_as_child: Vec<Arc<ForeignKey>>,
+    /// Foreign keys this table is the parent of (enforced on its deletes).
+    pub(crate) fks_as_parent: Vec<Arc<ForeignKey>>,
 }
 
 /// Catalog: names → tables/indexes/constraints.
@@ -241,7 +248,6 @@ pub(crate) struct Catalog {
     /// Index name → id. Ids are dense in creation order; the data hangs
     /// off the owning table's entry.
     pub(crate) index_names: HashMap<String, IndexId>,
-    pub(crate) foreign_keys: Vec<Arc<ForeignKey>>,
 }
 
 impl Catalog {
@@ -259,28 +265,33 @@ impl Catalog {
         Ok((id, &self.tables[id.0 as usize]))
     }
 
-    /// Foreign keys whose child is `table`.
-    pub(crate) fn fks_of_child(&self, table: TableId) -> Vec<Arc<ForeignKey>> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| fk.child_table == table)
-            .cloned()
-            .collect()
-    }
-
-    /// Foreign keys whose parent is `table`.
-    pub(crate) fn fks_of_parent(&self, table: TableId) -> Vec<Arc<ForeignKey>> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| fk.parent_table == table)
-            .cloned()
-            .collect()
+    /// Change `table`'s entry (DDL: a new index, a new constraint).
+    /// Entries are shared by handle with statements in flight, so a
+    /// shared one is replaced by an edited copy over the same heap.
+    fn edit_table(&mut self, table: TableId, edit: impl FnOnce(&mut TableEntry)) {
+        let slot = &mut self.tables[table.0 as usize];
+        if Arc::get_mut(slot).is_none() {
+            *slot = Arc::new(TableEntry {
+                schema: slot.schema.clone(),
+                heap: slot.heap.clone(),
+                id_seq: slot.id_seq.clone(),
+                indexes: slot.indexes.clone(),
+                fks_as_child: slot.fks_as_child.clone(),
+                fks_as_parent: slot.fks_as_parent.clone(),
+            });
+        }
+        edit(Arc::get_mut(slot).expect("the entry was just made unique"));
     }
 }
 
 pub(crate) struct DbInner {
     pub(crate) config: Config,
     pub(crate) catalog: RwLock<Catalog>,
+    /// Bumped whenever a table gains an index. A transaction carries the
+    /// table entries its statements resolved to commit; one that began
+    /// under an older epoch re-resolves them there, under its shard
+    /// latches, so a row is never installed past a new index.
+    pub(crate) catalog_epoch: AtomicU64,
     pub(crate) locks: LockManager,
     /// Logical clock: the newest published commit timestamp.
     pub(crate) clock: AtomicU64,
@@ -359,6 +370,7 @@ impl Database {
                 locks: LockManager::new(config.lock_timeout),
                 config,
                 catalog: RwLock::new(Catalog::default()),
+                catalog_epoch: AtomicU64::new(0),
                 clock: AtomicU64::new(1),
                 pipeline,
                 txn_ids: AtomicU64::new(1),
@@ -521,10 +533,8 @@ impl Database {
                 // same policy as the live commit path: old-key postings
                 // stay until vacuum, readers re-verify
                 for idx in &entry.indexes {
-                    let ok = idx.key_of(&old);
-                    let nk = idx.key_of(&tuple);
-                    if ok != nk {
-                        idx.insert_entry(nk, row as usize);
+                    if !idx.same_key(&old, &tuple) {
+                        idx.insert_entry(idx.key_of(&tuple), row as usize);
                     }
                 }
             }
@@ -573,8 +583,10 @@ impl Database {
         cat.tables.push(Arc::new(TableEntry {
             schema,
             heap: Arc::new(Heap::new()),
-            id_seq: AtomicI64::new(1),
+            id_seq: Arc::new(AtomicI64::new(1)),
             indexes: Vec::new(),
+            fks_as_child: Vec::new(),
+            fks_as_parent: Vec::new(),
         }));
         drop(cat);
         self.wal_append(&wal_record)?;
@@ -623,6 +635,13 @@ impl Database {
         cols: &[&str],
         unique: bool,
     ) -> DbResult<IndexId> {
+        // The table's commit latch is held from backfill to registration:
+        // a commit installs either before (the backfill posts its rows) or
+        // after (it sees the new epoch and posts them itself).
+        let latch = self
+            .inner
+            .pipeline
+            .lock_shards(1 << self.inner.pipeline.shard_of(table), &self.inner.stats);
         let mut cat = self.inner.catalog.write();
         if cat.index_names.contains_key(name) {
             return Err(DbError::IndexExists(name.into()));
@@ -665,24 +684,10 @@ impl Database {
             columns: cols.iter().map(|c| c.to_string()).collect(),
             unique,
         };
-        // register on the table
-        let entry_mut = Arc::get_mut(&mut cat.tables[table.0 as usize]);
-        match entry_mut {
-            Some(e) => e.indexes.push(data),
-            None => {
-                // table entry is shared; rebuild it with the new index list
-                let old = cat.tables[table.0 as usize].clone();
-                let mut indexes = old.indexes.clone();
-                indexes.push(data);
-                cat.tables[table.0 as usize] = Arc::new(TableEntry {
-                    schema: old.schema.clone(),
-                    heap: old.heap.clone(),
-                    id_seq: AtomicI64::new(old.id_seq.load(Ordering::SeqCst)),
-                    indexes,
-                });
-            }
-        }
+        cat.edit_table(table, |e| e.indexes.push(data));
+        self.inner.catalog_epoch.fetch_add(1, Ordering::SeqCst);
         drop(cat);
+        drop(latch);
         self.wal_append(&wal_record)?;
         Ok(id)
     }
@@ -702,15 +707,16 @@ impl Database {
         let mut cat = self.inner.catalog.write();
         let child_entry = cat.table(child);
         let child_ci = child_entry.schema.column_index(child_col)?;
-        let name = format!("fk_{}_{}", child_table, child_col);
-        cat.foreign_keys.push(Arc::new(ForeignKey {
-            name,
+        let fk = Arc::new(ForeignKey {
+            name: format!("fk_{}_{}", child_table, child_col),
             child_table: child,
             child_cols: vec![child_ci],
             parent_table: parent,
             parent_cols: vec![0],
             on_delete,
-        }));
+        });
+        cat.edit_table(child, |e| e.fks_as_child.push(fk.clone()));
+        cat.edit_table(parent, |e| e.fks_as_parent.push(fk));
         drop(cat);
         self.wal_append(&WalRecord::AddForeignKey {
             child: child_table.into(),
@@ -727,7 +733,8 @@ impl Database {
 
     /// Whether any foreign keys are declared (diagnostics).
     pub fn foreign_key_count(&self) -> usize {
-        self.inner.catalog.read().foreign_keys.len()
+        let cat = self.inner.catalog.read();
+        cat.tables.iter().map(|t| t.fks_as_child.len()).sum()
     }
 
     /// The one front door for opening transactions: an options builder
@@ -850,28 +857,6 @@ impl Database {
             }
         }
         reclaimed
-    }
-
-    /// Oldest snapshot among active transactions (or current clock).
-    pub(crate) fn oldest_active_snapshot(&self) -> u64 {
-        self.inner
-            .pipeline
-            .oldest_active_snapshot(&self.inner.clock)
-    }
-
-    /// Prune committed-transaction history that no active snapshot needs,
-    /// touching only the given shards. The retention floor applies per
-    /// shard. A committer prunes exactly the shards it wrote: history
-    /// only grows through writes, so every shard is cleaned by its own
-    /// writers — and the prune never queues on an *unrelated* shard's
-    /// latch. Summaries of installed-but-unpublished commits carry
-    /// timestamps above the clock, hence above the horizon, and stay.
-    pub(crate) fn prune_committed(&self, shards: impl IntoIterator<Item = usize>) {
-        let horizon = self.oldest_active_snapshot();
-        let floor = self.inner.config.committed_history_floor;
-        for shard in shards {
-            self.inner.pipeline.prune_history(shard, horizon, floor);
-        }
     }
 }
 
@@ -1013,6 +998,8 @@ impl TxnOptions<'_> {
             match result {
                 Err(e) if retries_left > 0 && e.is_retryable() => {
                     retries_left -= 1;
+                    let inner = &self.db.inner;
+                    inner.pipeline.yield_until_published(&inner.clock);
                 }
                 other => return other,
             }

@@ -43,6 +43,16 @@ impl IndexData {
         encode_composite_key(tuple, &self.def.cols)
     }
 
+    /// Whether `a` and `b` carry the same key: column for column the same
+    /// value of the same type, hence the same encoding — told without
+    /// encoding either (an update that leaves a key alone is the common
+    /// case).
+    pub fn same_key(&self, a: &Tuple, b: &Tuple) -> bool {
+        self.def.cols.iter().all(|&c| {
+            std::mem::discriminant(&a[c]) == std::mem::discriminant(&b[c]) && a[c] == b[c]
+        })
+    }
+
     /// Whether any indexed column of `tuple` is NULL (unique indexes admit
     /// any number of NULL keys, as in SQL).
     pub fn key_has_null(&self, tuple: &Tuple) -> bool {
@@ -179,6 +189,19 @@ mod tests {
         assert_ne!(ix.key_of(&a), ix.key_of(&b));
         let c: Tuple = vec![Datum::Int(9), Datum::text("x"), Datum::Int(1)];
         assert_eq!(ix.key_of(&a), ix.key_of(&c));
+    }
+
+    #[test]
+    fn same_key_is_encoding_equality() {
+        let ix = idx(vec![1, 2], false);
+        let a: Tuple = vec![Datum::Int(1), Datum::text("x"), Datum::Int(2)];
+        let b: Tuple = vec![Datum::Int(9), Datum::text("x"), Datum::Int(2)];
+        let c: Tuple = vec![Datum::Int(1), Datum::text("x"), Datum::Float(2.0)];
+        assert!(ix.same_key(&a, &b));
+        // equal as numbers, not as keys
+        assert_eq!(a[2], c[2]);
+        assert_ne!(ix.key_of(&a), ix.key_of(&c));
+        assert!(!ix.same_key(&a, &c));
     }
 
     #[test]

@@ -10,12 +10,21 @@
 //! acquire a lock within the configured timeout aborts with
 //! [`DbError::LockTimeout`], mirroring lock-wait timeouts in MySQL and
 //! statement timeouts commonly configured on PostgreSQL.
+//!
+//! The table is **striped** by key hash: a stripe is one mutex over a map
+//! from key to holder state plus the condition variable its waiters share,
+//! and a request touches exactly one. The uncontended path allocates
+//! nothing — the holder of a free key sits inline in the map entry, whose
+//! key shares the caller's bytes — and a release wakes nobody unless the
+//! key has a waiter.
 
 use crate::error::{DbError, DbResult};
 use crate::schema::{IndexId, TableId};
 use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,10 +36,11 @@ pub type TxnId = u64;
 pub enum LockKey {
     /// A heap row, identified by table and row-chain position.
     Row(TableId, usize),
-    /// An index key value (encoded composite key bytes). Locking an index
-    /// key serializes constraint checks against writes of that key — the
-    /// mechanism behind race-free unique and FK enforcement.
-    Key(IndexId, Vec<u8>),
+    /// An index key value (encoded composite key bytes, shared by the lock
+    /// table, the holder's release list and its pending-write set). Locking
+    /// an index key serializes constraint checks against writes of that key
+    /// — the mechanism behind race-free unique and FK enforcement.
+    Key(IndexId, Arc<[u8]>),
     /// A whole table (used by DDL).
     Table(TableId),
 }
@@ -54,58 +64,90 @@ pub enum LockMode {
     Exclusive,
 }
 
+/// Who holds one key. An entry lives in its stripe's table exactly while
+/// the key is held or waited for, so a free key costs no memory.
 #[derive(Default)]
 struct LockState {
-    /// Current holders and their strongest held mode.
-    holders: Vec<(TxnId, LockMode)>,
-    /// Number of transactions currently blocked on this lock; a cell with
-    /// waiters is never retired.
+    /// One holder, stored inline; exclusive only while it is the sole
+    /// holder. `None` only while every remaining interest is a waiter.
+    owner: Option<(TxnId, LockMode)>,
+    /// Every further holder — all of them, and then the owner too, shared.
+    sharers: Vec<TxnId>,
+    /// Transactions blocked on this key; an entry with waiters stays, so
+    /// a waiter finds it again when it wakes.
     waiters: usize,
-    /// Set, under the state mutex, by the release that removes this cell
-    /// from the lock table. An acquirer that fetched the cell before the
-    /// removal must fetch again: a grant on the orphan would let a later
-    /// acquirer be granted the same key on a fresh cell.
-    retired: bool,
 }
 
 impl LockState {
     fn mode_of(&self, txn: TxnId) -> Option<LockMode> {
-        self.holders
-            .iter()
-            .find(|(t, _)| *t == txn)
-            .map(|(_, m)| *m)
+        match self.owner {
+            Some((t, mode)) if t == txn => Some(mode),
+            _ => self.sharers.contains(&txn).then_some(LockMode::Shared),
+        }
+    }
+
+    /// Whether `txn` already holds the key at least as strongly as `want`.
+    fn holds(&self, txn: TxnId, want: LockMode) -> bool {
+        self.mode_of(txn)
+            .is_some_and(|held| held == LockMode::Exclusive || want == LockMode::Shared)
     }
 
     fn compatible(&self, txn: TxnId, want: LockMode) -> bool {
         match want {
             LockMode::Shared => self
-                .holders
-                .iter()
-                .all(|(t, m)| *t == txn || *m == LockMode::Shared),
-            LockMode::Exclusive => self.holders.iter().all(|(t, _)| *t == txn),
+                .owner
+                .is_none_or(|(t, mode)| t == txn || mode == LockMode::Shared),
+            LockMode::Exclusive => {
+                self.owner.is_none_or(|(t, _)| t == txn) && self.sharers.is_empty()
+            }
         }
     }
 
     fn grant(&mut self, txn: TxnId, want: LockMode) {
-        match self.holders.iter_mut().find(|(t, _)| *t == txn) {
-            Some((_, m)) => {
-                if *m == LockMode::Shared && want == LockMode::Exclusive {
-                    *m = LockMode::Exclusive;
+        match &mut self.owner {
+            None => self.owner = Some((txn, want)),
+            Some((t, mode)) if *t == txn => {
+                if want == LockMode::Exclusive {
+                    *mode = LockMode::Exclusive;
                 }
             }
-            None => self.holders.push((txn, want)),
+            Some(_) => {
+                if !self.sharers.contains(&txn) {
+                    self.sharers.push(txn);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        match self.owner {
+            Some((t, _)) if t == txn => {
+                self.owner = self.sharers.pop().map(|t| (t, LockMode::Shared));
+            }
+            _ => self.sharers.retain(|&t| t != txn),
         }
     }
 }
 
-struct LockCell {
-    state: Mutex<LockState>,
+/// Stripes of the lock table.
+const STRIPES: usize = 16;
+
+/// One stripe, padded to its own cache lines: the entries of the keys that
+/// hash here and the condition variable their waiters share (each woken
+/// waiter re-checks its own key).
+#[repr(align(128))]
+#[derive(Default)]
+struct LockStripe {
+    table: Mutex<HashMap<LockKey, LockState>>,
     cv: Condvar,
 }
 
-/// The lock manager. One instance per [`crate::Database`].
+/// The lock manager. One instance per [`crate::Database`]. A request
+/// locks the one stripe its key hashes to and nothing else under it.
+// racer:terminal feraldb::LockStripe::table
 pub struct LockManager {
-    table: Mutex<HashMap<LockKey, Arc<LockCell>>>,
+    stripes: [LockStripe; STRIPES],
+    hasher: RandomState,
     timeout: Duration,
 }
 
@@ -128,68 +170,49 @@ impl LockManager {
     /// Create a lock manager with the given wait timeout.
     pub fn new(timeout: Duration) -> Self {
         LockManager {
-            table: Mutex::new(HashMap::new()),
+            stripes: Default::default(),
+            hasher: RandomState::new(),
             timeout,
         }
     }
 
-    fn cell(&self, key: &LockKey) -> Arc<LockCell> {
-        let mut table = self.table.lock();
-        table
-            .entry(key.clone())
-            .or_insert_with(|| {
-                Arc::new(LockCell {
-                    state: Mutex::new(LockState::default()),
-                    cv: Condvar::new(),
-                })
-            })
-            .clone()
+    fn stripe_of(&self, key: &LockKey) -> &LockStripe {
+        &self.stripes[self.hasher.hash_one(key) as usize % STRIPES]
     }
 
     /// Acquire `key` in `mode` on behalf of `txn`, blocking up to the
     /// configured timeout. Re-entrant; upgrades Shared→Exclusive when the
-    /// holder is alone. Returns `Ok(true)` if the lock was (newly or
-    /// already) held, so callers can record it for release.
+    /// holder is alone.
     pub fn acquire(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> DbResult<()> {
-        let mut cell = self.cell(key);
-        let mut state = cell.state.lock();
-        while state.retired {
-            drop(state);
-            cell = self.cell(key);
-            state = cell.state.lock();
-        }
-        if let Some(held) = state.mode_of(txn) {
-            if held == LockMode::Exclusive || mode == LockMode::Shared {
-                return Ok(());
-            }
-        }
-        if feral_hooks::active() {
-            // Simulated execution: no wall-clock deadline. Hand the turn
-            // back to the scheduler until the lock is free; a TimedOut
-            // grant means we were elected deadlock victim and must abort
-            // exactly as a timed-out waiter would.
-            note_lock_access(key, mode);
-            while !state.compatible(txn, mode) {
-                state.waiters += 1;
-                drop(state);
-                let outcome = feral_hooks::wait(feral_hooks::WaitKind::Lock);
-                state = cell.state.lock();
-                state.waiters -= 1;
-                // each wake-up re-checks the lock table in a new segment
-                note_lock_access(key, mode);
-                if outcome == feral_hooks::WaitOutcome::TimedOut && !state.compatible(txn, mode) {
-                    return Err(DbError::LockTimeout {
-                        lock: key.to_string(),
-                    });
-                }
-            }
-            state.grant(txn, mode);
+        let stripe = self.stripe_of(key);
+        let mut table = stripe.table.lock();
+        let mut state = table.entry(key.clone()).or_default();
+        if state.holds(txn, mode) {
             return Ok(());
         }
-        let deadline = Instant::now() + self.timeout;
+        // Simulated execution has no wall-clock deadline: it hands the
+        // turn back to the scheduler until the lock is free, and a
+        // TimedOut grant means we were elected deadlock victim and must
+        // abort exactly as a timed-out waiter would.
+        let simulated = feral_hooks::active();
+        if simulated {
+            note_lock_access(key, mode);
+        }
+        let mut deadline = None;
         while !state.compatible(txn, mode) {
             state.waiters += 1;
-            let timed_out = cell.cv.wait_until(&mut state, deadline).timed_out();
+            let timed_out = if simulated {
+                drop(table);
+                let outcome = feral_hooks::wait(feral_hooks::WaitKind::Lock);
+                table = stripe.table.lock();
+                // each wake-up re-checks the lock table in a new segment
+                note_lock_access(key, mode);
+                outcome == feral_hooks::WaitOutcome::TimedOut
+            } else {
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+                stripe.cv.wait_until(&mut table, deadline).timed_out()
+            };
+            state = table.get_mut(key).expect("an entry with waiters is kept");
             state.waiters -= 1;
             if timed_out && !state.compatible(txn, mode) {
                 return Err(DbError::LockTimeout {
@@ -203,57 +226,38 @@ impl LockManager {
 
     /// Try to acquire without blocking. Returns `false` if unavailable.
     pub fn try_acquire(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> bool {
-        let mut cell = self.cell(key);
-        let mut state = cell.state.lock();
-        while state.retired {
-            drop(state);
-            cell = self.cell(key);
-            state = cell.state.lock();
-        }
-        if let Some(held) = state.mode_of(txn) {
-            if held == LockMode::Exclusive || mode == LockMode::Shared {
-                return true;
-            }
+        let mut table = self.stripe_of(key).table.lock();
+        let state = table.entry(key.clone()).or_default();
+        if state.holds(txn, mode) {
+            return true;
         }
         if state.compatible(txn, mode) {
             state.grant(txn, mode);
-            true
-        } else {
-            false
+            return true;
         }
+        false
     }
 
     /// Release a single lock held by `txn`.
     pub fn release(&self, txn: TxnId, key: &LockKey) {
-        let cell = {
-            let table = self.table.lock();
-            match table.get(key) {
-                Some(c) => c.clone(),
-                None => return,
-            }
+        let stripe = self.stripe_of(key);
+        let mut table = stripe.table.lock();
+        let Some(state) = table.get_mut(key) else {
+            return;
         };
-        let mut state = cell.state.lock();
-        state.holders.retain(|(t, _)| *t != txn);
-        cell.cv.notify_all();
+        state.remove(txn);
+        if state.waiters > 0 {
+            stripe.cv.notify_all();
+        } else if state.owner.is_none() {
+            // a free key costs nothing
+            table.remove(key);
+        }
+        drop(table);
         if feral_hooks::active() {
             // releases conflict with acquires regardless of held strength
             note_lock_access(key, LockMode::Exclusive);
         }
         feral_hooks::progress();
-        // opportunistic cleanup of idle cells to bound memory on key-heavy
-        // workloads
-        if state.holders.is_empty() && state.waiters == 0 {
-            drop(state);
-            let mut table = self.table.lock();
-            if let Some(c) = table.get(key) {
-                let mut s = c.state.lock();
-                if s.holders.is_empty() && s.waiters == 0 {
-                    s.retired = true;
-                    drop(s);
-                    table.remove(key);
-                }
-            }
-        }
     }
 
     /// Release every lock in `keys` held by `txn` (end of transaction).
@@ -263,9 +267,9 @@ impl LockManager {
         }
     }
 
-    /// Number of lock cells currently materialized (diagnostics/tests).
+    /// Number of keys currently held or waited for (diagnostics/tests).
     pub fn cells(&self) -> usize {
-        self.table.lock().len()
+        self.stripes.iter().map(|s| s.table.lock().len()).sum()
     }
 }
 
@@ -374,8 +378,8 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_conflict() {
         let lm = LockManager::new(Duration::from_millis(20));
-        let k1 = LockKey::Key(IndexId(0), vec![1, 2, 3]);
-        let k2 = LockKey::Key(IndexId(0), vec![1, 2, 4]);
+        let k1 = LockKey::Key(IndexId(0), vec![1, 2, 3].into());
+        let k2 = LockKey::Key(IndexId(0), vec![1, 2, 4].into());
         lm.acquire(1, &k1, LockMode::Exclusive).unwrap();
         lm.acquire(2, &k2, LockMode::Exclusive).unwrap();
     }
@@ -386,7 +390,7 @@ mod tests {
         let keys = vec![
             LockKey::Row(TableId(0), 0),
             LockKey::Row(TableId(0), 1),
-            LockKey::Key(IndexId(3), vec![9]),
+            LockKey::Key(IndexId(3), vec![9].into()),
         ];
         for k in &keys {
             lm.acquire(7, k, LockMode::Exclusive).unwrap();

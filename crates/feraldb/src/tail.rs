@@ -1,6 +1,6 @@
 //! The commit tail: everything a commit still owes once its versions are
 //! installed and the shard latches are gone — durable wait → `publish` →
-//! audit footprint → history prune → lock release → `Stats`/trace — and
+//! audit footprint → lock release → `Stats`/trace — and
 //! the scope that lets a caller take that debt over instead of sleeping
 //! through an fsync.
 //!
@@ -25,7 +25,6 @@ use crate::stats::Stats;
 use crate::txn::CommittedTxn;
 use crate::value::Tuple;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -43,9 +42,8 @@ pub(crate) struct CommitTail {
     pub(crate) wal_seq: u64,
     pub(crate) locks: Vec<LockKey>,
     /// The installed write summary; `None` for a read-only commit, which
-    /// has nothing to wait for, publish or prune.
+    /// has nothing to wait for or publish.
     pub(crate) summary: Option<Arc<CommittedTxn>>,
-    pub(crate) write_shards: BTreeSet<usize>,
     pub(crate) isolation: IsolationLevel,
     pub(crate) snapshot: u64,
     pub(crate) label: Option<&'static str>,
@@ -74,14 +72,11 @@ impl CommitTail {
     /// Finish the commit on the calling thread. `durable`: the record is
     /// in the log and the clock has reached `commit_ts`. Otherwise the
     /// flush failed and the versions stay above a frozen clock. Called
-    /// with no pipeline lock held — it takes lock-manager, shard and
-    /// slice locks.
+    /// with no pipeline lock held — it takes lock-table and
+    /// active-stripe locks.
     pub(crate) fn complete(mut self, db: &Database, durable: bool) {
         if durable {
             self.deliver_audit_footprint(db);
-            if self.summary.is_some() {
-                db.prune_committed(self.write_shards.iter().copied());
-            }
         }
         finish_txn(db, self.txn, self.active_stripe, &self.locks, durable);
     }
@@ -102,10 +97,9 @@ impl CommitTail {
         let writes: Vec<feral_audit::WriteRecord> =
             self.summary.as_ref().map_or_else(Vec::new, |s| {
                 let catalog = db.inner.catalog.read();
-                s.rows
+                s.writes
                     .iter()
-                    .zip(s.images.iter())
-                    .map(|((tid, row), (_, old, new))| feral_audit::WriteRecord {
+                    .map(|(tid, row, old, new)| feral_audit::WriteRecord {
                         table: feral_trace::fnv64(catalog.table(*tid).schema.name.as_bytes()),
                         row: *row as u64,
                         old: old.as_deref().map(audit_image),

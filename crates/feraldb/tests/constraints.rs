@@ -320,6 +320,98 @@ fn fk_cascade_deletes_children() {
     assert_eq!(db.count_rows("departments").unwrap(), 0);
 }
 
+/// CASCADE, SET NULL and RESTRICT find a parent's children through an
+/// index on the referencing column when there is one and by walking the
+/// child table when there is not — and find the same rows either way:
+/// children committed before, moved in, moved out (their old posting
+/// stays until vacuum), deleted, and inserted by the deleting transaction.
+#[test]
+fn fk_actions_reach_the_same_children_with_and_without_a_child_index() {
+    let children_after = |mode: OnDelete, indexed: bool| {
+        let db = fresh_db();
+        users_departments(&db, Some(mode));
+        if indexed {
+            db.create_index("users", &["department_id"], false).unwrap();
+        }
+        insert_department(&db, 1);
+        insert_department(&db, 2);
+        db.txn()
+            .run(|tx| {
+                for (dept, name) in [
+                    (1, "stays"),
+                    (1, "leaves"),
+                    (2, "joins"),
+                    (1, "dies"),
+                    (2, "other"),
+                ] {
+                    tx.insert_pairs(
+                        "users",
+                        &[
+                            ("department_id", Datum::Int(dept)),
+                            ("name", Datum::text(name)),
+                        ],
+                    )?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        db.txn()
+            .run(|tx| {
+                for (name, to) in [("leaves", Some(2)), ("joins", Some(1)), ("dies", None)] {
+                    let (rref, image) = tx.scan("users", &Predicate::eq(2, name))?.remove(0);
+                    match to {
+                        Some(dept) => {
+                            let mut moved = (*image).clone();
+                            moved[1] = Datum::Int(dept);
+                            tx.update("users", rref, moved)?;
+                        }
+                        None => tx.delete("users", rref)?,
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        let before = db.stats().snapshot();
+        let mut tx = db.txn().begin();
+        tx.insert_pairs(
+            "users",
+            &[
+                ("department_id", Datum::Int(1)),
+                ("name", Datum::text("own")),
+            ],
+        )
+        .unwrap();
+        let dept = tx.scan("departments", &Predicate::eq(0, 1i64)).unwrap();
+        let outcome = tx.delete("departments", dept[0].0);
+        let mut left: Vec<(String, Option<i64>)> = tx
+            .scan("users", &Predicate::True)
+            .unwrap()
+            .iter()
+            .map(|(_, t)| (t[2].as_text().unwrap().to_string(), t[1].as_int()))
+            .collect();
+        left.sort();
+        let deletes = db.stats().snapshot().diff(&before).deletes;
+        (outcome.map_err(|e| e.to_string()), left, deletes)
+    };
+    for mode in [OnDelete::Cascade, OnDelete::SetNull, OnDelete::Restrict] {
+        let walked = children_after(mode, false);
+        assert_eq!(children_after(mode, true), walked, "{mode:?}");
+        let names: Vec<&str> = walked.1.iter().map(|(n, _)| n.as_str()).collect();
+        match mode {
+            // stays, joins and the own insert went with the department
+            OnDelete::Cascade => {
+                assert_eq!(names, ["leaves", "other"]);
+                assert_eq!(walked.2, 4);
+            }
+            OnDelete::SetNull => {
+                let orphaned: Vec<_> = walked.1.iter().filter(|(_, d)| d.is_none()).collect();
+                assert_eq!(orphaned.len(), 3, "{:?}", walked.1);
+            }
+            OnDelete::Restrict => assert!(walked.0.unwrap_err().contains("3 dependent")),
+        }
+    }
+}
+
 #[test]
 fn fk_set_null_orphans_become_null_references() {
     let db = fresh_db();

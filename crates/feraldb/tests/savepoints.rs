@@ -139,3 +139,41 @@ fn savepoint_insert_refs_invalidated_after_rollback() {
     // the reference no longer resolves
     assert!(tx.read_ref(db.table_id("t").unwrap(), r).is_none());
 }
+
+/// The pending unique keys are part of the savepoint: a key taken after it
+/// is free again once rolled back, and a key freed after it (its holder
+/// deleted, or moved to another key) is taken again.
+#[test]
+fn rollback_to_restores_which_unique_keys_are_pending() {
+    let db = db();
+    db.create_index("t", &["k"], true).unwrap();
+    let row = |k: &str| [("k", Datum::text(k)), ("v", Datum::Int(0))];
+    let mut tx = db.txn().begin();
+    let a = tx.insert_pairs("t", &row("a")).unwrap();
+    let b = tx.insert_pairs("t", &row("b")).unwrap();
+    let sp = tx.savepoint();
+    tx.insert_pairs("t", &row("c")).unwrap();
+    tx.delete("t", a).unwrap();
+    tx.insert_pairs("t", &row("a")).unwrap();
+    let mut moved = (*tx.read_ref(db.table_id("t").unwrap(), b).unwrap()).clone();
+    moved[1] = Datum::text("d");
+    tx.update("t", b, moved).unwrap();
+    tx.insert_pairs("t", &row("b")).unwrap();
+    assert!(tx.insert_pairs("t", &row("c")).is_err());
+    tx.rollback_to(sp).unwrap();
+    // "c" and "d" are free again; "a" and "b" are back with their holders
+    assert!(tx.insert_pairs("t", &row("a")).is_err());
+    assert!(tx.insert_pairs("t", &row("b")).is_err());
+    tx.insert_pairs("t", &row("c")).unwrap();
+    tx.insert_pairs("t", &row("d")).unwrap();
+    let mut keys: Vec<String> = tx
+        .scan("t", &Predicate::True)
+        .unwrap()
+        .iter()
+        .map(|(_, t)| t[1].as_text().unwrap().to_string())
+        .collect();
+    keys.sort();
+    assert_eq!(keys, ["a", "b", "c", "d"]);
+    tx.commit().unwrap();
+    assert_eq!(db.count_rows("t").unwrap(), 4);
+}

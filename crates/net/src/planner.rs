@@ -59,6 +59,16 @@ pub const TEMPLATES: [&str; 5] = [T_SIGNUP, T_HIRE, T_DISBAND, T_DEPOSIT, T_COMM
 /// signup / hire / disband / deposit / comment draw weights.
 pub const WEIGHTS: [u32; 5] = [3, 3, 1, 2, 7];
 
+/// `(table, column)` of every equality probe the templates issue; each
+/// gets a non-unique index in [`seeded_database`].
+pub const PROBED_COLUMNS: [(&str, &str); 5] = [
+    ("signups", "email"),
+    ("users", "department_id"),
+    ("departments", "did"),
+    ("accounts", "aid"),
+    ("posts", "pid"),
+];
+
 /// The plan the planner configuration runs under: each template at the
 /// level the fixed-point inference assigns its pair slot, with the
 /// insert-only comment template on the read-committed fast path.
@@ -84,11 +94,13 @@ pub fn certified_plan() -> IsolationPlan {
 }
 
 /// Open a database at `audit_mode` with the workload's six tables
-/// created and seeded (departments, posts, zero-balance accounts).
+/// created and seeded (departments, posts, zero-balance accounts), and a
+/// non-unique index on every column a template probes — what a Rails
+/// `add_reference` migration gives an association, and the shape of the
+/// feral uniqueness probe: the index makes the probe cheap, not safe.
 pub fn seeded_database(audit_mode: AuditMode) -> Database {
     let db = Database::open(Config {
         default_isolation: IsolationLevel::Serializable,
-        commit_shards: 8,
         audit_mode,
         ..Config::default()
     })
@@ -116,6 +128,9 @@ pub fn seeded_database(audit_mode: AuditMode) -> Database {
     ];
     for (name, cols) in tables {
         db.create_table(TableSchema::new(name, cols)).unwrap();
+    }
+    for (table, probed) in PROBED_COLUMNS {
+        db.create_index(table, &[probed], false).unwrap();
     }
     db.txn()
         .run(|tx| {
@@ -427,6 +442,10 @@ pub struct RunOutcome {
     pub anomalies: Anomalies,
     /// Runtime DSG auditor snapshot, when the run was audited.
     pub audit: Option<feral_db::AuditSnapshot>,
+    /// Engine counters of the timed phase (seeding and the integrity
+    /// audit excluded): `index_probes == scans` while every template's
+    /// probe is index-backed.
+    pub stats: feral_db::StatsSnapshot,
 }
 
 /// One timed execution of the workload under `plan`: 8 workers each
@@ -437,6 +456,7 @@ pub fn timed_run(plan: &IsolationPlan, ops: usize, seed: u64, audit_mode: AuditM
     let db = seeded_database(audit_mode);
     let state = WorkloadState::new();
     let committed = AtomicU64::new(0);
+    let seeded = db.stats().snapshot();
     let started = std::time::Instant::now();
     std::thread::scope(|s| {
         for w in 0..WORKERS {
@@ -464,6 +484,7 @@ pub fn timed_run(plan: &IsolationPlan, ops: usize, seed: u64, audit_mode: AuditM
     let elapsed = started.elapsed().as_secs_f64();
     let committed = committed.load(Ordering::Relaxed);
     RunOutcome {
+        stats: db.stats().snapshot().diff(&seeded),
         tput: committed as f64 / elapsed,
         committed,
         anomalies: audit(&db, state.acked_deposits.load(Ordering::SeqCst)),

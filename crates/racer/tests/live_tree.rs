@@ -79,32 +79,34 @@ fn extraction_sees_the_commit_pipeline_discipline() {
     );
 }
 
-/// Commit tails are completed — locks released, history pruned, the
-/// auditor fed, the caller's callback run — by the flush leader and by
-/// whoever advances the clock, with neither the group buffer nor the
-/// publish lock held: both stay terminal. The absence only means
-/// something if extraction sees that `complete` takes locks and that the
-/// flush loop and `publish` reach it.
+/// Commit tails are completed — locks released, the auditor fed, the
+/// caller's callback run — by the flush leader and by whoever advances
+/// the clock, with neither the group buffer nor the publish lock held:
+/// both stay terminal. The absence only means something if extraction
+/// sees that `complete` takes locks and that the flush loop and `publish`
+/// reach it. A tail takes no shard latch any more: history is pruned by
+/// the committer, under the latch it already holds.
 #[test]
 fn commit_tails_are_completed_under_no_pipeline_lock() {
     let a = analysis();
     let complete = &a.graph.reaches["CommitTail::complete"];
-    for taken in [
-        "feraldb::LockManager::table",
-        "feraldb::ActiveStripe::txns",
-        "feraldb::CommitPipeline::shards",
-    ] {
+    for taken in ["feraldb::LockStripe::table", "feraldb::ActiveStripe::txns"] {
         assert!(complete.contains(taken), "complete no longer takes {taken}");
     }
+    assert!(
+        !complete.contains("feraldb::CommitPipeline::shards"),
+        "a commit tail re-latches a shard its commit already released"
+    );
     for caller in ["CommitPipeline::lead", "CommitPipeline::publish"] {
         assert!(
-            a.graph.reaches[caller].contains("feraldb::LockManager::table"),
+            a.graph.reaches[caller].contains("feraldb::LockStripe::table"),
             "{caller} no longer reaches CommitTail::complete"
         );
     }
     for terminal in [
         "feraldb::CommitPipeline::group",
         "feraldb::CommitPipeline::publish_lock",
+        "feraldb::LockStripe::table",
     ] {
         assert!(a.decls.terminals.contains(terminal));
         let under: Vec<_> = a

@@ -112,10 +112,12 @@ cargo run --release -q -p feral-plan -- certify \
 echo "== tier1: planner ablation smoke gate (commitbench planner --smoke) =="
 # Gates on its own exit code: every plan cell re-certifies through
 # feral-sim, the planned execution meets all-serializable throughput
-# at 8 workers (paired per-pass median, 5% noise allowance), and both
+# at 8 workers (paired per-pass median, 5% noise allowance), both
 # run with a clean end-of-run integrity audit
 # (the all-read-committed ablation is reported, not gated — its
-# anomalies are the point).
+# anomalies are the point), and the planner configuration reports
+# index_probes >= scans: a template whose probe lost its index walks a
+# table, and the workload would measure the walk again, not coordination.
 PLANNER_OUT=$(mktemp /tmp/BENCH_planner.XXXXXX.json)
 cargo run --release -q -p feral-bench --bin commitbench -- planner --smoke --out "$PLANNER_OUT" > /dev/null
 rm -f "$PLANNER_OUT"
