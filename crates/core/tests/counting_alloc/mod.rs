@@ -1,6 +1,7 @@
 //! A `GlobalAlloc` wrapper that counts the calling thread's allocations:
 //! the unit the cost pins of `request_cost.rs` and of feral-net's
-//! `planner_templates.rs` (which includes this file by path) are stated in.
+//! `planner_templates.rs` and `inline_cost.rs` (which include this file
+//! by path) are stated in.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,9 +40,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far: what a probe running
+/// on a thread it does not own (a server's worker) reads twice.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
 /// Allocations this thread makes while running `f`.
 pub fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    allocations() - before
 }

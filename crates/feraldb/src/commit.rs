@@ -52,13 +52,21 @@
 //!   hands every parked tail a flush covered to a non-blocking `publish`
 //!   — the tail is completed, and its caller's callback run, by whoever
 //!   advances the clock over its timestamp. So one fsync covers every
-//!   commit in flight however few threads there are.
+//!   commit in flight however few threads there are. A tail parked with
+//!   no flush in flight makes its parker the leader, and the parker may
+//!   **decline**: `park` claims `flushing` under the buffer mutex and
+//!   returns the flush loop still to run as a
+//!   [`FlushLead`](crate::FlushLead), which the caller runs on the
+//!   thread it would rather have sleep in the fsync — or drops, which
+//!   runs it on the spot.
 //! * **No orphans**: a stamped record always has someone who will flush
 //!   it — its own committer until it sleeps in `wait_durable` or parks its
 //!   tail, the leader from then on. The leader leaves only under the
-//!   buffer mutex and only when no parked tail remains (see `lead`).
-//!   Tails are completed with neither the buffer mutex nor the publish
-//!   lock held; both stay terminal.
+//!   buffer mutex and only when no parked tail remains (see `lead`); a
+//!   lead not yet run is a leader all the same — `flushing` is set, so
+//!   nobody else will lead, and the `FlushLead` cannot be discarded
+//!   without running. Tails are completed with neither the buffer mutex
+//!   nor the publish lock held; both stay terminal.
 //! * A failed flush **poisons** the log (`broken`) and **freezes the
 //!   clock** at the last durable timestamp: the file may end in torn
 //!   bytes and recovery stops at the first tear, so acknowledging any
@@ -82,7 +90,7 @@ use crate::error::{DbError, DbResult};
 use crate::lock::TxnId;
 use crate::schema::TableId;
 use crate::stats::Stats;
-use crate::tail::ParkedTail;
+use crate::tail::{FlushLead, ParkedTail};
 use crate::txn::CommittedTxn;
 use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -437,36 +445,34 @@ impl CommitPipeline {
     /// Hand a deferred commit's tail to the flush: nobody sleeps for it.
     /// Already durable → published (and completed) at once; log poisoned →
     /// completed with the error at once; otherwise it joins `parked`, and
-    /// the leader — this thread, if no flush is in flight — will complete
-    /// it from the flush that covers it.
-    pub(crate) fn park(
-        &self,
-        writer: &Mutex<WalWriter>,
-        stats: &Stats,
-        clock: &AtomicU64,
-        parked: Box<ParkedTail>,
-    ) {
+    /// the leader will complete it from the flush that covers it. With no
+    /// flush in flight the caller *is* the leader: `flushing` is claimed
+    /// here, under the group mutex, and the claim comes back as a
+    /// [`FlushLead`] — the flush loop still to run, on this thread or on
+    /// one the caller would rather have sleep in the fsync.
+    pub(crate) fn park(&self, clock: &AtomicU64, parked: Box<ParkedTail>) -> Option<FlushLead> {
         let mut g = self.group.lock();
         if g.durable_seq >= parked.tail.wal_seq {
             drop(g);
-            return self.publish(clock, parked.tail.commit_ts, Some(parked));
+            self.publish(clock, parked.tail.commit_ts, Some(parked));
+            return None;
         }
         if let Err(e) = g.broken.clone() {
             drop(g);
-            return parked.complete(Err(e));
+            parked.complete(Err(e));
+            return None;
         }
+        let lead = (!g.flushing).then(|| FlushLead::claimed(parked.db.clone()));
+        g.flushing = true;
         // registration order is not sequence order across threads
         let seq = parked.tail.wal_seq;
         let at = g.parked.partition_point(|p| p.tail.wal_seq < seq);
         g.parked.insert(at, parked);
-        if !g.flushing {
-            g.flushing = true;
-            drop(g);
-            self.lead(writer, stats, clock, None);
-        }
+        lead
     }
 
-    /// The one flush loop. The caller found no flush in flight and the
+    /// The one flush loop. The caller — or the parker whose
+    /// [`FlushLead`] this thread runs — found no flush in flight and the
     /// log unbroken, and claimed `flushing` under the group mutex; it
     /// stays set until this thread leaves, so there is one leader at a
     /// time. Each turn writes up to `max_batch` records with one flush
@@ -483,7 +489,13 @@ impl CommitPipeline {
     /// ever left behind `flushing == false` — the no-orphan invariant.
     /// A failed flush poisons the log and completes every parked tail
     /// with the error: none of them can become durable any more.
-    fn lead(&self, writer: &Mutex<WalWriter>, stats: &Stats, clock: &AtomicU64, own: Option<u64>) {
+    pub(crate) fn lead(
+        &self,
+        writer: &Mutex<WalWriter>,
+        stats: &Stats,
+        clock: &AtomicU64,
+        own: Option<u64>,
+    ) {
         let mut g = self.group.lock();
         let concurrency_hint = g.last_take.max(g.buf.len());
         if self.max_wait > Duration::ZERO && !feral_hooks::active() && concurrency_hint > 1 {

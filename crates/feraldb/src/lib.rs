@@ -69,7 +69,7 @@ pub use lock::{LockKey, LockMode};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColumnDef, ForeignKey, IndexDef, OnDelete, TableId, TableSchema};
 pub use stats::{thread_slot, Stats, StatsSnapshot, StatsStripe};
-pub use tail::{defer_durable, PendingCommit};
+pub use tail::{defer_durable, FlushLead, PendingCommit};
 pub use txn::{RowRef, Savepoint, Transaction};
 pub use value::{DataType, Datum, Tuple};
 pub use wal::{WalRecord, WalWrite};

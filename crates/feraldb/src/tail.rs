@@ -13,6 +13,9 @@
 //! and the [`PendingCommit`] the scope yields is given a callback that
 //! the flush completion runs — on whichever thread advances the clock
 //! over the commit — or is `wait`ed, which is the synchronous path again.
+//! Giving the callback may make the caller the flush leader; that duty
+//! comes back as a [`FlushLead`], to run where sleeping in an fsync hurts
+//! nobody.
 //!
 //! The scope is ambient (thread-local) because the code between the
 //! caller and the commit is opaque to it: a `Service::call` wrapped by
@@ -180,7 +183,7 @@ pub(crate) fn finish_txn(
 /// A tail nobody sleeps for: parked in the group buffer (and then in the
 /// publish map) until a flush covers it, completed by whoever gets there.
 pub(crate) struct ParkedTail {
-    db: Database,
+    pub(crate) db: Database,
     pub(crate) tail: CommitTail,
     /// What [`PendingCommit::on_complete`] was given; runs last.
     notify: Box<dyn FnOnce(DbResult<()>) + Send>,
@@ -223,23 +226,27 @@ impl PendingCommit {
     /// failed (nothing it wrote is or will be visible). `f` runs on
     /// whichever thread completes the flush — possibly this one, before
     /// `on_complete` returns — and must not block. No thread sleeps for
-    /// the commit: the caller joins the flush in flight, or leads one.
-    pub fn on_complete(mut self, f: impl FnOnce(DbResult<()>) + Send + 'static) {
+    /// the commit: it joins the flush in flight, or — when there is none
+    /// — the caller becomes the leader and is handed the [`FlushLead`].
+    /// Ignoring the return value leads the flush here and now.
+    pub fn on_complete(
+        mut self,
+        f: impl FnOnce(DbResult<()>) + Send + 'static,
+    ) -> Option<FlushLead> {
         match self.take() {
             Pending::Parked(db, tail) => {
                 let inner = db.inner.clone();
-                let wal = inner
-                    .wal
-                    .as_ref()
-                    .expect("only logged commits are deferred");
                 let parked = Box::new(ParkedTail {
                     db,
                     tail,
                     notify: Box::new(f),
                 });
-                inner.pipeline.park(wal, &inner.stats, &inner.clock, parked);
+                inner.pipeline.park(&inner.clock, parked)
             }
-            Pending::Failed(e) => f(Err(e)),
+            Pending::Failed(e) => {
+                f(Err(e));
+                None
+            }
             Pending::Taken => unreachable!("a PendingCommit is consumed once"),
         }
     }
@@ -260,6 +267,42 @@ impl Drop for PendingCommit {
             // the locks must go; nobody is left to hear the outcome
             let _ = tail.settle(&db);
         }
+    }
+}
+
+/// The group-commit flush loop, owed: the commit that yielded it found no
+/// flush in flight, so the flush-in-flight claim is already made in its
+/// name and every commit parked from now on counts on this lead being
+/// run. [`run`](FlushLead::run) it on the thread that may sleep in the
+/// fsync; dropping it runs it too, so a lead cannot be lost — only
+/// `mem::forget` would orphan the parked commits. At most one exists per
+/// database at a time.
+pub struct FlushLead {
+    db: Database,
+}
+
+impl FlushLead {
+    /// The caller has just set `flushing` under the group mutex.
+    pub(crate) fn claimed(db: Database) -> FlushLead {
+        FlushLead { db }
+    }
+
+    /// Lead the flush on this thread: write batch after batch and complete
+    /// every parked commit each covers, until the log buffer is empty.
+    /// (The loop lives in `Drop`: it runs exactly once either way.)
+    pub fn run(self) {
+        drop(self);
+    }
+}
+
+impl Drop for FlushLead {
+    fn drop(&mut self) {
+        let inner = &self.db.inner;
+        let wal = inner
+            .wal
+            .as_ref()
+            .expect("only logged commits are deferred");
+        inner.pipeline.lead(wal, &inner.stats, &inner.clock, None);
     }
 }
 

@@ -9,11 +9,14 @@
 //! `feral_db::defer_durable` a commit hands its tail (durable wait →
 //! publish → lock release) to the flush instead of sleeping through it:
 //! one thread can fill a whole batch, the leader never leaves a parked
-//! tail behind, and code inside the scope still sees its own commits.
+//! tail behind, and code inside the scope still sees its own commits. A
+//! parker that finds no flush in flight is the leader, and may decline:
+//! the flush loop comes back as a `FlushLead`, to run on another thread
+//! or to drop — which runs it too, so no tail can be orphaned by it.
 
 use feral_db::{
-    defer_durable, ColumnDef, Config, DataType, Database, Datum, DbResult, IsolationLevel,
-    PendingCommit, Predicate, TableSchema, WalRecord, WalWrite,
+    defer_durable, ColumnDef, Config, DataType, Database, Datum, DbResult, FlushLead,
+    IsolationLevel, PendingCommit, Predicate, TableSchema, WalRecord, WalWrite,
 };
 use std::sync::{Arc, Mutex};
 
@@ -72,13 +75,14 @@ fn in_a_copy_of_the_log(path: &std::path::Path) -> Vec<i64> {
 
 /// Acknowledge `pending` into `fired` — after checking, at the instant
 /// the callback runs, that the row is visible and in a copy of the log.
+/// A caller that lets the returned lead fall leads the flush on the spot.
 fn ack_into(
     pending: PendingCommit,
     n: i64,
     db: &Database,
     path: &std::path::Path,
     fired: &Arc<Mutex<Vec<i64>>>,
-) {
+) -> Option<FlushLead> {
     let (db, path, fired) = (db.clone(), path.to_path_buf(), fired.clone());
     pending.on_complete(move |durable| {
         durable.unwrap();
@@ -86,7 +90,7 @@ fn ack_into(
         assert_eq!(values(&mut tx, &Predicate::eq(1, n)), vec![n], "visible");
         assert!(in_a_copy_of_the_log(&path).contains(&n), "{n} is logged");
         fired.lock().unwrap().push(n);
-    });
+    })
 }
 
 /// `n` of every row of `items` matching `pred`, in heap order.
@@ -414,6 +418,95 @@ fn the_leader_drains_what_nobody_else_will_flush() {
     let mut logged = in_a_copy_of_the_log(&path);
     logged.sort_unstable();
     assert_eq!(logged, vec![0, 1, 2, 3, 4, 5, 100, 101]);
+}
+
+/// A parker may decline the lead. The first deferred commit to find no
+/// flush in flight gets the flush loop back as a `FlushLead`; while the
+/// lead is held nothing is flushed and nobody else leads — later parkers
+/// join it and are handed nothing — and merely *dropping* it flushes the
+/// log and completes every parked tail, so a lead cannot be lost. (A
+/// `Drop` that does not lead fails here, not by hanging: only deferred
+/// commits wait on this lead.)
+#[test]
+fn a_declined_lead_that_is_dropped_still_flushes_every_parked_tail() {
+    const N: i64 = 4;
+    let path = wal_path("declined-lead");
+    let db = open(&path);
+    items_table(&db);
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let before = db.stats().snapshot();
+    let lead = ack_into(insert_deferred(&db, 0), 0, &db, &path, &fired)
+        .expect("no flush in flight: the parker is handed the lead");
+    assert!(db.wal_flush_in_flight(), "the claim is made at hand-over");
+    for n in 1..N {
+        let joined = ack_into(insert_deferred(&db, n), n, &db, &path, &fired);
+        assert!(joined.is_none(), "one lead at a time");
+    }
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!((d.wal_appends, d.wal_flushes, d.commits), (N as u64, 0, 0));
+    assert!(fired.lock().unwrap().is_empty());
+    drop(lead);
+    assert_eq!(*fired.lock().unwrap(), (0..N).collect::<Vec<_>>());
+    let d = db.stats().snapshot().diff(&before);
+    assert_eq!((d.wal_flushes, d.commits), (1, N as u64));
+    assert!(!db.wal_flush_in_flight());
+    // the next parker leads again
+    assert!(ack_into(insert_deferred(&db, N), N, &db, &path, &fired).is_some());
+    assert_eq!(fired.lock().unwrap().len() as i64, N + 1);
+}
+
+/// No tail is left behind `flushing == false` when the leads are run by
+/// a thread that parks nothing. Four threads park deferred commits as
+/// fast as they can and pass every lead they are handed to one runner;
+/// whenever the runner is between leads, a parker finds no flush in
+/// flight and is handed the next. Once the parkers are done and the
+/// runner has run what it was given, every callback has fired — with no
+/// further commit to rescue a stranded tail — and no flush is in flight.
+#[test]
+fn no_tail_is_left_behind_when_leads_run_on_a_thread_that_parks_nothing() {
+    const THREADS: i64 = 4;
+    const EACH: i64 = 300;
+    let path = wal_path("leads-elsewhere");
+    let db = open_with(
+        &path,
+        Config {
+            wal_sync: false,
+            ..Config::default()
+        },
+    );
+    items_table(&db);
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let (leads, handed) = std::sync::mpsc::channel::<FlushLead>();
+    let ran = std::thread::scope(|s| {
+        let runner = s.spawn(move || handed.into_iter().map(FlushLead::run).count());
+        let parkers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (db, fired, leads) = (&db, fired.clone(), leads.clone());
+                s.spawn(move || {
+                    for n in t * EACH..(t + 1) * EACH {
+                        let fired = fired.clone();
+                        let lead = insert_deferred(db, n).on_complete(move |durable| {
+                            durable.unwrap();
+                            fired.lock().unwrap().push(n);
+                        });
+                        if let Some(lead) = lead {
+                            leads.send(lead).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        parkers.into_iter().for_each(|p| p.join().unwrap());
+        drop(leads);
+        runner.join().unwrap()
+    });
+    assert!(ran > 0, "some parker found no flush in flight");
+    assert!(!db.wal_flush_in_flight());
+    let mut fired = fired.lock().unwrap().clone();
+    fired.sort_unstable();
+    assert_eq!(fired, (0..THREADS * EACH).collect::<Vec<_>>());
+    let d = db.stats().snapshot();
+    assert_eq!(d.wal_flushes, d.group_commit_batches);
 }
 
 /// The active-snapshot registry is striped by the *beginning* thread, and

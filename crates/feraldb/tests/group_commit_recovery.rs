@@ -138,6 +138,73 @@ fn item(tx: &mut Transaction, n: i64) -> RowRef {
     tx.scan("items", &Predicate::eq(1, n)).unwrap().remove(0).0
 }
 
+/// A declined lead (`FlushLead`) run on a thread that parked nothing,
+/// whose flush fails. The leader is answerable for every tail parked
+/// behind its claim whoever parked it: each callback hears the poison
+/// error exactly once — from the runner's thread — a synchronous
+/// committer asleep behind the claim wakes with it too, no flush is left
+/// in flight, and nothing of the failed batch is visible or recovered.
+#[test]
+fn a_lead_run_elsewhere_completes_every_tail_once_when_the_flush_fails() {
+    const PARKED: i64 = 3;
+    let path = wal_path("lead-elsewhere-fails");
+    let db = Database::open(config(&path)).unwrap();
+    db.create_table(items_schema()).unwrap();
+    insert_one(&db, 1).unwrap();
+    type Acks = Mutex<Vec<(i64, std::thread::ThreadId, DbResult<()>)>>;
+    let acks: Arc<Acks> = Arc::default();
+    db.set_wal_fail_after(Some(5));
+    let before = db.stats().snapshot();
+    let mut lead = None;
+    for n in 10..10 + PARKED {
+        let (committed, pending) = defer_durable(|| insert_one(&db, n));
+        committed.unwrap();
+        let acks = acks.clone();
+        let handed = pending.expect("deferred").on_complete(move |durable| {
+            let on = std::thread::current().id();
+            acks.lock().unwrap().push((n, on, durable));
+        });
+        assert_eq!(handed.is_some(), n == 10, "the first parker, and only it");
+        lead = lead.or(handed);
+    }
+    let (runner, sleeper) = std::thread::scope(|s| {
+        let sleeper = s.spawn(|| insert_one(&db, 20));
+        assert!(eventually(|| {
+            db.stats().snapshot().diff(&before).wal_appends == PARKED as u64 + 1
+        }));
+        assert!(acks.lock().unwrap().is_empty() && db.wal_flush_in_flight());
+        let lead = lead.take().unwrap();
+        let runner = s
+            .spawn(move || {
+                lead.run();
+                std::thread::current().id()
+            })
+            .join()
+            .unwrap();
+        (runner, sleeper.join().unwrap())
+    });
+    let err = sleeper.unwrap_err().to_string();
+    assert!(
+        err.contains("torn write") || err.contains("poisoned"),
+        "{err}"
+    );
+    assert!(!db.wal_flush_in_flight());
+    let acks = acks.lock().unwrap();
+    let heard: Vec<i64> = acks.iter().map(|(n, ..)| *n).collect();
+    assert_eq!(heard, (10..10 + PARKED).collect::<Vec<_>>(), "once each");
+    for (n, on, durable) in acks.iter() {
+        assert_eq!(*on, runner, "{n} was completed by the thread that led");
+        let err = durable.clone().unwrap_err().to_string();
+        assert!(err.contains("poisoned"), "{n} got: {err}");
+    }
+    assert_eq!(db.stats().snapshot().diff(&before).commits, 0);
+    assert_eq!(visible_values(&db), vec![1]);
+    let err = insert_one(&db, 99).unwrap_err().to_string();
+    assert!(err.contains("poisoned"), "got: {err}");
+    drop(db);
+    assert_eq!(recovered_values(&path), vec![1]);
+}
+
 /// A failed flush poisons the log and freezes the clock, here with
 /// several committers on ONE table parked on the flush that fails. They
 /// install their versions and drop the table's latch before the flush,

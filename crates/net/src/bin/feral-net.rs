@@ -1,7 +1,7 @@
 //! feral-net — the wire frontend and its open-loop load harness.
 //!
 //! ```text
-//! feral-net serve [--addr A] [--loops N] [--executors P] ...   # run a server
+//! feral-net serve [--addr A] [--executors P] [--queue Q] ...   # run a server
 //! feral-net loadbench [--smoke|--full] [--out PATH] ...        # BENCH_load.json
 //! ```
 
@@ -22,13 +22,12 @@ fn help() -> String {
     render_help(
         TOOL,
         "binary wire protocol server + open-loop load harness over the planner workload",
-        "  feral-net serve [--addr HOST:PORT] [--loops N] [--executors P] [--queue Q] [--inflight K]\n\
+        "  feral-net serve [--addr HOST:PORT] [--executors P] [--queue Q] [--inflight K]\n\
          \x20 feral-net loadbench [--smoke|--full] [--requests N] [--rate R] [--conns C] [--think-us T]\n",
         "  --addr HOST:PORT  bind address for serve (default 127.0.0.1:0, printed once bound)\n\
-         \x20 --loops N         event loops (default 2)\n\
-         \x20 --executors P     executor pool size (default 4)\n\
-         \x20 --queue Q         dispatch-queue bound (default 1024)\n\
-         \x20 --inflight K      per-connection in-flight bound (default 64)\n\
+         \x20 --executors P     workers: each owns its sockets and runs its requests (default 4)\n\
+         \x20 --queue Q         bound on replies parked on a WAL flush, server-wide (default 1024)\n\
+         \x20 --inflight K      per-connection bound on replies not yet written (default 64)\n\
          \x20 --requests N      loadbench requests per grid cell (default 400 smoke / 20000 full)\n\
          \x20 --rate R          loadbench target arrival rate, req/s per cell (default 4000)\n\
          \x20 --conns C         loadbench client connections per cell (default 4)\n\
@@ -58,7 +57,6 @@ fn make_template_request(session: u64, key: u64) -> Request {
 fn serve(args: &Args) -> ExitCode {
     let config = ServerConfig {
         addr: args.get_str("addr").unwrap_or("127.0.0.1:0").to_string(),
-        event_loops: args.get_usize("loops", 2),
         executors: args.get_usize("executors", 4),
         max_conns: args.get_usize("max-conns", 1024),
         queue: args.get_usize("queue", 1024),
@@ -95,7 +93,6 @@ fn run_grid_cell(workers: usize, dist: Dist, knobs: &BenchKnobs) -> std::io::Res
     let server = Server::start(
         service,
         ServerConfig {
-            event_loops: workers.min(2),
             executors: workers,
             queue: knobs.queue,
             inflight: knobs.inflight,
@@ -135,7 +132,6 @@ fn run_ablation(
     let server = Server::start(
         service.clone(),
         ServerConfig {
-            event_loops: 2,
             executors: 4,
             queue: knobs.queue,
             inflight: knobs.inflight,

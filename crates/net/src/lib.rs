@@ -12,11 +12,12 @@
 //! - [`reactor`] — a hand-rolled edge-of-kernel poller (epoll on Linux,
 //!   `poll(2)` elsewhere) plus a pipe-based [`reactor::Waker`]; no
 //!   external async runtime.
-//! - [`server`] — per-worker event loops behind a bounded accept gate,
-//!   with two explicit backpressure layers (a bounded global dispatch
-//!   queue and a per-connection in-flight cap) that shed load with a
-//!   retryable [`Response::Overloaded`] instead of queueing without
-//!   bound.
+//! - [`server`] — one pool of workers behind a bounded accept gate, each
+//!   owning its sockets and running the requests it reads where it read
+//!   them, with two explicit backpressure layers (a server-wide bound on
+//!   replies parked on a WAL flush and a per-connection cap on replies
+//!   not yet written) that shed load with a retryable
+//!   [`Response::Overloaded`] instead of queueing without bound.
 //! - [`client`] — a blocking pooled [`client::NetClient`] that itself
 //!   implements [`Service`], and a [`client::call_with_retry`] helper.
 //! - [`load`] — an open-loop load generator (pre-drawn exponential
@@ -41,7 +42,6 @@
 pub mod client;
 pub mod load;
 pub mod planner;
-pub mod queue;
 pub mod reactor;
 pub mod report;
 pub mod server;

@@ -1,16 +1,16 @@
 //! A minimal readiness reactor — the mio-sized subset feral-net needs,
 //! hand-rolled so vendor/ stays free of async runtimes.
 //!
-//! One [`Poller`] belongs to exactly one event-loop thread (`&mut self`
+//! One [`Poller`] belongs to exactly one worker thread (`&mut self`
 //! everywhere, no shared state, no locks). On Linux it is a thin wrapper
 //! over `epoll` in level-triggered mode; elsewhere on Unix it falls back
 //! to `poll(2)` over the registered set. Level-triggered readiness keeps
 //! the event-loop logic simple: a socket with unread bytes or pending
 //! output keeps reporting ready, so no readiness transition can be lost.
 //!
-//! Cross-thread wakeups are *not* the poller's job: the event loop pairs
-//! it with a [`Waker`] (a nonblocking `UnixStream` pair whose read end
-//! is registered like any other connection), so executor completions and
+//! Cross-thread wakeups are *not* the poller's job: the worker pairs it
+//! with a [`Waker`] (a nonblocking `UnixStream` pair whose read end is
+//! registered like any other connection), so flush completions and
 //! new-connection handoffs interrupt `wait` by writing one byte.
 
 use std::io;

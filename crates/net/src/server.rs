@@ -1,48 +1,64 @@
-//! The networked frontend: accept thread → per-worker event loops →
-//! bounded executor pool → any [`Service`].
+//! The networked frontend: an accept thread and one pool of workers,
+//! each of which owns its sockets and runs the requests it reads, in
+//! front of any [`Service`].
 //!
 //! ## Thread model
 //!
 //! * **1 accept thread** — blocking `accept`, admission-bounded: past
 //!   `max_conns` live connections it refuses (closes) new sockets
 //!   instead of queueing them. Admitted connections are handed
-//!   round-robin to the event loops.
-//! * **N event loops** — each owns a [`Poller`](crate::reactor::Poller)
-//!   and its connections outright (no shared connection state, no
-//!   locks). Loops read frames, decode requests, enforce backpressure,
-//!   and write completed responses. A loop never runs application code.
-//! * **P executors** — pull decoded requests off one global *bounded*
-//!   dispatch queue and run [`Service::call`]; `P` plays the role of the
-//!   database connection pool. Completions are routed back to the
-//!   owning loop through its inbox.
+//!   round-robin to the workers.
+//! * **P workers** (`feral-net-worker-N`, `P` = `executors`) — the
+//!   paper's pool of single-threaded application servers that share
+//!   nothing but the database. A worker owns a [`Poller`] and its
+//!   connections outright (no shared connection state, no locks). It
+//!   reads a socket, decodes each request and runs [`Service::call`] **on
+//!   the spot**, encodes the reply straight into the connection's output
+//!   buffer, and writes each touched connection once, at the end of the
+//!   turn. A request never changes threads, so a reply that waits for
+//!   nothing costs no lock, no `futex` and no waker byte.
+//! * **1 flusher** (`feral-net-flush`) — the only thread that sleeps in
+//!   an fsync (below).
 //!
-//! ## A hand-off costs one system call per batch, not per request
+//! ## Replies leave from the flush completion
 //!
-//! Every thread boundary a request crosses is paid once per *loop turn*:
+//! A worker never sleeps through an fsync. It runs `Service::call`
+//! inside [`feral_db::defer_durable`], so a durable commit made anywhere
+//! below — behind someone else's `Service` decorator, inside the ORM —
+//! comes back as a [`feral_db::PendingCommit`] instead of blocking. The
+//! worker encodes the reply and hands it to that commit's callback: the
+//! frame is sent when the group-commit flush covering the record
+//! completes (ack ⇒ durable and visible), or replaced by an `Error`
+//! frame if the flush fails. Parking a commit when no flush is in flight
+//! makes the parker the flush leader; the worker declines — the engine
+//! hands the duty back as a [`feral_db::FlushLead`], and the worker
+//! passes it to the flusher through a one-slot hand-off (a database has
+//! at most one lead at a time) **the moment it is returned**: a later
+//! request of the same read may wait on a row lock the parked commit
+//! holds until its flush completes, so a lead kept to the end of the
+//! read would be waited for by the thread that holds it. The flusher
+//! writes batch after batch while the workers keep executing, so one
+//! fsync covers every request that committed during the previous one. A
+//! request with no durable commit (reads, WAL off) completes at once.
 //!
-//! * **Loop → executors.** One socket read is decoded to the end and
-//!   its requests are pushed with one
-//!   [`try_push_many`](crate::queue::BoundedQueue::try_push_many): one
-//!   lock acquisition, and a `futex` wake only for an executor the queue
-//!   counted asleep.
-//! * **Executors (and flush completions) → loop.** Each loop has one
-//!   inbox — a mutex over the completions and handed-over sockets
-//!   waiting for it — and one `wake_pending` flag. A sender pushes under
-//!   the inbox lock, then swaps the flag to `true` and writes the waker
-//!   byte only if it was `false`: the first completion after the loop
-//!   last looked pays the `write`, the rest of the batch — the fourteen
-//!   tails one fsync completes, say — pay an uncontended lock each.
-//! * **Loop → sockets.** A turn appends every reply it has to its
-//!   connection's output buffer and writes each touched connection once,
-//!   at the end of the turn.
+//! ## The one cross-thread path
 //!
-//! The loop's side of the inbox protocol is ordered *drain the waker,
+//! Flush completions (and sockets from the accept thread) reach a worker
+//! through its inbox — a mutex over the completions and handed-over
+//! sockets waiting for it — and one `wake_pending` flag. A sender pushes
+//! under the inbox lock, then swaps the flag to `true` and writes the
+//! waker byte only if it was `false`: the first completion after the
+//! worker last looked pays the `write`, the rest of the batch — the
+//! fourteen tails one fsync completes, say — pay an uncontended lock
+//! each.
+//!
+//! The worker's side of the inbox protocol is ordered *drain the waker,
 //! clear the flag, then take the inbox*. Take a completion pushed at any
 //! moment. If its sender found the flag `false`, it wrote a byte after
 //! the drain that preceded the clear, so the next `wait` returns at once.
 //! If it found the flag `true`, its push — which came before its swap —
-//! is ordered before the loop's next clear by the flag's modification
-//! order, and the loop takes the inbox lock only after that clear, so
+//! is ordered before the worker's next clear by the flag's modification
+//! order, and the worker takes the inbox lock only after that clear, so
 //! the take sees the push. (Clearing *after* the take would let a push
 //! land between the two, find `true`, write nothing, and wait for the
 //! 100 ms poll timeout; `tests/coalescing.rs` fails on that mutation.)
@@ -52,50 +68,41 @@
 //! [`ServerMetrics`] reports the budget as counts: `reply_writes`,
 //! `wakes` and `socket_reads`, to be read against `served`.
 //!
-//! ## Replies leave from the flush completion
-//!
-//! An executor never sleeps through an fsync. It runs `Service::call`
-//! inside [`feral_db::defer_durable`], so a durable commit made anywhere
-//! below — behind someone else's `Service` decorator, inside the ORM —
-//! comes back as a [`feral_db::PendingCommit`] instead of blocking. The
-//! executor encodes the reply and hands it to that commit's callback:
-//! the frame is sent when the group-commit flush covering the record
-//! completes (ack ⇒ durable and visible), or replaced by an `Error`
-//! frame if the flush fails. Under load one executor ends up leading the
-//! flush loop while the others keep executing, so one fsync covers every
-//! request that committed during the previous one, however few
-//! executors there are. A request with no durable commit (reads, WAL
-//! off) completes at once, as before. A parked reply still counts
-//! against its connection's `inflight` until it is written, so the
-//! backpressure bounds below also bound parked replies.
-//!
 //! ## Backpressure rules (the overload contract)
 //!
 //! 1. **Bounded accept** — more than `max_conns` live connections:
 //!    refused at the door, counted in `refused_conns`.
-//! 2. **Per-connection request queue** — more than `inflight` requests
-//!    outstanding on one connection: answered [`Response::Overloaded`]
-//!    immediately, counted in `shed_inflight`.
-//! 3. **Bounded dispatch queue** — `queue` decoded requests waiting for
-//!    an executor: the requests of a read that do not fit are answered
-//!    [`Response::Overloaded`] immediately, counted in `shed_queue`.
+//! 2. **Per-connection replies owed** — `inflight` replies of one
+//!    connection not yet written to its socket (parked on a flush, or
+//!    buffered behind a client that does not read): the next request is
+//!    answered [`Response::Overloaded`] without running, counted in
+//!    `shed_inflight`.
+//! 3. **Bounded parking** — `queue` replies parked on a flush across the
+//!    whole server (a request decoded and not yet answered is, now,
+//!    exactly that): the next request is answered
+//!    [`Response::Overloaded`] without running, counted in `shed_queue`.
+//!    Workers check the count without a lock, so it can overshoot by one
+//!    request per worker.
 //!
-//! Load-shed responses are generated by the event loop itself — no
-//! application code, no database work, nothing to undo — which is what
-//! makes [`Response::Overloaded`] unconditionally safe to retry.
-//! Requests in flight when a connection dies still execute (the
-//! database may commit), but their replies are discarded and counted in
-//! `dropped_replies`: exactly the paper's dubious-ack window, observable
-//! instead of silent. The count stays exact through shutdown: a reply
-//! still in a loop's inbox when the loop exits, or sent after, is a
-//! dropped reply.
+//! Load-shed responses are generated before any application code runs —
+//! no database work, nothing to undo — which is what makes
+//! [`Response::Overloaded`] unconditionally safe to retry. What the
+//! rules do not bound is a slow [`Service::call`]: it stalls every
+//! connection of the worker that runs it, and no other — exactly what a
+//! slow request does to a Unicorn worker.
+//!
+//! A parked reply whose connection died before its flush completed is
+//! discarded and counted in `dropped_replies` (the commit stands):
+//! exactly the paper's dubious-ack window, observable instead of silent.
+//! The count stays exact through shutdown: a reply still in a worker's
+//! inbox when the worker exits, or sent after, is a dropped reply.
 
-use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{Event, Poller, WakeHandle, Waker};
 use crate::wire;
+use feral_db::{FlushLead, PendingCommit};
 use feral_orm::OrmError;
 use feral_server::{Response, Service};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,7 +111,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Poller token reserved for the loop's waker.
+/// Poller token reserved for the worker's waker.
 const WAKER_TOKEN: u64 = 0;
 
 /// Most bytes one socket read takes. A read that fills it is followed by
@@ -117,17 +124,16 @@ const READ_CHUNK: usize = 16 * 1024;
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Event-loop (worker) count.
-    pub event_loops: usize,
-    /// Executor pool size. Bounds concurrent `Service::call`s — not commits
-    /// awaiting a flush: those are parked on the flush, not on an executor.
+    /// Worker count: the threads that own sockets and run
+    /// `Service::call`, so also the bound on concurrent calls — not on
+    /// commits awaiting a flush: those are parked on the flush, not on a
+    /// worker.
     pub executors: usize,
     /// Live-connection admission bound.
     pub max_conns: usize,
-    /// Global dispatch-queue bound (decoded requests awaiting an
-    /// executor).
+    /// Server-wide bound on replies parked on a flush.
     pub queue: usize,
-    /// Per-connection in-flight request bound.
+    /// Per-connection bound on replies not yet written.
     pub inflight: usize,
 }
 
@@ -135,7 +141,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            event_loops: 2,
             executors: 4,
             max_conns: 1024,
             queue: 1024,
@@ -152,20 +157,20 @@ pub struct ServerMetrics {
     pub accepted: AtomicU64,
     /// Connections refused at the admission bound.
     pub refused_conns: AtomicU64,
-    /// Responses written back (includes sheds). Added once per loop
+    /// Responses written back (includes sheds). Added once per worker
     /// turn, before the turn's replies are written.
     pub served: AtomicU64,
-    /// Requests shed at the dispatch-queue bound.
+    /// Requests shed at the server-wide parked-reply bound.
     pub shed_queue: AtomicU64,
-    /// Requests shed at the per-connection in-flight bound.
+    /// Requests shed at the per-connection unwritten-reply bound.
     pub shed_inflight: AtomicU64,
-    /// Completions whose connection died before the reply was written.
+    /// Parked replies whose connection died before the flush completed.
     pub dropped_replies: AtomicU64,
     /// Connections dropped for protocol violations (bad frame/payload).
     pub protocol_errors: AtomicU64,
     /// `write` calls made on client sockets to send replies.
     pub reply_writes: AtomicU64,
-    /// Waker bytes written to interrupt an event loop's `wait`.
+    /// Waker bytes written to interrupt a worker's `wait`.
     pub wakes: AtomicU64,
     /// `read` calls made on client sockets.
     pub socket_reads: AtomicU64,
@@ -178,13 +183,8 @@ impl ServerMetrics {
     }
 }
 
-struct Job {
-    conn: u64,
-    loop_id: usize,
-    request_id: u64,
-    request: feral_server::Request,
-}
-
+/// A reply that left from a flush completion, on its way to the worker
+/// that owns its connection.
 struct Completion {
     conn: u64,
     frame: Vec<u8>,
@@ -194,7 +194,11 @@ struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
-    inflight: usize,
+    /// Replies parked on a flush.
+    parked: usize,
+    /// Replies in `outbuf` (sheds apart); zero again once it is written
+    /// out. With `parked`, what rule 2 bounds.
+    buffered: usize,
     write_interest: bool,
     /// Listed in the turn's dirty set: flushed when the turn ends.
     dirty: bool,
@@ -204,13 +208,11 @@ struct Conn {
 /// threads; tests and binaries should shut down explicitly.
 pub struct Server {
     local_addr: SocketAddr,
-    metrics: Arc<ServerMetrics>,
     shutdown: Arc<AtomicBool>,
-    dispatch: Arc<BoundedQueue<Job>>,
+    ports: Arc<Ports>,
     accept_handle: Option<JoinHandle<()>>,
-    loop_handles: Vec<JoinHandle<()>>,
-    executor_handles: Vec<JoinHandle<()>>,
-    loop_wakers: Vec<WakeHandle>,
+    worker_handles: Vec<JoinHandle<()>>,
+    flusher_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -222,59 +224,53 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let active_conns = Arc::new(AtomicUsize::new(0));
 
-        let dispatch = Arc::new(BoundedQueue::<Job>::new(config.queue.max(1)));
-
-        // one port per loop: its inbox, and the waker that makes the
+        // one port per worker: its inbox, and the waker that makes the
         // inbox visible to it
-        let wakers = (0..config.event_loops.max(1))
+        let wakers = (0..config.executors.max(1))
             .map(|_| Waker::new())
             .collect::<std::io::Result<Vec<Waker>>>()?;
-        let loop_wakers: Vec<WakeHandle> = wakers.iter().map(Waker::handle).collect();
         let ports = Arc::new(Ports {
-            loops: loop_wakers
+            workers: wakers
                 .iter()
-                .map(|waker| LoopPort {
+                .map(|waker| WorkerPort {
                     inbox: Mutex::new(Inbox::default()),
                     wake_pending: AtomicBool::new(false),
-                    waker: waker.clone(),
+                    waker: waker.handle(),
                 })
                 .collect(),
             metrics: metrics.clone(),
+            parked: AtomicUsize::new(0),
+            flusher: Flusher::default(),
         });
 
-        let mut loop_handles = Vec::new();
-        for (loop_id, waker) in wakers.into_iter().enumerate() {
-            let ctx = LoopCtx {
-                loop_id,
+        let mut worker_handles = Vec::new();
+        for (worker_id, waker) in wakers.into_iter().enumerate() {
+            let ctx = WorkerCtx {
+                worker_id,
                 waker,
+                service: service.clone(),
                 ports: ports.clone(),
-                dispatch: dispatch.clone(),
                 metrics: metrics.clone(),
                 shutdown: shutdown.clone(),
                 active_conns: active_conns.clone(),
                 inflight_cap: config.inflight.max(1),
+                parked_cap: config.queue.max(1),
                 chunk: vec![0u8; READ_CHUNK],
-                batch: Vec::new(),
             };
-            loop_handles.push(
+            worker_handles.push(
                 std::thread::Builder::new()
-                    .name(format!("feral-net-loop-{loop_id}"))
-                    .spawn(move || event_loop(ctx))?,
+                    .name(format!("feral-net-worker-{worker_id}"))
+                    .spawn(move || worker(ctx))?,
             );
         }
-        let mut executor_handles = Vec::new();
-        for ex in 0..config.executors.max(1) {
-            let service = service.clone();
-            let queue = dispatch.clone();
+        let flusher_handle = {
             let ports = ports.clone();
-            executor_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("feral-net-exec-{ex}"))
-                    .spawn(move || executor(service, queue, ports))?,
-            );
-        }
-
+            std::thread::Builder::new()
+                .name("feral-net-flush".into())
+                .spawn(move || ports.flusher.run())?
+        };
         let accept_handle = {
+            let ports = ports.clone();
             let shutdown = shutdown.clone();
             let max_conns = config.max_conns.max(1);
             std::thread::Builder::new()
@@ -284,13 +280,11 @@ impl Server {
 
         Ok(Server {
             local_addr,
-            metrics,
             shutdown,
-            dispatch,
+            ports,
             accept_handle: Some(accept_handle),
-            loop_handles,
-            executor_handles,
-            loop_wakers,
+            worker_handles,
+            flusher_handle: Some(flusher_handle),
         })
     }
 
@@ -301,7 +295,7 @@ impl Server {
 
     /// Live counters.
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+        &self.ports.metrics
     }
 
     /// Stop accepting, close every connection, and join all threads.
@@ -312,15 +306,16 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        for w in &self.loop_wakers {
-            w.wake();
+        for port in &self.ports.workers {
+            port.waker.wake();
         }
-        for h in self.loop_handles.drain(..) {
+        for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
-        // executors drain what was already admitted, then observe close
-        self.dispatch.close();
-        for h in self.executor_handles.drain(..) {
+        // no worker is left to hand a lead over; the flusher finishes the
+        // one it has, then observes close
+        self.ports.flusher.close();
+        if let Some(h) = self.flusher_handle.take() {
             let _ = h.join();
         }
     }
@@ -357,48 +352,52 @@ fn accept_loop(
         let id = next_conn;
         next_conn += 1;
         if !ports.post(rr, |inbox| inbox.sockets.push((id, stream))) {
-            // the loop is gone and the socket with it
+            // the worker is gone and the socket with it
             active_conns.fetch_sub(1, Ordering::Relaxed);
         }
-        rr = (rr + 1) % ports.loops.len();
+        rr = (rr + 1) % ports.workers.len();
     }
 }
 
-/// What other threads have left for one event loop since it last looked.
+/// What other threads have left for one worker since it last looked.
 #[derive(Default)]
 struct Inbox {
     completions: Vec<Completion>,
     sockets: Vec<(u64, TcpStream)>,
-    /// The loop has exited; nothing posted from now on will be seen.
+    /// The worker has exited; nothing posted from now on will be seen.
     closed: bool,
 }
 
-/// One event loop as its senders see it.
-// racer:terminal net::LoopPort::inbox
-struct LoopPort {
+/// One worker as its senders see it.
+// racer:terminal net::WorkerPort::inbox
+struct WorkerPort {
     inbox: Mutex<Inbox>,
-    /// `true` from the first post after the loop last looked until the
-    /// loop clears it: while it is set, a waker byte is in the pipe or
+    /// `true` from the first post after the worker last looked until the
+    /// worker clears it: while it is set, a waker byte is in the pipe or
     /// about to be, and no sender writes another (module docs).
-    // racer:publication net::LoopPort::wake_pending
+    // racer:publication net::WorkerPort::wake_pending
     wake_pending: AtomicBool,
     waker: WakeHandle,
 }
 
-/// The way to every event loop — from the accept thread, an executor or
-/// a flush completion. Shared by `Arc`: building a reply's callback
-/// clones one pointer and makes no system call.
+/// What the server's threads share: the way to every worker — from the
+/// accept thread or a flush completion — and the way to the flusher.
+/// Shared by `Arc`: building a reply's callback clones one pointer and
+/// makes no system call.
 struct Ports {
-    loops: Vec<LoopPort>,
+    workers: Vec<WorkerPort>,
     metrics: Arc<ServerMetrics>,
+    /// Replies parked on a flush, server-wide: what rule 3 bounds.
+    parked: AtomicUsize,
+    flusher: Flusher,
 }
 
 impl Ports {
-    /// Put something in a loop's inbox, then make sure the loop will
+    /// Put something in a worker's inbox, then make sure the worker will
     /// look: the waker byte is written on the flag's `false → true` edge
-    /// only. `false` (and `put` not run) when the loop has exited.
-    fn post(&self, loop_id: usize, put: impl FnOnce(&mut Inbox)) -> bool {
-        let port = &self.loops[loop_id];
+    /// only. `false` (and `put` not run) when the worker has exited.
+    fn post(&self, worker_id: usize, put: impl FnOnce(&mut Inbox)) -> bool {
+        let port = &self.workers[worker_id];
         {
             let mut inbox = port.inbox.lock();
             if inbox.closed {
@@ -406,9 +405,9 @@ impl Ports {
             }
             put(&mut inbox);
         }
-        // AcqRel: acquires the loop's Release clear (so the byte below is
-        // written after the drain that preceded it) and orders this swap
-        // after the push above for the loop's next clear-then-take
+        // AcqRel: acquires the worker's Release clear (so the byte below
+        // is written after the drain that preceded it) and orders this
+        // swap after the push above for the worker's next clear-then-take
         if !port.wake_pending.swap(true, Ordering::AcqRel) {
             self.metrics.wakes.fetch_add(1, Ordering::Relaxed);
             port.waker.wake();
@@ -416,9 +415,11 @@ impl Ports {
         true
     }
 
-    /// Route a reply frame to the loop that owns its connection.
-    fn reply(&self, loop_id: usize, conn: u64, frame: Vec<u8>) {
-        if !self.post(loop_id, |inbox| {
+    /// Route a parked reply, its flush complete, to the worker that owns
+    /// its connection.
+    fn reply(&self, worker_id: usize, conn: u64, frame: Vec<u8>) {
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        if !self.post(worker_id, |inbox| {
             inbox.completions.push(Completion { conn, frame })
         }) {
             self.metrics.dropped_replies.fetch_add(1, Ordering::Relaxed);
@@ -426,49 +427,98 @@ impl Ports {
     }
 }
 
-fn executor(service: Arc<dyn Service>, queue: Arc<BoundedQueue<Job>>, ports: Arc<Ports>) {
-    while let Some(job) = queue.pop() {
-        let Job {
-            conn,
-            loop_id,
-            request_id,
-            request,
-        } = job;
-        let (response, pending) = feral_db::defer_durable(|| service.call(request));
-        let frame = wire::encode_response(request_id, &response);
-        let Some(pending) = pending else {
-            ports.reply(loop_id, conn, frame);
-            continue;
-        };
-        // the reply leaves from the flush completion, on whichever thread
-        // that is; this executor goes back to the queue (or leads a flush)
-        let ports = ports.clone();
-        pending.on_complete(move |durable| {
-            let frame = match durable {
-                Ok(()) => frame,
-                Err(e) => wire::encode_response(request_id, &Response::Error(OrmError::Db(e))),
-            };
-            ports.reply(loop_id, conn, frame);
-        });
+/// The hand-off to the `feral-net-flush` thread: one slot, because a
+/// database has one flush lead at a time.
+// racer:terminal net::Flusher::slot
+#[derive(Default)]
+struct Flusher {
+    slot: Mutex<FlushSlot>,
+    handed: Condvar,
+}
+
+#[derive(Default)]
+struct FlushSlot {
+    lead: Option<FlushLead>,
+    /// The server is shutting down: the flusher leaves once the slot is
+    /// empty.
+    closed: bool,
+}
+
+impl Flusher {
+    /// Give `lead` to the flusher thread. A lead that finds the slot
+    /// taken (the service spans a second database) or the flusher gone is
+    /// run here, as by any caller that parks a commit and keeps the lead.
+    fn hand(&self, lead: FlushLead) {
+        let mut slot = self.slot.lock();
+        if slot.closed || slot.lead.is_some() {
+            drop(slot);
+            return lead.run();
+        }
+        slot.lead = Some(lead);
+        drop(slot);
+        self.handed.notify_one();
+    }
+
+    /// The flusher thread: run each lead handed over, outside the slot's
+    /// lock, until closed.
+    fn run(&self) {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(lead) = slot.lead.take() {
+                drop(slot);
+                lead.run();
+                slot = self.slot.lock();
+            } else if slot.closed {
+                return;
+            } else {
+                self.handed.wait(&mut slot);
+            }
+        }
+    }
+
+    fn close(&self) {
+        self.slot.lock().closed = true;
+        self.handed.notify_one();
     }
 }
 
-struct LoopCtx {
-    loop_id: usize,
+struct WorkerCtx {
+    worker_id: usize,
     waker: Waker,
+    service: Arc<dyn Service>,
     ports: Arc<Ports>,
-    dispatch: Arc<BoundedQueue<Job>>,
     metrics: Arc<ServerMetrics>,
     shutdown: Arc<AtomicBool>,
     active_conns: Arc<AtomicUsize>,
     inflight_cap: usize,
+    parked_cap: usize,
     /// Socket-read scratch, zeroed once.
     chunk: Vec<u8>,
-    /// The requests of one read on their way to the dispatch queue.
-    batch: Vec<Job>,
 }
 
-/// What one loop turn accumulates and settles once, at its end.
+impl WorkerCtx {
+    /// The reply of a request whose commit awaits its flush: `frame`
+    /// leaves from the flush completion, on whichever thread that is, and
+    /// comes back through this worker's inbox.
+    fn park(&self, conn: u64, request_id: u64, frame: Vec<u8>, pending: PendingCommit) {
+        self.ports.parked.fetch_add(1, Ordering::Relaxed);
+        let (ports, worker_id) = (self.ports.clone(), self.worker_id);
+        let lead = pending.on_complete(move |durable| {
+            let frame = match durable {
+                Ok(()) => frame,
+                Err(e) => wire::encode_response(request_id, &Response::Error(OrmError::Db(e))),
+            };
+            ports.reply(worker_id, conn, frame);
+        });
+        // at once (module docs): the read's next request may need a lock
+        // this commit holds until the flush completes
+        if let Some(lead) = lead {
+            self.ports.flusher.hand(lead);
+        }
+    }
+}
+
+/// What one worker turn accumulates and settles once, at its end.
 #[derive(Default)]
 struct Turn {
     /// Replies appended to output buffers (sheds included).
@@ -486,7 +536,7 @@ impl Turn {
     }
 }
 
-fn event_loop(mut ctx: LoopCtx) {
+fn worker(mut ctx: WorkerCtx) {
     let mut poller = match Poller::new() {
         Ok(p) => p,
         Err(_) => return,
@@ -498,11 +548,11 @@ fn event_loop(mut ctx: LoopCtx) {
         return;
     }
     let ports = ctx.ports.clone();
-    let port = &ports.loops[ctx.loop_id];
+    let port = &ports.workers[ctx.worker_id];
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events: Vec<Event> = Vec::new();
     let mut turn = Turn::default();
-    // the loop's side of the inbox swap: the vectors trade places with
+    // the worker's side of the inbox swap: the vectors trade places with
     // the shared ones, so both keep their capacity
     let mut completions: Vec<Completion> = Vec::new();
     let mut sockets: Vec<(u64, TcpStream)> = Vec::new();
@@ -517,10 +567,10 @@ fn event_loop(mut ctx: LoopCtx) {
         }
 
         // 1. the inbox — drain, clear, *then* take (module docs) — before
-        // the sockets, so a reply gives its in-flight slot back before the
-        // turn's requests are admitted. A timed-out turn looks too: the
-        // backstop for a wake-up lost to a bug costs a lock every 100 ms
-        // of silence.
+        // the sockets, so a completed reply stops counting against its
+        // connection before the turn's requests are admitted. A timed-out
+        // turn looks too: the backstop for a wake-up lost to a bug costs
+        // a lock every 100 ms of silence.
         let woken = events.iter().any(|ev| ev.token == WAKER_TOKEN);
         if woken || events.is_empty() {
             if woken {
@@ -541,7 +591,8 @@ fn event_loop(mut ctx: LoopCtx) {
                             stream,
                             inbuf: Vec::new(),
                             outbuf: Vec::new(),
-                            inflight: 0,
+                            parked: 0,
+                            buffered: 0,
                             write_interest: false,
                             dirty: false,
                         },
@@ -554,13 +605,14 @@ fn event_loop(mut ctx: LoopCtx) {
             for done in completions.drain(..) {
                 match conns.get_mut(&done.conn) {
                     Some(conn) => {
-                        conn.inflight = conn.inflight.saturating_sub(1);
+                        conn.parked -= 1;
+                        conn.buffered += 1;
                         conn.outbuf.extend_from_slice(&done.frame);
                         turn.served += 1;
                         turn.mark(done.conn, conn);
                     }
-                    // the connection died while its request ran: the
-                    // paper's dubious-ack window, made countable
+                    // the connection died while its commit awaited the
+                    // flush: the paper's dubious-ack window, made countable
                     None => dropped += 1,
                 }
             }
@@ -571,7 +623,7 @@ fn event_loop(mut ctx: LoopCtx) {
             }
         }
 
-        // 2. socket readiness: decode and dispatch what arrived
+        // 2. socket readiness: decode and run what arrived
         for ev in events.iter().copied() {
             if ev.token == WAKER_TOKEN {
                 continue;
@@ -606,8 +658,8 @@ fn event_loop(mut ctx: LoopCtx) {
     }
 
     // teardown: every owned connection closes, and so does the inbox —
-    // what is in it now, and whatever an executor or a flush completion
-    // still sends, is a dropped reply
+    // what is in it now, and whatever a flush completion still sends, is
+    // a dropped reply
     let mut inbox = port.inbox.lock();
     inbox.closed = true;
     ctx.metrics
@@ -619,10 +671,10 @@ fn event_loop(mut ctx: LoopCtx) {
     inbox.sockets.clear();
 }
 
-/// Read what the socket holds, decode every complete frame and dispatch
-/// the requests as one batch. Returns `true` when the connection is
-/// finished (EOF, error, protocol violation).
-fn read_ready(ctx: &mut LoopCtx, turn: &mut Turn, conn_id: u64, conn: &mut Conn) -> bool {
+/// Read what the socket holds, decode every complete frame and run its
+/// request to completion. Returns `true` when the connection is finished
+/// (EOF, error, protocol violation).
+fn read_ready(ctx: &mut WorkerCtx, turn: &mut Turn, conn_id: u64, conn: &mut Conn) -> bool {
     loop {
         ctx.metrics.socket_reads.fetch_add(1, Ordering::Relaxed);
         match conn.stream.read(&mut ctx.chunk) {
@@ -658,65 +710,45 @@ fn read_ready(ctx: &mut LoopCtx, turn: &mut Turn, conn_id: u64, conn: &mut Conn)
             Ok(Some(r)) => r,
             Ok(None) => break,
             Err(_) => {
-                // what was decoded before the bad frame still runs
+                // what was decoded before the bad frame has run
                 ctx.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 dead = true;
                 break;
             }
         };
-        // backpressure layer 2: per-connection request queue
-        if conn.inflight + ctx.batch.len() >= ctx.inflight_cap {
-            shed(&ctx.metrics, turn, conn, request_id, false);
+        // backpressure rules 2 and 3
+        let refused = if conn.parked + conn.buffered >= ctx.inflight_cap {
+            Some(&ctx.metrics.shed_inflight)
+        } else if ctx.ports.parked.load(Ordering::Relaxed) >= ctx.parked_cap {
+            Some(&ctx.metrics.shed_queue)
+        } else {
+            None
+        };
+        if let Some(shed) = refused {
+            shed.fetch_add(1, Ordering::Relaxed);
+            turn.served += 1;
+            wire::encode_response_into(&mut conn.outbuf, request_id, &Response::Overloaded);
             continue;
         }
-        ctx.batch.push(Job {
-            conn: conn_id,
-            loop_id: ctx.loop_id,
-            request_id,
-            request,
-        });
-    }
-    conn.inbuf.drain(..at);
-
-    // backpressure layer 3: bounded dispatch queue
-    let offered = ctx.batch.len();
-    let refused = ctx.dispatch.try_push_many(&mut ctx.batch);
-    conn.inflight += offered - ctx.batch.len();
-    match refused {
-        Ok(()) => {}
-        Err(PushError::Full(())) => {
-            for job in ctx.batch.drain(..) {
-                shed(&ctx.metrics, turn, conn, job.request_id, true);
+        let (response, pending) = feral_db::defer_durable(|| ctx.service.call(request));
+        match pending {
+            None => {
+                turn.served += 1;
+                conn.buffered += 1;
+                wire::encode_response_into(&mut conn.outbuf, request_id, &response);
+            }
+            Some(pending) => {
+                conn.parked += 1;
+                let frame = wire::encode_response(request_id, &response);
+                ctx.park(conn_id, request_id, frame, pending);
             }
         }
-        Err(PushError::Closed(())) => {
-            ctx.batch.clear();
-            dead = true;
-        }
     }
+    conn.inbuf.drain(..at);
     if !dead && !conn.outbuf.is_empty() {
         turn.mark(conn_id, conn);
     }
     dead
-}
-
-/// Queue an immediate `Overloaded` reply (no application work ran).
-fn shed(
-    metrics: &ServerMetrics,
-    turn: &mut Turn,
-    conn: &mut Conn,
-    request_id: u64,
-    queue_full: bool,
-) {
-    let counter = if queue_full {
-        &metrics.shed_queue
-    } else {
-        &metrics.shed_inflight
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    turn.served += 1;
-    conn.outbuf
-        .extend_from_slice(&wire::encode_response(request_id, &Response::Overloaded));
 }
 
 /// Write as much pending output as the socket accepts, keeping write
@@ -737,6 +769,9 @@ fn flush(poller: &mut Poller, metrics: &ServerMetrics, token: u64, conn: &mut Co
         conn.outbuf.drain(..written);
     }
     let want_write = !conn.outbuf.is_empty();
+    if !want_write {
+        conn.buffered = 0;
+    }
     if want_write != conn.write_interest {
         let fd = conn.stream.as_raw_fd();
         if poller.modify(fd, token, true, want_write).is_ok() {

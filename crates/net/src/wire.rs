@@ -227,43 +227,53 @@ fn error_from_parts(kind: u8, message: String) -> WireResult<OrmError> {
 
 /// Encode a response as a full frame (length prefix included).
 pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(32);
-    payload.extend_from_slice(&request_id.to_le_bytes());
+    let mut out = Vec::with_capacity(32);
+    encode_response_into(&mut out, request_id, response);
+    out
+}
+
+/// Append a response to `out` as a full frame: the server writes a reply
+/// straight into its connection's output buffer.
+pub fn encode_response_into(out: &mut Vec<u8>, request_id: u64, response: &Response) {
+    let start = out.len();
+    // the length prefix, patched once the payload is written
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&request_id.to_le_bytes());
     match response {
-        Response::Ok => payload.push(ST_OK),
+        Response::Ok => out.push(ST_OK),
         Response::Created(id) => {
-            payload.push(ST_CREATED);
-            payload.extend_from_slice(&id.to_le_bytes());
+            out.push(ST_CREATED);
+            out.extend_from_slice(&id.to_le_bytes());
         }
-        Response::Destroyed => payload.push(ST_DESTROYED),
+        Response::Destroyed => out.push(ST_DESTROYED),
         Response::Found(record) => {
-            payload.push(ST_FOUND);
-            put_str(&mut payload, &record.model.name);
+            out.push(ST_FOUND);
+            put_str(out, &record.model.name);
             let cols = record.model.columns();
-            payload.extend_from_slice(&(cols.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            out.extend_from_slice(&(cols.len().min(u16::MAX as usize) as u16).to_le_bytes());
             for (col, (name, _)) in cols.iter().enumerate() {
-                put_str(&mut payload, name);
-                put_datum(&mut payload, record.at(col));
+                put_str(out, name);
+                put_datum(out, record.at(col));
             }
         }
-        Response::NotFound => payload.push(ST_NOT_FOUND),
+        Response::NotFound => out.push(ST_NOT_FOUND),
         Response::Invalid(messages) => {
-            payload.push(ST_INVALID);
-            payload
-                .extend_from_slice(&(messages.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            out.push(ST_INVALID);
+            out.extend_from_slice(&(messages.len().min(u16::MAX as usize) as u16).to_le_bytes());
             for m in messages {
-                put_str(&mut payload, m);
+                put_str(out, m);
             }
         }
         Response::Error(e) => {
-            payload.push(ST_ERROR);
+            out.push(ST_ERROR);
             let (kind, message) = error_parts(e);
-            payload.push(kind);
-            put_str(&mut payload, &message);
+            out.push(kind);
+            put_str(out, &message);
         }
-        Response::Overloaded => payload.push(ST_OVERLOADED),
+        Response::Overloaded => out.push(ST_OVERLOADED),
     }
-    frame(payload)
+    let payload = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&payload.to_le_bytes());
 }
 
 fn frame(payload: Vec<u8>) -> Vec<u8> {
@@ -720,6 +730,30 @@ mod tests {
             );
             assert_eq!(decoded.retryable(), retryable);
         }
+    }
+
+    #[test]
+    fn encode_response_into_appends_the_frame_encode_response_builds() {
+        let mut errs = feral_orm::Errors::new();
+        errs.add("email", "has already been taken");
+        let responses = [
+            Response::Created(7),
+            Response::Invalid(errs.full_messages()),
+            Response::Overloaded,
+        ];
+        let mut out = b"already buffered".to_vec();
+        let mut want = out.clone();
+        for (id, r) in responses.iter().enumerate() {
+            encode_response_into(&mut out, id as u64, r);
+            want.extend_from_slice(&encode_response(id as u64, r));
+        }
+        assert_eq!(out, want);
+        out.drain(..b"already buffered".len());
+        for id in 0..responses.len() as u64 {
+            let payload = take_frame(&mut out).unwrap().expect("a whole frame");
+            assert_eq!(decode_response(&payload).unwrap().0, id);
+        }
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,37 +1,40 @@
-//! One wake, one futex and one socket write per batch — and no wake-up
-//! lost for it.
+//! The one cross-thread path left in the server — a flush completion
+//! posting a parked reply to the worker that owns its connection — costs
+//! one wake and one socket write per batch, and loses no wake-up for it.
 //!
-//! The event loop polls with a 100 ms timeout, so a lost wake-up is not a
-//! hang but a silent 100 ms stall that no functional test notices. The
-//! stress tests here time every request and fail on the first one slower
-//! than [`STALL`] (unless the whole process was paused meanwhile — see
-//! [`Pauses`]). They were checked by mutation, each against several
-//! runs of this file:
+//! A worker polls with a 100 ms timeout, so a lost wake-up is not a hang
+//! but a silent 100 ms stall that no functional test notices. The stress
+//! tests here time every request and fail on the first one slower than
+//! [`STALL`] (unless the whole process was paused meanwhile — see
+//! [`Pauses`]). Every request is a signup against a WAL-backed database,
+//! so every reply leaves from a flush completion — on the server's
+//! flusher thread, or on an outside committer's when that one leads.
+//! They were checked by mutation, each against several runs of this
+//! file:
 //!
-//! * the loop draining the waker *after* clearing `wake_pending`: all
-//!   four `no_wakeup_is_lost_*` tests fail within two seconds;
-//! * the loop clearing `wake_pending` after it has taken *and processed*
-//!   the inbox: `no_wakeup_is_lost_before_silence` fails in 3 runs of 3;
+//! * the worker draining the waker *after* clearing `wake_pending`: the
+//!   three `no_wakeup_is_lost_*` tests that keep more than one request in
+//!   flight on a connection fail within seconds;
+//! * the worker clearing `wake_pending` after it has taken *and
+//!   processed* the inbox: `no_wakeup_is_lost_before_silence` fails in 3
+//!   runs of 3;
 //! * the same clear moved to just after the take — a window of one unlock
 //!   and one store, two or three nanoseconds: it fails in 3 runs of 12.
 //!   That order is ruled out by the argument in `server.rs`, not by this
-//!   file;
-//! * the queue reading its sleeper count outside the critical section
-//!   that pushes: the one-executor half of
-//!   `no_wakeup_is_lost_before_silence` strands a request in 3 runs of 3.
+//!   file.
 //!
-//! The tests with other requests in flight cannot see any of these — the
-//! next hand-off rescues a stranded one a round trip later — which is why
-//! the sensitive test sends staggered pairs into silence. The budget test
-//! pins the other half of the contract: a batch of replies costs a
-//! handful of system calls, whatever its size.
+//! The tests with other requests in flight cannot see these — the next
+//! completion rescues a stranded one a round trip later — which is why
+//! the sensitive test sends staggered pairs into silence. What a reply
+//! that waits for *no* flush costs — no wake at all — is pinned in
+//! `inline_cost.rs`.
 
 use feral_db::{ColumnDef, Config, DataType, Database, Datum, TableSchema};
 use feral_net::wire;
 use feral_net::{Server, ServerConfig, ServerMetrics};
 use feral_orm::{App, ModelDef};
-use feral_server::{PooledService, Request, Response, Service};
-use parking_lot::{Condvar, Mutex};
+use feral_server::{PooledService, Request, Response};
+use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,8 +54,8 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 /// CPU, a starved box): a thread that waits for nobody's wake-up sleeps
 /// 1 ms at a time and records every sleep that took over 20 ms. A slow
 /// request that overlaps one was paused like everything else, not
-/// stalled by the server — a lost wake-up stops one event loop while
-/// this thread keeps its beat.
+/// stalled by the server — a lost wake-up stops one worker while this
+/// thread keeps its beat.
 #[derive(Default)]
 struct Pauses {
     seen: Mutex<Vec<(Instant, Instant)>>,
@@ -98,25 +101,31 @@ fn jitter(seed: u64, below: Duration) {
     }
 }
 
-struct Echo;
-
-impl Service for Echo {
-    fn call(&self, _request: Request) -> Response {
-        Response::Ok
-    }
-}
-
 /// The longest a staggered pair is written apart: the span of the
-/// loop's wake-up turn and of an executor's way back to sleep.
+/// worker's wake-up turn.
 const APART: Duration = Duration::from_micros(16);
 
-fn serve(service: Arc<dyn Service>, executors: usize) -> Server {
+/// A signup service over a fresh WAL-backed (unsynced: a flush is a
+/// `write`, microseconds) database, behind a server of two workers.
+fn serve(name: &str) -> (Database, Server) {
+    let dir = std::env::temp_dir().join(format!("feral-coalescing-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.wal"));
+    let _ = std::fs::remove_file(&path);
+    let db = Database::open(Config {
+        wal_path: Some(path),
+        ..Config::default()
+    })
+    .unwrap();
+    let app = App::new(db.clone());
+    app.define(ModelDef::build("User").string("email").finish())
+        .unwrap();
     let config = ServerConfig {
-        event_loops: 1,
-        executors,
+        executors: 2,
         ..ServerConfig::default()
     };
-    Server::start(service, config).unwrap()
+    let service = Arc::new(PooledService::new(app, config.executors));
+    (db, Server::start(service, config).unwrap())
 }
 
 fn connect(server: &Server) -> TcpStream {
@@ -136,12 +145,11 @@ enum Pace {
     /// Keep this many requests in flight: a reply frees a slot at once.
     Window(u64),
     /// Two requests written a jittered moment apart, then silence until
-    /// both are answered. The second reaches the dispatch queue while the
-    /// executor that took the first is on its way back to sleep, and the
-    /// second's completion reaches the inbox while the loop is in the
-    /// turn the first one woke it for — and the connection then waits, so
-    /// a wake-up lost at either place has no later traffic to be rescued
-    /// by.
+    /// both are answered. The second commits while the first one's flush
+    /// is in flight and is covered by the next, so its completion reaches
+    /// the inbox while the worker is in the turn the first one woke it
+    /// for — and the connection then waits, so a wake-up lost there has
+    /// no later traffic to be rescued by.
     StaggeredPairs,
 }
 
@@ -215,42 +223,50 @@ fn drive_watched(
     }
 }
 
-fn get(seq: u64) -> Request {
-    Request::builder("Widget").session(seq).get(seq as i64)
+/// Connection `c`'s `seq`th signup.
+fn post(c: u64) -> impl Fn(u64) -> Request {
+    move |seq| {
+        Request::builder("User")
+            .session(seq)
+            .attr("email", Datum::text(format!("c{c}-{seq}@example.com")))
+            .create()
+    }
 }
 
-fn is_ok(response: &Response) -> bool {
-    matches!(response, Response::Ok)
+fn created(response: &Response) -> bool {
+    matches!(response, Response::Created(_))
 }
 
-/// One loop, four executors, two connections with `depth` in flight and
-/// `per_conn` requests each: the most traffic the hand-offs see.
-fn two_connections(depth: u64, per_conn: u64) -> Server {
-    let server = serve(Arc::new(Echo), 4);
+/// Two connections — one per worker — with `depth` signups in flight and
+/// `per_conn` each: the most traffic the completion path sees.
+fn two_connections(name: &str, depth: u64, per_conn: u64) -> Server {
+    let (db, server) = serve(name);
     std::thread::scope(|s| {
-        for _ in 0..2 {
+        for c in 0..2 {
             let mut conn = connect(&server);
-            s.spawn(move || drive(&mut conn, Pace::Window(depth), per_conn, get, is_ok));
+            s.spawn(move || drive(&mut conn, Pace::Window(depth), per_conn, post(c), created));
         }
     });
     let m = server.metrics();
     assert_eq!(load(m, |m| &m.served), 2 * per_conn);
     assert_eq!(m.total_shed() + load(m, |m| &m.dropped_replies), 0);
+    assert_eq!(db.count_rows("users").unwrap() as u64, 2 * per_conn);
     server
 }
 
 #[test]
 fn no_wakeup_is_lost_one_request_at_a_time() {
     let _alone = ONE_AT_A_TIME.lock();
-    two_connections(1, 100_000).shutdown();
+    two_connections("one", 1, 20_000).shutdown();
 }
 
 #[test]
 fn no_wakeup_is_lost_sixteen_in_flight() {
     let _alone = ONE_AT_A_TIME.lock();
-    let server = two_connections(16, 100_000);
-    // sixteen in flight is where coalescing pays: well under one system
-    // call of each kind per request
+    let server = two_connections("sixteen", 16, 40_000);
+    // sixteen in flight is where coalescing pays: a flush completes many
+    // replies, which cost their worker one wake and one write — well
+    // under one system call of each kind per request
     let m = server.metrics();
     let served = load(m, |m| &m.served);
     for (name, calls) in [
@@ -264,48 +280,32 @@ fn no_wakeup_is_lost_sixteen_in_flight() {
 }
 
 /// The tests above cannot see a lost wake-up: with other requests in
-/// flight, the next hand-off rescues the stranded one a round trip later.
-/// These two leave it nothing to hide behind ([`Pace::StaggeredPairs`]),
-/// with four executors for the loop's inbox and with ONE for the
-/// dispatch queue — a push that skips its `notify` because it misjudged
-/// the only executor awake strands the request until the client gives up.
+/// flight, the next completion rescues the stranded one a round trip
+/// later. This one leaves it nothing to hide behind
+/// ([`Pace::StaggeredPairs`]).
 #[test]
 fn no_wakeup_is_lost_before_silence() {
     let _alone = ONE_AT_A_TIME.lock();
-    for executors in [4, 1] {
-        let server = serve(Arc::new(Echo), executors);
-        let mut conn = connect(&server);
-        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        drive(&mut conn, Pace::StaggeredPairs, 50_000, get, is_ok);
-        server.shutdown();
-    }
+    let (_db, server) = serve("silence");
+    let mut conn = connect(&server);
+    conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    drive(&mut conn, Pace::StaggeredPairs, 50_000, post(0), created);
+    server.shutdown();
 }
 
-/// Replies that arrive from a thread that is no executor: with a WAL, a
-/// committing request's reply leaves from the flush completion, and here
-/// a fifth committer — not a server thread at all — takes its turns
-/// leading the flush and so sends other requests' replies.
+/// Replies that arrive from a thread that is no server thread at all: a
+/// committer outside the server takes its turns leading the flush — a
+/// synchronous commit leads when it finds none in flight — and so
+/// completes, and sends, other requests' replies.
 #[test]
-fn no_wakeup_is_lost_when_the_flush_leader_replies() {
+fn no_wakeup_is_lost_when_an_outside_leader_replies() {
     let _alone = ONE_AT_A_TIME.lock();
-    let dir = std::env::temp_dir().join(format!("feral-coalescing-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("leader.wal");
-    let _ = std::fs::remove_file(&path);
-    let db = Database::open(Config {
-        wal_path: Some(path),
-        ..Config::default()
-    })
-    .unwrap();
+    let (db, server) = serve("outsider");
     db.create_table(TableSchema::new(
         "scratch",
         vec![ColumnDef::new("n", DataType::Int)],
     ))
     .unwrap();
-    let app = App::new(db.clone());
-    app.define(ModelDef::build("User").string("email").finish())
-        .unwrap();
-    let server = serve(Arc::new(PooledService::new(app, 4)), 4);
 
     let stop = AtomicBool::new(false);
     let before = db.stats().snapshot();
@@ -326,19 +326,12 @@ fn no_wakeup_is_lost_when_the_flush_leader_replies() {
             .map(|c| {
                 let mut conn = connect(&server);
                 s.spawn(move || {
-                    let post = |seq: u64| {
-                        Request::builder("User")
-                            .session(seq)
-                            .attr("email", Datum::text(format!("c{c}-{seq}@example.com")))
-                            .create()
-                    };
-                    let created = |r: &Response| matches!(r, Response::Created(_));
-                    drive(&mut conn, Pace::Window(16), PER_CONN, post, created);
+                    drive(&mut conn, Pace::Window(16), PER_CONN, post(c), created);
                     drive(
                         &mut conn,
                         Pace::StaggeredPairs,
                         PER_CONN / 10,
-                        post,
+                        |seq| post(c)(PER_CONN + seq),
                         created,
                     );
                 })
@@ -363,88 +356,4 @@ fn no_wakeup_is_lost_when_the_flush_leader_replies() {
     assert_eq!(load(server.metrics(), |m| &m.served), requests);
     server.shutdown();
     assert_eq!(db.count_rows("users").unwrap() as u64, requests);
-}
-
-/// A service that blocks every call until the gate opens.
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-    calls: AtomicU64,
-}
-
-impl Service for Gate {
-    fn call(&self, _request: Request) -> Response {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
-        }
-        Response::Ok
-    }
-}
-
-/// The budget as a contract: 64 pipelined `GET`s — the per-connection
-/// cap — wait behind a gate, four in the executors and sixty in the
-/// queue; released together, their replies come back in a handful of
-/// loop turns, each paid with one waker byte and one socket write. The
-/// parent paid 64 of each.
-#[test]
-fn a_released_batch_costs_a_handful_of_wakes_and_writes() {
-    let _alone = ONE_AT_A_TIME.lock();
-    const SENT: u64 = 64;
-    let gate = Arc::new(Gate {
-        open: Mutex::new(false),
-        cv: Condvar::new(),
-        calls: AtomicU64::new(0),
-    });
-    let server = serve(gate.clone(), 4);
-    let mut conn = connect(&server);
-    let mut out = Vec::new();
-    for id in 0..SENT {
-        let get = Request::builder("Widget").session(id).get(id as i64);
-        out.extend_from_slice(&wire::encode_request(id, &get).unwrap());
-    }
-    conn.write_all(&out).unwrap();
-    // every executor holds a request; the other sixty are queued
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while gate.calls.load(Ordering::SeqCst) < 4 {
-        assert!(
-            Instant::now() < deadline,
-            "executors never reached the gate"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let m = server.metrics();
-    // one write of 64 frames is one read (two if it straddled a segment),
-    // and a read's requests are queued before an executor can take one
-    assert!(load(m, |m| &m.socket_reads) <= 4);
-    assert_eq!(load(m, |m| &m.served), 0);
-    let wakes_before = load(m, |m| &m.wakes);
-
-    *gate.open.lock() = true;
-    gate.cv.notify_all();
-    let mut answered = 0;
-    let mut inbuf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while answered < SENT {
-        let got = conn.read(&mut chunk).expect("read");
-        assert!(got > 0, "server closed early");
-        inbuf.extend_from_slice(&chunk[..got]);
-        while let Some(payload) = wire::take_frame(&mut inbuf).unwrap() {
-            assert!(matches!(
-                wire::decode_response(&payload).unwrap().1,
-                Response::Ok
-            ));
-            answered += 1;
-        }
-    }
-    assert_eq!(load(m, |m| &m.served), SENT);
-    let (wakes, writes) = (
-        load(m, |m| &m.wakes) - wakes_before,
-        load(m, |m| &m.reply_writes),
-    );
-    assert!(wakes <= 8, "{wakes} wakes for {SENT} replies");
-    assert!(writes <= 8, "{writes} reply writes for {SENT} replies");
-    assert_eq!(m.total_shed(), 0);
-    server.shutdown();
 }

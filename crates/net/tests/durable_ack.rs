@@ -1,10 +1,21 @@
-//! Ack ⇒ durable, at the wire. The server runs `Service::call` inside
+//! Ack ⇒ durable, at the wire. A worker runs `Service::call` inside
 //! `feral_db::defer_durable` and sends a committing request's reply from
-//! the flush completion, so an executor never sleeps through an fsync.
-//! These tests hold the WAL writer (`Database::with_wal_stalled`) behind
-//! an in-process leader to park replies deterministically: one executor
-//! fills a batch, a reply read is a row recovered, a dead connection's
+//! the flush completion, so it never sleeps through an fsync — not even
+//! as the flush leader: the lead a parked commit hands it goes to the
+//! `feral-net-flush` thread at once. These tests hold the WAL writer
+//! (`Database::with_wal_stalled`) to park replies deterministically: one
+//! worker fills a batch, a reply read is a row recovered, reads are
+//! answered while commits wait, a commit the same read waits on is
+//! flushed meanwhile, the parked-reply bounds shed, a dead connection's
 //! parked replies are counted, and a failed flush answers `Error`.
+//!
+//! Checked by mutation: a worker that keeps the leads of a read and
+//! hands them over at its end fails
+//! `a_commit_the_same_read_waits_on_is_flushed_meanwhile`; a worker that
+//! leads the flush itself (drops the lead) fails
+//! `reads_are_answered_while_commits_wait_for_the_flush`; a worker that
+//! leaks the lead (`mem::forget`) fails both, and every other test here
+//! that does not park behind an in-process leader.
 
 use feral_db::{ColumnDef, Config, DataType, Database, Datum, TableSchema};
 use feral_net::wire;
@@ -37,12 +48,14 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     true
 }
 
-/// A synced-WAL database behind the ORM-backed service and a server with
-/// ONE executor.
-fn stack(path: &Path) -> (Database, Server) {
+/// A synced-WAL database behind the ORM-backed service (`User.email` is
+/// validated unique ferally *and* by a unique index) and a server shaped
+/// by `config`.
+fn stack_with(path: &Path, config: ServerConfig) -> (Database, Server) {
     let db = Database::open(Config {
         wal_path: Some(path.to_path_buf()),
         wal_sync: true,
+        lock_timeout: LOCK_TIMEOUT,
         ..Config::default()
     })
     .unwrap();
@@ -53,17 +66,24 @@ fn stack(path: &Path) -> (Database, Server) {
         .validates_uniqueness_of("email")
         .finish();
     app.define(user).unwrap();
-    let server = Server::start(
-        Arc::new(PooledService::new(app, 1)),
+    app.add_index("User", &["email"], true).unwrap();
+    let service = Arc::new(PooledService::new(app, config.executors));
+    (db, Server::start(service, config).unwrap())
+}
+
+/// [`stack_with`] ONE worker.
+fn stack(path: &Path) -> (Database, Server) {
+    stack_with(
+        path,
         ServerConfig {
-            event_loops: 1,
             executors: 1,
             ..ServerConfig::default()
         },
     )
-    .unwrap();
-    (db, server)
 }
+
+/// What a request waits for a lock another holds before it gives up.
+const LOCK_TIMEOUT: Duration = Duration::from_secs(4);
 
 fn connect(server: &Server) -> TcpStream {
     let s = TcpStream::connect(server.local_addr()).expect("connect");
@@ -72,11 +92,21 @@ fn connect(server: &Server) -> TcpStream {
     s
 }
 
-fn post(stream: &mut TcpStream, id: u64) {
+/// The frame of a signup as `u<who>@example.com`.
+fn signup(id: u64, who: u64) -> Vec<u8> {
     let request = Request::builder("User")
         .session(id)
-        .attr("email", Datum::text(format!("u{id}@example.com")))
+        .attr("email", Datum::text(format!("u{who}@example.com")))
         .create();
+    wire::encode_request(id, &request).unwrap()
+}
+
+fn post(stream: &mut TcpStream, id: u64) {
+    stream.write_all(&signup(id, id)).unwrap();
+}
+
+fn get(stream: &mut TcpStream, id: u64, user: i64) {
+    let request = Request::builder("User").session(id).get(user);
     stream
         .write_all(&wire::encode_request(id, &request).unwrap())
         .unwrap();
@@ -146,12 +176,12 @@ fn appends(db: &Database) -> u64 {
     db.stats().snapshot().wal_appends
 }
 
-/// One executor, 32 pipelined signups, one flush: the executor hands each
+/// One worker, 32 pipelined signups, one flush: the worker hands each
 /// reply to its commit and goes on to the next request, so the batch is
-/// bounded by what is in flight, not by the executor count. And every
+/// bounded by what is in flight, not by the worker count. And every
 /// `Created(id)` that reaches the client is already recoverable.
 #[test]
-fn one_executor_fills_a_batch_and_every_ack_is_durable() {
+fn one_worker_fills_a_batch_and_every_ack_is_durable() {
     const SENT: u64 = 32;
     let path = wal_path("batch");
     let (db, server) = stack(&path);
@@ -161,7 +191,7 @@ fn one_executor_fills_a_batch_and_every_ack_is_durable() {
         for id in 0..SENT {
             post(&mut conn, id);
         }
-        // all 32 committed — behind one executor — while nothing is flushed
+        // all 32 committed — on one worker — while nothing is flushed
         assert!(eventually(|| appends(&db) - before.wal_appends == SENT + 1));
         let d = db.stats().snapshot().diff(&before);
         assert_eq!((d.wal_flushes, d.commits), (0, 0));
@@ -190,6 +220,164 @@ fn one_executor_fills_a_batch_and_every_ack_is_durable() {
     server.shutdown();
 }
 
+/// With the writer stalled and nobody else to lead, the first signup's
+/// commit makes its worker the flush leader — and the worker declines:
+/// the flusher thread is the one stuck on the writer. `GET`s on the same
+/// connection and on another worker's are answered meanwhile, and the
+/// signups' replies leave only when the flush completes.
+#[test]
+fn reads_are_answered_while_commits_wait_for_the_flush() {
+    const SENT: u64 = 4;
+    let path = wal_path("reads-meanwhile");
+    let (db, server) = stack_with(
+        &path,
+        ServerConfig {
+            executors: 2,
+            ..ServerConfig::default()
+        },
+    );
+    // connections go to the workers round-robin: one each
+    let mut writer = connect(&server);
+    let mut reader = connect(&server);
+    for conn in [&mut writer, &mut reader] {
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    }
+    post(&mut writer, 1000);
+    let (_, Response::Created(known)) = replies(&mut writer).next() else {
+        panic!("the first signup commits")
+    };
+    let before = appends(&db);
+    db.with_wal_stalled(|| {
+        for id in 0..SENT {
+            post(&mut writer, id);
+        }
+        assert!(eventually(|| appends(&db) - before == SENT));
+        assert!(db.wal_flush_in_flight(), "the flusher leads");
+        get(&mut writer, 50, known);
+        get(&mut reader, 51, known);
+        // a worker asleep on the writer would leave this read to time out
+        assert!(matches!(
+            replies(&mut writer).next(),
+            (50, Response::Found(_))
+        ));
+        assert!(matches!(
+            replies(&mut reader).next(),
+            (51, Response::Found(_))
+        ));
+        assert_eq!(server.metrics().served.load(Ordering::Relaxed), 3);
+    });
+    let mut replies = replies(&mut writer);
+    for _ in 0..SENT {
+        let (_, response) = replies.next();
+        assert!(matches!(response, Response::Created(_)), "{response:?}");
+    }
+    server.shutdown();
+}
+
+/// Two signups under one e-mail, pipelined in one write: the second waits
+/// on the unique-key lock the first one's commit holds until its flush
+/// completes. The worker is the thread that parked that commit and was
+/// handed the lead — had it kept the lead for the end of the read, it
+/// would wait on itself until `lock_timeout`. Handed over at once, the
+/// flush runs meanwhile: the first is created and the second refused,
+/// both in the time of an fsync.
+#[test]
+fn a_commit_the_same_read_waits_on_is_flushed_meanwhile() {
+    let path = wal_path("same-read");
+    let (db, server) = stack(&path);
+    let mut conn = connect(&server);
+    let started = Instant::now();
+    let mut both = signup(0, 7);
+    both.extend_from_slice(&signup(1, 7));
+    conn.write_all(&both).unwrap();
+    let mut replies = replies(&mut conn);
+    // the refusal has nothing to wait for and may overtake the ack
+    let mut answers = [replies.next(), replies.next()];
+    let took = started.elapsed();
+    answers.sort_by_key(|(id, _)| *id);
+    let [first, second] = answers;
+    assert!(matches!(first, (0, Response::Created(_))), "{first:?}");
+    // by the index, the feral probe having run before the first was
+    // visible — or by the probe, if the flush won that race
+    match &second {
+        (1, Response::Error(e)) => assert!(e.to_string().contains("unique"), "got: {e}"),
+        (1, Response::Invalid(_)) => {}
+        other => panic!("the duplicate answered {other:?}"),
+    }
+    assert!(
+        took < LOCK_TIMEOUT / 4,
+        "a lock wait on the worker's own parked commit: {took:?}"
+    );
+    assert_eq!(db.stats().snapshot().lock_timeouts, 0);
+    assert_eq!(db.count_rows("users").unwrap(), 1);
+    server.shutdown();
+}
+
+/// Rules 2 and 3 count parked replies. With the writer stalled, a
+/// connection is owed at most `inflight` of them and the server holds at
+/// most `queue`: what is pipelined past the bound is answered
+/// `Overloaded` at once — before the flush, without running — and counted
+/// under the rule that refused it. Once the flush completes the parked
+/// ones are answered `Created` and the next signup is admitted again.
+#[test]
+fn parked_replies_past_the_bounds_are_shed() {
+    const SENT: u64 = 10;
+    const BOUND: u64 = 4;
+    for (rule, queue, inflight) in [
+        ("queue", BOUND as usize, 64),
+        ("inflight", 1024, BOUND as usize),
+    ] {
+        let path = wal_path(rule);
+        let (db, server) = stack_with(
+            &path,
+            ServerConfig {
+                executors: 1,
+                queue,
+                inflight,
+                ..ServerConfig::default()
+            },
+        );
+        let mut conn = connect(&server);
+        let before = appends(&db);
+        db.with_wal_stalled(|| {
+            for id in 0..SENT {
+                post(&mut conn, id);
+            }
+            let mut replies = replies(&mut conn);
+            for _ in BOUND..SENT {
+                let (id, response) = replies.next();
+                assert!(id >= BOUND, "{rule}: request {id} was shed");
+                assert!(matches!(response, Response::Overloaded) && response.retryable());
+            }
+            assert_eq!(
+                appends(&db) - before,
+                BOUND,
+                "{rule}: a shed request never ran"
+            );
+        });
+        let mut replies = replies(&mut conn);
+        for _ in 0..BOUND {
+            let (id, response) = replies.next();
+            assert!(id < BOUND && matches!(response, Response::Created(_)));
+        }
+        post(replies.stream, 100);
+        assert!(matches!(replies.next(), (100, Response::Created(_))));
+        let m = server.metrics();
+        let shed = (
+            m.shed_queue.load(Ordering::Relaxed),
+            m.shed_inflight.load(Ordering::Relaxed),
+        );
+        let want = if rule == "queue" {
+            (SENT - BOUND, 0)
+        } else {
+            (0, SENT - BOUND)
+        };
+        assert_eq!(shed, want, "{rule}");
+        assert_eq!(m.served.load(Ordering::Relaxed), SENT + 1);
+        server.shutdown();
+    }
+}
+
 /// A connection that dies while its commits are parked: the replies are
 /// counted in `dropped_replies` (the dubious-ack window, observable), the
 /// rows are durable all the same, and the server keeps serving.
@@ -205,7 +393,7 @@ fn a_connection_closed_under_parked_commits_counts_dropped_replies() {
             post(&mut doomed, id);
         }
         assert!(eventually(|| appends(&db) - before == SENT + 1));
-        // an undecodable frame: the loop drops the connection itself,
+        // an undecodable frame: the worker drops the connection itself,
         // before any of the parked replies can come back
         doomed.write_all(&[1, 0, 0, 0, 0xFF]).unwrap();
         assert!(eventually(|| {

@@ -1,7 +1,10 @@
-//! Deterministic overload behavior: every backpressure layer sheds with
-//! the retryable error code, reply accounting balances, and a dying
-//! connection never takes the server (or the database's integrity)
-//! with it.
+//! Deterministic overload behavior with no WAL in the way: rule 2 sheds
+//! with the retryable code and the accounting balances, a slow call
+//! stalls its own worker's connections and nobody else's, and a dying
+//! connection never takes the server (or the database's integrity) with
+//! it. The bounds on replies *parked on a flush* — rule 3, and rule 2's
+//! other half — are exercised in `durable_ack.rs`, where there is a WAL
+//! to stall.
 
 use feral_db::AuditMode;
 use feral_net::planner::{certified_plan, seeded_database, PlannedService, T_DEPOSIT};
@@ -15,9 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A service that blocks every call until the gate opens — a stand-in
-/// for a slow database, letting tests fill each backpressure layer
-/// deterministically before any request completes.
+/// Session id of the request [`GateService`] holds back.
+const SLOW: u64 = u64::MAX;
+
+/// A service that answers at once — except the [`SLOW`] session's
+/// requests, which block until the gate opens: a stand-in for one slow
+/// database call.
 struct GateService {
     open: Mutex<bool>,
     cv: Condvar,
@@ -40,11 +46,13 @@ impl GateService {
 }
 
 impl Service for GateService {
-    fn call(&self, _request: Request) -> Response {
+    fn call(&self, request: Request) -> Response {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.open.lock();
-        while !*open {
-            self.cv.wait(&mut open);
+        if request.session == SLOW {
+            let mut open = self.open.lock();
+            while !*open {
+                self.cv.wait(&mut open);
+            }
         }
         Response::Ok
     }
@@ -57,10 +65,13 @@ fn connect(server: &Server) -> TcpStream {
     s
 }
 
+fn frame(id: u64, session: u64) -> Vec<u8> {
+    let request = Request::builder("Widget").session(session).create();
+    wire::encode_request(id, &request).unwrap()
+}
+
 fn send(stream: &mut TcpStream, id: u64) {
-    let request = Request::builder("Widget").session(id).create();
-    let frame = wire::encode_request(id, &request).unwrap();
-    stream.write_all(&frame).unwrap();
+    stream.write_all(&frame(id, id)).unwrap();
 }
 
 /// Read exactly `n` responses off the stream.
@@ -80,68 +91,29 @@ fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<(u64, Response)> {
     out
 }
 
-#[test]
-fn queue_full_sheds_with_retryable_code_and_full_accounting() {
-    let service = GateService::new();
-    let server = Server::start(
-        service.clone(),
-        ServerConfig {
-            event_loops: 1,
-            executors: 1,
-            queue: 2,
-            inflight: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut conn = connect(&server);
-    const SENT: usize = 20;
-    for id in 0..SENT as u64 {
-        send(&mut conn, id);
-    }
-    // let the event loop ingest everything while the executor is gated:
-    // 1 request blocks in the executor, 2 wait in the queue (+1 may
-    // still be queued if the executor hasn't popped yet), the rest shed
-    std::thread::sleep(Duration::from_millis(200));
-    service.release();
-
-    let responses = read_responses(&mut conn, SENT);
-    let shed = responses
-        .iter()
-        .filter(|(_, r)| matches!(r, Response::Overloaded))
-        .count();
-    let ok = responses
-        .iter()
-        .filter(|(_, r)| matches!(r, Response::Ok))
-        .count();
-    assert_eq!(ok + shed, SENT, "every request answered exactly once");
-    assert!(
-        (SENT - 4..=SENT - 2).contains(&shed),
-        "queue(2) + executor(1) admit 2-4 of {SENT}, shed {shed}"
-    );
-    // the shed code is the retryable one
-    for (_, r) in &responses {
-        if matches!(r, Response::Overloaded) {
-            assert!(r.retryable());
+fn eventually(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        if std::time::Instant::now() > deadline {
+            return false;
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
-    let m = server.metrics();
-    assert_eq!(m.served.load(Ordering::Relaxed), SENT as u64);
-    assert_eq!(m.shed_queue.load(Ordering::Relaxed), shed as u64);
-    assert_eq!(m.shed_inflight.load(Ordering::Relaxed), 0);
-    server.shutdown();
+    true
 }
 
+/// Rule 2: a connection is owed at most `inflight` replies it has not
+/// been sent. Twelve requests pipelined in one write reach the worker in
+/// one read; four run, and the rest are answered `Overloaded` — the
+/// retryable code — without running. The replies written, the connection
+/// is admitted again.
 #[test]
-fn slow_worker_trips_the_per_connection_inflight_bound_then_recovers() {
+fn a_burst_past_the_inflight_bound_is_shed_then_the_connection_recovers() {
     let service = GateService::new();
     let server = Server::start(
         service.clone(),
         ServerConfig {
-            event_loops: 1,
             executors: 1,
-            queue: 1024,
             inflight: 4,
             ..ServerConfig::default()
         },
@@ -150,20 +122,19 @@ fn slow_worker_trips_the_per_connection_inflight_bound_then_recovers() {
 
     let mut conn = connect(&server);
     const SENT: usize = 12;
-    for id in 0..SENT as u64 {
-        send(&mut conn, id);
-    }
-    std::thread::sleep(Duration::from_millis(200));
-    // the executor is gated, so per-connection in-flight never drains:
-    // exactly `inflight` requests are admitted, the rest shed
-    service.release();
+    let burst: Vec<u8> = (0..SENT as u64).flat_map(|id| frame(id, id)).collect();
+    conn.write_all(&burst).unwrap();
     let responses = read_responses(&mut conn, SENT);
-    let shed = responses
-        .iter()
-        .filter(|(_, r)| matches!(r, Response::Overloaded))
-        .count();
-    assert_eq!(shed, SENT - 4);
+    for (id, r) in &responses {
+        if *id < 4 {
+            assert!(matches!(r, Response::Ok), "request {id}: {r:?}");
+        } else {
+            assert!(matches!(r, Response::Overloaded) && r.retryable());
+        }
+    }
+    assert_eq!(service.calls.load(Ordering::SeqCst), 4, "a shed never runs");
     let m = server.metrics();
+    assert_eq!(m.served.load(Ordering::Relaxed), SENT as u64);
     assert_eq!(m.shed_inflight.load(Ordering::Relaxed), (SENT - 4) as u64);
     assert_eq!(m.shed_queue.load(Ordering::Relaxed), 0);
 
@@ -176,16 +147,79 @@ fn slow_worker_trips_the_per_connection_inflight_bound_then_recovers() {
     server.shutdown();
 }
 
+/// What the rules do not bound: a slow `Service::call` runs on the worker
+/// that read it, so it holds up that worker's connections — its own, and
+/// the one that shares the worker — exactly as a slow request holds up a
+/// Unicorn worker. The other worker's connection is served throughout.
 #[test]
-fn mid_request_connection_drop_counts_dropped_replies_and_keeps_serving() {
+fn a_slow_call_delays_only_its_own_workers_connections() {
     let service = GateService::new();
     let server = Server::start(
         service.clone(),
         ServerConfig {
-            event_loops: 1,
             executors: 2,
-            queue: 1024,
-            inflight: 64,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    // connections go to the workers round-robin: 0, 1, 0
+    let mut slow = connect(&server);
+    let mut other = connect(&server);
+    let mut sharing = connect(&server);
+    assert!(eventually(|| {
+        server.metrics().accepted.load(Ordering::Relaxed) == 3
+    }));
+
+    slow.write_all(&frame(1, SLOW)).unwrap();
+    assert!(eventually(|| service.calls.load(Ordering::SeqCst) == 1));
+    for id in 0..100u64 {
+        send(&mut other, id);
+        let responses = read_responses(&mut other, 1);
+        assert!(matches!(responses[0], (got, Response::Ok) if got == id));
+    }
+    send(&mut sharing, 7);
+    sharing
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let stalled = sharing
+        .read(&mut byte)
+        .expect_err("its worker is in the slow call");
+    assert!(matches!(
+        stalled.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    ));
+    assert_eq!(
+        service.calls.load(Ordering::SeqCst),
+        101,
+        "request 7 has not run"
+    );
+
+    service.release();
+    sharing
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(matches!(read_responses(&mut slow, 1)[0], (1, Response::Ok)));
+    assert!(matches!(
+        read_responses(&mut sharing, 1)[0],
+        (7, Response::Ok)
+    ));
+    assert_eq!(server.metrics().total_shed(), 0);
+    server.shutdown();
+}
+
+/// A connection that dies while its request runs: the request completes
+/// (the database may commit), the reply goes to a socket nobody reads,
+/// the worker reaps the connection — torn frame and all — and the server
+/// keeps serving. (A reply *parked on a flush* when its connection dies
+/// is counted in `dropped_replies`; see `durable_ack.rs`.)
+#[test]
+fn a_connection_dropped_mid_request_is_reaped_and_the_server_keeps_serving() {
+    let service = GateService::new();
+    let server = Server::start(
+        service.clone(),
+        ServerConfig {
+            executors: 1,
             ..ServerConfig::default()
         },
     )
@@ -193,54 +227,41 @@ fn mid_request_connection_drop_counts_dropped_replies_and_keeps_serving() {
 
     {
         let mut doomed = connect(&server);
-        send(&mut doomed, 1);
+        doomed.write_all(&frame(1, SLOW)).unwrap();
+        assert!(eventually(|| service.calls.load(Ordering::SeqCst) == 1));
         send(&mut doomed, 2);
         // a torn frame: a length prefix promising more than we send
         doomed.write_all(&[64, 0, 0, 0, 0xAA, 0xBB]).unwrap();
-        std::thread::sleep(Duration::from_millis(200));
-        // both whole requests are now executing (2 executors); the
-        // connection dies before either can reply
-        assert_eq!(service.calls.load(Ordering::SeqCst), 2);
-        drop(doomed);
     }
-    std::thread::sleep(Duration::from_millis(100));
     service.release();
 
-    // the dropped connection's replies are counted, not silently lost
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        if server.metrics().dropped_replies.load(Ordering::Relaxed) == 2 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "dropped_replies stuck at {}",
-            server.metrics().dropped_replies.load(Ordering::Relaxed)
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // and the server still serves fresh connections
+    // the one worker is free again, and serves a fresh connection
     let mut fresh = connect(&server);
     send(&mut fresh, 7);
     let responses = read_responses(&mut fresh, 1);
     assert!(matches!(responses[0], (7, Response::Ok)));
+    assert_eq!(service.calls.load(Ordering::SeqCst), 3, "request 2 ran too");
+    let m = server.metrics();
+    assert_eq!(
+        m.protocol_errors.load(Ordering::Relaxed),
+        0,
+        "torn, not malformed"
+    );
+    assert_eq!(m.dropped_replies.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
 
 #[test]
 fn overload_sheds_never_corrupt_integrity() {
-    // a deliberately tiny dispatch queue over the real planner service:
-    // heavy pipelining forces queue sheds, yet every shed is pre-
-    // execution, so the post-run integrity audit must stay clean
+    // a deliberately tiny in-flight bound over the real planner service:
+    // heavy pipelining forces sheds, yet every shed is pre-execution, so
+    // the post-run integrity audit must stay clean
     let db = seeded_database(AuditMode::Full);
     let service = Arc::new(PlannedService::new(db, certified_plan()));
     let server = Server::start(
         service.clone(),
         ServerConfig {
-            event_loops: 1,
             executors: 2,
-            queue: 4,
             inflight: 8,
             ..ServerConfig::default()
         },
@@ -249,33 +270,24 @@ fn overload_sheds_never_corrupt_integrity() {
 
     let mut conn = connect(&server);
     const SENT: usize = 400;
-    let mut sent = 0usize;
-    let mut responses = Vec::new();
-    let mut inbuf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    conn.set_nonblocking(true).unwrap();
-    // fire deposits at one hot account as fast as the socket accepts,
-    // draining replies opportunistically so neither side deadlocks
-    while sent < SENT || responses.len() < SENT {
-        if sent < SENT {
-            let request = Request::template(T_DEPOSIT, (sent % 48) as u64);
-            let frame = wire::encode_request(sent as u64, &request).unwrap();
-            match conn.write_all(&frame) {
-                Ok(()) => sent += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("send failed: {e}"),
+    const BURST: usize = 16;
+    // deposits at a few hot accounts, sixteen to a write — twice what the
+    // connection may be owed — while this thread reads the replies
+    let mut writer = conn.try_clone().unwrap();
+    let responses = std::thread::scope(|s| {
+        s.spawn(move || {
+            for burst in (0..SENT).step_by(BURST) {
+                let frames: Vec<u8> = (burst..burst + BURST)
+                    .flat_map(|n| {
+                        let request = Request::template(T_DEPOSIT, (n % 48) as u64);
+                        wire::encode_request(n as u64, &request).unwrap()
+                    })
+                    .collect();
+                writer.write_all(&frames).unwrap();
             }
-        }
-        while let Some(payload) = wire::take_frame(&mut inbuf).expect("well-formed frame") {
-            responses.push(wire::decode_response(&payload).expect("decodable"));
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => panic!("server closed"),
-            Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) => panic!("read failed: {e}"),
-        }
-    }
+        });
+        read_responses(&mut conn, SENT)
+    });
     let shed = responses
         .iter()
         .filter(|(_, r)| matches!(r, Response::Overloaded))
@@ -285,6 +297,7 @@ fn overload_sheds_never_corrupt_integrity() {
         .filter(|(_, r)| matches!(r, Response::Ok))
         .count();
     assert_eq!(ok + shed, SENT);
+    assert!(shed > 0, "a burst of {BURST} past `inflight` 8 sheds");
     server.shutdown();
 
     // acked deposits all landed; shed deposits never ran

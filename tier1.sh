@@ -18,9 +18,11 @@ echo "== tier1: test suite =="
 # `default-members` is the whole workspace, so the bare command runs
 # every crate's suites: the commit-path invariants of the engine, the
 # wire tier and the service layer (visible => durable, ack => durable,
-# no orphaned commit tail, the overload contract, no lost wake-up), the
-# ORM's read-path bounds, and the simulator, sdg, plan, audit and racer
-# suites that used to be gated by nothing.
+# no orphaned commit tail and no lost flush lead, a worker that never
+# sleeps in an fsync, the overload contract, no lost wake-up, an inline
+# reply that makes no hand-off), the ORM's read-path bounds, and the
+# simulator, sdg, plan, audit and racer suites that used to be gated by
+# nothing.
 cargo test -q
 
 echo "== tier1: feral-sim bounded systematic sweep =="
