@@ -3,7 +3,7 @@
 use crate::commit::CommitPipeline;
 use crate::error::{DbError, DbResult};
 use crate::heap::Heap;
-use crate::index::IndexData;
+use crate::index::{IndexData, IndexKey};
 use crate::lock::LockManager;
 use crate::schema::{ForeignKey, IndexDef, IndexId, OnDelete, TableId, TableInfo, TableSchema};
 use crate::stats::Stats;
@@ -664,7 +664,7 @@ impl Database {
         // Backfill from the latest committed rows. If uniqueness is violated
         // by existing data, index creation fails (as ALTER TABLE would).
         let existing = entry.heap.scan_latest(|_| true);
-        let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
+        let mut seen: HashMap<IndexKey, usize> = HashMap::new();
         for (row, tuple) in &existing {
             let key = data.key_of(tuple);
             if unique && !data.key_has_null(tuple) {

@@ -31,34 +31,38 @@ impl RowVersion {
     pub fn visible_at(&self, ts: u64) -> bool {
         self.begin <= ts && (self.end == 0 || self.end > ts)
     }
+
+    /// Whether this version ended at or before `horizon`, so no snapshot
+    /// at or after it can see the version.
+    fn ended_by(&self, horizon: u64) -> bool {
+        self.end != 0 && self.end <= horizon
+    }
 }
 
-/// The full version history of one logical row, oldest first.
-#[derive(Debug, Default, Clone)]
-pub struct RowChain {
-    versions: Vec<RowVersion>,
+/// The version history of one logical row. The newest version sits in the
+/// heap slot itself, so resolving a posting to it reads the slot and
+/// nothing behind it; superseded versions follow in a vector.
+struct RowChain {
+    newest: RowVersion,
+    /// Superseded versions, oldest first.
+    older: Vec<RowVersion>,
 }
 
 impl RowChain {
-    /// The version visible at snapshot `ts`, if any.
-    pub fn visible_at(&self, ts: u64) -> Option<&RowVersion> {
-        // newest versions are at the back; a snapshot sees at most one
-        self.versions.iter().rev().find(|v| v.visible_at(ts))
+    /// Every version, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = &RowVersion> {
+        std::iter::once(&self.newest).chain(self.older.iter().rev())
     }
 
-    /// The newest version regardless of visibility, with liveness.
-    pub fn latest(&self) -> Option<&RowVersion> {
-        self.versions.last()
+    /// The version visible at snapshot `ts`, if any (a snapshot sees at
+    /// most one, usually the newest).
+    fn visible_at(&self, ts: u64) -> Option<&RowVersion> {
+        self.newest_first().find(|v| v.visible_at(ts))
     }
 
     /// Whether the newest version is live (not deleted).
-    pub fn live(&self) -> bool {
-        self.versions.last().is_some_and(|v| v.end == 0)
-    }
-
-    /// All versions (oldest first); used by vacuum and diagnostics.
-    pub fn versions(&self) -> &[RowVersion] {
-        &self.versions
+    fn live(&self) -> bool {
+        self.newest.end == 0
     }
 }
 
@@ -85,11 +89,12 @@ impl Heap {
     pub fn install_insert(&self, commit_ts: u64, tuple: Arc<Tuple>) -> RowId {
         let mut rows = self.rows.write();
         rows.push(RowChain {
-            versions: vec![RowVersion {
+            newest: RowVersion {
                 begin: commit_ts,
                 end: 0,
                 tuple,
-            }],
+            },
+            older: Vec::new(),
         });
         rows.len() - 1
     }
@@ -98,9 +103,9 @@ impl Heap {
     /// Returns `false` if the row had no open version (already deleted).
     pub fn install_delete(&self, row: RowId, commit_ts: u64) -> bool {
         let mut rows = self.rows.write();
-        match rows.get_mut(row).and_then(|c| c.versions.last_mut()) {
-            Some(v) if v.end == 0 => {
-                v.end = commit_ts;
+        match rows.get_mut(row) {
+            Some(chain) if chain.live() => {
+                chain.newest.end = commit_ts;
                 true
             }
             _ => false,
@@ -111,17 +116,16 @@ impl Heap {
     /// Returns `false` if the row had no open version.
     pub fn install_update(&self, row: RowId, commit_ts: u64, tuple: Arc<Tuple>) -> bool {
         let mut rows = self.rows.write();
-        let Some(chain) = rows.get_mut(row) else {
-            return false;
-        };
-        match chain.versions.last_mut() {
-            Some(v) if v.end == 0 => {
-                v.end = commit_ts;
-                chain.versions.push(RowVersion {
+        match rows.get_mut(row) {
+            Some(chain) if chain.live() => {
+                chain.newest.end = commit_ts;
+                let next = RowVersion {
                     begin: commit_ts,
                     end: 0,
                     tuple,
-                });
+                };
+                let superseded = std::mem::replace(&mut chain.newest, next);
+                chain.older.push(superseded);
                 true
             }
             _ => false,
@@ -144,12 +148,7 @@ impl Heap {
     /// failed, so under a lock this is the latest committed image.
     pub fn latest(&self, row: RowId, clock: u64) -> Option<(Arc<Tuple>, bool, u64)> {
         let rows = self.rows.read();
-        let v = rows
-            .get(row)?
-            .versions
-            .iter()
-            .rev()
-            .find(|v| v.begin <= clock)?;
+        let v = rows.get(row)?.newest_first().find(|v| v.begin <= clock)?;
         Some((v.tuple.clone(), v.end == 0 || v.end > clock, v.begin))
     }
 
@@ -157,9 +156,7 @@ impl Heap {
     /// replay may use this: it runs before the clock is set.
     pub fn newest(&self, row: RowId) -> Option<Arc<Tuple>> {
         let rows = self.rows.read();
-        rows.get(row)
-            .and_then(|c| c.latest())
-            .map(|v| v.tuple.clone())
+        rows.get(row).map(|c| c.newest.tuple.clone())
     }
 
     /// Collect `(row_id, tuple)` for every row visible at `ts` that matches
@@ -193,12 +190,8 @@ impl Heap {
         let rows = self.rows.read();
         let mut out = Vec::new();
         for (id, chain) in rows.iter().enumerate() {
-            if chain.live() {
-                if let Some(v) = chain.latest() {
-                    if filter(&v.tuple) {
-                        out.push((id, v.tuple.clone()));
-                    }
-                }
+            if chain.live() && filter(&chain.newest.tuple) {
+                out.push((id, chain.newest.tuple.clone()));
             }
         }
         out
@@ -211,39 +204,31 @@ impl Heap {
         let rows = self.rows.read();
         rows.iter()
             .enumerate()
-            .filter(|(_, chain)| {
-                chain
-                    .versions
-                    .last()
-                    .is_some_and(|v| v.end != 0 && v.end <= horizon)
-            })
+            .filter(|(_, chain)| chain.newest.ended_by(horizon))
             .map(|(id, _)| id)
             .collect()
     }
 
     /// Drop version history that no snapshot older than `horizon` can see.
     /// Returns the number of versions reclaimed. Chains themselves are kept
-    /// (row ids are positional), so a fully dead chain shrinks to its last
-    /// version.
+    /// (row ids are positional), so a fully dead chain shrinks to its
+    /// newest version.
     pub fn vacuum(&self, horizon: u64) -> usize {
         let mut rows = self.rows.write();
         let mut reclaimed = 0;
         for chain in rows.iter_mut() {
-            if chain.versions.len() <= 1 {
-                continue;
-            }
-            let keep_from = chain
-                .versions
-                .iter()
-                .rposition(|v| v.end != 0 && v.end <= horizon)
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            // never drop the newest version
-            let keep_from = keep_from.min(chain.versions.len() - 1);
-            if keep_from > 0 {
-                chain.versions.drain(..keep_from);
-                reclaimed += keep_from;
-            }
+            // everything up to the newest version that ended by the horizon
+            let upto = if chain.newest.ended_by(horizon) {
+                chain.older.len()
+            } else {
+                chain
+                    .older
+                    .iter()
+                    .rposition(|v| v.ended_by(horizon))
+                    .map_or(0, |i| i + 1)
+            };
+            chain.older.drain(..upto);
+            reclaimed += upto;
         }
         reclaimed
     }
@@ -253,6 +238,7 @@ impl Heap {
 mod tests {
     use super::*;
     use crate::value::Datum;
+    use proptest::prelude::*;
 
     fn t(v: i64) -> Arc<Tuple> {
         Arc::new(vec![Datum::Int(v)])
@@ -346,5 +332,166 @@ mod tests {
         // horizon far future: one more version reclaimable, newest kept
         assert_eq!(h.vacuum(1000), 1);
         assert_eq!(h.visible(r, 100).unwrap()[0], Datum::Int(3));
+    }
+
+    /// The chain as one version vector, oldest first — the layout the
+    /// heap slot replaced — with its operations as they were.
+    #[derive(Default)]
+    struct Model {
+        rows: Vec<Vec<RowVersion>>,
+    }
+
+    impl Model {
+        fn insert(&mut self, ts: u64, tuple: Arc<Tuple>) {
+            self.rows.push(vec![RowVersion {
+                begin: ts,
+                end: 0,
+                tuple,
+            }]);
+        }
+
+        fn close(&mut self, row: RowId, ts: u64) -> bool {
+            match self.rows.get_mut(row).and_then(|c| c.last_mut()) {
+                Some(v) if v.end == 0 => {
+                    v.end = ts;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn update(&mut self, row: RowId, ts: u64, tuple: Arc<Tuple>) -> bool {
+            let closed = self.close(row, ts);
+            if closed {
+                self.rows[row].push(RowVersion {
+                    begin: ts,
+                    end: 0,
+                    tuple,
+                });
+            }
+            closed
+        }
+
+        fn visible(&self, row: RowId, ts: u64) -> Option<Arc<Tuple>> {
+            let v = self
+                .rows
+                .get(row)?
+                .iter()
+                .rev()
+                .find(|v| v.visible_at(ts))?;
+            Some(v.tuple.clone())
+        }
+
+        fn latest(&self, row: RowId, clock: u64) -> Option<(Arc<Tuple>, bool, u64)> {
+            let v = self
+                .rows
+                .get(row)?
+                .iter()
+                .rev()
+                .find(|v| v.begin <= clock)?;
+            Some((v.tuple.clone(), v.end == 0 || v.end > clock, v.begin))
+        }
+
+        fn dead_rows(&self, horizon: u64) -> Vec<RowId> {
+            let dead =
+                |c: &Vec<RowVersion>| c.last().is_some_and(|v| v.end != 0 && v.end <= horizon);
+            (0..self.rows.len())
+                .filter(|&r| dead(&self.rows[r]))
+                .collect()
+        }
+
+        fn vacuum(&mut self, horizon: u64) -> usize {
+            let mut reclaimed = 0;
+            for chain in &mut self.rows {
+                if chain.len() <= 1 {
+                    continue;
+                }
+                let keep_from = chain
+                    .iter()
+                    .rposition(|v| v.end != 0 && v.end <= horizon)
+                    .map(|i| i + 1)
+                    .unwrap_or(0)
+                    .min(chain.len() - 1);
+                chain.drain(..keep_from);
+                reclaimed += keep_from;
+            }
+            reclaimed
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert,
+        /// Update the `n`-th row (modulo the row count).
+        Update(usize),
+        Delete(usize),
+        /// Vacuum this far behind the newest timestamp.
+        Vacuum(u64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            2 => Just(Op::Insert),
+            4 => any::<usize>().prop_map(Op::Update),
+            1 => any::<usize>().prop_map(Op::Delete),
+            1 => (0u64..8).prop_map(Op::Vacuum),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Inserts, updates, deletes and vacuums on the heap and on the
+        /// version vector it replaced agree on every read at every
+        /// timestamp, and on what vacuum reclaims.
+        #[test]
+        fn the_heap_chain_agrees_with_a_version_vector(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let (heap, mut model) = (Heap::new(), Model::default());
+            let mut ts = 0;
+            for (i, op) in ops.into_iter().enumerate() {
+                ts += 1 + i as u64 % 2;
+                let rows = model.rows.len();
+                match op {
+                    Op::Insert => {
+                        prop_assert_eq!(heap.install_insert(ts, t(i as i64)), rows);
+                        model.insert(ts, t(i as i64));
+                    }
+                    Op::Update(n) if rows > 0 => {
+                        prop_assert_eq!(
+                            heap.install_update(n % rows, ts, t(i as i64)),
+                            model.update(n % rows, ts, t(i as i64))
+                        );
+                    }
+                    Op::Delete(n) if rows > 0 => {
+                        prop_assert_eq!(heap.install_delete(n % rows, ts), model.close(n % rows, ts));
+                    }
+                    Op::Vacuum(behind) => {
+                        let horizon = ts.saturating_sub(behind);
+                        prop_assert_eq!(heap.vacuum(horizon), model.vacuum(horizon));
+                    }
+                    _ => {}
+                }
+                for at in 0..=ts + 1 {
+                    for row in 0..model.rows.len() {
+                        prop_assert_eq!(heap.visible(row, at), model.visible(row, at), "row {} at {}", row, at);
+                        prop_assert_eq!(heap.latest(row, at), model.latest(row, at), "row {} at {}", row, at);
+                    }
+                    prop_assert_eq!(heap.dead_rows(at), model.dead_rows(at));
+                    let visible: Vec<RowId> = heap.scan_visible(at, |_| true).into_iter().map(|(r, _)| r).collect();
+                    let want: Vec<RowId> = (0..model.rows.len()).filter(|&r| model.visible(r, at).is_some()).collect();
+                    prop_assert_eq!(visible, want);
+                }
+                for row in 0..model.rows.len() {
+                    let newest = model.rows[row].last().map(|v| v.tuple.clone());
+                    prop_assert_eq!(heap.newest(row), newest);
+                }
+                let live: Vec<RowId> = heap.scan_latest(|_| true).into_iter().map(|(r, _)| r).collect();
+                let want: Vec<RowId> = (0..model.rows.len())
+                    .filter(|&r| model.rows[r].last().is_some_and(|v| v.end == 0))
+                    .collect();
+                prop_assert_eq!(live, want);
+            }
+        }
     }
 }

@@ -1,17 +1,218 @@
 //! Secondary and unique index storage.
 //!
-//! Indexes map order-preserving encoded composite keys to sets of row ids.
-//! Entries are maintained at commit time; because an entry may outlive the
-//! version that produced it (updates/deletes leave stale postings until
-//! vacuum), readers must re-verify the indexed columns against the visible
-//! tuple — [`crate::Database`] does this centrally.
+//! Indexes map order-preserving encoded composite keys to the rows posted
+//! under them. Entries are maintained at commit time; because an entry may
+//! outlive the version that produced it (updates/deletes leave stale
+//! postings until vacuum), readers must re-verify the indexed columns
+//! against the visible tuple — [`crate::Database`] does this centrally.
+//!
+//! An equality probe descends the map comparing its key with one key per
+//! step, then reads the postings of the key it lands on. Both live in the
+//! map's nodes: an [`IndexKey`] holds its encoded bytes in place up to 23
+//! bytes (an id encodes to 9, the workloads' e-mails to at most 23) and
+//! carries its first eight bytes as a big-endian word that `Ord`
+//! compares first, and a key's postings are one inline row until a second
+//! row is posted under it.
 
 use crate::heap::RowId;
 use crate::schema::{IndexDef, IndexId};
-use crate::value::{encode_composite_key, Tuple};
+use crate::value::{Datum, KeySink, Tuple};
 use parking_lot::RwLock;
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
+
+/// The longest key an [`IndexKey`] holds without a heap allocation.
+const INLINE: usize = 23;
+
+/// An encoded index key. It orders, compares and hashes exactly like its
+/// bytes; a probe builds one on the stack.
+#[derive(Clone)]
+pub struct IndexKey {
+    /// The first eight bytes, big-endian, zero-padded past the end: zero
+    /// padding orders like the bytes, so unequal words decide the order.
+    prefix: u64,
+    bytes: KeyBytes,
+}
+
+#[derive(Clone)]
+enum KeyBytes {
+    /// Up to `INLINE` bytes; the rest of `buf` stays zero.
+    Inline { len: u8, buf: [u8; INLINE] },
+    /// A longer key.
+    Boxed(Box<[u8]>),
+}
+
+impl IndexKey {
+    /// The key encoding `datums` in order (see [`Datum::encode_key`]).
+    pub fn encode<'a>(datums: impl IntoIterator<Item = &'a Datum>) -> IndexKey {
+        let mut key = IndexKey::default();
+        for datum in datums {
+            datum.encode_key_into(&mut key);
+        }
+        key
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.bytes {
+            KeyBytes::Inline { len, buf } => &buf[..*len as usize],
+            KeyBytes::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl Default for IndexKey {
+    /// The empty key.
+    fn default() -> Self {
+        IndexKey {
+            prefix: 0,
+            bytes: KeyBytes::Inline {
+                len: 0,
+                buf: [0; INLINE],
+            },
+        }
+    }
+}
+
+impl KeySink for IndexKey {
+    fn put(&mut self, more: &[u8]) {
+        let at = self.as_bytes().len();
+        match &mut self.bytes {
+            KeyBytes::Inline { len, buf } if at + more.len() <= INLINE => {
+                buf[at..at + more.len()].copy_from_slice(more);
+                *len += more.len() as u8;
+            }
+            _ => self.bytes = KeyBytes::Boxed([self.as_bytes(), more].concat().into()),
+        }
+        if at < 8 {
+            self.prefix = word_at(self.as_bytes(), 0);
+        }
+    }
+}
+
+/// The big-endian word of `bytes[at..at + 8]`, zero-padded past the end.
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let rest = bytes.get(at..).unwrap_or_default();
+    let n = rest.len().min(8);
+    let mut word = [0; 8];
+    word[..n].copy_from_slice(&rest[..n]);
+    u64::from_be_bytes(word)
+}
+
+impl Ord for IndexKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prefix.cmp(&other.prefix).then_with(|| {
+            match (&self.bytes, &other.bytes) {
+                // the zero-padded buffers word by word, then the length: of
+                // two keys equal that far, the shorter prefixes the other
+                (KeyBytes::Inline { len: a, buf: x }, KeyBytes::Inline { len: b, buf: y }) => {
+                    (word_at(x, 8), word_at(x, 16), a).cmp(&(word_at(y, 8), word_at(y, 16), b))
+                }
+                _ => self.as_bytes().cmp(other.as_bytes()),
+            }
+        })
+    }
+}
+
+impl PartialOrd for IndexKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for IndexKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_bytes(), f)
+    }
+}
+
+/// The rows posted under one key: one inline row until a second is posted.
+enum Postings {
+    One(RowId),
+    /// Two rows or more.
+    Many(BTreeSet<RowId>),
+}
+
+impl Postings {
+    fn insert(&mut self, row: RowId) {
+        match self {
+            Postings::One(only) if *only == row => {}
+            Postings::One(only) => *self = Postings::Many(BTreeSet::from([*only, row])),
+            Postings::Many(rows) => {
+                rows.insert(row);
+            }
+        }
+    }
+
+    /// Remove `row`; whether any row is left.
+    fn remove(&mut self, row: RowId) -> bool {
+        match self {
+            Postings::One(only) => *only != row,
+            Postings::Many(rows) => {
+                rows.remove(&row);
+                self.settle()
+            }
+        }
+    }
+
+    /// Keep the rows `keep` accepts; whether any is left.
+    fn retain(&mut self, mut keep: impl FnMut(RowId) -> bool) -> bool {
+        match self {
+            Postings::One(only) => keep(*only),
+            Postings::Many(rows) => {
+                rows.retain(|&row| keep(row));
+                self.settle()
+            }
+        }
+    }
+
+    /// After a removal: a set down to one row goes back inline. Whether
+    /// any row is left.
+    fn settle(&mut self) -> bool {
+        if let Postings::Many(rows) = self {
+            match rows.first().copied() {
+                None => return false,
+                Some(only) if rows.len() == 1 => *self = Postings::One(only),
+                Some(_) => {}
+            }
+        }
+        true
+    }
+
+    /// Whether `hit` accepts any row, visiting them in row order and
+    /// stopping at the first it accepts.
+    fn any(&self, mut hit: impl FnMut(RowId) -> bool) -> bool {
+        match self {
+            Postings::One(only) => hit(*only),
+            Postings::Many(rows) => rows.iter().any(|&row| hit(row)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Postings::One(_) => 1,
+            Postings::Many(rows) => rows.len(),
+        }
+    }
+}
 
 /// One index's data plus its catalog identity and definition.
 ///
@@ -25,7 +226,7 @@ pub struct IndexData {
     pub id: IndexId,
     /// Catalog definition (name, table, columns, uniqueness).
     pub def: IndexDef,
-    map: RwLock<BTreeMap<Vec<u8>, BTreeSet<RowId>>>,
+    map: RwLock<BTreeMap<IndexKey, Postings>>,
 }
 
 impl IndexData {
@@ -38,9 +239,9 @@ impl IndexData {
         }
     }
 
-    /// Encode the key of `tuple` under this index's column list.
-    pub fn key_of(&self, tuple: &Tuple) -> Vec<u8> {
-        encode_composite_key(tuple, &self.def.cols)
+    /// The key of `tuple` under this index's column list.
+    pub fn key_of(&self, tuple: &Tuple) -> IndexKey {
+        IndexKey::encode(self.def.cols.iter().map(|&c| &tuple[c]))
     }
 
     /// Whether `a` and `b` carry the same key: column for column the same
@@ -60,18 +261,20 @@ impl IndexData {
     }
 
     /// Add a posting.
-    pub fn insert_entry(&self, key: Vec<u8>, row: RowId) {
-        self.map.write().entry(key).or_default().insert(row);
+    pub fn insert_entry(&self, key: IndexKey, row: RowId) {
+        match self.map.write().entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(Postings::One(row));
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().insert(row),
+        }
     }
 
     /// Remove a posting (no-op if absent).
-    pub fn remove_entry(&self, key: &[u8], row: RowId) {
+    pub fn remove_entry(&self, key: &IndexKey, row: RowId) {
         let mut map = self.map.write();
-        if let Some(set) = map.get_mut(key) {
-            set.remove(&row);
-            if set.is_empty() {
-                map.remove(key);
-            }
+        if map.get_mut(key).is_some_and(|rows| !rows.remove(row)) {
+            map.remove(key);
         }
     }
 
@@ -79,28 +282,19 @@ impl IndexData {
     /// are visited in row order under the read latch, stopping at the
     /// first acceptance; a `hit` that always declines visits them all.
     /// Nothing is copied out: an equality key almost always posts one row.
-    pub fn any_row(&self, key: &[u8], hit: impl FnMut(RowId) -> bool) -> bool {
-        self.map
-            .read()
-            .get(key)
-            .is_some_and(|rows| rows.iter().copied().any(hit))
+    pub fn any_row(&self, key: &IndexKey, hit: impl FnMut(RowId) -> bool) -> bool {
+        self.map.read().get(key).is_some_and(|rows| rows.any(hit))
     }
 
-    /// Row ids posted under keys in `[lo, hi)` (encoded bounds); either
-    /// bound may be `None` for unbounded.
-    pub fn rows_in_range(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Vec<RowId> {
-        self.rows_in_bounds(
-            lo.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec())),
-            hi.map_or(Bound::Unbounded, |k| Bound::Excluded(k.to_vec())),
-        )
-    }
-
-    /// Row ids posted under keys within explicit bounds.
-    pub fn rows_in_bounds(&self, lo: Bound<Vec<u8>>, hi: Bound<Vec<u8>>) -> Vec<RowId> {
+    /// Row ids posted under keys within explicit bounds, in key order.
+    pub fn rows_in_bounds(&self, lo: Bound<IndexKey>, hi: Bound<IndexKey>) -> Vec<RowId> {
         let map = self.map.read();
         let mut out = Vec::new();
-        for (_, set) in map.range((lo, hi)) {
-            out.extend(set.iter().copied());
+        for (_, rows) in map.range((lo, hi)) {
+            rows.any(|row| {
+                out.push(row);
+                false
+            });
         }
         out
     }
@@ -114,10 +308,7 @@ impl IndexData {
             return;
         }
         let mut map = self.map.write();
-        map.retain(|_, set| {
-            set.retain(|row| !dead.contains(row));
-            !set.is_empty()
-        });
+        map.retain(|_, rows| rows.retain(|row| !dead.contains(&row)));
     }
 
     /// Number of distinct keys (diagnostics).
@@ -127,7 +318,7 @@ impl IndexData {
 
     /// Total number of postings (diagnostics).
     pub fn posting_count(&self) -> usize {
-        self.map.read().values().map(|s| s.len()).sum()
+        self.map.read().values().map(Postings::len).sum()
     }
 }
 
@@ -135,7 +326,7 @@ impl IndexData {
 mod tests {
     use super::*;
     use crate::schema::{IndexId, TableId};
-    use crate::value::Datum;
+    use proptest::prelude::*;
 
     fn idx(cols: Vec<usize>, unique: bool) -> IndexData {
         IndexData::new(
@@ -149,7 +340,14 @@ mod tests {
         )
     }
 
-    fn rows_for(ix: &IndexData, key: &[u8]) -> Vec<RowId> {
+    /// The key of already-encoded `bytes`.
+    fn key_of_bytes(bytes: &[u8]) -> IndexKey {
+        let mut key = IndexKey::default();
+        key.put(bytes);
+        key
+    }
+
+    fn rows_for(ix: &IndexData, key: &IndexKey) -> Vec<RowId> {
         let mut rows = Vec::new();
         ix.any_row(key, |row| {
             rows.push(row);
@@ -220,16 +418,210 @@ mod tests {
             let t: Tuple = vec![Datum::Int(row as i64), Datum::Int(v)];
             ix.insert_entry(ix.key_of(&t), row);
         }
-        let enc = |v: i64| {
-            let mut b = vec![];
-            Datum::Int(v).encode_key(&mut b);
-            b
-        };
+        let enc = |v: i64| IndexKey::encode([&Datum::Int(v)]);
         // [20, 40) -> rows 1, 2
-        let got = ix.rows_in_range(Some(&enc(20)), Some(&enc(40)));
+        let got = ix.rows_in_bounds(Bound::Included(enc(20)), Bound::Excluded(enc(40)));
         assert_eq!(got, vec![1, 2]);
         // unbounded
-        assert_eq!(ix.rows_in_range(None, None).len(), 4);
+        assert_eq!(
+            ix.rows_in_bounds(Bound::Unbounded, Bound::Unbounded).len(),
+            4
+        );
         assert_eq!(ix.posting_count(), 4);
+    }
+
+    /// A key encoded datum by datum is the key of the bytes `encode_key`
+    /// writes, inline or not: ids and the workloads' e-mails stay inline.
+    #[test]
+    fn an_encoded_key_is_the_key_of_its_bytes() {
+        let datums = [
+            vec![Datum::Int(42)],
+            vec![Datum::text("u0000005@example.com")],
+            vec![Datum::text("a\0b"), Datum::Int(-7), Datum::Null],
+            vec![
+                Datum::text("a much longer value than fits"),
+                Datum::Bool(true),
+            ],
+        ];
+        for tuple in datums {
+            let mut bytes = Vec::new();
+            for d in &tuple {
+                d.encode_key(&mut bytes);
+            }
+            let key = IndexKey::encode(&tuple);
+            assert_eq!(key.as_bytes(), bytes);
+            assert_eq!(key, key_of_bytes(&bytes));
+            assert_eq!(
+                matches!(key.bytes, KeyBytes::Inline { .. }),
+                bytes.len() <= INLINE
+            );
+        }
+        assert_eq!(IndexKey::encode([&Datum::Int(1)]).as_bytes().len(), 9);
+        let email = Datum::text("u0000005@example.com");
+        assert_eq!(IndexKey::encode([&email]).as_bytes().len(), INLINE);
+    }
+
+    /// Keys of 0–40 bytes from a small alphabet over a few shared 8-byte
+    /// prefixes, some ending in 0x00: they cross the inline bound, tie on
+    /// the prefix word and differ only in padding-like zeros.
+    fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+        const PREFIXES: [&[u8; 8]; 3] = [b"\x02\x80\0\0\0\0\0\x03", b"\x04user12@", &[0; 8]];
+        const BYTES: [u8; 5] = [0x00, 0x01, 0x7F, 0xFF, b'a'];
+        let byte = (0..BYTES.len()).prop_map(|i| BYTES[i]);
+        (
+            0..PREFIXES.len(),
+            proptest::collection::vec(byte, 0..32),
+            0usize..=40,
+            any::<bool>(),
+        )
+            .prop_map(|(p, tail, len, nul)| {
+                let mut key = [&PREFIXES[p][..], &tail].concat();
+                key.truncate(len);
+                if nul {
+                    key.truncate(39);
+                    key.push(0x00);
+                }
+                key
+            })
+    }
+
+    /// One step against both the index and the old layout it replaced.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(usize, RowId),
+        Remove(usize, RowId),
+        /// Walk a key's postings, stopping at the `n`-th (never if `None`).
+        AnyRow(usize, Option<usize>),
+        Range(Bound<usize>, Bound<usize>),
+        Sweep(Vec<RowId>),
+    }
+
+    fn arb_bound() -> impl Strategy<Value = Bound<usize>> {
+        prop_oneof![
+            Just(Bound::Unbounded),
+            (0usize..8).prop_map(Bound::Included),
+            (0usize..8).prop_map(Bound::Excluded),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let (key, row) = (0usize..8, 0usize..6);
+        prop_oneof![
+            3 => (key.clone(), row.clone()).prop_map(|(k, r)| Op::Insert(k, r)),
+            2 => (key.clone(), row.clone()).prop_map(|(k, r)| Op::Remove(k, r)),
+            2 => (key, 0usize..4).prop_map(|(k, n)| Op::AnyRow(k, (n < 3).then_some(n))),
+            1 => (arb_bound(), arb_bound()).prop_map(|(lo, hi)| Op::Range(lo, hi)),
+            1 => proptest::collection::vec(row, 0..3).prop_map(Op::Sweep),
+        ]
+    }
+
+    /// A range `BTreeMap::range` accepts: bounds swapped when out of order,
+    /// an empty exclusive range opened to an inclusive one.
+    fn valid_range<'a>(
+        lo: Bound<&'a Vec<u8>>,
+        hi: Bound<&'a Vec<u8>>,
+    ) -> (Bound<&'a Vec<u8>>, Bound<&'a Vec<u8>>) {
+        let key = |b: Bound<&'a Vec<u8>>| match b {
+            Bound::Included(k) | Bound::Excluded(k) => Some(k),
+            Bound::Unbounded => None,
+        };
+        match (key(lo), key(hi)) {
+            (Some(a), Some(b)) if a > b => (hi, lo),
+            (Some(a), Some(b)) if a == b => (lo, Bound::Included(b)),
+            _ => (lo, hi),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `IndexKey` orders, compares and hashes like its bytes, however
+        /// it was built.
+        #[test]
+        fn an_index_key_orders_and_hashes_like_its_bytes(
+            keys in proptest::collection::vec(arb_key(), 1..12),
+            split in 0usize..41,
+        ) {
+            use std::hash::BuildHasher;
+            let hasher = std::collections::hash_map::RandomState::new();
+            let built: Vec<IndexKey> = keys.iter().map(|k| key_of_bytes(k)).collect();
+            for (k, key) in keys.iter().zip(&built) {
+                // put in two pieces: the spill can happen at either
+                let mut pieces = IndexKey::default();
+                pieces.put(&k[..split.min(k.len())]);
+                pieces.put(&k[split.min(k.len())..]);
+                prop_assert_eq!(pieces.as_bytes(), &k[..]);
+                prop_assert_eq!(&pieces, key);
+                prop_assert_eq!(hasher.hash_one(key), hasher.hash_one(&k[..]));
+            }
+            for (a, ka) in keys.iter().zip(&built) {
+                for (b, kb) in keys.iter().zip(&built) {
+                    prop_assert_eq!(ka.cmp(kb), a.cmp(b), "{:?} vs {:?}", a, b);
+                    prop_assert_eq!(ka == kb, a == b);
+                }
+            }
+        }
+
+        /// The same operations on an `IndexData` and on the layout it
+        /// replaced agree at every step.
+        #[test]
+        fn the_index_agrees_with_a_map_of_row_sets(
+            keys in proptest::collection::vec(arb_key(), 8),
+            ops in proptest::collection::vec(arb_op(), 0..64),
+        ) {
+            let ix = idx(vec![0], false);
+            let mut reference: BTreeMap<Vec<u8>, BTreeSet<RowId>> = BTreeMap::new();
+            let key = |i: usize| key_of_bytes(&keys[i]);
+            for op in ops {
+                match op {
+                    Op::Insert(k, row) => {
+                        ix.insert_entry(key(k), row);
+                        reference.entry(keys[k].clone()).or_default().insert(row);
+                    }
+                    Op::Remove(k, row) => {
+                        ix.remove_entry(&key(k), row);
+                        if let Some(rows) = reference.get_mut(&keys[k]) {
+                            rows.remove(&row);
+                            if rows.is_empty() {
+                                reference.remove(&keys[k]);
+                            }
+                        }
+                    }
+                    Op::AnyRow(k, stop) => {
+                        let walk = |visited: &mut Vec<RowId>, row| {
+                            visited.push(row);
+                            Some(visited.len() - 1) == stop
+                        };
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        let hit = ix.any_row(&key(k), |row| walk(&mut got, row));
+                        let expected = reference
+                            .get(&keys[k])
+                            .is_some_and(|rows| rows.iter().any(|&row| walk(&mut want, row)));
+                        prop_assert_eq!(hit, expected);
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Range(lo, hi) => {
+                        let (lo, hi) = valid_range(lo.map(|i| &keys[i]), hi.map(|i| &keys[i]));
+                        let want: Vec<RowId> = reference
+                            .range::<Vec<u8>, _>((lo, hi))
+                            .flat_map(|(_, rows)| rows.iter().copied())
+                            .collect();
+                        let owned = |b: Bound<&Vec<u8>>| b.map(|k| key_of_bytes(k));
+                        prop_assert_eq!(ix.rows_in_bounds(owned(lo), owned(hi)), want);
+                    }
+                    Op::Sweep(dead) => {
+                        let dead: BTreeSet<RowId> = dead.into_iter().collect();
+                        ix.sweep_rows(&dead);
+                        reference.retain(|_, rows| {
+                            rows.retain(|row| !dead.contains(row));
+                            !rows.is_empty()
+                        });
+                    }
+                }
+                prop_assert_eq!(ix.key_count(), reference.len());
+                prop_assert_eq!(ix.posting_count(), reference.values().map(BTreeSet::len).sum::<usize>());
+                let all: Vec<RowId> = reference.values().flatten().copied().collect();
+                prop_assert_eq!(ix.rows_in_bounds(Bound::Unbounded, Bound::Unbounded), all);
+            }
+        }
     }
 }

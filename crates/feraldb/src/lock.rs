@@ -14,18 +14,18 @@
 //! The table is **striped** by key hash: a stripe is one mutex over a map
 //! from key to holder state plus the condition variable its waiters share,
 //! and a request touches exactly one. The uncontended path allocates
-//! nothing — the holder of a free key sits inline in the map entry, whose
-//! key shares the caller's bytes — and a release wakes nobody unless the
-//! key has a waiter.
+//! nothing — the holder of a free key sits inline in the map entry, beside
+//! a copy of the key, which an index key of up to 23 bytes holds in place
+//! — and a release wakes nobody unless the key has a waiter.
 
 use crate::error::{DbError, DbResult};
+use crate::index::IndexKey;
 use crate::schema::{IndexId, TableId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifier of a transaction for lock-ownership purposes.
@@ -36,11 +36,11 @@ pub type TxnId = u64;
 pub enum LockKey {
     /// A heap row, identified by table and row-chain position.
     Row(TableId, usize),
-    /// An index key value (encoded composite key bytes, shared by the lock
-    /// table, the holder's release list and its pending-write set). Locking
-    /// an index key serializes constraint checks against writes of that key
-    /// — the mechanism behind race-free unique and FK enforcement.
-    Key(IndexId, Arc<[u8]>),
+    /// An index key value (the encoded composite key, carried by value:
+    /// the keys constraints lock fit in place). Locking an index key
+    /// serializes constraint checks against writes of that key — the
+    /// mechanism behind race-free unique and FK enforcement.
+    Key(IndexId, IndexKey),
     /// A whole table (used by DDL).
     Table(TableId),
 }
@@ -49,7 +49,10 @@ impl fmt::Display for LockKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LockKey::Row(t, r) => write!(f, "row {}.{}", t.0, r),
-            LockKey::Key(i, k) => write!(f, "key idx{}:{:02x?}", i.0, &k[..k.len().min(8)]),
+            LockKey::Key(i, k) => {
+                let k = k.as_bytes();
+                write!(f, "key idx{}:{:02x?}", i.0, &k[..k.len().min(8)])
+            }
             LockKey::Table(t) => write!(f, "table {}", t.0),
         }
     }
@@ -276,7 +279,9 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Datum;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     fn key() -> LockKey {
@@ -378,8 +383,8 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_conflict() {
         let lm = LockManager::new(Duration::from_millis(20));
-        let k1 = LockKey::Key(IndexId(0), vec![1, 2, 3].into());
-        let k2 = LockKey::Key(IndexId(0), vec![1, 2, 4].into());
+        let k1 = LockKey::Key(IndexId(0), IndexKey::encode([&Datum::Int(3)]));
+        let k2 = LockKey::Key(IndexId(0), IndexKey::encode([&Datum::Int(4)]));
         lm.acquire(1, &k1, LockMode::Exclusive).unwrap();
         lm.acquire(2, &k2, LockMode::Exclusive).unwrap();
     }
@@ -390,7 +395,7 @@ mod tests {
         let keys = vec![
             LockKey::Row(TableId(0), 0),
             LockKey::Row(TableId(0), 1),
-            LockKey::Key(IndexId(3), vec![9].into()),
+            LockKey::Key(IndexId(3), IndexKey::encode([&Datum::Int(9)])),
         ];
         for k in &keys {
             lm.acquire(7, k, LockMode::Exclusive).unwrap();

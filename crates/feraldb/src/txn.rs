@@ -5,7 +5,7 @@ use crate::commit::ShardGuards;
 use crate::db::{Database, IsolationLevel, TableEntry};
 use crate::error::{DbError, DbResult};
 use crate::heap::RowId;
-use crate::index::IndexData;
+use crate::index::{IndexData, IndexKey};
 use crate::lock::{LockKey, LockMode, TxnId};
 use crate::predicate::Predicate;
 use crate::schema::{ForeignKey, IndexId, OnDelete, TableId};
@@ -56,7 +56,7 @@ struct Pending {
 }
 
 /// A unique-index key as the pending-write set and the key lock name it.
-type UniqueKey = (IndexId, Arc<[u8]>);
+type UniqueKey = (IndexId, IndexKey);
 
 /// A transaction's buffered writes, and the keys that find one without
 /// walking the rest: what a statement costs does not depend on how many
@@ -603,7 +603,7 @@ impl Transaction {
         // probes committed-latest state below, at any isolation level
         self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
         let tid = idx.def.table;
-        let holds = |image: &Tuple| !idx.key_has_null(image) && *idx.key_of(image) == *key.1;
+        let holds = |image: &Tuple| !idx.key_has_null(image) && idx.key_of(image) == key.1;
         // a pending image that took the key since it last was committed state
         let recorded = self.buf.recorded_holder(key, tid);
         if recorded.is_some_and(|(rref, image)| rref != exclude && holds(image)) {
@@ -654,7 +654,7 @@ impl Transaction {
             if prev.is_some_and(|p| idx.same_key(p, tuple)) {
                 continue; // key unchanged
             }
-            let key: UniqueKey = (idx.id, idx.key_of(tuple).into());
+            let key: UniqueKey = (idx.id, idx.key_of(tuple));
             self.lock(LockKey::Key(key.0, key.1.clone()), LockMode::Exclusive)?;
             if self.unique_key_taken(entry, idx, &key, target) {
                 Stats::bump(&self.db.inner.stats.local().unique_violations);
@@ -713,9 +713,7 @@ impl Transaction {
                 continue; // MATCH SIMPLE: NULL references nothing
             }
             let parent = self.entry(fk.parent_table);
-            let mut key = Vec::new();
-            parent_id.encode_key(&mut key);
-            let key: UniqueKey = (parent.indexes[0].id, key.into());
+            let key: UniqueKey = (parent.indexes[0].id, IndexKey::encode([parent_id]));
             self.lock(LockKey::Key(key.0, key.1.clone()), LockMode::Shared)?;
             if !self.parent_exists(fk, &parent, parent_id, &key) {
                 Stats::bump(&self.db.inner.stats.local().fk_violations);
@@ -745,10 +743,8 @@ impl Transaction {
         let mut out = Vec::new();
         match child.indexes.iter().find(|idx| idx.def.cols == [col]) {
             Some(idx) => {
-                let mut key = Vec::new();
-                parent_id.encode_key(&mut key);
                 // postings outlive the versions that made them: re-verify
-                idx.any_row(&key, |row| {
+                idx.any_row(&IndexKey::encode([parent_id]), |row| {
                     if let Some(t) = child.heap.visible(row, clock).filter(|t| refers(t)) {
                         self.overlay_committed(fk.child_table, row, t, refers, &mut out);
                     }
@@ -774,10 +770,8 @@ impl Transaction {
     ) -> DbResult<()> {
         for fk in &entry.fks_as_parent {
             let parent_id = &tuple[0];
-            let mut key = Vec::new();
-            parent_id.encode_key(&mut key);
             self.lock(
-                LockKey::Key(entry.indexes[0].id, key.into()),
+                LockKey::Key(entry.indexes[0].id, IndexKey::encode([parent_id])),
                 LockMode::Exclusive,
             )?;
             let child = self.entry(fk.child_table);
@@ -1421,16 +1415,17 @@ impl Drop for Transaction {
 }
 
 /// The probe key of `idx` when top-level equality conjuncts of `pred` pin
-/// every indexed column, encoded straight from the predicate's values.
-fn equality_key(idx: &IndexData, pred: &Predicate) -> Option<Vec<u8>> {
-    let mut key = Vec::with_capacity(16);
+/// every indexed column, encoded straight from the predicate's values (on
+/// the stack, for a key of up to 23 bytes).
+fn equality_key(idx: &IndexData, pred: &Predicate) -> Option<IndexKey> {
+    let mut key = IndexKey::default();
     for &col in &idx.def.cols {
-        pred.equality_on(col)?.encode_key(&mut key);
+        pred.equality_on(col)?.encode_key_into(&mut key);
     }
     Some(key)
 }
 
-type RangeBounds = (Arc<IndexData>, Bound<Vec<u8>>, Bound<Vec<u8>>);
+type RangeBounds = (Arc<IndexData>, Bound<IndexKey>, Bound<IndexKey>);
 
 /// The first single-column index of `entry` that a top-level range
 /// conjunct of `pred` bounds, with the encoded bounds.
@@ -1450,8 +1445,7 @@ fn range_bounds(entry: &TableEntry, pred: &Predicate) -> Option<RangeBounds> {
             if *rc != col || value.is_null() {
                 continue;
             }
-            let mut enc = Vec::new();
-            value.encode_key(&mut enc);
+            let enc = IndexKey::encode([value]);
             match op {
                 crate::predicate::CmpOp::Gt => lo = Bound::Excluded(enc),
                 crate::predicate::CmpOp::Ge => lo = Bound::Included(enc),
@@ -1506,11 +1500,10 @@ mod tests {
         );
 
         let email = [("email", Datum::text("a@example.com"))];
-        let mut key = Vec::new();
-        email[0].1.encode_key(&mut key);
+        let key = IndexKey::encode([&email[0].1]);
         let mut first = db.txn().begin();
         first.insert_pairs("users", &email).unwrap();
-        assert!(first.locks.contains(&LockKey::Key(by_name, key.into())));
+        assert!(first.locks.contains(&LockKey::Key(by_name, key)));
         // a second writer of the key waits on that lock while the first is open...
         let mut second = db.txn().begin();
         assert!(matches!(
@@ -1628,7 +1621,7 @@ mod tests {
         tx: &Transaction,
         entry: &TableEntry,
         idx: &IndexData,
-        key: &[u8],
+        key: &IndexKey,
         exclude: RowRef,
     ) -> bool {
         let tid = idx.def.table;
@@ -1641,7 +1634,7 @@ mod tests {
                 PendingOp::Update { row, new, .. } => (RowRef::Committed(*row), new),
                 PendingOp::Delete { .. } => continue,
             };
-            if rref != exclude && !idx.key_has_null(image) && idx.key_of(image) == key {
+            if rref != exclude && !idx.key_has_null(image) && idx.key_of(image) == *key {
                 return true;
             }
         }
@@ -1654,7 +1647,7 @@ mod tests {
                 .heap
                 .latest(row, clock)
                 .is_some_and(|(latest, live, _)| {
-                    live && !idx.key_has_null(&latest) && idx.key_of(&latest) == key
+                    live && !idx.key_has_null(&latest) && idx.key_of(&latest) == *key
                 })
         })
     }
@@ -1739,7 +1732,7 @@ mod tests {
                 let excludes = rows.iter().map(|(r, _)| *r).chain([RowRef::Own(u64::MAX)]);
                 for exclude in excludes {
                     for k in 0..6 {
-                        let key: UniqueKey = (idx.id, idx.key_of(&vec![Datum::Null, email(k)]).into());
+                        let key: UniqueKey = (idx.id, idx.key_of(&vec![Datum::Null, email(k)]));
                         prop_assert_eq!(
                             tx.unique_key_taken(&entry, &idx, &key, exclude),
                             unique_key_taken_by_walk(&tx, &entry, &idx, &key.1, exclude),

@@ -166,19 +166,18 @@ impl Datum {
     /// Encode the datum into `out` such that byte-wise comparison of
     /// encodings matches the total order. Used for composite index keys.
     pub fn encode_key(&self, out: &mut Vec<u8>) {
+        self.encode_key_into(out);
+    }
+
+    /// [`Datum::encode_key`] into any [`KeySink`] — an index key is built
+    /// in place, without a `Vec`.
+    pub(crate) fn encode_key_into(&self, out: &mut impl KeySink) {
         match self {
-            Datum::Null => out.push(0x00),
-            Datum::Bool(b) => {
-                out.push(0x01);
-                out.push(*b as u8);
-            }
-            Datum::Int(i) => {
-                out.push(0x02);
-                // flip the sign bit so two's-complement orders bytewise
-                out.extend_from_slice(&((*i as u64) ^ (1 << 63)).to_be_bytes());
-            }
+            Datum::Null => out.put(&[0x00]),
+            Datum::Bool(b) => out.put(&[0x01, *b as u8]),
+            // flip the sign bit so two's-complement orders bytewise
+            Datum::Int(i) => encode_word(0x02, (*i as u64) ^ (1 << 63), out),
             Datum::Float(f) => {
-                out.push(0x02);
                 // encode as the integer comparison key of total_cmp order,
                 // shifted into the shared numeric rank via the i64 path when
                 // the value is integral, else via an order-preserving bit
@@ -191,38 +190,48 @@ impl Datum {
                 } else {
                     !bits
                 };
-                out.extend_from_slice(&key.to_be_bytes());
+                encode_word(0x02, key, out);
             }
-            Datum::Timestamp(t) => {
-                out.push(0x03);
-                out.extend_from_slice(&((*t as u64) ^ (1 << 63)).to_be_bytes());
-            }
-            Datum::Text(s) => {
-                out.push(0x04);
-                // escape 0x00 as 0x00 0xFF and terminate with 0x00 0x00 so
-                // prefixes order correctly
-                for b in s.as_bytes() {
-                    if *b == 0x00 {
-                        out.extend_from_slice(&[0x00, 0xFF]);
-                    } else {
-                        out.push(*b);
-                    }
-                }
-                out.extend_from_slice(&[0x00, 0x00]);
-            }
-            Datum::Bytes(bs) => {
-                out.push(0x05);
-                for b in bs {
-                    if *b == 0x00 {
-                        out.extend_from_slice(&[0x00, 0xFF]);
-                    } else {
-                        out.push(*b);
-                    }
-                }
-                out.extend_from_slice(&[0x00, 0x00]);
-            }
+            Datum::Timestamp(t) => encode_word(0x03, (*t as u64) ^ (1 << 63), out),
+            Datum::Text(s) => encode_escaped(0x04, s.as_bytes(), out),
+            Datum::Bytes(bs) => encode_escaped(0x05, bs, out),
         }
     }
+}
+
+/// Where [`Datum::encode_key_into`] writes: a `Vec`, or an
+/// [`crate::index::IndexKey`] under construction.
+pub(crate) trait KeySink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl KeySink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// `tag`, then `word` big-endian, in one write.
+fn encode_word(tag: u8, word: u64, out: &mut impl KeySink) {
+    let mut bytes = [tag; 9];
+    bytes[1..].copy_from_slice(&word.to_be_bytes());
+    out.put(&bytes);
+}
+
+/// `tag`, then `bytes` with 0x00 escaped as 0x00 0xFF, then the terminator
+/// 0x00 0x00, so a string orders before every string it prefixes.
+fn encode_escaped(tag: u8, bytes: &[u8], out: &mut impl KeySink) {
+    out.put(&[tag]);
+    let mut runs = bytes.split(|&b| b == 0x00);
+    if let Some(first) = runs.next() {
+        out.put(first);
+    }
+    for run in runs {
+        out.put(&[0x00, 0xFF]);
+        out.put(run);
+    }
+    out.put(&[0x00, 0x00]);
 }
 
 impl PartialEq for Datum {
@@ -324,15 +333,6 @@ impl<T: Into<Datum>> From<Option<T>> for Datum {
 /// A tuple (row image) is just an ordered list of datums, one per column.
 pub type Tuple = Vec<Datum>;
 
-/// Encode a composite key out of selected columns of a tuple.
-pub fn encode_composite_key(tuple: &[Datum], cols: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(cols.len() * 10);
-    for &c in cols {
-        tuple[c].encode_key(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,15 +402,18 @@ mod tests {
 
     #[test]
     fn composite_key_respects_column_order() {
+        let encode = |t: &Tuple, cols: [usize; 2]| {
+            let mut key = Vec::new();
+            for c in cols {
+                t[c].encode_key(&mut key);
+            }
+            key
+        };
         let t1 = vec![Datum::Int(1), Datum::text("b")];
         let t2 = vec![Datum::Int(1), Datum::text("a")];
-        let k1 = encode_composite_key(&t1, &[0, 1]);
-        let k2 = encode_composite_key(&t2, &[0, 1]);
-        assert!(k2 < k1);
+        assert!(encode(&t2, [0, 1]) < encode(&t1, [0, 1]));
         // reversing the column order flips the comparison driver
-        let k1r = encode_composite_key(&t1, &[1, 0]);
-        let k2r = encode_composite_key(&t2, &[1, 0]);
-        assert!(k2r < k1r);
+        assert!(encode(&t2, [1, 0]) < encode(&t1, [1, 0]));
     }
 
     #[test]

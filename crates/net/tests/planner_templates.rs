@@ -4,11 +4,12 @@
 //! transaction allocates is pinned the way `request_cost.rs` pins the ORM.
 //!
 //! Allocations per template transaction, single caller, after warm-up
-//! (before the write-path diet → now): signup 30.2 → 28.4 (it now keeps
-//! an e-mail index, which costs it four), hire 30.2 → 23.2, disband
-//! 33.2 → 26.4, deposit 22.3 → 10.3, comment 24.2 → 17.2. Each bound
-//! sits two above what the diet reaches, so three `BTreeSet`s, a cloned
-//! lock key or an encoded-to-compare index key coming back trips it.
+//! (before index keys, single postings and the newest row version moved
+//! into the index and heap slots → now): signup 28.4 → 16.4, hire
+//! 23.2 → 15.2, disband 26.4 → 15.4, deposit 10.3 → 8.3, comment
+//! 17.2 → 10.2 (before the write-path diet: 30.2, 30.2, 33.2, 22.3, 24.2).
+//! Each bound sits two above what is reached, so three `BTreeSet`s, a
+//! cloned lock key or an index key that allocates coming back trips it.
 
 #[path = "../../core/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
@@ -72,11 +73,11 @@ fn every_template_probe_is_index_backed() {
 fn a_template_transaction_allocates_within_its_budget() {
     let plan = certified_plan();
     let budgets = [
-        (T_SIGNUP, 30.5),
-        (T_HIRE, 25.5),
-        (T_DISBAND, 28.5),
-        (T_DEPOSIT, 12.5),
-        (T_COMMENT, 19.5),
+        (T_SIGNUP, 18.5),
+        (T_HIRE, 17.5),
+        (T_DISBAND, 17.5),
+        (T_DEPOSIT, 10.5),
+        (T_COMMENT, 12.5),
     ];
     for (template, budget) in budgets {
         let db = seeded_database(AuditMode::Off);
