@@ -163,20 +163,11 @@ pub struct CommitOutcome {
 /// predicate. FNV-1a over the column index (little-endian) and the
 /// engine's order-preserving key encoding.
 pub fn column_value_hash(column: usize, encoded_value: &[u8]) -> u64 {
-    // Streaming FNV-1a over `column.to_le_bytes() ++ encoded_value`,
-    // byte-identical to hashing the concatenated buffer through
-    // `feral_trace::fnv64` but allocation-free — this runs per column
-    // per captured image on the commit path.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in (column as u64).to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for &b in encoded_value {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    // FNV-1a over `column.to_le_bytes() ++ encoded_value`, streamed with
+    // no concatenated buffer — this runs per column per captured image
+    // on the commit path.
+    let column = feral_hooks::fnv64(&(column as u64).to_le_bytes());
+    feral_hooks::fnv64_extend(column, encoded_value)
 }
 
 /// Default per-shard footprint buffer capacity.

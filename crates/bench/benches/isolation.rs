@@ -38,7 +38,7 @@ fn rmw(db: &Database, id: i64) {
         let result = (|| {
             let rows = tx.scan("counters", &Predicate::eq(0, id))?;
             let (rref, t) = rows.into_iter().next().expect("counter exists");
-            let mut n = (*t).clone();
+            let mut n = t.to_vec();
             n[1] = Datum::Int(t[1].as_int().unwrap() + 1);
             tx.update("counters", rref, n)
         })();

@@ -294,7 +294,7 @@ fn anomaly_cell(isolation: IsolationLevel, rounds: usize, max_runs: usize) -> An
                 for _ in 0..rounds {
                     let result = db.txn().isolation(isolation).retries(64).run(|tx| {
                         let rows = tx.scan("acct", &Predicate::True)?;
-                        let (rref, tuple) = (rows[0].0, (*rows[0].1).clone());
+                        let (rref, tuple) = (rows[0].0, rows[0].1.to_vec());
                         let read = tuple[1].as_int().unwrap_or(0);
                         // widen the stale-read window so preemption can
                         // land between the read and the write

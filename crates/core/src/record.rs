@@ -1,7 +1,7 @@
 //! Record instances: a stored row plus what the application changed.
 //!
 //! A [`Record`] read from the database *is* the row the heap handed out —
-//! the same `Arc<Tuple>` every other reader of that version holds — with
+//! the same [`Row`] every other reader of that version holds — with
 //! an overlay on top: the column values the application assigned since,
 //! and its virtual attributes (`password_confirmation`, …). Reads fall
 //! through the overlay to the row; [`Record::set`]/[`Record::assign`]
@@ -11,7 +11,7 @@
 
 use crate::errors::Errors;
 use crate::model::ModelDef;
-use feral_db::{Datum, Tuple};
+use feral_db::{Datum, Row, Tuple};
 use std::sync::Arc;
 
 /// What an attribute nobody set reads as.
@@ -25,7 +25,7 @@ pub struct Record {
     /// The model this record instantiates.
     pub model: Arc<ModelDef>,
     /// The stored row, shared with the heap; `None` until one was read.
-    row: Option<Arc<Tuple>>,
+    row: Option<Row>,
     /// Column values assigned over the row, by column position (`None`:
     /// falls through). Empty until the first column assignment.
     assigned: Vec<Option<Datum>>,
@@ -52,7 +52,7 @@ impl Record {
     }
 
     /// Materialize a record over a stored row, sharing it.
-    pub fn from_row(model: Arc<ModelDef>, row: Arc<Tuple>) -> Self {
+    pub fn from_row(model: Arc<ModelDef>, row: Row) -> Self {
         Record {
             row: Some(row),
             persisted: true,
@@ -62,8 +62,8 @@ impl Record {
 
     /// Materialize a record from a stored tuple the caller keeps (copies
     /// it; prefer [`Record::from_row`] when the row is already shared).
-    pub fn from_tuple(model: Arc<ModelDef>, tuple: &Tuple) -> Self {
-        Record::from_row(model, Arc::new(tuple.clone()))
+    pub fn from_tuple(model: Arc<ModelDef>, tuple: &[Datum]) -> Self {
+        Record::from_row(model, Row::from(tuple))
     }
 
     /// Serialize to the backing table's column order: assigned values
@@ -166,7 +166,7 @@ impl Record {
     /// Overwrite every column from a freshly read row (reload / lock):
     /// the record shares `row` and drops its column assignments; virtual
     /// attributes stay.
-    pub(crate) fn refresh_from(&mut self, row: Arc<Tuple>) {
+    pub(crate) fn refresh_from(&mut self, row: Row) {
         self.row = Some(row);
         self.assigned.clear();
         self.persisted = true;
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn assignments_overlay_a_shared_row_without_touching_it() {
-        let row: Arc<Tuple> = Arc::new(vec![Datum::Int(7), Datum::text("ada"), Datum::Int(36)]);
+        let row = Row::from([Datum::Int(7), Datum::text("ada"), Datum::Int(36)]);
         let mut r = Record::from_row(model(), row.clone());
         assert_eq!(Arc::strong_count(&row), 2, "the record shares the row");
         assert_eq!(r.at(1), &Datum::text("ada"));

@@ -7,7 +7,7 @@ use crate::errors::{OrmError, OrmResult};
 use crate::model::{AssocKind, CallbackKind, Dependent, ModelDef, Validator};
 use crate::record::Record;
 use crate::validations::{datum_fingerprint, validate_record, TxnQueryCtx};
-use feral_db::{Datum, IsolationLevel, Predicate, RowRef, Transaction, Tuple};
+use feral_db::{Datum, IsolationLevel, Predicate, Row, RowRef, Transaction};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -390,7 +390,7 @@ impl Session {
             let rows = tx.scan(&def.table, &pred)?;
             let n = rows.len();
             for (rref, tuple) in rows {
-                let mut new = (*tuple).clone();
+                let mut new = tuple.to_vec();
                 for (i, v) in &owned_sets {
                     new[*i] = v.clone();
                 }
@@ -479,7 +479,7 @@ impl Session {
             return Err(OrmError::Config("cannot reload an unsaved record".into()));
         };
         let fresh = self.find(&model.name, id)?;
-        record.refresh_from(Arc::new(fresh.to_tuple()));
+        record.refresh_from(Row::from(fresh.to_tuple()));
         Ok(())
     }
 
@@ -495,7 +495,7 @@ impl Session {
         let Some(id) = record.id() else {
             return Err(OrmError::Config("cannot lock an unsaved record".into()));
         };
-        let row: Arc<Tuple> = self.with_txn(|_, tx| {
+        let row: Row = self.with_txn(|_, tx| {
             let rows = tx.select_for_update(&model.table, &Predicate::eq(0, id))?;
             rows.into_iter()
                 .next()
@@ -653,7 +653,7 @@ fn maintain_counter_caches(
         let rows = tx.scan(&parent.table, &Predicate::eq(0, fk))?;
         for (rref, _) in rows {
             tx.update_with(&parent.table, rref, |current| {
-                let mut new = current.clone();
+                let mut new = current.to_vec();
                 let v = new[col].as_int().unwrap_or(0);
                 new[col] = Datum::Int(v + delta);
                 new
@@ -719,7 +719,7 @@ fn destroy_in_txn(
             }
             Dependent::Nullify => {
                 for (rref, tuple) in children {
-                    let mut new = (*tuple).clone();
+                    let mut new = tuple.to_vec();
                     new[col] = Datum::Null;
                     tx.update(&target.table, rref, new)?;
                 }

@@ -403,7 +403,7 @@ fn assigning_to_a_read_record_never_touches_the_stored_row() {
     let mut a = s.find("Author", id).unwrap();
     a.assign(&[("name", Datum::text("grace"))]);
     a.set("nickname", "virtual");
-    let mut merged = (*before).clone();
+    let mut merged = before.to_vec();
     merged[1] = Datum::text("grace");
     assert_eq!(a.to_tuple(), merged, "to_tuple is the overlay over the row");
     assert_eq!(a.get("nickname"), Datum::text("virtual"));

@@ -8,6 +8,7 @@ use crate::lock::LockManager;
 use crate::schema::{ForeignKey, IndexDef, IndexId, OnDelete, TableId, TableInfo, TableSchema};
 use crate::stats::Stats;
 use crate::txn::Transaction;
+use crate::value::Row;
 use crate::wal::{read_log, truncate_log, WalRecord, WalWrite, WalWriter};
 use feral_audit::{AuditMode, Auditor};
 use parking_lot::{Mutex, RwLock};
@@ -512,7 +513,7 @@ impl Database {
                     let m = max_ids.entry(tid).or_insert(0);
                     *m = (*m).max(id);
                 }
-                let tuple = Arc::new(tuple);
+                let tuple = Row::from(tuple);
                 let got = entry.heap.install_insert(commit_ts, tuple.clone());
                 if got as u64 != row {
                     return Err(DbError::Internal(format!(
@@ -526,7 +527,7 @@ impl Database {
             WalWrite::Update { table, row, tuple } => {
                 let (_, entry) = cat.resolve(&table)?;
                 let old = entry.heap.newest(row as usize).ok_or(DbError::NoSuchRow)?;
-                let tuple = Arc::new(tuple);
+                let tuple = Row::from(tuple);
                 entry
                     .heap
                     .install_update(row as usize, commit_ts, tuple.clone());

@@ -7,9 +7,8 @@
 //! under the database's commit lock, so readers holding the heap's read
 //! latch observe internally consistent chains.
 
-use crate::value::Tuple;
+use crate::value::{Datum, Row};
 use parking_lot::RwLock;
-use std::sync::Arc;
 
 /// Position of a row chain within a table's heap.
 pub type RowId = usize;
@@ -23,7 +22,7 @@ pub struct RowVersion {
     /// version; `0` means the version is still current.
     pub end: u64,
     /// The row image.
-    pub tuple: Arc<Tuple>,
+    pub tuple: Row,
 }
 
 impl RowVersion {
@@ -41,17 +40,33 @@ impl RowVersion {
 
 /// The version history of one logical row. The newest version sits in the
 /// heap slot itself, so resolving a posting to it reads the slot and
-/// nothing behind it; superseded versions follow in a vector.
+/// nothing behind it; superseded versions follow in a vector that exists
+/// only while there are any: a row never updated costs the slot alone.
 struct RowChain {
     newest: RowVersion,
-    /// Superseded versions, oldest first.
-    older: Vec<RowVersion>,
+    /// Superseded versions, oldest first; `None` rather than empty. Boxed:
+    /// one word in every slot, three only in the slots of updated rows.
+    #[allow(clippy::box_collection)]
+    older: Option<Box<Vec<RowVersion>>>,
 }
 
+// The slot is five words: the newest version (two stamps and the row's
+// two-word pointer) and the pointer to the history.
+const _: () = assert!(std::mem::size_of::<RowChain>() == 40);
+
 impl RowChain {
+    /// Superseded versions, oldest first.
+    fn older(&self) -> &[RowVersion] {
+        debug_assert!(
+            self.older.as_ref().is_none_or(|older| !older.is_empty()),
+            "an emptied history is dropped, not kept"
+        );
+        self.older.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     /// Every version, newest first.
     fn newest_first(&self) -> impl Iterator<Item = &RowVersion> {
-        std::iter::once(&self.newest).chain(self.older.iter().rev())
+        std::iter::once(&self.newest).chain(self.older().iter().rev())
     }
 
     /// The version visible at snapshot `ts`, if any (a snapshot sees at
@@ -86,7 +101,7 @@ impl Heap {
     }
 
     /// Install a brand-new row committed at `commit_ts`; returns its id.
-    pub fn install_insert(&self, commit_ts: u64, tuple: Arc<Tuple>) -> RowId {
+    pub fn install_insert(&self, commit_ts: u64, tuple: Row) -> RowId {
         let mut rows = self.rows.write();
         rows.push(RowChain {
             newest: RowVersion {
@@ -94,7 +109,7 @@ impl Heap {
                 end: 0,
                 tuple,
             },
-            older: Vec::new(),
+            older: None,
         });
         rows.len() - 1
     }
@@ -114,7 +129,7 @@ impl Heap {
 
     /// Supersede the current version of `row` with `tuple` at `commit_ts`.
     /// Returns `false` if the row had no open version.
-    pub fn install_update(&self, row: RowId, commit_ts: u64, tuple: Arc<Tuple>) -> bool {
+    pub fn install_update(&self, row: RowId, commit_ts: u64, tuple: Row) -> bool {
         let mut rows = self.rows.write();
         match rows.get_mut(row) {
             Some(chain) if chain.live() => {
@@ -125,7 +140,7 @@ impl Heap {
                     tuple,
                 };
                 let superseded = std::mem::replace(&mut chain.newest, next);
-                chain.older.push(superseded);
+                chain.older.get_or_insert_default().push(superseded);
                 true
             }
             _ => false,
@@ -133,7 +148,7 @@ impl Heap {
     }
 
     /// The tuple of `row` visible at snapshot `ts`.
-    pub fn visible(&self, row: RowId, ts: u64) -> Option<Arc<Tuple>> {
+    pub fn visible(&self, row: RowId, ts: u64) -> Option<Row> {
         let rows = self.rows.read();
         rows.get(row)
             .and_then(|c| c.visible_at(ts))
@@ -146,7 +161,7 @@ impl Heap {
     /// installed but not (yet, or after a failed flush ever) committed:
     /// their writer still holds the row and key locks unless its flush
     /// failed, so under a lock this is the latest committed image.
-    pub fn latest(&self, row: RowId, clock: u64) -> Option<(Arc<Tuple>, bool, u64)> {
+    pub fn latest(&self, row: RowId, clock: u64) -> Option<(Row, bool, u64)> {
         let rows = self.rows.read();
         let v = rows.get(row)?.newest_first().find(|v| v.begin <= clock)?;
         Some((v.tuple.clone(), v.end == 0 || v.end > clock, v.begin))
@@ -154,7 +169,7 @@ impl Heap {
 
     /// The newest installed tuple of `row`, published or not. Only WAL
     /// replay may use this: it runs before the clock is set.
-    pub fn newest(&self, row: RowId) -> Option<Arc<Tuple>> {
+    pub fn newest(&self, row: RowId) -> Option<Row> {
         let rows = self.rows.read();
         rows.get(row).map(|c| c.newest.tuple.clone())
     }
@@ -162,9 +177,9 @@ impl Heap {
     /// Collect `(row_id, tuple)` for every row visible at `ts` that matches
     /// `filter`. The filter runs under the read latch, so it must be cheap;
     /// predicate evaluation qualifies.
-    pub fn scan_visible<F>(&self, ts: u64, mut filter: F) -> Vec<(RowId, Arc<Tuple>)>
+    pub fn scan_visible<F>(&self, ts: u64, mut filter: F) -> Vec<(RowId, Row)>
     where
-        F: FnMut(&Tuple) -> bool,
+        F: FnMut(&[Datum]) -> bool,
     {
         let rows = self.rows.read();
         let mut out = Vec::new();
@@ -183,9 +198,9 @@ impl Heap {
     /// index backfill may use this (a posting for a version still above
     /// the clock is harmless: readers resolve visibility in the heap);
     /// constraint checks read `scan_visible` at the clock instead.
-    pub fn scan_latest<F>(&self, mut filter: F) -> Vec<(RowId, Arc<Tuple>)>
+    pub fn scan_latest<F>(&self, mut filter: F) -> Vec<(RowId, Row)>
     where
-        F: FnMut(&Tuple) -> bool,
+        F: FnMut(&[Datum]) -> bool,
     {
         let rows = self.rows.read();
         let mut out = Vec::new();
@@ -212,22 +227,27 @@ impl Heap {
     /// Drop version history that no snapshot older than `horizon` can see.
     /// Returns the number of versions reclaimed. Chains themselves are kept
     /// (row ids are positional), so a fully dead chain shrinks to its
-    /// newest version.
+    /// newest version — and an emptied history is freed.
     pub fn vacuum(&self, horizon: u64) -> usize {
         let mut rows = self.rows.write();
         let mut reclaimed = 0;
         for chain in rows.iter_mut() {
+            let Some(older) = chain.older.as_mut() else {
+                continue;
+            };
             // everything up to the newest version that ended by the horizon
             let upto = if chain.newest.ended_by(horizon) {
-                chain.older.len()
+                older.len()
             } else {
-                chain
-                    .older
+                older
                     .iter()
                     .rposition(|v| v.ended_by(horizon))
                     .map_or(0, |i| i + 1)
             };
-            chain.older.drain(..upto);
+            older.drain(..upto);
+            if older.is_empty() {
+                chain.older = None;
+            }
             reclaimed += upto;
         }
         reclaimed
@@ -237,11 +257,10 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Datum;
     use proptest::prelude::*;
 
-    fn t(v: i64) -> Arc<Tuple> {
-        Arc::new(vec![Datum::Int(v)])
+    fn t(v: i64) -> Row {
+        Row::from([Datum::Int(v)])
     }
 
     #[test]
@@ -342,7 +361,7 @@ mod tests {
     }
 
     impl Model {
-        fn insert(&mut self, ts: u64, tuple: Arc<Tuple>) {
+        fn insert(&mut self, ts: u64, tuple: Row) {
             self.rows.push(vec![RowVersion {
                 begin: ts,
                 end: 0,
@@ -360,7 +379,7 @@ mod tests {
             }
         }
 
-        fn update(&mut self, row: RowId, ts: u64, tuple: Arc<Tuple>) -> bool {
+        fn update(&mut self, row: RowId, ts: u64, tuple: Row) -> bool {
             let closed = self.close(row, ts);
             if closed {
                 self.rows[row].push(RowVersion {
@@ -372,7 +391,7 @@ mod tests {
             closed
         }
 
-        fn visible(&self, row: RowId, ts: u64) -> Option<Arc<Tuple>> {
+        fn visible(&self, row: RowId, ts: u64) -> Option<Row> {
             let v = self
                 .rows
                 .get(row)?
@@ -382,7 +401,7 @@ mod tests {
             Some(v.tuple.clone())
         }
 
-        fn latest(&self, row: RowId, clock: u64) -> Option<(Arc<Tuple>, bool, u64)> {
+        fn latest(&self, row: RowId, clock: u64) -> Option<(Row, bool, u64)> {
             let v = self
                 .rows
                 .get(row)?

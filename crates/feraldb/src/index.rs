@@ -16,13 +16,14 @@
 
 use crate::heap::RowId;
 use crate::schema::{IndexDef, IndexId};
-use crate::value::{Datum, KeySink, Tuple};
+use crate::value::{Datum, KeySink};
 use parking_lot::RwLock;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroU8;
 use std::ops::Bound;
 
 /// The longest key an [`IndexKey`] holds without a heap allocation.
@@ -40,10 +41,20 @@ pub struct IndexKey {
 
 #[derive(Clone)]
 enum KeyBytes {
-    /// Up to `INLINE` bytes; the rest of `buf` stays zero.
-    Inline { len: u8, buf: [u8; INLINE] },
+    /// Up to `INLINE` bytes; the rest of `buf` stays zero. `len_1` is the
+    /// length plus one, so its zero is free to tell `Boxed` apart.
+    Inline { len_1: NonZeroU8, buf: [u8; INLINE] },
     /// A longer key.
     Boxed(Box<[u8]>),
+}
+
+// A key is four words and its postings two: a map entry is six.
+const _: () = assert!(std::mem::size_of::<IndexKey>() == 32);
+const _: () = assert!(std::mem::size_of::<Postings>() == 16);
+
+/// The `len_1` of an inline key of `len` bytes.
+fn len_1(len: usize) -> NonZeroU8 {
+    NonZeroU8::new(len as u8 + 1).expect("an inline length is at most 23")
 }
 
 impl IndexKey {
@@ -59,7 +70,7 @@ impl IndexKey {
     /// The encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.bytes {
-            KeyBytes::Inline { len, buf } => &buf[..*len as usize],
+            KeyBytes::Inline { len_1, buf } => &buf[..len_1.get() as usize - 1],
             KeyBytes::Boxed(bytes) => bytes,
         }
     }
@@ -71,7 +82,7 @@ impl Default for IndexKey {
         IndexKey {
             prefix: 0,
             bytes: KeyBytes::Inline {
-                len: 0,
+                len_1: len_1(0),
                 buf: [0; INLINE],
             },
         }
@@ -82,9 +93,9 @@ impl KeySink for IndexKey {
     fn put(&mut self, more: &[u8]) {
         let at = self.as_bytes().len();
         match &mut self.bytes {
-            KeyBytes::Inline { len, buf } if at + more.len() <= INLINE => {
+            KeyBytes::Inline { len_1: len, buf } if at + more.len() <= INLINE => {
                 buf[at..at + more.len()].copy_from_slice(more);
-                *len += more.len() as u8;
+                *len = len_1(at + more.len());
             }
             _ => self.bytes = KeyBytes::Boxed([self.as_bytes(), more].concat().into()),
         }
@@ -109,7 +120,7 @@ impl Ord for IndexKey {
             match (&self.bytes, &other.bytes) {
                 // the zero-padded buffers word by word, then the length: of
                 // two keys equal that far, the shorter prefixes the other
-                (KeyBytes::Inline { len: a, buf: x }, KeyBytes::Inline { len: b, buf: y }) => {
+                (KeyBytes::Inline { len_1: a, buf: x }, KeyBytes::Inline { len_1: b, buf: y }) => {
                     (word_at(x, 8), word_at(x, 16), a).cmp(&(word_at(y, 8), word_at(y, 16), b))
                 }
                 _ => self.as_bytes().cmp(other.as_bytes()),
@@ -147,15 +158,17 @@ impl fmt::Debug for IndexKey {
 /// The rows posted under one key: one inline row until a second is posted.
 enum Postings {
     One(RowId),
-    /// Two rows or more.
-    Many(BTreeSet<RowId>),
+    /// Two rows or more, boxed: a key rarely posts more than one row, and
+    /// the box keeps every entry of the map at two words.
+    #[allow(clippy::box_collection)]
+    Many(Box<BTreeSet<RowId>>),
 }
 
 impl Postings {
     fn insert(&mut self, row: RowId) {
         match self {
             Postings::One(only) if *only == row => {}
-            Postings::One(only) => *self = Postings::Many(BTreeSet::from([*only, row])),
+            Postings::One(only) => *self = Postings::Many(Box::new(BTreeSet::from([*only, row]))),
             Postings::Many(rows) => {
                 rows.insert(row);
             }
@@ -240,7 +253,7 @@ impl IndexData {
     }
 
     /// The key of `tuple` under this index's column list.
-    pub fn key_of(&self, tuple: &Tuple) -> IndexKey {
+    pub fn key_of(&self, tuple: &[Datum]) -> IndexKey {
         IndexKey::encode(self.def.cols.iter().map(|&c| &tuple[c]))
     }
 
@@ -248,7 +261,7 @@ impl IndexData {
     /// value of the same type, hence the same encoding — told without
     /// encoding either (an update that leaves a key alone is the common
     /// case).
-    pub fn same_key(&self, a: &Tuple, b: &Tuple) -> bool {
+    pub fn same_key(&self, a: &[Datum], b: &[Datum]) -> bool {
         self.def.cols.iter().all(|&c| {
             std::mem::discriminant(&a[c]) == std::mem::discriminant(&b[c]) && a[c] == b[c]
         })
@@ -256,7 +269,7 @@ impl IndexData {
 
     /// Whether any indexed column of `tuple` is NULL (unique indexes admit
     /// any number of NULL keys, as in SQL).
-    pub fn key_has_null(&self, tuple: &Tuple) -> bool {
+    pub fn key_has_null(&self, tuple: &[Datum]) -> bool {
         self.def.cols.iter().any(|&c| tuple[c].is_null())
     }
 
@@ -326,6 +339,7 @@ impl IndexData {
 mod tests {
     use super::*;
     use crate::schema::{IndexId, TableId};
+    use crate::value::Tuple;
     use proptest::prelude::*;
 
     fn idx(cols: Vec<usize>, unique: bool) -> IndexData {

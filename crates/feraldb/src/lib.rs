@@ -71,5 +71,5 @@ pub use schema::{ColumnDef, ForeignKey, IndexDef, OnDelete, TableId, TableSchema
 pub use stats::{thread_slot, Stats, StatsSnapshot, StatsStripe};
 pub use tail::{defer_durable, FlushLead, PendingCommit};
 pub use txn::{RowRef, Savepoint, Transaction};
-pub use value::{DataType, Datum, Tuple};
+pub use value::{DataType, Datum, Row, Text, Tuple};
 pub use wal::{WalRecord, WalWrite};

@@ -8,7 +8,7 @@
 //! [`Predicate::equality_fingerprint`]).
 
 use crate::schema::TableSchema;
-use crate::value::{Datum, Tuple};
+use crate::value::Datum;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -115,12 +115,12 @@ impl Predicate {
     }
 
     /// Evaluate against a tuple. UNKNOWN (NULL comparison) yields `false`.
-    pub fn matches(&self, tuple: &Tuple) -> bool {
+    pub fn matches(&self, tuple: &[Datum]) -> bool {
         self.eval3(tuple) == Some(true)
     }
 
     /// Three-valued evaluation: `None` is UNKNOWN.
-    fn eval3(&self, tuple: &Tuple) -> Option<bool> {
+    fn eval3(&self, tuple: &[Datum]) -> Option<bool> {
         match self {
             Predicate::True => Some(true),
             Predicate::False => Some(false),
@@ -258,6 +258,7 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Tuple;
 
     fn row(vals: Vec<Datum>) -> Tuple {
         vals

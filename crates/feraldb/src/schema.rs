@@ -133,7 +133,7 @@ impl TableSchema {
     }
 
     /// Validate a full tuple against the schema: arity, types, NOT NULL.
-    pub fn check_tuple(&self, tuple: &Tuple) -> DbResult<()> {
+    pub fn check_tuple(&self, tuple: &[Datum]) -> DbResult<()> {
         if tuple.len() != self.columns.len() {
             return Err(DbError::TypeMismatch {
                 column: format!("{}(*)", self.name),
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn check_tuple_rejects_arity_and_type_errors() {
         let s = users();
-        assert!(s.check_tuple(&vec![Datum::Int(1)]).is_err());
+        assert!(s.check_tuple(&[Datum::Int(1)]).is_err());
         let bad_type = vec![
             Datum::Int(1),
             Datum::Int(42), // name should be Text

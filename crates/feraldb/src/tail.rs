@@ -26,7 +26,7 @@ use crate::error::{DbError, DbResult};
 use crate::lock::{LockKey, TxnId};
 use crate::stats::Stats;
 use crate::txn::CommittedTxn;
-use crate::value::Tuple;
+use crate::value::Datum;
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ impl CommitTail {
 
 /// Column-value hashes of a tuple image in the auditor's footprint
 /// vocabulary (used for predicate-vs-write-image matching).
-fn audit_image(tuple: &Tuple) -> Vec<u64> {
+fn audit_image(tuple: &[Datum]) -> Vec<u64> {
     let mut buf = Vec::new();
     tuple
         .iter()

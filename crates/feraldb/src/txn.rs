@@ -11,7 +11,7 @@ use crate::predicate::Predicate;
 use crate::schema::{ForeignKey, IndexId, OnDelete, TableId};
 use crate::stats::Stats;
 use crate::tail::CommitTail;
-use crate::value::{Datum, Tuple};
+use crate::value::{Datum, Row, Tuple};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
@@ -30,18 +30,9 @@ pub enum RowRef {
 
 #[derive(Clone)]
 enum PendingOp {
-    Insert {
-        tuple: Arc<Tuple>,
-    },
-    Update {
-        row: RowId,
-        base: Arc<Tuple>,
-        new: Arc<Tuple>,
-    },
-    Delete {
-        row: RowId,
-        base: Arc<Tuple>,
-    },
+    Insert { tuple: Row },
+    Update { row: RowId, base: Row, new: Row },
+    Delete { row: RowId, base: Row },
 }
 
 #[derive(Clone)]
@@ -85,7 +76,7 @@ impl WriteBuffer {
     }
 
     /// The image of own insert `slot`, unless it was deleted again.
-    fn own_insert(&self, slot: usize) -> Option<&Arc<Tuple>> {
+    fn own_insert(&self, slot: usize) -> Option<&Row> {
         match self.writes.get(slot)? {
             Pending {
                 op: PendingOp::Insert { tuple },
@@ -99,7 +90,7 @@ impl WriteBuffer {
     /// The live pending image of `tid` that `unique_keys` records for
     /// `key`, and the row it belongs to. The caller still has to check
     /// that the image carries the key: entries are never cleaned.
-    fn recorded_holder(&self, key: &UniqueKey, tid: TableId) -> Option<(RowRef, &Arc<Tuple>)> {
+    fn recorded_holder(&self, key: &UniqueKey, tid: TableId) -> Option<(RowRef, &Row)> {
         let &slot = self.unique_keys.get(key)?;
         let p = self
             .writes
@@ -139,7 +130,7 @@ pub(crate) enum PredRead {
 }
 
 /// One committed write: `(table, row, old image, new image)`.
-pub(crate) type CommittedWrite = (TableId, RowId, Option<Arc<Tuple>>, Option<Arc<Tuple>>);
+pub(crate) type CommittedWrite = (TableId, RowId, Option<Row>, Option<Row>);
 
 /// Write summary of a committed transaction, retained for backward
 /// validation of serializable transactions.
@@ -359,9 +350,9 @@ impl Transaction {
         &self,
         tid: TableId,
         row: RowId,
-        tuple: Arc<Tuple>,
-        matches: impl Fn(&Tuple) -> bool,
-        out: &mut Vec<(RowRef, Arc<Tuple>)>,
+        tuple: Row,
+        matches: impl Fn(&[Datum]) -> bool,
+        out: &mut Vec<(RowRef, Row)>,
     ) {
         match self.buf.write_of(tid, row) {
             Some(PendingOp::Update { new, .. }) => {
@@ -379,8 +370,8 @@ impl Transaction {
     fn overlay_own_inserts(
         &self,
         tid: TableId,
-        matches: impl Fn(&Tuple) -> bool,
-        out: &mut Vec<(RowRef, Arc<Tuple>)>,
+        matches: impl Fn(&[Datum]) -> bool,
+        out: &mut Vec<(RowRef, Row)>,
     ) {
         for &slot in self.buf.own_inserts.get(&tid).into_iter().flatten() {
             if let Some(tuple) = self.buf.own_insert(slot) {
@@ -397,7 +388,7 @@ impl Transaction {
 
     /// Scan `table` for rows matching `pred` (visible at this statement's
     /// snapshot, overlaid with the transaction's own writes).
-    pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(RowRef, Arc<Tuple>)>> {
+    pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(RowRef, Row)>> {
         feral_hooks::yield_point(feral_hooks::Site::TxnScan);
         feral_trace::record(
             feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
@@ -406,7 +397,7 @@ impl Transaction {
             0,
         );
         self.ensure_open()?;
-        let mut out: Vec<(RowRef, Arc<Tuple>)> = Vec::new();
+        let mut out: Vec<(RowRef, Row)> = Vec::new();
         // One catalog touch resolves name → table → covering index. An
         // equality probe runs right here, on handles borrowed under the
         // catalog guard: the key is encoded from the predicate, and each
@@ -524,7 +515,7 @@ impl Transaction {
     }
 
     /// Fetch a row by primary key.
-    pub fn get_by_id(&mut self, table: &str, id: i64) -> DbResult<Option<(RowRef, Arc<Tuple>)>> {
+    pub fn get_by_id(&mut self, table: &str, id: i64) -> DbResult<Option<(RowRef, Row)>> {
         let rows = self.scan(table, &Predicate::eq(0, id))?;
         Ok(rows.into_iter().next())
     }
@@ -542,7 +533,7 @@ impl Transaction {
         &mut self,
         table: &str,
         pred: &Predicate,
-    ) -> DbResult<Vec<(RowRef, Arc<Tuple>)>> {
+    ) -> DbResult<Vec<(RowRef, Row)>> {
         feral_hooks::yield_point(feral_hooks::Site::TxnSelectForUpdate);
         self.ensure_open()?;
         let (tid, entry) = self.resolve(table)?;
@@ -603,7 +594,7 @@ impl Transaction {
         // probes committed-latest state below, at any isolation level
         self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
         let tid = idx.def.table;
-        let holds = |image: &Tuple| !idx.key_has_null(image) && idx.key_of(image) == key.1;
+        let holds = |image: &[Datum]| !idx.key_has_null(image) && idx.key_of(image) == key.1;
         // a pending image that took the key since it last was committed state
         let recorded = self.buf.recorded_holder(key, tid);
         if recorded.is_some_and(|(rref, image)| rref != exclude && holds(image)) {
@@ -635,8 +626,8 @@ impl Transaction {
         &mut self,
         tid: TableId,
         entry: &TableEntry,
-        tuple: &Tuple,
-        prev: Option<&Tuple>,
+        tuple: &[Datum],
+        prev: Option<&[Datum]>,
         target: RowRef,
     ) -> DbResult<()> {
         // the slot `target`'s image lives (or will live) in
@@ -706,7 +697,7 @@ impl Transaction {
     /// In-database FK child-side check for writing `tuple` into the table
     /// of `entry`: S-lock the referenced parent key (blocking concurrent
     /// parent deletes), then verify the parent exists.
-    fn check_foreign_keys_child(&mut self, entry: &TableEntry, tuple: &Tuple) -> DbResult<()> {
+    fn check_foreign_keys_child(&mut self, entry: &TableEntry, tuple: &[Datum]) -> DbResult<()> {
         for fk in &entry.fks_as_child {
             let parent_id = &tuple[fk.child_cols[0]];
             if parent_id.is_null() {
@@ -735,10 +726,10 @@ impl Transaction {
         fk: &ForeignKey,
         child: &TableEntry,
         parent_id: &Datum,
-    ) -> Vec<(RowRef, Arc<Tuple>)> {
+    ) -> Vec<(RowRef, Row)> {
         self.note_table_access(&child.schema.name, feral_hooks::AccessMode::Read);
         let col = fk.child_cols[0];
-        let refers = |t: &Tuple| t[col].sql_eq(parent_id) == Some(true);
+        let refers = |t: &[Datum]| t[col].sql_eq(parent_id) == Some(true);
         let clock = self.committed_ts();
         let mut out = Vec::new();
         match child.indexes.iter().find(|idx| idx.def.cols == [col]) {
@@ -766,7 +757,7 @@ impl Transaction {
     fn check_foreign_keys_parent_delete(
         &mut self,
         entry: &TableEntry,
-        tuple: &Tuple,
+        tuple: &[Datum],
     ) -> DbResult<()> {
         for fk in &entry.fks_as_parent {
             let parent_id = &tuple[0];
@@ -794,7 +785,7 @@ impl Transaction {
                 OnDelete::SetNull => {
                     let col = fk.child_cols[0];
                     for (rref, child_tuple) in children {
-                        let mut new = (*child_tuple).clone();
+                        let mut new = child_tuple.to_vec();
                         new[col] = Datum::Null;
                         self.update_ref(fk.child_table, &child, rref, new)?;
                     }
@@ -846,7 +837,7 @@ impl Transaction {
             table: tid,
             entry,
             op: PendingOp::Insert {
-                tuple: Arc::new(tuple),
+                tuple: Row::from(tuple),
             },
             dead: false,
         });
@@ -856,7 +847,7 @@ impl Transaction {
     }
 
     /// Read a row owned by this transaction or committed, by reference.
-    pub fn read_ref(&self, table: TableId, rref: RowRef) -> Option<Arc<Tuple>> {
+    pub fn read_ref(&self, table: TableId, rref: RowRef) -> Option<Row> {
         match rref {
             RowRef::Own(slot) => self.buf.own_insert(slot as usize).cloned(),
             RowRef::Committed(row) => match self.buf.write_of(table, row) {
@@ -879,12 +870,7 @@ impl Transaction {
     /// Lock committed `row` for writing and re-read it: the latest
     /// committed image, or the conflict a first-updater-wins level owes a
     /// writer that lost the race.
-    fn lock_for_write(
-        &mut self,
-        tid: TableId,
-        entry: &TableEntry,
-        row: RowId,
-    ) -> DbResult<Arc<Tuple>> {
+    fn lock_for_write(&mut self, tid: TableId, entry: &TableEntry, row: RowId) -> DbResult<Row> {
         self.lock(LockKey::Row(tid, row), LockMode::Exclusive)?;
         // post-lock committed-latest re-read (first-updater check)
         self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
@@ -919,7 +905,7 @@ impl Transaction {
                 self.check_unique_indexes(tid, entry, &new_tuple, Some(&prev), rref)?;
                 self.check_foreign_keys_child(entry, &new_tuple)?;
                 self.buf.writes[slot].op = PendingOp::Insert {
-                    tuple: Arc::new(new_tuple),
+                    tuple: Row::from(new_tuple),
                 };
             }
             RowRef::Committed(row) => {
@@ -941,7 +927,7 @@ impl Transaction {
                     op: PendingOp::Update {
                         row,
                         base,
-                        new: Arc::new(new_tuple),
+                        new: Row::from(new_tuple),
                     },
                     dead: false,
                 };
@@ -960,7 +946,7 @@ impl Transaction {
         &mut self,
         table: &str,
         rref: RowRef,
-        f: impl FnOnce(&Tuple) -> Tuple,
+        f: impl FnOnce(&[Datum]) -> Tuple,
     ) -> DbResult<()> {
         self.ensure_open()?;
         let (tid, entry) = self.resolve(table)?;
@@ -1098,7 +1084,7 @@ impl Transaction {
                         }
                     }
                     PredRead::Eq { table, pairs } => {
-                        let hit = |img: &Option<Arc<Tuple>>| {
+                        let hit = |img: &Option<Row>| {
                             img.as_ref().is_some_and(|t| {
                                 pairs.iter().all(|(c, v)| {
                                     t.get(*c).is_some_and(|d| d.sql_eq(v) == Some(true))
@@ -1243,7 +1229,7 @@ impl Transaction {
                         wal_writes.push(crate::wal::WalWrite::Insert {
                             table,
                             row: *next,
-                            tuple: (**tuple).clone(),
+                            tuple: tuple.to_vec(),
                         });
                         *next += 1;
                     }
@@ -1251,7 +1237,7 @@ impl Transaction {
                         wal_writes.push(crate::wal::WalWrite::Update {
                             table,
                             row: *row as u64,
-                            tuple: (**new).clone(),
+                            tuple: new.to_vec(),
                         });
                     }
                     PendingOp::Delete { row, .. } => {
@@ -1461,7 +1447,7 @@ fn range_bounds(entry: &TableEntry, pred: &Predicate) -> Option<RangeBounds> {
     None
 }
 
-fn render_key(tuple: &Tuple, cols: &[usize]) -> String {
+fn render_key(tuple: &[Datum], cols: &[usize]) -> String {
     let vals: Vec<String> = cols.iter().map(|&c| tuple[c].to_string()).collect();
     format!("({})", vals.join(", "))
 }
@@ -1562,7 +1548,7 @@ mod tests {
             1
         );
         let image = tx.read_ref(TableId(0), row.unwrap()).unwrap();
-        let mut renamed = (*image).clone();
+        let mut renamed = image.to_vec();
         renamed[1] = Datum::text("c");
         assert_eq!(
             catalog_touches_of(|| tx.update("users", row.unwrap(), renamed).unwrap()),
@@ -1716,7 +1702,7 @@ mod tests {
                         let _ = tx.insert_pairs("users", &[("email", email(k)), ("dept", Datum::Int(1))]);
                     }
                     Op::Rekey(n, k) => if let Some((rref, image)) = pick(n) {
-                        let mut next = (*image).clone();
+                        let mut next = image.to_vec();
                         next[1] = email(k);
                         let _ = tx.update("users", rref, next);
                     },
@@ -1732,7 +1718,7 @@ mod tests {
                 let excludes = rows.iter().map(|(r, _)| *r).chain([RowRef::Own(u64::MAX)]);
                 for exclude in excludes {
                     for k in 0..6 {
-                        let key: UniqueKey = (idx.id, idx.key_of(&vec![Datum::Null, email(k)]));
+                        let key: UniqueKey = (idx.id, idx.key_of(&[Datum::Null, email(k)]));
                         prop_assert_eq!(
                             tx.unique_key_taken(&entry, &idx, &key, exclude),
                             unique_key_taken_by_walk(&tx, &entry, &idx, &key.1, exclude),

@@ -2,6 +2,8 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The dynamic type of a [`Datum`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,9 +53,9 @@ pub enum Datum {
     /// Floating-point value.
     Float(f64),
     /// String value.
-    Text(String),
+    Text(Text),
     /// Binary value.
-    Bytes(Vec<u8>),
+    Bytes(Box<[u8]>),
     /// Timestamp value (µs since epoch).
     Timestamp(i64),
 }
@@ -79,7 +81,7 @@ impl Datum {
     }
 
     /// Convenience text constructor.
-    pub fn text(s: impl Into<String>) -> Datum {
+    pub fn text(s: impl Into<Text>) -> Datum {
         Datum::Text(s.into())
     }
 
@@ -103,7 +105,7 @@ impl Datum {
     /// Extract a string slice, if this datum is text.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            Datum::Text(s) => Some(s),
+            Datum::Text(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -260,8 +262,8 @@ impl Ord for Datum {
     }
 }
 
-impl std::hash::Hash for Datum {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for Datum {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         let mut buf = Vec::with_capacity(16);
         self.encode_key(&mut buf);
         buf.hash(state);
@@ -313,12 +315,12 @@ impl From<bool> for Datum {
 }
 impl From<&str> for Datum {
     fn from(v: &str) -> Self {
-        Datum::Text(v.to_owned())
+        Datum::Text(v.into())
     }
 }
 impl From<String> for Datum {
     fn from(v: String) -> Self {
-        Datum::Text(v)
+        Datum::Text(v.into())
     }
 }
 impl<T: Into<Datum>> From<Option<T>> for Datum {
@@ -330,12 +332,142 @@ impl<T: Into<Datum>> From<Option<T>> for Datum {
     }
 }
 
-/// A tuple (row image) is just an ordered list of datums, one per column.
+/// A tuple (row image) is just an ordered list of datums, one per column:
+/// an image under construction (an insert or update argument, a WAL
+/// record).
 pub type Tuple = Vec<Datum>;
+
+/// A stored row image: the datums and their reference count in one
+/// allocation, shared by the heap version, the readers it was handed to
+/// and the commit history. `Row::from(tuple)` freezes a [`Tuple`].
+pub type Row = Arc<[Datum]>;
+
+// A datum is three words: `Text`'s variant byte leaves a niche that holds
+// `Datum`'s own tag, and every other payload fits beside it.
+const _: () = assert!(std::mem::size_of::<Datum>() == 24);
+
+/// The longest string a [`Text`] holds in place.
+const INLINE_TEXT: usize = 22;
+
+/// The string of a [`Datum::Text`]: up to 22 bytes in place, a longer one
+/// boxed at its exact length. It derefs to `str`, and orders, compares
+/// and hashes like its bytes, as `str` does.
+#[derive(Clone)]
+pub struct Text(TextRepr);
+
+#[derive(Clone)]
+enum TextRepr {
+    /// Up to `INLINE_TEXT` bytes of UTF-8.
+    Inline { len: u8, buf: [u8; INLINE_TEXT] },
+    /// A longer string.
+    Boxed(Box<str>),
+}
+
+impl Text {
+    /// The string, borrowed. An inline string is re-validated (at most 22
+    /// bytes); comparison, hashing and the encoders read
+    /// [`Text::as_bytes`] instead.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            TextRepr::Inline { len, buf } => {
+                std::str::from_utf8(&buf[..*len as usize]).expect("a Text holds UTF-8")
+            }
+            TextRepr::Boxed(s) => s,
+        }
+    }
+
+    /// The string's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            TextRepr::Inline { len, buf } => &buf[..*len as usize],
+            TextRepr::Boxed(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        match s.len() {
+            len @ 0..=INLINE_TEXT => {
+                let mut buf = [0; INLINE_TEXT];
+                buf[..len].copy_from_slice(s.as_bytes());
+                Text(TextRepr::Inline {
+                    len: len as u8,
+                    buf,
+                })
+            }
+            _ => Text(TextRepr::Boxed(s.into())),
+        }
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        if s.len() <= INLINE_TEXT {
+            Text::from(s.as_str())
+        } else {
+            Text(TextRepr::Boxed(s.into_boxed_str()))
+        }
+    }
+}
+
+impl From<&String> for Text {
+    fn from(s: &String) -> Self {
+        Text::from(s.as_str())
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    /// What `str` feeds a hasher: the bytes, then 0xFF.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xFF);
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn null_sorts_first_and_equals_itself_in_total_order() {
@@ -456,5 +588,127 @@ mod tests {
         assert!(d.is_null());
         let d: Datum = Some("x").into();
         assert_eq!(d, Datum::text("x"));
+    }
+
+    /// Up to 22 bytes stay in place, a longer string is boxed at its
+    /// exact length.
+    #[test]
+    fn a_text_keeps_up_to_22_bytes_in_place() {
+        let inline = |s: &str| matches!(Text::from(s).0, TextRepr::Inline { .. });
+        assert!(inline(""));
+        assert!(inline("u0000005@example.com"));
+        assert!(inline(&"é".repeat(11)));
+        assert!(!inline(&"x".repeat(23)));
+        let long = "x".repeat(23);
+        match Text::from(long.clone()).0 {
+            TextRepr::Boxed(s) => assert_eq!(&*s, long),
+            TextRepr::Inline { .. } => panic!("23 bytes do not fit in place"),
+        }
+    }
+
+    /// The key encoding of a string as the `String`-backed datum wrote it.
+    fn string_key(s: &str) -> Vec<u8> {
+        let mut key = vec![0x04];
+        for &b in s.as_bytes() {
+            key.push(b);
+            if b == 0x00 {
+                key.push(0xFF);
+            }
+        }
+        key.extend([0x00, 0x00]);
+        key
+    }
+
+    /// Strings of 0–40 bytes of 1- to 4-byte characters, `\0` and `'`
+    /// among them: they cross the in-place bound of 22 bytes.
+    fn arb_string() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            Just('\0'),
+            Just('a'),
+            Just('b'),
+            Just('\''),
+            Just('é'),
+            Just('€'),
+            Just('😀'),
+            any::<u32>().prop_map(|n| char::from_u32(n % 0x11_0000).unwrap_or('\u{FFFD}')),
+        ];
+        proptest::collection::vec(ch, 0..=40).prop_map(|chars| {
+            let mut s = String::new();
+            for c in chars {
+                if s.len() + c.len_utf8() > 40 {
+                    break;
+                }
+                s.push(c);
+            }
+            s
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `Text`, and the datum carrying it, behave exactly as the
+        /// `String` they replaced: order, equality, hashing, the key
+        /// encoding, `Display` and `Debug`, and the WAL round trip. Each
+        /// string is tried against itself with a `\0` appended and with
+        /// its last character cut, where in-place buffers differ only in
+        /// their length.
+        #[test]
+        fn a_text_behaves_like_the_string_it_holds(
+            strings in proptest::collection::vec(arb_string(), 1..6),
+        ) {
+            use std::hash::BuildHasher;
+            let hasher = std::collections::hash_map::RandomState::new();
+            let mut all = Vec::new();
+            for s in strings {
+                let mut cut = s.clone();
+                cut.pop();
+                all.extend([format!("{s}\0"), cut, s]);
+            }
+            for s in &all {
+                let (text, datum) = (Text::from(s.as_str()), Datum::text(s.as_str()));
+                prop_assert_eq!(text.as_str(), s.as_str());
+                prop_assert_eq!(text.as_bytes(), s.as_bytes());
+                prop_assert!(Text::from(s.clone()) == text);
+                prop_assert_eq!(datum.as_text(), Some(s.as_str()));
+                prop_assert_eq!(hasher.hash_one(&text), hasher.hash_one(s));
+                let mut key = Vec::new();
+                datum.encode_key(&mut key);
+                prop_assert_eq!(&key, &string_key(s));
+                prop_assert_eq!(hasher.hash_one(&datum), hasher.hash_one(&key));
+                prop_assert_eq!(text.to_string(), s.clone());
+                prop_assert_eq!(datum.to_string(), format!("'{}'", s.replace('\'', "''")));
+                prop_assert_eq!(format!("{text:?}"), format!("{s:?}"));
+                prop_assert_eq!(format!("{datum:?}"), format!("Text({s:?})"));
+                let bytes = Datum::Bytes(s.as_bytes().into());
+                let record = crate::wal::WalRecord::Commit {
+                    commit_ts: 7,
+                    writes: vec![crate::wal::WalWrite::Insert {
+                        table: "t".into(),
+                        row: 0,
+                        tuple: vec![datum.clone(), bytes],
+                    }],
+                };
+                let decoded = crate::wal::WalRecord::decode(&record.encode()).unwrap();
+                prop_assert_eq!(&decoded, &record);
+                let crate::wal::WalRecord::Commit { writes, .. } = decoded else {
+                    unreachable!()
+                };
+                let crate::wal::WalWrite::Insert { tuple, .. } = &writes[0] else {
+                    unreachable!()
+                };
+                prop_assert_eq!(tuple[0].as_text(), Some(s.as_str()));
+                prop_assert!(matches!(&tuple[1], Datum::Bytes(b) if **b == *s.as_bytes()));
+            }
+            for a in &all {
+                for b in &all {
+                    let (ta, tb) = (Text::from(a.as_str()), Text::from(b.as_str()));
+                    prop_assert_eq!(ta.cmp(&tb), a.cmp(b), "{:?} vs {:?}", a, b);
+                    prop_assert_eq!(ta == tb, a == b, "{:?} vs {:?}", a, b);
+                    let (da, db) = (Datum::text(a.as_str()), Datum::text(b.as_str()));
+                    prop_assert_eq!(da.cmp(&db), a.cmp(b), "{:?} vs {:?}", a, b);
+                    prop_assert_eq!(da == db, a == b, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
     }
 }

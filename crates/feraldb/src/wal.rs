@@ -20,19 +20,10 @@
 
 use crate::error::{DbError, DbResult};
 use crate::value::{DataType, Datum, Tuple};
+use feral_hooks::fnv64;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a 64-bit, used as the per-record checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// One replayable log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +139,7 @@ fn put_datum(out: &mut Vec<u8>, d: &Datum) {
         }
     }
 }
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
+fn put_tuple(out: &mut Vec<u8>, t: &[Datum]) {
     put_u32(out, t.len() as u32);
     for d in t {
         put_datum(out, d);
@@ -181,11 +172,13 @@ impl<'a> Reader<'a> {
     fn i64(&mut self) -> DbResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn string(&mut self) -> DbResult<String> {
+    fn str(&mut self) -> DbResult<&'a str> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(n)?)
             .map_err(|_| DbError::Internal("invalid UTF-8 in WAL".into()))
+    }
+    fn string(&mut self) -> DbResult<String> {
+        self.str().map(str::to_owned)
     }
     fn datum(&mut self) -> DbResult<Datum> {
         Ok(match self.u8()? {
@@ -193,10 +186,11 @@ impl<'a> Reader<'a> {
             1 => Datum::Bool(self.u8()? != 0),
             2 => Datum::Int(self.i64()?),
             3 => Datum::Float(f64::from_bits(self.u64()?)),
-            4 => Datum::Text(self.string()?),
+            // built from the frame's bytes, with no `String` in between
+            4 => Datum::text(self.str()?),
             5 => {
                 let n = self.u32()? as usize;
-                Datum::Bytes(self.take(n)?.to_vec())
+                Datum::Bytes(self.take(n)?.into())
             }
             6 => Datum::Timestamp(self.i64()?),
             t => return Err(DbError::Internal(format!("unknown datum tag {t}"))),
@@ -388,7 +382,7 @@ pub fn frame_record(record: &WalRecord) -> Vec<u8> {
     let mut framed = Vec::with_capacity(payload.len() + 12);
     put_u32(&mut framed, payload.len() as u32);
     framed.extend_from_slice(&payload);
-    put_u64(&mut framed, fnv1a(&payload));
+    put_u64(&mut framed, fnv64(&payload));
     framed
 }
 
@@ -495,7 +489,7 @@ pub fn read_log(path: &Path) -> DbResult<(Vec<WalRecord>, u64)> {
         }
         let payload = &bytes[payload_start..checksum_start];
         let checksum = u64::from_le_bytes(bytes[checksum_start..next].try_into().unwrap());
-        if fnv1a(payload) != checksum {
+        if fnv64(payload) != checksum {
             break; // corrupt tail
         }
         match WalRecord::decode(payload) {
@@ -555,7 +549,7 @@ mod tests {
                             Datum::Null,
                             Datum::Float(1.5),
                             Datum::Bool(true),
-                            Datum::Bytes(vec![1, 2, 0, 3]),
+                            Datum::Bytes([1, 2, 0, 3].into()),
                             Datum::Timestamp(-7),
                         ],
                     },

@@ -203,7 +203,7 @@ fn vacuum_spares_what_unpublished_commits_supersede() {
                 if n == 3 {
                     return tx.delete("items", rref);
                 }
-                let mut next = (*tuple).clone();
+                let mut next = tuple.to_vec();
                 next[1] = Datum::Int(n + 100);
                 tx.update("items", rref, next)
             })
@@ -305,7 +305,7 @@ fn vacuum_loop_against_inflight_commits_keeps_a_pinned_snapshot_stable() {
                             .run(|tx| {
                                 let (rref, tuple) =
                                     tx.scan("items", &Predicate::eq(1, from))?.remove(0);
-                                let mut next = (*tuple).clone();
+                                let mut next = tuple.to_vec();
                                 next[1] = Datum::Int(from + 1);
                                 tx.update("items", rref, next)
                             })
@@ -581,7 +581,7 @@ fn a_second_transaction_in_the_scope_settles_the_first() {
             .run(|tx| {
                 let mut rows = tx.select_for_update("items", &Predicate::True)?;
                 let (rref, tuple) = rows.remove(0);
-                let mut next = (*tuple).clone();
+                let mut next = tuple.to_vec();
                 next[1] = Datum::Int(2);
                 tx.update("items", rref, next)?;
                 Ok(tuple[1].as_int().unwrap())

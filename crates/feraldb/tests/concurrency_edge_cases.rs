@@ -95,7 +95,7 @@ fn stats_counters_track_operations() {
     let rows = tx.scan("kv", &Predicate::True).unwrap();
     assert_eq!(rows.len(), 3);
     let (rref, t) = tx.get_by_id("kv", ids[0]).unwrap().unwrap();
-    let mut n = (*t).clone();
+    let mut n = t.to_vec();
     n[2] = Datum::Int(9);
     tx.update("kv", rref, n).unwrap();
     let (rref, _) = tx.get_by_id("kv", ids[1]).unwrap().unwrap();
@@ -140,7 +140,7 @@ fn vacuum_is_safe_under_concurrent_readers_and_writers() {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let mut tx = db.txn().begin();
                 if let Some((rref, t)) = tx.get_by_id("kv", id).unwrap() {
-                    let mut n = (*t).clone();
+                    let mut n = t.to_vec();
                     v += 1;
                     n[2] = Datum::Int(v);
                     let _ = tx.update("kv", rref, n);
@@ -196,7 +196,7 @@ fn index_stays_consistent_across_interleaved_key_updates() {
                 let mut tx = db.txn().begin();
                 let result = (|| {
                     if let Some((rref, t)) = tx.get_by_id("kv", id)? {
-                        let mut n = (*t).clone();
+                        let mut n = t.to_vec();
                         n[1] = Datum::text(format!("k{id}-{w}-{round}"));
                         tx.update("kv", rref, n)?;
                     }

@@ -143,7 +143,7 @@ fn unique_update_can_change_key_and_back() {
     // rename a -> b
     let mut tx = db.txn().begin();
     let rows = tx.scan("t", &Predicate::eq(1, "a")).unwrap();
-    let (rref, t) = (rows[0].0, (*rows[0].1).clone());
+    let (rref, t) = (rows[0].0, rows[0].1.to_vec());
     let mut n = t.clone();
     n[1] = Datum::text("b");
     tx.update("t", rref, n).unwrap();
@@ -361,7 +361,7 @@ fn fk_actions_reach_the_same_children_with_and_without_a_child_index() {
                     let (rref, image) = tx.scan("users", &Predicate::eq(2, name))?.remove(0);
                     match to {
                         Some(dept) => {
-                            let mut moved = (*image).clone();
+                            let mut moved = image.to_vec();
                             moved[1] = Datum::Int(dept);
                             tx.update("users", rref, moved)?;
                         }

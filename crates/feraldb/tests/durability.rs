@@ -84,7 +84,7 @@ fn updates_deletes_and_id_sequence_survive() {
         // update peter, delete doomed
         let mut tx = db.txn().begin();
         let (r, t) = tx.get_by_id("users", peter_id).unwrap().unwrap();
-        let mut n = (*t).clone();
+        let mut n = t.to_vec();
         n[2] = Datum::Int(100);
         tx.update("users", r, n).unwrap();
         let rows = tx.scan("users", &Predicate::eq(1, "doomed")).unwrap();
@@ -256,7 +256,7 @@ fn multi_version_history_collapses_to_latest_on_recovery() {
         for v in 1..10 {
             let mut tx = db.txn().begin();
             let (r, t) = tx.get_by_id("users", id).unwrap().unwrap();
-            let mut n = (*t).clone();
+            let mut n = t.to_vec();
             n[2] = Datum::Int(v);
             tx.update("users", r, n).unwrap();
             tx.commit().unwrap();

@@ -403,7 +403,7 @@ fn failed_flush_poisons_the_log() {
         IsolationLevel::Serializable,
     ] {
         let begin = || db.txn().isolation(iso).begin();
-        let values = |rows: Vec<(RowRef, std::sync::Arc<feral_db::Tuple>)>| -> Vec<i64> {
+        let values = |rows: Vec<(RowRef, feral_db::Row)>| -> Vec<i64> {
             rows.iter().map(|(_, t)| t[1].as_int().unwrap()).collect()
         };
         let mut tx = begin();
@@ -424,7 +424,7 @@ fn failed_flush_poisons_the_log() {
         let row = item(&mut tx, 2);
         tx.update_with("items", row, |t| {
             assert_eq!(t[1], Datum::Int(2), "update_with under {iso}");
-            t.clone()
+            t.to_vec()
         })
         .unwrap();
         let row = item(&mut tx, 3);

@@ -106,7 +106,7 @@ fn own_writes_visible_within_transaction() {
     let rows = tx.scan("kv", &Predicate::eq(1, "me")).unwrap();
     assert_eq!(rows.len(), 1);
     // update own insert, then re-read
-    let mut t = (*rows[0].1).clone();
+    let mut t = rows[0].1.to_vec();
     t[2] = Datum::Int(8);
     tx.update("kv", r, t).unwrap();
     let rows = tx.scan("kv", &Predicate::eq(1, "me")).unwrap();
@@ -125,13 +125,13 @@ fn si_first_updater_wins_aborts_second_writer() {
     let mut t1 = db.txn().isolation(IsolationLevel::Snapshot).begin();
     let mut t2 = db.txn().isolation(IsolationLevel::Snapshot).begin();
     let (r1, tup1) = t1.get_by_id("kv", id).unwrap().unwrap();
-    let mut new1 = (*tup1).clone();
+    let mut new1 = tup1.to_vec();
     new1[2] = Datum::Int(1);
     t1.update("kv", r1, new1).unwrap();
     t1.commit().unwrap();
     // t2's snapshot predates t1's commit; its update must abort
     let (r2, tup2) = t2.get_by_id("kv", id).unwrap().unwrap();
-    let mut new2 = (*tup2).clone();
+    let mut new2 = tup2.to_vec();
     new2[2] = Datum::Int(2);
     let err = t2.update("kv", r2, new2).unwrap_err();
     assert_eq!(err, DbError::WriteConflict);
@@ -151,13 +151,13 @@ fn read_committed_allows_lost_update_via_read_modify_write() {
     let v2 = tup2[2].as_int().unwrap();
     // t1 decrements and commits first
     let (r1, _) = t1.get_by_id("kv", id).unwrap().unwrap();
-    let mut n1 = (*tup1).clone();
+    let mut n1 = tup1.to_vec();
     n1[2] = Datum::Int(v1 - 1);
     t1.update("kv", r1, n1).unwrap();
     t1.commit().unwrap();
     // t2 also decrements from its stale read — RC permits it
     let (r2, _) = t2.get_by_id("kv", id).unwrap().unwrap();
-    let mut n2 = (*tup2).clone();
+    let mut n2 = tup2.to_vec();
     n2[2] = Datum::Int(v2 - 1);
     t2.update("kv", r2, n2).unwrap();
     t2.commit().unwrap();
@@ -180,7 +180,7 @@ fn select_for_update_prevents_lost_update() {
             let mut tx = db.txn().isolation(IsolationLevel::ReadCommitted).begin();
             let rows = tx.select_for_update("kv", &Predicate::eq(0, id)).unwrap();
             let (r, t) = &rows[0];
-            let mut n = (**t).clone();
+            let mut n = t.to_vec();
             n[2] = Datum::Int(t[2].as_int().unwrap() - 1);
             tx.update("kv", *r, n).unwrap();
             tx.commit().unwrap();
@@ -298,7 +298,7 @@ fn rollback_discards_everything() {
     let id = put(&db, "x", 1);
     let mut tx = db.txn().begin();
     let (r, t) = tx.get_by_id("kv", id).unwrap().unwrap();
-    let mut n = (*t).clone();
+    let mut n = t.to_vec();
     n[2] = Datum::Int(99);
     tx.update("kv", r, n).unwrap();
     tx.insert_pairs("kv", &[("k", Datum::text("y")), ("v", Datum::Int(2))])
@@ -355,11 +355,11 @@ fn write_skew_allowed_under_si_but_not_serializable() {
         assert_eq!(sum2, 2);
         // t1 zeroes a; t2 zeroes b
         let (ra, ta) = t1.get_by_id("kv", ida).unwrap().unwrap();
-        let mut na = (*ta).clone();
+        let mut na = ta.to_vec();
         na[2] = Datum::Int(0);
         t1.update("kv", ra, na).unwrap();
         let (rb, tb) = t2.get_by_id("kv", idb).unwrap().unwrap();
-        let mut nb = (*tb).clone();
+        let mut nb = tb.to_vec();
         nb[2] = Datum::Int(0);
         t2.update("kv", rb, nb).unwrap();
         let r1 = t1.commit();
@@ -390,7 +390,7 @@ fn vacuum_preserves_latest_state() {
     for v in 1..20 {
         let mut tx = db.txn().begin();
         let (r, t) = tx.get_by_id("kv", id).unwrap().unwrap();
-        let mut n = (*t).clone();
+        let mut n = t.to_vec();
         n[2] = Datum::Int(v);
         tx.update("kv", r, n).unwrap();
         tx.commit().unwrap();

@@ -13,7 +13,7 @@ fn arb_datum() -> impl Strategy<Value = Datum> {
         any::<i64>().prop_map(Datum::Int),
         any::<f64>().prop_map(Datum::Float),
         "[a-z]{0,12}".prop_map(Datum::text),
-        proptest::collection::vec(any::<u8>(), 0..16).prop_map(Datum::Bytes),
+        proptest::collection::vec(any::<u8>(), 0..16).prop_map(|b| Datum::Bytes(b.into())),
         any::<i64>().prop_map(Datum::Timestamp),
     ]
 }
@@ -96,7 +96,7 @@ proptest! {
                     let mut tx = db.txn().begin();
                     let rows = tx.scan("t", &Predicate::eq(1, k.as_str())).unwrap();
                     for (rref, t) in rows {
-                        let mut n = (*t).clone();
+                        let mut n = t.to_vec();
                         n[2] = Datum::Int(*v);
                         tx.update("t", rref, n).unwrap();
                     }

@@ -52,13 +52,13 @@ fn rollback_to_rewinds_merged_updates_of_pre_savepoint_rows() {
     let mut tx = db.txn().begin();
     // pre-savepoint update: v = 10
     let (r, t) = tx.get_by_id("t", id).unwrap().unwrap();
-    let mut n = (*t).clone();
+    let mut n = t.to_vec();
     n[2] = Datum::Int(10);
     tx.update("t", r, n).unwrap();
     let sp = tx.savepoint();
     // post-savepoint update of the SAME row: v = 20 (merges in place)
     let (r, t) = tx.get_by_id("t", id).unwrap().unwrap();
-    let mut n = (*t).clone();
+    let mut n = t.to_vec();
     assert_eq!(n[2], Datum::Int(20 - 10)); // sees 10 via own-write overlay
     n[2] = Datum::Int(20);
     tx.update("t", r, n).unwrap();
@@ -155,7 +155,7 @@ fn rollback_to_restores_which_unique_keys_are_pending() {
     tx.insert_pairs("t", &row("c")).unwrap();
     tx.delete("t", a).unwrap();
     tx.insert_pairs("t", &row("a")).unwrap();
-    let mut moved = (*tx.read_ref(db.table_id("t").unwrap(), b).unwrap()).clone();
+    let mut moved = tx.read_ref(db.table_id("t").unwrap(), b).unwrap().to_vec();
     moved[1] = Datum::text("d");
     tx.update("t", b, moved).unwrap();
     tx.insert_pairs("t", &row("b")).unwrap();

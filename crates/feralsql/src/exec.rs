@@ -303,7 +303,7 @@ fn fetch_single_table(
     let scanned = tx.scan(table, &pred)?;
     let mut rows = Vec::with_capacity(scanned.len());
     for (rref, tuple) in scanned {
-        let t: Vec<Datum> = (*tuple).clone();
+        let t: Vec<Datum> = tuple.to_vec();
         if pushed.is_none() {
             if let Some(e) = where_clause {
                 if !eval_expr(e, &env, &t, None)? {
@@ -434,7 +434,7 @@ fn exec_select(tx: &mut Transaction, sel: Select) -> Result<SqlOutput, SqlError>
             .and_then(|e| to_engine_pred(e, &env).ok())
             .unwrap_or(Predicate::True);
         let rows = tx.select_for_update(&sel.from.name, &pushed)?;
-        (env, rows.into_iter().map(|(_, t)| (*t).clone()).collect())
+        (env, rows.into_iter().map(|(_, t)| t.to_vec()).collect())
     } else {
         let (env, rows) = fetch_single_table(
             tx,

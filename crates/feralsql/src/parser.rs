@@ -116,7 +116,7 @@ impl Parser {
         match self.bump() {
             Some(Token::Int(i)) => Ok(Datum::Int(i)),
             Some(Token::Float(f)) => Ok(Datum::Float(f)),
-            Some(Token::Str(s)) => Ok(Datum::Text(s)),
+            Some(Token::Str(s)) => Ok(Datum::text(s)),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Datum::Null),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("true") => Ok(Datum::Bool(true)),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("false") => Ok(Datum::Bool(false)),

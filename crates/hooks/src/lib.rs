@@ -175,9 +175,17 @@ pub struct Access {
 }
 
 /// FNV-1a 64-bit hash of `bytes` — the stable resource-naming hash for
-/// [`Access::what`]. Deterministic across runs and platforms.
+/// [`Access::what`], and the workspace's one FNV-1a (the tracing layer's
+/// fingerprints, the WAL's record checksum, the auditor's column-value
+/// hashes and the YCSB key scrambler are all this function).
+/// Deterministic across runs and platforms.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue the FNV-1a hash `h` over `bytes`, so a hash of several pieces
+/// needs no buffer: `fnv64_extend(fnv64(a), b)` is `fnv64` of `a` then `b`.
+pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -373,6 +381,12 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"key_values"), fnv64(b"key_values"));
         assert_ne!(fnv64(b"key_values"), fnv64(b"accounts"));
+        // the FNV-1a test vector, and a hash continued over a second piece
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv64_extend(fnv64(b"key_"), b"values"),
+            fnv64(b"key_values")
+        );
     }
 
     #[test]

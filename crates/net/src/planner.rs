@@ -287,7 +287,7 @@ pub fn deposit_at(
         .retries(RETRIES)
         .run(|tx| {
             let rows = tx.scan("accounts", &Predicate::eq(1, account))?;
-            let (rref, tuple) = (rows[0].0, (*rows[0].1).clone());
+            let (rref, tuple) = (rows[0].0, rows[0].1.to_vec());
             let balance = tuple[2].as_int().unwrap_or(0);
             let version = tuple[3].as_int().unwrap_or(0);
             std::thread::yield_now();

@@ -337,10 +337,11 @@ impl<'a> Cursor<'a> {
             1 => Datum::Bool(self.u8()? != 0),
             2 => Datum::Int(self.i64()?),
             3 => Datum::Float(f64::from_bits(self.u64()?)),
-            4 => Datum::Text(self.str()?),
+            // built from the frame's bytes, with no `String` in between
+            4 => Datum::text(self.str_ref()?),
             5 => {
                 let len = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
-                Datum::Bytes(self.take(len)?.to_vec())
+                Datum::Bytes(self.take(len)?.into())
             }
             6 => Datum::Timestamp(self.i64()?),
             tag => return Err(WireError::Malformed(format!("datum tag {tag}"))),
@@ -491,7 +492,8 @@ fn synthesized_model(model_name: &str, cols: &[(&str, Datum)]) -> Arc<ModelDef> 
 
 fn rebuild_record(model_name: &str, mut cols: Vec<(&str, Datum)>) -> Record {
     let model = synthesized_model(model_name, &cols);
-    let row: feral_db::Tuple = model
+    // collected straight into the shared image: one allocation
+    let row: feral_db::Row = model
         .columns()
         .iter()
         .map(|(name, _)| {
@@ -502,7 +504,7 @@ fn rebuild_record(model_name: &str, mut cols: Vec<(&str, Datum)>) -> Record {
                 })
         })
         .collect();
-    Record::from_row(model, Arc::new(row))
+    Record::from_row(model, row)
 }
 
 // ---------------------------------------------------------------- framing

@@ -34,7 +34,7 @@ fn valid_payloads() -> Vec<Vec<u8>> {
             .session(9)
             .attr("email", Datum::text("a@b.c"))
             .attr("score", Datum::Float(1.5))
-            .attr("blob", Datum::Bytes(vec![1, 2, 3]))
+            .attr("blob", Datum::Bytes([1, 2, 3].into()))
             .attr("seen", Datum::Timestamp(4))
             .attr("nil", Datum::Null)
             .attr("ok", Datum::Bool(true))
@@ -91,6 +91,60 @@ fn read_by_cursor(buf: &mut Vec<u8>, out: &mut Vec<Vec<u8>>) -> Result<(), WireE
     };
     buf.drain(..at);
     outcome
+}
+
+/// Strings of 0–40 bytes of 1- to 4-byte characters, `\0` among them:
+/// they cross the 22 bytes a text datum holds in place.
+fn arb_string() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        Just('\0'),
+        Just('a'),
+        Just('é'),
+        Just('€'),
+        Just('😀'),
+        any::<u32>().prop_map(|n| char::from_u32(n % 0x11_0000).unwrap_or('\u{FFFD}')),
+    ];
+    proptest::collection::vec(ch, 0..=40).prop_map(|chars| {
+        let mut s = String::new();
+        for c in chars {
+            if s.len() + c.len_utf8() > 40 {
+                break;
+            }
+            s.push(c);
+        }
+        s
+    })
+}
+
+proptest! {
+    /// Text and bytes datums cross the wire unchanged, in a request's
+    /// attributes and in a found record, on either side of the in-place
+    /// bound.
+    #[test]
+    fn text_and_bytes_datums_round_trip_the_wire(s in arb_string()) {
+        let bytes = Datum::Bytes(s.as_bytes().into());
+        let request = Request::builder("User")
+            .attr("email", Datum::text(s.as_str()))
+            .attr("blob", bytes.clone())
+            .create();
+        let frame = wire::encode_request(1, &request).unwrap();
+        let (_, decoded) = wire::decode_request(&frame[4..]).unwrap();
+        let feral_server::Op::Create { attrs, .. } = decoded.op else {
+            panic!("a create decodes as a create")
+        };
+        prop_assert_eq!(attrs[0].1.as_text(), Some(s.as_str()));
+        prop_assert!(matches!(&attrs[1].1, Datum::Bytes(b) if **b == *s.as_bytes()));
+
+        let model = Arc::new(ModelDef::build("User").string("email").without_timestamps().finish());
+        let mut record = Record::new(model);
+        record.set("id", 7i64).set("email", Datum::text(s.as_str()));
+        let frame = wire::encode_response(2, &Response::Found(record));
+        let (_, Response::Found(found)) = wire::decode_response(&frame[4..]).unwrap() else {
+            panic!("a found record decodes as one")
+        };
+        prop_assert_eq!(found.attr("email").as_text(), Some(s.as_str()));
+        prop_assert_eq!(found.id(), Some(7));
+    }
 }
 
 proptest! {

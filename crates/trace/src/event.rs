@@ -219,14 +219,7 @@ impl Event {
 /// FNV-1a 64-bit hash — the tracing layer's key/table fingerprint.
 /// Stable across runs and platforms (reports and provenance matching
 /// rely on that).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+pub use feral_hooks::fnv64;
 
 #[cfg(test)]
 mod tests {

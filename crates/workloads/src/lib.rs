@@ -112,16 +112,10 @@ impl ScrambledZipfian {
     }
 }
 
-/// FNV-1a 64-bit hash, the scrambler YCSB applies.
-pub fn fnv1a(mut x: u64) -> u64 {
-    const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325;
-    for _ in 0..8 {
-        h ^= x & 0xff;
-        h = h.wrapping_mul(PRIME);
-        x >>= 8;
-    }
-    h
+/// FNV-1a 64-bit hash of `x`'s little-endian bytes, the scrambler YCSB
+/// applies.
+pub fn fnv1a(x: u64) -> u64 {
+    feral_trace::fnv64(&x.to_le_bytes())
 }
 
 impl KeyChooser for ScrambledZipfian {
@@ -208,6 +202,24 @@ pub fn by_name(name: &str, domain: u64, seed: u64) -> Option<Box<dyn KeyChooser>
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// The scrambler hashes the key's bytes low to high, as the
+    /// byte-at-a-time loop it replaced did.
+    #[test]
+    fn the_scrambler_is_fnv1a_over_the_low_byte_first() {
+        let by_bytes = |mut x: u64| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..8 {
+                h ^= x & 0xff;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                x >>= 8;
+            }
+            h
+        };
+        for x in [0, 1, 0xff, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(fnv1a(x), by_bytes(x), "{x:#x}");
+        }
+    }
 
     fn histogram(c: &mut dyn KeyChooser, n: usize) -> HashMap<u64, usize> {
         let mut h = HashMap::new();
