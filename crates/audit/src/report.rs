@@ -3,7 +3,7 @@
 //! `results/BENCH_audit.json`.
 
 use crate::graph::AnomalyVerdict;
-use feral_trace::json::{self, escape, Json};
+use feral_trace::json::{self, escape, require, require_u64, Json};
 use feral_trace::report::escape_label;
 
 /// Per plan-cell audit counters in export form.
@@ -356,16 +356,6 @@ fn verdict_json(v: &AnomalyVerdict) -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn require<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{ctx}: missing key '{key}'"))
-}
-
-fn require_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    require(obj, key, ctx)?
-        .as_u64()
-        .ok_or(format!("{ctx}: '{key}' is not a non-negative integer"))
 }
 
 /// Schema-check a serialised [`AuditSnapshot`] (an already-parsed JSON

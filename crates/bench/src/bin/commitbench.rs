@@ -594,7 +594,8 @@ mod planner {
 
     // The workload itself — templates, plan, integrity audit, timed
     // runs — lives in feral-net's planner module so the in-process
-    // bench and the wire-tier load harness measure the same thing.
+    // bench, `benchmark/` and the served ablation test measure the same
+    // thing.
     pub(super) use feral_net::planner::{certified_plan, timed_run, Anomalies, TEMPLATES, WORKERS};
 
     const TOOL: &str = "commitbench";

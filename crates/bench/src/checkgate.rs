@@ -167,39 +167,6 @@ pub fn check_audit_bench_file(path: &str) -> Result<AuditGateSummary, String> {
     check_audit_bench_text(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// What a passing load-bench gate saw, for the one-line OK message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadGateSummary {
-    /// Grid cells in the artifact.
-    pub cells: usize,
-    /// Distinct worker counts covered by the grid.
-    pub worker_counts: usize,
-    /// Ablation configurations (planner / all-serializable).
-    pub ablation_configs: usize,
-}
-
-/// Gate a `BENCH_load.json` artifact: the validator is
-/// `feral_net::report::validate_load_report` — the same one the writer
-/// self-applies, deliberately shared (like `validate_report` for
-/// table1) so gate and writer cannot drift — plus the envelope checks
-/// it enforces: ≥3 worker counts under both arrival distributions,
-/// reply accounting, and a clean planner/all-serializable ablation
-/// with embedded audit snapshots.
-pub fn check_load_bench_text(text: &str) -> Result<LoadGateSummary, String> {
-    let summary = feral_net::validate_load_report(text)?;
-    Ok(LoadGateSummary {
-        cells: summary.cells,
-        worker_counts: summary.worker_counts,
-        ablation_configs: summary.ablation_configs,
-    })
-}
-
-/// File-path variant of [`check_load_bench_text`].
-pub fn check_load_bench_file(path: &str) -> Result<LoadGateSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_load_bench_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,74 +328,6 @@ mod tests {
                 if full_has_snapshot { &snap } else { "null" }
             ),
         )
-    }
-
-    fn load_artifact() -> String {
-        use feral_net::{AblationRow, GridRow, LoadOutcome};
-        let outcome = || {
-            let h = Histogram::new();
-            for i in 0..100u64 {
-                h.record(1_000 + i * 13);
-            }
-            LoadOutcome {
-                sent: 100,
-                completed: 100,
-                shed: 0,
-                errors: 0,
-                lost: 0,
-                elapsed: 1.0,
-                latency: h.snapshot(),
-            }
-        };
-        let mut grid = Vec::new();
-        for w in [1usize, 2, 4] {
-            for dist in ["uniform", "zipfian"] {
-                grid.push(GridRow {
-                    workers: w,
-                    dist,
-                    conns: 2,
-                    sessions: 1_000_000,
-                    target_rate: 1000.0,
-                    think_us: 0,
-                    outcome: outcome(),
-                });
-            }
-        }
-        let ablation: Vec<AblationRow> = ["planner", "all-serializable"]
-            .into_iter()
-            .map(|config| AblationRow {
-                config,
-                outcome: outcome(),
-                anomalies: Default::default(),
-                cycles: 0,
-                schema_ok: true,
-                snapshot_json: Some("{\"cycles\": 0}".to_string()),
-            })
-            .collect();
-        feral_net::render_load_json("smoke", 64, 8, &grid, &ablation)
-    }
-
-    #[test]
-    fn well_formed_load_artifact_passes() {
-        let summary = check_load_bench_text(&load_artifact()).expect("gate passes");
-        assert_eq!(summary.cells, 6);
-        assert_eq!(summary.worker_counts, 3);
-        assert_eq!(summary.ablation_configs, 2);
-    }
-
-    #[test]
-    fn load_artifact_failures_are_gate_failures() {
-        assert!(check_load_bench_text("{\"bench\": \"other\"}").is_err());
-        let good = load_artifact();
-        let err =
-            check_load_bench_text(&good.replace("\"pass\": true", "\"pass\": false")).unwrap_err();
-        assert!(err.contains("pass"), "{err}");
-        let err = check_load_bench_text(
-            &good.replace("\"config\": \"all-serializable\"", "\"config\": \"other\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("all-serializable"), "{err}");
-        assert!(check_load_bench_file("/nonexistent/BENCH_load.json").is_err());
     }
 
     #[test]

@@ -1,0 +1,50 @@
+//! Pins `checkreport`'s flag handling: a flag it does not know is a
+//! usage error (exit 1, usage on stderr), never silently ignored — a
+//! stale `checkreport --load x.json` must not gate `x.json` as a table1
+//! report. The fixture is the checked-in table1 golden, which passes
+//! the default gate, so only the flag can fail these runs.
+
+use std::process::{Command, Output};
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../results/BENCH_table1.golden.json"
+);
+
+fn checkreport(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_checkreport"))
+        .args(args)
+        .output()
+        .expect("run checkreport")
+}
+
+fn assert_usage_error(out: &Output, flag: &str) {
+    assert_eq!(out.status.code(), Some(1), "{flag} must exit 1");
+    assert!(out.stdout.is_empty(), "{flag} must not report a verdict");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("unknown flag `{flag}`")),
+        "names the flag: {err}"
+    );
+    assert!(err.contains("usage: checkreport"), "prints usage: {err}");
+}
+
+#[test]
+fn the_fixture_passes_the_default_gate() {
+    let out = checkreport(&[GOLDEN]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    assert_usage_error(&checkreport(&["--bogus", GOLDEN]), "--bogus");
+}
+
+#[test]
+fn the_retired_load_mode_is_a_usage_error() {
+    assert_usage_error(&checkreport(&["--load", GOLDEN]), "--load");
+}

@@ -6,10 +6,11 @@
 //! One call checks a connection out of the pool, writes one frame,
 //! blocks for the matching reply, and returns the connection.
 //!
-//! The open-loop load generator does *not* use this type — pacing
+//! An open-loop load generator should *not* use this type — pacing
 //! arrivals through a blocking call-per-connection would reintroduce
-//! coordinated omission. It splits raw `TcpStream`s into paced writer /
-//! draining reader halves instead (see [`crate::load`]).
+//! coordinated omission. `benchmark/src/load.rs` drives a raw
+//! nonblocking `TcpStream` per thread and starts each request's clock
+//! when it was due instead.
 
 use crate::wire;
 use feral_orm::OrmError;

@@ -20,15 +20,13 @@
 //!   [`Response::Overloaded`] instead of queueing without bound.
 //! - [`client`] — a blocking pooled [`client::NetClient`] that itself
 //!   implements [`Service`], and a [`client::call_with_retry`] helper.
-//! - [`load`] — an open-loop load generator (pre-drawn exponential
-//!   arrival schedules, uniform or scrambled-Zipfian session/key skew)
-//!   that measures latency from *scheduled* arrival, immune to
-//!   coordinated omission.
 //! - [`planner`] — the certified five-template planner workload shared
 //!   with `commitbench`, plus [`planner::PlannedService`] serving it
 //!   through `db.txn().planned(...)`.
-//! - [`report`] — `BENCH_load.json` rendering, the validator behind
-//!   `checkreport --load`, and Prometheus text for the load grid.
+//!
+//! Load is driven from outside the crate: `benchmark/` serves
+//! [`planner::PlannedService`] and the ORM through [`Server`] and times
+//! each request from when it was due.
 //!
 //! [`Service`]: feral_server::Service
 //! [`Deployment`]: feral_server::Deployment
@@ -40,15 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod load;
 pub mod planner;
 pub mod reactor;
-pub mod report;
 pub mod server;
 pub mod wire;
 
 pub use client::{call_with_retry, NetClient};
-pub use load::{Dist, LoadConfig, LoadOutcome};
 pub use planner::PlannedService;
-pub use report::{render_load_json, validate_load_report, AblationRow, GridRow, LoadSummary};
 pub use server::{Server, ServerConfig, ServerMetrics};

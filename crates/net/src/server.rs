@@ -119,7 +119,7 @@ const WAKER_TOKEN: u64 = 0;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Server shape knobs. The defaults are what `benchmark/` and the tests
-/// run; `loadbench` sets its own.
+/// run; `feral-net serve` takes each from a flag.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).

@@ -98,6 +98,20 @@ impl Json {
     }
 }
 
+/// Member `key` of `obj`, or a validation error naming `ctx` and the
+/// missing key — the schema validators' shared field accessor.
+pub fn require<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j Json, String> {
+    obj.get(key).ok_or(format!("{ctx}: missing key '{key}'"))
+}
+
+/// Member `key` of `obj` as a non-negative integer, or a validation
+/// error naming `ctx` and the key.
+pub fn require_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
+    require(obj, key, ctx)?
+        .as_u64()
+        .ok_or(format!("{ctx}: '{key}' is not a non-negative integer"))
+}
+
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();

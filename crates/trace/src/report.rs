@@ -17,7 +17,7 @@
 //! is `f64` and would silently lose precision above 2^53.
 
 use crate::hist::HistogramSnapshot;
-use crate::json::{self, Json};
+use crate::json::{self, require, require_u64, Json};
 use crate::provenance::ProvenanceRecord;
 
 /// Report schema version (bump on breaking JSON shape changes).
@@ -308,16 +308,6 @@ pub fn escape_label(value: &str) -> String {
         }
     }
     out
-}
-
-fn require<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{ctx}: missing key '{key}'"))
-}
-
-fn require_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    require(obj, key, ctx)?
-        .as_u64()
-        .ok_or(format!("{ctx}: '{key}' is not a non-negative integer"))
 }
 
 fn require_str<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j str, String> {

@@ -20,9 +20,11 @@ echo "== tier1: test suite =="
 # wire tier and the service layer (visible => durable, ack => durable,
 # no orphaned commit tail and no lost flush lead, a worker that never
 # sleeps in an fsync, the overload contract, no lost wake-up, an inline
-# reply that makes no hand-off), the ORM's read-path bounds, and the
-# simulator, sdg, plan, audit and racer suites that used to be gated by
-# nothing.
+# reply that makes no hand-off), the planner-vs-all-serializable
+# ablation served over the socket with the runtime auditor attached
+# (crates/net/tests/served_ablation.rs), the ORM's read-path bounds, and
+# the simulator, sdg, plan, audit and racer suites that used to be gated
+# by nothing.
 cargo test -q
 
 echo "== tier1: feral-sim bounded systematic sweep =="
@@ -137,19 +139,6 @@ AUDIT_OUT=$(mktemp /tmp/BENCH_audit.XXXXXX.json)
 cargo run --release -q -p feral-bench --bin commitbench -- audit --smoke --out "$AUDIT_OUT" > /dev/null
 cargo run --release -q -p feral-bench --bin checkreport -- --audit "$AUDIT_OUT"
 rm -f "$AUDIT_OUT"
-
-echo "== tier1: wire-tier load smoke gate (feral-net loadbench --smoke) =="
-# Gates on its own exit code: an open-loop load grid (3 worker counts x
-# uniform/zipfian arrivals) over the wire protocol with coordinated-
-# omission-free p50/p99/p999, plus the planner-vs-all-serializable
-# ablation served end-to-end through feral-net with the runtime DSG
-# auditor attached — zero integrity anomalies, zero observed cycles,
-# schema-valid embedded snapshots. The artifact is then re-gated from
-# the outside by checkreport --load.
-LOAD_OUT=$(mktemp /tmp/BENCH_load.XXXXXX.json)
-cargo run --release -q -p feral-net -- loadbench --smoke --out "$LOAD_OUT" > /dev/null
-cargo run --release -q -p feral-bench --bin checkreport -- --load "$LOAD_OUT"
-rm -f "$LOAD_OUT"
 
 echo "== tier1: end-to-end benchmark smoke gate (feral-benchmark all --smoke) =="
 # Gates on its own exit code: the four BENCHMARK.json workloads (durable
