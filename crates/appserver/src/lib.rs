@@ -1,52 +1,34 @@
 //! # feral-server
 //!
-//! A simulated Rails deployment: Nginx + a pool of single-threaded
-//! Unicorn workers, reduced to its concurrency-relevant essentials.
+//! The application front door of a simulated Rails deployment, reduced
+//! to its concurrency-relevant essentials.
 //!
 //! In the paper's architecture (§2.2), each HTTP request is routed to one
 //! worker process holding one database connection; workers share nothing
-//! but the database. This crate models exactly that: a [`Deployment`]
-//! owns `P` OS threads, each with its own [`feral_orm::Session`], fed
-//! from a shared queue. The experiment harness issues *rounds* of
-//! concurrent requests and blocks until every response arrives — the
-//! paper's "blocking in-between rounds to ensure that each round is, in
-//! fact, a concurrent set of requests" (§5.2).
+//! but the database. This crate models the request/response half of
+//! that: one transport-agnostic trait, [`Service::call`], maps a
+//! [`Request`] to a [`Response`]. Implementations:
 //!
-//! ## The [`Service`] boundary
-//!
-//! Every request path in the repo now goes through one transport-agnostic
-//! trait: [`Service::call`] maps a [`Request`] to a [`Response`].
-//! Implementations:
-//!
-//! * [`Deployment`] — the classic in-process worker pool (also the
-//!   sim-hooked path: its dispatch and handle sites are
-//!   `feral_hooks` yield points, so deterministic schedule exploration
-//!   drives it unchanged);
-//! * [`PooledService`] — a sessionless front door holding a bounded
-//!   connection pool, the shape a networked frontend's executor threads
-//!   want (one [`feral_orm::Session`] checked out per in-flight call);
+//! * [`PooledService`] — the in-process service: a bounded session pool
+//!   (one [`feral_orm::Session`] checked out per in-flight call) that runs
+//!   each request on the calling thread;
 //! * `feral_net::NetClient` — the networked frontend: the same calls,
-//!   over a length-prefixed wire protocol.
+//!   over a length-prefixed wire protocol, served by `feral_net::Server`'s
+//!   one worker pool.
 //!
-//! [`Deployment::round`] and [`Deployment::dispatch`] remain as thin
-//! adapters over the same machinery, so the round-barrier experiment
-//! harness and the benches migrate without behaviour change.
+//! The paper's experiment rounds — "blocking in-between rounds to ensure
+//! that each round is, in fact, a concurrent set of requests" (§5.2) —
+//! are driven from client threads against any [`Service`] by
+//! `feral_bench::apps::drive_rounds`.
 
 #![warn(missing_docs)]
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use feral_db::Datum;
 use feral_orm::{App, OrmError, Record, Session};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A transport-agnostic application service: the one interface the
-/// in-process deployment, the deterministic-sim path, and the networked
-/// frontend all implement. A service must be callable from any thread;
+/// in-process pool and the networked frontend both implement. A service must be callable from any thread;
 /// each call is one request/response exchange.
 pub trait Service: Send + Sync {
     /// Handle one request to completion.
@@ -223,7 +205,7 @@ pub enum Response {
     /// The database rejected the request (constraint violation,
     /// serialization failure, lock timeout, ...).
     Error(OrmError),
-    /// The deployment shed this request under overload before any
+    /// The server shed this request under overload before any
     /// application logic ran. Always safe to retry.
     Overloaded,
     /// Custom-handler / template success marker.
@@ -248,255 +230,6 @@ impl Response {
             Response::Error(e) => e.is_retryable(),
             _ => false,
         }
-    }
-}
-
-struct Job {
-    /// Position of the request within its round, so one shared reply
-    /// channel can preserve request order without per-request collector
-    /// threads (which would also defeat deterministic scheduling).
-    index: usize,
-    request: Request,
-    reply: Sender<(usize, Response)>,
-}
-
-/// Configuration for a deployment.
-#[derive(Debug, Clone)]
-pub struct DeploymentConfig {
-    /// Number of single-threaded workers (Unicorn processes).
-    pub workers: usize,
-    /// Upper bound of the random pre-dispatch delay injected per request,
-    /// modelling HTTP proxying and Ruby VM scheduling jitter. Zero
-    /// disables it.
-    pub request_jitter: Duration,
-    /// RNG seed for jitter reproducibility.
-    pub seed: u64,
-}
-
-impl Default for DeploymentConfig {
-    fn default() -> Self {
-        DeploymentConfig {
-            workers: 4,
-            request_jitter: Duration::ZERO,
-            seed: 0,
-        }
-    }
-}
-
-/// Per-worker request counters (shared with the worker thread).
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    /// Requests handled, regardless of outcome.
-    served: AtomicU64,
-    /// Requests answered with [`Response::Error`].
-    errors: AtomicU64,
-    /// Requests answered with [`Response::Invalid`].
-    invalid: AtomicU64,
-}
-
-/// A point-in-time snapshot of a deployment's counters: per-worker
-/// served/error/invalid tallies plus the pool's request-latency
-/// histogram. Uneven worker sharing and validation-rejection rates are
-/// read off this instead of guessed at.
-#[derive(Debug, Clone)]
-pub struct DeploymentMetrics {
-    /// Requests served, per worker.
-    pub served: Vec<u64>,
-    /// [`Response::Error`] responses, per worker.
-    pub errors: Vec<u64>,
-    /// [`Response::Invalid`] responses, per worker.
-    pub invalid: Vec<u64>,
-    /// Request service-time histogram (nanoseconds), pooled across
-    /// workers. Populated only while `feral_trace` is enabled.
-    pub latency: feral_trace::HistogramSnapshot,
-}
-
-impl DeploymentMetrics {
-    /// Total requests served across all workers.
-    pub fn total_served(&self) -> u64 {
-        self.served.iter().sum()
-    }
-
-    /// Total error responses across all workers.
-    pub fn total_errors(&self) -> u64 {
-        self.errors.iter().sum()
-    }
-
-    /// Total validation-rejected responses across all workers.
-    pub fn total_invalid(&self) -> u64 {
-        self.invalid.iter().sum()
-    }
-}
-
-/// A running worker pool bound to an [`App`].
-pub struct Deployment {
-    jobs: Sender<Job>,
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-    counters: Arc<Vec<WorkerCounters>>,
-    latency: Arc<feral_trace::Histogram>,
-}
-
-impl Deployment {
-    /// Spin up `config.workers` workers, each holding one session at the
-    /// app database's default isolation.
-    pub fn start(app: App, config: DeploymentConfig) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let counters: Arc<Vec<WorkerCounters>> = Arc::new(
-            (0..config.workers)
-                .map(|_| WorkerCounters::default())
-                .collect(),
-        );
-        let latency = Arc::new(feral_trace::Histogram::new());
-        let mut handles = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let app = app.clone();
-            let rx: Receiver<Job> = rx.clone();
-            let jitter = config.request_jitter;
-            let counters = counters.clone();
-            let latency = latency.clone();
-            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(w as u64));
-            // register the worker with any active schedule hook *before*
-            // spawning, so the simulated worker set is deterministic; the
-            // pool threads are daemons (they do not keep a simulation
-            // alive while idle in `recv`)
-            let reg = feral_hooks::spawn_registration(true);
-            handles.push(std::thread::spawn(move || {
-                let _active = reg.map(feral_hooks::Registration::activate);
-                let mut session = app.session();
-                while let Ok(job) = rx.recv() {
-                    if feral_hooks::active() {
-                        // jitter exists to shake loose interleavings; under
-                        // a deterministic scheduler the schedule explorer
-                        // does that job, so the sleep becomes a yield point
-                        feral_hooks::yield_point(feral_hooks::Site::ServerHandle);
-                    } else if !jitter.is_zero() {
-                        let d = rng.random_range(0..=jitter.as_micros() as u64);
-                        std::thread::sleep(Duration::from_micros(d));
-                    }
-                    feral_trace::record(
-                        feral_trace::EventKind::Site(feral_hooks::Site::ServerHandle),
-                        0,
-                        w as u64,
-                        job.request.session,
-                    );
-                    let span = feral_trace::start_phase(feral_trace::Phase::Request);
-                    let response = handle(&mut session, job.request);
-                    let nanos = span.finish(0);
-                    if nanos > 0 {
-                        latency.record(nanos);
-                    }
-                    let c = &counters[w];
-                    c.served.fetch_add(1, Ordering::Relaxed);
-                    match &response {
-                        Response::Error(_) => {
-                            c.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Response::Invalid(_) => {
-                            c.invalid.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
-                    }
-                    let _ = job.reply.send((job.index, response));
-                }
-            }));
-        }
-        Deployment {
-            jobs: tx,
-            handles,
-            workers: config.workers,
-            counters,
-            latency,
-        }
-    }
-
-    /// Requests served so far, per worker — load-balance diagnostics.
-    /// See [`Deployment::metrics`] for the full counter snapshot.
-    pub fn requests_served(&self) -> Vec<u64> {
-        self.counters
-            .iter()
-            .map(|c| c.served.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Snapshot all deployment counters: per-worker served, error, and
-    /// validation-rejected tallies plus the pooled request-latency
-    /// histogram.
-    pub fn metrics(&self) -> DeploymentMetrics {
-        DeploymentMetrics {
-            served: self.requests_served(),
-            errors: self
-                .counters
-                .iter()
-                .map(|c| c.errors.load(Ordering::Relaxed))
-                .collect(),
-            invalid: self
-                .counters
-                .iter()
-                .map(|c| c.invalid.load(Ordering::Relaxed))
-                .collect(),
-            latency: self.latency.snapshot(),
-        }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Dispatch one round of requests concurrently across the pool and
-    /// collect all responses (order corresponds to request order). A
-    /// thin adapter over the shared queue: the concurrency-relevant
-    /// behaviour is identical to issuing [`Service::call`] from `n`
-    /// client threads at once.
-    pub fn round(&self, requests: Vec<Request>) -> Vec<Response> {
-        let n = requests.len();
-        let (reply_tx, reply_rx) = bounded::<(usize, Response)>(n);
-        for (index, request) in requests.into_iter().enumerate() {
-            feral_hooks::yield_point(feral_hooks::Site::ServerDispatch);
-            self.jobs
-                .send(Job {
-                    index,
-                    request,
-                    reply: reply_tx.clone(),
-                })
-                .expect("worker pool is gone");
-        }
-        drop(reply_tx);
-        let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match reply_rx.recv() {
-                Ok((i, r)) => out[i] = Some(r),
-                Err(_) => break,
-            }
-        }
-        out.into_iter()
-            .map(|r| r.unwrap_or(Response::Error(OrmError::Config("worker died".into()))))
-            .collect()
-    }
-
-    /// Dispatch a single request and wait for its response (the
-    /// [`Service::call`] adapter).
-    pub fn dispatch(&self, request: Request) -> Response {
-        self.round(vec![request]).pop().unwrap()
-    }
-
-    /// Shut the pool down, waiting for workers to drain.
-    pub fn shutdown(self) {
-        drop(self.jobs);
-        // joins block in the OS, not at a yield point — tell any active
-        // scheduler this worker holds no turn until they complete
-        feral_hooks::blocking(|| {
-            for h in self.handles {
-                let _ = h.join();
-            }
-        });
-    }
-}
-
-impl Service for Deployment {
-    fn call(&self, request: Request) -> Response {
-        self.dispatch(request)
     }
 }
 
@@ -630,127 +363,47 @@ mod tests {
 
     #[test]
     fn create_and_get_roundtrip() {
-        let app = app();
-        let d = Deployment::start(app, DeploymentConfig::default());
-        let r = d.dispatch(create_widget("w"));
+        let svc = PooledService::new(app(), 1);
+        let r = svc.call(create_widget("w"));
         let Response::Created(id) = r else {
             panic!("expected Created, got {r:?}")
         };
-        let r = d.dispatch(Request::builder("Widget").get(id));
+        let r = svc.call(Request::builder("Widget").get(id));
         assert!(matches!(r, Response::Found(_)));
-        d.shutdown();
     }
 
     #[test]
     fn invalid_create_reports_errors() {
-        let app = app();
-        let d = Deployment::start(app, DeploymentConfig::default());
-        let r = d.dispatch(Request::builder("Widget").create());
+        let svc = PooledService::new(app(), 1);
+        let r = svc.call(Request::builder("Widget").create());
         match r {
             Response::Invalid(msgs) => {
                 assert!(msgs.iter().any(|m| m.contains("blank")), "{msgs:?}")
             }
             other => panic!("expected Invalid, got {other:?}"),
         }
-        d.shutdown();
-    }
-
-    #[test]
-    fn round_returns_all_responses_in_order() {
-        let app = app();
-        let d = Deployment::start(
-            app,
-            DeploymentConfig {
-                workers: 8,
-                ..Default::default()
-            },
-        );
-        let reqs: Vec<Request> = (0..32).map(|i| create_widget(&format!("w{i}"))).collect();
-        let resps = d.round(reqs);
-        assert_eq!(resps.len(), 32);
-        assert!(resps.iter().all(|r| r.succeeded()));
-        d.shutdown();
     }
 
     #[test]
     fn destroy_and_not_found() {
-        let app = app();
-        let d = Deployment::start(app, DeploymentConfig::default());
-        let Response::Created(id) = d.dispatch(create_widget("w")) else {
+        let svc = PooledService::new(app(), 1);
+        let Response::Created(id) = svc.call(create_widget("w")) else {
             panic!()
         };
         assert!(matches!(
-            d.dispatch(Request::builder("Widget").destroy(id)),
+            svc.call(Request::builder("Widget").destroy(id)),
             Response::Destroyed
         ));
         assert!(matches!(
-            d.dispatch(Request::builder("Widget").get(id)),
+            svc.call(Request::builder("Widget").get(id)),
             Response::NotFound
         ));
-        d.shutdown();
-    }
-
-    #[test]
-    fn requests_served_accounts_for_all_work() {
-        let app = app();
-        let d = Deployment::start(
-            app,
-            DeploymentConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        );
-        let reqs: Vec<Request> = (0..40).map(|i| create_widget(&format!("w{i}"))).collect();
-        let _ = d.round(reqs);
-        let served = d.requests_served();
-        assert_eq!(served.len(), 4);
-        assert_eq!(served.iter().sum::<u64>(), 40);
-        // NOTE: how the shared queue splits the 40 requests across the 4
-        // workers is up to the OS scheduler — with zero jitter one worker
-        // may legally drain the whole queue, so per-worker share is not
-        // asserted here (schedule-dependent behaviour belongs to the
-        // deterministic feral-sim tests)
-        d.shutdown();
-    }
-
-    #[test]
-    fn metrics_separates_errors_and_invalid_from_successes() {
-        let app = app();
-        let d = Deployment::start(app, DeploymentConfig::default());
-        // 3 successes, 2 validation rejections, 1 hard error.
-        for i in 0..3 {
-            let r = d.dispatch(create_widget(&format!("w{i}")));
-            assert!(r.succeeded());
-        }
-        for _ in 0..2 {
-            assert!(matches!(
-                d.dispatch(Request::builder("Widget").create()),
-                Response::Invalid(_)
-            ));
-        }
-        assert!(matches!(
-            d.dispatch(Request::builder("NoSuchModel").create()),
-            Response::Error(_)
-        ));
-        let m = d.metrics();
-        assert_eq!(m.total_served(), 6);
-        assert_eq!(m.total_invalid(), 2);
-        assert_eq!(m.total_errors(), 1);
-        assert_eq!(m.served.len(), d.workers());
-        assert_eq!(m.served.iter().sum::<u64>(), 6);
-        // requests_served stays consistent with the richer snapshot
-        assert_eq!(d.requests_served(), m.served);
-        // tracing is off in this test, so no latency was collected —
-        // the histogram must stay empty (branch-on-disabled no-op)
-        assert!(m.latency.is_empty());
-        d.shutdown();
     }
 
     #[test]
     fn custom_requests_run_controller_logic() {
-        let app = app();
-        let d = Deployment::start(app.clone(), DeploymentConfig::default());
-        let r = d.dispatch(Request::custom(|s| {
+        let svc = PooledService::new(app(), 1);
+        let r = svc.call(Request::custom(|s| {
             match s.create("Widget", &[("name", Datum::text("custom"))]) {
                 Ok(r) if r.is_persisted() => Response::Created(r.id().unwrap()),
                 Ok(_) => Response::Invalid(vec![]),
@@ -758,7 +411,6 @@ mod tests {
             }
         }));
         assert!(matches!(r, Response::Created(_)));
-        d.shutdown();
     }
 
     #[test]
@@ -785,15 +437,6 @@ mod tests {
         assert_eq!(r.session, 8);
         let r = Request::template("lock-version-rmw:accounts.lock_version", 17);
         assert!(matches!(r.op, Op::Template { key: 17, .. }));
-    }
-
-    #[test]
-    fn deployment_is_a_service() {
-        let app = app();
-        let d = Deployment::start(app, DeploymentConfig::default());
-        let svc: &dyn Service = &d;
-        assert!(matches!(svc.call(create_widget("s")), Response::Created(_)));
-        d.shutdown();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Association experiments (paper §5.4): the Figure 4 stress test and the
 //! Figure 5 contention-varying workload.
 
-use crate::apps::{users_departments_app, Enforcement, ExperimentEnv};
+use crate::apps::{drive_rounds, users_departments_app, Enforcement, ExperimentEnv};
 use feral_db::Datum;
 use feral_orm::App;
-use feral_server::{Deployment, DeploymentConfig, Request, Response};
+use feral_server::{PooledService, Request, Response};
 use feral_sql::SqlSession;
 use feral_workloads::{MixDriver, OpKind};
 
@@ -65,28 +65,24 @@ pub fn association_stress(
             dept_ids.push(d.id().unwrap());
         }
     }
-    let deployment = Deployment::start(
-        app.clone(),
-        DeploymentConfig {
-            workers,
-            request_jitter: env.jitter,
-            seed,
-        },
-    );
-    for &dept in &dept_ids {
-        let mut requests: Vec<Request> = Vec::with_capacity(inserters + 1);
-        requests.push(Request::builder("Department").destroy(dept));
-        for client in 0..inserters {
-            requests.push(
-                Request::builder("User")
-                    .session(client as u64 + 1)
-                    .attr("department_id", Datum::Int(dept))
-                    .create(),
-            );
-        }
-        let _ = deployment.round(requests);
-    }
-    deployment.shutdown();
+    let rounds = dept_ids
+        .iter()
+        .map(|&dept| {
+            let mut requests: Vec<Request> = Vec::with_capacity(inserters + 1);
+            requests.push(Request::builder("Department").destroy(dept));
+            for client in 0..inserters {
+                requests.push(
+                    Request::builder("User")
+                        .session(client as u64 + 1)
+                        .attr("department_id", Datum::Int(dept))
+                        .create(),
+                );
+            }
+            requests
+        })
+        .collect();
+    let svc = PooledService::new(app.clone(), workers);
+    drive_rounds(&svc, workers, env.jitter, seed, rounds);
     summarize(&app)
 }
 
@@ -113,14 +109,6 @@ pub fn association_workload(
             dept_ids.push(d.id().unwrap());
         }
     }
-    let deployment = Deployment::start(
-        app.clone(),
-        DeploymentConfig {
-            workers: clients,
-            request_jitter: env.jitter,
-            seed,
-        },
-    );
     let mut streams: Vec<MixDriver> = (0..clients)
         .map(|c| {
             MixDriver::new(
@@ -130,35 +118,40 @@ pub fn association_workload(
             )
         })
         .collect();
-    for _ in 0..ops {
-        let requests: Vec<Request> = streams
-            .iter_mut()
-            .enumerate()
-            .map(|(client, s)| {
-                let op = s.next_op();
-                let dept = dept_ids[op.key as usize];
-                match op.kind {
-                    OpKind::Delete => Request::builder("Department")
-                        .session(client as u64)
-                        .destroy(dept),
-                    _ => Request::builder("User")
-                        .session(client as u64)
-                        .attr("department_id", Datum::Int(dept))
-                        .create(),
-                }
-            })
-            .collect();
-        for r in deployment.round(requests) {
-            // deletions of already-deleted departments and rejected user
-            // creations are expected outcomes, not errors
-            debug_assert!(
-                !matches!(r, Response::Error(ref e) if !e.is_retryable()
-                && !matches!(e, feral_orm::OrmError::Db(d) if d.is_constraint_violation())),
-                "unexpected response: {r:?}"
-            );
-        }
+    let rounds = (0..ops)
+        .map(|_| {
+            streams
+                .iter_mut()
+                .enumerate()
+                .map(|(client, s)| {
+                    let op = s.next_op();
+                    let dept = dept_ids[op.key as usize];
+                    match op.kind {
+                        OpKind::Delete => Request::builder("Department")
+                            .session(client as u64)
+                            .destroy(dept),
+                        _ => Request::builder("User")
+                            .session(client as u64)
+                            .attr("department_id", Datum::Int(dept))
+                            .create(),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let svc = PooledService::new(app.clone(), clients);
+    for r in drive_rounds(&svc, clients, env.jitter, seed, rounds)
+        .iter()
+        .flatten()
+    {
+        // deletions of already-deleted departments and rejected user
+        // creations are expected outcomes, not errors
+        debug_assert!(
+            !matches!(r, Response::Error(ref e) if !e.is_retryable()
+            && !matches!(e, feral_orm::OrmError::Db(d) if d.is_constraint_violation())),
+            "unexpected response: {r:?}"
+        );
     }
-    deployment.shutdown();
     summarize(&app)
 }
 

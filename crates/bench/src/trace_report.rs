@@ -2,7 +2,7 @@
 //! under every isolation level with `feral-trace` enabled, assembled
 //! into the machine-readable run report (`BENCH_table1.json`).
 //!
-//! Each cell is one full deployment run: tracing is reset, the stress
+//! Each cell is one full stress run: tracing is reset, the stress
 //! loop executes, and the cell report captures the windowed engine
 //! [`StatsSnapshot`](feral_db::StatsSnapshot) diff, per-phase latency
 //! histograms, anomaly counts, and — for every duplicated key the
@@ -16,9 +16,10 @@
 //! replayed with tracing on, so the report always carries at least one
 //! explained race under weak isolation.
 
-use crate::apps::{key_value_app, Enforcement, ExperimentEnv};
-use feral_db::{Datum, IsolationLevel};
-use feral_server::{Deployment, DeploymentConfig, Request};
+use crate::apps::{drive_rounds, key_value_app, Enforcement, ExperimentEnv};
+use crate::uniqueness::stress_rounds;
+use feral_db::IsolationLevel;
+use feral_server::PooledService;
 use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
 use feral_sim::{explore_random, explore_systematic, run_with_choices, run_with_seed};
 use feral_sql::SqlSession;
@@ -37,7 +38,8 @@ const PROVENANCE_CAP: usize = 3;
 /// Shape of the per-cell stress loop (Figure 2 parameters).
 #[derive(Debug, Clone, Copy)]
 pub struct CellShape {
-    /// Worker threads in the deployment.
+    /// Client threads, and sessions in the pool they call: at most this
+    /// many requests are in flight at once.
     pub workers: usize,
     /// Rounds (one fresh key per round).
     pub rounds: usize,
@@ -200,50 +202,31 @@ pub fn run_cell(
     };
     let app = key_value_app(enforcement, &env);
     let before = app.db().stats().snapshot();
-    let deployment = Deployment::start(
-        app.clone(),
-        DeploymentConfig {
-            workers: shape.workers,
-            request_jitter: env.jitter,
-            seed,
-        },
+    let svc = PooledService::new(app.clone(), shape.workers);
+    let responses = drive_rounds(
+        &svc,
+        shape.workers,
+        env.jitter,
+        seed,
+        stress_rounds(shape.rounds, shape.concurrent),
     );
-    let mut rejected = 0u64;
-    for round in 0..shape.rounds {
-        let key = format!("key-{round}");
-        let requests: Vec<Request> = (0..shape.concurrent)
-            .map(|client| {
-                Request::builder("KeyValue")
-                    .session(client as u64)
-                    .attr("key", Datum::text(&key))
-                    .attr("value", Datum::text("v"))
-                    .create()
-            })
-            .collect();
-        for r in deployment.round(requests) {
-            if !r.succeeded() {
-                rejected += 1;
-            }
-        }
-    }
-    let metrics = deployment.metrics();
-    deployment.shutdown();
+    let rejected = responses
+        .iter()
+        .flatten()
+        .filter(|r| !r.succeeded())
+        .count() as u64;
     let mut s = app.session();
     let rows = s.count("KeyValue").unwrap() as u64;
     let dup_keys = duplicated_keys(&app);
     let duplicates: u64 = dup_keys.iter().map(|(_, extra)| extra).sum();
     let stats = app.db().stats().snapshot().diff(&before);
 
-    // Request latency comes from the deployment's own histogram; the
-    // engine-side phases come from the global windows (reset above —
-    // cells run one at a time).
-    let mut histograms: Vec<(String, HistogramSnapshot)> =
-        vec![("request".into(), metrics.latency.clone())];
-    for (phase, snap) in trace::phase_snapshots() {
-        if phase != trace::Phase::Request {
-            histograms.push((phase.name().into(), snap));
-        }
-    }
+    // every phase comes from the global windows (reset above — cells run
+    // one at a time)
+    let histograms: Vec<(String, HistogramSnapshot)> = trace::phase_snapshots()
+        .into_iter()
+        .map(|(phase, snap)| (phase.name().into(), snap))
+        .collect();
 
     let flight = trace::flight_recorder(FLIGHT_WINDOW);
     let mut provenance = Vec::new();

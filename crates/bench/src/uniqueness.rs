@@ -1,9 +1,10 @@
 //! Uniqueness experiments (paper §5.2): the Figure 2 stress test and the
 //! Figure 3 distribution workload.
 
-use crate::apps::{key_value_app, Enforcement, ExperimentEnv};
+use crate::apps::{drive_rounds, key_value_app, Enforcement, ExperimentEnv};
 use feral_db::Datum;
-use feral_server::{Deployment, DeploymentConfig, Request};
+use feral_orm::App;
+use feral_server::{PooledService, Request, Response};
 use feral_sql::SqlSession;
 use feral_workloads::KeyChooser;
 
@@ -41,9 +42,27 @@ pub fn count_duplicates(app: &feral_orm::App) -> u64 {
     total
 }
 
-/// Figure 2 stress test: `rounds` rounds of `concurrent` simultaneous
-/// insertions of the *same* key (a fresh key per round), against a pool
-/// of `workers` single-threaded workers.
+/// The Figure 2 request rounds: `rounds` rounds of `concurrent`
+/// insertions of the *same* key, a fresh key per round.
+pub fn stress_rounds(rounds: usize, concurrent: usize) -> Vec<Vec<Request>> {
+    (0..rounds)
+        .map(|round| {
+            let key = format!("key-{round}");
+            (0..concurrent)
+                .map(|client| {
+                    Request::builder("KeyValue")
+                        .session(client as u64)
+                        .attr("key", Datum::text(&key))
+                        .attr("value", Datum::text("v"))
+                        .create()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Figure 2 stress test: [`stress_rounds`] against a pool of `workers`
+/// single-threaded workers.
 pub fn uniqueness_stress(
     enforcement: Enforcement,
     env: &ExperimentEnv,
@@ -53,40 +72,15 @@ pub fn uniqueness_stress(
     seed: u64,
 ) -> UniquenessResult {
     let app = key_value_app(enforcement, env);
-    let deployment = Deployment::start(
-        app.clone(),
-        DeploymentConfig {
-            workers,
-            request_jitter: env.jitter,
-            seed,
-        },
+    let svc = PooledService::new(app.clone(), workers);
+    let responses = drive_rounds(
+        &svc,
+        workers,
+        env.jitter,
+        seed,
+        stress_rounds(rounds, concurrent),
     );
-    let mut rejected = 0u64;
-    for round in 0..rounds {
-        let key = format!("key-{round}");
-        let requests: Vec<Request> = (0..concurrent)
-            .map(|client| {
-                Request::builder("KeyValue")
-                    .session(client as u64)
-                    .attr("key", Datum::text(&key))
-                    .attr("value", Datum::text("v"))
-                    .create()
-            })
-            .collect();
-        for r in deployment.round(requests) {
-            if !r.succeeded() {
-                rejected += 1;
-            }
-        }
-    }
-    deployment.shutdown();
-    let mut s = app.session();
-    let rows = s.count("KeyValue").unwrap() as u64;
-    UniquenessResult {
-        duplicates: count_duplicates(&app),
-        rows,
-        rejected,
-    }
+    tally(&app, &responses)
 }
 
 /// Figure 3 workload: `clients` concurrent clients each issue `ops`
@@ -100,41 +94,38 @@ pub fn uniqueness_workload(
     seed: u64,
 ) -> UniquenessResult {
     let app = key_value_app(enforcement, env);
-    let deployment = Deployment::start(
-        app.clone(),
-        DeploymentConfig {
-            workers: clients,
-            request_jitter: env.jitter,
-            seed,
-        },
-    );
+    let svc = PooledService::new(app.clone(), clients);
     let mut streams: Vec<Box<dyn KeyChooser>> = (0..clients).map(&mut chooser_for).collect();
-    let mut rejected = 0u64;
-    for _ in 0..ops {
-        let requests: Vec<Request> = streams
-            .iter_mut()
-            .enumerate()
-            .map(|(client, s)| {
-                let key = format!("key-{}", s.next_key());
-                Request::builder("KeyValue")
-                    .session(client as u64)
-                    .attr("key", Datum::text(key))
-                    .attr("value", Datum::text("v"))
-                    .create()
-            })
-            .collect();
-        for r in deployment.round(requests) {
-            if !r.succeeded() {
-                rejected += 1;
-            }
-        }
-    }
-    deployment.shutdown();
-    let mut s = app.session();
-    let rows = s.count("KeyValue").unwrap() as u64;
+    let rounds = (0..ops)
+        .map(|_| {
+            streams
+                .iter_mut()
+                .enumerate()
+                .map(|(client, s)| {
+                    let key = format!("key-{}", s.next_key());
+                    Request::builder("KeyValue")
+                        .session(client as u64)
+                        .attr("key", Datum::text(key))
+                        .attr("value", Datum::text("v"))
+                        .create()
+                })
+                .collect()
+        })
+        .collect();
+    let responses = drive_rounds(&svc, clients, env.jitter, seed, rounds);
+    tally(&app, &responses)
+}
+
+/// Rows, duplicates and rejected requests of a finished run.
+pub fn tally(app: &App, responses: &[Vec<Response>]) -> UniquenessResult {
+    let rejected = responses
+        .iter()
+        .flatten()
+        .filter(|r| !r.succeeded())
+        .count() as u64;
     UniquenessResult {
-        duplicates: count_duplicates(&app),
-        rows,
+        duplicates: count_duplicates(app),
+        rows: app.session().count("KeyValue").unwrap() as u64,
         rejected,
     }
 }

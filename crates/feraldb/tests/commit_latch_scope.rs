@@ -611,12 +611,7 @@ fn the_scope_is_inert_under_a_schedule_hook() {
             feral_hooks::WaitOutcome::Proceed
         }
         fn progress(&self) {}
-        fn register_child(&self, _: bool) -> usize {
-            0
-        }
         fn worker_finished(&self, _: usize) {}
-        fn os_block_begin(&self, _: usize) {}
-        fn os_block_end(&self, _: usize) {}
     }
     let path = wal_path("hooked");
     let db = open(&path);

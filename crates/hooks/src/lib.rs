@@ -26,11 +26,9 @@
 //!   deadlock.
 //!
 //! Threads participate only after a hook is installed in their
-//! thread-local slot. The simulation's own workers are registered by the
-//! harness; threads *spawned by instrumented code* (e.g. appserver worker
-//! pools) join via [`spawn_registration`] + [`Registration::activate`],
-//! so a simulated deployment's internal threads become schedulable
-//! workers too. Everything degrades to a no-op when no hook is installed,
+//! thread-local slot: the harness registers each simulated worker and
+//! hands it a [`Registration`] to [activate](Registration::activate) on
+//! its thread. Everything degrades to a no-op when no hook is installed,
 //! which is the invariant that keeps production code paths and ordinary
 //! `cargo test` behaviour untouched.
 
@@ -59,10 +57,6 @@ pub enum Site {
     /// The ORM's validate-then-write gap inside `save` — the window the
     /// paper's feral-uniqueness anomalies race through.
     OrmValidateWriteGap,
-    /// `Deployment::round` — about to dispatch one request to the pool.
-    ServerDispatch,
-    /// An appserver worker — about to handle one dequeued request.
-    ServerHandle,
     /// The commit pipeline acquired its shard-latch set (trace vocabulary;
     /// commit stays turn-atomic under a scheduler, so this is not a
     /// yield point today).
@@ -82,8 +76,6 @@ impl Site {
             Site::TxnWrite => "write",
             Site::TxnCommit => "commit",
             Site::OrmValidateWriteGap => "validate-write-gap",
-            Site::ServerDispatch => "dispatch",
-            Site::ServerHandle => "handle",
             Site::CommitShard => "commit-shard",
             Site::WalFlush => "wal-flush",
         }
@@ -213,16 +205,8 @@ pub trait ScheduleHook: Send + Sync {
     fn wait(&self, worker: usize, kind: WaitKind) -> WaitOutcome;
     /// Note that shared state changed (wakes parked waiters for re-check).
     fn progress(&self);
-    /// Register a new logical worker (a thread the instrumented code is
-    /// about to spawn). `daemon` workers do not keep the simulation alive.
-    fn register_child(&self, daemon: bool) -> usize;
     /// `worker`'s thread is exiting.
     fn worker_finished(&self, worker: usize);
-    /// `worker` is entering a section that blocks in the OS (e.g. joining
-    /// threads); it holds no turn until [`ScheduleHook::os_block_end`].
-    fn os_block_begin(&self, worker: usize);
-    /// `worker` returned from an OS-blocking section and wants a turn.
-    fn os_block_end(&self, worker: usize);
     /// `worker` touched a shared resource during its current turn.
     /// Default no-op so hooks that don't track footprints need no code.
     fn note_access(&self, worker: usize, access: Access) {
@@ -332,29 +316,6 @@ pub fn note_access(access: Access) {
     }
 }
 
-/// Obtain a [`Registration`] for a thread the caller is about to spawn,
-/// or `None` when no hook is installed (ordinary execution).
-pub fn spawn_registration(daemon: bool) -> Option<Registration> {
-    with_current(|h, _| Registration {
-        worker: h.register_child(daemon),
-        hook: h.clone(),
-    })
-}
-
-/// Run `f`, which blocks in the OS rather than via [`wait`] (e.g. joining
-/// threads), releasing the simulation turn for its duration.
-pub fn blocking<T>(f: impl FnOnce() -> T) -> T {
-    match with_current(|h, w| (h.clone(), w)) {
-        Some((hook, worker)) => {
-            hook.os_block_begin(worker);
-            let out = f();
-            hook.os_block_end(worker);
-            out
-        }
-        None => f(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,8 +331,6 @@ mod tests {
             what: fnv64(b"accounts"),
             mode: AccessMode::Read,
         });
-        assert!(spawn_registration(true).is_none());
-        assert_eq!(blocking(|| 5), 5);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Everything below this crate is transport-agnostic: application code
 //! talks to a [`Service`] (`feral_server::Service`) and never learns
-//! whether the implementation is an in-process [`Deployment`], a pooled
-//! session, or a TCP connection. This crate supplies the TCP half:
+//! whether the implementation is the in-process [`PooledService`] or a
+//! TCP connection. This crate supplies the TCP half:
 //!
 //! - [`wire`] — a versioned, length-prefixed binary codec for
 //!   [`Request`]/[`Response`] that preserves error *class* across the
@@ -29,7 +29,7 @@
 //! each request from when it was due.
 //!
 //! [`Service`]: feral_server::Service
-//! [`Deployment`]: feral_server::Deployment
+//! [`PooledService`]: feral_server::PooledService
 //! [`Request`]: feral_server::Request
 //! [`Response`]: feral_server::Response
 //! [`Response::Overloaded`]: feral_server::Response::Overloaded

@@ -599,10 +599,7 @@ pub fn explore_dpor(mut factory: impl FnMut() -> Trial, config: &DporConfig) -> 
         // longer equal schedule counts exactly
         let clean = !run.truncated
             && run.deadlocks == 0
-            && run
-                .trace
-                .iter()
-                .all(|s| !s.label.ends_with("-wait") && s.label != "os-resume");
+            && run.trace.iter().all(|s| !s.label.ends_with("-wait"));
         if !clean {
             stats.pruned_exact = false;
         }

@@ -26,9 +26,9 @@
 //!
 //! A scenario must not branch on wall-clock time, unseeded randomness, or
 //! OS-level blocking primitives (use channels/locks from the instrumented
-//! stack; wrap unavoidable joins in [`feral_hooks::blocking`]). Under
-//! that contract a schedule is fully determined by its branch-choice
-//! list, and `RunResult::branches` is its replayable fingerprint.
+//! stack, whose waits are [`feral_hooks::wait`] points). Under that
+//! contract a schedule is fully determined by its branch-choice list, and
+//! `RunResult::branches` is its replayable fingerprint.
 
 #![warn(missing_docs)]
 

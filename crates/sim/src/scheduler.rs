@@ -8,7 +8,7 @@
 //! nondeterminism in a simulated run. Replaying the same choices replays
 //! the same execution byte for byte, provided the scenario itself is
 //! deterministic (no wall-clock control flow, no unseeded RNG, no OS
-//! blocking outside [`feral_hooks::blocking`]).
+//! blocking).
 //!
 //! ## Waiting and deadlock
 //!
@@ -210,8 +210,6 @@ enum Status {
     Parked { waiting: Option<u64> },
     /// Holds (or is about to take) the turn.
     Running,
-    /// Inside `feral_hooks::blocking` — holds no turn, schedulable later.
-    OsBlocked,
     /// Thread exited.
     Finished,
 }
@@ -219,7 +217,6 @@ enum Status {
 struct Slot {
     status: Status,
     label: &'static str,
-    daemon: bool,
     grant: Option<WaitOutcome>,
 }
 
@@ -229,9 +226,9 @@ struct State {
     gen: u64,
     chooser: Box<dyn Chooser>,
     max_steps: usize,
-    /// Set once every non-daemon worker has finished (or the step cap was
-    /// hit): parks return immediately and waits time out, so leftover
-    /// daemon threads (e.g. idle appserver workers) unwind cleanly.
+    /// Set once every worker has finished (or the step cap was hit):
+    /// parks return immediately and waits time out, so the threads of a
+    /// truncated run unwind cleanly.
     free_run: bool,
     result: RunResult,
 }
@@ -252,7 +249,6 @@ impl State {
         }
         let mut candidates = Vec::new();
         let mut stale_waiters = Vec::new();
-        let mut has_os_blocked = false;
         for (w, slot) in self.slots.iter().enumerate() {
             match slot.status {
                 Status::Parked { waiting: None } => candidates.push(w),
@@ -263,12 +259,11 @@ impl State {
                         stale_waiters.push(w);
                     }
                 }
-                Status::OsBlocked => has_os_blocked = true,
                 Status::Running | Status::Finished => {}
             }
         }
         if candidates.is_empty() {
-            if !stale_waiters.is_empty() && !has_os_blocked {
+            if !stale_waiters.is_empty() {
                 // deadlock: fixed victim (lowest id), not a branch point
                 let victim = stale_waiters[0];
                 self.slots[victim].grant = Some(WaitOutcome::TimedOut);
@@ -283,8 +278,7 @@ impl State {
                     accesses: Vec::new(),
                 });
             } else {
-                // everyone is finished or OS-blocked (or waiting on an
-                // OS-blocked worker's return) — nothing to grant now
+                // every worker has finished — nothing to grant
                 self.turn = None;
             }
             cv.notify_all();
@@ -312,11 +306,7 @@ impl State {
     }
 
     fn maybe_enter_free_run(&mut self, cv: &Condvar) {
-        let all_done = self
-            .slots
-            .iter()
-            .filter(|s| !s.daemon)
-            .all(|s| s.status == Status::Finished);
+        let all_done = self.slots.iter().all(|s| s.status == Status::Finished);
         if all_done {
             self.free_run = true;
             self.turn = None;
@@ -353,14 +343,13 @@ impl SimScheduler {
         self.mu.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a scenario (non-daemon) worker; returns its id. Call for
+    /// Register a scenario worker; returns its id. Call for
     /// every worker *before* kicking the schedule.
     pub fn register_worker(&self) -> usize {
         let mut st = self.lock();
         st.slots.push(Slot {
             status: Status::Parked { waiting: None },
             label: Site::WorkerStart.name(),
-            daemon: false,
             grant: None,
         });
         st.slots.len() - 1
@@ -374,7 +363,7 @@ impl SimScheduler {
         }
     }
 
-    /// Block the harness thread until every non-daemon worker finished.
+    /// Block the harness thread until every worker finished.
     pub fn wait_done(&self) {
         let mut st = self.lock();
         while !st.free_run {
@@ -448,23 +437,12 @@ impl ScheduleHook for SimScheduler {
         // the access belongs to the segment of the most recent grant; the
         // grantee is the only worker running, so a mismatched worker id
         // would mean unscheduled execution — attribute only when it lines
-        // up (child threads report between registration and activation)
+        // up
         if let Some(step) = st.result.trace.last_mut() {
             if step.worker == worker {
                 step.accesses.push(access);
             }
         }
-    }
-
-    fn register_child(&self, daemon: bool) -> usize {
-        let mut st = self.lock();
-        st.slots.push(Slot {
-            status: Status::Parked { waiting: None },
-            label: Site::WorkerStart.name(),
-            daemon,
-            grant: None,
-        });
-        st.slots.len() - 1
     }
 
     fn worker_finished(&self, worker: usize) {
@@ -474,19 +452,6 @@ impl ScheduleHook for SimScheduler {
             st.schedule_next(&self.cv);
         }
         st.maybe_enter_free_run(&self.cv);
-    }
-
-    fn os_block_begin(&self, worker: usize) {
-        let mut st = self.lock();
-        st.slots[worker].status = Status::OsBlocked;
-        st.slots[worker].label = "os-blocked";
-        if st.turn == Some(worker) {
-            st.schedule_next(&self.cv);
-        }
-    }
-
-    fn os_block_end(&self, worker: usize) {
-        let _ = self.park(worker, "os-resume", false);
     }
 }
 

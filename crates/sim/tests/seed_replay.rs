@@ -5,7 +5,6 @@
 use feral_db::{Datum, IsolationLevel};
 use feral_sim::scenarios::{orphan_trial, uniqueness_trial, Guard};
 use feral_sim::{explore_random, run_with_seed, Trial};
-use std::time::Duration;
 
 /// Search seeds until the oracle fires, then replay the winning seed
 /// twice and demand bit-for-bit agreement.
@@ -60,13 +59,14 @@ fn three_writer_duplicate_search_replays_from_seed() {
     );
 }
 
-/// The full application stack — `Deployment::round` dispatching requests
-/// over channels to a worker pool — also runs under the simulated
-/// scheduler: worker threads register as daemons, channel waits and
-/// request handling become schedule branch points, and anomalies found
-/// through the HTTP-ish front door replay from a seed just the same.
+/// The full application stack — two clients each calling
+/// `PooledService::call` with one create request — also runs under the
+/// simulated scheduler: request handling becomes schedule branch points,
+/// and anomalies found through the HTTP-ish front door replay from a seed
+/// just the same.
 fn deployment_trial() -> Trial {
-    use feral_server::{Deployment, DeploymentConfig, Request};
+    use feral_server::{PooledService, Request, Service};
+    use std::sync::Arc;
 
     let app = {
         let db = feral_db::Database::new(feral_db::Config {
@@ -84,39 +84,30 @@ fn deployment_trial() -> Trial {
         .unwrap();
         app
     };
-    let driver_app = app.clone();
-    let driver = Box::new(move || {
-        let deployment = Deployment::start(
-            driver_app,
-            DeploymentConfig {
-                workers: 2,
-                request_jitter: Duration::ZERO,
-                seed: 0,
-            },
-        );
-        let requests = vec![
-            Request::builder("KeyValue")
-                .session(1)
-                .attr("key", Datum::text("k"))
-                .attr("value", Datum::text("a"))
-                .create(),
-            Request::builder("KeyValue")
-                .session(2)
-                .attr("key", Datum::text("k"))
-                .attr("value", Datum::text("b"))
-                .create(),
-        ];
-        let _ = deployment.round(requests);
-        deployment.shutdown();
-    }) as Box<dyn FnOnce() + Send>;
+    let svc = Arc::new(PooledService::new(app.clone(), 2));
+    let workers = [(1, "a"), (2, "b")]
+        .into_iter()
+        .map(|(session, value)| {
+            let svc = svc.clone();
+            Box::new(move || {
+                let _ = svc.call(
+                    Request::builder("KeyValue")
+                        .session(session)
+                        .attr("key", Datum::text("k"))
+                        .attr("value", Datum::text(value))
+                        .create(),
+                );
+            }) as Box<dyn FnOnce() + Send>
+        })
+        .collect();
     Trial {
-        workers: vec![driver],
+        workers,
         check: Box::new(move || {
             let dups = feral_sim::oracles::duplicate_keys(app.db(), "key_values", "key");
             if dups.is_empty() {
                 Ok(())
             } else {
-                Err(format!("duplicate keys through deployment: {dups:?}"))
+                Err(format!("duplicate keys through the service: {dups:?}"))
             }
         }),
     }

@@ -11,7 +11,8 @@ use feral_hooks::Site;
 /// Phases of the save/request pipeline timed by the tracing layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// One appserver request, queue-to-response (worker service time).
+    /// One request, as the client that issued it through a `Service`
+    /// timed it.
     Request,
     /// One whole ORM `save` (validate + write + commit).
     Save,
@@ -87,7 +88,7 @@ pub enum EventKind {
     WorkloadOp,
 }
 
-const SITE_ORDER: [Site; 11] = [
+const SITE_ORDER: [Site; 9] = [
     Site::WorkerStart,
     Site::TxnBegin,
     Site::TxnScan,
@@ -95,15 +96,13 @@ const SITE_ORDER: [Site; 11] = [
     Site::TxnWrite,
     Site::TxnCommit,
     Site::OrmValidateWriteGap,
-    Site::ServerDispatch,
-    Site::ServerHandle,
     Site::CommitShard,
     Site::WalFlush,
 ];
 
 impl EventKind {
     /// Stable numeric code (ring-slot encoding). Site events occupy
-    /// 0..=10 in [`Site`] declaration order; other kinds start at 16.
+    /// 0..=8 in [`Site`] declaration order; other kinds start at 16.
     pub fn code(self) -> u64 {
         match self {
             EventKind::Site(site) => SITE_ORDER
@@ -125,7 +124,7 @@ impl EventKind {
     /// torn slot that slipped through, or a future version's kind).
     pub fn from_code(code: u64) -> Option<EventKind> {
         match code {
-            0..=10 => Some(EventKind::Site(SITE_ORDER[code as usize])),
+            0..=8 => Some(EventKind::Site(SITE_ORDER[code as usize])),
             16 => Some(EventKind::Abort),
             17 => Some(EventKind::UniqueProbe),
             18 => Some(EventKind::SaveWrite),
@@ -229,7 +228,7 @@ mod tests {
     fn kind_codes_roundtrip() {
         let kinds = [
             EventKind::Site(Site::TxnBegin),
-            EventKind::Site(Site::ServerHandle),
+            EventKind::Site(Site::OrmValidateWriteGap),
             EventKind::Site(Site::CommitShard),
             EventKind::Site(Site::WalFlush),
             EventKind::Abort,
@@ -243,7 +242,7 @@ mod tests {
         for k in kinds {
             assert_eq!(EventKind::from_code(k.code()), Some(k));
         }
-        assert_eq!(EventKind::from_code(11), None);
+        assert_eq!(EventKind::from_code(9), None);
         assert_eq!(EventKind::from_code(999), None);
     }
 

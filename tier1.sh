@@ -148,7 +148,10 @@ echo "== tier1: end-to-end benchmark smoke gate (feral-benchmark all --smoke) ==
 # acknowledged signups missing after recovery", integrity_audit() == 0.
 # benchmark/ is a package of its own (own lock file and target dir), so
 # this is also the only gate that notices an engine or wire API change
-# the benchmark no longer compiles against.
-cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- all --smoke > /dev/null
+# the benchmark no longer compiles against. --locked fails the gate when a
+# change would make cargo rewrite benchmark/Cargo.lock (a dependency added
+# to or dropped from a crate the benchmark resolves), instead of editing
+# a file under benchmark/ as a side effect.
+cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml -- all --smoke > /dev/null
 
 echo "== tier1: OK =="
