@@ -14,7 +14,7 @@
 //! In this engine wr and ww edges always point forward in commit-ts
 //! order, so **every cycle contains at least one backward rw edge** —
 //! which makes every detected cycle a critical (anomaly) cycle and is
-//! also what makes the watermark GC sound (see [`Graph::gc`]).
+//! also what makes the watermark GC sound (see `Graph::gc`).
 
 use crate::{ReadTarget, TxnFootprint, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};

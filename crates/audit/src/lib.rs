@@ -263,7 +263,7 @@ impl Auditor {
     }
 
     /// Move graph maintenance off the commit path onto a dedicated
-    /// drainer thread that ticks every [`DRAINER_TICK`]. Commit threads
+    /// drainer thread that ticks every `DRAINER_TICK`. Commit threads
     /// then pay only the shard-buffer push; the thread exits on its own
     /// once the last `Arc` to the auditor drops.
     ///

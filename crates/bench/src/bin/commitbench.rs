@@ -411,7 +411,7 @@ fn help() -> String {
          \x20 --ops N           template calls per worker (planner/audit)\n\
          \x20 --runs N          timed passes per configuration\n\
          \x20 --sample N        audit 1 in N transactions in sampled mode\n\
-         \x20 --seeds N         random witness seeds before systematic fallback\n\
+         \x20 --seeds N         random witness seeds tried after directed DPOR\n\
          \x20 --max-runs N      feral-sim schedule budget per certified cell\n",
     )
 }
@@ -584,7 +584,7 @@ mod planner {
     use feral_cli::EXIT_DEVIATION;
     use feral_db::{AuditMode, IsolationLevel, IsolationPlan};
     use feral_plan::{
-        certify_cell, describe_cell, infer_pair_levels, level_str, CellCert, CellGate, PlanCell,
+        certify_cell, describe_cell, infer_pair_levels, CellCert, CellGate, PlanCell,
     };
     use feral_sdg::matrix::PairKind;
     use feral_sim::scenarios::Guard;
@@ -669,13 +669,13 @@ mod planner {
         let _ = writeln!(
             out,
             "  \"plan\": {{\"default\": \"{}\", \"assignments\": [",
-            level_str(plan.default_level())
+            feral_cli::isolation_flag(plan.default_level())
         );
         for (i, template) in TEMPLATES.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "    {{\"template\": \"{template}\", \"level\": \"{}\"}}{}",
-                level_str(plan.level_for(template)),
+                feral_cli::isolation_flag(plan.level_for(template)),
                 if i + 1 < TEMPLATES.len() { "," } else { "" }
             );
         }
@@ -699,7 +699,7 @@ mod planner {
                             s,
                             ", \"witness\": {{\"message\": \"{}\", \"replay\": \"{}\"}}",
                             escape(&w.message),
-                            escape(&w.replay)
+                            escape(&w.replay_command())
                         );
                     }
                     None => s.push_str(", \"witness\": null"),

@@ -9,19 +9,20 @@
 //! flight recorder can still explain — a provenance record naming the
 //! racing transaction pair plus a replayable `feral-sim` witness.
 //!
-//! The witness is found with the same search the linter uses
-//! (`crates/lint/src/witness.rs`): random seeds first, systematic
-//! enumeration as the fallback. If a live run happens to produce no
-//! duplicates at the weakest level, the witness schedule itself is
-//! replayed with tracing on, so the report always carries at least one
-//! explained race under weak isolation.
+//! The witness is found by the search every prediction in the
+//! workspace shares ([`ScenarioSpec::find_witness`]: directed DPOR,
+//! then seeded random search, then a replay check). If a live run
+//! happens to produce no duplicates at the weakest level, the witness
+//! schedule itself is replayed with tracing on, so the report always
+//! carries at least one explained race under weak isolation.
 
 use crate::apps::{drive_rounds, key_value_app, Enforcement, ExperimentEnv};
 use crate::uniqueness::stress_rounds;
+use feral_cli::isolation_flag;
 use feral_db::IsolationLevel;
 use feral_server::PooledService;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{explore_random, explore_systematic, run_with_choices, run_with_seed};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::Witness;
 use feral_sql::SqlSession;
 use feral_trace::{self as trace, CellReport, HistogramSnapshot, ProvenanceRecord, RunReport};
 use std::collections::HashMap;
@@ -77,10 +78,6 @@ pub const CELL_GRID: [(IsolationLevel, Enforcement); 5] = [
     (IsolationLevel::ReadCommitted, Enforcement::Database),
 ];
 
-fn isolation_flag(iso: IsolationLevel) -> String {
-    iso.to_string().replace(' ', "-")
-}
-
 fn enforcement_flag(e: Enforcement) -> &'static str {
     match e {
         Enforcement::None => "none",
@@ -105,58 +102,35 @@ pub fn duplicated_keys(app: &feral_orm::App) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// A simulator witness plus everything needed to replay it in-process.
-#[derive(Debug, Clone)]
-pub struct SimWitness {
-    /// Scenario configuration the schedule ran under.
-    pub spec: ScenarioSpec,
-    /// Seed of the violating schedule (random search).
-    pub seed: Option<u64>,
-    /// Branch choices (always replayable).
-    pub choices: Vec<usize>,
-    /// The pre-rendered witness attached to provenance records.
-    pub witness: trace::Witness,
-}
+type WitnessCache = HashMap<u8, Option<Witness>>;
 
-/// Search the simulator's schedule space for a replayable duplicate-key
-/// witness at `isolation` — the lint witness search restricted to the
-/// uniqueness scenario. Returns `None` only when no schedule violates
-/// (Serializable, or a database constraint).
-pub fn find_duplicate_witness(isolation: IsolationLevel) -> Option<SimWitness> {
-    let spec = ScenarioSpec {
-        kind: ScenarioKind::Uniqueness,
-        isolation,
-        guard: Guard::Feral,
-        workers: 2,
-    };
-    let random = explore_random(|| spec.build(), 0..256);
-    let violation = match random.violation {
-        Some(v) => v,
-        None => explore_systematic(|| spec.build(), 50_000).violation?,
-    };
-    let replay = spec.replay_command(violation.seed, &violation.choices);
-    Some(SimWitness {
-        spec,
-        seed: violation.seed,
-        choices: violation.choices.clone(),
-        witness: trace::Witness {
-            scenario: format!("{}/{}w", spec.label(), spec.workers),
-            isolation: spec.isolation_flag(),
-            guard: "feral".into(),
-            workers: spec.workers,
-            replay,
-            message: violation.message,
-        },
-    })
-}
-
-type WitnessCache = HashMap<u8, Option<SimWitness>>;
-
-fn witness_for(cache: &mut WitnessCache, iso: IsolationLevel) -> Option<SimWitness> {
+/// The replayable duplicate-key witness at `isolation`, searched once
+/// per level. `None` only when no schedule violates (Serializable).
+fn witness_for(cache: &mut WitnessCache, isolation: IsolationLevel) -> Option<Witness> {
     cache
-        .entry(iso as u8)
-        .or_insert_with(|| find_duplicate_witness(iso))
+        .entry(isolation as u8)
+        .or_insert_with(|| {
+            let spec = ScenarioSpec {
+                kind: ScenarioKind::Uniqueness,
+                levels: SessionLevels::Uniform(isolation),
+                guard: Guard::Feral,
+                workers: 2,
+            };
+            spec.find_witness(256, 50_000).ok()
+        })
         .clone()
+}
+
+/// The witness as the provenance schema records it.
+fn provenance_witness(w: &Witness) -> trace::Witness {
+    trace::Witness {
+        scenario: format!("{}/{}w", w.spec.label(), w.spec.workers),
+        isolation: w.spec.levels.flag_value(),
+        guard: "feral".into(),
+        workers: w.spec.workers,
+        replay: w.replay_command(),
+        message: w.message.clone(),
+    }
 }
 
 fn render_tail(events: &[trace::Event], n: usize) -> Vec<String> {
@@ -168,21 +142,15 @@ fn render_tail(events: &[trace::Event], n: usize) -> Vec<String> {
 /// it produces from the fresh flight-recorder dump. The simulated run
 /// drives the same ORM stack a live deployment does, so the probe and
 /// write events are real — just deterministically scheduled.
-fn replayed_witness_provenance(sw: &SimWitness) -> Option<ProvenanceRecord> {
-    let trial = sw.spec.build();
-    match sw.seed {
-        Some(seed) => {
-            let _ = run_with_seed(trial, seed);
-        }
-        None => {
-            let _ = run_with_choices(trial, &sw.choices);
-        }
+fn replayed_witness_provenance(w: &Witness) -> Option<ProvenanceRecord> {
+    if !w.replays() {
+        return None;
     }
     let flight = trace::flight_recorder(FLIGHT_WINDOW);
     // the sim's uniqueness scenario always races on the literal key "dup"
     let mut rec = trace::provenance::explain_duplicate(&flight, "key_values", "dup")?;
     rec.flight = render_tail(&flight, FLIGHT_TAIL);
-    rec.witness = Some(sw.witness.clone());
+    rec.witness = Some(provenance_witness(w));
     Some(rec)
 }
 
@@ -233,7 +201,7 @@ pub fn run_cell(
     for (key, _) in dup_keys.iter().take(PROVENANCE_CAP) {
         if let Some(mut rec) = trace::provenance::explain_duplicate(&flight, "key_values", key) {
             rec.flight = render_tail(&flight, FLIGHT_TAIL);
-            rec.witness = witness_for(cache, iso).map(|sw| sw.witness);
+            rec.witness = witness_for(cache, iso).map(|w| provenance_witness(&w));
             provenance.push(rec);
         }
     }
@@ -244,7 +212,7 @@ pub fn run_cell(
         && enforcement == Enforcement::Feral
         && iso == IsolationLevel::ReadCommitted
     {
-        if let Some(rec) = witness_for(cache, iso).and_then(|sw| replayed_witness_provenance(&sw)) {
+        if let Some(rec) = witness_for(cache, iso).and_then(|w| replayed_witness_provenance(&w)) {
             provenance.push(rec);
         }
     }
@@ -295,14 +263,10 @@ mod tests {
 
     #[test]
     fn witness_search_fires_at_weak_isolation_and_replays() {
-        let sw = find_duplicate_witness(IsolationLevel::ReadCommitted).expect("witness");
-        assert!(sw.witness.replay.contains("--isolation read-committed"));
+        let w =
+            witness_for(&mut WitnessCache::new(), IsolationLevel::ReadCommitted).expect("witness");
+        assert!(w.replay_command().contains("--isolation read-committed"));
         // replaying is deterministic: the same schedule violates again
-        let trial = sw.spec.build();
-        let (_, verdict) = match sw.seed {
-            Some(seed) => run_with_seed(trial, seed),
-            None => run_with_choices(trial, &sw.choices),
-        };
-        assert!(verdict.is_err(), "witness must replay its violation");
+        assert!(w.replays(), "witness must replay its violation");
     }
 }

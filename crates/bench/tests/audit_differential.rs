@@ -57,7 +57,7 @@ fn differential(pair: PairKind) {
         let what = format!("{}/{}", pair.name(), level);
         let mut config = DporConfig::new(MAX_RUNS, level);
         if cell.verdict.is_unsafe() {
-            config = config.directed(cell.verdict.direction_hint());
+            config = config.directed(spec.direction_hint());
         }
         let outcome = explore_dpor(|| audited_trial(&spec), &config);
         match (&outcome.violation, cell.verdict.is_unsafe()) {

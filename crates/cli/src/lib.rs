@@ -37,6 +37,12 @@ pub fn parse_isolation(tool: &str, s: &str) -> IsolationLevel {
     IsolationLevel::parse(s).unwrap_or_else(|| die(tool, &format!("unknown isolation `{s}`")))
 }
 
+/// The flag spelling of an isolation level (`read-committed`) — what
+/// [`parse_isolation`] reads back, and the one place it is spelled.
+pub fn isolation_flag(level: IsolationLevel) -> String {
+    level.name().replace(' ', "-")
+}
+
 /// Parse a comma-separated pair of isolation-level names
 /// (`snapshot,serializable`) — the `--levels` spelling for
 /// mixed-isolation runs, one level per template slot. Dies with a usage

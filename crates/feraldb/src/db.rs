@@ -152,7 +152,7 @@ impl std::fmt::Display for IsolationLevel {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Isolation used by [`Database::begin`]. Defaults to Read Committed,
+    /// Isolation used by [`TxnOptions::begin`]. Defaults to Read Committed,
     /// PostgreSQL's default — the configuration the paper's experiments run
     /// under ("Rails does not configure the database isolation level").
     pub default_isolation: IsolationLevel,

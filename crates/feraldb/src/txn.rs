@@ -166,7 +166,7 @@ fn catalog_touched() {
     CATALOG_TOUCHES.with(|n| n.set(n.get() + 1));
 }
 
-/// An open transaction. Obtained from [`Database::begin`]. Dropping an
+/// An open transaction. Obtained from [`TxnOptions::begin`](crate::TxnOptions::begin). Dropping an
 /// uncommitted transaction rolls it back.
 pub struct Transaction {
     db: Database,

@@ -27,7 +27,7 @@ fn help() -> String {
          \x20 --apps N              lint only the first N applications\n\
          \x20 --app NAME            lint only the named application (e.g. spree)\n\
          \x20 --no-witness          skip feral-sim witness search\n\
-         \x20 --witness-seeds U64   random seeds before systematic fallback (default 1024)\n",
+         \x20 --witness-seeds U64   random seeds tried after directed DPOR (default 1024)\n",
     )
 }
 

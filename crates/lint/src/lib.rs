@@ -26,9 +26,10 @@ pub mod witness;
 
 use feral_corpus::ruby::ParseOptions;
 use feral_corpus::synth::SyntheticApp;
+use feral_sim::Witness;
 use graph::{ModelGraph, SourceFile};
 use rules::{Finding, SafetyCache};
-use witness::{Witness, WitnessCache};
+use witness::WitnessCache;
 
 /// Lint result for one application.
 #[derive(Debug, Clone)]

@@ -5,10 +5,10 @@
 //! [`json_escape`].
 
 use crate::rules::{rule_meta, Anomaly, Finding, Severity, RULES};
-use crate::witness::Witness;
 use crate::CorpusRun;
 use feral_cli::report::{SarifResult, SarifRule};
 use feral_iconfluence::{PaperVerdict, Safety};
+use feral_sim::Witness;
 use std::fmt::Write as _;
 
 /// Shared JSON string escaper (re-exported so existing callers keep
@@ -67,7 +67,7 @@ pub fn render_report(run: &CorpusRun) -> String {
                         "      witness: {} after {} schedules — {}",
                         w.message.trim(),
                         w.schedules_searched,
-                        w.replay
+                        w.replay_command()
                     );
                 }
             }
@@ -135,7 +135,7 @@ fn render_summary(run: &CorpusRun, out: &mut String) {
                 "  {} fired after {} schedules: {}",
                 w.spec.label(),
                 w.schedules_searched,
-                w.replay
+                w.replay_command()
             );
         }
     }
@@ -151,7 +151,7 @@ fn json_witness(w: &Witness) -> String {
         choices.join(","),
         w.schedules_searched,
         json_escape(&w.message),
-        json_escape(&w.replay)
+        json_escape(&w.replay_command())
     )
 }
 
@@ -225,7 +225,7 @@ pub fn render_sarif(run: &CorpusRun) -> String {
         for f in &app.findings {
             let mut message = f.message.clone();
             if let Some(w) = f.witness.and_then(|wi| run.witnesses.get(wi)) {
-                let _ = write!(message, " [witness: {}]", w.replay);
+                let _ = write!(message, " [witness: {}]", w.replay_command());
             }
             results.push(SarifResult {
                 rule_id: f.rule,

@@ -1,7 +1,9 @@
 //! Witness generation: for every unsafe finding, search the feral-sim
-//! schedule space for a concrete interleaving on which the predicted
-//! anomaly actually fires, and attach the (seed | choices) needed to
-//! replay it bit-identically under `feral-sim replay`.
+//! schedule space of its anomaly's canonical scenario ([`spec_for`])
+//! with [`ScenarioSpec::find_witness`] for a concrete interleaving on
+//! which the predicted anomaly fires and replays, and attach the
+//! [`Witness`] — whose (seed | choices) replay it bit-identically under
+//! `feral-sim replay`.
 //!
 //! The search is per anomaly *kind*, not per finding — every
 //! duplicate-admitting finding maps onto the same canonical §5.2
@@ -9,28 +11,8 @@
 
 use crate::rules::Anomaly;
 use feral_db::IsolationLevel;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{explore_dpor, explore_random, DporConfig};
-
-/// A replayable anomaly witness.
-#[derive(Debug, Clone)]
-pub struct Witness {
-    /// The scenario configuration the schedule ran under.
-    pub spec: ScenarioSpec,
-    /// Search strategy that surfaced the schedule (`directed-dpor`, or
-    /// `random` when the fallback found it).
-    pub strategy: &'static str,
-    /// Seed that produced the violating schedule (random search).
-    pub seed: Option<u64>,
-    /// Branch choices of the violating schedule (always replayable).
-    pub choices: Vec<usize>,
-    /// Schedules searched before the oracle fired.
-    pub schedules_searched: usize,
-    /// What the anomaly oracle reported.
-    pub message: String,
-    /// `feral-sim replay ...` invocation reproducing the run.
-    pub replay: String,
-}
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::Witness;
 
 /// The canonical scenario witnessing an anomaly kind: weakest realistic
 /// isolation (read committed), feral guard only — the configuration the
@@ -39,66 +21,23 @@ pub fn spec_for(anomaly: Anomaly) -> ScenarioSpec {
     match anomaly {
         Anomaly::DuplicateAdmitting => ScenarioSpec {
             kind: ScenarioKind::Uniqueness,
-            isolation: IsolationLevel::ReadCommitted,
+            levels: SessionLevels::Uniform(IsolationLevel::ReadCommitted),
             guard: Guard::Feral,
             workers: 2,
         },
         Anomaly::OrphanAdmitting => ScenarioSpec {
             kind: ScenarioKind::Orphans,
-            isolation: IsolationLevel::ReadCommitted,
+            levels: SessionLevels::Uniform(IsolationLevel::ReadCommitted),
             guard: Guard::Feral,
             workers: 1,
         },
         Anomaly::LostUpdateAdmitting => ScenarioSpec {
             kind: ScenarioKind::LostUpdate,
-            isolation: IsolationLevel::ReadCommitted,
+            levels: SessionLevels::Uniform(IsolationLevel::ReadCommitted),
             guard: Guard::Feral,
             workers: 2,
         },
     }
-}
-
-/// Search for a violating schedule: directed DPOR first — backtracking
-/// biased toward the scenario's critical tables usually fires within a
-/// handful of schedules, deterministically — then seeded random search
-/// as a fallback. Returns `None` only if both passes come up empty —
-/// for the canonical feral-guarded scenarios they don't.
-pub fn find_witness(anomaly: Anomaly, max_seeds: u64) -> Option<Witness> {
-    let spec = spec_for(anomaly);
-    let config = DporConfig::new(50_000, spec.isolation).directed(spec.direction_hint());
-    let directed = explore_dpor(|| spec.build(), &config);
-    if let Some(v) = directed.violation {
-        return Some(Witness {
-            spec,
-            strategy: config.strategy(),
-            seed: None,
-            choices: v.choices.clone(),
-            schedules_searched: directed.runs,
-            message: v.message,
-            replay: spec.replay_command(None, &v.choices),
-        });
-    }
-    let random = explore_random(|| spec.build(), 0..max_seeds);
-    random.violation.map(|v| Witness {
-        spec,
-        strategy: "random",
-        seed: v.seed,
-        choices: v.choices.clone(),
-        schedules_searched: directed.runs + random.runs,
-        message: v.message,
-        replay: spec.replay_command(v.seed, &v.choices),
-    })
-}
-
-/// Replay a witness and report whether its oracle still fires. Used by
-/// the golden tests and by `feral-lint --check-witnesses`.
-pub fn replays(witness: &Witness) -> bool {
-    let trial = witness.spec.build();
-    let (_, verdict) = match witness.seed {
-        Some(seed) => feral_sim::run_with_seed(trial, seed),
-        None => feral_sim::run_with_choices(trial, &witness.choices),
-    };
-    verdict.is_err()
 }
 
 /// Per-run cache: one witness search per anomaly kind.
@@ -120,7 +59,7 @@ impl WitnessCache {
     pub fn get(&mut self, anomaly: Anomaly, max_seeds: u64) -> Option<&Witness> {
         let slot = Self::slot(anomaly);
         if self.slots[slot].is_none() {
-            self.slots[slot] = Some(find_witness(anomaly, max_seeds));
+            self.slots[slot] = Some(spec_for(anomaly).find_witness(max_seeds, 50_000).ok());
         }
         self.slots[slot].as_ref().unwrap().as_ref()
     }
@@ -137,12 +76,16 @@ mod tests {
             Anomaly::OrphanAdmitting,
             Anomaly::LostUpdateAdmitting,
         ] {
-            let w = find_witness(anomaly, 256).expect("witness search must fire");
+            let w = spec_for(anomaly)
+                .find_witness(256, 50_000)
+                .expect("witness search must fire");
             assert!(w.schedules_searched >= 1);
-            assert!(w.replay.starts_with("feral-sim replay --scenario "));
-            assert!(replays(&w), "witness must replay deterministically: {w:?}");
+            assert!(w
+                .replay_command()
+                .starts_with("feral-sim replay --scenario "));
+            assert!(w.replays(), "witness must replay deterministically: {w:?}");
             // replaying twice gives the same verdict — determinism, not luck
-            assert!(replays(&w));
+            assert!(w.replays());
         }
     }
 

@@ -10,7 +10,6 @@
 
 use feral_iconfluence::{classify_validator, OperationMix, Safety, TABLE_ONE};
 use feral_lint::rules::{table_one_verdict, Anomaly, SafetyCache, Severity};
-use feral_lint::witness;
 use feral_lint::{lint_corpus, LintOptions};
 
 /// The lint's memoized `derive_safety` bridge re-derives every Table 1
@@ -117,16 +116,18 @@ fn corpus_lint_flags_witnessed_unsafe_constructs() {
     );
     for w in &run.witnesses {
         assert!(
-            witness::replays(w),
+            w.replays(),
             "witness for {} must replay its anomaly: {}",
             w.spec.label(),
-            w.replay
+            w.replay_command()
         );
         assert!(
-            witness::replays(w),
+            w.replays(),
             "witness for {} must replay deterministically on the second run",
             w.spec.label()
         );
-        assert!(w.replay.starts_with("feral-sim replay --scenario "));
+        assert!(w
+            .replay_command()
+            .starts_with("feral-sim replay --scenario "));
     }
 }

@@ -42,7 +42,7 @@ fn help() -> String {
          \x20     [--validate GOLDEN]\n\
          \x20 feral-plan diff A.json B.json\n",
         "  --seed U64        corpus synthesis seed (default 42)\n\
-         \x20 --seeds N         random witness seeds before systematic fallback\n\
+         \x20 --seeds N         random witness seeds tried after directed DPOR\n\
          \x20 --max-runs N      schedule budget per certified cell\n\
          \x20 --dot             Graphviz output for `infer`\n\
          \x20 --validate GOLDEN byte-diff the certified artifact against GOLDEN\n",

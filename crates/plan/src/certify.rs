@@ -7,20 +7,18 @@
 //!    one-notch demotion is re-proved UNSAFE (per-slot minimality);
 //! 2. **safety sweep** — a *complete* partial-order-reduced feral-sim
 //!    sweep of the cell's scenario at the assigned per-slot levels, with
-//!    a silent anomaly oracle (the DPOR conflict relation runs at the
-//!    weakest slot level, which over-approximates conflicts for the
-//!    stronger slot — sound);
+//!    a silent anomaly oracle ([`ScenarioSpec::sweep`]);
 //! 3. **escalation witness** — for cells above read committed, a
 //!    concrete schedule at the next-weaker configuration
 //!    ([`PlanCell::demoted`]) on which the anomaly oracle fires, found
-//!    by directed DPOR biased toward the predicted cycle's tables
-//!    (seeded random search as fallback) and re-played byte-identically
+//!    and re-played byte-identically by [`ScenarioSpec::find_witness`]
 //!    before being admitted.
 
-use crate::infer::{demote, guard_str, level_str, rank, CellGate, Plan, PlanCell};
-use feral_db::IsolationLevel;
-use feral_sdg::{decide_mixed, SimWitness, SweepEvidence, Verdict};
-use feral_sim::{explore_dpor, explore_random, run_with_choices, run_with_seed, DporConfig};
+use crate::infer::{demote, guard_str, CellGate, Plan, PlanCell};
+use feral_cli::isolation_flag;
+use feral_sdg::{decide_mixed, Verdict};
+use feral_sim::scenarios::{ScenarioSpec, SessionLevels};
+use feral_sim::{SweepEvidence, Witness};
 
 /// The validated certificate of one cell.
 #[derive(Debug, Clone)]
@@ -29,11 +27,7 @@ pub struct CellCert {
     pub sweep: SweepEvidence,
     /// Anomaly witness at the next-weaker configuration, for escalated
     /// cells.
-    pub witness: Option<SimWitness>,
-}
-
-fn weakest(levels: [IsolationLevel; 2]) -> IsolationLevel {
-    *levels.iter().min_by_key(|l| rank(**l)).expect("two slots")
+    pub witness: Option<Witness>,
 }
 
 /// Certify one cell. Every failure mode returns a message naming the
@@ -81,69 +75,27 @@ pub fn certify_cell(cell: &PlanCell, seeds: u64, max_runs: usize) -> Result<Cell
 
     // part 2: complete silent sweep at the assigned levels
     let spec = cell.scenario();
-    let config = DporConfig::new(max_runs, weakest(cell.levels));
-    let sweep = explore_dpor(|| spec.build_mixed(cell.levels), &config);
-    if let Some(v) = sweep.violation {
-        return Err(format!(
-            "{label}: predicted SAFE but oracle fired: {} ({})",
-            v.message,
-            spec.replay_command_mixed(cell.levels, v.seed, &v.choices)
-        ));
-    }
-    if !sweep.complete {
-        return Err(format!(
-            "{label}: sweep incomplete after {} schedules — raise --max-runs",
-            sweep.runs
-        ));
-    }
-    let sweep = SweepEvidence {
-        runs: sweep.runs,
-        schedules_pruned: sweep.stats.schedules_pruned,
-        pruned_exact: sweep.stats.pruned_exact,
-        sleep_set_blocked: sweep.stats.sleep_set_blocked,
-    };
+    let sweep = spec
+        .sweep(max_runs)
+        .map_err(|e| format!("{label}: predicted SAFE but {e}"))?;
 
     // part 3: escalation witness at the next-weaker configuration
     let witness = match cell.demoted() {
         None => None,
         Some(demoted) => {
-            let (_, verdict) = decide_mixed(cell.pair, demoted);
-            if !verdict.is_unsafe() {
+            if !decide_mixed(cell.pair, demoted).1.is_unsafe() {
                 return Err(format!(
                     "{label}: demoted configuration is statically safe — escalation unjustified"
                 ));
             }
-            let config =
-                DporConfig::new(max_runs, weakest(demoted)).directed(verdict.direction_hint());
-            let strategy = config.strategy();
-            let directed = explore_dpor(|| spec.build_mixed(demoted), &config);
-            let (violation, strategy, searched) = match directed.violation {
-                Some(v) => (Some(v), strategy, directed.runs),
-                None => {
-                    let random = explore_random(|| spec.build_mixed(demoted), 0..seeds);
-                    (random.violation, "random", directed.runs + random.runs)
-                }
+            let spec = ScenarioSpec {
+                levels: SessionLevels::PerSlot(demoted),
+                ..spec
             };
-            let Some(v) = violation else {
-                return Err(format!(
-                    "{label}: no witness at the demoted configuration in {searched} schedules"
-                ));
-            };
-            let (_, replayed) = match v.seed {
-                Some(seed) => run_with_seed(spec.build_mixed(demoted), seed),
-                None => run_with_choices(spec.build_mixed(demoted), &v.choices),
-            };
-            if replayed.is_ok() {
-                return Err(format!("{label}: witness did not replay ({})", v.message));
-            }
-            Some(SimWitness {
-                strategy,
-                seed: v.seed,
-                choices: v.choices.clone(),
-                message: v.message.clone(),
-                schedules_searched: searched,
-                replay: spec.replay_command_mixed(demoted, v.seed, &v.choices),
-            })
+            Some(
+                spec.find_witness(seeds, max_runs)
+                    .map_err(|e| format!("{label}: at the demoted configuration, {e}"))?,
+            )
         }
     };
 
@@ -179,15 +131,15 @@ pub fn describe_cell(cell: &PlanCell) -> String {
         "{}/{} @ {}+{} [{}]",
         cell.pair.name(),
         guard_str(cell.guard),
-        level_str(cell.levels[0]),
-        level_str(cell.levels[1]),
+        isolation_flag(cell.levels[0]),
+        isolation_flag(cell.levels[1]),
         cell.gate.name()
     );
     if let Some(d) = cell.demoted() {
         s.push_str(&format!(
             " (witness config {}+{})",
-            level_str(d[0]),
-            level_str(d[1])
+            isolation_flag(d[0]),
+            isolation_flag(d[1])
         ));
     }
     s

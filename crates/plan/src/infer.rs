@@ -1,13 +1,14 @@
 //! Fixed-point inference of the weakest safe isolation assignment, per
 //! template pair and per application.
 
+use feral_cli::isolation_flag;
 use feral_db::{ConflictKind, IsolationLevel, IsolationPlan};
 use feral_lint::graph::ModelGraph;
 use feral_lint::templates::{
     extract_templates, rc_basis, RcBasis, TemplateClass, TemplateGuard, TemplateInstance,
 };
 use feral_sdg::{decide_mixed, edge_ordered, PairKind, SafeReason, Verdict, LEVELS};
-use feral_sim::scenarios::{Guard, ScenarioSpec};
+use feral_sim::scenarios::{Guard, ScenarioSpec, SessionLevels};
 
 /// Position of `l` in the weakest-to-strongest ladder.
 pub fn rank(l: IsolationLevel) -> usize {
@@ -139,18 +140,14 @@ impl PlanCell {
         Some(d)
     }
 
-    /// The runnable feral-sim scenario this cell certifies against.
-    /// The spec's uniform `isolation` field is display-only for mixed
-    /// runs (the strongest slot level, matching the feral-sim CLI).
+    /// The runnable feral-sim scenario this cell certifies against: the
+    /// pair's scenario with each template slot at its assigned level.
     pub fn scenario(&self) -> ScenarioSpec {
-        let display = *self
-            .levels
-            .iter()
-            .max_by_key(|l| rank(**l))
-            .expect("two slots");
-        let mut spec = self.pair.scenario(display);
-        spec.guard = self.guard;
-        spec
+        ScenarioSpec {
+            levels: SessionLevels::PerSlot(self.levels),
+            guard: self.guard,
+            ..self.pair.scenario(self.levels[0])
+        }
     }
 
     /// Stable cell key for reports and diffs:
@@ -160,15 +157,10 @@ impl PlanCell {
             "{}/{}@{}+{}",
             self.pair.name(),
             guard_str(self.guard),
-            level_str(self.levels[0]),
-            level_str(self.levels[1]),
+            isolation_flag(self.levels[0]),
+            isolation_flag(self.levels[1]),
         )
     }
-}
-
-/// Dashed level spelling (`read-committed`), shared by every renderer.
-pub fn level_str(l: IsolationLevel) -> String {
-    l.to_string().replace(' ', "-")
 }
 
 /// Stable guard spelling.

@@ -38,7 +38,7 @@ pub mod report;
 
 pub use certify::{certify_cell, certify_plan, describe_cell, CellCert};
 pub use infer::{
-    build_plan, demote, escalate, infer_pair_levels, level_str, plan_app, rank, AppPlan,
-    Assignment, Basis, CellGate, CellTable, Plan, PlanCell,
+    build_plan, demote, escalate, infer_pair_levels, plan_app, rank, AppPlan, Assignment, Basis,
+    CellGate, CellTable, Plan, PlanCell,
 };
 pub use report::{render_dot, render_json, render_text};

@@ -2,7 +2,8 @@
 //! and a Graphviz dot view of the cell structure. All deterministic.
 
 use crate::certify::{describe_cell, CellCert};
-use crate::infer::{guard_str, level_str, Plan, PlanCell};
+use crate::infer::{guard_str, Plan, PlanCell};
+use feral_cli::isolation_flag;
 use feral_db::IsolationLevel;
 use feral_sdg::LEVELS;
 use feral_trace::json::escape;
@@ -25,7 +26,7 @@ pub fn render_text(plan: &Plan) -> String {
         let _ = writeln!(
             out,
             "  {:<16} {}",
-            level_str(level),
+            isolation_flag(level),
             plan.assignments_at(level)
         );
     }
@@ -48,7 +49,7 @@ pub fn render_text(plan: &Plan) -> String {
                 out,
                 "  {:<52} {:<16} {:<24} {}",
                 a.template.key(),
-                level_str(a.level),
+                isolation_flag(a.level),
                 a.basis.label(),
                 cell
             );
@@ -60,8 +61,8 @@ pub fn render_text(plan: &Plan) -> String {
 fn json_levels(levels: [IsolationLevel; 2]) -> String {
     format!(
         "[\"{}\",\"{}\"]",
-        level_str(levels[0]),
-        level_str(levels[1])
+        isolation_flag(levels[0]),
+        isolation_flag(levels[1])
     )
 }
 
@@ -78,32 +79,9 @@ fn json_cell(cell: &PlanCell, cert: Option<&CellCert>) -> String {
         let _ = write!(s, ",\"witness_levels\":{}", json_levels(d));
     }
     if let Some(cert) = cert {
-        let _ = write!(
-            s,
-            ",\"certificate\":{{\"sweep\":{{\"runs\":{},\"complete\":true,\
-             \"schedules_pruned\":{},\"pruned_exact\":{},\"sleep_set_blocked\":{}}}",
-            cert.sweep.runs,
-            cert.sweep.schedules_pruned,
-            cert.sweep.pruned_exact,
-            cert.sweep.sleep_set_blocked
-        );
+        let _ = write!(s, ",\"certificate\":{{\"sweep\":{}", cert.sweep.to_json());
         if let Some(w) = &cert.witness {
-            let choices: Vec<String> = w.choices.iter().map(usize::to_string).collect();
-            let seed = match w.seed {
-                Some(seed) => seed.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                s,
-                ",\"witness\":{{\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\
-                 \"message\":\"{}\",\"schedules_searched\":{},\"replay\":\"{}\"}}",
-                w.strategy,
-                seed,
-                choices.join(","),
-                escape(&w.message),
-                w.schedules_searched,
-                escape(&w.replay)
-            );
+            let _ = write!(s, ",\"witness\":{}", w.to_json());
         }
         s.push('}');
     }
@@ -125,7 +103,7 @@ pub fn render_json(plan: &Plan, certs: Option<&[CellCert]>) -> String {
         total,
         plan.cells.len(),
         LEVELS
-            .map(|l| format!("\"{}\": {}", level_str(l), plan.assignments_at(l)))
+            .map(|l| format!("\"{}\": {}", isolation_flag(l), plan.assignments_at(l)))
             .join(", ")
     );
     out.push_str("  \"cells\": [\n");
@@ -156,7 +134,7 @@ pub fn render_json(plan: &Plan, certs: Option<&[CellCert]>) -> String {
                 escape(&a.template.key()),
                 escape(&a.template.model),
                 escape(&a.template.file),
-                level_str(a.level),
+                isolation_flag(a.level),
                 a.basis.label(),
                 cell
             );
@@ -191,8 +169,8 @@ pub fn render_dot(plan: &Plan) -> String {
             "  cell{i} [label=\"{}/{}\\n{}+{}\\n{}\" style=filled fillcolor={color}];",
             cell.pair.name(),
             guard_str(cell.guard),
-            level_str(cell.levels[0]),
-            level_str(cell.levels[1]),
+            isolation_flag(cell.levels[0]),
+            isolation_flag(cell.levels[1]),
             cell.gate.name()
         );
     }
@@ -206,7 +184,7 @@ pub fn render_dot(plan: &Plan) -> String {
                     .entry((
                         a.template.class.name().to_string(),
                         cell,
-                        level_str(a.level),
+                        isolation_flag(a.level),
                     ))
                     .or_insert(0) += 1;
             }

@@ -86,12 +86,17 @@ fn every_planned_cell_certifies_and_sweeps_clean() {
         );
         if let Some(w) = &cert.witness {
             assert!(
-                w.replay.starts_with("feral-sim replay --scenario "),
+                w.replay_command()
+                    .starts_with("feral-sim replay --scenario "),
                 "{}: replay command: {}",
                 cell.key(),
-                w.replay
+                w.replay_command()
             );
-            assert!(w.replay.contains("--levels "), "{}", w.replay);
+            assert!(
+                w.replay_command().contains("--levels "),
+                "{}",
+                w.replay_command()
+            );
         }
         certs.push(cert);
     }

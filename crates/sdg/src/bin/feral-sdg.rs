@@ -45,7 +45,7 @@ fn help() -> String {
          \x20 feral-sdg templates\n",
         "  --pair P          uniqueness|orphans|lock-rmw|sibling-inserts\n\
          \x20 --isolation L     read-committed|repeatable-read|snapshot|serializable\n\
-         \x20 --seeds N         random witness seeds before systematic fallback\n\
+         \x20 --seeds N         random witness seeds tried after directed DPOR\n\
          \x20 --max-runs N      schedule budget per validated cell\n\
          \x20 --dot             Graphviz output for `graph`\n",
     )

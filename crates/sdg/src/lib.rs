@@ -43,7 +43,7 @@ pub use cycles::{edge_ordered, find_cycle, find_cycle_constrained, render_cycle}
 pub use graph::{build_graph, build_graph_mixed, DepGraph, Edge, RwOverlap, WwOverlap};
 pub use matrix::{
     build_matrix, decide, decide_mixed, iconfluence_agreement, validate_cell, Cell, CellEvidence,
-    PairKind, SafeReason, SimWitness, SweepEvidence, Verdict, LEVELS,
+    PairKind, SafeReason, Verdict, LEVELS,
 };
 pub use report::{render_dot, render_graph_text, render_json, render_matrix_text};
 pub use template::{Access, Step, TxnTemplate};

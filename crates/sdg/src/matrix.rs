@@ -9,10 +9,8 @@ use crate::template::{
 };
 use feral_db::{ConflictKind, IsolationLevel};
 use feral_iconfluence::{derive_safety, OperationMix, Safety};
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{
-    explore_dpor, explore_random, run_with_choices, run_with_seed, DirectionHint, DporConfig,
-};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::{SweepEvidence, Witness};
 
 /// The four canonical template pairs the matrix covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +81,7 @@ impl PairKind {
         };
         ScenarioSpec {
             kind,
-            isolation,
+            levels: SessionLevels::Uniform(isolation),
             guard: Guard::Feral,
             workers,
         }
@@ -148,29 +146,6 @@ impl Verdict {
     /// Whether this verdict predicts a reachable anomaly.
     pub fn is_unsafe(&self) -> bool {
         matches!(self, Verdict::Unsafe { .. })
-    }
-
-    /// The schedule-search bias this verdict induces: the tables on the
-    /// predicted critical cycle, stripped of their item qualifiers
-    /// (`key_values{key='dup'}` → `key_values`). Safe verdicts yield an
-    /// empty (no-op) hint.
-    pub fn direction_hint(&self) -> DirectionHint {
-        let Verdict::Unsafe { cycle } = self else {
-            return DirectionHint::default();
-        };
-        let mut tables: Vec<String> = cycle
-            .iter()
-            .map(|e| {
-                e.item
-                    .split(['[', '{'])
-                    .next()
-                    .unwrap_or(&e.item)
-                    .to_string()
-            })
-            .collect();
-        tables.sort();
-        tables.dedup();
-        DirectionHint::for_tables(tables)
     }
 }
 
@@ -363,121 +338,40 @@ pub fn iconfluence_agreement(row: &[Cell]) -> Result<(), String> {
     Ok(())
 }
 
-/// A dynamic witness backing an UNSAFE verdict: one concrete feral-sim
-/// schedule on which the anomaly oracle fired, plus proof it replays.
-#[derive(Debug, Clone)]
-pub struct SimWitness {
-    /// Search strategy that surfaced the witness (`directed-dpor`, or
-    /// `random` when the fallback found it).
-    pub strategy: &'static str,
-    /// Seed that found the schedule, when random search found it.
-    pub seed: Option<u64>,
-    /// Replayable branch choices.
-    pub choices: Vec<usize>,
-    /// What the oracle reported.
-    pub message: String,
-    /// Schedules searched before the witness surfaced.
-    pub schedules_searched: usize,
-    /// `feral-sim replay ...` command reproducing it.
-    pub replay: String,
-}
-
-/// Exhaustive-sweep evidence backing a SAFE verdict.
-#[derive(Debug, Clone)]
-pub struct SweepEvidence {
-    /// Schedules executed by the partial-order-reduced sweep.
-    pub runs: usize,
-    /// Schedules proven Mazurkiewicz-equivalent and skipped.
-    pub schedules_pruned: u64,
-    /// Whether `schedules_pruned` is exact (else a lower bound).
-    pub pruned_exact: bool,
-    /// Backtrack candidates skipped by sleep sets.
-    pub sleep_set_blocked: usize,
-}
-
 /// Dynamic cross-validation of one cell.
 #[derive(Debug, Clone)]
 pub enum CellEvidence {
     /// UNSAFE: a replayed witness schedule.
-    Witness(SimWitness),
+    Witness(Witness),
     /// SAFE: a complete, silent exhaustive sweep.
     Sweep(SweepEvidence),
 }
 
 /// Cross-validate one cell against feral-sim.
 ///
-/// UNSAFE cells must produce a witness schedule — directed DPOR biased
-/// toward the predicted cycle's tables first, seeded random search as
-/// fallback — and that witness must fire again on byte-identical
-/// replay. SAFE cells must survive a *complete* partial-order-reduced
-/// sweep with a silent oracle (the DPOR sweep covers every Mazurkiewicz
-/// class, which `dpor_equivalence.rs` proves verdict-equivalent to full
-/// enumeration).
+/// UNSAFE cells must produce a witness schedule that fires again on
+/// byte-identical replay ([`ScenarioSpec::find_witness`]). SAFE cells
+/// must survive a *complete* partial-order-reduced sweep with a silent
+/// oracle ([`ScenarioSpec::sweep`]; the DPOR sweep covers every
+/// Mazurkiewicz class, which `dpor_equivalence.rs` proves
+/// verdict-equivalent to full enumeration).
 pub fn validate_cell(cell: &Cell, seeds: u64, max_runs: usize) -> Result<CellEvidence, String> {
-    let spec = cell.scenario;
-    let label = format!("{}/{}", cell.pair.name(), cell.isolation);
-    match &cell.verdict {
-        Verdict::Unsafe { .. } => {
-            let config =
-                DporConfig::new(max_runs, spec.isolation).directed(cell.verdict.direction_hint());
-            let strategy = config.strategy();
-            let (violation, strategy, searched) = {
-                let directed = explore_dpor(|| spec.build(), &config);
-                match directed.violation {
-                    Some(v) => (Some(v), strategy, directed.runs),
-                    None => {
-                        let random = explore_random(|| spec.build(), 0..seeds);
-                        let runs = directed.runs + random.runs;
-                        (random.violation, "random", runs)
-                    }
-                }
-            };
-            let Some(v) = violation else {
-                return Err(format!(
-                    "{label}: predicted UNSAFE but no witness in {searched} schedules"
-                ));
-            };
-            // the witness must replay: same schedule, same anomaly
-            let (_, verdict) = match v.seed {
-                Some(seed) => run_with_seed(spec.build(), seed),
-                None => run_with_choices(spec.build(), &v.choices),
-            };
-            if verdict.is_ok() {
-                return Err(format!("{label}: witness did not replay ({})", v.message));
-            }
-            Ok(CellEvidence::Witness(SimWitness {
-                strategy,
-                seed: v.seed,
-                choices: v.choices.clone(),
-                message: v.message.clone(),
-                schedules_searched: searched,
-                replay: spec.replay_command(v.seed, &v.choices),
-            }))
-        }
-        Verdict::Safe { .. } => {
-            let config = DporConfig::new(max_runs, spec.isolation);
-            let sweep = explore_dpor(|| spec.build(), &config);
-            if let Some(v) = sweep.violation {
-                return Err(format!(
-                    "{label}: predicted SAFE but oracle fired: {} ({})",
-                    v.message,
-                    spec.replay_command(v.seed, &v.choices)
-                ));
-            }
-            if !sweep.complete {
-                return Err(format!(
-                    "{label}: SAFE sweep incomplete after {} schedules — raise --max-runs",
-                    sweep.runs
-                ));
-            }
-            Ok(CellEvidence::Sweep(SweepEvidence {
-                runs: sweep.runs,
-                schedules_pruned: sweep.stats.schedules_pruned,
-                pruned_exact: sweep.stats.pruned_exact,
-                sleep_set_blocked: sweep.stats.sleep_set_blocked,
-            }))
-        }
-    }
+    let (predicted, evidence) = if cell.verdict.is_unsafe() {
+        let witness = cell.scenario.find_witness(seeds, max_runs);
+        ("UNSAFE", witness.map(CellEvidence::Witness))
+    } else {
+        (
+            "SAFE",
+            cell.scenario.sweep(max_runs).map(CellEvidence::Sweep),
+        )
+    };
+    evidence.map_err(|e| {
+        format!(
+            "{}/{}: predicted {predicted} but {e}",
+            cell.pair.name(),
+            cell.isolation
+        )
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use crate::cycles::render_cycle;
 use crate::graph::DepGraph;
 use crate::matrix::{Cell, CellEvidence, PairKind, Verdict, LEVELS};
-use feral_sim::scenarios::{Guard, ScenarioSpec};
+use feral_sim::scenarios::ScenarioSpec;
 use std::fmt::Write as _;
 
 /// Shared JSON string escaper (re-exported so existing callers keep
@@ -14,16 +14,7 @@ pub use feral_cli::report::json_escape;
 
 /// The `feral-sim systematic` invocation that probes a cell's scenario.
 pub fn probe_command(spec: &ScenarioSpec) -> String {
-    format!(
-        "feral-sim systematic --scenario {} --isolation {} --guard {} --workers {}",
-        spec.kind.name(),
-        spec.isolation_flag(),
-        match spec.guard {
-            Guard::Feral => "feral",
-            Guard::Database => "database",
-        },
-        spec.workers
-    )
+    format!("feral-sim systematic {}", spec.flags())
 }
 
 fn short_verdict(cell: &Cell) -> String {
@@ -232,34 +223,11 @@ fn json_cell(cell: &Cell, evidence: Option<&CellEvidence>) -> String {
     );
     if let Some(evidence) = evidence {
         out.push_str(",\"validation\":");
-        match evidence {
-            CellEvidence::Witness(w) => {
-                let seed = match w.seed {
-                    Some(s) => s.to_string(),
-                    None => "null".to_string(),
-                };
-                let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
-                let _ = write!(
-                    out,
-                    "{{\"witness\":{{\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\
-                     \"message\":\"{}\",\"schedules_searched\":{},\"replay\":\"{}\"}}}}",
-                    w.strategy,
-                    seed,
-                    choices.join(","),
-                    json_escape(&w.message),
-                    w.schedules_searched,
-                    json_escape(&w.replay)
-                );
-            }
-            CellEvidence::Sweep(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"sweep\":{{\"runs\":{},\"complete\":true,\"schedules_pruned\":{},\
-                     \"pruned_exact\":{},\"sleep_set_blocked\":{}}}}}",
-                    s.runs, s.schedules_pruned, s.pruned_exact, s.sleep_set_blocked
-                );
-            }
-        }
+        let (kind, json) = match evidence {
+            CellEvidence::Witness(w) => ("witness", w.to_json()),
+            CellEvidence::Sweep(s) => ("sweep", s.to_json()),
+        };
+        let _ = write!(out, "{{\"{kind}\":{json}}}");
     }
     out.push('}');
     out

@@ -51,7 +51,7 @@ fn every_unsafe_witness_replays_twice() {
                 "{}/{} witness went silent on replay {attempt}: {}",
                 cell.pair.name(),
                 cell.isolation,
-                w.replay
+                w.replay_command()
             );
         }
     }

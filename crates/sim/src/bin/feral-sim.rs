@@ -18,7 +18,8 @@
 //!     uniform `--isolation`.
 //!
 //! feral-sim random --scenario ... [--seeds N] [...]
-//!     Seeded random search; print the firing seed.
+//!     Seeded random search; print the firing seed and the `feral-sim
+//!     replay` command reproducing it.
 //!
 //! feral-sim replay --scenario ... --seed S [...]
 //! feral-sim replay --scenario ... --choices 1,0,2 [...]
@@ -31,9 +32,9 @@
 use feral_cli::Args;
 use feral_db::IsolationLevel;
 use feral_sim::report::ExplorationReport;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
 use feral_sim::{
-    explore_dpor, explore_random, explore_systematic, run_with_choices, run_with_seed, DporConfig,
+    explore_dpor, explore_random, explore_systematic, run_with_choices, run_with_seed,
 };
 use std::process::ExitCode;
 
@@ -77,12 +78,6 @@ fn strategy_arg(args: &Args, default: Strategy) -> Strategy {
     }
 }
 
-/// The optional `--levels L0,L1` pair for mixed-isolation runs.
-fn levels_arg(args: &Args) -> Option<[IsolationLevel; 2]> {
-    args.get_str("levels")
-        .map(|s| feral_cli::parse_levels(TOOL, s))
-}
-
 fn scenario_cfg(args: &Args) -> ScenarioSpec {
     let kind = match args.get_str("scenario") {
         Some(name) => ScenarioKind::parse(name).unwrap_or_else(|| {
@@ -92,25 +87,18 @@ fn scenario_cfg(args: &Args) -> ScenarioSpec {
         }),
         None => die("--scenario is required"),
     };
-    if args.get_str("levels").is_some() && args.get_str("isolation").is_some() {
-        die("--levels and --isolation are mutually exclusive");
-    }
-    // for a mixed run the spec-level isolation only labels output; the
-    // strongest slot level is the display convention (matches sdg's
-    // mixed dependency graphs)
-    let isolation = match levels_arg(args) {
-        Some(levels) => levels
-            .into_iter()
-            .max_by_key(|l| *l as u64)
-            .expect("two levels"),
-        None => args
-            .get_str("isolation")
-            .map(|s| feral_cli::parse_isolation(TOOL, s))
-            .unwrap_or(IsolationLevel::ReadCommitted),
+    let levels = match (args.get_str("levels"), args.get_str("isolation")) {
+        (Some(_), Some(_)) => die("--levels and --isolation are mutually exclusive"),
+        (Some(levels), None) => SessionLevels::PerSlot(feral_cli::parse_levels(TOOL, levels)),
+        (None, isolation) => SessionLevels::Uniform(
+            isolation
+                .map(|s| feral_cli::parse_isolation(TOOL, s))
+                .unwrap_or(IsolationLevel::ReadCommitted),
+        ),
     };
     ScenarioSpec {
         kind,
-        isolation,
+        levels,
         guard: match args.get_str("guard") {
             Some("database") => Guard::Database,
             Some("feral") | None => Guard::Feral,
@@ -120,63 +108,22 @@ fn scenario_cfg(args: &Args) -> ScenarioSpec {
     }
 }
 
-/// Build the trial: uniform from the spec, or per-slot mixed.
-fn build_trial(cfg: &ScenarioSpec, levels: Option<[IsolationLevel; 2]>) -> feral_sim::Trial {
-    match levels {
-        Some(levels) => cfg.build_mixed(levels),
-        None => cfg.build(),
-    }
-}
-
 /// Explore `cfg` under `strategy` and normalize the outcome to a report.
-fn explore(
-    cfg: &ScenarioSpec,
-    levels: Option<[IsolationLevel; 2]>,
-    strategy: Strategy,
-    max_runs: usize,
-) -> ExplorationReport {
-    let mut report = match strategy {
+fn explore(cfg: &ScenarioSpec, strategy: Strategy, max_runs: usize) -> ExplorationReport {
+    match strategy {
         Strategy::Dfs => {
-            let outcome = explore_systematic(|| build_trial(cfg, levels), max_runs);
+            let outcome = explore_systematic(|| cfg.build(), max_runs);
             ExplorationReport::from_systematic(cfg, &outcome)
         }
         Strategy::Dpor | Strategy::Directed => {
-            // mixed runs drive the DPOR conflict predicate at the
-            // weakest slot level: conservative (never prunes a schedule
-            // a weaker session could distinguish), still sound
-            let dpor_iso = levels
-                .and_then(|l| l.into_iter().min_by_key(|l| *l as u64))
-                .unwrap_or(cfg.isolation);
-            let mut dc = DporConfig::new(max_runs, dpor_iso);
+            let mut dc = cfg.dpor_config(max_runs);
             if strategy == Strategy::Directed {
                 dc = dc.directed(cfg.direction_hint());
             }
-            let name = dc.strategy();
-            let outcome = explore_dpor(|| build_trial(cfg, levels), &dc);
-            ExplorationReport::from_dpor(cfg, name, &outcome)
-        }
-    };
-    if let Some(levels) = levels {
-        report.scenario = mixed_label(cfg, levels);
-        if let Some(v) = &mut report.violation {
-            v.replay = cfg.replay_command_mixed(levels, v.seed, &v.choices);
+            let outcome = explore_dpor(|| cfg.build(), &dc);
+            ExplorationReport::from_dpor(cfg, dc.strategy(), &outcome)
         }
     }
-    report
-}
-
-/// `scenario/L0+L1/guard` label for mixed runs.
-fn mixed_label(cfg: &ScenarioSpec, levels: [IsolationLevel; 2]) -> String {
-    format!(
-        "{}/{:?}+{:?}/{}",
-        cfg.kind.name(),
-        levels[0],
-        levels[1],
-        match cfg.guard {
-            Guard::Feral => "feral",
-            Guard::Database => "db-constraint",
-        }
-    )
 }
 
 /// Human-readable counter suffix for reducing strategies.
@@ -196,9 +143,9 @@ fn pruning_note(report: &ExplorationReport) -> String {
     }
 }
 
-fn cmd_systematic(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, args: &Args) -> ExitCode {
+fn cmd_systematic(cfg: ScenarioSpec, args: &Args) -> ExitCode {
     let strategy = strategy_arg(args, Strategy::Dfs);
-    let report = explore(&cfg, levels, strategy, args.get_usize("max-runs", 200_000));
+    let report = explore(&cfg, strategy, args.get_usize("max-runs", 200_000));
     if args.has("json") {
         let rendered = format!("{}\n", report.to_json());
         feral_cli::write_out(TOOL, args.get_str("out"), &rendered);
@@ -210,7 +157,7 @@ fn cmd_systematic(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, args: 
                 "{}: ANOMALY after {} schedules [{}]: {}",
                 report.scenario, report.runs, report.strategy, v.message
             );
-            println!("  {}", v.replay);
+            println!("  {}", v.replay_command());
             ExitCode::from(1)
         }
         None => {
@@ -231,12 +178,9 @@ fn cmd_systematic(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, args: 
     }
 }
 
-fn cmd_random(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, seeds: u64) -> ExitCode {
-    let label = match levels {
-        Some(l) => mixed_label(&cfg, l),
-        None => cfg.label(),
-    };
-    let outcome = explore_random(|| build_trial(&cfg, levels), 0..seeds);
+fn cmd_random(cfg: ScenarioSpec, seeds: u64) -> ExitCode {
+    let label = cfg.label();
+    let outcome = explore_random(|| cfg.build(), 0..seeds);
     match outcome.violation {
         Some(v) => {
             println!(
@@ -247,7 +191,7 @@ fn cmd_random(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, seeds: u64
                 seeds,
                 v.message
             );
-            println!("  {}", v.replay_hint());
+            println!("  {}", cfg.replay_command(v.seed, &v.choices));
             ExitCode::from(1)
         }
         None => {
@@ -257,16 +201,13 @@ fn cmd_random(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, seeds: u64
     }
 }
 
-fn cmd_replay(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, args: &Args) -> ExitCode {
-    let label = match levels {
-        Some(l) => mixed_label(&cfg, l),
-        None => cfg.label(),
-    };
+fn cmd_replay(cfg: ScenarioSpec, args: &Args) -> ExitCode {
+    let label = cfg.label();
     let (run, verdict) = if let Some(seed) = args.get_str("seed") {
         let seed = seed
             .parse()
             .unwrap_or_else(|_| die(&format!("--seed wants a number, got `{seed}`")));
-        run_with_seed(build_trial(&cfg, levels), seed)
+        run_with_seed(cfg.build(), seed)
     } else if let Some(choices) = args.get_str("choices") {
         let choices: Vec<usize> = choices
             .split(',')
@@ -277,7 +218,7 @@ fn cmd_replay(cfg: ScenarioSpec, levels: Option<[IsolationLevel; 2]>, args: &Arg
                     .unwrap_or_else(|_| die(&format!("bad choice `{s}` in --choices")))
             })
             .collect();
-        run_with_choices(build_trial(&cfg, levels), &choices)
+        run_with_choices(cfg.build(), &choices)
     } else {
         die("replay needs --seed or --choices");
     };
@@ -314,7 +255,7 @@ fn cmd_matrix(args: &Args) -> ExitCode {
     ];
     let mut failures = 0;
     for (cfg, expect_anomaly) in cells {
-        let report = explore(&cfg, None, strategy, max_runs);
+        let report = explore(&cfg, strategy, max_runs);
         let found = report.violation.is_some();
         if json {
             json_lines.push_str(&report.to_json());
@@ -326,7 +267,7 @@ fn cmd_matrix(args: &Args) -> ExitCode {
                 "FAIL"
             };
             let detail = match &report.violation {
-                Some(v) => format!("anomaly: {} ({})", v.message, v.replay),
+                Some(v) => format!("anomaly: {} ({})", v.message, v.replay_command()),
                 None if report.complete => format!(
                     "safe across all {} schedules{}",
                     report.runs,
@@ -359,7 +300,7 @@ fn cmd_matrix(args: &Args) -> ExitCode {
 fn cell(kind: ScenarioKind, isolation: IsolationLevel, guard: Guard) -> ScenarioSpec {
     ScenarioSpec {
         kind,
-        isolation,
+        levels: SessionLevels::Uniform(isolation),
         guard,
         workers: match kind {
             ScenarioKind::Orphans => 1,
@@ -380,13 +321,9 @@ fn main() -> ExitCode {
     let args = Args::from_iter(argv[1..].iter().cloned());
     match command.as_str() {
         "matrix" => cmd_matrix(&args),
-        "systematic" => cmd_systematic(scenario_cfg(&args), levels_arg(&args), &args),
-        "random" => cmd_random(
-            scenario_cfg(&args),
-            levels_arg(&args),
-            args.get_u64("seeds", 500),
-        ),
-        "replay" => cmd_replay(scenario_cfg(&args), levels_arg(&args), &args),
+        "systematic" => cmd_systematic(scenario_cfg(&args), &args),
+        "random" => cmd_random(scenario_cfg(&args), args.get_u64("seeds", 500)),
+        "replay" => cmd_replay(scenario_cfg(&args), &args),
         other => die(&format!("unknown command `{other}`")),
     }
 }

@@ -18,6 +18,13 @@
 //! * **Replay / minimization** ([`run_with_choices`]): drive the schedule
 //!   from an explicit choice list (e.g. a prefix of a failing run).
 //!
+//! Callers outside this crate do not drive the explorers themselves:
+//! [`ScenarioSpec::find_witness`](scenarios::ScenarioSpec::find_witness)
+//! runs the one witness policy (directed DPOR, then seeded random
+//! search, then a replay check) and returns a [`Witness`];
+//! [`ScenarioSpec::sweep`](scenarios::ScenarioSpec::sweep) returns the
+//! [`SweepEvidence`] of a complete, silent DPOR sweep.
+//!
 //! The [`oracles`] module holds the paper's anomaly detectors (duplicate
 //! uniqueness keys, orphaned association rows, lost counter updates),
 //! shared with the `crates/bench` figure binaries.
@@ -38,6 +45,7 @@ pub mod oracles;
 pub mod report;
 pub mod scenarios;
 mod scheduler;
+mod witness;
 
 pub use dpor::{explore_dpor, DirectionHint, DporConfig, DporExploration};
 pub use explore::{
@@ -48,6 +56,7 @@ pub use scheduler::{
     run_schedule, Chooser, RandomChooser, RunResult, ScriptChooser, SearchStats, SimScheduler,
     TraceStep, DEFAULT_MAX_STEPS,
 };
+pub use witness::{SweepEvidence, Witness};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 
 use crate::scenarios::ScenarioSpec;
 use crate::scheduler::SearchStats;
-use crate::{DporExploration, SystematicExploration, Violation};
+use crate::{DporExploration, SystematicExploration, Witness};
 
 /// One exploration outcome, ready to serialize.
 #[derive(Debug)]
@@ -24,31 +24,7 @@ pub struct ExplorationReport {
     /// pruned).
     pub stats: SearchStats,
     /// The firing schedule, if one was found.
-    pub violation: Option<ViolationReport>,
-}
-
-/// The violation portion of an [`ExplorationReport`].
-#[derive(Debug)]
-pub struct ViolationReport {
-    /// Oracle message.
-    pub message: String,
-    /// Seed, for random-mode finds.
-    pub seed: Option<u64>,
-    /// Branch choices replaying the schedule.
-    pub choices: Vec<usize>,
-    /// `feral-sim replay` invocation reproducing it.
-    pub replay: String,
-}
-
-impl ViolationReport {
-    fn of(spec: &ScenarioSpec, v: &Violation) -> ViolationReport {
-        ViolationReport {
-            message: v.message.clone(),
-            seed: v.seed,
-            choices: v.choices.clone(),
-            replay: spec.replay_command(v.seed, &v.choices),
-        }
-    }
+    pub violation: Option<Witness>,
 }
 
 impl ExplorationReport {
@@ -67,7 +43,7 @@ impl ExplorationReport {
             violation: outcome
                 .violation
                 .as_ref()
-                .map(|v| ViolationReport::of(spec, v)),
+                .map(|v| Witness::of(spec, v, outcome.runs)),
         }
     }
 
@@ -88,7 +64,7 @@ impl ExplorationReport {
             violation: outcome
                 .violation
                 .as_ref()
-                .map(|v| ViolationReport::of(spec, v)),
+                .map(|v| Witness::of(spec, v, outcome.runs)),
         }
     }
 
@@ -96,14 +72,14 @@ impl ExplorationReport {
     pub fn to_json(&self) -> String {
         let violation = match &self.violation {
             None => "null".to_string(),
-            Some(v) => {
-                let choices: Vec<String> = v.choices.iter().map(|c| c.to_string()).collect();
+            Some(w) => {
+                let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
                 format!(
                     "{{\"message\":\"{}\",\"seed\":{},\"choices\":[{}],\"replay\":\"{}\"}}",
-                    json_escape(&v.message),
-                    v.seed.map_or("null".to_string(), |s| s.to_string()),
+                    json_escape(&w.message),
+                    w.seed.map_or("null".to_string(), |s| s.to_string()),
                     choices.join(","),
-                    json_escape(&v.replay)
+                    json_escape(&w.replay_command())
                 )
             }
         };

@@ -68,14 +68,16 @@ impl ScenarioKind {
 
 /// A fully-specified scenario configuration — everything needed to
 /// rebuild a [`Trial`] bit-identically. Shared between the `feral-sim`
-/// CLI and `feral-lint`'s witness generation, so a witness found by the
-/// linter replays verbatim under the CLI.
+/// CLI and every witness search ([`ScenarioSpec::find_witness`]), so a
+/// witness found by feral-sdg, feral-plan, feral-lint or table1 replays
+/// verbatim under the CLI ([`crate::Witness::replay_command`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioSpec {
     /// Scenario family.
     pub kind: ScenarioKind,
-    /// Isolation level of every session.
-    pub isolation: IsolationLevel,
+    /// Isolation of the racing sessions: one level, or one per template
+    /// slot.
+    pub levels: SessionLevels,
     /// Feral-only or feral + database constraint.
     pub guard: Guard,
     /// Concurrent writers (uniqueness) / inserters racing the destroyer
@@ -86,14 +88,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Build a fresh runnable trial for this configuration.
     pub fn build(&self) -> Trial {
-        match self.kind {
-            ScenarioKind::Uniqueness => uniqueness_trial(self.isolation, self.guard, self.workers),
-            ScenarioKind::Orphans => orphan_trial(self.isolation, self.guard, self.workers),
-            ScenarioKind::LostUpdate => lost_update_trial(self.isolation, self.guard, self.workers),
-            ScenarioKind::SiblingInserts => {
-                sibling_insert_trial(self.isolation, self.guard, self.workers)
-            }
-        }
+        self.build_audited(AuditMode::Off).1
     }
 
     /// [`ScenarioSpec::build`] over a database with the runtime DSG
@@ -102,44 +97,25 @@ impl ScenarioSpec {
     /// the differential gate comparing the online auditor's verdict
     /// against the DPOR sweep verdict is built on this.
     pub fn build_audited(&self, mode: AuditMode) -> (App, Trial) {
-        let levels = SessionLevels::Uniform(self.isolation);
+        let (levels, guard, workers) = (self.levels, self.guard, self.workers);
         match self.kind {
-            ScenarioKind::Uniqueness => uniqueness_core(levels, self.guard, self.workers, mode),
-            ScenarioKind::Orphans => orphan_core(levels, self.guard, self.workers, mode),
-            ScenarioKind::LostUpdate => lost_update_core(levels, self.guard, self.workers, mode),
-            ScenarioKind::SiblingInserts => {
-                sibling_insert_core(levels, self.guard, self.workers, mode)
-            }
+            ScenarioKind::Uniqueness => uniqueness_core(levels, guard, workers, mode),
+            ScenarioKind::Orphans => orphan_core(levels, guard, workers, mode),
+            ScenarioKind::LostUpdate => lost_update_core(levels, guard, workers, mode),
+            ScenarioKind::SiblingInserts => sibling_insert_core(levels, guard, workers, mode),
         }
     }
 
-    /// Build a trial whose sessions run at *per-template* isolation
-    /// levels instead of one uniform level — the dynamic counterpart of
-    /// feral-sdg's mixed dependency graphs. `levels[i]` is the level of
-    /// slot `i` of the scenario's template pair, in
-    /// `PairKind::templates()` order: for orphans slot 0 is the
-    /// presence-checking inserter and slot 1 the cascade destroyer; for
-    /// the symmetric scenarios worker `k` takes `levels[min(k, 1)]`.
-    /// `self.isolation` is ignored.
-    pub fn build_mixed(&self, levels: [IsolationLevel; 2]) -> Trial {
-        let mixed = SessionLevels::Mixed(levels);
-        let off = AuditMode::Off;
-        match self.kind {
-            ScenarioKind::Uniqueness => uniqueness_core(mixed, self.guard, self.workers, off).1,
-            ScenarioKind::Orphans => orphan_core(mixed, self.guard, self.workers, off).1,
-            ScenarioKind::LostUpdate => lost_update_core(mixed, self.guard, self.workers, off).1,
-            ScenarioKind::SiblingInserts => {
-                sibling_insert_core(mixed, self.guard, self.workers, off).1
-            }
-        }
-    }
-
-    /// Compact `scenario/isolation/guard` label for reports.
+    /// Compact `scenario/isolation/guard` label for reports; a per-slot
+    /// spec reads `scenario/L0+L1/guard`.
     pub fn label(&self) -> String {
+        let levels = match self.levels {
+            SessionLevels::Uniform(l) => format!("{l:?}"),
+            SessionLevels::PerSlot([a, b]) => format!("{a:?}+{b:?}"),
+        };
         format!(
-            "{}/{:?}/{}",
+            "{}/{levels}/{}",
             self.kind.name(),
-            self.isolation,
             match self.guard {
                 Guard::Feral => "feral",
                 Guard::Database => "db-constraint",
@@ -161,64 +137,43 @@ impl ScenarioSpec {
         })
     }
 
-    /// The flag spelling of the isolation level (`read-committed`).
-    pub fn isolation_flag(&self) -> String {
-        self.isolation.to_string().replace(' ', "-")
+    /// Plain DPOR over this scenario. The conflict relation runs at the
+    /// weakest session level, which only adds dependence edges for the
+    /// stronger slot of a per-slot spec (sound).
+    pub fn dpor_config(&self, max_runs: usize) -> crate::DporConfig {
+        crate::DporConfig::new(max_runs, self.levels.weakest())
+    }
+
+    /// The command-line flags naming this configuration:
+    /// `--scenario … --isolation|--levels … --guard … --workers …`.
+    pub fn flags(&self) -> String {
+        format!(
+            "--scenario {} {} {} --guard {} --workers {}",
+            self.kind.name(),
+            match self.levels {
+                SessionLevels::Uniform(_) => "--isolation",
+                SessionLevels::PerSlot(_) => "--levels",
+            },
+            self.levels.flag_value(),
+            match self.guard {
+                Guard::Feral => "feral",
+                Guard::Database => "database",
+            },
+            self.workers
+        )
     }
 
     /// The `feral-sim replay` invocation reproducing the schedule chosen
     /// by `seed` (preferred) or an explicit choice list.
     pub fn replay_command(&self, seed: Option<u64>, choices: &[usize]) -> String {
-        let mut cmd = format!(
-            "feral-sim replay --scenario {} --isolation {} --guard {} --workers {}",
-            self.kind.name(),
-            self.isolation_flag(),
-            match self.guard {
-                Guard::Feral => "feral",
-                Guard::Database => "database",
-            },
-            self.workers
-        );
-        push_schedule(&mut cmd, seed, choices);
-        cmd
-    }
-
-    /// [`ScenarioSpec::replay_command`] for a mixed-level run: spells the
-    /// per-slot levels as `--levels a,b` instead of `--isolation`.
-    pub fn replay_command_mixed(
-        &self,
-        levels: [IsolationLevel; 2],
-        seed: Option<u64>,
-        choices: &[usize],
-    ) -> String {
-        let spelled: Vec<String> = levels
-            .iter()
-            .map(|l| l.to_string().replace(' ', "-"))
-            .collect();
-        let mut cmd = format!(
-            "feral-sim replay --scenario {} --levels {} --guard {} --workers {}",
-            self.kind.name(),
-            spelled.join(","),
-            match self.guard {
-                Guard::Feral => "feral",
-                Guard::Database => "database",
-            },
-            self.workers
-        );
-        push_schedule(&mut cmd, seed, choices);
-        cmd
-    }
-}
-
-fn push_schedule(cmd: &mut String, seed: Option<u64>, choices: &[usize]) {
-    match seed {
-        Some(s) => {
-            cmd.push_str(&format!(" --seed {s}"));
-        }
-        None => {
-            let list: Vec<String> = choices.iter().map(|c| c.to_string()).collect();
-            cmd.push_str(&format!(" --choices {}", list.join(",")));
-        }
+        let schedule = match seed {
+            Some(s) => format!("--seed {s}"),
+            None => {
+                let list: Vec<String> = choices.iter().map(usize::to_string).collect();
+                format!("--choices {}", list.join(","))
+            }
+        };
+        format!("feral-sim replay {} {schedule}", self.flags())
     }
 }
 
@@ -226,17 +181,23 @@ fn push_schedule(cmd: &mut String, seed: Option<u64>, choices: &[usize]) {
 /// worker, or per-template-slot levels (the feral-plan mixed case). The
 /// database default only matters for the single-threaded setup sessions;
 /// every racing worker sets its level explicitly.
-#[derive(Debug, Clone, Copy)]
-enum SessionLevels {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionLevels {
+    /// Every session at one level (`--isolation`).
     Uniform(IsolationLevel),
-    Mixed([IsolationLevel; 2]),
+    /// `levels[i]` is the level of slot `i` of the scenario's template
+    /// pair, in `PairKind::templates()` order (`--levels a,b`): for
+    /// orphans slot 0 is the presence-checking inserter and slot 1 the
+    /// cascade destroyer; for the symmetric scenarios worker `k` takes
+    /// `levels[min(k, 1)]`. Spelled per slot even when both agree.
+    PerSlot([IsolationLevel; 2]),
 }
 
 impl SessionLevels {
     fn db_default(self) -> IsolationLevel {
         match self {
             SessionLevels::Uniform(l) => l,
-            SessionLevels::Mixed(_) => IsolationLevel::ReadCommitted,
+            SessionLevels::PerSlot(_) => IsolationLevel::ReadCommitted,
         }
     }
 
@@ -244,7 +205,28 @@ impl SessionLevels {
     fn slot(self, i: usize) -> IsolationLevel {
         match self {
             SessionLevels::Uniform(l) => l,
-            SessionLevels::Mixed(levels) => levels[i.min(1)],
+            SessionLevels::PerSlot(levels) => levels[i.min(1)],
+        }
+    }
+
+    /// The weakest level any session runs at.
+    pub fn weakest(self) -> IsolationLevel {
+        match self {
+            SessionLevels::Uniform(l) => l,
+            SessionLevels::PerSlot([a, b]) => std::cmp::min_by_key(a, b, |l| *l as u8),
+        }
+    }
+
+    /// The value of the `--isolation` / `--levels` flag:
+    /// `read-committed`, or `read-committed,serializable` per slot.
+    pub fn flag_value(self) -> String {
+        match self {
+            SessionLevels::Uniform(l) => feral_cli::isolation_flag(l),
+            SessionLevels::PerSlot([a, b]) => format!(
+                "{},{}",
+                feral_cli::isolation_flag(a),
+                feral_cli::isolation_flag(b)
+            ),
         }
     }
 }
@@ -448,25 +430,6 @@ fn orphan_core(
 ///
 /// [`Guard::Database`] takes a pessimistic row lock (`SELECT ... FOR
 /// UPDATE`) before the read, serializing the RMWs at any isolation.
-pub fn lost_update_trial(isolation: IsolationLevel, guard: Guard, updaters: usize) -> Trial {
-    lost_update_trial_app(isolation, guard, updaters).1
-}
-
-/// [`lost_update_trial`], also handing back the application and the
-/// acknowledged-increment counter for post-run inspection.
-pub fn lost_update_trial_app(
-    isolation: IsolationLevel,
-    guard: Guard,
-    updaters: usize,
-) -> (App, Trial) {
-    lost_update_core(
-        SessionLevels::Uniform(isolation),
-        guard,
-        updaters,
-        AuditMode::Off,
-    )
-}
-
 fn lost_update_core(
     levels: SessionLevels,
     guard: Guard,
@@ -546,24 +509,6 @@ fn lost_update_core(
 /// deletes, so the referential invariant is I-confluent (§4.2) and the
 /// orphan oracle must stay silent on *every* schedule, at every
 /// isolation level — the SAFE control row of the `feral-sdg` matrix.
-pub fn sibling_insert_trial(isolation: IsolationLevel, guard: Guard, inserters: usize) -> Trial {
-    sibling_insert_trial_app(isolation, guard, inserters).1
-}
-
-/// [`sibling_insert_trial`], also handing back the application.
-pub fn sibling_insert_trial_app(
-    isolation: IsolationLevel,
-    guard: Guard,
-    inserters: usize,
-) -> (App, Trial) {
-    sibling_insert_core(
-        SessionLevels::Uniform(isolation),
-        guard,
-        inserters,
-        AuditMode::Off,
-    )
-}
-
 fn sibling_insert_core(
     levels: SessionLevels,
     guard: Guard,

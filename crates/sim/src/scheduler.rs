@@ -316,7 +316,7 @@ impl State {
 }
 
 /// The scheduler; install via [`feral_hooks::Registration`] and drive
-/// with [`crate::run_trial`] (or the explorers).
+/// with [`run_schedule`] (or the explorers).
 pub struct SimScheduler {
     mu: Mutex<State>,
     cv: Condvar,
@@ -371,7 +371,7 @@ impl SimScheduler {
         }
     }
 
-    /// Extract the run's schedule record (call after [`wait_done`]).
+    /// Extract the run's schedule record (call after [`Self::wait_done`]).
     pub fn take_result(&self) -> RunResult {
         let mut st = self.lock();
         std::mem::take(&mut st.result)

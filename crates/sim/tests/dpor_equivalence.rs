@@ -6,8 +6,8 @@
 //! replay bit-identically through `run_with_choices`.
 
 use feral_db::IsolationLevel;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{explore_dpor, explore_systematic, run_with_choices, DporConfig};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::{explore_dpor, explore_systematic, run_with_choices};
 
 const MAX_RUNS: usize = 200_000;
 
@@ -23,7 +23,7 @@ fn specs_for(kind: ScenarioKind, guard: Guard, workers: usize) -> Vec<ScenarioSp
         .iter()
         .map(|&isolation| ScenarioSpec {
             kind,
-            isolation,
+            levels: SessionLevels::Uniform(isolation),
             guard,
             workers,
         })
@@ -33,7 +33,7 @@ fn specs_for(kind: ScenarioKind, guard: Guard, workers: usize) -> Vec<ScenarioSp
 fn check_cell(spec: &ScenarioSpec, directed: bool) {
     let label = spec.label();
     let dfs = explore_systematic(|| spec.build(), MAX_RUNS);
-    let mut config = DporConfig::new(MAX_RUNS, spec.isolation);
+    let mut config = spec.dpor_config(MAX_RUNS);
     if directed {
         config = config.directed(spec.direction_hint());
     }

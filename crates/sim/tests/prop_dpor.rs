@@ -13,8 +13,8 @@
 //!    never trades away replayability.
 
 use feral_db::IsolationLevel;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{explore_dpor, explore_systematic, run_with_choices, DporConfig};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::{explore_dpor, explore_systematic, run_with_choices};
 use proptest::prelude::*;
 
 /// Full-enumeration budget. Cells that outgrow it (larger worker
@@ -40,7 +40,7 @@ const LEVELS: [IsolationLevel; 4] = [
 fn drawn_spec(kind: usize, level: usize, db_guard: bool, workers: usize) -> ScenarioSpec {
     ScenarioSpec {
         kind: KINDS[kind],
-        isolation: LEVELS[level],
+        levels: SessionLevels::Uniform(LEVELS[level]),
         guard: if db_guard {
             Guard::Database
         } else {
@@ -63,7 +63,7 @@ proptest! {
         let spec = drawn_spec(kind, level, db_guard, workers);
         let label = spec.label();
         let dfs = explore_systematic(|| spec.build(), DFS_MAX_RUNS);
-        let config = DporConfig::new(DPOR_MAX_RUNS, spec.isolation);
+        let config = spec.dpor_config(DPOR_MAX_RUNS);
         let dpor = explore_dpor(|| spec.build(), &config);
 
         // 1. verdict agreement wherever DFS reached a verdict: a found

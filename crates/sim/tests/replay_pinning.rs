@@ -8,13 +8,13 @@
 //! refactor.
 
 use feral_db::IsolationLevel;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
 use feral_sim::{explore_systematic, run_with_choices, run_with_seed};
 
 fn spec(kind: ScenarioKind, isolation: IsolationLevel, workers: usize) -> ScenarioSpec {
     ScenarioSpec {
         kind,
-        isolation,
+        levels: SessionLevels::Uniform(isolation),
         guard: Guard::Feral,
         workers,
     }

@@ -6,14 +6,14 @@
 
 use feral_db::IsolationLevel;
 use feral_sim::report::ExplorationReport;
-use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec};
-use feral_sim::{explore_dpor, explore_systematic, DporConfig};
+use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
+use feral_sim::{explore_dpor, explore_systematic};
 use feral_trace::json::Json;
 
 fn spec(isolation: IsolationLevel) -> ScenarioSpec {
     ScenarioSpec {
         kind: ScenarioKind::Uniqueness,
-        isolation,
+        levels: SessionLevels::Uniform(isolation),
         guard: Guard::Feral,
         workers: 2,
     }
@@ -26,7 +26,7 @@ fn parse(report: &ExplorationReport) -> Json {
 #[test]
 fn dpor_report_carries_the_search_counters() {
     let cfg = spec(IsolationLevel::Serializable);
-    let config = DporConfig::new(200_000, cfg.isolation);
+    let config = cfg.dpor_config(200_000);
     let outcome = explore_dpor(|| cfg.build(), &config);
     let report = ExplorationReport::from_dpor(&cfg, config.strategy(), &outcome);
     let doc = parse(&report);
@@ -60,7 +60,7 @@ fn dpor_report_carries_the_search_counters() {
 #[test]
 fn violation_report_names_strategy_and_replays() {
     let cfg = spec(IsolationLevel::ReadCommitted);
-    let config = DporConfig::new(200_000, cfg.isolation).directed(cfg.direction_hint());
+    let config = cfg.dpor_config(200_000).directed(cfg.direction_hint());
     let outcome = explore_dpor(|| cfg.build(), &config);
     let report = ExplorationReport::from_dpor(&cfg, config.strategy(), &outcome);
     let doc = parse(&report);
