@@ -1,20 +1,30 @@
 //! **Section 7 ablation**: feral-only vs always-database vs the
-//! invariant-aware *domesticated* router — anomalies and coordination
-//! cost side by side.
+//! invariant-aware *domesticated* configuration — anomalies and
+//! coordination cost side by side.
 //!
-//! The domesticated configuration matches the database configuration on
-//! integrity (zero anomalies) while coordinating only the non-I-confluent
-//! invariants.
+//! The domesticated configuration routes each of `KeyValue`'s declared
+//! validators with [`coordination_free`] and backs only the ones that are
+//! not I-confluent with a database constraint. It matches the database
+//! configuration on integrity (zero anomalies) while coordinating only the
+//! non-I-confluent invariants. Every row runs the same
+//! [`uniqueness_stress`] load.
 
-use feral_bench::apps::{key_value_app, Enforcement, ExperimentEnv};
-use feral_bench::uniqueness::{count_duplicates, uniqueness_stress};
+use feral_bench::apps::{Enforcement, ExperimentEnv};
+use feral_bench::uniqueness::uniqueness_stress;
 use feral_bench::{print_table, Args};
-use feral_db::Datum;
-use feral_domestication::{DeclaredInvariant, Domesticator, Mechanism};
-use feral_iconfluence::OperationMix;
-use std::sync::{Arc, Barrier};
-use std::thread;
+use feral_iconfluence::{coordination_free, derive_safety, OperationMix};
 use std::time::Instant;
+
+/// The validators `KeyValue` declares, in declaration order.
+const DECLARED: [&str; 3] = [
+    "validates_presence_of_attribute",
+    "validates_length_of",
+    "validates_uniqueness_of",
+];
+
+/// The operation mix the routing assumes: the paper's "Depends" verdicts
+/// resolve against deletions.
+const MIX: OperationMix = OperationMix::WithDeletions;
 
 fn main() {
     let args = Args::from_env();
@@ -23,93 +33,64 @@ fn main() {
     let concurrent = args.get_usize("concurrent", 16);
     let env = ExperimentEnv::default();
 
-    let mut rows = Vec::new();
-    for (label, enforcement) in [
-        ("feral-only", Enforcement::Feral),
-        ("always-database", Enforcement::Database),
-    ] {
+    let coordinated: Vec<&str> = DECLARED
+        .into_iter()
+        .filter(|kind| !coordination_free(kind, MIX))
+        .collect();
+    // the only database constraint `KeyValue` can carry is the unique
+    // index on `key`, which backs uniqueness
+    let domesticated = match coordinated.as_slice() {
+        [] => Enforcement::Feral,
+        ["validates_uniqueness_of"] => Enforcement::Database,
+        other => panic!("no database constraint backs {other:?}"),
+    };
+
+    let rows: Vec<Vec<String>> = [
+        ("feral-only", Enforcement::Feral, "no coordination".into()),
+        (
+            "always-database",
+            Enforcement::Database,
+            "uniqueness coordinated".into(),
+        ),
+        (
+            "domesticated",
+            domesticated,
+            format!(
+                "{} of {} invariants coordinated",
+                coordinated.len(),
+                DECLARED.len()
+            ),
+        ),
+    ]
+    .into_iter()
+    .map(|(label, enforcement, coordination)| {
         let start = Instant::now();
         let r = uniqueness_stress(enforcement, &env, workers, rounds, concurrent, 0xAB1A);
-        let elapsed = start.elapsed();
-        rows.push(vec![
+        vec![
             label.to_string(),
             r.duplicates.to_string(),
-            format!("{:.2}s", elapsed.as_secs_f64()),
-            match enforcement {
-                Enforcement::Database => "uniqueness coordinated".into(),
-                _ => "no coordination".into(),
-            },
-        ]);
-    }
-
-    // domesticated: declare the app's three invariants; only uniqueness
-    // gets database backing
-    let app = key_value_app(Enforcement::Feral, &env);
-    let mut dom = Domesticator::new(app.clone(), OperationMix::WithDeletions);
-    dom.declare(DeclaredInvariant::RowLocal {
-        model: "KeyValue".into(),
-        validator_kind: "validates_presence_of_attribute".into(),
+            format!("{:.2}s", start.elapsed().as_secs_f64()),
+            coordination,
+        ]
     })
-    .ok();
-    dom.declare(DeclaredInvariant::RowLocal {
-        model: "KeyValue".into(),
-        validator_kind: "validates_length_of".into(),
-    })
-    .unwrap();
-    let plan = dom
-        .declare(DeclaredInvariant::Unique {
-            model: "KeyValue".into(),
-            field: "key".into(),
-        })
-        .unwrap();
-    assert_eq!(plan.mechanism, Mechanism::DatabaseUniqueIndex);
-
-    let start = Instant::now();
-    let barrier = Arc::new(Barrier::new(workers));
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        let app = app.clone();
-        let barrier = barrier.clone();
-        handles.push(thread::spawn(move || {
-            for r in 0..rounds {
-                barrier.wait();
-                let mut s = app.session();
-                for _ in 0..(concurrent / workers).max(1) {
-                    let _ = s.create(
-                        "KeyValue",
-                        &[
-                            ("key", Datum::text(format!("k{r}"))),
-                            ("value", Datum::text("v")),
-                        ],
-                    );
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = start.elapsed();
-    rows.push(vec![
-        "domesticated".to_string(),
-        count_duplicates(&app).to_string(),
-        format!("{:.2}s", elapsed.as_secs_f64()),
-        format!(
-            "{} of {} invariants coordinated",
-            dom.plans()
-                .iter()
-                .filter(|p| p.mechanism != Mechanism::CoordinationFree)
-                .count(),
-            dom.plans().len()
-        ),
-    ]);
+    .collect();
 
     print_table(
         "Section 7 ablation: anomalies and coordination by enforcement strategy",
         &["strategy", "duplicates", "wall time", "coordination"],
         &rows,
     );
-    for p in dom.plans() {
-        println!("  plan: {p}");
+    for kind in DECLARED {
+        let route = if coordinated.contains(&kind) {
+            "database unique index"
+        } else {
+            "coordination-free"
+        };
+        let source = if derive_safety(kind, MIX).is_some() {
+            "checker-derived"
+        } else {
+            "Table 1"
+        };
+        println!("  plan: KeyValue {kind} -> {route} ({source})");
     }
 }

@@ -1,8 +1,7 @@
 //! # feral-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (run
-//! with `cargo run -p feral-bench --release --bin <name>`), plus Criterion
-//! micro-benchmarks (`cargo bench -p feral-bench`).
+//! with `cargo run -p feral-bench --release --bin <name>`).
 //!
 //! | Binary | Regenerates |
 //! |---|---|

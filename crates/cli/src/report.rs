@@ -2,7 +2,7 @@
 //!
 //! feral-lint (FERAL001–009), feral-sdg, and feral-racer
 //! (FERALRS001–006) all emit hand-rolled JSON and SARIF 2.1.0 — the
-//! vendored serde shim has no serializer — and each used to carry its
+//! workspace is offline and has no serde — and each used to carry its
 //! own copy of the string escaper and the SARIF scaffolding. This
 //! module is the one emitter they share: [`json_escape`] for every
 //! dynamic string, and [`render_sarif`] for the fixed SARIF envelope

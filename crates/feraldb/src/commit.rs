@@ -114,6 +114,10 @@ pub(crate) struct ShardCore {
 /// Most commit shards a pipeline runs with: a shard set is one `u64`.
 pub(crate) const MAX_SHARDS: usize = 64;
 
+/// How many committed-transaction write summaries each shard retains for
+/// serializable validation, beyond what active snapshots require.
+pub(crate) const COMMITTED_HISTORY_FLOOR: usize = 64;
+
 /// The shard latches one commit holds, by shard index.
 pub(crate) struct ShardGuards<'a> {
     cores: [Option<MutexGuard<'a, ShardCore>>; MAX_SHARDS],

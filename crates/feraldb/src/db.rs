@@ -163,9 +163,6 @@ pub struct Config {
     /// not tracked for validation, so uniqueness-probe transactions can
     /// still race and commit duplicates.
     pub pg_ssi_bug: bool,
-    /// How many committed-transaction write summaries to retain for
-    /// serializable validation, beyond what active snapshots require.
-    pub committed_history_floor: usize,
     /// Bind a write-ahead log at this path: DDL and commits are appended
     /// (redo logging), and [`Database::open`] replays it on startup.
     /// `None` (the default) keeps the database purely in memory.
@@ -211,7 +208,6 @@ impl Default for Config {
             default_isolation: IsolationLevel::ReadCommitted,
             lock_timeout: Duration::from_secs(2),
             pg_ssi_bug: false,
-            committed_history_floor: 64,
             wal_path: None,
             commit_shards: 8,
             group_commit_max_batch: 64,

@@ -1312,7 +1312,7 @@ impl Transaction {
             written,
             &summary,
             &db.inner.clock,
-            db.inner.config.committed_history_floor,
+            crate::commit::COMMITTED_HISTORY_FLOOR,
         );
         // Everything the latches order is fixed: what is left — durable
         // wait, publish, audit, lock release — is the commit tail,
@@ -1572,11 +1572,8 @@ mod tests {
     /// floor, not on every commit.
     #[test]
     fn a_commit_takes_no_stripe_lock_for_pruning_until_a_slice_doubles() {
-        let floor = 8;
-        let db = Database::new(Config {
-            committed_history_floor: floor,
-            ..Config::default()
-        });
+        let floor = crate::commit::COMMITTED_HISTORY_FLOOR;
+        let db = Database::new(Config::default());
         db.create_table(TableSchema::new(
             "t",
             vec![ColumnDef::new("v", DataType::Int)],

@@ -1,7 +1,7 @@
 //! Report rendering: human text, JSON, and SARIF 2.1.0.
 //!
-//! JSON is emitted by hand (the workspace's `serde` is an offline shim
-//! without a serializer); every dynamic string goes through
+//! JSON is emitted by hand (the workspace is offline and has no
+//! serializer); every dynamic string goes through
 //! [`json_escape`].
 
 use crate::rules::{rule_meta, Anomaly, Finding, Severity, RULES};

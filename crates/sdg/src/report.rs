@@ -1,6 +1,6 @@
 //! Renderers: text matrix, per-cell graph dumps, Graphviz dot, and the
 //! `BENCH_sdg.json` machine-readable artifact (hand-rolled JSON — the
-//! vendored serde shim has no serializer).
+//! offline workspace has no serializer).
 
 use crate::cycles::render_cycle;
 use crate::graph::DepGraph;

@@ -11,7 +11,7 @@
 //! Tracing is **off by default**. Every hook threaded through
 //! `feraldb`, `feral-orm`, `feral-server`, and `feral-workloads` is a
 //! branch-on-disabled no-op: one relaxed atomic load and a predictable
-//! branch, so tier-1 timing and existing criterion benches are
+//! branch, so tier-1 timing and the figure binaries are
 //! unaffected (see the determinism test in `feraldb`).
 //!
 //! ```

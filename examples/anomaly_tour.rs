@@ -1,13 +1,12 @@
 //! A guided tour of the paper's anomalies and their fixes: duplicate
 //! usernames under feral uniqueness validation, orphaned rows under feral
-//! cascading deletes, and how isolation levels, in-database constraints,
-//! and the domestication layer each change the outcome.
+//! cascading deletes, how isolation levels and in-database constraints
+//! change the outcome, and how Section 7's routing picks the constraint.
 //!
 //! Run with: `cargo run --release --example anomaly_tour`
 
 use feral::db::{Config, Database, Datum, IsolationLevel};
-use feral::domestication::{DeclaredInvariant, Domesticator};
-use feral::iconfluence::OperationMix;
+use feral::iconfluence::{coordination_free, OperationMix};
 use feral::orm::{App, Dependent, ModelDef};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -95,20 +94,17 @@ fn main() {
         race_signups(&app, threads, rounds)
     );
 
-    println!("\n  fix 2 — the domestication layer (Section 7): declares the");
-    println!("  invariant, routes it to a DB constraint automatically:");
-    let app = forum_app(IsolationLevel::ReadCommitted, false);
-    let mut dom = Domesticator::new(app.clone(), OperationMix::WithDeletions);
-    let plan = dom
-        .declare(DeclaredInvariant::Unique {
-            model: "Member".into(),
-            field: "username".into(),
-        })
-        .unwrap();
-    println!("  plan: {plan}");
+    println!("\n  fix 2 — Section 7's routing: pay for coordination only where the");
+    println!("  invariant is not I-confluent. The model checker's verdict is what");
+    println!("  selects fix 1's index:");
+    let free = coordination_free("validates_uniqueness_of", OperationMix::WithDeletions);
     println!(
-        "  domesticated                                   -> {:3} duplicate usernames",
-        race_signups(&app, threads, rounds)
+        "  validates_uniqueness_of                       -> {}",
+        if free {
+            "coordination-free: keep the feral validation"
+        } else {
+            "not I-confluent: back it with the unique index"
+        }
     );
 
     println!("\n=== Part 2: orphaned rows under feral cascades (paper §5.3-5.4) ===\n");

@@ -7,7 +7,6 @@
 
 pub use feral_corpus as corpus;
 pub use feral_db as db;
-pub use feral_domestication as domestication;
 pub use feral_iconfluence as iconfluence;
 pub use feral_orm as orm;
 pub use feral_server as server;

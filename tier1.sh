@@ -86,7 +86,7 @@ echo "== tier1: workspace docs (deny warnings) =="
 # vendored dependency shims are not ours (proptest's has an ambiguous
 # `vec` link of its own), so they are left out.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace --exclude proptest \
-  --exclude criterion --exclude crossbeam --exclude parking_lot --exclude rand
+  --exclude crossbeam --exclude parking_lot --exclude rand
 
 echo "== tier1: trace smoke gate (table1 --smoke) =="
 # table1 self-validates the report (exits non-zero on schema or
