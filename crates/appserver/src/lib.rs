@@ -465,6 +465,45 @@ mod tests {
         assert!(!r.retryable());
     }
 
+    /// A create may carry its own `id`. Ids the table's sequence never
+    /// hands out (at or below zero, at the top of `i64`, or past the
+    /// primary key's growth slack) are stored and found like any other,
+    /// and a second create with one is refused.
+    #[test]
+    fn creates_with_explicit_ids_are_found_and_unique() {
+        let svc = PooledService::new(app(), 1);
+        for _ in 0..10 {
+            assert!(svc.call(create_widget("seq")).succeeded());
+        }
+        let past = 10 + feral_db::index::DENSE_SLACK as i64 + 1;
+        for id in [i64::MAX, 0, -5, past] {
+            let with_id = || {
+                Request::builder("Widget")
+                    .attr("id", Datum::Int(id))
+                    .attr("name", Datum::text(format!("w{id}")))
+                    .create()
+            };
+            let r = svc.call(with_id());
+            assert!(
+                matches!(r, Response::Created(got) if got == id),
+                "{id}: {r:?}"
+            );
+            let r = svc.call(Request::builder("Widget").get(id));
+            let Response::Found(record) = r else {
+                panic!("{id}: expected Found, got {r:?}")
+            };
+            assert_eq!(record.get("name"), Datum::text(format!("w{id}")));
+            let r = svc.call(with_id());
+            assert!(
+                matches!(
+                    r,
+                    Response::Error(OrmError::Db(feral_db::DbError::UniqueViolation { .. }))
+                ),
+                "{id}: {r:?}"
+            );
+        }
+    }
+
     #[test]
     fn retryable_classification() {
         assert!(Response::Overloaded.retryable());

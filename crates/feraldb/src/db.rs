@@ -1017,7 +1017,7 @@ impl std::fmt::Debug for Database {
 mod tests {
     use super::*;
     use crate::schema::ColumnDef;
-    use crate::value::DataType;
+    use crate::value::{DataType, Datum};
 
     fn schema(name: &str) -> TableSchema {
         TableSchema::new(name, vec![ColumnDef::new("k", DataType::Text)])
@@ -1080,5 +1080,47 @@ mod tests {
             db.create_index("t", &["k"], false),
             Err(DbError::IndexExists(_))
         ));
+    }
+
+    /// Ids the table's sequence hands out fill the primary key's dense
+    /// run; explicit ids far past it, at or below zero, or re-posted
+    /// before vacuum swept their dead row spill without growing it, and
+    /// vacuum leaves one posting per live row.
+    #[test]
+    fn explicit_ids_spill_without_growing_the_dense_run() {
+        use crate::index::DENSE_SLACK;
+        let db = Database::in_memory();
+        db.create_table(schema("users")).unwrap();
+        let insert = |id: Datum| {
+            db.txn()
+                .run(|tx| tx.insert("users", vec![id.clone(), Datum::text("k")]))
+        };
+        for _ in 0..10 {
+            insert(Datum::Null).unwrap();
+        }
+        let pkey = || db.inner.catalog.read().table(TableId(0)).indexes[0].clone();
+        let dense = pkey().dense_len();
+        assert!(dense >= 10);
+        let past = (dense + DENSE_SLACK + 1) as i64;
+        for id in [i64::MAX, 0, -5, past] {
+            insert(Datum::Int(id)).unwrap();
+            assert!(matches!(
+                insert(Datum::Int(id)),
+                Err(DbError::UniqueViolation { .. })
+            ));
+        }
+        assert_eq!(pkey().dense_len(), dense);
+        // a deleted id's posting stays until vacuum; its re-insert spills
+        db.txn()
+            .run(|tx| {
+                let (row, _) = tx.get_by_id("users", 7)?.expect("id 7 exists");
+                tx.delete("users", row)
+            })
+            .unwrap();
+        insert(Datum::Int(7)).unwrap();
+        assert_eq!((pkey().key_count(), pkey().posting_count()), (14, 15));
+        db.vacuum();
+        assert_eq!((pkey().key_count(), pkey().posting_count()), (14, 14));
+        assert_eq!(pkey().dense_len(), dense);
     }
 }

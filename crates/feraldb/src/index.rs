@@ -13,10 +13,22 @@
 //! carries its first eight bytes as a big-endian word that `Ord`
 //! compares first, and a key's postings are one inline row until a second
 //! row is posted under it.
+//!
+//! A primary key (`<table>_pkey`: unique, on column 0, the `Int` id) skips
+//! the descent for the ids its table's sequence hands out. They are
+//! unique by construction and dense, so a vector indexed by `id - 1` holds
+//! the one row posted under each, and a probe reads a slot, as SQLite's
+//! `INTEGER PRIMARY KEY` aliases the rowid. The ordered map stays behind
+//! it as the spill for every key the vector does not hold: ids ≤ 0, ids
+//! more than [`DENSE_SLACK`] past its end (so an id sent from outside
+//! cannot make it allocate), and ids that gain a second posting before
+//! vacuum. A run of more than `DENSE_SLACK` ids burned by failed inserts
+//! with no commit between them leaves the ids after it in the spill too:
+//! correct, at the map's cost. Every other index is the map alone.
 
 use crate::heap::RowId;
 use crate::schema::{IndexDef, IndexId};
-use crate::value::{Datum, KeySink};
+use crate::value::{first_int_from, int_of_key, word_at, Datum, KeySink};
 use parking_lot::RwLock;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
@@ -103,15 +115,6 @@ impl KeySink for IndexKey {
             self.prefix = word_at(self.as_bytes(), 0);
         }
     }
-}
-
-/// The big-endian word of `bytes[at..at + 8]`, zero-padded past the end.
-fn word_at(bytes: &[u8], at: usize) -> u64 {
-    let rest = bytes.get(at..).unwrap_or_default();
-    let n = rest.len().min(8);
-    let mut word = [0; 8];
-    word[..n].copy_from_slice(&rest[..n]);
-    u64::from_be_bytes(word)
 }
 
 impl Ord for IndexKey {
@@ -227,6 +230,67 @@ impl Postings {
     }
 }
 
+/// How far past the end of the primary key's dense vector an id may land
+/// and still grow it. Commits racing past one another's sequence draws,
+/// and ids an aborted insert burned, land within it; an id sent from
+/// outside (`i64::MAX`, say) lands past it and spills, so it cannot make
+/// the vector allocate more than this many slots.
+pub const DENSE_SLACK: usize = 1024;
+
+/// A dense slot no row is posted in.
+const VACANT: RowId = RowId::MAX;
+
+/// Where an index keeps its postings: a primary key's dense vector and
+/// the ordered map behind it (see the module docs). A key lives in one of
+/// the two, never both; every other index leaves the vector empty.
+#[derive(Default)]
+struct Store {
+    /// Slot `id - 1` holds the row posted under `id`, or `VACANT`. Ids
+    /// ≤ 0, ids past the slack and ids with a second posting spill.
+    dense: Vec<RowId>,
+    /// Every key `dense` does not hold, in key order.
+    spill: BTreeMap<IndexKey, Postings>,
+}
+
+impl Store {
+    /// The row in dense `slot`, if it holds one.
+    fn dense_row(&self, slot: Option<usize>) -> Option<RowId> {
+        slot.and_then(|s| self.dense.get(s))
+            .copied()
+            .filter(|&row| row != VACANT)
+    }
+
+    /// How many dense slots hold a row.
+    fn dense_keys(&self) -> usize {
+        self.dense.iter().filter(|&&row| row != VACANT).count()
+    }
+}
+
+/// The key of the id in dense `slot`.
+fn slot_key(slot: usize) -> IndexKey {
+    IndexKey::encode([&Datum::Int(slot as i64 + 1)])
+}
+
+/// The first dense slot whose id's key is at or past `bound` (strictly
+/// past it if `past`).
+fn first_slot_from(bound: &IndexKey, past: bool) -> usize {
+    first_int_from(bound.as_bytes(), past).map_or(usize::MAX, |id| {
+        usize::try_from(id.saturating_sub(1)).unwrap_or(0)
+    })
+}
+
+/// Whether no key lies between `lo` and `hi`: they cross, or meet at a key
+/// one of them excludes. (`BTreeMap::range` panics on such bounds.)
+fn empty_range<K: Ord>(lo: Bound<&K>, hi: Bound<&K>) -> bool {
+    match (lo, hi) {
+        (Bound::Included(a), Bound::Included(b)) => a > b,
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+            a >= b
+        }
+        _ => false,
+    }
+}
+
 /// One index's data plus its catalog identity and definition.
 ///
 /// Readers visit postings *under* the map's read latch and resolve each
@@ -239,7 +303,10 @@ pub struct IndexData {
     pub id: IndexId,
     /// Catalog definition (name, table, columns, uniqueness).
     pub def: IndexDef,
-    map: RwLock<BTreeMap<IndexKey, Postings>>,
+    /// Whether this is a primary key (unique, on column 0, the `Int` id),
+    /// whose ids go to the dense vector.
+    primary_key: bool,
+    map: RwLock<Store>,
 }
 
 impl IndexData {
@@ -247,8 +314,9 @@ impl IndexData {
     pub fn new(id: IndexId, def: IndexDef) -> Self {
         IndexData {
             id,
+            primary_key: def.unique && def.cols == [0],
             def,
-            map: RwLock::new(BTreeMap::new()),
+            map: RwLock::new(Store::default()),
         }
     }
 
@@ -273,21 +341,59 @@ impl IndexData {
         self.def.cols.iter().any(|&c| tuple[c].is_null())
     }
 
+    /// The dense slot of `key`: `id - 1` when this is a primary key and
+    /// `key` an id ≥ 1. The slot may lie past the vector's end.
+    fn slot_of(&self, key: &IndexKey) -> Option<usize> {
+        let id = int_of_key(key.as_bytes()).filter(|_| self.primary_key)?;
+        usize::try_from(id).ok()?.checked_sub(1)
+    }
+
     /// Add a posting.
     pub fn insert_entry(&self, key: IndexKey, row: RowId) {
-        match self.map.write().entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(Postings::One(row));
+        let slot = self.slot_of(&key);
+        let mut store = self.map.write();
+        let Store { dense, spill } = &mut *store;
+        match slot.filter(|&s| s < dense.len() + DENSE_SLACK) {
+            // a second row under a dense id: the key moves to the spill,
+            // where its postings are visited in row order
+            Some(s) if dense.get(s).is_some_and(|&only| only != VACANT) => {
+                let only = dense[s];
+                if only != row {
+                    dense[s] = VACANT;
+                    spill.insert(key, Postings::Many(Box::new(BTreeSet::from([only, row]))));
+                }
             }
-            Entry::Occupied(mut slot) => slot.get_mut().insert(row),
+            Some(s) if !spill.contains_key(&key) => {
+                if s >= dense.len() {
+                    dense.resize(s + 1, VACANT);
+                }
+                dense[s] = row;
+            }
+            _ => match spill.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Postings::One(row));
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().insert(row),
+            },
         }
     }
 
     /// Remove a posting (no-op if absent).
     pub fn remove_entry(&self, key: &IndexKey, row: RowId) {
-        let mut map = self.map.write();
-        if map.get_mut(key).is_some_and(|rows| !rows.remove(row)) {
-            map.remove(key);
+        let slot = self.slot_of(key);
+        let mut store = self.map.write();
+        if let Some(only) = slot.and_then(|s| store.dense.get_mut(s)) {
+            if *only == row {
+                *only = VACANT;
+                return;
+            }
+        }
+        if store
+            .spill
+            .get_mut(key)
+            .is_some_and(|rows| !rows.remove(row))
+        {
+            store.spill.remove(key);
         }
     }
 
@@ -295,20 +401,48 @@ impl IndexData {
     /// are visited in row order under the read latch, stopping at the
     /// first acceptance; a `hit` that always declines visits them all.
     /// Nothing is copied out: an equality key almost always posts one row.
-    pub fn any_row(&self, key: &IndexKey, hit: impl FnMut(RowId) -> bool) -> bool {
-        self.map.read().get(key).is_some_and(|rows| rows.any(hit))
+    pub fn any_row(&self, key: &IndexKey, mut hit: impl FnMut(RowId) -> bool) -> bool {
+        let store = self.map.read();
+        match store.dense_row(self.slot_of(key)) {
+            Some(row) => hit(row),
+            None => store.spill.get(key).is_some_and(|rows| rows.any(hit)),
+        }
     }
 
     /// Row ids posted under keys within explicit bounds, in key order.
+    /// Bounds that cross (`id >= 10 AND id < 5`) hold no key.
     pub fn rows_in_bounds(&self, lo: Bound<IndexKey>, hi: Bound<IndexKey>) -> Vec<RowId> {
-        let map = self.map.read();
+        if empty_range(lo.as_ref(), hi.as_ref()) {
+            return Vec::new();
+        }
+        let store = self.map.read();
+        let start = match &lo {
+            Bound::Included(key) => first_slot_from(key, false),
+            Bound::Excluded(key) => first_slot_from(key, true),
+            Bound::Unbounded => 0,
+        };
+        let end = match &hi {
+            Bound::Included(key) => first_slot_from(key, true),
+            Bound::Excluded(key) => first_slot_from(key, false),
+            Bound::Unbounded => usize::MAX,
+        };
+        let len = store.dense.len();
+        let mut dense = (start.min(len)..end.min(len))
+            .map(|slot| (store.dense[slot], slot))
+            .filter(|&(row, _)| row != VACANT)
+            .peekable();
         let mut out = Vec::new();
-        for (_, rows) in map.range((lo, hi)) {
+        for (key, rows) in store.spill.range((lo, hi)) {
+            // the dense ids ordered before this spilled key come first
+            while let Some((row, _)) = dense.next_if(|&(_, slot)| slot_key(slot) < *key) {
+                out.push(row);
+            }
             rows.any(|row| {
                 out.push(row);
                 false
             });
         }
+        out.extend(dense.map(|(row, _)| row));
         out
     }
 
@@ -320,18 +454,32 @@ impl IndexData {
         if dead.is_empty() {
             return;
         }
-        let mut map = self.map.write();
-        map.retain(|_, rows| rows.retain(|row| !dead.contains(&row)));
+        let mut store = self.map.write();
+        for only in store.dense.iter_mut().filter(|row| dead.contains(row)) {
+            *only = VACANT;
+        }
+        store
+            .spill
+            .retain(|_, rows| rows.retain(|row| !dead.contains(&row)));
     }
 
     /// Number of distinct keys (diagnostics).
     pub fn key_count(&self) -> usize {
-        self.map.read().len()
+        let store = self.map.read();
+        store.dense_keys() + store.spill.len()
     }
 
     /// Total number of postings (diagnostics).
     pub fn posting_count(&self) -> usize {
-        self.map.read().values().map(Postings::len).sum()
+        let store = self.map.read();
+        store.dense_keys() + store.spill.values().map(Postings::len).sum::<usize>()
+    }
+
+    /// Length of the primary key's dense vector: how many ids it can hold
+    /// without growing.
+    #[cfg(test)]
+    pub(crate) fn dense_len(&self) -> usize {
+        self.map.read().dense.len()
     }
 }
 
@@ -576,66 +724,120 @@ mod tests {
         }
 
         /// The same operations on an `IndexData` and on the layout it
-        /// replaced agree at every step.
+        /// replaced agree at every step, on a secondary index and on a
+        /// primary key, where the keys that encode no `Int` go through the
+        /// spill.
         #[test]
         fn the_index_agrees_with_a_map_of_row_sets(
             keys in proptest::collection::vec(arb_key(), 8),
             ops in proptest::collection::vec(arb_op(), 0..64),
         ) {
-            let ix = idx(vec![0], false);
-            let mut reference: BTreeMap<Vec<u8>, BTreeSet<RowId>> = BTreeMap::new();
-            let key = |i: usize| key_of_bytes(&keys[i]);
-            for op in ops {
-                match op {
-                    Op::Insert(k, row) => {
-                        ix.insert_entry(key(k), row);
-                        reference.entry(keys[k].clone()).or_default().insert(row);
-                    }
-                    Op::Remove(k, row) => {
-                        ix.remove_entry(&key(k), row);
-                        if let Some(rows) = reference.get_mut(&keys[k]) {
-                            rows.remove(&row);
-                            if rows.is_empty() {
-                                reference.remove(&keys[k]);
-                            }
+            agrees_with_model(&idx(vec![0], false), &keys, &ops)?;
+            agrees_with_model(&idx(vec![0], true), &keys, &ops)?;
+        }
+
+        /// A primary key agrees with the same map on ids at and below
+        /// zero, in the dense range, around and past its growth slack, and
+        /// at the ends of `i64`, mixed with a few keys no id encodes.
+        #[test]
+        fn a_primary_key_agrees_with_a_map_of_row_sets(
+            keys in proptest::collection::vec(arb_pk_key(), 8),
+            ops in proptest::collection::vec(arb_op(), 0..64),
+        ) {
+            let pk = idx(vec![0], true);
+            agrees_with_model(&pk, &keys, &ops)?;
+            // only ids within the slack grew it: `i64::MAX` never did
+            prop_assert!(pk.dense_len() <= DENSE_SLACK + 52);
+        }
+    }
+
+    /// A primary key's keys: mostly ids, a few of them repeated through
+    /// the pool of eight the operations draw from.
+    fn arb_pk_key() -> impl Strategy<Value = Vec<u8>> {
+        let slack = DENSE_SLACK as i64;
+        let id = prop_oneof![
+            2 => -3i64..=0,
+            6 => 1i64..=48,
+            2 => (slack - 4)..=(slack + 52),
+            1 => prop_oneof![Just(i64::MIN), Just(i64::MAX)],
+        ];
+        prop_oneof![
+            5 => id.prop_map(|id| IndexKey::encode([&Datum::Int(id)]).as_bytes().to_vec()),
+            1 => arb_key(),
+        ]
+    }
+
+    /// Run `ops` on `ix` over the key pool `keys` and on a map of row sets,
+    /// checking after every step that the two agree.
+    fn agrees_with_model(
+        ix: &IndexData,
+        keys: &[Vec<u8>],
+        ops: &[Op],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut reference: BTreeMap<Vec<u8>, BTreeSet<RowId>> = BTreeMap::new();
+        let key = |i: usize| key_of_bytes(&keys[i]);
+        for op in ops.iter().cloned() {
+            match op {
+                Op::Insert(k, row) => {
+                    ix.insert_entry(key(k), row);
+                    reference.entry(keys[k].clone()).or_default().insert(row);
+                }
+                Op::Remove(k, row) => {
+                    ix.remove_entry(&key(k), row);
+                    if let Some(rows) = reference.get_mut(&keys[k]) {
+                        rows.remove(&row);
+                        if rows.is_empty() {
+                            reference.remove(&keys[k]);
                         }
                     }
-                    Op::AnyRow(k, stop) => {
-                        let walk = |visited: &mut Vec<RowId>, row| {
-                            visited.push(row);
-                            Some(visited.len() - 1) == stop
-                        };
-                        let (mut got, mut want) = (Vec::new(), Vec::new());
-                        let hit = ix.any_row(&key(k), |row| walk(&mut got, row));
-                        let expected = reference
-                            .get(&keys[k])
-                            .is_some_and(|rows| rows.iter().any(|&row| walk(&mut want, row)));
-                        prop_assert_eq!(hit, expected);
-                        prop_assert_eq!(got, want);
-                    }
-                    Op::Range(lo, hi) => {
-                        let (lo, hi) = valid_range(lo.map(|i| &keys[i]), hi.map(|i| &keys[i]));
-                        let want: Vec<RowId> = reference
-                            .range::<Vec<u8>, _>((lo, hi))
-                            .flat_map(|(_, rows)| rows.iter().copied())
-                            .collect();
-                        let owned = |b: Bound<&Vec<u8>>| b.map(|k| key_of_bytes(k));
-                        prop_assert_eq!(ix.rows_in_bounds(owned(lo), owned(hi)), want);
-                    }
-                    Op::Sweep(dead) => {
-                        let dead: BTreeSet<RowId> = dead.into_iter().collect();
-                        ix.sweep_rows(&dead);
-                        reference.retain(|_, rows| {
-                            rows.retain(|row| !dead.contains(row));
-                            !rows.is_empty()
-                        });
-                    }
                 }
-                prop_assert_eq!(ix.key_count(), reference.len());
-                prop_assert_eq!(ix.posting_count(), reference.values().map(BTreeSet::len).sum::<usize>());
-                let all: Vec<RowId> = reference.values().flatten().copied().collect();
-                prop_assert_eq!(ix.rows_in_bounds(Bound::Unbounded, Bound::Unbounded), all);
+                Op::AnyRow(k, stop) => {
+                    let walk = |visited: &mut Vec<RowId>, row| {
+                        visited.push(row);
+                        Some(visited.len() - 1) == stop
+                    };
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let hit = ix.any_row(&key(k), |row| walk(&mut got, row));
+                    let expected = reference
+                        .get(&keys[k])
+                        .is_some_and(|rows| rows.iter().any(|&row| walk(&mut want, row)));
+                    prop_assert_eq!(hit, expected);
+                    prop_assert_eq!(got, want);
+                }
+                Op::Range(lo, hi) => {
+                    let (lo, hi) = (lo.map(|i| &keys[i]), hi.map(|i| &keys[i]));
+                    if empty_range(lo, hi) {
+                        let none = ix.rows_in_bounds(
+                            lo.map(|k| key_of_bytes(k)),
+                            hi.map(|k| key_of_bytes(k)),
+                        );
+                        prop_assert!(none.is_empty(), "{:?}", none);
+                    }
+                    let (lo, hi) = valid_range(lo, hi);
+                    let want: Vec<RowId> = reference
+                        .range::<Vec<u8>, _>((lo, hi))
+                        .flat_map(|(_, rows)| rows.iter().copied())
+                        .collect();
+                    let owned = |b: Bound<&Vec<u8>>| b.map(|k| key_of_bytes(k));
+                    prop_assert_eq!(ix.rows_in_bounds(owned(lo), owned(hi)), want);
+                }
+                Op::Sweep(dead) => {
+                    let dead: BTreeSet<RowId> = dead.into_iter().collect();
+                    ix.sweep_rows(&dead);
+                    reference.retain(|_, rows| {
+                        rows.retain(|row| !dead.contains(row));
+                        !rows.is_empty()
+                    });
+                }
             }
+            prop_assert_eq!(ix.key_count(), reference.len());
+            prop_assert_eq!(
+                ix.posting_count(),
+                reference.values().map(BTreeSet::len).sum::<usize>()
+            );
+            let all: Vec<RowId> = reference.values().flatten().copied().collect();
+            prop_assert_eq!(ix.rows_in_bounds(Bound::Unbounded, Bound::Unbounded), all);
         }
+        Ok(())
     }
 }

@@ -178,7 +178,7 @@ impl Datum {
             Datum::Null => out.put(&[0x00]),
             Datum::Bool(b) => out.put(&[0x01, *b as u8]),
             // flip the sign bit so two's-complement orders bytewise
-            Datum::Int(i) => encode_word(0x02, (*i as u64) ^ (1 << 63), out),
+            Datum::Int(i) => encode_word(NUMBER_TAG, (*i as u64) ^ (1 << 63), out),
             Datum::Float(f) => {
                 // encode as the integer comparison key of total_cmp order,
                 // shifted into the shared numeric rank via the i64 path when
@@ -192,13 +192,60 @@ impl Datum {
                 } else {
                     !bits
                 };
-                encode_word(0x02, key, out);
+                encode_word(NUMBER_TAG, key, out);
             }
             Datum::Timestamp(t) => encode_word(0x03, (*t as u64) ^ (1 << 63), out),
             Datum::Text(s) => encode_escaped(0x04, s.as_bytes(), out),
             Datum::Bytes(bs) => encode_escaped(0x05, bs, out),
         }
     }
+}
+
+/// The tag of a numeric key: an `Int` follows it as its value with the
+/// sign bit flipped, big-endian, in eight bytes.
+const NUMBER_TAG: u8 = 0x02;
+
+/// The `Int` whose key is `key`, if `key` is the key of one. (A `Float`
+/// key of the same bytes reads as that `Int`: keys compare as bytes, so
+/// the two are one key.)
+pub(crate) fn int_of_key(key: &[u8]) -> Option<i64> {
+    match key {
+        [NUMBER_TAG, word @ ..] => {
+            Some((u64::from_be_bytes(word.try_into().ok()?) ^ (1 << 63)) as i64)
+        }
+        _ => None,
+    }
+}
+
+/// The least `Int` whose key orders at or past `bound` (strictly past it
+/// if `past`); `None` when every `Int` key orders before `bound`. The key
+/// encoding orders `Int`s, so the `Int`s within two bounds are one run.
+pub(crate) fn first_int_from(bound: &[u8], past: bool) -> Option<i64> {
+    let word = match bound {
+        [] => 0,
+        [tag, ..] if *tag < NUMBER_TAG => 0,
+        // a bound shorter than an `Int`'s key is reached once its
+        // zero-padded word is; a longer one only by the next word
+        [NUMBER_TAG, rest @ ..] => {
+            let word = word_at(bound, 1);
+            if rest.len() > 8 || (past && rest.len() == 8) {
+                word.checked_add(1)?
+            } else {
+                word
+            }
+        }
+        _ => return None,
+    };
+    Some((word ^ (1 << 63)) as i64)
+}
+
+/// The big-endian word of `bytes[at..at + 8]`, zero-padded past the end.
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let rest = bytes.get(at..).unwrap_or_default();
+    let n = rest.len().min(8);
+    let mut word = [0; 8];
+    word[..n].copy_from_slice(&rest[..n]);
+    u64::from_be_bytes(word)
 }
 
 /// Where [`Datum::encode_key_into`] writes: a `Vec`, or an

@@ -3,8 +3,8 @@
 //! eliminate feral anomalies entirely (§5.2, §5.4).
 
 use feral_db::{
-    ColumnDef, Config, DataType, Database, Datum, DbError, IsolationLevel, OnDelete, Predicate,
-    TableSchema,
+    CmpOp, ColumnDef, Config, DataType, Database, Datum, DbError, IsolationLevel, OnDelete,
+    Predicate, TableSchema,
 };
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -558,4 +558,152 @@ fn index_backfill_on_existing_data_and_unique_failure() {
         .unwrap();
     let mut tx = db.txn().begin();
     assert_eq!(tx.scan("t", &Predicate::eq(1, "a")).unwrap().len(), 2);
+}
+
+/// A table `t(v)` whose rows take these ids, in this order; `None` draws
+/// the next id from the table's sequence.
+fn table_with_ids(db: &Database, ids: &[Option<i64>]) {
+    db.create_table(TableSchema::new(
+        "t",
+        vec![ColumnDef::new("v", DataType::Text)],
+    ))
+    .unwrap();
+    for (n, id) in ids.iter().enumerate() {
+        let id = id.map_or(Datum::Null, Datum::Int);
+        db.txn()
+            .run(|tx| tx.insert("t", vec![id.clone(), Datum::text(format!("v{n}"))]))
+            .unwrap();
+    }
+}
+
+fn delete_id(db: &Database, id: i64) {
+    db.txn()
+        .run(|tx| {
+            let (row, _) = tx.get_by_id("t", id)?.expect("the row exists");
+            tx.delete("t", row)
+        })
+        .unwrap();
+}
+
+fn ids_where(db: &Database, pred: &Predicate) -> Vec<i64> {
+    let rows = db.txn().run(|tx| tx.scan("t", pred)).unwrap();
+    rows.iter()
+        .map(|(_, row)| row[0].as_int().unwrap())
+        .collect()
+}
+
+fn id_cmp(op: CmpOp, id: i64) -> Predicate {
+    Predicate::Cmp {
+        col: 0,
+        op,
+        value: Datum::Int(id),
+    }
+}
+
+/// A deleted id's posting outlives the delete until vacuum; it must not
+/// block an explicit insert of that id, and vacuum keeps the new row's.
+#[test]
+fn an_id_reinserted_after_its_delete_is_found_before_and_after_vacuum() {
+    let db = fresh_db();
+    table_with_ids(&db, &[None; 10]);
+    delete_id(&db, 7);
+    db.txn()
+        .run(|tx| tx.insert("t", vec![Datum::Int(7), Datum::text("new")]))
+        .unwrap();
+    let found = |db: &Database| {
+        let rows = db
+            .txn()
+            .run(|tx| tx.scan("t", &Predicate::eq(0, 7i64)))
+            .unwrap();
+        rows.into_iter()
+            .map(|(_, row)| row[1].clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(found(&db), [Datum::text("new")]);
+    db.vacuum();
+    assert_eq!(found(&db), [Datum::text("new")]);
+    let got = db.txn().run(|tx| tx.get_by_id("t", 7)).unwrap();
+    assert_eq!(got.map(|(_, row)| row[1].clone()), Some(Datum::text("new")));
+    let again = db
+        .txn()
+        .run(|tx| tx.insert("t", vec![Datum::Int(7), Datum::text("again")]));
+    assert!(matches!(again, Err(DbError::UniqueViolation { .. })));
+}
+
+/// A foreign key finds its parent by the parent's primary key, whether
+/// the parent's id sits in the dense run or spilled past it.
+#[test]
+fn fk_finds_a_parent_whose_id_spilled_and_rejects_a_missing_one() {
+    let db = fresh_db();
+    users_departments(&db, Some(OnDelete::Restrict));
+    let far = feral_db::index::DENSE_SLACK as i64 + 100;
+    for id in [1, far, -5, i64::MAX] {
+        insert_department(&db, id);
+    }
+    let child = |dept: i64| {
+        db.txn().run(|tx| {
+            tx.insert(
+                "users",
+                vec![Datum::Null, Datum::Int(dept), Datum::text("u")],
+            )
+        })
+    };
+    for dept in [1, far, -5, i64::MAX] {
+        child(dept).unwrap_or_else(|e| panic!("parent {dept}: {e}"));
+    }
+    for dept in [2, far + 1, 0, i64::MAX - 1] {
+        assert!(
+            matches!(child(dept), Err(DbError::ForeignKeyViolation { .. })),
+            "parent {dept} does not exist"
+        );
+    }
+}
+
+/// A range scan on `id` returns rows in row order, whichever side of the
+/// dense run their ids were posted on: ids from the sequence, explicit
+/// ids past the growth slack and at or below zero, and an id re-inserted
+/// after its delete (two postings until vacuum).
+#[test]
+fn a_primary_key_range_scan_across_spilled_ids_returns_rows_in_row_order() {
+    let db = fresh_db();
+    let far = feral_db::index::DENSE_SLACK as i64 + 50;
+    let ids = [
+        None,
+        None,
+        None,
+        None,
+        None,
+        Some(far),
+        Some(0),
+        Some(-5),
+        None,
+        Some(i64::MAX),
+    ];
+    table_with_ids(&db, &ids);
+    delete_id(&db, 3);
+    db.txn()
+        .run(|tx| tx.insert("t", vec![Datum::Int(3), Datum::text("again")]))
+        .unwrap();
+    for vacuumed in [false, true] {
+        if vacuumed {
+            db.vacuum();
+        }
+        assert_eq!(
+            ids_where(&db, &id_cmp(CmpOp::Ge, 2)),
+            [2, 4, 5, far, 6, i64::MAX, 3]
+        );
+        assert_eq!(
+            ids_where(&db, &id_cmp(CmpOp::Gt, 5).and(id_cmp(CmpOp::Le, far))),
+            [far, 6]
+        );
+        assert_eq!(
+            ids_where(&db, &id_cmp(CmpOp::Ge, 3).and(id_cmp(CmpOp::Lt, far))),
+            [4, 5, 6, 3]
+        );
+        assert_eq!(ids_where(&db, &id_cmp(CmpOp::Le, 1)), [1, 0, -5]);
+        assert_eq!(ids_where(&db, &id_cmp(CmpOp::Gt, far)), [i64::MAX]);
+        // crossed bounds hold no id (this used to panic in the index)
+        let crossed = id_cmp(CmpOp::Ge, 5).and(id_cmp(CmpOp::Lt, 2));
+        assert_eq!(ids_where(&db, &crossed), Vec::<i64>::new());
+    }
 }
