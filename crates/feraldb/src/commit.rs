@@ -169,20 +169,15 @@ struct GroupState {
 /// stripes, the timestamp allocator, the publish clock wait, and the
 /// group-commit buffer.
 ///
-/// The latch discipline below is declared for `feral-racer` and checked
-/// on every tier-1 run: shard latches are outermost (taken ascending,
-/// see [`CommitPipeline::lock_shards`]), and the group buffer and
-/// publish lock are terminal — nothing else is ever acquired under
-/// them. The flush loop upholds the group terminal by dropping its
+/// The latch discipline, checked by the lock validator of debug builds
+/// on every acquisition the tests make: shard latches are outermost
+/// (taken ascending, see [`CommitPipeline::lock_shards`]), and the group
+/// buffer and publish lock are leaves — nothing else is ever acquired
+/// under them. The flush loop keeps the group a leaf by dropping its
 /// guard around the WAL write and around the hand-off of parked tails;
 /// `publish` collects the tails it advanced over and completes them
 /// after dropping the publish lock. All of it runs with no shard latch
-/// held (`racer/tests/live_tree.rs` pins the absent edges).
-// racer:order feraldb::CommitPipeline::shards < feraldb::CommitPipeline::group
-// racer:order feraldb::CommitPipeline::shards < feraldb::ActiveStripe::txns
-// racer:terminal feraldb::CommitPipeline::group
-// racer:terminal feraldb::CommitPipeline::publish_lock
-// racer:terminal feraldb::DbInner::wal
+/// held (`tests/commit_latch_scope.rs`).
 pub(crate) struct CommitPipeline {
     shards: Vec<Mutex<ShardCore>>,
     /// Active-transaction snapshots, striped by the beginning thread so
@@ -225,9 +220,9 @@ impl CommitPipeline {
                 })
                 .collect(),
             ts_alloc: AtomicU64::new(1),
-            publish_lock: Mutex::new(BTreeMap::new()),
+            publish_lock: Mutex::leaf(BTreeMap::new()),
             publish_cv: Condvar::new(),
-            group: Mutex::new(GroupState {
+            group: Mutex::leaf(GroupState {
                 buf: VecDeque::new(),
                 next_seq: 1,
                 durable_seq: 0,

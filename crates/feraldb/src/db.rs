@@ -14,7 +14,7 @@ use feral_audit::{AuditMode, Auditor};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Direct serialization-graph dependency kinds (Adya's wr/ww/rw),
@@ -353,7 +353,7 @@ impl Database {
         );
         let wal = wal.map(|mut w| {
             w.set_sync(config.wal_sync);
-            Mutex::new(w)
+            Mutex::leaf(w)
         });
         let auditor = (!config.audit_mode.is_off()).then(|| {
             let auditor = Arc::new(Auditor::new(config.audit_mode));
@@ -412,10 +412,27 @@ impl Database {
     /// committers into one flush deterministically. Arm
     /// [`Database::set_wal_fail_after`] *before* calling this (it takes
     /// the same lock). Without a bound WAL `f` just runs.
+    ///
+    /// The writer is a leaf lock and `f` takes latches, so a helper
+    /// thread holds it while `f` runs here.
     #[doc(hidden)]
     pub fn with_wal_stalled<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _writer = self.inner.wal.as_ref().map(|w| w.lock());
-        f()
+        let Some(wal) = &self.inner.wal else {
+            return f();
+        };
+        let (held, stalled) = mpsc::channel();
+        let (release, done) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _writer = wal.lock();
+                let _ = held.send(());
+                // until `release` is dropped: when `f` returns or panics
+                let _ = done.recv();
+            });
+            let _ = stalled.recv();
+            let _release = release;
+            f()
+        })
     }
 
     /// Whether some thread is leading a group-commit flush right now —

@@ -297,7 +297,6 @@ fn empty_range<K: Ord>(lo: Bound<&K>, hi: Bound<&K>) -> bool {
 /// row in the heap from there ([`IndexData::any_row`]), so the one nesting
 /// of the two storage latches is index map → heap rows. Writers never nest
 /// them: a commit installs the heap version, lets go, then posts.
-// racer:order feraldb::IndexData::map < feraldb::Heap::rows
 pub struct IndexData {
     /// Catalog id, fixed at `create_index` time — what key locks name.
     pub id: IndexId,

@@ -139,15 +139,22 @@ const STRIPES: usize = 16;
 /// hash here and the condition variable their waiters share (each woken
 /// waiter re-checks its own key).
 #[repr(align(128))]
-#[derive(Default)]
 struct LockStripe {
     table: Mutex<HashMap<LockKey, LockState>>,
     cv: Condvar,
 }
 
+impl Default for LockStripe {
+    fn default() -> Self {
+        LockStripe {
+            table: Mutex::leaf(HashMap::new()),
+            cv: Condvar::new(),
+        }
+    }
+}
+
 /// The lock manager. One instance per [`crate::Database`]. A request
 /// locks the one stripe its key hashes to and nothing else under it.
-// racer:terminal feraldb::LockStripe::table
 pub struct LockManager {
     stripes: [LockStripe; STRIPES],
     hasher: RandomState,

@@ -1478,7 +1478,8 @@ mod tests {
         let created = db.create_index("users", &["email"], true).unwrap();
         let by_name = db.inner.catalog.read().index_names["index_users_on_email"];
         assert_eq!(created, by_name);
-        let entry = db.inner.catalog.read().table(db.table_id("users").unwrap());
+        let users = db.table_id("users").unwrap();
+        let entry = db.inner.catalog.read().table(users);
         let ids: Vec<_> = entry.indexes.iter().map(|idx| idx.id).collect();
         assert_eq!(
             ids,

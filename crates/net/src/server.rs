@@ -233,14 +233,14 @@ impl Server {
             workers: wakers
                 .iter()
                 .map(|waker| WorkerPort {
-                    inbox: Mutex::new(Inbox::default()),
+                    inbox: Mutex::leaf(Inbox::default()),
                     wake_pending: AtomicBool::new(false),
                     waker: waker.handle(),
                 })
                 .collect(),
             metrics: metrics.clone(),
             parked: AtomicUsize::new(0),
-            flusher: Flusher::default(),
+            flusher: Flusher::new(),
         });
 
         let mut worker_handles = Vec::new();
@@ -369,7 +369,6 @@ struct Inbox {
 }
 
 /// One worker as its senders see it.
-// racer:terminal net::WorkerPort::inbox
 struct WorkerPort {
     inbox: Mutex<Inbox>,
     /// `true` from the first post after the worker last looked until the
@@ -429,8 +428,6 @@ impl Ports {
 
 /// The hand-off to the `feral-net-flush` thread: one slot, because a
 /// database has one flush lead at a time.
-// racer:terminal net::Flusher::slot
-#[derive(Default)]
 struct Flusher {
     slot: Mutex<FlushSlot>,
     handed: Condvar,
@@ -445,6 +442,13 @@ struct FlushSlot {
 }
 
 impl Flusher {
+    fn new() -> Flusher {
+        Flusher {
+            slot: Mutex::leaf(FlushSlot::default()),
+            handed: Condvar::new(),
+        }
+    }
+
     /// Give `lead` to the flusher thread. A lead that finds the slot
     /// taken (the service spans a second database) or the flusher gone is
     /// run here, as by any caller that parks a commit and keeps the lead.

@@ -1,4 +1,4 @@
-//! `feral-racer` — lock-order & atomics discipline checks for the
+//! `feral-racer` — atomics and `unsafe` discipline checks for the
 //! workspace's own concurrency core.
 //!
 //! ```text
@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `check` analyzes `<root>/crates/*/src`, prints the report (text by
-//! default, `--json` for the golden acquisition inventory, `--sarif`
+//! default, `--json` for the golden inventory, `--sarif`
 //! for SARIF 2.1.0), and exits 1 when findings exist. `--validate`
 //! additionally runs the seeded-fault fixture gate: every FERALRS rule
 //! must fire on its fixture, or the analyzer itself is broken.
@@ -19,7 +19,7 @@ const TOOL: &str = "feral-racer";
 fn help() -> String {
     feral_cli::render_help(
         TOOL,
-        "lock-order and atomics discipline checks for the workspace's concurrency core",
+        "atomics and unsafe discipline checks for the workspace's concurrency core",
         "  feral-racer check [--root DIR] [--sarif]\n",
         "  --root DIR        repo root (default: nearest ancestor with crates/)\n\
          \x20 --sarif           SARIF 2.1.0 output instead of text/JSON\n",

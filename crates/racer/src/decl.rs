@@ -1,44 +1,30 @@
 //! `racer:` discipline declarations, parsed out of ordinary comments.
 //!
-//! The canonical latch order, terminal locks, publication fields, and
-//! seqlock pairings are *declared in the source they govern* — the same
-//! philosophy as the paper's observation that feral invariants live in
-//! the application, not the database. Declarations are workspace-wide
-//! facts; vets (`racer:owner-thread`, `racer:allow RULE`) are scoped to
-//! the line they annotate (same line, or the line directly below a
-//! comment-only line).
+//! Publication fields and seqlock pairings are *declared in the source
+//! they govern* — the same philosophy as the paper's observation that
+//! feral invariants live in the application, not the database.
+//! Declarations are workspace-wide facts; vets (`racer:owner-thread`,
+//! `racer:allow RULE`) are scoped to the line they annotate (same line,
+//! or the line directly below a comment-only line). Lock order is not
+//! declared: the lock validator learns it from the acquisitions that run
+//! (leaf locks are `parking_lot::Mutex::leaf`).
 //!
 //! Grammar (one directive per comment):
 //!
 //! ```text
-//! racer:order <class> < <class>        declared acquisition order
-//! racer:terminal <class>               nothing acquired while held
 //! racer:publication <class>            field publishes data cross-thread
 //! racer:seqlock <class> guards <class> version word / payload pairing
 //! racer:owner-thread                   vet: Relaxed is single-writer here
 //! racer:allow <RULEID>                 vet: suppress one rule here
 //! ```
 //!
-//! Lock classes are written `<crate>::<Struct>::<field>` for fields and
+//! Classes are written `<crate>::<Struct>::<field>` for fields and
 //! `<crate>::<NAME>` for statics, matching the analyzer's own class
 //! naming exactly — a typo'd class simply never matches, and the
 //! `--validate` fixture gate catches rules that stop firing.
 
 use crate::lexer::Comment;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// One `racer:order A < B` edge with its provenance.
-#[derive(Debug, Clone)]
-pub struct OrderDecl {
-    /// Class that must be acquired first.
-    pub before: String,
-    /// Class that must be acquired later.
-    pub after: String,
-    /// Repo-relative file the declaration lives in.
-    pub file: String,
-    /// 1-based line of the declaration comment.
-    pub line: u32,
-}
 
 /// One `racer:seqlock V guards P` pairing.
 #[derive(Debug, Clone)]
@@ -54,10 +40,6 @@ pub struct SeqlockDecl {
 /// All declarations and vets recovered from the scanned tree.
 #[derive(Debug, Default)]
 pub struct Declarations {
-    /// Declared pairwise acquisition orders.
-    pub orders: Vec<OrderDecl>,
-    /// Classes declared terminal (leaf locks).
-    pub terminals: BTreeSet<String>,
     /// Atomic fields declared as publication points.
     pub publications: BTreeSet<String>,
     /// Declared seqlock version/payload pairings.
@@ -81,15 +63,6 @@ impl Declarations {
             };
             let words: Vec<&str> = body.split_whitespace().collect();
             match words.as_slice() {
-                ["order", before, "<", after] => self.orders.push(OrderDecl {
-                    before: (*before).into(),
-                    after: (*after).into(),
-                    file: file.into(),
-                    line: c.line,
-                }),
-                ["terminal", class] => {
-                    self.terminals.insert((*class).into());
-                }
                 ["publication", class] => {
                     self.publications.insert((*class).into());
                 }
@@ -122,14 +95,6 @@ impl Declarations {
             .get(&(file.to_string(), line))
             .is_some_and(|k| k.contains(kind))
     }
-
-    /// The declared order relation as `(before, after)` pairs.
-    pub fn order_pairs(&self) -> Vec<(&str, &str)> {
-        self.orders
-            .iter()
-            .map(|o| (o.before.as_str(), o.after.as_str()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +105,6 @@ mod tests {
     #[test]
     fn parses_each_directive_form() {
         let src = "\
-// racer:order a::P::shards < a::P::group
-// racer:terminal a::P::group
 // racer:publication a::Ring::head
 // racer:seqlock a::Slot::version guards a::Slot::words
 // racer:owner-thread head is written by the owning worker only
@@ -151,19 +114,15 @@ fn f() {}
 ";
         let mut d = Declarations::default();
         d.absorb("x.rs", &lex(src).comments);
-        assert_eq!(d.orders.len(), 1);
-        assert_eq!(d.orders[0].before, "a::P::shards");
-        assert_eq!(d.orders[0].after, "a::P::group");
-        assert!(d.terminals.contains("a::P::group"));
         assert!(d.publications.contains("a::Ring::head"));
         assert_eq!(d.seqlocks[0].version, "a::Slot::version");
         assert_eq!(d.seqlocks[0].payload, "a::Slot::words");
-        assert!(d.is_vetted("x.rs", 5, "owner-thread"));
-        assert!(d.is_vetted("x.rs", 6, "owner-thread"), "covers next line");
-        assert!(d.is_vetted("x.rs", 6, "allow:FERALRS006"));
-        assert!(!d.is_vetted("x.rs", 9, "owner-thread"));
+        assert!(d.is_vetted("x.rs", 3, "owner-thread"));
+        assert!(d.is_vetted("x.rs", 4, "owner-thread"), "covers next line");
+        assert!(d.is_vetted("x.rs", 4, "allow:FERALRS006"));
+        assert!(!d.is_vetted("x.rs", 7, "owner-thread"));
         assert_eq!(d.malformed.len(), 1);
-        assert_eq!(d.malformed[0].1, 7);
+        assert_eq!(d.malformed[0].1, 5);
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! Per-function fact extraction: a scope-aware walk over a function
-//! body that recovers lock acquisitions (with the classes they resolve
-//! to and the set of classes already held), atomic operations with
-//! their `Ordering` arguments, `unsafe` sites, and call sites.
+//! body that recovers atomic operations — with the class of the cell
+//! they touch and their `Ordering` arguments — and `unsafe` sites.
 //!
 //! The walker is an abstract interpreter over the token stream: it
-//! tracks local bindings (name → type + originating lock class), a
-//! held-guard stack with block-scoped lifetimes (plus `drop()` and
-//! guard reassignment), and the iteration context of `for` loops and
-//! iterator chains — enough to tell `for &i in ids` over a `BTreeSet`
-//! apart from a `.rev()` or `HashMap` walk, which is exactly the
-//! distinction the shard-latch discipline hangs on.
-//!
-//! Extraction runs twice: pass one with an empty guard table, then a
-//! second pass where calls to guard-returning helpers (`lock_shards`,
-//! the scheduler's `lock()`) make the caller hold the classes the
-//! callee acquires and returns.
+//! tracks local bindings (name → type + originating class) through
+//! `let`, `for`, `if let`, closure parameters, field and index steps,
+//! lock guards and resolved calls — enough to tell that
+//! `w.store(word, Release)` inside `for (w, word) in
+//! self.words.iter().zip(payload)` writes `Slot::words`, which is what
+//! the seqlock and publication rules hang on.
 
 use crate::lexer::{Token, TokenKind};
 use crate::resolve::{
-    atomic_ty, class_of_field, element, generic_arg, head, lock_ty, map_value, ordered_container,
-    peel, LockTy, Symbols,
+    atomic_ty, class_of_field, element, generic_arg, head, is_lock, map_value, peel, Symbols,
 };
 use crate::syntax::{matching, FnDef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Atomic orderings recognized in argument lists.
 const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -51,66 +44,6 @@ const KEYWORDS: [&str; 26] = [
     "const", "ref", "dyn",
 ];
 
-/// How a lock was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcqKind {
-    /// `Mutex::lock` / `try_lock`.
-    Lock,
-    /// `RwLock::read` / `try_read`.
-    Read,
-    /// `RwLock::write` / `try_write`.
-    Write,
-}
-
-impl AcqKind {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            AcqKind::Lock => "lock",
-            AcqKind::Read => "read",
-            AcqKind::Write => "write",
-        }
-    }
-}
-
-/// Iteration context an acquisition happened under.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IterCtx {
-    /// Inside a loop / iterator chain at all.
-    pub iterated: bool,
-    /// A `.rev()` was applied somewhere on the way.
-    pub rev: bool,
-    /// The iteration source is a `Hash*` container (no stable order).
-    pub unordered: bool,
-}
-
-impl IterCtx {
-    fn union(self, other: IterCtx) -> IterCtx {
-        IterCtx {
-            iterated: self.iterated || other.iterated,
-            rev: self.rev || other.rev,
-            unordered: self.unordered || other.unordered,
-        }
-    }
-}
-
-/// One lock acquisition site.
-#[derive(Debug, Clone)]
-pub struct Acquisition {
-    /// Resolved lock class, or `?` when resolution failed.
-    pub class: String,
-    /// Mutex lock / rw read / rw write.
-    pub kind: AcqKind,
-    /// Non-blocking (`try_*`) acquisition.
-    pub try_only: bool,
-    /// Iteration context at the site.
-    pub iter: IterCtx,
-    /// Constant index into a lock container (`shards[0]`), if literal.
-    pub const_index: Option<u64>,
-    /// 1-based source line.
-    pub line: u32,
-}
-
 /// One atomic operation site.
 #[derive(Debug, Clone)]
 pub struct AtomicOp {
@@ -138,34 +71,6 @@ pub struct UnsafeSite {
     pub line: u32,
 }
 
-/// One resolved call site with the lock classes held across it.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    /// Callee key (`Struct::method` or free-fn name).
-    pub callee: String,
-    /// Classes held when the call is made.
-    pub held: Vec<String>,
-    /// 1-based source line.
-    pub line: u32,
-}
-
-/// One intraprocedural nesting edge: `to` acquired while `from` held.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Edge {
-    /// Class already held.
-    pub from: String,
-    /// Constant index the held acquisition used, if any.
-    pub from_index: Option<u64>,
-    /// Class being acquired.
-    pub to: String,
-    /// Constant index of the new acquisition, if any.
-    pub to_index: Option<u64>,
-    /// New acquisition is non-blocking.
-    pub to_try: bool,
-    /// 1-based line of the inner acquisition.
-    pub line: u32,
-}
-
 /// Everything extracted from one function.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
@@ -177,12 +82,6 @@ pub struct FnFacts {
     pub krate: String,
     /// 1-based line of the `fn`.
     pub line: u32,
-    /// Lock acquisition sites.
-    pub acquisitions: Vec<Acquisition>,
-    /// Intraprocedural nesting edges.
-    pub edges: Vec<Edge>,
-    /// Resolved call sites.
-    pub calls: Vec<CallSite>,
     /// Atomic operation sites.
     pub atomics: Vec<AtomicOp>,
     /// `unsafe` sites.
@@ -195,84 +94,38 @@ struct Binding {
     class: Option<String>,
 }
 
-#[derive(Debug, Clone)]
-struct Held {
-    class: String,
-    name: Option<String>,
-    depth: usize,
-    const_index: Option<u64>,
-}
-
 /// Chain evaluation result.
 #[derive(Debug, Clone, Default)]
 struct Val {
     ty: String,
     class: Option<String>,
-    guard: bool,
-    guard_classes: Vec<String>,
-    iter: IterCtx,
-    const_index: Option<u64>,
+    /// The value is an iterator (its `ty` is the element type).
+    iterated: bool,
 }
 
 struct Walk<'a> {
     sy: &'a Symbols,
-    guard_table: &'a BTreeMap<String, Vec<String>>,
     krate: &'a str,
     self_ty: Option<&'a str>,
     tokens: &'a [Token],
     facts: FnFacts,
     scopes: Vec<Vec<(String, Binding)>>,
-    held: Vec<Held>,
-    loops: Vec<(usize, IterCtx)>,
-    /// One entry per open brace: the held set at entry, and whether a
-    /// `return` was seen at this block's own level (the block diverges,
-    /// so its held-set effects don't reach the fall-through path).
-    blocks: Vec<(Vec<Held>, bool)>,
-    depth: usize,
 }
 
-/// Extract facts for every function, resolving guard-returning helper
-/// calls via a two-pass fixpoint.
+/// Extract facts for every function.
 pub fn extract_all(sy: &Symbols, lexed: &BTreeMap<String, crate::lexer::Lexed>) -> Vec<FnFacts> {
-    let empty = BTreeMap::new();
-    let pass1: Vec<FnFacts> = sy
-        .fns
-        .iter()
-        .map(|f| extract_fn(sy, f, &lexed[&f.file].tokens, &empty))
-        .collect();
-    // Guard table: fns whose return type mentions a guard hand their
-    // blocking acquisition classes to the caller.
-    let mut table: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (f, facts) in sy.fns.iter().zip(&pass1) {
-        if f.ret.contains("Guard") {
-            let classes: BTreeSet<String> = facts
-                .acquisitions
-                .iter()
-                .filter(|a| a.class != "?")
-                .map(|a| a.class.clone())
-                .collect();
-            if !classes.is_empty() {
-                table.insert(f.key(), classes.into_iter().collect());
-            }
-        }
-    }
     sy.fns
         .iter()
-        .map(|f| extract_fn(sy, f, &lexed[&f.file].tokens, &table))
+        .map(|f| extract_fn(sy, f, &lexed[&f.file].tokens))
         .collect()
 }
 
-fn extract_fn(
-    sy: &Symbols,
-    f: &FnDef,
-    tokens: &[Token],
-    guard_table: &BTreeMap<String, Vec<String>>,
-) -> FnFacts {
+fn extract_fn(sy: &Symbols, f: &FnDef, tokens: &[Token]) -> FnFacts {
     let mut scope0 = Vec::new();
     for p in &f.params {
-        let class = sy.unique_class_of_ty(peel(&p.ty)).filter(|_| {
-            lock_ty(&p.ty).is_some() || atomic_ty(&p.ty).is_some() || element(peel(&p.ty)).is_some()
-        });
+        let class = sy
+            .unique_class_of_ty(peel(&p.ty))
+            .filter(|_| atomic_ty(&p.ty).is_some() || element(peel(&p.ty)).is_some());
         scope0.push((
             p.name.clone(),
             Binding {
@@ -283,7 +136,6 @@ fn extract_fn(
     }
     let mut w = Walk {
         sy,
-        guard_table,
         krate: &f.krate,
         self_ty: f.self_ty.as_deref(),
         tokens,
@@ -295,14 +147,8 @@ fn extract_fn(
             ..FnFacts::default()
         },
         scopes: vec![scope0],
-        held: Vec::new(),
-        loops: Vec::new(),
-        blocks: Vec::new(),
-        depth: 0,
     };
     w.walk(f.body.0, f.body.1);
-    let edges: BTreeSet<Edge> = w.facts.edges.drain(..).collect();
-    w.facts.edges = edges.into_iter().collect();
     w.facts
 }
 
@@ -312,18 +158,11 @@ impl<'a> Walk<'a> {
         while i < end {
             match &self.tokens[i].kind {
                 TokenKind::Punct('{') => {
-                    self.depth += 1;
                     self.scopes.push(Vec::new());
-                    self.blocks.push((self.held.clone(), false));
                     i += 1;
                 }
                 TokenKind::Punct('}') => {
-                    self.close_scope();
-                    i += 1;
-                }
-                TokenKind::Punct(';') => {
-                    let d = self.depth;
-                    self.held.retain(|h| !(h.name.is_none() && h.depth == d));
+                    self.scopes.pop();
                     i += 1;
                 }
                 TokenKind::Punct('#') if self.peek_punct(i + 1, '[') => {
@@ -341,35 +180,12 @@ impl<'a> Walk<'a> {
                         });
                         i += 1;
                     }
-                    "drop" if self.peek_punct(i + 1, '(') => {
-                        let close = matching(self.tokens, i + 1, '(', ')');
-                        if close == i + 3 {
-                            if let Some(name) = self.tokens[i + 2].ident() {
-                                self.held.retain(|h| h.name.as_deref() != Some(name));
-                            }
-                        } else {
-                            let (_, _) = self.eval_expr(i + 2, close);
-                        }
-                        i = close + 1;
-                    }
-                    "return" => {
-                        // This branch leaves the function: whatever it
-                        // dropped (or acquired) has no effect on the
-                        // fall-through path, so the enclosing block
-                        // restores its held set on close.
-                        if let Some(top) = self.blocks.last_mut() {
-                            top.1 = true;
-                        }
-                        i += 1;
-                    }
-                    "match" | "if" | "while" => {
-                        // condition / scrutinee is an ordinary chain
-                        i += 1;
-                    }
+                    // a condition / scrutinee after a keyword is an
+                    // ordinary chain
                     kw if KEYWORDS.contains(&kw) => i += 1,
                     _ => {
-                        let (v, ni) = self.eval_expr(i, end);
-                        // simple-ident reassignment: `g = chain.lock()`
+                        let (_, ni) = self.eval_expr(i, end);
+                        // simple-ident reassignment: `x = chain`
                         if ni == i + 1
                             && ni < end
                             && self.tokens[ni].is_punct('=')
@@ -377,21 +193,15 @@ impl<'a> Walk<'a> {
                         {
                             let name = self.tokens[i].ident().unwrap_or("_").to_string();
                             let (rv, k) = self.eval_expr(ni + 1, end);
-                            self.held.retain(|h| h.name.as_deref() != Some(&name));
-                            if rv.guard {
-                                self.name_temp_guards(&rv, &name);
-                            } else {
-                                self.bind(
-                                    &name,
-                                    Binding {
-                                        ty: rv.ty,
-                                        class: rv.class,
-                                    },
-                                );
-                            }
+                            self.bind(
+                                &name,
+                                Binding {
+                                    ty: rv.ty,
+                                    class: rv.class,
+                                },
+                            );
                             i = k;
                         } else {
-                            let _ = v;
                             i = ni.max(i + 1);
                         }
                     }
@@ -399,19 +209,6 @@ impl<'a> Walk<'a> {
                 _ => i += 1,
             }
         }
-    }
-
-    fn close_scope(&mut self) {
-        self.depth = self.depth.saturating_sub(1);
-        self.scopes.pop();
-        if let Some((snapshot, diverges)) = self.blocks.pop() {
-            if diverges {
-                self.held = snapshot;
-            }
-        }
-        let d = self.depth;
-        self.held.retain(|h| h.depth <= d);
-        self.loops.retain(|(ld, _)| *ld <= d);
     }
 
     fn peek_punct(&self, i: usize, c: char) -> bool {
@@ -433,73 +230,6 @@ impl<'a> Walk<'a> {
             .iter()
             .rev()
             .find_map(|s| s.iter().rev().find(|(n, _)| n == name).map(|(_, b)| b))
-    }
-
-    /// Give names to the anonymous held entries a guard expression just
-    /// pushed, so `drop(name)` and scope exit release them.
-    fn name_temp_guards(&mut self, v: &Val, name: &str) {
-        let classes: BTreeSet<&String> = v.guard_classes.iter().collect();
-        for h in self.held.iter_mut().rev() {
-            if h.name.is_none() && classes.contains(&h.class) {
-                h.name = Some(name.to_string());
-            }
-        }
-    }
-
-    fn cur_iter(&self, chain: IterCtx) -> IterCtx {
-        self.loops
-            .iter()
-            .fold(chain, |acc, (_, ctx)| acc.union(*ctx))
-    }
-
-    fn held_classes(&self) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        self.held
-            .iter()
-            .filter(|h| h.class != "?")
-            .filter(|h| seen.insert(h.class.clone()))
-            .map(|h| h.class.clone())
-            .collect()
-    }
-
-    fn emit_acquisition(
-        &mut self,
-        class: String,
-        kind: AcqKind,
-        try_only: bool,
-        iter: IterCtx,
-        const_index: Option<u64>,
-        line: u32,
-    ) {
-        if class != "?" {
-            let mut seen = BTreeSet::new();
-            for h in &self.held {
-                if h.class != "?" && seen.insert((h.class.clone(), h.const_index)) {
-                    self.facts.edges.push(Edge {
-                        from: h.class.clone(),
-                        from_index: h.const_index,
-                        to: class.clone(),
-                        to_index: const_index,
-                        to_try: try_only,
-                        line,
-                    });
-                }
-            }
-        }
-        self.facts.acquisitions.push(Acquisition {
-            class: class.clone(),
-            kind,
-            try_only,
-            iter,
-            const_index,
-            line,
-        });
-        self.held.push(Held {
-            class,
-            name: None,
-            depth: self.depth,
-            const_index,
-        });
     }
 
     // -- statements ------------------------------------------------------
@@ -544,42 +274,27 @@ impl<'a> Walk<'a> {
             return j;
         }
         let (v, k) = self.eval_expr(j + 1, end);
-        if v.guard {
-            if let Some(name) = ids.first() {
-                self.held
-                    .retain(|h| h.name.as_deref() != Some(name.as_str()));
-                self.name_temp_guards(&v, name);
-                self.bind(
-                    name,
-                    Binding {
-                        ty: guard_inner(&v.ty),
-                        class: v.class.clone(),
-                    },
-                );
-            }
+        let ty = if wrapper {
+            element(peel(&v.ty)).unwrap_or("").to_string()
+        } else if v.ty.is_empty() {
+            ann_ty.unwrap_or_default()
         } else {
-            let ty = if wrapper {
-                element(peel(&v.ty)).unwrap_or("").to_string()
-            } else if v.ty.is_empty() {
-                ann_ty.unwrap_or_default()
-            } else {
-                v.ty.clone()
-            };
-            for id in &ids {
-                self.bind(
-                    id,
-                    Binding {
-                        ty: ty.clone(),
-                        class: v.class.clone(),
-                    },
-                );
-            }
+            v.ty.clone()
+        };
+        for id in &ids {
+            self.bind(
+                id,
+                Binding {
+                    ty: ty.clone(),
+                    class: v.class.clone(),
+                },
+            );
         }
         k
     }
 
     /// `for PATTERN in EXPR { ... }` — binds the pattern to the element
-    /// of the source and pushes the loop's iteration context.
+    /// of the source.
     fn stmt_for(&mut self, start: usize, end: usize) -> usize {
         let mut ids: Vec<String> = Vec::new();
         let mut j = start;
@@ -592,13 +307,7 @@ impl<'a> Walk<'a> {
             j += 1;
         }
         let (v, k) = self.eval_expr(j + 1, end);
-        let mut ctx = v.iter;
-        ctx.iterated = true;
-        if !v.iter.iterated {
-            // plain container in a `for`: orderedness from its type
-            ctx.unordered |= !ordered_container(peel(&v.ty));
-        }
-        let elem = if v.iter.iterated {
+        let elem = if v.iterated {
             v.ty.clone()
         } else {
             element(peel(&v.ty)).unwrap_or("").to_string()
@@ -612,7 +321,6 @@ impl<'a> Walk<'a> {
                 },
             );
         }
-        self.loops.push((self.depth + 1, ctx));
         k
     }
 
@@ -636,36 +344,22 @@ impl<'a> Walk<'a> {
             j += 1;
         }
         let (v, k) = self.eval_expr(j + 1, end);
-        if v.guard {
-            // `if let Some(g) = x.try_lock()` — name the guard
-            if let Some(name) = ids.first() {
-                self.name_temp_guards(&v, name);
-                self.bind(
-                    name,
-                    Binding {
-                        ty: guard_inner(&v.ty),
-                        class: v.class.clone(),
-                    },
-                );
-            }
-        } else {
-            let elem = element(peel(&v.ty)).unwrap_or("").to_string();
-            for id in &ids {
-                self.bind(
-                    id,
-                    Binding {
-                        ty: elem.clone(),
-                        class: v.class.clone(),
-                    },
-                );
-            }
+        let elem = element(peel(&v.ty)).unwrap_or("").to_string();
+        for id in &ids {
+            self.bind(
+                id,
+                Binding {
+                    ty: elem.clone(),
+                    class: v.class.clone(),
+                },
+            );
         }
         k
     }
 
     // -- expressions -----------------------------------------------------
 
-    /// Expression head: `match`/`unsafe` blocks get special treatment,
+    /// Expression head: `match`/`unsafe`/`if` blocks are walked in place,
     /// everything else is a chain.
     fn eval_expr(&mut self, i: usize, end: usize) -> (Val, usize) {
         if i >= end {
@@ -675,25 +369,7 @@ impl<'a> Walk<'a> {
             let (sv, j) = self.eval_chain(i + 1, end);
             if j < end && self.tokens[j].is_punct('{') {
                 let close = matching(self.tokens, j, '{', '}');
-                let before = self.facts.acquisitions.len();
                 self.walk(j, close + 1);
-                let new_block: Vec<&Acquisition> = self.facts.acquisitions[before..]
-                    .iter()
-                    .filter(|a| !a.try_only)
-                    .collect();
-                if let Some(last) = new_block.last() {
-                    let v = Val {
-                        ty: String::new(),
-                        class: Some(last.class.clone()),
-                        guard: true,
-                        guard_classes: new_block.iter().map(|a| a.class.clone()).collect(),
-                        ..Val::default()
-                    };
-                    return (v, close + 1);
-                }
-                if sv.guard {
-                    return (sv, close + 1);
-                }
                 return (Val::default(), close + 1);
             }
             return (sv, j);
@@ -712,7 +388,6 @@ impl<'a> Walk<'a> {
         if self.tokens[i].is_ident("if") {
             // `let x = if c { a } else { b }` — walk the whole ladder
             let mut j = i + 1;
-            let before = self.facts.acquisitions.len();
             loop {
                 let (_, cj) = self.eval_chain(j, end);
                 let mut bj = cj;
@@ -737,25 +412,8 @@ impl<'a> Walk<'a> {
                         j += 1;
                         continue;
                     }
-                    break;
                 }
                 break;
-            }
-            let new_block: Vec<String> = self.facts.acquisitions[before..]
-                .iter()
-                .filter(|a| !a.try_only)
-                .map(|a| a.class.clone())
-                .collect();
-            if let Some(last) = new_block.last() {
-                return (
-                    Val {
-                        class: Some(last.clone()),
-                        guard: true,
-                        guard_classes: new_block,
-                        ..Val::default()
-                    },
-                    j,
-                );
             }
             return (Val::default(), j);
         }
@@ -784,20 +442,11 @@ impl<'a> Walk<'a> {
                 v = inner;
                 i = close + 1;
             }
-            TokenKind::Num(n) => {
-                v.const_index = n.parse().ok();
-                i += 1;
-            }
-            TokenKind::Str | TokenKind::Char => i += 1,
+            TokenKind::Num(_) | TokenKind::Str | TokenKind::Char => i += 1,
             TokenKind::Ident(name) => {
                 if KEYWORDS.contains(&name.as_str()) {
                     return (Val::default(), i + 1);
                 }
-                let sname = if name == "Self" {
-                    self.self_ty.unwrap_or("").to_string()
-                } else {
-                    name.clone()
-                };
                 if self.peek_punct(i + 1, ':') && self.peek_punct(i + 2, ':') {
                     return self.eval_path(i, end);
                 }
@@ -835,18 +484,10 @@ impl<'a> Walk<'a> {
                 } else if self.peek_punct(i + 1, '(') {
                     // free fn (or enum-variant constructor) call
                     let close = matching(self.tokens, i + 1, '(', ')');
-                    let held = self.held_classes();
-                    if let Some(fd) = self.free_fn(&sname) {
-                        let (key, ret) = (fd.key(), fd.ret.clone());
-                        self.facts.calls.push(CallSite {
-                            callee: key.clone(),
-                            held,
-                            line: self.tokens[i].line,
-                        });
-                        self.eval_args(i + 1, &Val::default(), &sname);
-                        v = self.call_result(&key, &ret, &Val::default());
-                    } else {
-                        self.eval_args(i + 1, &Val::default(), &sname);
+                    let ret = self.free_fn(name).map(|fd| fd.ret.clone());
+                    self.eval_args(i + 1, &Val::default());
+                    if let Some(ret) = ret {
+                        v = self.call_result(&ret, &Val::default());
                     }
                     i = close + 1;
                 } else {
@@ -883,29 +524,19 @@ impl<'a> Walk<'a> {
         if j < end && self.tokens[j].is_punct('(') {
             let close = matching(self.tokens, j, '(', ')');
             let owner = segs.iter().rev().nth(1).cloned().unwrap_or_default();
-            let held = self.held_classes();
-            let resolved = if self.sy.struct_def(&owner, self.krate).is_some() {
-                self.sy
-                    .method(&owner, &last)
-                    .map(|f| (f.key(), f.ret.clone()))
+            let ret = if self.sy.struct_def(&owner, self.krate).is_some() {
+                self.sy.method(&owner, &last).map(|f| f.ret.clone())
             } else {
-                self.free_fn(&last).map(|f| (f.key(), f.ret.clone()))
+                self.free_fn(&last).map(|f| f.ret.clone())
             };
-            if let Some((key, ret)) = resolved {
-                self.facts.calls.push(CallSite {
-                    callee: key.clone(),
-                    held,
-                    line: self.tokens[i].line,
-                });
-                self.eval_args(j, &Val::default(), &last);
-                let v = self.call_result(&key, &ret, &Val::default());
-                return self.eval_suffixes(v, close + 1, end);
-            }
-            self.eval_args(j, &Val::default(), &last);
-            return self.eval_suffixes(Val::default(), close + 1, end);
+            self.eval_args(j, &Val::default());
+            let v = match ret {
+                Some(ret) => self.call_result(&ret, &Val::default()),
+                None => Val::default(),
+            };
+            return self.eval_suffixes(v, close + 1, end);
         }
-        // plain path (constant / enum variant): if the owner is a known
-        // struct with a matching field-less static nothing to do.
+        // plain path (constant / enum variant)
         self.eval_suffixes(Val::default(), j, end)
     }
 
@@ -952,9 +583,8 @@ impl<'a> Walk<'a> {
                             i += 2;
                         }
                     }
-                    TokenKind::Num(n) => {
+                    TokenKind::Num(_) => {
                         // tuple field: `pair.1`
-                        v.const_index = n.parse().ok();
                         v.ty = String::new();
                         i += 2;
                     }
@@ -962,17 +592,10 @@ impl<'a> Walk<'a> {
                 }
             } else if self.tokens[i].is_punct('[') {
                 let close = matching(self.tokens, i, '[', ']');
-                let mut idx = None;
-                if close == i + 2 {
-                    if let TokenKind::Num(n) = &self.tokens[i + 1].kind {
-                        idx = n.parse().ok();
-                    }
-                }
-                let (_, _) = self.eval_expr(i + 1, close);
+                let _ = self.eval_expr(i + 1, close);
                 if let Some(inner) = element(peel(&v.ty)) {
                     v.ty = inner.to_string();
                 }
-                v.const_index = idx;
                 i = close + 1;
             } else if self.tokens[i].is_punct('?') {
                 if let Some(inner) = element(peel(&v.ty)) {
@@ -992,15 +615,11 @@ impl<'a> Walk<'a> {
         let core = peel(&v.ty);
         let sname = head(core);
         if let Some((def, f)) = self.sy.field_of(sname, self.krate, field) {
-            let lockable = lock_ty(peel(&f.ty)).is_some()
-                || atomic_ty(&f.ty).is_some()
-                || element(peel(&f.ty))
-                    .or_else(|| map_value(&f.ty))
-                    .is_some_and(|e| lock_ty(peel(e)).is_some() || atomic_ty(e).is_some());
-            let class = lockable.then(|| class_of_field(def, field));
+            let atomic = atomic_ty(&f.ty).is_some()
+                || map_value(&f.ty).is_some_and(|e| atomic_ty(e).is_some());
             Val {
                 ty: f.ty.clone(),
-                class,
+                class: atomic.then(|| class_of_field(def, field)),
                 ..Val::default()
             }
         } else {
@@ -1010,35 +629,13 @@ impl<'a> Walk<'a> {
 
     fn method_call(&mut self, v: Val, name: String, open: usize, line: u32) -> Val {
         let recv_core = peel(&v.ty).to_string();
-        // 1. lock acquisition
-        if let Some(lt) = lock_ty(&recv_core) {
-            let acq = match (name.as_str(), lt) {
-                ("lock", LockTy::Mutex) => Some((AcqKind::Lock, false)),
-                ("try_lock", LockTy::Mutex) => Some((AcqKind::Lock, true)),
-                ("read", LockTy::RwLock) => Some((AcqKind::Read, false)),
-                ("write", LockTy::RwLock) => Some((AcqKind::Write, false)),
-                ("try_read", LockTy::RwLock) => Some((AcqKind::Read, true)),
-                ("try_write", LockTy::RwLock) => Some((AcqKind::Write, true)),
-                _ => None,
+        // 1. a lock guard derefs to the payload
+        if is_lock(&recv_core) && matches!(name.as_str(), "lock" | "try_lock" | "read" | "write") {
+            self.eval_args(open, &Val::default());
+            return Val {
+                ty: guard_inner(&recv_core),
+                ..Val::default()
             };
-            if let Some((kind, try_only)) = acq {
-                let class = v
-                    .class
-                    .clone()
-                    .or_else(|| self.sy.unique_class_of_ty(&recv_core))
-                    .unwrap_or_else(|| "?".to_string());
-                let iter = self.cur_iter(v.iter);
-                self.emit_acquisition(class.clone(), kind, try_only, iter, v.const_index, line);
-                self.eval_args(open, &Val::default(), &name);
-                return Val {
-                    ty: guard_inner(&recv_core),
-                    class: Some(class.clone()),
-                    guard: true,
-                    guard_classes: vec![class],
-                    iter,
-                    const_index: v.const_index,
-                };
-            }
         }
         // 2. atomic op
         if atomic_ty(&recv_core).is_some() && ATOMIC_OPS.contains(&name.as_str()) {
@@ -1055,17 +652,14 @@ impl<'a> Walk<'a> {
                 orderings,
                 line,
             });
-            self.eval_args(open, &Val::default(), &name);
+            self.eval_args(open, &Val::default());
             return Val::default();
         }
         // 3. iterator adapters
         match name.as_str() {
             "iter" | "iter_mut" | "into_iter" | "values" | "values_mut" | "keys" | "drain"
             | "chunks" | "windows" => {
-                let mut iter = v.iter;
-                iter.iterated = true;
-                iter.unordered |= !ordered_container(&recv_core);
-                self.eval_args(open, &Val::default(), &name);
+                self.eval_args(open, &Val::default());
                 let elem = if matches!(name.as_str(), "values" | "values_mut") {
                     map_value(&recv_core).or_else(|| element(&recv_core))
                 } else {
@@ -1074,72 +668,33 @@ impl<'a> Walk<'a> {
                 return Val {
                     ty: elem.unwrap_or("").to_string(),
                     class: v.class,
-                    iter,
-                    ..Val::default()
+                    iterated: true,
                 };
             }
-            "rev" => {
-                let mut iter = v.iter;
-                iter.iterated = true;
-                iter.rev = true;
-                self.eval_args(open, &Val::default(), &name);
-                return Val { iter, ..v };
-            }
-            "enumerate" | "take" | "skip" | "cloned" | "copied" | "flatten" | "by_ref"
-            | "peekable" => {
-                self.eval_args(open, &Val::default(), &name);
+            "rev" | "enumerate" | "take" | "skip" | "cloned" | "copied" | "flatten" | "by_ref"
+            | "peekable" | "clone" | "as_ref" | "as_mut" | "as_deref" | "borrow" | "borrow_mut" => {
+                self.eval_args(open, &Val::default());
                 return v;
             }
             "zip" | "chain" => {
                 let close = matching(self.tokens, open, '(', ')');
                 let (av, _) = self.eval_expr(open + 1, close);
-                let mut out = v.clone();
-                if out.class.is_none() && av.class.is_some() {
-                    out.class = av.class;
-                    out.ty = av.ty;
-                    out.iter = out.iter.union(av.iter);
+                if v.class.is_none() && av.class.is_some() {
+                    return Val {
+                        iterated: true,
+                        ..av
+                    };
                 }
-                return out;
+                return v;
             }
             "map" | "filter" | "filter_map" | "flat_map" | "for_each" | "retain" | "find"
             | "find_map" | "any" | "all" | "position" | "fold" => {
-                let before = self.facts.acquisitions.len();
-                self.eval_args(open, &v, &name);
-                let produced: Vec<String> = self.facts.acquisitions[before..]
-                    .iter()
-                    .filter(|a| !a.try_only)
-                    .map(|a| a.class.clone())
-                    .collect();
-                if !produced.is_empty() && matches!(name.as_str(), "map" | "filter_map") {
-                    return Val {
-                        class: produced.last().cloned(),
-                        guard: true,
-                        guard_classes: produced,
-                        iter: v.iter,
-                        ..Val::default()
-                    };
-                }
-                return Val {
-                    iter: v.iter,
-                    ..Val::default()
-                };
-            }
-            "collect" | "min" | "max" | "sum" | "count" | "last" | "next" => {
-                self.eval_args(open, &Val::default(), &name);
-                if v.guard {
-                    return v;
-                }
-                return Val {
-                    iter: v.iter,
-                    ..Val::default()
-                };
+                self.eval_args(open, &v);
+                return Val::default();
             }
             "unwrap" | "expect" | "unwrap_or" | "unwrap_or_else" | "unwrap_or_default" | "ok"
             | "err" | "map_err" => {
-                self.eval_args(open, &Val::default(), &name);
-                if v.guard {
-                    return v;
-                }
+                self.eval_args(open, &Val::default());
                 let mut out = v.clone();
                 if matches!(head(&recv_core), "Option" | "Result") {
                     if let Some(inner) = element(&recv_core) {
@@ -1148,79 +703,40 @@ impl<'a> Walk<'a> {
                 }
                 return out;
             }
-            "clone" | "as_ref" | "as_mut" | "as_deref" | "borrow" | "borrow_mut" => {
-                self.eval_args(open, &Val::default(), &name);
-                return v;
-            }
             _ => {}
         }
         // 4. user method on a known workspace struct
         let sname = head(&recv_core).to_string();
         if self.sy.struct_def(&sname, self.krate).is_some() {
             if let Some(fd) = self.sy.method(&sname, &name) {
-                let (key, ret, self_ty) = (fd.key(), fd.ret.clone(), fd.self_ty.clone());
                 // only accept unique-name fallbacks that look plausible
-                if self_ty.as_deref() == Some(sname.as_str()) || self_ty.is_none() {
-                    self.facts.calls.push(CallSite {
-                        callee: key.clone(),
-                        held: self.held_classes(),
-                        line,
-                    });
-                    self.eval_args(open, &Val::default(), &name);
+                if fd.self_ty.as_deref() == Some(sname.as_str()) || fd.self_ty.is_none() {
+                    let ret = fd.ret.clone();
+                    self.eval_args(open, &Val::default());
                     let recv = Val {
                         ty: recv_core,
                         ..Val::default()
                     };
-                    return self.call_result(&key, &ret, &recv);
+                    return self.call_result(&ret, &recv);
                 }
             }
         }
         // unknown receiver or unknown method: evaluate args, lose track
-        self.eval_args(open, &Val::default(), &name);
+        self.eval_args(open, &Val::default());
         Val::default()
     }
 
-    /// Shape the value produced by a resolved call: guard-returning
-    /// helpers hand their classes to the caller; lock/atomic-returning
-    /// accessors resolve to the field they expose.
-    fn call_result(&mut self, key: &str, ret: &str, recv: &Val) -> Val {
-        if ret.contains("Guard") {
-            if let Some(classes) = self.guard_table.get(key) {
-                for c in classes {
-                    self.held.push(Held {
-                        class: c.clone(),
-                        name: None,
-                        depth: self.depth,
-                        const_index: None,
-                    });
-                }
-                return Val {
-                    ty: ret.to_string(),
-                    class: classes.first().cloned(),
-                    guard: true,
-                    guard_classes: classes.clone(),
-                    ..Val::default()
-                };
-            }
-            return Val {
-                ty: ret.to_string(),
-                ..Val::default()
-            };
-        }
+    /// Shape the value produced by a resolved call: an accessor that
+    /// returns an atomic resolves to the field it exposes.
+    fn call_result(&mut self, ret: &str, recv: &Val) -> Val {
         let ret_core = peel(ret);
-        if lock_ty(ret_core).is_some() || atomic_ty(ret_core).is_some() {
-            // prefer a matching field on the receiver struct
-            let class = self
-                .receiver_field_matching(recv, ret_core)
-                .or_else(|| self.sy.unique_class_of_ty(ret_core));
-            return Val {
-                ty: ret.to_string(),
-                class,
-                ..Val::default()
-            };
-        }
+        let class = atomic_ty(ret_core).and_then(|_| {
+            self.receiver_field_matching(recv, ret_core)
+                .or_else(|| self.sy.unique_class_of_ty(ret_core))
+        });
         Val {
             ty: ret.to_string(),
+            class,
             ..Val::default()
         }
     }
@@ -1242,16 +758,9 @@ impl<'a> Walk<'a> {
 
     /// Evaluate a call's arguments. Closures bind their parameters to
     /// the receiver's element (for iterator adapters) and their bodies
-    /// are walked in place; `spawn`/`scope` closures run on another
-    /// thread, so the held set is emptied around them.
-    fn eval_args(&mut self, open: usize, recv: &Val, callee: &str) {
+    /// are walked in place.
+    fn eval_args(&mut self, open: usize, recv: &Val) {
         let close = matching(self.tokens, open, '(', ')');
-        let detach = callee == "spawn" || callee == "scope";
-        let saved = if detach {
-            std::mem::take(&mut self.held)
-        } else {
-            Vec::new()
-        };
         let mut i = open + 1;
         while i < close {
             if self.tokens[i].is_ident("move") && self.peek_punct(i + 1, '|') {
@@ -1287,34 +796,27 @@ impl<'a> Walk<'a> {
                     }
                     body_end += 1;
                 }
-                self.scopes.push(Vec::new());
-                let elem_ty = if recv.iter.iterated {
+                let elem_ty = if recv.iterated {
                     recv.ty.clone()
                 } else {
                     element(peel(&recv.ty)).unwrap_or("").to_string()
                 };
-                for prm in &params {
-                    let b = Binding {
-                        ty: elem_ty.clone(),
-                        class: recv.class.clone(),
-                    };
-                    if let Some(scope) = self.scopes.last_mut() {
-                        scope.push((prm.clone(), b));
-                    }
-                }
-                // the closure runs once per element: its body inherits
-                // the receiver's iteration context
-                if recv.iter.iterated {
-                    self.loops.push((self.depth, recv.iter));
-                }
+                self.scopes.push(
+                    params
+                        .into_iter()
+                        .map(|prm| {
+                            let b = Binding {
+                                ty: elem_ty.clone(),
+                                class: recv.class.clone(),
+                            };
+                            (prm, b)
+                        })
+                        .collect(),
+                );
                 if self.tokens.get(body_start).is_some_and(|t| t.is_punct('{')) {
                     self.walk(body_start, body_end);
                 } else {
-                    let (bv, _) = self.eval_expr(body_start, body_end);
-                    let _ = bv;
-                }
-                if recv.iter.iterated {
-                    self.loops.pop();
+                    let _ = self.eval_expr(body_start, body_end);
                 }
                 self.scopes.pop();
                 i = body_end;
@@ -1326,9 +828,6 @@ impl<'a> Walk<'a> {
             }
             let (_, ni) = self.eval_expr(i, close);
             i = ni.max(i + 1);
-        }
-        if detach {
-            self.held = saved;
         }
     }
 }
@@ -1361,112 +860,71 @@ mod tests {
     }
 
     const PIPELINE: &str = "
-struct Core { n: u64 }
+struct Slot { seq: AtomicU64 }
+struct Core { hits: AtomicU64 }
 struct Pipe {
-    shards: Vec<Mutex<Core>>,
-    group: Mutex<u64>,
+    slots: Vec<Slot>,
+    core: Mutex<Core>,
+    words: [AtomicU64; 7],
     flag: AtomicU64,
 }
 impl Pipe {
-    fn lock_shards<'a>(&'a self, ids: &BTreeSet<usize>) -> Vec<MutexGuard<'a, Core>> {
-        let mut out = Vec::new();
+    fn bump(&self, ids: &BTreeSet<usize>) {
         for &i in ids {
-            let g = match self.shards[i].try_lock() {
-                Some(g) => g,
-                None => self.shards[i].lock(),
+            let n = match self.slots[i].seq.load(Ordering::Acquire) {
+                0 => 1,
+                n => n,
             };
-            out.push(g);
+            self.slots[i].seq.store(n, Ordering::Release);
         }
-        out
-    }
-    fn commit(&self, ids: &BTreeSet<usize>) {
-        let guards = self.lock_shards(ids);
-        let mut g = self.group.lock();
+        self.core.lock().hits.fetch_add(1, Ordering::Relaxed);
         self.flag.store(1, Ordering::Release);
-        drop(g);
-        drop(guards);
     }
-    fn snap(&self) -> Vec<MutexGuard<'_, Core>> {
-        self.shards.iter().map(|s| s.lock()).collect()
+    fn sum(&self) -> u64 {
+        self.words.iter().map(|w| w.load(Ordering::Acquire)).sum()
     }
 }
 ";
 
     #[test]
-    fn acquisitions_resolve_through_index_match_and_loops() {
-        let f = facts_of(PIPELINE, "Pipe::lock_shards");
-        let classes: Vec<&str> = f.acquisitions.iter().map(|a| a.class.as_str()).collect();
-        assert_eq!(classes, ["tc::Pipe::shards", "tc::Pipe::shards"]);
-        assert!(f.acquisitions[0].try_only);
-        assert!(!f.acquisitions[1].try_only);
-        assert!(f.acquisitions[1].iter.iterated, "inside the ids loop");
-        assert!(!f.acquisitions[1].iter.unordered, "BTreeSet is ordered");
-    }
-
-    #[test]
-    fn guard_returning_helper_extends_caller_held_set() {
-        let f = facts_of(PIPELINE, "Pipe::commit");
-        let edge = f
-            .edges
+    fn atomics_resolve_through_index_match_loops_and_guards() {
+        let f = facts_of(PIPELINE, "Pipe::bump");
+        let ops: Vec<(&str, &str, &str)> = f
+            .atomics
             .iter()
-            .find(|e| e.to == "tc::Pipe::group")
-            .expect("shards->group edge");
-        assert_eq!(edge.from, "tc::Pipe::shards");
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| c.callee == "Pipe::lock_shards" && c.held.is_empty()));
-        let st = f.atomics.iter().find(|a| a.op == "store").unwrap();
-        assert_eq!(st.class, "tc::Pipe::flag");
-        assert_eq!(st.orderings, ["Release"]);
+            .map(|a| (a.class.as_str(), a.op.as_str(), a.orderings[0].as_str()))
+            .collect();
+        assert_eq!(
+            ops,
+            [
+                ("tc::Slot::seq", "load", "Acquire"),
+                ("tc::Slot::seq", "store", "Release"),
+                ("tc::Core::hits", "fetch_add", "Relaxed"),
+                ("tc::Pipe::flag", "store", "Release"),
+            ]
+        );
     }
 
     #[test]
-    fn closure_iteration_locks_resolve_to_the_container_class() {
-        let f = facts_of(PIPELINE, "Pipe::snap");
-        assert_eq!(f.acquisitions.len(), 1);
-        assert_eq!(f.acquisitions[0].class, "tc::Pipe::shards");
-        assert!(f.acquisitions[0].iter.iterated);
-        assert!(!f.acquisitions[0].iter.unordered);
-    }
-
-    #[test]
-    fn drop_releases_and_rev_is_flagged() {
-        let src = "
-struct P { shards: Vec<Mutex<u64>>, aux: Mutex<u64> }
-impl P {
-    fn bad(&self) {
-        for s in self.shards.iter().rev() {
-            let g = s.lock();
-            drop(g);
-        }
-        let a = self.aux.lock();
-        drop(a);
-        let b = self.shards[0].lock();
-        let _ = b;
-    }
-}
-";
-        let f = facts_of(src, "P::bad");
-        assert!(f.acquisitions[0].iter.rev);
-        // aux dropped before shards[0]: no aux->shards edge
-        assert!(f.edges.is_empty(), "edges: {:?}", f.edges);
-        assert_eq!(f.acquisitions[2].const_index, Some(0));
+    fn closure_iteration_atomics_resolve_to_the_container_class() {
+        let f = facts_of(PIPELINE, "Pipe::sum");
+        assert_eq!(f.atomics.len(), 1);
+        assert_eq!(f.atomics[0].class, "tc::Pipe::words");
+        assert!(!f.atomics[0].is_store());
     }
 
     #[test]
     fn unsafe_sites_and_statics_are_recorded() {
         let src = "
-static REG: Mutex<u64> = Mutex::new(0);
+static HITS: AtomicU64 = AtomicU64::new(0);
 fn touch() {
-    let g = REG.lock();
-    let _ = g;
+    HITS.fetch_add(1, Ordering::Relaxed);
     let p = unsafe { danger() };
     let _ = p;
 }
 ";
         let f = facts_of(src, "touch");
-        assert_eq!(f.acquisitions[0].class, "tc::REG");
+        assert_eq!(f.atomics[0].class, "tc::HITS");
         assert_eq!(f.unsafes.len(), 1);
     }
 }

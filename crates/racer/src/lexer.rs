@@ -348,10 +348,10 @@ mod tests {
 
     #[test]
     fn comments_keep_lines_and_text() {
-        let lx = lex("// racer:order A < B\nfn f() {}\n// SAFETY: fine\n");
+        let lx = lex("// racer:publication a::R::head\nfn f() {}\n// SAFETY: fine\n");
         assert_eq!(lx.comments.len(), 2);
         assert_eq!(lx.comments[0].line, 1);
-        assert_eq!(lx.comments[0].text, "racer:order A < B");
+        assert_eq!(lx.comments[0].text, "racer:publication a::R::head");
         assert_eq!(lx.comments[1].line, 3);
     }
 

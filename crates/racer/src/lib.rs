@@ -1,21 +1,22 @@
 //! # feral-racer
 //!
-//! A self-hosting lock-order and atomics-discipline analyzer for the
-//! workspace's own concurrency core. The commit pipeline's correctness
-//! rests on invariants the type system cannot see — shard latches in
-//! ascending order, timestamps allocated inside the group mutex, the
-//! trace ring's seqlock bracketing — the same "feral" position the
-//! paper finds application invariants in: maintained by convention, in
-//! application code, invisible to the infrastructure underneath
-//! (Bailis et al., SIGMOD 2015). This crate turns those conventions
-//! into checked declarations.
+//! A self-hosting atomics and `unsafe` discipline analyzer for the
+//! workspace's own concurrency core. The trace ring's correctness rests
+//! on invariants the type system cannot see — a seqlock's version bumps
+//! bracketing its payload, a publication index stored with release
+//! ordering — the same "feral" position the paper finds application
+//! invariants in: maintained by convention, in application code,
+//! invisible to the infrastructure underneath (Bailis et al., SIGMOD
+//! 2015). This crate turns those conventions into checked declarations.
+//! Lock order is checked where the locks are taken instead: by the lock
+//! validator in debug builds of the `parking_lot` shim, over every
+//! acquisition the test suite makes.
 //!
 //! Pipeline: a hand-rolled Rust lexer ([`lexer`], in the house style of
 //! `corpus::ruby`) → item/structure parsing ([`syntax`]) → per-function
-//! fact extraction with lock-class resolution ([`extract`], [`resolve`])
-//! → interprocedural acquisition graph ([`graph`]) → the FERALRS rule
-//! catalog ([`rules`]) checked against `racer:` declarations ([`decl`])
-//! → reports ([`report`]).
+//! fact extraction with class resolution ([`extract`], [`resolve`]) →
+//! the FERALRS rule catalog ([`rules`]) checked against `racer:`
+//! declarations ([`decl`]) → reports ([`report`]).
 //!
 //! Every rule is self-validated mutation-style: a seeded-fault fixture
 //! under `fixtures/` must trip it, and the live tree must stay silent.
@@ -24,7 +25,6 @@
 
 pub mod decl;
 pub mod extract;
-pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod resolve;
@@ -33,7 +33,6 @@ pub mod syntax;
 
 use decl::Declarations;
 use extract::FnFacts;
-use graph::AcqGraph;
 use lexer::Comment;
 use resolve::Symbols;
 use rules::Finding;
@@ -58,32 +57,10 @@ pub struct Analysis {
     pub files: usize,
     /// Per-function facts.
     pub facts: Vec<FnFacts>,
-    /// The interprocedural acquisition graph.
-    pub graph: AcqGraph,
     /// Parsed `racer:` declarations.
     pub decls: Declarations,
     /// Rule findings, sorted.
     pub findings: Vec<Finding>,
-}
-
-impl Analysis {
-    /// Number of distinct resolved lock classes acquired anywhere.
-    pub fn class_count(&self) -> usize {
-        self.class_counts().len()
-    }
-
-    /// Acquisition counts per resolved class, sorted by class.
-    pub fn class_counts(&self) -> BTreeMap<String, usize> {
-        let mut out = BTreeMap::new();
-        for f in &self.facts {
-            for a in &f.acquisitions {
-                if a.class != "?" {
-                    *out.entry(a.class.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Analyze a set of in-memory sources.
@@ -100,12 +77,10 @@ pub fn analyze(sources: &[SourceFile]) -> Analysis {
         lexed.insert(s.path.clone(), lx);
     }
     let facts = extract::extract_all(&sy, &lexed);
-    let graph = graph::build(&facts);
-    let findings = rules::check(&facts, &graph, &decls, &comments);
+    let findings = rules::check(&facts, &decls, &comments);
     Analysis {
         files: sources.len(),
         facts,
-        graph,
         decls,
         findings,
     }

@@ -1,6 +1,6 @@
-//! Rendering for `feral-racer check`: human text, the JSON acquisition
-//! inventory (the golden-diffed artifact), and SARIF 2.1.0 through the
-//! shared emitter in `feral_cli::report`.
+//! Rendering for `feral-racer check`: human text, the JSON inventory
+//! (the golden-diffed artifact), and SARIF 2.1.0 through the shared
+//! emitter in `feral_cli::report`.
 
 use crate::rules::{Finding, RULES};
 use crate::Analysis;
@@ -10,16 +10,12 @@ use feral_cli::report::{json_escape, render_sarif, SarifResult, SarifRule};
 pub fn render_text(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "feral-racer: {} files, {} functions, {} lock classes, {} edges\n",
+        "feral-racer: {} files, {} functions\n",
         a.files,
         a.facts.len(),
-        a.class_count(),
-        a.graph.edges.len(),
     ));
     out.push_str(&format!(
-        "declarations: {} order, {} terminal, {} publication, {} seqlock\n",
-        a.decls.orders.len(),
-        a.decls.terminals.len(),
+        "declarations: {} publication, {} seqlock\n",
         a.decls.publications.len(),
         a.decls.seqlocks.len(),
     ));
@@ -36,40 +32,14 @@ pub fn render_text(a: &Analysis) -> String {
     out
 }
 
-/// The JSON acquisition-graph inventory: every class with its
-/// acquisition count, every edge with its witnesses, every finding.
+/// The JSON inventory: what was scanned and every finding.
 /// Deterministic field and element order — this is the golden artifact.
 pub fn render_inventory(a: &Analysis) -> String {
-    let mut classes: Vec<String> = Vec::new();
-    for (class, count) in a.class_counts() {
-        classes.push(format!(
-            "{{\"class\":\"{}\",\"acquisitions\":{}}}",
-            json_escape(&class),
-            count
-        ));
-    }
-    let mut edges: Vec<String> = Vec::new();
-    for ((from, to), meta) in &a.graph.edges {
-        let sites: Vec<String> = meta
-            .sites
-            .iter()
-            .map(|(f, l)| format!("\"{}:{}\"", json_escape(f), l))
-            .collect();
-        edges.push(format!(
-            "{{\"from\":\"{}\",\"to\":\"{}\",\"blocking\":{},\"sites\":[{}]}}",
-            json_escape(from),
-            json_escape(to),
-            meta.blocking,
-            sites.join(",")
-        ));
-    }
     let findings: Vec<String> = a.findings.iter().map(finding_json).collect();
     format!(
-        "{{\"tool\":\"feral-racer\",\"files\":{},\"functions\":{},\"classes\":[{}],\"edges\":[{}],\"findings\":[{}]}}\n",
+        "{{\"tool\":\"feral-racer\",\"files\":{},\"functions\":{},\"findings\":[{}]}}\n",
         a.files,
         a.facts.len(),
-        classes.join(","),
-        edges.join(","),
         findings.join(",")
     )
 }

@@ -1,13 +1,11 @@
 //! Workspace symbol table and the type-string algebra the extractor
 //! leans on: peeling smart-pointer wrappers, classifying lock and
-//! atomic types, stepping through fields, and naming lock classes.
+//! atomic types, stepping through fields, and naming atomic classes.
 //!
-//! A *lock class* is the identity the whole analysis runs on:
-//! `<crate>::<Struct>::<field>` for a lock/atomic stored in a struct
-//! field, `<crate>::<NAME>` for one in a static. Two acquisitions of
-//! the same class are the same lock for ordering purposes — exactly the
-//! granularity the commit pipeline's discipline is written at (all
-//! shard latches are one class, ordered internally by index).
+//! A *class* is the identity the atomics rules run on:
+//! `<crate>::<Struct>::<field>` for an atomic stored in a struct field,
+//! `<crate>::<NAME>` for one in a static — the names `racer:publication`
+//! and `racer:seqlock` declarations are written in.
 
 use crate::syntax::{Field, FileItems, FnDef, StaticDef, StructDef};
 use std::collections::BTreeMap;
@@ -225,22 +223,9 @@ pub fn map_value(ty: &str) -> Option<&str> {
     None
 }
 
-/// Lock classification of a peeled type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockTy {
-    /// `Mutex<_>` (std or parking_lot — same surface).
-    Mutex,
-    /// `RwLock<_>`.
-    RwLock,
-}
-
-/// Whether the peeled type is a lock, and which kind.
-pub fn lock_ty(ty: &str) -> Option<LockTy> {
-    match head(peel(ty)) {
-        "Mutex" | "ReentrantMutex" | "FairMutex" => Some(LockTy::Mutex),
-        "RwLock" => Some(LockTy::RwLock),
-        _ => None,
-    }
+/// Whether the peeled type is a lock (its guard derefs to the payload).
+pub fn is_lock(ty: &str) -> bool {
+    matches!(head(peel(ty)), "Mutex" | "RwLock")
 }
 
 /// Whether the peeled type is (or is a container of) an atomic cell.
@@ -255,13 +240,6 @@ pub fn atomic_ty(ty: &str) -> Option<&str> {
     (h.starts_with("Atomic") && h.len() > "Atomic".len()).then_some(h)
 }
 
-/// Whether iterating this (peeled) container type yields elements in a
-/// deterministic, sorted order. `Hash*` containers are the unordered
-/// offenders; everything index- or tree-backed is fine.
-pub fn ordered_container(ty: &str) -> bool {
-    !matches!(head(peel(ty)), "HashMap" | "HashSet")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,17 +249,15 @@ mod tests {
     #[test]
     fn type_algebra_peels_and_classifies() {
         assert_eq!(peel("&Arc<Mutex<WalWriter>>"), "Mutex<WalWriter>");
-        assert_eq!(lock_ty("Vec<Mutex<ShardCore>>"), None, "vec is not a lock");
-        assert_eq!(lock_ty("Mutex<ShardCore>"), Some(LockTy::Mutex));
-        assert_eq!(lock_ty("&RwLock<Catalog>"), Some(LockTy::RwLock));
+        assert!(!is_lock("Vec<Mutex<ShardCore>>"), "vec is not a lock");
+        assert!(is_lock("Mutex<ShardCore>"));
+        assert!(is_lock("&RwLock<Catalog>"));
         assert_eq!(element("Vec<Mutex<ShardCore>>"), Some("Mutex<ShardCore>"));
         assert_eq!(element("[AtomicU64;7]"), Some("AtomicU64"));
         assert_eq!(atomic_ty("AtomicU64"), Some("AtomicU64"));
         assert_eq!(atomic_ty("[AtomicU64;7]"), Some("AtomicU64"));
         assert_eq!(atomic_ty("Mutex<u64>"), None);
         assert_eq!(head("std::sync::Mutex<T>"), "Mutex");
-        assert!(ordered_container("BTreeSet<usize>"));
-        assert!(!ordered_container("HashMap<TxnId,u64>"));
     }
 
     #[test]

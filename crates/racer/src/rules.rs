@@ -1,5 +1,8 @@
-//! The FERALRS rule catalog: six discipline checks over the extracted
-//! facts, the acquisition graph, and the `racer:` declarations.
+//! The FERALRS rule catalog: three atomics and `unsafe` discipline
+//! checks over the extracted facts and the `racer:` declarations. Lock
+//! order (the retired FERALRS001–003) is checked where the locks are
+//! taken, by the lock validator in debug builds of the `parking_lot`
+//! shim.
 //!
 //! Each rule is certified the same way `feral-lint` certifies its app
 //! rules: a seeded-fault fixture must make it fire, and the live tree
@@ -7,7 +10,6 @@
 
 use crate::decl::Declarations;
 use crate::extract::FnFacts;
-use crate::graph::AcqGraph;
 use crate::lexer::Comment;
 use std::collections::BTreeMap;
 
@@ -27,41 +29,14 @@ pub struct RuleMeta {
 }
 
 /// The full catalog, in id order.
-pub const RULES: [RuleMeta; 6] = [
-    RuleMeta {
-        id: "FERALRS001",
-        name: "lock-order-cycle",
-        summary: "Two or more lock classes are blockingly acquired in both \
-                  orders somewhere in the workspace: a deadlock-capable cycle \
-                  in the acquisition graph.",
-        citation: "Coffman, Elphick & Shoshani 1971, \"System Deadlocks\"",
-        anchor: "DESIGN.md#141-the-acquisition-graph",
-    },
-    RuleMeta {
-        id: "FERALRS002",
-        name: "unordered-latch-iteration",
-        summary: "A multi-instance lock class (shard latches) is acquired \
-                  under reversed, hash-ordered, or descending-index \
-                  iteration instead of the canonical ascending order.",
-        citation: "Havender 1968, \"Avoiding deadlock in multitasking systems\"",
-        anchor: "DESIGN.md#142-latch-iteration-discipline",
-    },
-    RuleMeta {
-        id: "FERALRS003",
-        name: "declared-order-violation",
-        summary: "An acquisition contradicts a racer:order declaration, or \
-                  a lock declared racer:terminal is held across another \
-                  acquisition.",
-        citation: "Bailis et al. 2015 (feral invariants live in the app, \
-                   so declare them where the code is)",
-        anchor: "DESIGN.md#143-declared-canonical-order",
-    },
+pub const RULES: [RuleMeta; 3] = [
     RuleMeta {
         id: "FERALRS004",
         name: "relaxed-publication",
         summary: "A field declared racer:publication is stored without \
                   release ordering or loaded without acquire ordering \
-                  (unvetted).",
+                  (unvetted); a racer: directive that does not parse is \
+                  reported here too.",
         citation: "Boehm & Adve 2008, \"Foundations of the C++ concurrency \
                    memory model\"",
         anchor: "DESIGN.md#144-atomics-discipline",
@@ -93,7 +68,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Repo-relative file.
     pub file: String,
-    /// 1-based line (0 when the finding is graph-global).
+    /// 1-based line.
     pub line: u32,
     /// Human-readable message.
     pub message: String,
@@ -103,21 +78,17 @@ pub struct Finding {
 /// vetting). Output is sorted and deduped.
 pub fn check(
     facts: &[FnFacts],
-    graph: &AcqGraph,
     decls: &Declarations,
     comments: &BTreeMap<String, Vec<Comment>>,
 ) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
-    rs001_cycles(graph, &mut out);
-    rs002_iteration(facts, &mut out);
-    rs003_declared(graph, decls, &mut out);
     rs004_publication(facts, decls, &mut out);
     rs005_seqlock(facts, decls, &mut out);
     rs006_unsafe(facts, comments, &mut out);
     out.retain(|f| !decls.is_vetted(&f.file, f.line, &format!("allow:{}", f.rule)));
     for (file, line, text) in &decls.malformed {
         out.push(Finding {
-            rule: "FERALRS003",
+            rule: "FERALRS004",
             file: file.clone(),
             line: *line,
             message: format!("malformed racer: declaration `{text}`"),
@@ -126,118 +97,6 @@ pub fn check(
     out.sort();
     out.dedup();
     out
-}
-
-fn rs001_cycles(graph: &AcqGraph, out: &mut Vec<Finding>) {
-    for cycle in graph.cycles() {
-        let mut witness = (String::new(), 0u32);
-        'find: for a in &cycle {
-            for b in &cycle {
-                if a != b {
-                    if let Some((f, l)) = graph.witness(a, b) {
-                        witness = (f.clone(), *l);
-                        break 'find;
-                    }
-                }
-            }
-        }
-        out.push(Finding {
-            rule: "FERALRS001",
-            file: witness.0,
-            line: witness.1,
-            message: format!(
-                "lock classes acquired in conflicting orders: {}",
-                cycle.join(" <-> ")
-            ),
-        });
-    }
-}
-
-fn rs002_iteration(facts: &[FnFacts], out: &mut Vec<Finding>) {
-    for f in facts {
-        for a in &f.acquisitions {
-            if a.class == "?" || a.try_only {
-                continue;
-            }
-            if a.iter.rev {
-                out.push(Finding {
-                    rule: "FERALRS002",
-                    file: f.file.clone(),
-                    line: a.line,
-                    message: format!(
-                        "{} acquired under reversed iteration in {} — shard \
-                         latches must be taken in ascending order",
-                        a.class, f.key
-                    ),
-                });
-            } else if a.iter.unordered {
-                out.push(Finding {
-                    rule: "FERALRS002",
-                    file: f.file.clone(),
-                    line: a.line,
-                    message: format!(
-                        "{} acquired while iterating a hash-ordered container \
-                         in {} — acquisition order is nondeterministic",
-                        a.class, f.key
-                    ),
-                });
-            }
-        }
-        // descending constant indices into the same class
-        for e in &f.edges {
-            if e.from == e.to && !e.to_try {
-                if let (Some(i), Some(j)) = (e.from_index, e.to_index) {
-                    if j <= i {
-                        out.push(Finding {
-                            rule: "FERALRS002",
-                            file: f.file.clone(),
-                            line: e.line,
-                            message: format!(
-                                "{}[{}] acquired while holding [{}] in {} — \
-                                 descending latch order",
-                                e.to, j, i, f.key
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn rs003_declared(graph: &AcqGraph, decls: &Declarations, out: &mut Vec<Finding>) {
-    for (before, after) in decls.order_pairs() {
-        if let Some(meta) = graph.edges.get(&(after.to_string(), before.to_string())) {
-            if meta.blocking {
-                let (file, line) = meta.sites.iter().next().cloned().unwrap_or_default();
-                out.push(Finding {
-                    rule: "FERALRS003",
-                    file,
-                    line,
-                    message: format!(
-                        "{before} is declared before {after}, but {before} is \
-                         acquired while {after} is held"
-                    ),
-                });
-            }
-        }
-    }
-    for t in &decls.terminals {
-        for ((from, to), meta) in &graph.edges {
-            if from == t && to != t {
-                let (file, line) = meta.sites.iter().next().cloned().unwrap_or_default();
-                out.push(Finding {
-                    rule: "FERALRS003",
-                    file,
-                    line,
-                    message: format!(
-                        "{to} acquired while terminal lock {t} is held — \
-                         nothing may be acquired under it"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 fn rs004_publication(facts: &[FnFacts], decls: &Declarations, out: &mut Vec<Finding>) {
@@ -400,7 +259,6 @@ fn rs006_unsafe(
 mod tests {
     use super::*;
     use crate::extract::{AtomicOp, FnFacts};
-    use crate::graph;
 
     fn base_fn(key: &str) -> FnFacts {
         FnFacts {
@@ -428,7 +286,7 @@ mod tests {
         let mut f = base_fn("R::push");
         f.atomics.push(op("tc::R::head", "store", "Relaxed", 5));
         f.atomics.push(op("tc::R::head", "load", "Acquire", 6));
-        let findings = check(&[f], &graph::build(&[]), &decls, &BTreeMap::new());
+        let findings = check(&[f], &decls, &BTreeMap::new());
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "FERALRS004");
         assert_eq!(findings[0].line, 5);
@@ -446,7 +304,7 @@ mod tests {
         let mut f = base_fn("S::push");
         f.atomics.push(op("tc::S::version", "store", "Release", 4));
         f.atomics.push(op("tc::S::words", "store", "Release", 5));
-        let findings = check(&[f], &graph::build(&[]), &decls, &BTreeMap::new());
+        let findings = check(&[f], &decls, &BTreeMap::new());
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "FERALRS005");
 
@@ -459,32 +317,7 @@ mod tests {
         r.atomics.push(op("tc::S::version", "load", "Acquire", 9));
         r.atomics.push(op("tc::S::words", "load", "Acquire", 10));
         r.atomics.push(op("tc::S::version", "load", "Acquire", 11));
-        let findings = check(&[w, r], &graph::build(&[]), &decls, &BTreeMap::new());
+        let findings = check(&[w, r], &decls, &BTreeMap::new());
         assert!(findings.is_empty(), "findings: {findings:?}");
-    }
-
-    #[test]
-    fn terminal_and_order_declarations_are_enforced() {
-        let mut decls = Declarations::default();
-        decls.orders.push(crate::decl::OrderDecl {
-            before: "tc::P::shards".into(),
-            after: "tc::P::group".into(),
-            file: "x.rs".into(),
-            line: 1,
-        });
-        decls.terminals.insert("tc::P::group".into());
-        let mut f = base_fn("P::bad");
-        f.edges.push(crate::extract::Edge {
-            from: "tc::P::group".into(),
-            from_index: None,
-            to: "tc::P::shards".into(),
-            to_index: None,
-            to_try: false,
-            line: 7,
-        });
-        let findings = check(&[f.clone()], &graph::build(&[f]), &decls, &BTreeMap::new());
-        let rules: Vec<&str> = findings.iter().map(|x| x.rule).collect();
-        // inverted order and terminal violation both fire
-        assert_eq!(rules, ["FERALRS003", "FERALRS003"]);
     }
 }

@@ -24,7 +24,10 @@ echo "== tier1: test suite =="
 # ablation served over the socket with the runtime auditor attached
 # (crates/net/tests/served_ablation.rs), the ORM's read-path bounds, and
 # the simulator, sdg, plan, audit and racer suites that used to be gated
-# by nothing.
+# by nothing. Tests build with debug assertions, so every lock they take
+# goes through the parking_lot shim's lock validator: an acquisition
+# that could deadlock against an order seen earlier aborts the test
+# binary naming both sites (vendor/parking_lot/tests/lockdep.rs).
 cargo test -q
 
 echo "== tier1: feral-sim bounded systematic sweep =="
@@ -71,11 +74,13 @@ diff "$SDG_OUT" results/BENCH_sdg.golden.json
 rm -f "$SDG_OUT"
 
 echo "== tier1: feral-racer self-hosting concurrency discipline =="
-# Lock-order and atomics discipline for the workspace's own concurrency
+# Atomics and `unsafe` discipline for the workspace's own concurrency
 # core, statically checked: zero findings on the live tree, every
 # FERALRS rule proven live against its seeded-fault fixture
 # (mutation-style — a rule that stops firing fails the gate), and the
-# full acquisition inventory byte-identical to the checked-in golden.
+# inventory byte-identical to the checked-in golden. Lock order is not
+# checked here: the lock validator in debug builds of the parking_lot
+# shim checks every acquisition `cargo test` makes, above.
 RACER_OUT=$(mktemp /tmp/BENCH_racer.XXXXXX.json)
 cargo run --release -q -p feral-racer -- check --json --validate --out "$RACER_OUT"
 diff "$RACER_OUT" results/BENCH_racer.golden.json
@@ -84,9 +89,10 @@ rm -f "$RACER_OUT"
 echo "== tier1: workspace docs (deny warnings) =="
 # Every workspace crate's rustdoc, broken intra-doc links included. The
 # vendored dependency shims are not ours (proptest's has an ambiguous
-# `vec` link of its own), so they are left out.
+# `vec` link of its own), so they are left out — except parking_lot,
+# which carries the workspace's own lock validator.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace --exclude proptest \
-  --exclude crossbeam --exclude parking_lot --exclude rand
+  --exclude crossbeam --exclude rand
 
 echo "== tier1: trace smoke gate (table1 --smoke) =="
 # table1 self-validates the report (exits non-zero on schema or
