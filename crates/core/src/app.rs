@@ -1,7 +1,7 @@
 //! The application object: a model registry bound to a database.
 
 use crate::errors::{OrmError, OrmResult};
-use crate::model::{Association, ModelDef};
+use crate::model::ModelDef;
 use crate::record::Record;
 use crate::session::Session;
 use feral_db::{ColumnDef, Database, Datum, IsolationLevel, OnDelete, Predicate, TableSchema};
@@ -204,13 +204,6 @@ impl App {
             on_delete,
         )?;
         Ok(())
-    }
-
-    // --- helpers shared by the persistence/validation layers -----------
-
-    /// Resolve an association target model.
-    pub(crate) fn target_of(&self, assoc: &Association) -> OrmResult<Arc<ModelDef>> {
-        self.model(&assoc.target)
     }
 }
 

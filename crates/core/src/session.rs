@@ -7,7 +7,7 @@ use crate::errors::{OrmError, OrmResult};
 use crate::model::{AssocKind, CallbackKind, Dependent, ModelDef, Validator};
 use crate::record::Record;
 use crate::validations::{datum_fingerprint, validate_record, TxnQueryCtx};
-use feral_db::{Datum, IsolationLevel, Predicate, Row, RowRef, Transaction};
+use feral_db::{Database, Datum, IsolationLevel, Predicate, Row, RowRef, TableHandle, Transaction};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -20,6 +20,63 @@ fn now_micros() -> i64 {
         .unwrap_or(0)
 }
 
+/// A model as a session resolved it: a copy of its definition that the
+/// session owns, and its table's handle.
+pub(crate) struct Resolved {
+    /// The session's copy of the registered definition. The records a
+    /// request builds count their references to it on a line no other
+    /// session writes.
+    pub(crate) def: Arc<ModelDef>,
+    /// The model's table: statements through it take no catalog latch.
+    pub(crate) table: TableHandle,
+}
+
+/// The models a session has resolved, and the application it resolves
+/// them in: valid while the registry's definition generation is
+/// `generation`, each table handle while the catalog epoch it was
+/// resolved at is current. Naming a model takes no lock on the shared
+/// registry and no catalog latch unless one of them changed. The cache
+/// lives in the session, not in a thread-local, so it keeps nothing
+/// alive past the session.
+pub(crate) struct Models {
+    pub(crate) app: App,
+    resolved: Vec<Resolved>,
+    generation: u64,
+}
+
+impl Models {
+    fn new(app: App) -> Self {
+        Models {
+            app,
+            resolved: Vec::new(),
+            generation: 0,
+        }
+    }
+
+    /// `name`'s definition and table handle, revalidated.
+    pub(crate) fn resolve(&mut self, name: &str) -> OrmResult<&Resolved> {
+        let generation = self.app.models_generation();
+        if generation != self.generation {
+            self.resolved.clear();
+            self.generation = generation;
+        }
+        let slot = match self.resolved.iter().position(|r| r.def.name == name) {
+            Some(slot) => slot,
+            None => {
+                let def = Arc::new(ModelDef::clone(&*self.app.model(name)?));
+                let table = self.app.db().table(&def.table)?;
+                self.resolved.push(Resolved { def, table });
+                self.resolved.len() - 1
+            }
+        };
+        let r = &mut self.resolved[slot];
+        if !r.table.is_current(self.app.db()) {
+            r.table = self.app.db().table(&r.def.table)?;
+        }
+        Ok(r)
+    }
+}
+
 /// One worker's connection to the database.
 ///
 /// Each HTTP request in a Rails deployment is served by exactly one worker
@@ -27,45 +84,53 @@ fn now_micros() -> i64 {
 /// the database (paper §2.2). A `Session` is therefore the unit that
 /// [`crate::App`]-level experiments hand to each worker thread.
 pub struct Session {
-    app: App,
+    models: Models,
     isolation: IsolationLevel,
     current: Option<Transaction>,
-    /// Definitions this session has resolved, valid while the app's
-    /// definition generation is `models_generation`: naming a model takes
-    /// no lock on the shared registry.
-    models: Vec<Arc<ModelDef>>,
-    models_generation: u64,
+    /// The database handle this session lends each transaction it opens
+    /// and takes back from it when it finishes; `None` while lent, and
+    /// after a panic lost it with its transaction (the next transaction
+    /// clones the application's).
+    db: Option<Database>,
 }
 
 impl Session {
     pub(crate) fn new(app: App, isolation: IsolationLevel) -> Self {
         Session {
-            app,
+            models: Models::new(app),
             isolation,
             current: None,
-            models: Vec::new(),
-            models_generation: 0,
+            db: None,
         }
     }
 
-    /// Look up a model by class name, through the session-local cache.
+    /// Look up a model by class name: the session's copy of it.
     fn model(&mut self, name: &str) -> OrmResult<Arc<ModelDef>> {
-        let generation = self.app.models_generation();
-        if generation != self.models_generation {
-            self.models.clear();
-            self.models_generation = generation;
-        }
-        if let Some(def) = self.models.iter().find(|def| def.name == name) {
-            return Ok(def.clone());
-        }
-        let def = self.app.model(name)?;
-        self.models.push(def.clone());
-        Ok(def)
+        Ok(self.models.resolve(name)?.def.clone())
+    }
+
+    /// Open a transaction on the handle this session owns.
+    fn begin(&mut self) -> Transaction {
+        let db = self
+            .db
+            .take()
+            .unwrap_or_else(|| self.models.app.db().clone());
+        db.into_txn().isolation(self.isolation).begin()
+    }
+
+    /// Commit (`Ok`) or roll back (`Err`) `tx`, and take the handle back.
+    fn finish<T>(&mut self, mut tx: Transaction, result: OrmResult<T>) -> OrmResult<T> {
+        let result = match result {
+            Ok(v) => tx.commit().map(|()| v).map_err(OrmError::from),
+            Err(e) => Err(e),
+        };
+        self.db = Some(tx.into_database());
+        result
     }
 
     /// The owning application.
     pub fn app(&self) -> &App {
-        &self.app
+        &self.models.app
     }
 
     /// This session's isolation level for new transactions.
@@ -82,23 +147,14 @@ impl Session {
     /// fresh auto-committed transaction (Rails wraps every save this way).
     fn with_txn<T>(
         &mut self,
-        f: impl FnOnce(&App, &mut Transaction) -> OrmResult<T>,
+        f: impl FnOnce(&mut Models, &mut Transaction) -> OrmResult<T>,
     ) -> OrmResult<T> {
-        let app = &self.app;
         if let Some(tx) = self.current.as_mut() {
-            return f(app, tx);
+            return f(&mut self.models, tx);
         }
-        let mut tx = app.db().txn().isolation(self.isolation).begin();
-        match f(app, &mut tx) {
-            Ok(v) => {
-                tx.commit()?;
-                Ok(v)
-            }
-            Err(e) => {
-                tx.rollback();
-                Err(e)
-            }
-        }
+        let mut tx = self.begin();
+        let result = f(&mut self.models, &mut tx);
+        self.finish(tx, result)
     }
 
     /// `Model.transaction do ... end`: run `f` inside one database
@@ -108,19 +164,19 @@ impl Session {
         if self.current.is_some() {
             return f(self);
         }
-        self.current = Some(self.app.db().txn().isolation(self.isolation).begin());
-        let result = f(self);
+        self.current = Some(self.begin());
+        // a panic in `f` must not leave the block's transaction open in
+        // `current`, for later calls to join: it is rolled back and its
+        // handle dropped with it
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
         let tx = self.current.take();
         match (result, tx) {
-            (Ok(v), Some(mut tx)) => {
-                tx.commit()?;
-                Ok(v)
+            (Ok(result), Some(tx)) => self.finish(tx, result),
+            (Ok(result), None) => result,
+            (Err(panic), tx) => {
+                drop(tx);
+                std::panic::resume_unwind(panic)
             }
-            (Err(e), Some(mut tx)) => {
-                tx.rollback();
-                Err(e)
-            }
-            (r, None) => r,
         }
     }
 
@@ -154,13 +210,13 @@ impl Session {
     /// Returns `Ok(false)` (with `record.errors` populated) when a
     /// validation fails — Rails' non-bang semantics.
     pub fn save(&mut self, record: &mut Record) -> OrmResult<bool> {
-        let delay = self.app.validation_write_delay();
+        let delay = self.models.app.validation_write_delay();
         let was_new = !record.is_persisted();
         run_callbacks(record, CallbackKind::BeforeValidation);
         let save_span = feral_trace::start_phase(feral_trace::Phase::Save);
-        let result = self.with_txn(|app, tx| {
+        let result = self.with_txn(|models, tx| {
             let validate_span = feral_trace::start_phase(feral_trace::Phase::Validate);
-            let errors = validate_record(app, tx, record, 0)?;
+            let errors = validate_record(models, tx, record, 0)?;
             validate_span.finish(tx.id());
             if !errors.is_empty() {
                 return Ok(Some(errors));
@@ -183,11 +239,11 @@ impl Session {
                 std::thread::sleep(delay);
             }
             let write_span = feral_trace::start_phase(feral_trace::Phase::Write);
-            write_record(app, tx, record)?;
+            write_record(models, tx, record)?;
             trace_save_writes(tx, record);
             write_span.finish(tx.id());
             if was_new {
-                maintain_counter_caches(app, tx, record, 1)?;
+                maintain_counter_caches(models, tx, record, 1)?;
                 run_callbacks(record, CallbackKind::AfterCreate);
             }
             run_callbacks(record, CallbackKind::AfterSave);
@@ -252,9 +308,9 @@ impl Session {
             return Err(OrmError::Config("cannot destroy an unsaved record".into()));
         };
         run_callbacks(record, CallbackKind::BeforeDestroy);
-        self.with_txn(|app, tx| {
+        self.with_txn(|models, tx| {
             let mut visited = HashSet::new();
-            destroy_in_txn(app, tx, &model, id, &mut visited)?;
+            destroy_in_txn(models, tx, &model, id, &mut visited)?;
             run_callbacks(record, CallbackKind::AfterDestroy);
             Ok(())
         })?;
@@ -268,10 +324,11 @@ impl Session {
         let Some(id) = record.id() else {
             return Err(OrmError::Config("cannot delete an unsaved record".into()));
         };
-        self.with_txn(|_, tx| {
-            let rows = tx.scan(&model.table, &Predicate::eq(0, id))?;
+        self.with_txn(|models, tx| {
+            let table = &models.resolve(&model.name)?.table;
+            let rows = tx.scan(table, &Predicate::eq(0, id))?;
             for (rref, _) in rows {
-                tx.delete(&model.table, rref)?;
+                tx.delete(table, rref)?;
             }
             Ok(())
         })?;
@@ -309,10 +366,10 @@ impl Session {
 
     /// `Model.where(attrs)` — all matching records.
     pub fn where_(&mut self, model: &str, conds: &[(&str, Datum)]) -> OrmResult<Vec<Record>> {
-        let def = self.model(model)?;
-        let rows = self.with_txn(|_, tx| {
-            let pred = conds_to_pred(&def, conds)?;
-            Ok(tx.scan(&def.table, &pred)?)
+        let (def, rows) = self.with_txn(|models, tx| {
+            let m = models.resolve(model)?;
+            let pred = conds_to_pred(&m.def, conds)?;
+            Ok((m.def.clone(), tx.scan(&m.table, &pred)?))
         })?;
         // `repeat_n` moves its item into the last pair: a point read
         // hands its one record the handle it resolved, cloning nothing
@@ -385,16 +442,17 @@ impl Session {
                     .ok_or_else(|| OrmError::Config(format!("{model} has no column {k}")))
             })
             .collect::<OrmResult<_>>()?;
-        self.with_txn(|_, tx| {
+        self.with_txn(|models, tx| {
+            let table = &models.resolve(model)?.table;
             let pred = conds_to_pred(&def, conds)?;
-            let rows = tx.scan(&def.table, &pred)?;
+            let rows = tx.scan(table, &pred)?;
             let n = rows.len();
             for (rref, tuple) in rows {
                 let mut new = tuple.to_vec();
                 for (i, v) in &owned_sets {
                     new[*i] = v.clone();
                 }
-                tx.update(&def.table, rref, new)?;
+                tx.update(table, rref, new)?;
             }
             Ok(n)
         })
@@ -403,17 +461,16 @@ impl Session {
     /// `Model.where(conds).delete_all` — direct bulk DELETE, skipping
     /// callbacks and dependent-association logic. Returns rows deleted.
     pub fn delete_all(&mut self, model: &str, conds: &[(&str, Datum)]) -> OrmResult<usize> {
-        let def = self.model(model)?;
-        self.with_txn(|_, tx| {
-            let pred = conds_to_pred(&def, conds)?;
-            Ok(tx.delete_where(&def.table, &pred)?)
+        self.with_txn(|models, tx| {
+            let m = models.resolve(model)?;
+            let pred = conds_to_pred(&m.def, conds)?;
+            Ok(tx.delete_where(&m.table, &pred)?)
         })
     }
 
     /// `Model.count`.
     pub fn count(&mut self, model: &str) -> OrmResult<usize> {
-        let def = self.model(model)?;
-        self.with_txn(|_, tx| Ok(tx.count(&def.table, &Predicate::True)?))
+        self.with_txn(|models, tx| Ok(tx.count(&models.resolve(model)?.table, &Predicate::True)?))
     }
 
     /// Load the records on the "many" side of `record.assoc`.
@@ -495,8 +552,9 @@ impl Session {
         let Some(id) = record.id() else {
             return Err(OrmError::Config("cannot lock an unsaved record".into()));
         };
-        let row: Row = self.with_txn(|_, tx| {
-            let rows = tx.select_for_update(&model.table, &Predicate::eq(0, id))?;
+        let row: Row = self.with_txn(|models, tx| {
+            let table = &models.resolve(&model.name)?.table;
+            let rows = tx.select_for_update(table, &Predicate::eq(0, id))?;
             rows.into_iter()
                 .next()
                 .map(|(_, row)| row)
@@ -512,22 +570,23 @@ impl Session {
         &mut self,
         f: impl FnOnce(&mut dyn crate::model::QueryCtx) -> OrmResult<T>,
     ) -> OrmResult<T> {
-        self.with_txn(|app, tx| {
-            let mut ctx = TxnQueryCtx { app, tx };
+        self.with_txn(|models, tx| {
+            let mut ctx = TxnQueryCtx { models, tx };
             f(&mut ctx)
         })
     }
 }
 
 /// Locate the committed row for `id`.
-fn locate(tx: &mut Transaction, model: &ModelDef, id: i64) -> OrmResult<Option<RowRef>> {
-    let rows = tx.scan(&model.table, &Predicate::eq(0, id))?;
+fn locate(tx: &mut Transaction, table: &TableHandle, id: i64) -> OrmResult<Option<RowRef>> {
+    let rows = tx.scan(table, &Predicate::eq(0, id))?;
     Ok(rows.into_iter().next().map(|(rref, _)| rref))
 }
 
 /// Insert or update `record` (validations already passed).
-fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResult<()> {
+fn write_record(models: &mut Models, tx: &mut Transaction, record: &mut Record) -> OrmResult<()> {
     let model = record.model.clone();
+    let table = &models.resolve(&model.name)?.table;
     let now = now_micros();
     if !record.is_persisted() {
         if model.timestamps {
@@ -537,9 +596,8 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
         if model.lock_version && record.attr("lock_version").is_null() {
             record.set("lock_version", 0i64);
         }
-        let rref = tx.insert(&model.table, record.to_tuple())?;
-        let table_id = app.db().table_id(&model.table)?;
-        if let Some(tuple) = tx.read_ref(table_id, rref) {
+        let rref = tx.insert(table, record.to_tuple())?;
+        if let Some(tuple) = tx.read_ref(table.id(), rref) {
             record.set("id", tuple[0].clone());
         }
         record.mark_persisted();
@@ -552,7 +610,7 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
         // Rails issues `UPDATE ... WHERE id = ? AND lock_version = ?` and
         // raises StaleObjectError when no row matches. The atomic
         // conditional update is modelled as a locked re-read + compare.
-        let rows = tx.select_for_update(&model.table, &Predicate::eq(0, id))?;
+        let rows = tx.select_for_update(table, &Predicate::eq(0, id))?;
         let Some((rref, current)) = rows.into_iter().next() else {
             return Err(OrmError::StaleObject(format!(
                 "attempted to update a stale (deleted) {}",
@@ -574,10 +632,10 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
         if model.timestamps {
             record.set("updated_at", Datum::Timestamp(now));
         }
-        tx.update(&model.table, rref, record.to_tuple())?;
+        tx.update(table, rref, record.to_tuple())?;
         return Ok(());
     }
-    let Some(rref) = locate(tx, &model, id)? else {
+    let Some(rref) = locate(tx, table, id)? else {
         return Err(OrmError::RecordNotFound(format!(
             "{} with id={id} (row vanished before update)",
             model.name
@@ -586,7 +644,7 @@ fn write_record(app: &App, tx: &mut Transaction, record: &mut Record) -> OrmResu
     if model.timestamps {
         record.set("updated_at", Datum::Timestamp(now));
     }
-    tx.update(&model.table, rref, record.to_tuple())?;
+    tx.update(table, rref, record.to_tuple())?;
     Ok(())
 }
 
@@ -628,7 +686,7 @@ fn run_callbacks(record: &mut Record, kind: CallbackKind) {
 /// `belongs_to` associations: the Rails-faithful atomic
 /// `UPDATE parents SET <children>_count = <children>_count + delta`.
 fn maintain_counter_caches(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     record: &Record,
     delta: i64,
@@ -642,12 +700,12 @@ fn maintain_counter_caches(
         if fk.is_null() {
             continue;
         }
-        let parent = app.model(&assoc.target)?;
+        let parent = models.resolve(&assoc.target)?;
         let counter_col_name = format!("{}_count", model.table);
-        let col = parent.column_index(&counter_col_name).ok_or_else(|| {
+        let col = parent.def.column_index(&counter_col_name).ok_or_else(|| {
             OrmError::Config(format!(
                 "{} must declare an integer {counter_col_name} column for counter_cache",
-                parent.name
+                parent.def.name
             ))
         })?;
         let rows = tx.scan(&parent.table, &Predicate::eq(0, fk))?;
@@ -668,7 +726,7 @@ fn maintain_counter_caches(
 /// the owner. Children inserted concurrently after the `SELECT` are
 /// silently missed — the source of Figure 4/5's orphans.
 fn destroy_in_txn(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     model: &Arc<ModelDef>,
     id: i64,
@@ -693,14 +751,15 @@ fn destroy_in_txn(
         if assoc.kind == AssocKind::BelongsTo {
             continue;
         }
-        let target = app.target_of(assoc)?;
+        let resolved = models.resolve(&assoc.target)?;
+        let (target, table) = (resolved.def.clone(), resolved.table.clone());
         let col = target.column_index(&assoc.foreign_key).ok_or_else(|| {
             OrmError::Config(format!(
                 "{} has no column {}",
                 target.name, assoc.foreign_key
             ))
         })?;
-        let children = tx.scan(&target.table, &Predicate::eq(col, id))?;
+        let children = tx.scan(&table, &Predicate::eq(col, id))?;
         match dependent {
             Dependent::Restrict => {
                 if !children.is_empty() {
@@ -714,14 +773,14 @@ fn destroy_in_txn(
             }
             Dependent::DeleteAll => {
                 for (rref, _) in children {
-                    tx.delete(&target.table, rref)?;
+                    tx.delete(&table, rref)?;
                 }
             }
             Dependent::Nullify => {
                 for (rref, tuple) in children {
                     let mut new = tuple.to_vec();
                     new[col] = Datum::Null;
-                    tx.update(&target.table, rref, new)?;
+                    tx.update(&table, rref, new)?;
                 }
             }
             Dependent::Destroy => {
@@ -729,18 +788,127 @@ fn destroy_in_txn(
                     let child_id = tuple[0]
                         .as_int()
                         .ok_or_else(|| OrmError::Config("child row without integer id".into()))?;
-                    destroy_in_txn(app, tx, &target, child_id, visited)?;
+                    destroy_in_txn(models, tx, &target, child_id, visited)?;
                 }
             }
         }
     }
-    let rows = tx.scan(&model.table, &Predicate::eq(0, id))?;
+    let table = models.resolve(&model.name)?.table.clone();
+    let rows = tx.scan(&table, &Predicate::eq(0, id))?;
     for (rref, tuple) in rows {
-        tx.delete(&model.table, rref)?;
+        tx.delete(&table, rref)?;
         // destroy runs each record's counter-cache bookkeeping (delete,
         // by contrast, skips it — which is how Rails counters drift)
         let rec = Record::from_row(model.clone(), tuple);
-        maintain_counter_caches(app, tx, &rec, -1)?;
+        maintain_counter_caches(models, tx, &rec, -1)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feral_db::{DbError, OnDelete};
+
+    fn app() -> App {
+        let app = App::in_memory();
+        app.define(ModelDef::build("Department").string("name").finish())
+            .unwrap();
+        app.define(
+            ModelDef::build("User")
+                .string("email")
+                .belongs_to("department")
+                .finish(),
+        )
+        .unwrap();
+        app.add_index("User", &["email"], true).unwrap();
+        app
+    }
+
+    fn user(email: &str, department: i64) -> [(&str, Datum); 2] {
+        [
+            ("email", Datum::text(email)),
+            ("department_id", Datum::Int(department)),
+        ]
+    }
+
+    /// The session has the handle back after every way a statement's
+    /// transaction ends: a read, an accepted write, a write the database
+    /// refuses, a `transaction` block that fails. A panic inside a
+    /// session closure — `query`'s or a `transaction` block's — drops the
+    /// transaction and that handle with it; the next call clones a new
+    /// one.
+    #[test]
+    fn the_session_takes_its_handle_back_and_a_panic_loses_only_that_one() {
+        let app = app();
+        let mut s = app.session();
+        assert!(s.db.is_none(), "cloned on first use");
+        let dept = s.create_strict("Department", &[("name", Datum::text("eng"))]);
+        let dept = dept.unwrap().id().unwrap();
+        assert!(s.db.is_some());
+        s.create_strict("User", &user("a@example.com", dept))
+            .unwrap();
+        s.find("User", 1).unwrap();
+        assert!(s.db.is_some());
+        let refused = s.create("User", &user("a@example.com", dept));
+        assert!(matches!(
+            refused,
+            Err(OrmError::Db(DbError::UniqueViolation { .. }))
+        ));
+        assert!(s.db.is_some());
+        let failed: OrmResult<()> = s.transaction(|s| {
+            s.create_strict("User", &user("b@example.com", dept))?;
+            Err(OrmError::Config("roll it back".into()))
+        });
+        assert!(failed.is_err());
+        assert!(s.db.is_some() && s.current.is_none());
+        assert_eq!(s.count("User").unwrap(), 1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.query(|_| -> OrmResult<()> { panic!("a controller bug") })
+        }));
+        assert!(panicked.is_err());
+        assert!(s.db.is_none(), "lost with its transaction");
+        assert_eq!(
+            s.find("User", 1).unwrap().get("email"),
+            Datum::text("a@example.com")
+        );
+        assert!(s.db.is_some());
+        // a panic in a `transaction` block rolls the block back, and the
+        // next call runs in a transaction of its own
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.transaction(|s| -> OrmResult<()> {
+                s.create_strict("User", &user("c@example.com", dept))?;
+                panic!("a controller bug")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert!(s.db.is_none() && s.current.is_none());
+        s.create_strict("User", &user("d@example.com", dept))
+            .unwrap();
+        assert_eq!(app.session().count("User").unwrap(), 2);
+        assert_eq!(app.db().stats().snapshot().aborts, 4);
+    }
+
+    /// A foreign key added after the session resolved the child's table
+    /// bumps the catalog epoch: the session's handle goes stale, and the
+    /// orphan insert it would have let through is refused.
+    #[test]
+    fn a_session_sees_a_foreign_key_added_after_it_resolved_the_child() {
+        let app = app();
+        let mut s = app.session();
+        let dept = s.create_strict("Department", &[("name", Datum::text("eng"))]);
+        let dept = dept.unwrap().id().unwrap();
+        s.create_strict("User", &user("a@example.com", dept))
+            .unwrap();
+        s.create_strict("User", &user("orphan@example.com", 99))
+            .unwrap();
+        app.add_foreign_key("User", "department", OnDelete::Restrict)
+            .unwrap();
+        assert!(matches!(
+            s.create("User", &user("b@example.com", 99)),
+            Err(OrmError::Db(DbError::ForeignKeyViolation { .. }))
+        ));
+        s.create_strict("User", &user("c@example.com", dept))
+            .unwrap();
+    }
 }

@@ -6,11 +6,12 @@
 //! UDFs that query) issue plain `SELECT` probes with **no predicate
 //! locks**, which is why they are unsafe below Serializable isolation.
 
-use crate::app::{conds_to_pred, App};
+use crate::app::conds_to_pred;
 use crate::errors::{Errors, OrmError, OrmResult};
 use crate::model::{AssocKind, ModelDef, Numericality, QueryCtx, Validator};
 use crate::pattern;
 use crate::record::Record;
+use crate::session::Models;
 use feral_db::{Datum, Predicate, Transaction};
 use std::sync::Arc;
 
@@ -20,26 +21,26 @@ use std::sync::Arc;
 const MAX_ASSOCIATED_DEPTH: usize = 4;
 
 /// `QueryCtx` implementation handing user-defined validators the same
-/// transaction the save runs in.
+/// transaction the save runs in, and the session's resolved models.
 pub(crate) struct TxnQueryCtx<'a> {
-    pub(crate) app: &'a App,
+    pub(crate) models: &'a mut Models,
     pub(crate) tx: &'a mut Transaction,
 }
 
 impl QueryCtx for TxnQueryCtx<'_> {
     fn count_where(&mut self, model: &str, conds: &[(String, Datum)]) -> OrmResult<usize> {
-        let def = self.app.model(model)?;
-        let pred = conds_to_pred(&def, conds)?;
-        Ok(self.tx.count(&def.table, &pred)?)
+        let m = self.models.resolve(model)?;
+        let pred = conds_to_pred(&m.def, conds)?;
+        Ok(self.tx.count(&m.table, &pred)?)
     }
 
     fn fetch_where(&mut self, model: &str, conds: &[(String, Datum)]) -> OrmResult<Vec<Record>> {
-        let def = self.app.model(model)?;
-        let pred = conds_to_pred(&def, conds)?;
-        let rows = self.tx.scan(&def.table, &pred)?;
+        let m = self.models.resolve(model)?;
+        let pred = conds_to_pred(&m.def, conds)?;
+        let rows = self.tx.scan(&m.table, &pred)?;
         Ok(rows
             .into_iter()
-            .map(|(_, row)| Record::from_row(def.clone(), row))
+            .map(|(_, row)| Record::from_row(m.def.clone(), row))
             .collect())
     }
 }
@@ -85,7 +86,7 @@ fn is_integer(d: &Datum) -> bool {
 /// Run every validator declared on `record`'s model, inside `tx`.
 /// Returns the accumulated errors (empty ⇒ valid).
 pub(crate) fn validate_record(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     record: &Record,
     depth: usize,
@@ -93,13 +94,13 @@ pub(crate) fn validate_record(
     let mut errors = Errors::new();
     let model = &record.model;
     for v in &model.validators {
-        run_validator(app, tx, record, model, v, depth, &mut errors)?;
+        run_validator(models, tx, record, model, v, depth, &mut errors)?;
     }
     Ok(errors)
 }
 
 fn run_validator(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     record: &Record,
     model: &Arc<ModelDef>,
@@ -116,7 +117,7 @@ fn run_validator(
                     // a NULL fk is blank without probing; otherwise the
                     // feral SELECT decides
                     if fk_value.is_null()
-                        || !associated_row_exists(app, tx, &assoc.target, fk_value)?
+                        || !associated_row_exists(models, tx, &assoc.target, fk_value)?
                     {
                         errors.add(field.clone(), "can't be blank");
                     }
@@ -132,7 +133,7 @@ fn run_validator(
             scope,
             case_sensitive,
         } => {
-            run_uniqueness(tx, record, model, field, scope, *case_sensitive, errors)?;
+            run_uniqueness(models, tx, record, field, scope, *case_sensitive, errors)?;
         }
         Validator::Length {
             field,
@@ -234,7 +235,7 @@ fn run_validator(
             }
         }
         Validator::Associated { assoc } => {
-            run_associated(app, tx, record, model, assoc, depth, errors)?;
+            run_associated(models, tx, record, model, assoc, depth, errors)?;
         }
         Validator::AttachmentContentType { field, allowed } => {
             let value = record.attr(&format!("{field}_content_type"));
@@ -257,7 +258,7 @@ fn run_validator(
             }
         }
         Validator::Custom { f, .. } => {
-            let mut ctx = TxnQueryCtx { app, tx };
+            let mut ctx = TxnQueryCtx { models, tx };
             f(record, &mut ctx, errors);
         }
     }
@@ -270,14 +271,15 @@ fn run_validator(
 /// transaction has — no predicate lock is taken, which is the defect the
 /// paper quantifies.
 fn run_uniqueness(
+    models: &mut Models,
     tx: &mut Transaction,
     record: &Record,
-    model: &Arc<ModelDef>,
     field: &str,
     scope: &[String],
     case_sensitive: bool,
     errors: &mut Errors,
 ) -> OrmResult<()> {
+    let model = &record.model;
     let value = record.attr(field);
     let col = model
         .column_index(field)
@@ -286,6 +288,7 @@ fn run_uniqueness(
         datum_fingerprint(value),
         feral_trace::fnv64(model.table.as_bytes()),
     );
+    let table = &models.resolve(&model.name)?.table;
 
     let taken = if case_sensitive || !matches!(value, Datum::Text(_)) {
         let mut conds: Vec<(&str, Datum)> = vec![(field, value.clone())];
@@ -293,7 +296,7 @@ fn run_uniqueness(
             conds.push((s, record.get(s)));
         }
         let pred = conds_to_pred(model, &conds)?;
-        let rows = tx.scan(&model.table, &pred)?;
+        let rows = tx.scan(table, &pred)?;
         rows.iter()
             .any(|(_, t)| record.id().is_none() || t[0].as_int() != record.id())
     } else {
@@ -301,7 +304,7 @@ fn run_uniqueness(
         // a sequential scan unless a functional index exists — model it as
         // a full scan with client-side comparison
         let needle = value.as_text().unwrap_or("").to_lowercase();
-        let rows = tx.scan(&model.table, &Predicate::True)?;
+        let rows = tx.scan(table, &Predicate::True)?;
         rows.iter().any(|(_, t)| {
             let same_scope = scope.iter().all(|s| {
                 let sc = model.column_index(s).unwrap_or(usize::MAX);
@@ -371,24 +374,24 @@ fn run_numericality(record: &Record, field: &str, opts: &Numericality, errors: &
 
 /// `SELECT 1 FROM target WHERE id = fk LIMIT 1` — the association probe.
 fn associated_row_exists(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     target_model: &str,
     fk_value: &Datum,
 ) -> OrmResult<bool> {
-    let target = app.model(target_model)?;
+    let target = &models.resolve(target_model)?.table;
     tx.note_validation_probe(
         datum_fingerprint(fk_value),
-        feral_trace::fnv64(target.table.as_bytes()),
+        feral_trace::fnv64(target.name().as_bytes()),
     );
     let pred = Predicate::eq(0, fk_value.clone());
-    Ok(!tx.scan(&target.table, &pred)?.is_empty())
+    Ok(!tx.scan(target, &pred)?.is_empty())
 }
 
 /// `validates_associated`: load associated records and run their own
 /// validation passes (bounded recursion).
 fn run_associated(
-    app: &App,
+    models: &mut Models,
     tx: &mut Transaction,
     record: &Record,
     model: &Arc<ModelDef>,
@@ -405,7 +408,7 @@ fn run_associated(
             model.name
         )));
     };
-    let target = app.target_of(assoc)?;
+    let target = models.resolve(&assoc.target)?;
     let associated: Vec<Record> = match assoc.kind {
         AssocKind::BelongsTo => {
             let fk_value = record.attr(&assoc.foreign_key);
@@ -418,27 +421,27 @@ fn run_associated(
                 return Ok(());
             }
             rows.into_iter()
-                .map(|(_, row)| Record::from_row(target.clone(), row))
+                .map(|(_, row)| Record::from_row(target.def.clone(), row))
                 .collect()
         }
         AssocKind::HasOne | AssocKind::HasMany => {
             let Some(id) = record.id() else {
                 return Ok(()); // unsaved owner has no persisted children
             };
-            let col = target.column_index(&assoc.foreign_key).ok_or_else(|| {
+            let col = target.def.column_index(&assoc.foreign_key).ok_or_else(|| {
                 OrmError::Config(format!(
                     "{} has no column {}",
-                    target.name, assoc.foreign_key
+                    target.def.name, assoc.foreign_key
                 ))
             })?;
             tx.scan(&target.table, &Predicate::eq(col, id))?
                 .into_iter()
-                .map(|(_, row)| Record::from_row(target.clone(), row))
+                .map(|(_, row)| Record::from_row(target.def.clone(), row))
                 .collect()
         }
     };
     for child in associated {
-        let child_errors = validate_record(app, tx, &child, depth + 1)?;
+        let child_errors = validate_record(models, tx, &child, depth + 1)?;
         if !child_errors.is_empty() {
             errors.add(assoc_name.to_string(), "is invalid");
             return Ok(());

@@ -12,6 +12,8 @@ use crate::value::Row;
 use crate::wal::{read_log, truncate_log, WalRecord, WalWrite, WalWriter};
 use feral_audit::{AuditMode, Auditor};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -237,6 +239,27 @@ pub(crate) struct TableEntry {
     pub(crate) fks_as_parent: Vec<Arc<ForeignKey>>,
 }
 
+/// The `id_seq` value that hands out the id after `last`: `i64::MIN` once
+/// `last` is `i64::MAX`, which `next_id` reads as exhausted.
+fn sequence_after(last: i64) -> i64 {
+    last.checked_add(1).unwrap_or(i64::MIN)
+}
+
+impl TableEntry {
+    /// The next id of the table's sequence. A sequence starts at 1 and
+    /// hands out positive ids only: once it has handed out `i64::MAX`, or
+    /// recovered it from the log, `fetch_add` leaves it negative, and
+    /// every later request fails instead of wrapping around.
+    pub(crate) fn next_id(&self) -> DbResult<i64> {
+        let id = self.id_seq.fetch_add(1, Ordering::SeqCst);
+        if id > 0 {
+            Ok(id)
+        } else {
+            Err(DbError::SequenceExhausted(self.schema.name.clone()))
+        }
+    }
+}
+
 /// Catalog: names → tables/indexes/constraints.
 #[derive(Default)]
 pub(crate) struct Catalog {
@@ -282,12 +305,18 @@ impl Catalog {
 }
 
 pub(crate) struct DbInner {
+    /// This database's number, unique in the process (never reused, unlike
+    /// the address of a dropped database's state): what a thread's block
+    /// of transaction ids and a [`TableHandle`] are keyed by.
+    pub(crate) number: u64,
     pub(crate) config: Config,
     pub(crate) catalog: RwLock<Catalog>,
-    /// Bumped whenever a table gains an index. A transaction carries the
-    /// table entries its statements resolved to commit; one that began
-    /// under an older epoch re-resolves them there, under its shard
-    /// latches, so a row is never installed past a new index.
+    /// Bumped, under the catalog's write latch and before the edit, by
+    /// every change to a table entry: a new index, a new foreign key. A
+    /// transaction carries the table entries its statements resolved to
+    /// commit; one that began under an older epoch re-resolves them there,
+    /// under its shard latches, so a row is never installed past a new
+    /// index. A [`TableHandle`] resolved under an older epoch is stale.
     pub(crate) catalog_epoch: AtomicU64,
     pub(crate) locks: LockManager,
     /// Logical clock: the newest published commit timestamp.
@@ -296,7 +325,8 @@ pub(crate) struct DbInner {
     /// active-transaction stripes, timestamp allocation, group-commit
     /// batching, and timestamp-ordered publication.
     pub(crate) pipeline: CommitPipeline,
-    /// Transaction id allocator.
+    /// Transaction id allocator: each thread draws a block of
+    /// [`TXN_ID_BLOCK`] ids at a time (see `next_txn_id`).
     pub(crate) txn_ids: AtomicU64,
     /// Write-ahead log writer, when durability is enabled.
     pub(crate) wal: Option<Mutex<WalWriter>>,
@@ -306,6 +336,82 @@ pub(crate) struct DbInner {
     /// The runtime dependency-graph observer, when
     /// [`Config::audit_mode`] is not `Off`.
     pub(crate) auditor: Option<Arc<Auditor>>,
+}
+
+/// Numbers handed to databases as they are constructed (0 is nobody's).
+static DATABASES: AtomicU64 = AtomicU64::new(1);
+
+/// Transaction ids a thread takes from `DbInner::txn_ids` at a time: a
+/// begin writes a line of its own thread, not one every thread writes.
+/// Ids stay unique per database; they are not ordered across threads, and
+/// nothing reads an order into them (lock waits end by timeout, audit
+/// sampling takes `id % n`, and the auditor's watermark and graph order
+/// by begin and commit timestamps).
+const TXN_ID_BLOCK: u64 = 64;
+
+thread_local! {
+    /// This thread's block of transaction ids: the number of the database
+    /// it was drawn from, the next id and the end of the block.
+    static TXN_ID_BLOCK_OF: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+}
+
+/// The next transaction id of `inner` on this thread.
+fn next_txn_id(inner: &DbInner) -> u64 {
+    TXN_ID_BLOCK_OF.with(|block| {
+        let (number, mut next, mut end) = block.get();
+        if number != inner.number || next == end {
+            next = inner.txn_ids.fetch_add(TXN_ID_BLOCK, Ordering::Relaxed);
+            end = next + TXN_ID_BLOCK;
+        }
+        block.set((inner.number, next + 1, end));
+        next
+    })
+}
+
+/// A table resolved once, by [`Database::table`]: a statement that names
+/// its table by a current handle takes no catalog latch and clones
+/// nothing. A handle is current while no catalog change has touched any
+/// table entry since it was resolved (`DbInner::catalog_epoch`), and only
+/// in the database that resolved it. A statement given a stale handle
+/// resolves the table by name, as if it had been given the name; the
+/// holder re-resolves it with [`Database::table`].
+#[derive(Clone)]
+pub struct TableHandle {
+    pub(crate) id: TableId,
+    pub(crate) entry: Arc<TableEntry>,
+    database: u64,
+    epoch: u64,
+}
+
+impl TableHandle {
+    /// The table's id.
+    pub fn id(&self) -> TableId {
+        self.id
+    }
+
+    /// The table's name.
+    pub fn name(&self) -> &str {
+        &self.entry.schema.name
+    }
+
+    /// Whether statements of `db`'s transactions use this handle as it
+    /// is (see [`TableHandle`]).
+    pub fn is_current(&self, db: &Database) -> bool {
+        self.is_current_in(&db.inner)
+    }
+
+    pub(crate) fn is_current_in(&self, inner: &DbInner) -> bool {
+        self.database == inner.number && self.epoch == inner.catalog_epoch.load(Ordering::Acquire)
+    }
+}
+
+impl std::fmt::Debug for TableHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TableHandle")
+            .field("table", &self.name())
+            .field("epoch", &self.epoch)
+            .finish()
+    }
 }
 
 /// A shared-nothing-API, multi-reader in-memory relational database.
@@ -364,6 +470,7 @@ impl Database {
         });
         Database {
             inner: Arc::new(DbInner {
+                number: DATABASES.fetch_add(1, Ordering::Relaxed),
                 locks: LockManager::new(config.lock_timeout),
                 config,
                 catalog: RwLock::new(Catalog::default()),
@@ -504,7 +611,9 @@ impl Database {
         // restore id sequences past the highest recovered id
         let cat = self.inner.catalog.read();
         for (tid, max_id) in max_ids {
-            cat.table(tid).id_seq.store(max_id + 1, Ordering::SeqCst);
+            cat.table(tid)
+                .id_seq
+                .store(sequence_after(max_id), Ordering::SeqCst);
         }
         drop(cat);
         // silence the unused-import warning path for Datum in no-commit logs
@@ -612,6 +721,19 @@ impl Database {
         Ok(id)
     }
 
+    /// Resolve `name` to a [`TableHandle`], for statements that should
+    /// take no catalog latch.
+    pub fn table(&self, name: &str) -> DbResult<TableHandle> {
+        let cat = self.inner.catalog.read();
+        let (id, entry) = cat.resolve(name)?;
+        Ok(TableHandle {
+            id,
+            entry: entry.clone(),
+            database: self.inner.number,
+            epoch: self.inner.catalog_epoch.load(Ordering::Acquire),
+        })
+    }
+
     /// Look up a table id by name.
     pub fn table_id(&self, name: &str) -> DbResult<TableId> {
         Ok(self.inner.catalog.read().resolve(name)?.0)
@@ -698,8 +820,8 @@ impl Database {
             columns: cols.iter().map(|c| c.to_string()).collect(),
             unique,
         };
-        cat.edit_table(table, |e| e.indexes.push(data));
         self.inner.catalog_epoch.fetch_add(1, Ordering::SeqCst);
+        cat.edit_table(table, |e| e.indexes.push(data));
         drop(cat);
         drop(latch);
         self.wal_append(&wal_record)?;
@@ -729,6 +851,7 @@ impl Database {
             parent_cols: vec![0],
             on_delete,
         });
+        self.inner.catalog_epoch.fetch_add(1, Ordering::SeqCst);
         cat.edit_table(child, |e| e.fks_as_child.push(fk.clone()));
         cat.edit_table(parent, |e| e.fks_as_parent.push(fk));
         drop(cat);
@@ -761,23 +884,33 @@ impl Database {
     /// ```
     pub fn txn(&self) -> TxnOptions<'_> {
         TxnOptions {
-            db: self,
+            db: Cow::Borrowed(self),
             isolation: self.inner.config.default_isolation,
             retries: 0,
             label: None,
         }
     }
 
-    pub(crate) fn begin_internal(
-        &self,
-        isolation: IsolationLevel,
-        label: Option<&'static str>,
-    ) -> Transaction {
+    /// [`Database::txn`] on a handle the transaction takes as it is,
+    /// instead of a clone of it: a caller that owns a handle lends it to
+    /// each transaction and takes it back from the finished one with
+    /// [`Transaction::into_database`], so a begin writes no reference
+    /// count that every thread writes.
+    pub fn into_txn(self) -> TxnOptions<'static> {
+        TxnOptions {
+            isolation: self.inner.config.default_isolation,
+            db: Cow::Owned(self),
+            retries: 0,
+            label: None,
+        }
+    }
+
+    fn begin_internal(self, isolation: IsolationLevel, label: Option<&'static str>) -> Transaction {
         // a commit this thread deferred must be published first: the new
         // transaction's snapshot and lock requests have to see it
         crate::tail::settle_scope();
         feral_hooks::yield_point(feral_hooks::Site::TxnBegin);
-        let id = self.inner.txn_ids.fetch_add(1, Ordering::SeqCst);
+        let id = next_txn_id(&self.inner);
         feral_trace::record(
             feral_trace::EventKind::Site(feral_hooks::Site::TxnBegin),
             id,
@@ -808,7 +941,7 @@ impl Database {
                 mode: feral_hooks::AccessMode::Read,
             });
         }
-        Transaction::new(self.clone(), id, active_stripe, isolation, snapshot, label)
+        Transaction::new(self, id, active_stripe, isolation, snapshot, label)
     }
 
     /// Point-in-time export of the runtime audit surface (edge and
@@ -944,7 +1077,7 @@ impl IsolationPlan {
 /// is gone). Built by [`Database::txn`].
 #[must_use = "TxnOptions does nothing until .begin() or .run(..)"]
 pub struct TxnOptions<'a> {
-    db: &'a Database,
+    db: Cow<'a, Database>,
     isolation: IsolationLevel,
     retries: usize,
     label: Option<&'static str>,
@@ -990,9 +1123,12 @@ impl TxnOptions<'_> {
         self.isolation(plan.level_for(template)).label(template)
     }
 
-    /// Open the transaction.
+    /// Open the transaction, on a clone of the handle [`Database::txn`]
+    /// was called on, or on the one [`Database::into_txn`] was given.
     pub fn begin(self) -> Transaction {
-        self.db.begin_internal(self.isolation, self.label)
+        self.db
+            .into_owned()
+            .begin_internal(self.isolation, self.label)
     }
 
     /// Run `f` inside a transaction, committing on `Ok` and rolling back
@@ -1000,19 +1136,18 @@ impl TxnOptions<'_> {
     /// (each retry re-runs `f` in a fresh transaction).
     pub fn run<T>(self, mut f: impl FnMut(&mut Transaction) -> DbResult<T>) -> DbResult<T> {
         let mut retries_left = self.retries;
+        let mut db = self.db.into_owned();
         loop {
-            let mut tx = self.db.begin_internal(self.isolation, self.label);
+            let mut tx = db.begin_internal(self.isolation, self.label);
             let result = match f(&mut tx) {
                 Ok(v) => tx.commit().map(|()| v),
-                Err(e) => {
-                    tx.rollback();
-                    Err(e)
-                }
+                Err(e) => Err(e),
             };
+            db = tx.into_database();
             match result {
                 Err(e) if retries_left > 0 && e.is_retryable() => {
                     retries_left -= 1;
-                    let inner = &self.db.inner;
+                    let inner = &db.inner;
                     inner.pipeline.yield_until_published(&inner.clock);
                 }
                 other => return other,
@@ -1097,6 +1232,29 @@ mod tests {
             db.create_index("t", &["k"], false),
             Err(DbError::IndexExists(_))
         ));
+    }
+
+    /// A live sequence hands out `i64::MAX` and then refuses every later
+    /// request, however many, instead of wrapping to `i64::MIN`.
+    #[test]
+    fn a_sequence_hands_out_i64_max_and_then_nothing() {
+        let db = Database::in_memory();
+        db.create_table(schema("users")).unwrap();
+        db.inner.catalog.read().tables[0]
+            .id_seq
+            .store(i64::MAX, Ordering::SeqCst);
+        let insert = || {
+            db.txn()
+                .run(|tx| tx.insert("users", vec![Datum::Null, Datum::text("k")]))
+        };
+        insert().unwrap();
+        for _ in 0..3 {
+            assert_eq!(insert(), Err(DbError::SequenceExhausted("users".into())));
+        }
+        let mut tx = db.txn().begin();
+        let (_, row) = tx.get_by_id("users", i64::MAX).unwrap().unwrap();
+        assert_eq!(row[0], Datum::Int(i64::MAX));
+        assert_eq!(db.count_rows("users").unwrap(), 1);
     }
 
     /// Ids the table's sequence hands out fill the primary key's dense

@@ -66,6 +66,9 @@ pub enum DbError {
     TxnClosed,
     /// The row targeted by an update/delete no longer exists.
     NoSuchRow,
+    /// The table's `id` sequence has handed out `i64::MAX`: an insert
+    /// that leaves `id` NULL cannot be given one.
+    SequenceExhausted(String),
     /// Catch-all for internal invariant violations. Seeing this is a bug.
     Internal(String),
 }
@@ -110,6 +113,7 @@ impl fmt::Display for DbError {
             }
             DbError::TxnClosed => write!(f, "transaction is already closed"),
             DbError::NoSuchRow => write!(f, "row does not exist"),
+            DbError::SequenceExhausted(t) => write!(f, "the id sequence of {t:?} is exhausted"),
             DbError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }

@@ -295,8 +295,9 @@ fn empty_range<K: Ord>(lo: Bound<&K>, hi: Bound<&K>) -> bool {
 ///
 /// Readers visit postings *under* the map's read latch and resolve each
 /// row in the heap from there ([`IndexData::any_row`]), so the one nesting
-/// of the two storage latches is index map → heap rows. Writers never nest
-/// them: a commit installs the heap version, lets go, then posts.
+/// of the storage latches is index map → heap segment (a leaf: nothing is
+/// taken under it). Writers never nest them: a commit installs the heap
+/// version, lets go, then posts.
 pub struct IndexData {
     /// Catalog id, fixed at `create_index` time — what key locks name.
     pub id: IndexId,

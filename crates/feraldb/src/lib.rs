@@ -61,7 +61,9 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use db::{Config, ConflictKind, Database, IsolationLevel, IsolationPlan, TxnOptions};
+pub use db::{
+    Config, ConflictKind, Database, IsolationLevel, IsolationPlan, TableHandle, TxnOptions,
+};
 pub use error::{DbError, DbResult};
 pub use feral_audit::{AuditMode, AuditSnapshot};
 pub use heap::RowId;
@@ -70,6 +72,6 @@ pub use predicate::{CmpOp, Predicate};
 pub use schema::{ColumnDef, ForeignKey, IndexDef, OnDelete, TableId, TableSchema};
 pub use stats::{thread_slot, Stats, StatsSnapshot, StatsStripe};
 pub use tail::{defer_durable, FlushLead, PendingCommit};
-pub use txn::{RowRef, Savepoint, Transaction};
+pub use txn::{RowRef, Savepoint, TableRef, Transaction};
 pub use value::{DataType, Datum, Row, Text, Tuple};
 pub use wal::{WalRecord, WalWrite};

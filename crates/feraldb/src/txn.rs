@@ -2,7 +2,7 @@
 //! in-database constraint checking, and the commit pipeline.
 
 use crate::commit::ShardGuards;
-use crate::db::{Database, IsolationLevel, TableEntry};
+use crate::db::{Database, DbInner, IsolationLevel, TableEntry, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::heap::RowId;
 use crate::index::{IndexData, IndexKey};
@@ -16,6 +16,51 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// How a statement names its table: by name, looked up in the catalog
+/// under its read latch, or by a [`TableHandle`] resolved earlier, which
+/// takes no catalog latch while it is current (a stale one is looked up
+/// by its name). Statements take `impl Into<TableRef>`, so a `&str`, a
+/// `&String` or a `&TableHandle` is passed as it is.
+#[derive(Debug, Clone, Copy)]
+pub enum TableRef<'a> {
+    /// A table name.
+    Name(&'a str),
+    /// A resolved table.
+    Handle(&'a TableHandle),
+}
+
+impl TableRef<'_> {
+    fn name(&self) -> &str {
+        match self {
+            TableRef::Name(name) => name,
+            TableRef::Handle(handle) => handle.name(),
+        }
+    }
+}
+
+impl<'a> From<&'a str> for TableRef<'a> {
+    fn from(name: &'a str) -> Self {
+        TableRef::Name(name)
+    }
+}
+
+impl<'a> From<&'a String> for TableRef<'a> {
+    fn from(name: &'a String) -> Self {
+        TableRef::Name(name)
+    }
+}
+
+impl<'a> From<&'a TableHandle> for TableRef<'a> {
+    fn from(handle: &'a TableHandle) -> Self {
+        TableRef::Handle(handle)
+    }
+}
+
+/// Why a transaction's handle is always there: only
+/// [`Transaction::into_database`] takes it out, and it consumes the
+/// transaction.
+const LENT: &str = "a transaction holds its database handle until it is consumed";
 
 /// Reference to a row as seen inside a transaction: either a committed heap
 /// row or one of this transaction's own uncommitted inserts.
@@ -169,7 +214,9 @@ fn catalog_touched() {
 /// An open transaction. Obtained from [`TxnOptions::begin`](crate::TxnOptions::begin). Dropping an
 /// uncommitted transaction rolls it back.
 pub struct Transaction {
-    db: Database,
+    /// The handle the transaction was begun on: its own clone, or one lent
+    /// by the caller and handed back by [`Transaction::into_database`].
+    db: Option<Database>,
     id: TxnId,
     /// Stripe of the active-snapshot registry this transaction is
     /// registered on (see `CommitPipeline::register_active`).
@@ -206,7 +253,7 @@ impl Transaction {
         let audit_capture = db.inner.auditor.as_ref().is_some_and(|a| a.samples(id));
         let catalog_epoch = db.inner.catalog_epoch.load(Ordering::SeqCst);
         Transaction {
-            db,
+            db: Some(db),
             id,
             active_stripe,
             isolation,
@@ -221,6 +268,23 @@ impl Transaction {
             audit_reads: Vec::new(),
             audit_capture,
         }
+    }
+
+    fn db(&self) -> &Database {
+        self.db.as_ref().expect(LENT)
+    }
+
+    fn inner(&self) -> &DbInner {
+        &self.db().inner
+    }
+
+    /// Close the transaction — rolling it back if it is still open — and
+    /// hand back the database handle it was begun on: the one lent to
+    /// [`Database::into_txn`](crate::Database::into_txn), ready for the
+    /// next transaction.
+    pub fn into_database(mut self) -> Database {
+        self.rollback();
+        self.db.take().expect(LENT)
     }
 
     /// This transaction's isolation level.
@@ -251,7 +315,7 @@ impl Transaction {
         if self.isolation.txn_level_snapshot() {
             self.snapshot
         } else {
-            self.db.inner.clock.load(Ordering::SeqCst)
+            self.inner().clock.load(Ordering::SeqCst)
         }
     }
 
@@ -261,26 +325,43 @@ impl Transaction {
     /// *after* taking the row or key lock: the previous holder released
     /// only after `publish`, so its version is at or below this value.
     fn committed_ts(&self) -> u64 {
-        self.db.inner.clock.load(Ordering::SeqCst)
+        self.inner().clock.load(Ordering::SeqCst)
     }
 
     fn entry(&self, table: TableId) -> Arc<TableEntry> {
         catalog_touched();
-        self.db.inner.catalog.read().table(table)
+        self.inner().catalog.read().table(table)
     }
 
-    fn resolve(&self, table: &str) -> DbResult<(TableId, Arc<TableEntry>)> {
+    /// Run `f` on `table`'s id and entry, borrowed: a current handle's
+    /// own, else the catalog's, under its read latch.
+    fn with_table<R>(
+        &self,
+        table: TableRef<'_>,
+        f: impl FnOnce(TableId, &Arc<TableEntry>) -> DbResult<R>,
+    ) -> DbResult<R> {
+        if let TableRef::Handle(handle) = table {
+            if handle.is_current_in(self.inner()) {
+                return f(handle.id, &handle.entry);
+            }
+        }
         catalog_touched();
-        let cat = self.db.inner.catalog.read();
-        let (id, entry) = cat.resolve(table)?;
-        Ok((id, entry.clone()))
+        let cat = self.inner().catalog.read();
+        let (id, entry) = cat.resolve(table.name())?;
+        f(id, entry)
+    }
+
+    fn resolve(&self, table: TableRef<'_>) -> DbResult<(TableId, Arc<TableEntry>)> {
+        self.with_table(table, |id, entry| Ok((id, entry.clone())))
     }
 
     /// The schema of `table` (catalog lookup; usable mid-transaction by
     /// query layers).
-    pub fn schema(&self, table: &str) -> DbResult<crate::schema::TableSchema> {
-        let (_, entry) = self.resolve(table)?;
-        Ok(entry.schema.clone())
+    pub fn schema<'t>(
+        &self,
+        table: impl Into<TableRef<'t>>,
+    ) -> DbResult<crate::schema::TableSchema> {
+        self.with_table(table.into(), |_, entry| Ok(entry.schema.clone()))
     }
 
     /// Report a semantically-tagged table touch to a schedule hook —
@@ -329,14 +410,14 @@ impl Transaction {
     }
 
     fn lock(&mut self, key: LockKey, mode: LockMode) -> DbResult<()> {
-        match self.db.inner.locks.acquire(self.id, &key, mode) {
+        match self.inner().locks.acquire(self.id, &key, mode) {
             Ok(()) => {
                 self.locks.push(key);
                 Ok(())
             }
             Err(e) => {
                 if matches!(e, DbError::LockTimeout { .. }) {
-                    Stats::bump(&self.db.inner.stats.local().lock_timeouts);
+                    Stats::bump(&self.inner().stats.local().lock_timeouts);
                 }
                 Err(e)
             }
@@ -388,29 +469,34 @@ impl Transaction {
 
     /// Scan `table` for rows matching `pred` (visible at this statement's
     /// snapshot, overlaid with the transaction's own writes).
-    pub fn scan(&mut self, table: &str, pred: &Predicate) -> DbResult<Vec<(RowRef, Row)>> {
+    pub fn scan<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        pred: &Predicate,
+    ) -> DbResult<Vec<(RowRef, Row)>> {
+        let table = table.into();
+        let name = table.name();
         feral_hooks::yield_point(feral_hooks::Site::TxnScan);
         feral_trace::record(
             feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
             self.id,
-            feral_trace::fnv64(table.as_bytes()),
+            feral_trace::fnv64(name.as_bytes()),
             0,
         );
         self.ensure_open()?;
         let mut out: Vec<(RowRef, Row)> = Vec::new();
-        // One catalog touch resolves name → table → covering index. An
-        // equality probe runs right here, on handles borrowed under the
-        // catalog guard: the key is encoded from the predicate, and each
-        // posting is resolved in the heap as the index hands it out — no
-        // handle is cloned and nothing but `out` is built. Only the range
-        // and full-table paths take handles out and let the catalog go
-        // (they can run long, and a queued DDL writer would stall readers).
-        let (tid, read_ts, unprobed) = {
-            catalog_touched();
-            let cat = self.db.inner.catalog.read();
-            let (tid, entry) = cat.resolve(table)?;
-            self.note_table_access(table, self.read_mode());
-            Stats::bump(&self.db.inner.stats.local().scans);
+        // One resolution (none through a current handle, else one catalog
+        // touch) finds the table and its covering index. An equality probe
+        // runs right here, on the entry borrowed from the handle or under
+        // the catalog guard: the key is encoded from the predicate, and
+        // each posting is resolved in the heap as the index hands it out —
+        // no handle is cloned and nothing but `out` is built. Only the
+        // range and full-table paths take handles out and let the catalog
+        // go (they can run long, and a queued DDL writer would stall
+        // readers).
+        let (tid, read_ts, unprobed) = self.with_table(table, |tid, entry| {
+            self.note_table_access(name, self.read_mode());
+            Stats::bump(&self.inner().stats.local().scans);
             let read_ts = self.read_ts();
             let covering = entry
                 .indexes
@@ -426,16 +512,16 @@ impl Transaction {
                         }
                         false
                     });
-                    Stats::bump(&self.db.inner.stats.local().index_probes);
-                    (tid, read_ts, None)
+                    Stats::bump(&self.inner().stats.local().index_probes);
+                    Ok((tid, read_ts, None))
                 }
-                None => (
+                None => Ok((
                     tid,
                     read_ts,
                     Some((entry.clone(), range_bounds(entry, pred))),
-                ),
+                )),
             }
-        };
+        })?;
         let used_index = unprobed.is_none();
         if let Some((entry, range)) = unprobed {
             let committed = match range {
@@ -452,7 +538,7 @@ impl Transaction {
                     }
                     rows.sort_by_key(|(row, _)| *row);
                     rows.dedup_by_key(|(row, _)| *row);
-                    Stats::bump(&self.db.inner.stats.local().index_probes);
+                    Stats::bump(&self.inner().stats.local().index_probes);
                     rows
                 }
                 None => entry.heap.scan_visible(read_ts, |t| pred.matches(t)),
@@ -475,7 +561,7 @@ impl Transaction {
         // registration below (a predicate read with no equality pairs
         // is a whole-table read)
         if self.audits_reads() {
-            let table_hash = feral_trace::fnv64(table.as_bytes());
+            let table_hash = feral_trace::fnv64(name.as_bytes());
             for (r, _) in &out {
                 if let RowRef::Committed(row) = r {
                     self.audit_reads.push(feral_audit::ReadRecord {
@@ -499,7 +585,7 @@ impl Transaction {
                     self.read_rows.insert((tid, *row));
                 }
             }
-            let tracked = used_index || !self.db.inner.config.pg_ssi_bug;
+            let tracked = used_index || !self.inner().config.pg_ssi_bug;
             if tracked {
                 if fingerprint.is_empty() {
                     self.read_preds.push(PredRead::WholeTable(tid));
@@ -515,13 +601,21 @@ impl Transaction {
     }
 
     /// Fetch a row by primary key.
-    pub fn get_by_id(&mut self, table: &str, id: i64) -> DbResult<Option<(RowRef, Row)>> {
+    pub fn get_by_id<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        id: i64,
+    ) -> DbResult<Option<(RowRef, Row)>> {
         let rows = self.scan(table, &Predicate::eq(0, id))?;
         Ok(rows.into_iter().next())
     }
 
     /// Count rows matching `pred`.
-    pub fn count(&mut self, table: &str, pred: &Predicate) -> DbResult<usize> {
+    pub fn count<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        pred: &Predicate,
+    ) -> DbResult<usize> {
         Ok(self.scan(table, pred)?.len())
     }
 
@@ -529,19 +623,20 @@ impl Transaction {
     /// X-lock each matching committed row, and return the latest committed
     /// images (re-read after the lock, as PostgreSQL does under Read
     /// Committed).
-    pub fn select_for_update(
+    pub fn select_for_update<'t>(
         &mut self,
-        table: &str,
+        table: impl Into<TableRef<'t>>,
         pred: &Predicate,
     ) -> DbResult<Vec<(RowRef, Row)>> {
         feral_hooks::yield_point(feral_hooks::Site::TxnSelectForUpdate);
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
+        let (tid, entry) = self.resolve(table.into())?;
+        let table = entry.schema.name.as_str();
         // always a committed-latest read (the post-lock re-read), even
         // under snapshot isolation
         self.note_table_access(table, feral_hooks::AccessMode::Read);
-        Stats::bump(&self.db.inner.stats.local().scans);
-        let read_ts = self.db.inner.clock.load(Ordering::SeqCst);
+        Stats::bump(&self.inner().stats.local().scans);
+        let read_ts = self.inner().clock.load(Ordering::SeqCst);
         let candidates = entry.heap.scan_visible(read_ts, |t| pred.matches(t));
         let mut out = Vec::new();
         for (row, _) in candidates {
@@ -556,7 +651,7 @@ impl Transaction {
             }
             if self.isolation.first_updater_wins() && begin > self.snapshot {
                 self.abort();
-                Stats::bump(&self.db.inner.stats.local().write_conflicts);
+                Stats::bump(&self.inner().stats.local().write_conflicts);
                 return Err(DbError::WriteConflict);
             }
             if self.isolation == IsolationLevel::Serializable {
@@ -648,7 +743,7 @@ impl Transaction {
             let key: UniqueKey = (idx.id, idx.key_of(tuple));
             self.lock(LockKey::Key(key.0, key.1.clone()), LockMode::Exclusive)?;
             if self.unique_key_taken(entry, idx, &key, target) {
-                Stats::bump(&self.db.inner.stats.local().unique_violations);
+                Stats::bump(&self.inner().stats.local().unique_violations);
                 return Err(DbError::UniqueViolation {
                     index: idx.def.name.clone(),
                     key: render_key(tuple, &idx.def.cols),
@@ -707,7 +802,7 @@ impl Transaction {
             let key: UniqueKey = (parent.indexes[0].id, IndexKey::encode([parent_id]));
             self.lock(LockKey::Key(key.0, key.1.clone()), LockMode::Shared)?;
             if !self.parent_exists(fk, &parent, parent_id, &key) {
-                Stats::bump(&self.db.inner.stats.local().fk_violations);
+                Stats::bump(&self.inner().stats.local().fk_violations);
                 return Err(DbError::ForeignKeyViolation {
                     constraint: fk.name.clone(),
                     detail: format!("referenced parent {parent_id} does not exist"),
@@ -770,7 +865,7 @@ impl Transaction {
             match fk.on_delete {
                 OnDelete::Restrict => {
                     if !children.is_empty() {
-                        Stats::bump(&self.db.inner.stats.local().fk_violations);
+                        Stats::bump(&self.inner().stats.local().fk_violations);
                         return Err(DbError::ForeignKeyViolation {
                             constraint: fk.name.clone(),
                             detail: format!("{} dependent row(s) in child table", children.len()),
@@ -802,16 +897,20 @@ impl Transaction {
     /// Insert a full tuple. A NULL `id` is auto-assigned from the table's
     /// sequence. Returns a reference usable for further reads/writes in
     /// this transaction.
-    pub fn insert(&mut self, table: &str, tuple: Tuple) -> DbResult<RowRef> {
+    pub fn insert<'t>(&mut self, table: impl Into<TableRef<'t>>, tuple: Tuple) -> DbResult<RowRef> {
         feral_hooks::yield_point(feral_hooks::Site::TxnWrite);
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
+        let (tid, entry) = self.resolve(table.into())?;
         self.insert_into(tid, entry, tuple)
     }
 
     /// Insert from `(column, value)` pairs, with defaults applied.
-    pub fn insert_pairs(&mut self, table: &str, pairs: &[(&str, Datum)]) -> DbResult<RowRef> {
-        let (tid, entry) = self.resolve(table)?;
+    pub fn insert_pairs<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        pairs: &[(&str, Datum)],
+    ) -> DbResult<RowRef> {
+        let (tid, entry) = self.resolve(table.into())?;
         let tuple = entry.schema.tuple_from_pairs(pairs)?;
         feral_hooks::yield_point(feral_hooks::Site::TxnWrite);
         self.ensure_open()?;
@@ -826,7 +925,7 @@ impl Transaction {
         mut tuple: Tuple,
     ) -> DbResult<RowRef> {
         if tuple.first().map(Datum::is_null).unwrap_or(false) {
-            tuple[0] = Datum::Int(entry.id_seq.fetch_add(1, Ordering::SeqCst));
+            tuple[0] = Datum::Int(entry.next_id()?);
         }
         entry.schema.check_tuple(&tuple)?;
         let slot = self.buf.writes.len();
@@ -842,7 +941,7 @@ impl Transaction {
             dead: false,
         });
         self.buf.own_inserts.entry(tid).or_default().push(slot);
-        Stats::bump(&self.db.inner.stats.local().inserts);
+        Stats::bump(&self.inner().stats.local().inserts);
         Ok(target)
     }
 
@@ -860,10 +959,15 @@ impl Transaction {
 
     /// Update the row at `rref` to `new_tuple` (the `id` column is forced
     /// to remain unchanged).
-    pub fn update(&mut self, table: &str, rref: RowRef, new_tuple: Tuple) -> DbResult<()> {
+    pub fn update<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        rref: RowRef,
+        new_tuple: Tuple,
+    ) -> DbResult<()> {
         feral_hooks::yield_point(feral_hooks::Site::TxnWrite);
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
+        let (tid, entry) = self.resolve(table.into())?;
         self.update_ref(tid, &entry, rref, new_tuple)
     }
 
@@ -880,7 +984,7 @@ impl Transaction {
             .ok_or(DbError::NoSuchRow)?;
         let lost_race = !live || (begin > self.snapshot && self.buf.write_of(tid, row).is_none());
         if lost_race && self.isolation.first_updater_wins() {
-            Stats::bump(&self.db.inner.stats.local().write_conflicts);
+            Stats::bump(&self.inner().stats.local().write_conflicts);
             return Err(DbError::WriteConflict);
         }
         if !live {
@@ -934,7 +1038,7 @@ impl Transaction {
                 self.buf.put_row_write(pending, row);
             }
         }
-        Stats::bump(&self.db.inner.stats.local().updates);
+        Stats::bump(&self.inner().stats.local().updates);
         Ok(())
     }
 
@@ -942,14 +1046,14 @@ impl Transaction {
     /// receives the *current* image (latest committed, or this
     /// transaction's own pending image) — the engine-level analogue of
     /// SQL's `UPDATE t SET c = c + 1`, immune to lost updates.
-    pub fn update_with(
+    pub fn update_with<'t>(
         &mut self,
-        table: &str,
+        table: impl Into<TableRef<'t>>,
         rref: RowRef,
         f: impl FnOnce(&[Datum]) -> Tuple,
     ) -> DbResult<()> {
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
+        let (tid, entry) = self.resolve(table.into())?;
         let current = match rref {
             RowRef::Own(slot) => self
                 .buf
@@ -985,10 +1089,10 @@ impl Transaction {
 
     /// Delete the row at `rref`, enforcing any in-database foreign keys
     /// (RESTRICT / CASCADE / SET NULL).
-    pub fn delete(&mut self, table: &str, rref: RowRef) -> DbResult<()> {
+    pub fn delete<'t>(&mut self, table: impl Into<TableRef<'t>>, rref: RowRef) -> DbResult<()> {
         feral_hooks::yield_point(feral_hooks::Site::TxnWrite);
         self.ensure_open()?;
-        let (tid, entry) = self.resolve(table)?;
+        let (tid, entry) = self.resolve(table.into())?;
         self.delete_ref(tid, &entry, rref)
     }
 
@@ -1017,12 +1121,17 @@ impl Transaction {
                 self.buf.put_row_write(pending, row);
             }
         }
-        Stats::bump(&self.db.inner.stats.local().deletes);
+        Stats::bump(&self.inner().stats.local().deletes);
         Ok(())
     }
 
     /// Delete all rows matching `pred`; returns the number deleted.
-    pub fn delete_where(&mut self, table: &str, pred: &Predicate) -> DbResult<usize> {
+    pub fn delete_where<'t>(
+        &mut self,
+        table: impl Into<TableRef<'t>>,
+        pred: &Predicate,
+    ) -> DbResult<usize> {
+        let table = table.into();
         let rows = self.scan(table, pred)?;
         let n = rows.len();
         for (rref, _) in rows {
@@ -1058,8 +1167,8 @@ impl Transaction {
         let Err(detail) = self.find_rw_conflict(held) else {
             return Ok(());
         };
-        self.db.inner.pipeline.check_unbroken()?;
-        Stats::bump(&self.db.inner.stats.local().serialization_failures);
+        self.inner().pipeline.check_unbroken()?;
+        Stats::bump(&self.inner().stats.local().serialization_failures);
         Err(DbError::SerializationFailure { detail })
     }
 
@@ -1145,11 +1254,11 @@ impl Transaction {
             // they can sit on anomaly cycles (the classic read-only
             // transaction anomaly under snapshot isolation). Their
             // "commit timestamp" is the clock at commit.
-            let read_ts = self.db.inner.clock.load(Ordering::SeqCst);
-            self.tail(read_ts, 0, None).complete(&self.db, true);
+            let read_ts = self.inner().clock.load(Ordering::SeqCst);
+            self.tail(read_ts, 0, None).complete(self.db(), true);
             return Ok(());
         }
-        let db = &self.db;
+        let db = self.db.as_ref().expect(LENT);
         let pipeline = &db.inner.pipeline;
         // Shard set, one bit per shard: every table written, plus — under
         // Serializable — every table read, so validation runs against
@@ -1323,9 +1432,9 @@ impl Transaction {
         // them.
         drop(held);
         let tail = self.tail(commit_ts, wal_seq, Some(summary));
-        match crate::tail::defer(&self.db, tail) {
+        match crate::tail::defer(self.db(), tail) {
             None => Ok(()),
-            Some(tail) => tail.settle(&self.db),
+            Some(tail) => tail.settle(self.db()),
         }
     }
 
@@ -1374,7 +1483,7 @@ impl Transaction {
     /// Abort: the one way a transaction ends without a [`CommitTail`].
     fn abort(&mut self) {
         self.open = false;
-        crate::tail::finish_txn(&self.db, self.id, self.active_stripe, &self.locks, false);
+        crate::tail::finish_txn(self.db(), self.id, self.active_stripe, &self.locks, false);
         self.locks.clear();
     }
 
@@ -1382,7 +1491,7 @@ impl Transaction {
     /// `SELECT … LIMIT 1`). Called by ORM uniqueness/presence checks so
     /// the paper's key operation shows up in [`Stats`] and the trace.
     pub fn note_validation_probe(&self, key_hash: u64, table_hash: u64) {
-        Stats::bump(&self.db.inner.stats.local().validation_probes);
+        Stats::bump(&self.inner().stats.local().validation_probes);
         feral_trace::record(
             feral_trace::EventKind::UniqueProbe,
             self.id,
@@ -1566,6 +1675,171 @@ mod tests {
         let by_dept = tx.scan("users", &Predicate::eq(2, 1i64)).unwrap();
         assert_eq!(by_dept.len(), 3);
         assert_eq!(db.stats().snapshot().index_probes, 1);
+    }
+
+    /// A statement through a current [`TableHandle`] resolves nothing:
+    /// a point read, the scan the feral probe runs and a write touch the
+    /// catalog 0 times, where the same statements by name touch it once
+    /// each. A handle that a catalog change made stale — or one resolved
+    /// in another database — falls back to the name, and sees the change.
+    #[test]
+    fn a_statement_through_a_resolved_handle_touches_the_catalog_zero_times() {
+        let db = users_db();
+        let users = db.table("users").unwrap();
+        db.txn()
+            .run(|tx| {
+                tx.insert_pairs(
+                    &users,
+                    &[("email", Datum::text("a")), ("dept", Datum::Int(1))],
+                )
+            })
+            .unwrap();
+        let mut tx = db.txn().begin();
+        let by_id = Predicate::eq(0, 1i64);
+        let by_email = Predicate::eq(1, "a");
+        assert_eq!(
+            catalog_touches_of(|| assert_eq!(tx.scan(&users, &by_id).unwrap().len(), 1)),
+            0
+        );
+        assert_eq!(
+            catalog_touches_of(|| assert_eq!(tx.scan(&users, &by_email).unwrap().len(), 1)),
+            0
+        );
+        assert_eq!(
+            catalog_touches_of(|| assert_eq!(tx.scan("users", &by_id).unwrap().len(), 1)),
+            1
+        );
+        let row = [Datum::Null, Datum::text("b"), Datum::Int(1)];
+        let insert = catalog_touches_of(|| {
+            tx.insert(&users, row.to_vec()).unwrap();
+        });
+        assert_eq!(insert, 0);
+        assert_eq!(catalog_touches_of(|| tx.commit().unwrap()), 0);
+        // the handle predates this index: statements through it look the
+        // table up again, and probe the index
+        assert!(users.is_current(&db));
+        db.create_index("users", &["dept"], false).unwrap();
+        assert!(!users.is_current(&db));
+        let probes = db.stats().snapshot().index_probes;
+        let mut tx = db.txn().begin();
+        let by_dept = Predicate::eq(2, 1i64);
+        assert_eq!(
+            catalog_touches_of(|| assert_eq!(tx.scan(&users, &by_dept).unwrap().len(), 2)),
+            1
+        );
+        assert_eq!(db.stats().snapshot().index_probes, probes + 1);
+        let fresh = db.table("users").unwrap();
+        assert_eq!(
+            catalog_touches_of(|| assert_eq!(tx.scan(&fresh, &by_dept).unwrap().len(), 2)),
+            0
+        );
+        // a handle is current in the database that resolved it only
+        let other = users_db();
+        assert!(!fresh.is_current(&other));
+        let mut tx = other.txn().begin();
+        assert_eq!(
+            catalog_touches_of(|| assert!(tx.scan(&fresh, &by_id).unwrap().is_empty())),
+            1
+        );
+    }
+
+    /// A transaction begun on a lent handle hands it back, closed, from a
+    /// commit, a rollback, a failed statement (a unique violation), and a
+    /// failed commit (a serialization failure); one dropped open takes
+    /// the handle with it and is rolled back. No begin clones the handle.
+    #[test]
+    fn a_lent_handle_comes_back_from_every_way_a_transaction_ends() {
+        let db = users_db();
+        let count = || Arc::strong_count(&db.inner);
+        let user = |email: &str| [("email", Datum::text(email)), ("dept", Datum::Int(1))];
+        let mut lent = db.clone();
+        let base = count();
+        // commit
+        let mut tx = lent.into_txn().begin();
+        assert_eq!(count(), base, "a lent handle is not cloned");
+        tx.insert_pairs("users", &user("a")).unwrap();
+        tx.commit().unwrap();
+        lent = tx.into_database();
+        // rollback
+        let mut tx = lent.into_txn().begin();
+        tx.insert_pairs("users", &user("b")).unwrap();
+        tx.rollback();
+        lent = tx.into_database();
+        // a failed statement, still open: handing back rolls it back
+        let mut tx = lent.into_txn().begin();
+        assert!(matches!(
+            tx.insert_pairs("users", &user("a")),
+            Err(DbError::UniqueViolation { .. })
+        ));
+        assert!(tx.is_open());
+        lent = tx.into_database();
+        // a failed commit
+        let mut reader = lent
+            .into_txn()
+            .isolation(IsolationLevel::Serializable)
+            .begin();
+        assert_eq!(
+            reader.scan("users", &Predicate::eq(1, "c")).unwrap().len(),
+            0
+        );
+        db.txn()
+            .run(|tx| tx.insert_pairs("users", &user("c")))
+            .unwrap();
+        reader.insert_pairs("users", &user("d")).unwrap();
+        assert!(matches!(
+            reader.commit(),
+            Err(DbError::SerializationFailure { .. })
+        ));
+        assert!(!reader.is_open());
+        lent = reader.into_database();
+        assert_eq!(count(), base);
+        // `run` lends what it is given and drops it when it returns
+        let fails = lent
+            .clone()
+            .into_txn()
+            .run(|tx| tx.insert_pairs("users", &user("a")));
+        assert!(matches!(fails, Err(DbError::UniqueViolation { .. })));
+        assert_eq!(count(), base);
+        // dropped open: rolled back, its locks released, the handle gone
+        let mut tx = lent.into_txn().begin();
+        tx.insert_pairs("users", &user("e")).unwrap();
+        drop(tx);
+        assert_eq!(count(), base - 1);
+        assert_eq!(db.inner.locks.cells(), 0);
+        assert_eq!(db.count_rows("users").unwrap(), 2);
+    }
+
+    /// Transaction ids come from per-thread blocks, and stay unique
+    /// across threads.
+    #[test]
+    fn transaction_ids_are_unique_across_threads() {
+        let db = users_db();
+        let ids: Vec<TxnId> = std::thread::scope(|s| {
+            let begins: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| (0..300).map(|_| db.txn().begin().id()).collect::<Vec<_>>()))
+                .collect();
+            begins.into_iter().flat_map(|b| b.join().unwrap()).collect()
+        });
+        assert_eq!(ids.iter().collect::<HashSet<_>>().len(), 600);
+    }
+
+    /// A thread's block of ids belongs to the database it was drawn from,
+    /// by number: a database opened after another was dropped — at the
+    /// same address, more often than not — does not inherit its block, so
+    /// this thread's ids and another thread's do not collide. (Keyed by
+    /// the address, the block carries over and the two threads' ids meet.)
+    #[test]
+    fn transaction_ids_are_unique_across_databases_opened_in_turn() {
+        for _ in 0..20 {
+            let db = Database::in_memory();
+            let here: HashSet<TxnId> = (0..10).map(|_| db.txn().begin().id()).collect();
+            let there: HashSet<TxnId> = std::thread::scope(|s| {
+                s.spawn(|| (0..10).map(|_| db.txn().begin().id()).collect())
+                    .join()
+                    .unwrap()
+            });
+            assert!(here.is_disjoint(&there), "{here:?} and {there:?}");
+        }
     }
 
     /// A commit computes the pruning horizon — every active-stripe lock —

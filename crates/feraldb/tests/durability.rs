@@ -267,3 +267,53 @@ fn multi_version_history_collapses_to_latest_on_recovery() {
     let (_, t) = tx.get_by_id("users", id).unwrap().unwrap();
     assert_eq!(t[2], Datum::Int(9));
 }
+
+/// A log whose highest id is `i64::MAX` reopens — replay computes the
+/// next id with checked arithmetic — and the exhausted sequence refuses
+/// the next insert that leaves `id` NULL instead of wrapping to
+/// `i64::MIN`. Explicit ids still go in, and still after a second reopen.
+#[test]
+fn an_exhausted_id_sequence_survives_recovery_and_never_wraps() {
+    let path = wal_path("exhausted-sequence");
+    let named = |name: &str| [("name", Datum::text(name)), ("score", Datum::Int(1))];
+    {
+        let db = Database::open(config(&path)).unwrap();
+        db.create_table(users_schema()).unwrap();
+        db.txn()
+            .run(|tx| {
+                tx.insert_pairs("users", &named("first"))?;
+                tx.insert(
+                    "users",
+                    vec![Datum::Int(i64::MAX), Datum::text("last"), Datum::Int(1)],
+                )
+            })
+            .unwrap();
+    }
+    for reopen in 0..2 {
+        let db = Database::open(config(&path)).unwrap();
+        let exhausted = db.txn().run(|tx| tx.insert_pairs("users", &named("next")));
+        assert_eq!(
+            exhausted,
+            Err(DbError::SequenceExhausted("users".into())),
+            "reopen {reopen}"
+        );
+        db.txn()
+            .run(|tx| {
+                tx.insert(
+                    "users",
+                    vec![Datum::Int(-reopen), Datum::text("explicit"), Datum::Int(1)],
+                )
+            })
+            .unwrap();
+        let mut tx = db.txn().begin();
+        let ids: Vec<i64> = tx
+            .scan("users", &Predicate::True)
+            .unwrap()
+            .iter()
+            .map(|(_, t)| t[0].as_int().unwrap())
+            .collect();
+        let mut want = vec![1, i64::MAX];
+        want.extend((0..=reopen).map(|r| -r));
+        assert_eq!(ids, want);
+    }
+}

@@ -18,13 +18,18 @@
 mod counting_alloc;
 
 use counting_alloc::live_of;
+use feral_db::heap::SEGMENT_ROWS;
 use feral_db::{ColumnDef, DataType, Database, Datum, TableSchema};
 
 /// Rows stored, each by a transaction of its own (an accepted signup).
-/// With the one stored before counting they fill the heap's slot vector
-/// and the primary key's dense vector to their capacity, so no half-used
-/// growth is charged to them.
+/// With the one stored before counting they fill whole heap segments
+/// (16 of them) and the primary key's dense vector to its capacity, so no
+/// half-used growth is charged to them.
 const ROWS: u64 = 16_383;
+
+// whole segments, and more than one
+const _: () =
+    assert!((ROWS + 1).is_multiple_of(SEGMENT_ROWS as u64) && ROWS + 1 > SEGMENT_ROWS as u64);
 
 /// The benchmark's bio (95 bytes).
 const BIO: &str = "Feral concurrency control: application-level validations \
