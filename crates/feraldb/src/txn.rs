@@ -1325,10 +1325,7 @@ impl Transaction {
         let mut wal_writes = Vec::new();
         if wal.is_some() {
             let mut next_row: HashMap<TableId, u64> = HashMap::new();
-            for p in &self.buf.writes {
-                if p.dead {
-                    continue;
-                }
+            for p in self.effects() {
                 let table = p.entry.schema.name.clone();
                 match &p.op {
                     PendingOp::Insert { tuple } => {
@@ -1372,15 +1369,9 @@ impl Transaction {
                 return Err(e);
             }
         };
-        // Installed at `commit_ts > clock`: invisible until `publish`. (This
-        // loop and the one above walk the slots by field, not through
-        // `effects()`: feral-racer types a loop variable from a field, and
-        // these are the latch sections it is there to watch.)
+        // Installed at `commit_ts > clock`: invisible until `publish`.
         let mut writes = Vec::with_capacity(self.buf.writes.len());
-        for p in &self.buf.writes {
-            if p.dead {
-                continue;
-            }
+        for p in self.effects() {
             let entry = &p.entry;
             match &p.op {
                 PendingOp::Insert { tuple } => {

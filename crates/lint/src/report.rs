@@ -6,7 +6,6 @@
 
 use crate::rules::{rule_meta, Anomaly, Finding, Severity, RULES};
 use crate::CorpusRun;
-use feral_cli::report::{SarifResult, SarifRule};
 use feral_iconfluence::{PaperVerdict, Safety};
 use feral_sim::Witness;
 use std::fmt::Write as _;
@@ -206,9 +205,9 @@ pub fn render_json(run: &CorpusRun) -> String {
     )
 }
 
-/// SARIF 2.1.0 through the shared emitter: one run, the FERAL rule
-/// catalog in `tool.driver.rules`, findings as `results` with physical
-/// locations `"{app}/{file}"`.
+/// SARIF 2.1.0: one run, the FERAL rule catalog in `tool.driver.rules`,
+/// findings as `results` with physical locations `"{app}/{file}"` (a
+/// corpus finding locates a model file, not a line, so no `region`).
 pub fn render_sarif(run: &CorpusRun) -> String {
     let rules: Vec<SarifRule<'_>> = RULES
         .iter()
@@ -232,14 +231,168 @@ pub fn render_sarif(run: &CorpusRun) -> String {
                 level: f.severity.sarif_level(),
                 message,
                 uri: format!("{}/{}", app.app, f.file),
-                line: 0, // corpus findings locate a model file, not a line
             });
         }
     }
-    feral_cli::report::render_sarif(
+    sarif_document(
         "feral-lint",
         "DESIGN.md#7-static-analysis-feral-lint",
         &rules,
         &results,
     )
+}
+
+/// Static metadata for one rule in a SARIF `tool.driver.rules` entry.
+struct SarifRule<'a> {
+    /// Stable id (`FERAL001`).
+    id: &'a str,
+    /// Short kebab name.
+    name: &'a str,
+    /// One-line description (SARIF `shortDescription`).
+    summary: &'a str,
+    /// Repo-relative design-doc anchor (SARIF `helpUri`).
+    help_uri: &'a str,
+    /// Citation carried in `properties.citation`.
+    citation: &'a str,
+}
+
+/// One SARIF `result`.
+struct SarifResult<'a> {
+    /// Rule id; must name an entry in the rule catalog.
+    rule_id: &'a str,
+    /// SARIF level: `error`, `warning`, or `note`.
+    level: &'a str,
+    /// Finding message (`message.text`).
+    message: String,
+    /// Physical location (`artifactLocation.uri`).
+    uri: String,
+}
+
+/// A complete SARIF 2.1.0 document: one run, the full rule catalog
+/// under `tool.driver`, one `result` per finding.
+fn sarif_document(
+    tool: &str,
+    information_uri: &str,
+    rules: &[SarifRule<'_>],
+    results: &[SarifResult<'_>],
+) -> String {
+    let rules_json: Vec<String> = rules
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\"helpUri\":\"{}\",\"properties\":{{\"citation\":\"{}\"}}}}",
+                json_escape(r.id),
+                json_escape(r.name),
+                json_escape(r.summary),
+                json_escape(r.help_uri),
+                json_escape(r.citation)
+            )
+        })
+        .collect();
+    let results_json: Vec<String> = results
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}}}}}}]}}",
+                json_escape(f.rule_id),
+                json_escape(f.level),
+                json_escape(&f.message),
+                json_escape(&f.uri)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"{}\",\"informationUri\":\"{}\",\"rules\":[{}]}}}},\"results\":[{}]}}]}}\n",
+        json_escape(tool),
+        json_escape(information_uri),
+        rules_json.join(","),
+        results_json.join(",")
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use feral_trace::json::{parse, Json};
+
+    /// The SARIF schema test: the envelope parses, the driver is fully
+    /// described, every result names a declared rule and locates a file,
+    /// and no result carries a line `region`.
+    #[test]
+    fn sarif_envelope_is_wellformed_and_rule_closed() {
+        let rules = [
+            SarifRule {
+                id: "T001",
+                name: "first-rule",
+                summary: "summary \"quoted\"",
+                help_uri: "DESIGN.md#t",
+                citation: "Someone et al.",
+            },
+            SarifRule {
+                id: "T002",
+                name: "second-rule",
+                summary: "another",
+                help_uri: "DESIGN.md#t",
+                citation: "Someone else",
+            },
+        ];
+        let results = [
+            SarifResult {
+                rule_id: "T002",
+                level: "error",
+                message: "bad\nthing".into(),
+                uri: "app/user.rb".into(),
+            },
+            SarifResult {
+                rule_id: "T001",
+                level: "warning",
+                message: "meh".into(),
+                uri: "app/model.rb".into(),
+            },
+        ];
+        let doc = parse(&sarif_document(
+            "feral-test",
+            "DESIGN.md#x",
+            &rules,
+            &results,
+        ))
+        .expect("emitter must produce parseable JSON");
+        assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
+        let run = &doc.get("runs").and_then(Json::as_arr).unwrap()[0];
+        let driver = run.get("tool").unwrap().get("driver").unwrap();
+        assert_eq!(
+            driver.get("name").and_then(Json::as_str),
+            Some("feral-test")
+        );
+        assert_eq!(
+            driver.get("informationUri").and_then(Json::as_str),
+            Some("DESIGN.md#x")
+        );
+        let declared: Vec<&str> = driver
+            .get("rules")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                assert!(r.get("shortDescription").unwrap().get("text").is_some());
+                assert!(r.get("properties").unwrap().get("citation").is_some());
+                r.get("id").and_then(Json::as_str).unwrap()
+            })
+            .collect();
+        assert_eq!(declared, ["T001", "T002"]);
+        let emitted = run.get("results").and_then(Json::as_arr).unwrap();
+        assert_eq!(emitted.len(), 2);
+        for r in emitted {
+            let id = r.get("ruleId").and_then(Json::as_str).unwrap();
+            assert!(declared.contains(&id), "result rule {id} not declared");
+            let loc = &r.get("locations").and_then(Json::as_arr).unwrap()[0];
+            let physical = loc.get("physicalLocation").unwrap();
+            assert!(physical
+                .get("artifactLocation")
+                .unwrap()
+                .get("uri")
+                .is_some());
+            assert!(physical.get("region").is_none());
+        }
+    }
 }

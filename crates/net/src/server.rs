@@ -374,7 +374,9 @@ struct WorkerPort {
     /// `true` from the first post after the worker last looked until the
     /// worker clears it: while it is set, a waker byte is in the pipe or
     /// about to be, and no sender writes another (module docs).
-    // racer:publication net::WorkerPort::wake_pending
+    // Senders swap it AcqRel, the worker clears it Release: the swap
+    // orders a sender's push before the clear that precedes the take
+    // (DESIGN §14.4).
     wake_pending: AtomicBool,
     waker: WakeHandle,
 }

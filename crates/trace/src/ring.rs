@@ -7,7 +7,8 @@
 //! `unsafe` and no torn *word* — the version protocol only guards
 //! against observing a mixed event (half old, half new).
 //!
-//! Protocol per slot:
+//! Protocol per slot, kept in `Slot::write` and `Slot::read`, the
+//! only code that touches a slot's words:
 //! - writer: bump `version` to odd, store the 7 payload words, bump
 //!   `version` to even (release).
 //! - reader: load `version` (acquire); if odd, skip. Load the words,
@@ -41,6 +42,38 @@ impl Slot {
             words: [Self::ZERO; 7],
         }
     }
+
+    /// Store one event's words. Called only by the ring's owning thread,
+    /// so the `version` load needs no ordering: no other thread stores it.
+    fn write(&self, words: [u64; 7]) {
+        let v = self.version.load(Ordering::Relaxed);
+        // odd while the words are in flux: a reader that sees it skips
+        self.version.store(v | 1, Ordering::Release);
+        for (w, word) in self.words.iter().zip(words) {
+            w.store(word, Ordering::Release);
+        }
+        // even again: releases the words to a reader that acquires it
+        self.version
+            .store((v | 1).wrapping_add(1), Ordering::Release);
+    }
+
+    /// The slot's words, or `None` if a write was in progress at any
+    /// point of the read (odd `version`, or a `version` that moved).
+    fn read(&self) -> Option<[u64; 7]> {
+        let v1 = self.version.load(Ordering::Acquire);
+        if v1 & 1 == 1 {
+            return None; // mid-write
+        }
+        let mut words = [0u64; 7];
+        for (dst, w) in words.iter_mut().zip(&self.words) {
+            *dst = w.load(Ordering::Acquire);
+        }
+        let v2 = self.version.load(Ordering::Acquire);
+        if v1 != v2 {
+            return None; // overwritten while reading
+        }
+        Some(words)
+    }
 }
 
 /// A single thread's event ring. Written by exactly one thread,
@@ -68,19 +101,12 @@ impl Ring {
     }
 
     /// Publish one event. Called only by the owning thread.
-    // racer:publication trace::Ring::head
-    // racer:seqlock trace::Slot::version guards trace::Slot::words
     pub fn push(&self, event: &Event) {
-        let pos = self.head.load(Ordering::Relaxed); // racer:owner-thread single writer
-        let slot = &self.slots[(pos as usize) % RING_SLOTS];
-        let v = slot.version.load(Ordering::Relaxed);
-        slot.version.store(v | 1, Ordering::Release);
-        let words = event.encode();
-        for (w, word) in slot.words.iter().zip(words) {
-            w.store(word, Ordering::Release);
-        }
-        slot.version
-            .store((v | 1).wrapping_add(1), Ordering::Release);
+        // Relaxed: the owning thread is the only one that stores `head`
+        let pos = self.head.load(Ordering::Relaxed);
+        self.slots[(pos as usize) % RING_SLOTS].write(event.encode());
+        // Release: a snapshot that acquires this `head` sees the slot
+        // written just above
         self.head.store(pos + 1, Ordering::Release);
     }
 
@@ -94,19 +120,7 @@ impl Ring {
         let start = head - filled as u64;
         for pos in start..head {
             let slot = &self.slots[(pos as usize) % RING_SLOTS];
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                continue; // mid-write
-            }
-            let mut words = [0u64; 7];
-            for (dst, w) in words.iter_mut().zip(&slot.words) {
-                *dst = w.load(Ordering::Acquire);
-            }
-            let v2 = slot.version.load(Ordering::Acquire);
-            if v1 != v2 {
-                continue; // overwritten while reading
-            }
-            if let Some(event) = Event::decode(words) {
+            if let Some(event) = slot.read().and_then(Event::decode) {
                 out.push(event);
             }
         }
@@ -157,14 +171,21 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use feral_hooks::Site;
+    use std::sync::atomic::AtomicBool;
 
+    /// An event whose every word is derived from `seq`, so a slot read
+    /// that mixes two writes decodes to an event `ev` would not build.
     fn ev(seq: u64) -> Event {
         Event {
             seq,
             ts_nanos: seq * 10,
-            worker: 0,
+            worker: seq.rotate_left(32),
             txn: seq,
-            kind: EventKind::Site(Site::TxnCommit),
+            kind: EventKind::Site(if seq.is_multiple_of(2) {
+                Site::TxnCommit
+            } else {
+                Site::TxnScan
+            }),
             a: seq,
             b: !seq,
         }
@@ -198,5 +219,38 @@ mod tests {
         for pair in got.windows(2) {
             assert_eq!(pair[1].seq, pair[0].seq + 1);
         }
+    }
+
+    /// One thread pushes while another snapshots: every event a snapshot
+    /// returns must be one the writer pushed whole, never half of one
+    /// write and half of the next that reused its slot. The writer pushes
+    /// until the reader is done, so every snapshot races live writes.
+    #[test]
+    fn racing_snapshots_never_see_a_mixed_event() {
+        const PUSHES: u64 = 2_000_000;
+        const SNAPSHOTS: u64 = 1_000;
+        let ring = Arc::new(Ring::new(7));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (ring, stop) = (ring.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut seq = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    ring.push(&ev(seq));
+                    seq += 1;
+                }
+            })
+        };
+        let mut snapshots = 0;
+        let mut mixed = None;
+        while mixed.is_none()
+            && (snapshots < SNAPSHOTS || ring.head.load(Ordering::Acquire) < PUSHES)
+        {
+            mixed = ring.snapshot().into_iter().find(|e| *e != ev(e.seq));
+            snapshots += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        assert_eq!(mixed, None, "mixed event read from a slot");
     }
 }
