@@ -735,12 +735,14 @@ fn destroy_in_txn(
     if !visited.insert((model.table.clone(), id)) {
         return Ok(()); // association cycle
     }
-    feral_trace::record(
-        feral_trace::EventKind::DestroyCascade,
-        tx.id(),
-        feral_trace::fnv64(id.to_string().as_bytes()),
-        feral_trace::fnv64(model.table.as_bytes()),
-    );
+    if feral_trace::enabled() {
+        feral_trace::record(
+            feral_trace::EventKind::DestroyCascade,
+            tx.id(),
+            feral_trace::fnv64(id.to_string().as_bytes()),
+            feral_trace::fnv64(model.table.as_bytes()),
+        );
+    }
     for assoc in &model.associations {
         if assoc.through.is_some() {
             continue;

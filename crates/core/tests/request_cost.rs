@@ -15,7 +15,7 @@ mod counting_alloc;
 
 use counting_alloc::allocations_of;
 use feral_db::Datum;
-use feral_orm::{App, ModelDef};
+use feral_orm::{App, Dependent, ModelDef};
 
 /// The benchmark's `User`: the feral pair over a non-unique index.
 fn app_with_users(rows: i64) -> App {
@@ -123,4 +123,68 @@ fn the_five_thousandth_insert_of_a_transaction_costs_what_the_tenth_does() {
     assert_eq!(late, early, "allocations of insert 5 000 vs insert 10");
     tx.commit().unwrap();
     assert_eq!(app.db().count_rows("users").unwrap() as i64, at);
+}
+
+/// A team whose `players` are destroyed with it, and `team_sizes` teams
+/// of that many players each.
+fn app_with_teams(team_sizes: &[i64]) -> (App, Vec<feral_orm::Record>) {
+    let app = App::in_memory();
+    app.define(
+        ModelDef::build("Team")
+            .string("name")
+            .has_many_dependent("players", Dependent::Destroy)
+            .finish(),
+    )
+    .unwrap();
+    app.define(
+        ModelDef::build("Player")
+            .string("name")
+            .belongs_to("team")
+            .finish(),
+    )
+    .unwrap();
+    let mut s = app.session();
+    let mut teams = Vec::new();
+    for &size in team_sizes {
+        let team = s
+            .create_strict("Team", &[("name", Datum::text("t"))])
+            .unwrap();
+        for _ in 0..size {
+            s.create_strict(
+                "Player",
+                &[
+                    ("name", Datum::text("p")),
+                    ("team_id", Datum::Int(team.id().unwrap())),
+                ],
+            )
+            .unwrap();
+        }
+        teams.push(team);
+    }
+    (app, teams)
+}
+
+/// With tracing off a cascade step computes no trace argument. The
+/// `DestroyCascade` event's `id.to_string()` fingerprint cost one
+/// allocation per destroyed row: 3.5 allocations per cascaded player with
+/// it, 2.47 without, so the bound of 3 trips if it comes back.
+#[test]
+fn a_cascade_destroy_with_tracing_off_allocates_nothing_for_the_trace() {
+    assert!(
+        !feral_trace::enabled(),
+        "this binary never turns tracing on"
+    );
+    let (app, mut teams) = app_with_teams(&[1, 8, 40]);
+    let mut s = app.session();
+    let mut destroy = |team: &mut feral_orm::Record| allocations_of(|| s.destroy(team).unwrap());
+    // the first destroy fills the session's model cache
+    destroy(&mut teams[0]);
+    let small = destroy(&mut teams[1]);
+    let large = destroy(&mut teams[2]);
+    assert_eq!(s.count("Player").unwrap(), 0);
+    let per_player = (large - small) as f64 / 32.0;
+    assert!(
+        per_player <= 3.0,
+        "{per_player} allocations per cascaded player (budget 3)"
+    );
 }

@@ -911,12 +911,14 @@ impl Database {
         crate::tail::settle_scope();
         feral_hooks::yield_point(feral_hooks::Site::TxnBegin);
         let id = next_txn_id(&self.inner);
-        feral_trace::record(
-            feral_trace::EventKind::Site(feral_hooks::Site::TxnBegin),
-            id,
-            isolation as u64,
-            label.map_or(0, |l| feral_trace::fnv64(l.as_bytes())),
-        );
+        if feral_trace::enabled() {
+            feral_trace::record(
+                feral_trace::EventKind::Site(feral_hooks::Site::TxnBegin),
+                id,
+                isolation as u64,
+                label.map_or(0, |l| feral_trace::fnv64(l.as_bytes())),
+            );
+        }
         // The pipeline reads the clock and registers the snapshot under
         // this thread's active-stripe lock: vacuum computes its horizon
         // holding all stripe locks, so it can never observe an empty active

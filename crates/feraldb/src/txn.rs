@@ -477,12 +477,14 @@ impl Transaction {
         let table = table.into();
         let name = table.name();
         feral_hooks::yield_point(feral_hooks::Site::TxnScan);
-        feral_trace::record(
-            feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
-            self.id,
-            feral_trace::fnv64(name.as_bytes()),
-            0,
-        );
+        if feral_trace::enabled() {
+            feral_trace::record(
+                feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
+                self.id,
+                feral_trace::fnv64(name.as_bytes()),
+                0,
+            );
+        }
         self.ensure_open()?;
         let mut out: Vec<(RowRef, Row)> = Vec::new();
         // One resolution (none through a current handle, else one catalog

@@ -17,15 +17,20 @@
 //! the `db.txn().planned(...)` pipeline fronted by the wire — the
 //! planner's weakest-safe isolation assignments enforced per template,
 //! per request, on a shared [`Database`].
+//!
+//! The assignments are data: [`CERTIFIED_LEVELS`] is a const table, and
+//! [`certified_plan`] only builds an [`IsolationPlan`] from it, so a
+//! server, a test or a benchmark round sets up without running isolation
+//! inference. The analysis runs where the analyzers are tested:
+//! `tests/plan_conformance.rs` re-derives every row with
+//! `feral_plan::infer_pair_levels` and `feral_iconfluence::coordination_free`
+//! and fails naming the template whose level differs.
 
 use feral_db::{
     AuditMode, ColumnDef, Config, DataType, Database, Datum, DbError, IsolationLevel,
     IsolationPlan, Predicate, TableSchema,
 };
-use feral_iconfluence::{coordination_free, OperationMix};
 use feral_orm::OrmError;
-use feral_plan::infer_pair_levels;
-use feral_sdg::matrix::PairKind;
 use feral_server::{Op, Request, Response, Service};
 use feral_workloads::WeightedChoice;
 use rand::rngs::StdRng;
@@ -69,27 +74,27 @@ pub const PROBED_COLUMNS: [(&str, &str); 5] = [
     ("posts", "pid"),
 ];
 
-/// The plan the planner configuration runs under: each template at the
-/// level the fixed-point inference assigns its pair slot, with the
-/// insert-only comment template on the read-committed fast path.
+/// The certified assignment, one row per template: what the fixed-point
+/// inference (`feral_plan::infer_pair_levels`) assigns each template's
+/// pair slot, with the insert-only comment template on the
+/// read-committed fast path that `feral_iconfluence::coordination_free`
+/// admits (comments only reference posts, and the workload never
+/// destroys a post).
+pub const CERTIFIED_LEVELS: [(&str, IsolationLevel); 5] = [
+    (T_SIGNUP, IsolationLevel::Serializable),
+    (T_HIRE, IsolationLevel::Serializable),
+    (T_DISBAND, IsolationLevel::Serializable),
+    (T_DEPOSIT, IsolationLevel::Snapshot),
+    (T_COMMENT, IsolationLevel::ReadCommitted),
+];
+
+/// The plan the planner configuration runs under: [`CERTIFIED_LEVELS`]
+/// over a serializable default. It runs no inference.
 pub fn certified_plan() -> IsolationPlan {
     let mut plan = IsolationPlan::new(IsolationLevel::Serializable);
-    let (uniq, _) = infer_pair_levels(PairKind::Uniqueness);
-    let (orph, _) = infer_pair_levels(PairKind::Orphans);
-    let (rmw, _) = infer_pair_levels(PairKind::LockRmw);
-    let (sib, _) = infer_pair_levels(PairKind::SiblingInserts);
-    plan.assign(T_SIGNUP, uniq[0]);
-    plan.assign(T_HIRE, orph[0]);
-    plan.assign(T_DISBAND, orph[1]);
-    plan.assign(T_DEPOSIT, rmw[0]);
-    // comments only reference posts, and the workload never destroys a
-    // post: presence under an insert-only mix is I-confluent, so the
-    // comment template may run coordination-free
-    assert!(coordination_free(
-        "validates_presence_of",
-        OperationMix::InsertionsOnly
-    ));
-    plan.assign(T_COMMENT, sib[0]);
+    for (template, level) in CERTIFIED_LEVELS {
+        plan.assign(template, level);
+    }
     plan
 }
 

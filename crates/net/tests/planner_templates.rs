@@ -12,6 +12,11 @@
 //! diet: 30.2, 30.2, 33.2, 22.3, 24.2). Each bound sits two above what is
 //! reached, so three `BTreeSet`s, a cloned lock key, an index key that
 //! allocates or a row image that splits again coming back trips it.
+//!
+//! Building the served plan is pinned the same way: `certified_plan()`
+//! reads a const table, so it allocates the plan's map node and one key
+//! per template (6; 42,305 when it re-ran isolation inference), and the
+//! bound of 8 trips if inference comes back onto the serving path.
 
 #[path = "../../core/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
@@ -69,6 +74,15 @@ fn every_template_probe_is_index_backed() {
             assert_eq!(db.count_rows("users").unwrap(), 0);
         }
     }
+}
+
+#[test]
+fn building_the_served_plan_runs_no_inference() {
+    let allocations = allocations_of(|| drop(certified_plan()));
+    assert!(
+        allocations <= 8,
+        "certified_plan() made {allocations} allocations (budget 8)"
+    );
 }
 
 #[test]

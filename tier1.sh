@@ -5,20 +5,33 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== tier1: release build =="
+# Each stanza starts with `stanza NAME`, which first prints the wall
+# seconds the previous stanza took, so a slow run names its slow stanza.
+STANZA=""
+STANZA_START=$SECONDS
+stanza() {
+  if [ -n "$STANZA" ]; then
+    echo "-- tier1: $STANZA took $(( SECONDS - STANZA_START )) s"
+  fi
+  STANZA=$1
+  STANZA_START=$SECONDS
+  echo "== tier1: $1 =="
+}
+
+stanza "release build"
 cargo build --release
 
-echo "== tier1: clippy (deny warnings) =="
+stanza "clippy (deny warnings)"
 # Every `unsafe` block carries a `// SAFETY:` comment that says why it
 # is sound: clippy's undocumented_unsafe_blocks, over every workspace
 # crate, its tests and the vendored shims.
 cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::undocumented_unsafe_blocks
 
-echo "== tier1: rustfmt check =="
+stanza "rustfmt check"
 cargo fmt --check
 
-echo "== tier1: test suite =="
+stanza "test suite"
 # `default-members` is the whole workspace, so the bare command runs
 # every crate's suites: the commit-path invariants of the engine, the
 # wire tier and the service layer (visible => durable, ack => durable,
@@ -36,14 +49,14 @@ echo "== tier1: test suite =="
 # (crates/trace/src/ring.rs).
 cargo test -q
 
-echo "== tier1: feral-sim bounded systematic sweep =="
+stanza "feral-sim bounded systematic sweep"
 # The full matrix is exhaustive in < 10k schedules per cell; the bound
 # only guards against regressions that explode the schedule space.
 # Cells default to sleep-set DPOR — safe cells must report a complete
 # sweep with the pruning counters intact.
 cargo run --release -q -p feral-sim -- matrix --max-runs 50000
 
-echo "== tier1: DPOR sweep beyond the full-enumeration budget =="
+stanza "DPOR sweep beyond the full-enumeration budget"
 # 4 concurrent uniqueness transactions at serializable: the schedule
 # tree has ~2.18e12 interleavings, so plain DFS cannot finish inside
 # any tier-1 budget (it exhausts 200k runs without completing). The
@@ -65,7 +78,7 @@ if [ "$DPOR_ELAPSED" -gt 60 ]; then
   exit 1
 fi
 
-echo "== tier1: feral-sdg static matrix, cross-validated =="
+stanza "feral-sdg static matrix, cross-validated"
 # Static dependency-graph verdicts for 4 template pairs x 4 isolation
 # levels. --validate replays a feral-sim witness for every UNSAFE cell
 # (directed DPOR, seeded-random fallback), exhaustively sweeps every
@@ -79,7 +92,7 @@ cargo run --release -q -p feral-sdg -- matrix --validate --json --out "$SDG_OUT"
 diff "$SDG_OUT" results/BENCH_sdg.golden.json
 rm -f "$SDG_OUT"
 
-echo "== tier1: workspace docs (deny warnings) =="
+stanza "workspace docs (deny warnings)"
 # Every workspace crate's rustdoc, broken intra-doc links included. The
 # vendored dependency shims are not ours (proptest's has an ambiguous
 # `vec` link of its own), so they are left out — except parking_lot,
@@ -87,7 +100,7 @@ echo "== tier1: workspace docs (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace --exclude proptest \
   --exclude crossbeam --exclude rand
 
-echo "== tier1: trace smoke gate (table1 --smoke) =="
+stanza "trace smoke gate (table1 --smoke)"
 # table1 self-validates the report (exits non-zero on schema or
 # histogram-integrity failure); re-check the artifact from the outside
 # too: parseable, non-zero commits, well-formed histograms, and at
@@ -97,7 +110,7 @@ cargo run --release -q -p feral-bench --bin table1 -- --smoke --out "$SMOKE_OUT"
 cargo run --release -q -p feral-bench --bin checkreport -- "$SMOKE_OUT"
 rm -f "$SMOKE_OUT"
 
-echo "== tier1: commit pipeline smoke gate (commitbench --smoke) =="
+stanza "commit pipeline smoke gate (commitbench --smoke)"
 # Gates on its own exit code: the sharded group-commit pipeline must
 # beat the single-latch baseline >= 2x at 8 workers (uniform keys,
 # synced WAL), every feral-sim sweep must agree with the feral-sdg
@@ -107,7 +120,7 @@ COMMIT_OUT=$(mktemp /tmp/BENCH_commit.XXXXXX.json)
 cargo run --release -q -p feral-bench --bin commitbench -- --smoke --out "$COMMIT_OUT" > /dev/null
 rm -f "$COMMIT_OUT"
 
-echo "== tier1: certified isolation plan (feral-plan certify --validate) =="
+stanza "certified isolation plan (feral-plan certify --validate)"
 # Re-derive the corpus plan, re-validate every cell's certificate
 # (static gate + per-slot minimality, complete DPOR sweep at the
 # assigned levels, replaying witness at the next-weaker configuration
@@ -116,7 +129,7 @@ echo "== tier1: certified isolation plan (feral-plan certify --validate) =="
 cargo run --release -q -p feral-plan -- certify \
   --validate results/BENCH_plan.golden.json --out /dev/null
 
-echo "== tier1: planner ablation smoke gate (commitbench planner --smoke) =="
+stanza "planner ablation smoke gate (commitbench planner --smoke)"
 # Gates on its own exit code: every plan cell re-certifies through
 # feral-sim, the planned execution meets all-serializable throughput
 # at 8 workers (paired per-pass median, 5% noise allowance), both
@@ -129,7 +142,7 @@ PLANNER_OUT=$(mktemp /tmp/BENCH_planner.XXXXXX.json)
 cargo run --release -q -p feral-bench --bin commitbench -- planner --smoke --out "$PLANNER_OUT" > /dev/null
 rm -f "$PLANNER_OUT"
 
-echo "== tier1: runtime audit smoke gate (commitbench audit --smoke) =="
+stanza "runtime audit smoke gate (commitbench audit --smoke)"
 # Gates on its own exit code: sampled-mode auditing must stay within 5%
 # of auditor-off throughput at 8 workers (median of per-pass ratios,
 # each pass bracketing the audited runs between two auditor-off runs
@@ -143,7 +156,7 @@ cargo run --release -q -p feral-bench --bin commitbench -- audit --smoke --out "
 cargo run --release -q -p feral-bench --bin checkreport -- --audit "$AUDIT_OUT"
 rm -f "$AUDIT_OUT"
 
-echo "== tier1: end-to-end benchmark smoke gate (feral-benchmark all --smoke) =="
+stanza "end-to-end benchmark smoke gate (feral-benchmark all --smoke)"
 # Gates on its own exit code: the four BENCHMARK.json workloads (durable
 # signup over TCP, read-mostly over TCP and in process, planner-hot in
 # process) at tiny counts, each in a process of its own — output checks,
@@ -157,4 +170,4 @@ echo "== tier1: end-to-end benchmark smoke gate (feral-benchmark all --smoke) ==
 # a file under benchmark/ as a side effect.
 cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml -- all --smoke > /dev/null
 
-echo "== tier1: OK =="
+stanza "OK"
