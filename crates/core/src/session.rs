@@ -7,7 +7,9 @@ use crate::errors::{OrmError, OrmResult};
 use crate::model::{AssocKind, CallbackKind, Dependent, ModelDef, Validator};
 use crate::record::Record;
 use crate::validations::{datum_fingerprint, validate_record, TxnQueryCtx};
-use feral_db::{Database, Datum, IsolationLevel, Predicate, Row, RowRef, TableHandle, Transaction};
+use feral_db::{
+    Database, Datum, IsolationLevel, Predicate, Row, RowRef, TableHandle, TableId, Transaction,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -730,9 +732,10 @@ fn destroy_in_txn(
     tx: &mut Transaction,
     model: &Arc<ModelDef>,
     id: i64,
-    visited: &mut HashSet<(String, i64)>,
+    visited: &mut HashSet<(TableId, i64)>,
 ) -> OrmResult<()> {
-    if !visited.insert((model.table.clone(), id)) {
+    let owner = models.resolve(&model.name)?.table.clone();
+    if !visited.insert((owner.id(), id)) {
         return Ok(()); // association cycle
     }
     if feral_trace::enabled() {
@@ -795,10 +798,9 @@ fn destroy_in_txn(
             }
         }
     }
-    let table = models.resolve(&model.name)?.table.clone();
-    let rows = tx.scan(&table, &Predicate::eq(0, id))?;
+    let rows = tx.scan(&owner, &Predicate::eq(0, id))?;
     for (rref, tuple) in rows {
-        tx.delete(&table, rref)?;
+        tx.delete(&owner, rref)?;
         // destroy runs each record's counter-cache bookkeeping (delete,
         // by contrast, skips it — which is how Rails counters drift)
         let rec = Record::from_row(model.clone(), tuple);

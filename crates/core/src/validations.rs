@@ -56,6 +56,21 @@ pub(crate) fn datum_fingerprint(d: &Datum) -> u64 {
     }
 }
 
+/// Count one feral probe of `value` in `table`. Its trace arguments are
+/// computed only while tracing is on: fingerprinting an integer key
+/// allocates its decimal string.
+fn note_probe(tx: &Transaction, value: &Datum, table: &str) {
+    let (key, table) = if feral_trace::enabled() {
+        (
+            datum_fingerprint(value),
+            feral_trace::fnv64(table.as_bytes()),
+        )
+    } else {
+        (0, 0)
+    };
+    tx.note_validation_probe(key, table);
+}
+
 /// Whether a datum counts as "blank" for `validates_presence_of`.
 pub(crate) fn blank(d: &Datum) -> bool {
     match d {
@@ -284,10 +299,7 @@ fn run_uniqueness(
     let col = model
         .column_index(field)
         .ok_or_else(|| OrmError::Config(format!("{} has no column {field}", model.name)))?;
-    tx.note_validation_probe(
-        datum_fingerprint(value),
-        feral_trace::fnv64(model.table.as_bytes()),
-    );
+    note_probe(tx, value, &model.table);
     let table = &models.resolve(&model.name)?.table;
 
     let taken = if case_sensitive || !matches!(value, Datum::Text(_)) {
@@ -380,10 +392,7 @@ fn associated_row_exists(
     fk_value: &Datum,
 ) -> OrmResult<bool> {
     let target = &models.resolve(target_model)?.table;
-    tx.note_validation_probe(
-        datum_fingerprint(fk_value),
-        feral_trace::fnv64(target.name().as_bytes()),
-    );
+    note_probe(tx, fk_value, target.name());
     let pred = Predicate::eq(0, fk_value.clone());
     Ok(!tx.scan(target, &pred)?.is_empty())
 }

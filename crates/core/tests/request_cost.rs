@@ -164,10 +164,12 @@ fn app_with_teams(team_sizes: &[i64]) -> (App, Vec<feral_orm::Record>) {
     (app, teams)
 }
 
-/// With tracing off a cascade step computes no trace argument. The
-/// `DestroyCascade` event's `id.to_string()` fingerprint cost one
-/// allocation per destroyed row: 3.5 allocations per cascaded player with
-/// it, 2.47 without, so the bound of 3 trips if it comes back.
+/// With tracing off a cascade step computes no trace argument, and its
+/// cycle guard copies no table name. The `DestroyCascade` event's
+/// `id.to_string()` fingerprint cost one allocation per destroyed row
+/// (3.5 allocations per cascaded player with it), and keying the visited
+/// set by the table's name another (2.47); keyed by table id a player
+/// costs 1.47, so the bound of 2 trips if either comes back.
 #[test]
 fn a_cascade_destroy_with_tracing_off_allocates_nothing_for_the_trace() {
     assert!(
@@ -184,7 +186,52 @@ fn a_cascade_destroy_with_tracing_off_allocates_nothing_for_the_trace() {
     assert_eq!(s.count("Player").unwrap(), 0);
     let per_player = (large - small) as f64 / 32.0;
     assert!(
-        per_player <= 3.0,
-        "{per_player} allocations per cascaded player (budget 3)"
+        per_player <= 2.0,
+        "{per_player} allocations per cascaded player (budget 2)"
+    );
+}
+
+/// A create whose `validates_presence_of` association probes the parent
+/// by its integer key computes no trace argument with tracing off: the
+/// probe's key fingerprint formatted the integer, 12.5 allocations per
+/// create with it and 11.5 without, so the bound of 12 trips if it comes
+/// back.
+#[test]
+fn an_association_probe_with_tracing_off_allocates_nothing_for_the_trace() {
+    assert!(
+        !feral_trace::enabled(),
+        "this binary never turns tracing on"
+    );
+    let app = App::in_memory();
+    app.define(ModelDef::build("Team").string("name").finish())
+        .unwrap();
+    app.define(
+        ModelDef::build("Player")
+            .string("name")
+            .belongs_to("team")
+            .validates_presence_of("team")
+            .finish(),
+    )
+    .unwrap();
+    let mut s = app.session();
+    let team = s
+        .create_strict("Team", &[("name", Datum::text("t"))])
+        .unwrap();
+    let player = [
+        ("name", Datum::text("p")),
+        ("team_id", Datum::Int(team.id().unwrap())),
+    ];
+    s.create_strict("Player", &player).unwrap();
+    const CALLS: u64 = 50;
+    let allocations = allocations_of(|| {
+        for _ in 0..CALLS {
+            let created = s.create("Player", &player).unwrap();
+            assert!(created.is_persisted(), "{:?}", created.errors);
+        }
+    });
+    let per_create = allocations as f64 / CALLS as f64;
+    assert!(
+        per_create <= 12.0,
+        "{per_create} allocations per create with an association probe (budget 12)"
     );
 }

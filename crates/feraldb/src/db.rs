@@ -222,8 +222,13 @@ impl Default for Config {
 }
 
 /// One table's runtime state.
+#[derive(Clone)]
 pub(crate) struct TableEntry {
     pub(crate) schema: TableSchema,
+    /// FNV-1a of the table's name, computed when the table is created:
+    /// what a schedule hook's table access, the trace and the auditor
+    /// name the table by.
+    pub(crate) name_hash: u64,
     pub(crate) heap: Arc<Heap>,
     /// Auto-increment sequence for the `id` column, shared by every copy
     /// of the entry DDL makes.
@@ -291,14 +296,7 @@ impl Catalog {
     fn edit_table(&mut self, table: TableId, edit: impl FnOnce(&mut TableEntry)) {
         let slot = &mut self.tables[table.0 as usize];
         if Arc::get_mut(slot).is_none() {
-            *slot = Arc::new(TableEntry {
-                schema: slot.schema.clone(),
-                heap: slot.heap.clone(),
-                id_seq: slot.id_seq.clone(),
-                indexes: slot.indexes.clone(),
-                fks_as_child: slot.fks_as_child.clone(),
-                fks_as_parent: slot.fks_as_parent.clone(),
-            });
+            *slot = Arc::new(TableEntry::clone(slot));
         }
         edit(Arc::get_mut(slot).expect("the entry was just made unique"));
     }
@@ -704,6 +702,7 @@ impl Database {
         };
         cat.table_names.insert(schema.name.clone(), id);
         cat.tables.push(Arc::new(TableEntry {
+            name_hash: feral_hooks::fnv64(schema.name.as_bytes()),
             schema,
             heap: Arc::new(Heap::new()),
             id_seq: Arc::new(AtomicI64::new(1)),

@@ -50,6 +50,7 @@
 pub(crate) mod commit;
 pub mod db;
 pub mod error;
+pub(crate) mod footprint;
 pub mod heap;
 pub mod index;
 pub mod lock;

@@ -23,10 +23,10 @@
 
 use crate::db::{Database, IsolationLevel};
 use crate::error::{DbError, DbResult};
+use crate::footprint::Footprint;
 use crate::lock::{LockKey, TxnId};
 use crate::stats::Stats;
 use crate::txn::CommittedTxn;
-use crate::value::Datum;
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,8 +50,9 @@ pub(crate) struct CommitTail {
     pub(crate) isolation: IsolationLevel,
     pub(crate) snapshot: u64,
     pub(crate) label: Option<&'static str>,
-    pub(crate) audit_reads: Vec<feral_audit::ReadRecord>,
-    pub(crate) audit_capture: bool,
+    /// What the transaction read, and whether the auditor samples it:
+    /// the auditor's records are built from it on delivery.
+    pub(crate) footprint: Footprint,
 }
 
 impl CommitTail {
@@ -77,7 +78,7 @@ impl CommitTail {
     /// flush failed and the versions stay above a frozen clock. Called
     /// with no pipeline lock held — it takes lock-table and
     /// active-stripe locks.
-    pub(crate) fn complete(mut self, db: &Database, durable: bool) {
+    pub(crate) fn complete(self, db: &Database, durable: bool) {
         if durable {
             self.deliver_audit_footprint(db);
         }
@@ -85,69 +86,41 @@ impl CommitTail {
     }
 
     /// Deliver the access footprint to the runtime auditor and mirror the
-    /// outcome into engine stats. The write footprint is built from the
-    /// installed summary here, after the latches dropped, so image hashing
-    /// never extends the critical section other committers queue on.
+    /// outcome into engine stats. The records are built here, after the
+    /// latches dropped, so image hashing never extends the critical
+    /// section other committers queue on; tables are named by the hashes
+    /// the footprint carries, so no catalog latch is taken either.
     /// Transactions outside the sampled slice deliver a bare marker.
-    fn deliver_audit_footprint(&mut self, db: &Database) {
+    fn deliver_audit_footprint(&self, db: &Database) {
         let Some(auditor) = db.inner.auditor.as_ref() else {
             return;
         };
-        if !self.audit_capture {
+        if !self.footprint.audited {
             auditor.observe_commit_marker(self.label, self.isolation.name());
             return;
         }
-        let writes: Vec<feral_audit::WriteRecord> =
-            self.summary.as_ref().map_or_else(Vec::new, |s| {
-                let catalog = db.inner.catalog.read();
-                s.writes
-                    .iter()
-                    .map(|(tid, row, old, new)| feral_audit::WriteRecord {
-                        table: feral_trace::fnv64(catalog.table(*tid).schema.name.as_bytes()),
-                        row: *row as u64,
-                        old: old.as_deref().map(audit_image),
-                        new: new.as_deref().map(audit_image),
-                    })
-                    .collect()
-            });
+        let installed = self.summary.as_ref().map_or(&[][..], |s| &s.writes);
+        let (reads, writes) = self.footprint.audit_records(installed);
         let outcome = auditor.observe_commit(feral_audit::TxnFootprint {
             txn: self.txn,
             begin_ts: self.snapshot,
             commit_ts: self.commit_ts,
             isolation: self.isolation.name(),
             template: self.label,
-            reads: std::mem::take(&mut self.audit_reads),
+            reads,
             writes,
             sampled_out: false,
         });
-        if outcome != feral_audit::CommitOutcome::default() {
-            let stats = &db.inner.stats;
-            stats
-                .audit_edges
-                .fetch_add(outcome.edges_added, Ordering::Relaxed);
-            stats
-                .audit_cycles
-                .fetch_add(outcome.cycles_found, Ordering::Relaxed);
-            stats
-                .audit_drops
-                .fetch_add(outcome.dropped, Ordering::Relaxed);
+        let stats = &db.inner.stats;
+        let mirrored = [
+            (&stats.audit_edges, outcome.edges_added),
+            (&stats.audit_cycles, outcome.cycles_found),
+            (&stats.audit_drops, outcome.dropped),
+        ];
+        for (counter, n) in mirrored.into_iter().filter(|&(_, n)| n > 0) {
+            counter.fetch_add(n, Ordering::Relaxed);
         }
     }
-}
-
-/// Column-value hashes of a tuple image in the auditor's footprint
-/// vocabulary (used for predicate-vs-write-image matching).
-fn audit_image(tuple: &[Datum]) -> Vec<u64> {
-    let mut buf = Vec::new();
-    tuple
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            buf.clear();
-            d.encode_key(&mut buf);
-            feral_audit::column_value_hash(i, &buf)
-        })
-        .collect()
 }
 
 /// The end of every transaction, committed or not: release its locks,

@@ -4,6 +4,7 @@
 use crate::commit::ShardGuards;
 use crate::db::{Database, DbInner, IsolationLevel, TableEntry, TableHandle};
 use crate::error::{DbError, DbResult};
+use crate::footprint::{note_table_access, Footprint};
 use crate::heap::RowId;
 use crate::index::{IndexData, IndexKey};
 use crate::lock::{LockKey, LockMode, TxnId};
@@ -12,7 +13,7 @@ use crate::schema::{ForeignKey, IndexId, OnDelete, TableId};
 use crate::stats::Stats;
 use crate::tail::CommitTail;
 use crate::value::{Datum, Row, Tuple};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -160,20 +161,6 @@ impl WriteBuffer {
     }
 }
 
-/// A predicate read registered for serializable validation.
-#[derive(Debug, Clone)]
-pub(crate) enum PredRead {
-    /// The transaction scanned the whole table.
-    WholeTable(TableId),
-    /// The transaction read rows matching an equality conjunction.
-    Eq {
-        /// Scanned table.
-        table: TableId,
-        /// `(column, value)` equality pairs.
-        pairs: Vec<(usize, Datum)>,
-    },
-}
-
 /// One committed write: `(table, row, old image, new image)`.
 pub(crate) type CommittedWrite = (TableId, RowId, Option<Row>, Option<Row>);
 
@@ -228,17 +215,12 @@ pub struct Transaction {
     open: bool,
     buf: WriteBuffer,
     locks: Vec<LockKey>,
-    read_rows: HashSet<(TableId, RowId)>,
-    read_preds: Vec<PredRead>,
+    /// What the transaction read, kept for Serializable validation and,
+    /// when it samples the transaction, for the runtime auditor.
+    footprint: Footprint,
     /// Trace label / plan template key, threaded into the audit
     /// footprint so anomaly verdicts can name the offending template.
     label: Option<&'static str>,
-    /// Read footprint captured for the runtime auditor — independent
-    /// of `read_rows`/`read_preds` (those are Serializable-only
-    /// validation state; the auditor watches *every* level).
-    audit_reads: Vec<feral_audit::ReadRecord>,
-    /// Whether the auditor samples this transaction's read set.
-    audit_capture: bool,
 }
 
 impl Transaction {
@@ -250,7 +232,7 @@ impl Transaction {
         snapshot: u64,
         label: Option<&'static str>,
     ) -> Self {
-        let audit_capture = db.inner.auditor.as_ref().is_some_and(|a| a.samples(id));
+        let audited = db.inner.auditor.as_ref().is_some_and(|a| a.samples(id));
         let catalog_epoch = db.inner.catalog_epoch.load(Ordering::SeqCst);
         Transaction {
             db: Some(db),
@@ -262,11 +244,8 @@ impl Transaction {
             open: true,
             buf: WriteBuffer::default(),
             locks: Vec::new(),
-            read_rows: HashSet::new(),
-            read_preds: Vec::new(),
+            footprint: Footprint::new(isolation == IsolationLevel::Serializable, audited),
             label,
-            audit_reads: Vec::new(),
-            audit_capture,
         }
     }
 
@@ -364,39 +343,6 @@ impl Transaction {
         self.with_table(table.into(), |_, entry| Ok(entry.schema.clone()))
     }
 
-    /// Report a semantically-tagged table touch to a schedule hook —
-    /// the per-step footprint partial-order-reduction explorers compute
-    /// happens-before from. Gated on `feral_hooks::active()` so the
-    /// name hashing costs nothing in ordinary execution.
-    fn note_table_access(&self, name: &str, mode: feral_hooks::AccessMode) {
-        if feral_hooks::active() {
-            feral_hooks::note_access(feral_hooks::Access {
-                space: "table",
-                what: feral_hooks::fnv64(name.as_bytes()),
-                mode,
-            });
-        }
-    }
-
-    /// Whether the runtime auditor wants this statement's read
-    /// recorded (auditor on, and this transaction not sampled out).
-    fn audits_reads(&self) -> bool {
-        self.audit_capture
-    }
-
-    /// Column-value hashes of an equality fingerprint.
-    fn audit_pred_pairs(fingerprint: &[(usize, Datum)]) -> Vec<u64> {
-        let mut buf = Vec::new();
-        fingerprint
-            .iter()
-            .map(|(col, v)| {
-                buf.clear();
-                v.encode_key(&mut buf);
-                feral_audit::column_value_hash(*col, &buf)
-            })
-            .collect()
-    }
-
     /// The semantic mode of a plain read under this isolation level: a
     /// read against the transaction-level snapshot commutes with
     /// concurrent installs (the snapshot already fixed what it sees),
@@ -474,17 +420,7 @@ impl Transaction {
         table: impl Into<TableRef<'t>>,
         pred: &Predicate,
     ) -> DbResult<Vec<(RowRef, Row)>> {
-        let table = table.into();
-        let name = table.name();
         feral_hooks::yield_point(feral_hooks::Site::TxnScan);
-        if feral_trace::enabled() {
-            feral_trace::record(
-                feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
-                self.id,
-                feral_trace::fnv64(name.as_bytes()),
-                0,
-            );
-        }
         self.ensure_open()?;
         let mut out: Vec<(RowRef, Row)> = Vec::new();
         // One resolution (none through a current handle, else one catalog
@@ -496,15 +432,20 @@ impl Transaction {
         // range and full-table paths take handles out and let the catalog
         // go (they can run long, and a queued DDL writer would stall
         // readers).
-        let (tid, read_ts, unprobed) = self.with_table(table, |tid, entry| {
-            self.note_table_access(name, self.read_mode());
+        let (tid, name_hash, read_ts, unprobed) = self.with_table(table.into(), |tid, entry| {
+            feral_trace::record(
+                feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
+                self.id,
+                entry.name_hash,
+                0,
+            );
             Stats::bump(&self.inner().stats.local().scans);
             let read_ts = self.read_ts();
             let covering = entry
                 .indexes
                 .iter()
                 .find_map(|idx| equality_key(idx, pred).map(|key| (idx, key)));
-            match covering {
+            let unprobed = match covering {
                 Some((idx, key)) => {
                     idx.any_row(&key, |row| {
                         if let Some(t) = entry.heap.visible(row, read_ts) {
@@ -515,14 +456,11 @@ impl Transaction {
                         false
                     });
                     Stats::bump(&self.inner().stats.local().index_probes);
-                    Ok((tid, read_ts, None))
+                    None
                 }
-                None => Ok((
-                    tid,
-                    read_ts,
-                    Some((entry.clone(), range_bounds(entry, pred))),
-                )),
-            }
+                None => Some((entry.clone(), range_bounds(entry, pred))),
+            };
+            Ok((tid, entry.name_hash, read_ts, unprobed))
         })?;
         let used_index = unprobed.is_none();
         if let Some((entry, range)) = unprobed {
@@ -551,54 +489,16 @@ impl Transaction {
         }
         self.overlay_own_inserts(tid, |t| pred.matches(t), &mut out);
 
-        // the owned fingerprint is only for those who keep it
-        let fingerprint = if self.audits_reads() || self.isolation == IsolationLevel::Serializable {
-            pred.equality_fingerprint()
-        } else {
-            Vec::new()
-        };
-
-        // capture the read footprint for the runtime auditor — every
-        // isolation level, unlike the Serializable-only validation
-        // registration below (a predicate read with no equality pairs
-        // is a whole-table read)
-        if self.audits_reads() {
-            let table_hash = feral_trace::fnv64(name.as_bytes());
-            for (r, _) in &out {
-                if let RowRef::Committed(row) = r {
-                    self.audit_reads.push(feral_audit::ReadRecord {
-                        table: table_hash,
-                        target: feral_audit::ReadTarget::Row(*row as u64),
-                        read_ts,
-                    });
-                }
-            }
-            self.audit_reads.push(feral_audit::ReadRecord {
-                table: table_hash,
-                target: feral_audit::ReadTarget::Pred(Self::audit_pred_pairs(&fingerprint)),
-                read_ts,
-            });
-        }
-
-        // register reads for serializable validation
-        if self.isolation == IsolationLevel::Serializable {
-            for (r, _) in &out {
-                if let RowRef::Committed(row) = r {
-                    self.read_rows.insert((tid, *row));
-                }
-            }
-            let tracked = used_index || !self.inner().config.pg_ssi_bug;
-            if tracked {
-                if fingerprint.is_empty() {
-                    self.read_preds.push(PredRead::WholeTable(tid));
-                } else {
-                    self.read_preds.push(PredRead::Eq {
-                        table: tid,
-                        pairs: fingerprint,
-                    });
-                }
+        // no hook runs between the scan and this report of it
+        let mode = self.read_mode();
+        self.footprint.open(tid, name_hash, mode, read_ts);
+        for (r, _) in &out {
+            if let RowRef::Committed(row) = r {
+                self.footprint.row(*row);
             }
         }
+        let validated = used_index || !self.inner().config.pg_ssi_bug;
+        self.footprint.pred(pred, validated);
         Ok(out)
     }
 
@@ -633,12 +533,12 @@ impl Transaction {
         feral_hooks::yield_point(feral_hooks::Site::TxnSelectForUpdate);
         self.ensure_open()?;
         let (tid, entry) = self.resolve(table.into())?;
-        let table = entry.schema.name.as_str();
-        // always a committed-latest read (the post-lock re-read), even
-        // under snapshot isolation
-        self.note_table_access(table, feral_hooks::AccessMode::Read);
         Stats::bump(&self.inner().stats.local().scans);
         let read_ts = self.inner().clock.load(Ordering::SeqCst);
+        // always a committed-latest read (the post-lock re-read), even
+        // under snapshot isolation
+        let mode = feral_hooks::AccessMode::Read;
+        self.footprint.open(tid, entry.name_hash, mode, read_ts);
         let candidates = entry.heap.scan_visible(read_ts, |t| pred.matches(t));
         let mut out = Vec::new();
         for (row, _) in candidates {
@@ -656,17 +556,7 @@ impl Transaction {
                 Stats::bump(&self.inner().stats.local().write_conflicts);
                 return Err(DbError::WriteConflict);
             }
-            if self.isolation == IsolationLevel::Serializable {
-                self.read_rows.insert((tid, row));
-            }
-            if self.audits_reads() {
-                // the post-lock re-read is a committed-latest read
-                self.audit_reads.push(feral_audit::ReadRecord {
-                    table: feral_trace::fnv64(table.as_bytes()),
-                    target: feral_audit::ReadTarget::Row(row as u64),
-                    read_ts,
-                });
-            }
+            self.footprint.row(row);
             self.overlay_committed(tid, row, latest, |t| pred.matches(t), &mut out);
         }
         // own inserts matching the predicate are implicitly "locked"
@@ -689,7 +579,7 @@ impl Transaction {
         exclude: RowRef,
     ) -> bool {
         // probes committed-latest state below, at any isolation level
-        self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
+        note_table_access(entry.name_hash, feral_hooks::AccessMode::Read);
         let tid = idx.def.table;
         let holds = |image: &[Datum]| !idx.key_has_null(image) && idx.key_of(image) == key.1;
         // a pending image that took the key since it last was committed state
@@ -766,7 +656,7 @@ impl Transaction {
         parent_id: &Datum,
         key: &UniqueKey,
     ) -> bool {
-        self.note_table_access(&parent.schema.name, feral_hooks::AccessMode::Read);
+        note_table_access(parent.name_hash, feral_hooks::AccessMode::Read);
         // an own pending insert into the parent took the key when it
         // passed its primary-key check
         let recorded = self.buf.recorded_holder(key, fk.parent_table);
@@ -824,7 +714,7 @@ impl Transaction {
         child: &TableEntry,
         parent_id: &Datum,
     ) -> Vec<(RowRef, Row)> {
-        self.note_table_access(&child.schema.name, feral_hooks::AccessMode::Read);
+        note_table_access(child.name_hash, feral_hooks::AccessMode::Read);
         let col = fk.child_cols[0];
         let refers = |t: &[Datum]| t[col].sql_eq(parent_id) == Some(true);
         let clock = self.committed_ts();
@@ -979,7 +869,7 @@ impl Transaction {
     fn lock_for_write(&mut self, tid: TableId, entry: &TableEntry, row: RowId) -> DbResult<Row> {
         self.lock(LockKey::Row(tid, row), LockMode::Exclusive)?;
         // post-lock committed-latest re-read (first-updater check)
-        self.note_table_access(&entry.schema.name, feral_hooks::AccessMode::Read);
+        note_table_access(entry.name_hash, feral_hooks::AccessMode::Read);
         let (latest, live, begin) = entry
             .heap
             .latest(row, self.committed_ts())
@@ -1175,47 +1065,14 @@ impl Transaction {
     }
 
     fn find_rw_conflict(&self, held: &ShardGuards<'_>) -> Result<(), String> {
-        let committed_since = held
+        let mut committed_since = held
             .histories()
             .flat_map(|h| h.iter().rev().take_while(|c| c.commit_ts > self.snapshot));
-        for c in committed_since {
-            for (t, r, ..) in &c.writes {
-                if self.read_rows.contains(&(*t, *r)) {
-                    return Err(format!("row {}.{} was concurrently written", t.0, r));
-                }
-            }
-            for pred in &self.read_preds {
-                match pred {
-                    PredRead::WholeTable(t) => {
-                        if c.writes.iter().any(|(it, ..)| it == t) {
-                            return Err(format!(
-                                "table {} was concurrently written under a full-scan read",
-                                t.0
-                            ));
-                        }
-                    }
-                    PredRead::Eq { table, pairs } => {
-                        let hit = |img: &Option<Row>| {
-                            img.as_ref().is_some_and(|t| {
-                                pairs.iter().all(|(c, v)| {
-                                    t.get(*c).is_some_and(|d| d.sql_eq(v) == Some(true))
-                                })
-                            })
-                        };
-                        if c.writes
-                            .iter()
-                            .any(|(it, _, old, new)| it == table && (hit(old) || hit(new)))
-                        {
-                            return Err(format!(
-                                "predicate read on table {} was concurrently invalidated",
-                                table.0
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        let conflict = committed_since.find_map(|c| {
+            let mut reads = self.footprint.validated_reads();
+            reads.find_map(|read| read.overwritten_by(&c.writes))
+        });
+        conflict.map_or(Ok(()), Err)
     }
 
     // ------------------------------------------------------------------
@@ -1224,10 +1081,9 @@ impl Transaction {
 
     /// Establish a savepoint that [`Transaction::rollback_to`] can rewind
     /// the buffered write state to. Locks acquired after the savepoint are
-    /// *retained* on partial rollback, and reads stay in the serializable
-    /// read set — conservative simplifications relative to engines that
-    /// release them (they can only reduce concurrency, never admit an
-    /// anomaly).
+    /// *retained* on partial rollback, and reads stay in the footprint —
+    /// conservative simplifications relative to engines that release them
+    /// (they can only reduce concurrency, never admit an anomaly).
     pub fn savepoint(&mut self) -> Savepoint {
         Savepoint(self.buf.clone())
     }
@@ -1267,12 +1123,8 @@ impl Transaction {
         // exactly the histories its latches protect.
         let shard_bit = |table: TableId| 1u64 << pipeline.shard_of(table);
         let written = self.effects().fold(0, |mask, p| mask | shard_bit(p.table));
-        let mut latched = written;
-        if self.isolation == IsolationLevel::Serializable {
-            latched = self
-                .read_tables()
-                .fold(latched, |mask, t| mask | shard_bit(t));
-        }
+        let reads = self.footprint.validated_reads();
+        let latched = reads.fold(written, |mask, r| mask | shard_bit(r.table));
         // Canonical (ascending) acquisition order — no latch deadlock.
         let mut held = pipeline.lock_shards(latched, &db.inner.stats);
         feral_trace::record(
@@ -1294,16 +1146,15 @@ impl Transaction {
             // commit-segment footprint: the validator re-reads every
             // registered read table, the install loop publishes every
             // written table, and the timestamp publish ticks the clock
-            if self.isolation == IsolationLevel::Serializable {
-                for tid in self.read_tables().collect::<BTreeSet<_>>() {
-                    let name = self.entry(tid).schema.name.clone();
-                    self.note_table_access(&name, feral_hooks::AccessMode::Read);
-                }
+            let reads = self.footprint.validated_reads();
+            let read: BTreeMap<_, _> = reads.map(|r| (r.table, r.name_hash)).collect();
+            for name_hash in read.into_values() {
+                note_table_access(name_hash, feral_hooks::AccessMode::Read);
             }
-            let written: BTreeSet<TableId> = self.effects().map(|p| p.table).collect();
-            for tid in written {
-                let name = self.entry(tid).schema.name.clone();
-                self.note_table_access(&name, feral_hooks::AccessMode::Write);
+            let effects = self.effects();
+            let written: BTreeMap<_, _> = effects.map(|p| (p.table, p.entry.name_hash)).collect();
+            for name_hash in written.into_values() {
+                note_table_access(name_hash, feral_hooks::AccessMode::Write);
             }
             feral_hooks::note_access(feral_hooks::Access {
                 space: "clock",
@@ -1431,17 +1282,6 @@ impl Transaction {
         }
     }
 
-    /// Every table a serializable transaction registered a read of
-    /// (repeats included).
-    fn read_tables(&self) -> impl Iterator<Item = TableId> + '_ {
-        let by_row = self.read_rows.iter().map(|(t, _)| *t);
-        let by_pred = self.read_preds.iter().map(|p| match p {
-            PredRead::WholeTable(t) => *t,
-            PredRead::Eq { table, .. } => *table,
-        });
-        by_row.chain(by_pred)
-    }
-
     /// Close the transaction and move what its commit still owes into a
     /// [`CommitTail`]; `Vec`s are moved, nothing is allocated.
     fn tail(
@@ -1451,6 +1291,8 @@ impl Transaction {
         summary: Option<Arc<CommittedTxn>>,
     ) -> CommitTail {
         self.open = false;
+        let mut footprint = std::mem::take(&mut self.footprint);
+        footprint.wrote(self.effects().map(|p| p.entry.name_hash));
         CommitTail {
             txn: self.id,
             active_stripe: self.active_stripe,
@@ -1461,8 +1303,7 @@ impl Transaction {
             isolation: self.isolation,
             snapshot: self.snapshot,
             label: self.label,
-            audit_reads: std::mem::take(&mut self.audit_reads),
-            audit_capture: self.audit_capture,
+            footprint,
         }
     }
 
@@ -1560,6 +1401,7 @@ mod tests {
     use crate::db::Config;
     use crate::schema::{ColumnDef, TableSchema};
     use crate::value::DataType;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     /// The key lock a unique insert takes names the index by the id the

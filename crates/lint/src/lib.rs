@@ -29,7 +29,6 @@ use feral_corpus::synth::SyntheticApp;
 use feral_sim::Witness;
 use graph::{ModelGraph, SourceFile};
 use rules::{Finding, SafetyCache};
-use witness::WitnessCache;
 
 /// Lint result for one application.
 #[derive(Debug, Clone)]
@@ -83,9 +82,12 @@ impl Default for LintOptions {
 #[derive(Default)]
 pub struct LintEngine {
     safety: SafetyCache,
-    witnesses: WitnessCache,
+    /// The witnesses found so far, in first-use order.
     witness_table: Vec<Witness>,
-    witness_index: [Option<usize>; 3],
+    /// One slot per anomaly kind: `None` until its witness is searched
+    /// for, then where the search put it in `witness_table` — `None`
+    /// when it found none, so each kind is searched at most once.
+    witness_index: [Option<Option<usize>>; 3],
 }
 
 impl LintEngine {
@@ -116,13 +118,13 @@ impl LintEngine {
             rules::Anomaly::OrphanAdmitting => 1,
             rules::Anomaly::LostUpdateAdmitting => 2,
         };
-        if self.witness_index[slot].is_none() {
-            if let Some(w) = self.witnesses.get(anomaly, max_seeds) {
-                self.witness_table.push(w.clone());
-                self.witness_index[slot] = Some(self.witness_table.len() - 1);
-            }
-        }
-        self.witness_index[slot]
+        *self.witness_index[slot].get_or_insert_with(|| {
+            let found = witness::spec_for(anomaly).find_witness(max_seeds, 50_000);
+            found.ok().map(|w| {
+                self.witness_table.push(w);
+                self.witness_table.len() - 1
+            })
+        })
     }
 
     /// Hand the accumulated witness table over (ends the run).
@@ -214,5 +216,28 @@ mod tests {
             assert_eq!(wa.seed, wb.seed);
             assert_eq!(wa.choices, wb.choices);
         }
+    }
+
+    /// A kind's witness is searched for once per run: its slot holds the
+    /// search's outcome, found or not.
+    #[test]
+    fn witness_cache_searches_once_per_kind() {
+        let mut engine = LintEngine::default();
+        let first = engine.witness_slot(rules::Anomaly::DuplicateAdmitting, 256);
+        assert_eq!(first, Some(0), "the search fires");
+        assert_eq!(
+            engine.witness_slot(rules::Anomaly::DuplicateAdmitting, 256),
+            first
+        );
+        assert_eq!(engine.witness_table.len(), 1);
+        // a search that found nothing is remembered too: a slot that
+        // records a miss is not searched again (were it, the orphan
+        // search would find its witness)
+        engine.witness_index[1] = Some(None);
+        assert_eq!(
+            engine.witness_slot(rules::Anomaly::OrphanAdmitting, 256),
+            None
+        );
+        assert_eq!(engine.witness_table.len(), 1);
     }
 }

@@ -2,8 +2,8 @@
 //! schedule space of its anomaly's canonical scenario ([`spec_for`])
 //! with [`ScenarioSpec::find_witness`] for a concrete interleaving on
 //! which the predicted anomaly fires and replays, and attach the
-//! [`Witness`] — whose (seed | choices) replay it bit-identically under
-//! `feral-sim replay`.
+//! [`Witness`](feral_sim::Witness) — whose (seed | choices) replay it
+//! bit-identically under `feral-sim replay`.
 //!
 //! The search is per anomaly *kind*, not per finding — every
 //! duplicate-admitting finding maps onto the same canonical §5.2
@@ -12,7 +12,6 @@
 use crate::rules::Anomaly;
 use feral_db::IsolationLevel;
 use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
-use feral_sim::Witness;
 
 /// The canonical scenario witnessing an anomaly kind: weakest realistic
 /// isolation (read committed), feral guard only — the configuration the
@@ -40,31 +39,6 @@ pub fn spec_for(anomaly: Anomaly) -> ScenarioSpec {
     }
 }
 
-/// Per-run cache: one witness search per anomaly kind.
-#[derive(Debug, Default)]
-pub struct WitnessCache {
-    slots: [Option<Option<Witness>>; 3],
-}
-
-impl WitnessCache {
-    fn slot(anomaly: Anomaly) -> usize {
-        match anomaly {
-            Anomaly::DuplicateAdmitting => 0,
-            Anomaly::OrphanAdmitting => 1,
-            Anomaly::LostUpdateAdmitting => 2,
-        }
-    }
-
-    /// Get (searching on first use) the witness for an anomaly kind.
-    pub fn get(&mut self, anomaly: Anomaly, max_seeds: u64) -> Option<&Witness> {
-        let slot = Self::slot(anomaly);
-        if self.slots[slot].is_none() {
-            self.slots[slot] = Some(spec_for(anomaly).find_witness(max_seeds, 50_000).ok());
-        }
-        self.slots[slot].as_ref().unwrap().as_ref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,17 +61,5 @@ mod tests {
             // replaying twice gives the same verdict — determinism, not luck
             assert!(w.replays());
         }
-    }
-
-    #[test]
-    fn witness_cache_searches_once_per_kind() {
-        let mut cache = WitnessCache::default();
-        let first = cache
-            .get(Anomaly::DuplicateAdmitting, 256)
-            .expect("fires")
-            .clone();
-        let second = cache.get(Anomaly::DuplicateAdmitting, 256).expect("fires");
-        assert_eq!(first.seed, second.seed);
-        assert_eq!(first.choices, second.choices);
     }
 }
