@@ -1,22 +1,21 @@
 //! `feral-audit` — read back a saved audit snapshot and render it.
 //!
 //! ```text
-//! feral-audit report --in results/BENCH_audit.json   # human-readable
-//! feral-audit report --in FILE --prom                # Prometheus text
-//! feral-audit report --in FILE --json                # validated JSON
-//! feral-audit report --demo                          # staged anomaly
+//! feral-audit report --in FILE          # human-readable
+//! feral-audit report --in FILE --prom   # Prometheus text
+//! feral-audit report --in FILE --json   # validated JSON
+//! feral-audit report --demo             # staged anomaly
 //! ```
 //!
-//! `--in` accepts either a bare snapshot (the output of
-//! `AuditSnapshot::to_json`) or a commitbench report whose top-level
-//! `audit` key holds one. This binary hand-rolls its argument parsing:
+//! `--in` reads a snapshot as `AuditSnapshot::to_json` writes it (what
+//! `--demo --json` prints). This binary hand-rolls its argument parsing:
 //! it cannot use feral-cli, which (transitively) depends on the engine
 //! that depends on this crate.
 
 use feral_audit::{
     AuditMode, AuditSnapshot, Auditor, ReadRecord, ReadTarget, TxnFootprint, WriteRecord,
 };
-use feral_trace::json::{self, Json};
+use feral_trace::json;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: feral-audit report (--in FILE | --demo) [--prom | --json] \
@@ -31,7 +30,7 @@ Usage:
   feral-audit report (--in FILE | --demo) [--prom]
 
 Options:
-  --in FILE         a bare snapshot, or a commitbench report embedding one
+  --in FILE         a snapshot as `--json` writes it
   --demo            stage the paper's motivating duplicate-signup race
   --prom            Prometheus text exposition instead of text/JSON
 
@@ -136,31 +135,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Accept a bare snapshot or a commitbench report embedding one under
-/// `audit` (or one per trial under `trials[*].audit` — first match
-/// with cycles wins, else the first).
+/// Parse a snapshot as [`AuditSnapshot::to_json`] writes it.
 fn load_snapshot(text: &str) -> Result<AuditSnapshot, String> {
-    let doc = json::parse(text)?;
-    if doc.get("mode").is_some() && doc.get("verdicts").is_some() {
-        return AuditSnapshot::from_json(&doc);
-    }
-    if let Some(audit) = doc.get("audit") {
-        return AuditSnapshot::from_json(audit);
-    }
-    if let Some(trials) = doc.get("trials").and_then(Json::as_arr) {
-        let snaps: Vec<&Json> = trials.iter().filter_map(|t| t.get("audit")).collect();
-        if let Some(best) = snaps
-            .iter()
-            .find(|a| a.get("cycles").and_then(Json::as_u64).unwrap_or(0) > 0)
-            .or(snaps.first())
-        {
-            return AuditSnapshot::from_json(best);
-        }
-    }
-    Err(
-        "no audit snapshot found (expected a bare snapshot, an 'audit' key, or trials[*].audit)"
-            .into(),
-    )
+    AuditSnapshot::from_json(&json::parse(text)?)
 }
 
 /// Stage the paper's motivating race — two Read Committed signups

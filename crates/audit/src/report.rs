@@ -1,6 +1,6 @@
 //! Export surface: JSON snapshot, Prometheus text, human-readable
-//! rendering, and schema validation for the audit section of
-//! `results/BENCH_audit.json`.
+//! rendering, and schema validation of the runtime auditor's snapshot
+//! (`Database::audit_snapshot`).
 
 use crate::graph::AnomalyVerdict;
 use feral_trace::json::{self, escape, require, require_u64, Json};
@@ -48,8 +48,8 @@ pub struct AuditSnapshot {
 }
 
 impl AuditSnapshot {
-    /// Serialise as a JSON object (the `audit` value embedded in
-    /// `BENCH_audit.json` and printed by `feral-audit report`).
+    /// Serialise as a JSON object (what `feral-audit report --json`
+    /// prints and `feral-audit report --in` reads back).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

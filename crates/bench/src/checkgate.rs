@@ -67,106 +67,6 @@ pub fn check_report_file(path: &str) -> Result<GateSummary, String> {
     check_report_text(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// What a passing audit-bench gate saw, for the one-line OK message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AuditGateSummary {
-    /// Auditor configurations in the artifact.
-    pub configs: usize,
-    /// Sampled-mode throughput relative to auditor-off.
-    pub sampled_vs_off: f64,
-}
-
-/// Gate a `BENCH_audit.json` artifact from the outside, independent of
-/// the writer's self-gating: well-formed envelope, one row per auditor
-/// mode with committed work, every audited row embedding a
-/// schema-valid audit snapshot with zero anomaly cycles (the certified
-/// plan must audit clean), and the writer's own gate verdicts all true
-/// with the sampled-overhead ratio meeting its recorded requirement.
-pub fn check_audit_bench_text(text: &str) -> Result<AuditGateSummary, String> {
-    let doc = feral_trace::json::parse(text)?;
-    if doc.get("bench").and_then(Json::as_str) != Some("audit") {
-        return Err("not an audit bench artifact (bench != \"audit\")".to_string());
-    }
-    let configs = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "artifact has no configs array".to_string())?;
-    let mut modes_seen = Vec::new();
-    for c in configs {
-        let name = c
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "config row without a name".to_string())?;
-        let mode = c
-            .get("audit_mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("config {name}: no audit_mode"))?;
-        modes_seen.push(mode.split('/').next().unwrap_or(mode).to_string());
-        let committed = c
-            .get("committed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config {name}: no committed counter"))?;
-        if committed == 0 {
-            return Err(format!("config {name}: zero committed transactions"));
-        }
-        let snapshot = c
-            .get("audit")
-            .ok_or_else(|| format!("config {name}: no audit member"))?;
-        if mode == "off" {
-            continue;
-        }
-        if *snapshot == Json::Null {
-            return Err(format!("config {name}: audited mode without a snapshot"));
-        }
-        feral_audit::validate_audit(snapshot).map_err(|e| format!("config {name}: {e}"))?;
-        let cycles = c
-            .get("cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config {name}: no cycles counter"))?;
-        if cycles != 0 {
-            return Err(format!(
-                "config {name}: certified plan produced {cycles} anomaly cycles"
-            ));
-        }
-    }
-    for required in ["off", "sampled", "full"] {
-        if !modes_seen.iter().any(|m| m == required) {
-            return Err(format!("artifact is missing the {required} auditor mode"));
-        }
-    }
-    let gates = doc
-        .get("gates")
-        .ok_or_else(|| "artifact has no gates object".to_string())?;
-    for verdict in ["overhead", "planned_runs_clean", "audit_schema", "pass"] {
-        if gates.get(verdict).and_then(Json::as_bool) != Some(true) {
-            return Err(format!("gate verdict {verdict} is not true"));
-        }
-    }
-    let ratio = gates
-        .get("sampled_vs_off_ratio")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "gates object has no sampled_vs_off_ratio".to_string())?;
-    let required = gates
-        .get("required")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "gates object has no required ratio".to_string())?;
-    if ratio < required {
-        return Err(format!(
-            "sampled_vs_off_ratio {ratio:.3} is below the required {required}"
-        ));
-    }
-    Ok(AuditGateSummary {
-        configs: configs.len(),
-        sampled_vs_off: ratio,
-    })
-}
-
-/// File-path variant of [`check_audit_bench_text`].
-pub fn check_audit_bench_file(path: &str) -> Result<AuditGateSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_audit_bench_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,90 +187,5 @@ mod tests {
             err.contains("no provenance record carries a replayable witness"),
             "{err}"
         );
-    }
-
-    /// A minimal well-formed audit bench artifact: three auditor modes,
-    /// committed work everywhere, a real (schema-valid) embedded
-    /// snapshot on the audited rows, and all writer gates true. With
-    /// `full_has_snapshot: false` the full row's snapshot is nulled —
-    /// the shape the gate must reject.
-    fn audit_artifact(full_has_snapshot: bool) -> String {
-        let auditor = feral_audit::Auditor::new(feral_audit::AuditMode::Full);
-        auditor.observe_begin(1, 1);
-        auditor.observe_commit(feral_audit::TxnFootprint {
-            txn: 1,
-            begin_ts: 1,
-            commit_ts: 2,
-            isolation: "serializable",
-            template: Some("T_TEST"),
-            reads: Vec::new(),
-            writes: Vec::new(),
-            sampled_out: false,
-        });
-        let snap = auditor.snapshot().to_json();
-        let audited = |name: &str, mode: &str, snapshot: &str| {
-            format!(
-                "{{\"config\": \"{name}\", \"audit_mode\": \"{mode}\", \"committed\": 640, \
-                 \"cycles\": 0, \"audit\": {snapshot}}}"
-            )
-        };
-        format!(
-            "{{\"bench\": \"audit\", \"configs\": [\
-             {{\"config\": \"auditor-off\", \"audit_mode\": \"off\", \"committed\": 640, \
-             \"audit\": null}}, {}, {}],\n\
-             \"gates\": {{\"sampled_vs_off_ratio\": 0.973, \"required\": 0.95, \
-             \"full_vs_off_ratio\": 0.61, \"overhead\": true, \"planned_runs_clean\": true, \
-             \"audit_schema\": true, \"pass\": true}}}}",
-            audited("sampled", "sampled/64", &snap),
-            audited(
-                "full",
-                "full",
-                if full_has_snapshot { &snap } else { "null" }
-            ),
-        )
-    }
-
-    #[test]
-    fn well_formed_audit_artifact_passes() {
-        let summary = check_audit_bench_text(&audit_artifact(true)).expect("gate passes");
-        assert_eq!(summary.configs, 3);
-        assert!((summary.sampled_vs_off - 0.973).abs() < 1e-9);
-    }
-
-    #[test]
-    fn audit_artifact_failures_are_gate_failures() {
-        // not an audit artifact at all
-        assert!(check_audit_bench_text("{\"bench\": \"other\"}").is_err());
-        let good = audit_artifact(true);
-        // an anomaly cycle on an audited row (the pattern includes the
-        // neighbouring keys so the embedded snapshot's own cycles
-        // counter is left alone)
-        let err = check_audit_bench_text(
-            &good.replace(", \"cycles\": 0, \"audit\"", ", \"cycles\": 2, \"audit\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("anomaly cycles"), "{err}");
-        // a failed writer-side verdict
-        let err =
-            check_audit_bench_text(&good.replace("\"pass\": true", "\"pass\": false")).unwrap_err();
-        assert!(err.contains("pass"), "{err}");
-        // an overhead ratio below the recorded requirement
-        let err = check_audit_bench_text(&good.replace(
-            "\"sampled_vs_off_ratio\": 0.973",
-            "\"sampled_vs_off_ratio\": 0.91",
-        ))
-        .unwrap_err();
-        assert!(err.contains("below the required"), "{err}");
-        // an audited mode whose snapshot went missing
-        let err = check_audit_bench_text(&audit_artifact(false)).unwrap_err();
-        assert!(err.contains("without a snapshot"), "{err}");
-        // a missing mode row
-        let err = check_audit_bench_text(
-            &good.replace("\"audit_mode\": \"sampled/64\"", "\"audit_mode\": \"full\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("missing the sampled"), "{err}");
-        // unreadable file
-        assert!(check_audit_bench_file("/nonexistent/BENCH_audit.json").is_err());
     }
 }

@@ -42,33 +42,6 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Robust throughput ratio for A/B gates: pair each numerator
-/// measurement with the denominator measurement from the same
-/// interleaved pass and take the median of the per-pass ratios.
-/// Machine interference (scheduler steal, thermal throttling) drifts
-/// on timescales much longer than a pass, so pairing cancels drift
-/// that a ratio of cross-pass means would absorb, and the median
-/// sheds passes a burst landed in the middle of.
-pub fn paired_median_ratio(num: &[f64], den: &[f64]) -> f64 {
-    let ratios: Vec<f64> = num
-        .iter()
-        .zip(den)
-        .filter(|(_, d)| **d > 0.0)
-        .map(|(n, d)| n / d)
-        .collect();
-    median(&ratios)
-}
-
-/// Median of a sample (upper median for even sizes; 0.0 when empty).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
 /// Print an aligned table: a header row then data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

@@ -1,8 +1,9 @@
 //! Pins `checkreport`'s flag handling: a flag it does not know is a
 //! usage error (exit 1, usage on stderr), never silently ignored — a
-//! stale `checkreport --load x.json` must not gate `x.json` as a table1
-//! report. The fixture is the checked-in table1 golden, which passes
-//! the default gate, so only the flag can fail these runs.
+//! stale `checkreport --load x.json` or `checkreport --audit x.json`
+//! must not gate `x.json` as a table1 report. The fixture is the
+//! checked-in table1 golden, which passes the default gate, so only the
+//! flag can fail these runs.
 
 use std::process::{Command, Output};
 
@@ -46,5 +47,7 @@ fn an_unknown_flag_is_a_usage_error() {
 
 #[test]
 fn the_retired_load_mode_is_a_usage_error() {
-    assert_usage_error(&checkreport(&["--load", GOLDEN]), "--load");
+    for flag in ["--load", "--audit"] {
+        assert_usage_error(&checkreport(&[flag, GOLDEN]), flag);
+    }
 }

@@ -1,10 +1,10 @@
 //! # feral-cli
 //!
 //! The command-line plumbing shared by the tool binaries (`feral-sim`,
-//! `feral-lint`, `feral-sdg`, `commitbench`, and the `feral-bench`
-//! experiment binaries): a minimal `--flag value` parser, the common
-//! exit-code conventions, isolation-level parsing, and `--out` output
-//! routing. Each binary keeps its own subcommands and semantics; only
+//! `feral-lint`, `feral-sdg`, `feral-plan`, `feral-net`, and the
+//! `feral-bench` experiment binaries): a minimal `--flag value` parser,
+//! the common exit-code conventions, isolation-level parsing, and
+//! `--out` output routing. Each binary keeps its own subcommands and semantics; only
 //! the previously copy-pasted surface lives here.
 //!
 //! Exit-code convention: `0` success, [`EXIT_DEVIATION`] (`1`) for "ran

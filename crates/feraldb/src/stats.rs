@@ -179,13 +179,6 @@ impl Stats {
     }
 }
 
-impl StatsSnapshot {
-    /// Alias for [`StatsSnapshot::diff`], kept for existing callers.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        self.diff(earlier)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,7 +194,7 @@ mod tests {
         assert_eq!(a.aborts, 1);
         Stats::bump(&s.local().commits);
         let b = s.snapshot();
-        let d = b.delta(&a);
+        let d = b.diff(&a);
         assert_eq!(d.commits, 1);
         assert_eq!(d.aborts, 0);
     }

@@ -101,7 +101,7 @@ fn stats_counters_track_operations() {
     let (rref, _) = tx.get_by_id("kv", ids[1]).unwrap().unwrap();
     tx.delete("kv", rref).unwrap();
     tx.commit().unwrap();
-    let after = db.stats().snapshot().delta(&before);
+    let after = db.stats().snapshot().diff(&before);
     assert_eq!(after.inserts, 3);
     assert_eq!(after.updates, 1);
     assert_eq!(after.deletes, 1);
@@ -119,7 +119,7 @@ fn rolled_back_writes_never_reach_stats_commits() {
     tx.insert_pairs("kv", &[("k", Datum::text("x")), ("v", Datum::Int(1))])
         .unwrap();
     tx.rollback();
-    let after = db.stats().snapshot().delta(&before);
+    let after = db.stats().snapshot().diff(&before);
     assert_eq!(after.commits, 0);
     assert_eq!(after.aborts, 1);
     assert_eq!(db.count_rows("kv").unwrap(), 0);

@@ -616,7 +616,9 @@ fn a_visible_row_is_already_in_the_log() {
 /// flushes cover several commit records each. Runs several barrier-
 /// synchronized rounds and asserts on the aggregate: the very first
 /// leader may flush solo (the concurrency hint starts at 1), but once
-/// any batch forms, later leaders linger and the rounds batch.
+/// any batch forms, later leaders linger and the rounds batch. This is
+/// the count behind "group commit at least doubles a single latch": one
+/// flush per commit is the single latch.
 #[test]
 fn group_commit_batches_concurrent_commits() {
     const THREADS: usize = 4;
@@ -666,11 +668,14 @@ fn group_commit_batches_concurrent_commits() {
     assert_eq!(d.commits, total);
     assert_eq!(d.wal_appends, total);
     assert_eq!(d.group_commit_batches, d.wal_flushes);
+    // at least two commits per flush on average: group commit halves
+    // the flushes a single latch makes (measured 10–11 of 40 over 30 runs)
     assert!(
-        d.wal_flushes < total,
+        d.wal_flushes <= total / 2,
         "{total} commits in {ROUNDS} concurrent rounds must share batches, \
-         got {} flushes",
-        d.wal_flushes
+         got {} flushes (at most {})",
+        d.wal_flushes,
+        total / 2
     );
     // every commit recovered
     drop(db);

@@ -192,6 +192,51 @@ fn select_for_update_prevents_lost_update() {
     assert_eq!(get_v(&db, IsolationLevel::ReadCommitted, "stock"), vec![8]);
 }
 
+/// The live lock-rmw race: two threads, released together, each run 200
+/// scan-then-update increments of one balance, yielding between the
+/// read and the write so preemption can land in the stale-read window.
+/// At the two levels the sdg matrix calls safe for this pair, every
+/// acknowledged increment is in the final balance.
+#[test]
+fn safe_levels_lose_no_update_in_a_live_rmw_race() {
+    const ROUNDS: usize = 200;
+    for iso in [IsolationLevel::Snapshot, IsolationLevel::Serializable] {
+        let db = db_with(iso);
+        put(&db, "acct", 0);
+        let acked = std::sync::atomic::AtomicU64::new(0);
+        let start = std::sync::Barrier::new(2);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                let (db, acked, start) = (&db, &acked, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        let result = db.txn().isolation(iso).retries(64).run(|tx| {
+                            let rows = tx.scan("kv", &Predicate::eq(1, "acct"))?;
+                            let (rref, tuple) = (rows[0].0, rows[0].1.to_vec());
+                            let read = tuple[2].as_int().unwrap_or(0);
+                            thread::yield_now();
+                            let mut next = tuple;
+                            next[2] = Datum::Int(read + 1);
+                            tx.update("kv", rref, next)
+                        });
+                        if result.is_ok() {
+                            acked.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        let acked = acked.into_inner() as i64;
+        assert!(acked > 0, "{iso}: no increment committed");
+        assert_eq!(
+            get_v(&db, iso, "acct"),
+            vec![acked],
+            "{iso}: acknowledged increments lost"
+        );
+    }
+}
+
 #[test]
 fn serializable_aborts_racing_uniqueness_probes() {
     // Two transactions each run the Rails uniqueness probe

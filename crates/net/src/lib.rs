@@ -20,9 +20,9 @@
 //!   [`Response::Overloaded`] instead of queueing without bound.
 //! - [`client`] — a blocking pooled [`client::NetClient`] that itself
 //!   implements [`Service`], and a [`client::call_with_retry`] helper.
-//! - [`planner`] — the certified five-template planner workload shared
-//!   with `commitbench`, plus [`planner::PlannedService`] serving it
-//!   through `db.txn().planned(...)`.
+//! - [`planner`] — the certified five-template planner workload, plus
+//!   [`planner::PlannedService`] serving it through
+//!   `db.txn().planned(...)`.
 //!
 //! Load is driven from outside the crate: `benchmark/` serves
 //! [`planner::PlannedService`] and the ORM through [`Server`] and times

@@ -1,15 +1,14 @@
 //! The certified planner workload — five transaction templates over a
-//! six-table schema — shared by `commitbench planner`/`commitbench
-//! audit` (in-process) and the feral-net wire ablation (end-to-end).
+//! six-table schema — shared by the served ablation
+//! (`tests/served_ablation.rs`), the per-template cost pins
+//! (`tests/planner_templates.rs`) and `benchmark/`'s
+//! `inproc_planner_hot` workload.
 //!
-//! The in-process bench and the networked bench must measure the *same*
-//! workload or the ablation comparison is meaningless, so the template
-//! bodies live here exactly once. Each template has two entry points:
-//! the `*_at` form takes the drawn operand (email slot, department
-//! slot, account, post) explicitly — this is what a wire frontend calls
-//! with operands derived from the request key — and the rng form draws
-//! one operand then delegates, preserving the bench's historical rng
-//! stream byte-for-byte.
+//! Every caller must run the *same* workload or their numbers do not
+//! compare, so the template bodies live here exactly once. Each template
+//! is one `*_at` function that takes its operand (email slot, department
+//! slot, account, post) explicitly — what a wire frontend derives from
+//! the request key.
 //!
 //! [`PlannedService`] adapts the templates to the transport-agnostic
 //! [`Service`] trait: an [`Op::Template`] request names a template and
@@ -205,11 +204,6 @@ pub fn signup_at(db: &Database, plan: &IsolationPlan, email_slot: i64) -> Result
     })
 }
 
-/// Rng form — one draw, then [`signup_at`] (bench stream unchanged).
-pub fn signup(db: &Database, plan: &IsolationPlan, rng: &mut StdRng) -> bool {
-    signup_at(db, plan, rng.random_range(0..EMAILS)).is_ok()
-}
-
 /// Association check-insert against an explicit department slot:
 /// verify the department exists, then insert a user referencing it.
 pub fn hire_at(
@@ -233,12 +227,6 @@ pub fn hire_at(
         }
         Ok(())
     })
-}
-
-/// Rng form of [`hire_at`].
-pub fn hire(db: &Database, plan: &IsolationPlan, state: &WorkloadState, rng: &mut StdRng) -> bool {
-    let slot = rng.random_range(0..DEPTS);
-    hire_at(db, plan, state, slot).is_ok()
 }
 
 /// Cascade destroy at an explicit slot: delete a department's users,
@@ -266,17 +254,6 @@ pub fn disband_at(
         state.slots[slot].store(fresh, Ordering::SeqCst);
     }
     result
-}
-
-/// Rng form of [`disband_at`].
-pub fn disband(
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    rng: &mut StdRng,
-) -> bool {
-    let slot = rng.random_range(0..DEPTS);
-    disband_at(db, plan, state, slot).is_ok()
 }
 
 /// `lock_version` read-modify-write on an explicit shared account.
@@ -307,17 +284,6 @@ pub fn deposit_at(
     result
 }
 
-/// Rng form of [`deposit_at`].
-pub fn deposit(
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    rng: &mut StdRng,
-) -> bool {
-    let account = rng.random_range(0..ACCOUNTS);
-    deposit_at(db, plan, state, account).is_ok()
-}
-
 /// Insert-only presence check at an explicit post: posts are never
 /// destroyed, so this template is the plan's read-committed fast path.
 pub fn comment_at(db: &Database, plan: &IsolationPlan, post: i64) -> Result<(), DbError> {
@@ -333,13 +299,8 @@ pub fn comment_at(db: &Database, plan: &IsolationPlan, post: i64) -> Result<(), 
         })
 }
 
-/// Rng form of [`comment_at`].
-pub fn comment(db: &Database, plan: &IsolationPlan, rng: &mut StdRng) -> bool {
-    comment_at(db, plan, rng.random_range(0..POSTS)).is_ok()
-}
-
 /// End-of-run audit counters, one per feral anomaly family.
-#[derive(Default, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct Anomalies {
     /// Duplicate signup emails admitted.
     pub duplicate_signups: u64,
@@ -358,27 +319,10 @@ impl Anomalies {
         self.duplicate_signups + self.orphaned_users + self.orphaned_comments + self.lost_deposits
     }
 
-    /// Accumulate another run's counters.
-    pub fn add(&mut self, other: Anomalies) {
-        self.duplicate_signups += other.duplicate_signups;
-        self.orphaned_users += other.orphaned_users;
-        self.orphaned_comments += other.orphaned_comments;
-        self.lost_deposits += other.lost_deposits;
-    }
-
     /// One-line human rendering.
     pub fn describe(self) -> String {
         format!(
             "{} dup / {} orphan-user / {} orphan-comment / {} lost",
-            self.duplicate_signups, self.orphaned_users, self.orphaned_comments, self.lost_deposits
-        )
-    }
-
-    /// JSON object rendering.
-    pub fn json(self) -> String {
-        format!(
-            "{{\"duplicate_signups\": {}, \"orphaned_users\": {}, \
-             \"orphaned_comments\": {}, \"lost_deposits\": {}}}",
             self.duplicate_signups, self.orphaned_users, self.orphaned_comments, self.lost_deposits
         )
     }
@@ -431,69 +375,6 @@ pub fn audit(db: &Database, acked_deposits: u64) -> Anomalies {
         orphaned_users,
         orphaned_comments,
         lost_deposits: (acked_deposits as i64 - balance).max(0) as u64,
-    }
-}
-
-/// Workers per in-process timed run.
-pub const WORKERS: usize = 8;
-
-/// Outcome of one in-process timed run.
-pub struct RunOutcome {
-    /// Committed-transaction throughput, txns/second.
-    pub tput: f64,
-    /// Committed transaction count.
-    pub committed: u64,
-    /// Post-run integrity audit counters.
-    pub anomalies: Anomalies,
-    /// Runtime DSG auditor snapshot, when the run was audited.
-    pub audit: Option<feral_db::AuditSnapshot>,
-    /// Engine counters of the timed phase (seeding and the integrity
-    /// audit excluded): `index_probes == scans` while every template's
-    /// probe is index-backed.
-    pub stats: feral_db::StatsSnapshot,
-}
-
-/// One timed execution of the workload under `plan`: 8 workers each
-/// draw `ops` template instances from the weighted mix, with the
-/// runtime DSG auditor capturing at `audit_mode`. The integrity audit
-/// runs after the clock stops.
-pub fn timed_run(plan: &IsolationPlan, ops: usize, seed: u64, audit_mode: AuditMode) -> RunOutcome {
-    let db = seeded_database(audit_mode);
-    let state = WorkloadState::new();
-    let committed = AtomicU64::new(0);
-    let seeded = db.stats().snapshot();
-    let started = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..WORKERS {
-            let db = db.clone();
-            let (state, committed) = (&state, &committed);
-            s.spawn(move || {
-                let mut choice =
-                    WeightedChoice::new(&WEIGHTS, seed ^ (w as u64).wrapping_mul(0x9E3779B9));
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(w as u64));
-                for _ in 0..ops {
-                    let ok = match choice.draw() {
-                        0 => signup(&db, plan, &mut rng),
-                        1 => hire(&db, plan, state, &mut rng),
-                        2 => disband(&db, plan, state, &mut rng),
-                        3 => deposit(&db, plan, state, &mut rng),
-                        _ => comment(&db, plan, &mut rng),
-                    };
-                    if ok {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let committed = committed.load(Ordering::Relaxed);
-    RunOutcome {
-        stats: db.stats().snapshot().diff(&seeded),
-        tput: committed as f64 / elapsed,
-        committed,
-        anomalies: audit(&db, state.acked_deposits.load(Ordering::SeqCst)),
-        audit: db.audit_snapshot(),
     }
 }
 

@@ -22,7 +22,7 @@
 mod counting_alloc;
 
 use counting_alloc::allocations_of;
-use feral_db::{AuditMode, Database, DbError, IsolationPlan};
+use feral_db::{AuditMode, Database, DbError, IsolationLevel, IsolationPlan};
 use feral_net::planner::{
     certified_plan, comment_at, deposit_at, disband_at, hire_at, seeded_database, signup_at,
     WorkloadState, TEMPLATES, T_COMMENT, T_DEPOSIT, T_DISBAND, T_HIRE, T_SIGNUP,
@@ -85,6 +85,24 @@ fn building_the_served_plan_runs_no_inference() {
     );
 }
 
+/// Allocations per `template` transaction under `plan`, single caller,
+/// over 64 calls after a 16-call warm-up (thread stripes, the first
+/// growth of every table).
+fn allocations_per_txn(template: &str, plan: &IsolationPlan) -> f64 {
+    const CALLS: usize = 64;
+    let db = seeded_database(AuditMode::Off);
+    let state = WorkloadState::new();
+    for n in 0..16 {
+        run(template, &db, plan, &state, n).unwrap();
+    }
+    let allocations = allocations_of(|| {
+        for n in 16..16 + CALLS {
+            run(template, &db, plan, &state, n).unwrap();
+        }
+    });
+    allocations as f64 / CALLS as f64
+}
+
 #[test]
 fn a_template_transaction_allocates_within_its_budget() {
     let plan = certified_plan();
@@ -96,22 +114,38 @@ fn a_template_transaction_allocates_within_its_budget() {
         (T_COMMENT, 12.5),
     ];
     for (template, budget) in budgets {
-        let db = seeded_database(AuditMode::Off);
-        let state = WorkloadState::new();
-        // warm-up: thread stripes, the first growth of every table
-        for n in 0..16 {
-            run(template, &db, &plan, &state, n).unwrap();
-        }
-        const CALLS: usize = 64;
-        let allocations = allocations_of(|| {
-            for n in 16..16 + CALLS {
-                run(template, &db, &plan, &state, n).unwrap();
-            }
-        });
-        let per_txn = allocations as f64 / CALLS as f64;
+        let per_txn = allocations_per_txn(template, &plan);
         assert!(
             per_txn <= budget,
             "{template}: {per_txn} allocations per transaction (budget {budget})"
         );
+    }
+}
+
+/// What the certified plan buys, as a count that does not drift: no
+/// template allocates more under the plan than under all-serializable,
+/// and the two it weakens allocate less — deposit at Snapshot and
+/// comment at Read Committed keep no read footprint for validation.
+/// A plan that falls back to all-serializable reads as equal.
+#[test]
+fn the_certified_plan_allocates_no_more_than_all_serializable() {
+    let planned = certified_plan();
+    let serializable = IsolationPlan::new(IsolationLevel::Serializable);
+    for template in TEMPLATES {
+        let under_plan = allocations_per_txn(template, &planned);
+        let under_ser = allocations_per_txn(template, &serializable);
+        println!("{template}: {under_plan} planned, {under_ser} all-serializable");
+        assert!(
+            under_plan <= under_ser,
+            "{template}: {under_plan} allocations per transaction under the plan, \
+             {under_ser} under all-serializable"
+        );
+        if template == T_DEPOSIT || template == T_COMMENT {
+            assert!(
+                under_plan < under_ser,
+                "{template}: the plan weakens it, yet it allocates {under_plan} per \
+                 transaction, as many as all-serializable's {under_ser}"
+            );
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! The planner-vs-all-serializable ablation served live: the certified
 //! five-template workload runs through `Server` and `NetClient` with the
-//! runtime auditor attached, once under the certified per-template plan
-//! and once with every template at SERIALIZABLE. Both must come out
-//! clean — the plan coordinates only where an invariant needs it, so
-//! dropping the rest of the coordination costs no integrity.
+//! runtime auditor attached, under the certified per-template plan (once
+//! sampled, once auditing every transaction) and with every template at
+//! SERIALIZABLE. Every run must come out clean — the plan coordinates
+//! only where an invariant needs it, so dropping the rest of the
+//! coordination costs no integrity.
 //!
 //! Per configuration the run must complete work, answer every call as
 //! ok, shed or error with none lost, end with a zero integrity audit
@@ -46,13 +47,10 @@ impl Tally {
     }
 }
 
-/// Serve the planner workload under `plan` with a sampled auditor,
-/// drive it over the wire, and enforce every ablation gate.
-fn serve_and_gate(config: &str, plan: IsolationPlan) {
-    let service = Arc::new(PlannedService::new(
-        seeded_database(AuditMode::Sampled(16)),
-        plan,
-    ));
+/// Serve the planner workload under `plan` with the auditor at
+/// `audit_mode`, drive it over the wire, and enforce every ablation gate.
+fn serve_and_gate(config: &str, plan: IsolationPlan, audit_mode: AuditMode) {
+    let service = Arc::new(PlannedService::new(seeded_database(audit_mode), plan));
     let server = Server::start(service.clone(), ServerConfig::default()).expect("start server");
     let mut client =
         NetClient::connect(server.local_addr(), THREADS as usize).expect("connect client");
@@ -101,7 +99,7 @@ fn serve_and_gate(config: &str, plan: IsolationPlan) {
     let snapshot = service
         .db()
         .audit_snapshot()
-        .unwrap_or_else(|| panic!("{config}: the sampled auditor left no snapshot"));
+        .unwrap_or_else(|| panic!("{config}: the auditor left no snapshot"));
     assert_eq!(
         snapshot.cycles, 0,
         "{config}: the runtime auditor observed dependency cycles"
@@ -113,7 +111,8 @@ fn serve_and_gate(config: &str, plan: IsolationPlan) {
 
 #[test]
 fn the_certified_plan_serves_clean() {
-    serve_and_gate("planner", certified_plan());
+    serve_and_gate("planner", certified_plan(), AuditMode::Sampled(16));
+    serve_and_gate("planner, fully audited", certified_plan(), AuditMode::Full);
 }
 
 #[test]
@@ -121,5 +120,6 @@ fn all_serializable_serves_clean() {
     serve_and_gate(
         "all-serializable",
         IsolationPlan::new(IsolationLevel::Serializable),
+        AuditMode::Sampled(16),
     );
 }

@@ -125,8 +125,9 @@ impl MixDriver {
 
 /// Seeded weighted choice over arbitrary alternatives — the generic
 /// sibling of [`MixDriver`]'s op-kind pick, for workloads whose
-/// alternatives aren't [`OpKind`]s (e.g. commitbench's planner ablation
-/// drawing template *classes*). Returns the index of the chosen weight.
+/// alternatives aren't [`OpKind`]s (e.g. the planner workload's
+/// `TemplateMix` drawing template *classes*). Returns the index of the
+/// chosen weight.
 pub struct WeightedChoice {
     weights: Vec<u32>,
     total: u32,
