@@ -28,7 +28,7 @@ fn main() {
         ),
         Err(msg) => {
             eprintln!("checkreport: {msg}");
-            std::process::exit(1);
+            std::process::exit(feral_cli::EXIT_DEVIATION.into());
         }
     }
 }

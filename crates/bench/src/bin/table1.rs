@@ -185,7 +185,7 @@ fn main() {
     let json = report.to_json();
     if let Err(e) = feral_trace::report::validate_report(&json) {
         eprintln!("generated run report failed self-validation: {e}");
-        std::process::exit(1);
+        std::process::exit(feral_cli::EXIT_DEVIATION.into());
     }
     let out = args.get_str("out").unwrap_or("BENCH_table1.json");
     std::fs::write(out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));

@@ -895,7 +895,8 @@ mod tests {
 
     /// A foreign key added after the session resolved the child's table
     /// bumps the catalog epoch: the session's handle goes stale, and the
-    /// orphan insert it would have let through is refused.
+    /// orphan insert it would have let through is refused. (The key itself
+    /// is refused while an orphan it would cover is committed.)
     #[test]
     fn a_session_sees_a_foreign_key_added_after_it_resolved_the_child() {
         let app = app();
@@ -906,6 +907,11 @@ mod tests {
             .unwrap();
         s.create_strict("User", &user("orphan@example.com", 99))
             .unwrap();
+        assert!(app
+            .add_foreign_key("User", "department", OnDelete::Restrict)
+            .is_err());
+        let orphans = [("department_id", Datum::Int(99))];
+        assert_eq!(s.delete_all("User", &orphans).unwrap(), 1);
         app.add_foreign_key("User", "department", OnDelete::Restrict)
             .unwrap();
         assert!(matches!(

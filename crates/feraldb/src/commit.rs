@@ -20,12 +20,12 @@
 //!   of every table it wrote — plus, under Serializable, every table it
 //!   read — in **ascending shard order** (canonical order ⇒ no
 //!   latch-latch deadlock). Non-overlapping transactions proceed in
-//!   parallel. Each shard owns the slice of committed-transaction write
-//!   summaries for its tables, so serializable validation reads exactly
-//!   the histories its latches protect (role 2), and same-table row-id
-//!   assignment is serialized by the table's shard latch (role 4). The
-//!   committer that pushes a slice past twice the retention floor prunes
-//!   it, under the latch it already holds (`push_history`).
+//!   parallel. A shard latch guards no data of its own: it orders the
+//!   installs into its tables. So a serializable validator holding the
+//!   latches of the tables it read asks their version chains whether a
+//!   commit after its snapshot wrote what it read, and no install
+//!   interleaves (role 2); same-table row-id assignment is serialized by
+//!   the table's shard latch (role 4).
 //! * Commit timestamps are allocated from `ts_alloc` only **after** a
 //!   transaction holds its full latch set; on the WAL path the
 //!   allocation happens inside the group-buffer mutex, so log order
@@ -33,9 +33,8 @@
 //!   with an allocated timestamp never blocks on a latch again, so the
 //!   lowest unpublished timestamp can always make progress.
 //! * The latches cover only what they order: validate → queue the WAL
-//!   record → install versions → push the history summary, then they
-//!   **drop**. Installed versions carry `begin = ts > clock`, so no
-//!   snapshot sees them yet. What the commit still owes — durable wait,
+//!   record → install versions, then they **drop**. Installed versions
+//!   carry `begin = ts > clock`, so no snapshot sees them yet. What the commit still owes — durable wait,
 //!   publish, audit, lock release — is its *tail*
 //!   ([`CommitTail`](crate::tail::CommitTail)), settled with no latch
 //!   held. `publish` advances the clock strictly in timestamp order — so
@@ -91,44 +90,17 @@ use crate::lock::TxnId;
 use crate::schema::TableId;
 use crate::stats::Stats;
 use crate::tail::{FlushLead, ParkedTail};
-use crate::txn::CommittedTxn;
 use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One commit shard's latched state: the committed-history slice for the
-/// tables that hash to this shard. A committing transaction pushes its
-/// write summary into the history of **every** shard it wrote (duplicate
-/// `Arc`s when a transaction spans shards), so a serializable validator
-/// holding its read-table shards sees every summary it must check.
-pub(crate) struct ShardCore {
-    /// Write summaries of committed transactions touching this shard's
-    /// tables, oldest at front. Per-shard push order equals timestamp
-    /// order (timestamps are allocated under the full latch set).
-    pub(crate) history: VecDeque<Arc<CommittedTxn>>,
-}
 
 /// Most commit shards a pipeline runs with: a shard set is one `u64`.
 pub(crate) const MAX_SHARDS: usize = 64;
 
-/// How many committed-transaction write summaries each shard retains for
-/// serializable validation, beyond what active snapshots require.
-pub(crate) const COMMITTED_HISTORY_FLOOR: usize = 64;
-
 /// The shard latches one commit holds, by shard index.
-pub(crate) struct ShardGuards<'a> {
-    cores: [Option<MutexGuard<'a, ShardCore>>; MAX_SHARDS],
-}
-
-impl ShardGuards<'_> {
-    /// The committed-history slices under the held latches.
-    pub(crate) fn histories(&self) -> impl Iterator<Item = &VecDeque<Arc<CommittedTxn>>> {
-        self.cores.iter().flatten().map(|core| &core.history)
-    }
-}
+pub(crate) type ShardGuards<'a> = [Option<MutexGuard<'a, ()>>; MAX_SHARDS];
 
 /// One thread stripe of the active-snapshot registry (txn id, snapshot
 /// ts), padded so a thread's begin/finish writes a line no other thread's
@@ -165,9 +137,9 @@ struct GroupState {
     parked: VecDeque<Box<ParkedTail>>,
 }
 
-/// Sharded commit state: shard latches + history slices, the active-txn
-/// stripes, the timestamp allocator, the publish clock wait, and the
-/// group-commit buffer.
+/// Sharded commit state: the shard latches, the active-txn stripes, the
+/// timestamp allocator, the publish clock wait, and the group-commit
+/// buffer.
 ///
 /// The latch discipline, checked by the lock validator of debug builds
 /// on every acquisition the tests make: shard latches are outermost
@@ -179,7 +151,7 @@ struct GroupState {
 /// after dropping the publish lock. All of it runs with no shard latch
 /// held (`tests/commit_latch_scope.rs`).
 pub(crate) struct CommitPipeline {
-    shards: Vec<Mutex<ShardCore>>,
+    shards: Vec<Mutex<()>>,
     /// Active-transaction snapshots, striped by the beginning thread so
     /// begin/finish on different threads touch different lines.
     active: Vec<ActiveStripe>,
@@ -198,22 +170,13 @@ pub(crate) struct CommitPipeline {
     fill_cv: Condvar,
     max_batch: usize,
     max_wait: Duration,
-    /// Times the horizon was computed (every stripe lock taken).
-    #[cfg(test)]
-    pub(crate) horizon_scans: AtomicU64,
 }
 
 impl CommitPipeline {
     pub(crate) fn new(shards: usize, max_batch: usize, max_wait: Duration) -> CommitPipeline {
         let n = shards.clamp(1, MAX_SHARDS);
         CommitPipeline {
-            shards: (0..n)
-                .map(|_| {
-                    Mutex::new(ShardCore {
-                        history: VecDeque::new(),
-                    })
-                })
-                .collect(),
+            shards: (0..n).map(|_| Mutex::new(())).collect(),
             active: (0..n)
                 .map(|_| ActiveStripe {
                     txns: Mutex::new(Vec::new()),
@@ -235,8 +198,6 @@ impl CommitPipeline {
             fill_cv: Condvar::new(),
             max_batch: max_batch.max(1),
             max_wait,
-            #[cfg(test)]
-            horizon_scans: AtomicU64::new(0),
         }
     }
 
@@ -254,14 +215,12 @@ impl CommitPipeline {
     /// (ascending) order. Contended acquisitions are counted in
     /// `commit_shard_conflicts`.
     pub(crate) fn lock_shards(&self, mask: u64, stats: &Stats) -> ShardGuards<'_> {
-        let mut held = ShardGuards {
-            cores: [const { None }; MAX_SHARDS],
-        };
+        let mut held: ShardGuards = [const { None }; MAX_SHARDS];
         for (i, shard) in self.shards.iter().enumerate() {
             if mask & (1 << i) == 0 {
                 continue;
             }
-            held.cores[i] = Some(match shard.try_lock() {
+            held[i] = Some(match shard.try_lock() {
                 Some(g) => g,
                 None => {
                     Stats::bump(&stats.local().commit_shard_conflicts);
@@ -270,45 +229,6 @@ impl CommitPipeline {
             });
         }
         held
-    }
-
-    /// Push a commit's summary onto the history of every shard in
-    /// `written` (all held in `held`), so a serializable validator
-    /// latching any of its read-table shards sees it. A slice this pushes
-    /// past twice `floor` is pruned back to `floor` (or to what an active
-    /// snapshot can still conflict with) here, under the latch; only then
-    /// is the horizon computed — it takes every active-stripe lock.
-    pub(crate) fn push_history(
-        &self,
-        held: &mut ShardGuards<'_>,
-        written: u64,
-        summary: &Arc<CommittedTxn>,
-        clock: &AtomicU64,
-        floor: usize,
-    ) {
-        let mut horizon = None;
-        for (i, core) in held.cores.iter_mut().enumerate() {
-            let Some(core) = core.as_mut().filter(|_| written & (1 << i) != 0) else {
-                continue;
-            };
-            core.history.push_back(summary.clone());
-            if core.history.len() <= 2 * floor.max(1) {
-                continue;
-            }
-            let horizon = *horizon.get_or_insert_with(|| self.oldest_active_snapshot(clock));
-            while core.history.len() > floor
-                && core.history.front().is_some_and(|c| c.commit_ts <= horizon)
-            {
-                core.history.pop_front();
-            }
-        }
-    }
-
-    /// Latch every shard (ascending). Freezes installs, not the clock:
-    /// commits already installed may still publish. Vacuum uses this so
-    /// no version lands mid-sweep.
-    pub(crate) fn lock_all_shards(&self) -> Vec<MutexGuard<'_, ShardCore>> {
-        self.shards.iter().map(|s| s.lock()).collect()
     }
 
     /// Fast-forward the allocator after WAL replay.
@@ -340,12 +260,10 @@ impl CommitPipeline {
     }
 
     /// Oldest snapshot among active transactions, or the clock when none
-    /// are active. Holds **all** stripe locks (ascending) while computing
-    /// the minimum and reading the fallback clock, mirroring the seed's
-    /// single-lock begin/vacuum coordination.
+    /// are active: vacuum's horizon. Holds **all** stripe locks
+    /// (ascending) while computing the minimum and reading the fallback
+    /// clock, mirroring the seed's single-lock begin/vacuum coordination.
     pub(crate) fn oldest_active_snapshot(&self, clock: &AtomicU64) -> u64 {
-        #[cfg(test)]
-        self.horizon_scans.fetch_add(1, Ordering::Relaxed);
         let stripes: Vec<_> = self.active.iter().map(|s| s.txns.lock()).collect();
         stripes
             .iter()
@@ -383,7 +301,7 @@ impl CommitPipeline {
     }
 
     /// `Err` once a flush has failed: what a validator that trips over
-    /// the failed batch's history summaries reports, not a retryable conflict.
+    /// the failed batch's versions reports, not a retryable conflict.
     pub(crate) fn check_unbroken(&self) -> DbResult<()> {
         self.group.lock().broken.clone()
     }
@@ -664,48 +582,53 @@ mod tests {
         assert_eq!(p.shard_count(), MAX_SHARDS);
         assert_eq!(p.shard_of(TableId(127)), 63);
         let held = p.lock_shards(u64::MAX, &Stats::default());
-        assert_eq!(held.histories().count(), MAX_SHARDS);
+        assert_eq!(held.iter().flatten().count(), MAX_SHARDS);
     }
 
-    /// A slice is pruned by the push that takes it past twice the floor,
-    /// down to the floor or to what an active snapshot still needs — and
-    /// the horizon is not looked at before that.
+    /// A commit never computes vacuum's horizon, which takes every
+    /// active-stripe lock: with every stripe but the committing thread's
+    /// own held by another thread, 2 × 64 + 1 serializable commits of one
+    /// table — past where a bounded commit history would be pruned —
+    /// finish.
     #[test]
-    fn history_is_pruned_under_the_latch_once_a_slice_doubles() {
-        let p = pipeline(2);
-        let stats = Stats::default();
-        let clock = AtomicU64::new(100);
-        let push = |ts: u64| {
-            let summary = Arc::new(CommittedTxn {
-                commit_ts: ts,
-                writes: Vec::new(),
+    fn a_commit_never_computes_the_horizon() {
+        use crate::db::{Config, Database, IsolationLevel};
+        use crate::predicate::Predicate;
+        use crate::schema::{ColumnDef, TableSchema};
+        use crate::value::{DataType, Datum};
+        let db = Database::new(Config::default());
+        db.create_table(TableSchema::new(
+            "t",
+            vec![ColumnDef::new("v", DataType::Int)],
+        ))
+        .unwrap();
+        let p = &db.inner.pipeline;
+        let own = crate::stats::thread_slot() % p.active.len();
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let (done_tx, done) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let others = p.active.iter().enumerate().filter(|&(i, _)| i != own);
+                let guards: Vec<_> = others.map(|(_, stripe)| stripe.txns.lock()).collect();
+                held_tx.send(()).unwrap();
+                // a commit that took every stripe lock would wait on these
+                let finished = done.recv_timeout(Duration::from_secs(10)).is_ok();
+                drop(guards);
+                assert!(finished, "a commit waited on another thread's stripe");
             });
-            let mut held = p.lock_shards(0b11, &stats);
-            p.push_history(&mut held, 0b01, &summary, &clock, 4);
-        };
-        let len = |shard: usize| p.shards[shard].lock().history.len();
-        for ts in 1..=8 {
-            push(ts);
-        }
-        assert_eq!((len(0), len(1)), (8, 0), "only the written shard grows");
-        assert_eq!(p.horizon_scans.load(Ordering::Relaxed), 0);
-        push(9);
-        assert_eq!(len(0), 4, "no active snapshot: back to the floor");
-        assert_eq!(p.horizon_scans.load(Ordering::Relaxed), 1);
-        // a snapshot at 7 still needs every summary above it
-        clock.store(7, Ordering::SeqCst);
-        let (_, stripe) = p.register_active(1, &clock);
-        for ts in 10..=14 {
-            push(ts);
-        }
-        let kept: Vec<u64> = p.shards[0]
-            .lock()
-            .history
-            .iter()
-            .map(|c| c.commit_ts)
-            .collect();
-        assert_eq!(kept, (8..=14).collect::<Vec<_>>());
-        p.deregister_active(stripe, 1);
+            held.recv().unwrap();
+            for v in 0..2 * 64 + 1 {
+                // a full-scan read, so every commit is validated
+                let read_then_insert = |tx: &mut crate::Transaction| {
+                    tx.scan("t", &Predicate::True)?;
+                    tx.insert_pairs("t", &[("v", Datum::Int(v))])
+                };
+                let serializable = db.txn().isolation(IsolationLevel::Serializable);
+                serializable.run(read_then_insert).unwrap();
+            }
+            done_tx.send(()).unwrap();
+        });
+        assert_eq!(db.count_rows("t").unwrap(), 129);
     }
 
     #[test]
@@ -718,7 +641,7 @@ mod tests {
             s.spawn(|| {
                 tx.send(()).unwrap();
                 let held = p.lock_shards(0b0110, &stats);
-                assert_eq!(held.histories().count(), 2);
+                assert_eq!(held.iter().flatten().count(), 2);
             });
             rx.recv().unwrap();
             std::thread::sleep(Duration::from_millis(20));

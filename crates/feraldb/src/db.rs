@@ -8,13 +8,13 @@ use crate::lock::LockManager;
 use crate::schema::{ForeignKey, IndexDef, IndexId, OnDelete, TableId, TableInfo, TableSchema};
 use crate::stats::Stats;
 use crate::txn::Transaction;
-use crate::value::Row;
+use crate::value::{Datum, Row};
 use crate::wal::{read_log, truncate_log, WalRecord, WalWrite, WalWriter};
 use feral_audit::{AuditMode, Auditor};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -265,6 +265,19 @@ impl TableEntry {
     }
 }
 
+/// The first non-NULL value of column `col` among `child`'s installed
+/// rows that is the id of no live installed row of `parent`.
+fn first_orphan(child: &TableEntry, col: usize, parent: &TableEntry) -> Option<Datum> {
+    let parents = parent.heap.scan_latest(|_| true);
+    let ids: HashSet<IndexKey> = parents
+        .iter()
+        .map(|(_, t)| IndexKey::encode([&t[0]]))
+        .collect();
+    let references = child.heap.scan_latest(|t| !t[col].is_null());
+    let mut values = references.into_iter().map(|(_, tuple)| tuple[col].clone());
+    values.find(|id| !ids.contains(&IndexKey::encode([id])))
+}
+
 /// Catalog: names → tables/indexes/constraints.
 #[derive(Default)]
 pub(crate) struct Catalog {
@@ -319,9 +332,9 @@ pub(crate) struct DbInner {
     pub(crate) locks: LockManager,
     /// Logical clock: the newest published commit timestamp.
     pub(crate) clock: AtomicU64,
-    /// The sharded commit pipeline: shard latches + history slices,
-    /// active-transaction stripes, timestamp allocation, group-commit
-    /// batching, and timestamp-ordered publication.
+    /// The sharded commit pipeline: shard latches, active-transaction
+    /// stripes, timestamp allocation, group-commit batching, and
+    /// timestamp-ordered publication.
     pub(crate) pipeline: CommitPipeline,
     /// Transaction id allocator: each thread draws a block of
     /// [`TXN_ID_BLOCK`] ids at a time (see `next_txn_id`).
@@ -555,7 +568,6 @@ impl Database {
 
     /// Replay recovered records into fresh state.
     fn replay(&self, records: Vec<WalRecord>) -> DbResult<()> {
-        use crate::value::Datum;
         let mut max_ts = 1u64;
         let mut max_ids: HashMap<TableId, i64> = HashMap::new();
         for record in records {
@@ -614,8 +626,6 @@ impl Database {
                 .store(sequence_after(max_id), Ordering::SeqCst);
         }
         drop(cat);
-        // silence the unused-import warning path for Datum in no-commit logs
-        let _ = std::mem::size_of::<Datum>();
         Ok(())
     }
 
@@ -829,7 +839,11 @@ impl Database {
 
     /// Declare an in-database foreign key: `child(child_col)` references
     /// `parent(id)`. The migration-style counterpart of a Rails
-    /// `belongs_to` + `foreigner` gem annotation.
+    /// `belongs_to` + `foreigner` gem annotation. Like a unique index over
+    /// duplicates, a key over committed child rows that name no parent is
+    /// refused: both tables' commit latches are held from that check to
+    /// registration, so no commit installs in between. (A transaction
+    /// already open when the key lands is not re-checked at its commit.)
     pub fn add_foreign_key(
         &self,
         child_table: &str,
@@ -839,11 +853,25 @@ impl Database {
     ) -> DbResult<()> {
         let child = self.table_id(child_table)?;
         let parent = self.table_id(parent_table)?;
+        let pipeline = &self.inner.pipeline;
+        let tables = 1 << pipeline.shard_of(child) | 1 << pipeline.shard_of(parent);
+        let latches = pipeline.lock_shards(tables, &self.inner.stats);
         let mut cat = self.inner.catalog.write();
         let child_entry = cat.table(child);
         let child_ci = child_entry.schema.column_index(child_col)?;
+        let name = format!("fk_{}_{}", child_table, child_col);
+        // a logged key was accepted when it was logged: replay applies it
+        if !self.inner.wal_suppressed.load(Ordering::SeqCst) {
+            let parent_entry = cat.table(parent);
+            if let Some(orphan) = first_orphan(&child_entry, child_ci, &parent_entry) {
+                return Err(DbError::ForeignKeyViolation {
+                    constraint: name,
+                    detail: format!("existing reference {orphan} names no parent"),
+                });
+            }
+        }
         let fk = Arc::new(ForeignKey {
-            name: format!("fk_{}_{}", child_table, child_col),
+            name,
             child_table: child,
             child_cols: vec![child_ci],
             parent_table: parent,
@@ -854,6 +882,7 @@ impl Database {
         cat.edit_table(child, |e| e.fks_as_child.push(fk.clone()));
         cat.edit_table(parent, |e| e.fks_as_parent.push(fk));
         drop(cat);
+        drop(latches);
         self.wal_append(&WalRecord::AddForeignKey {
             child: child_table.into(),
             column: child_col.into(),
@@ -987,7 +1016,7 @@ impl Database {
     /// neither they nor the versions and index postings they supersede
     /// are at or below the horizon.
     pub fn vacuum(&self) -> usize {
-        let _latches = self.inner.pipeline.lock_all_shards();
+        let _latches = self.inner.pipeline.lock_shards(u64::MAX, &self.inner.stats);
         let horizon = self
             .inner
             .pipeline

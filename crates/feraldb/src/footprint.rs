@@ -6,25 +6,25 @@
 //! transaction. Opening an entry reports the table-grain access to a
 //! schedule hook either way.
 
+use crate::db::TableEntry;
 use crate::heap::RowId;
 use crate::predicate::Predicate;
 use crate::schema::TableId;
 use crate::txn::CommittedWrite;
-use crate::value::{Datum, Row};
+use crate::value::Datum;
 use feral_audit::{ReadRecord, ReadTarget, WriteRecord};
 use feral_hooks::AccessMode;
+use std::sync::Arc;
 
 /// A transaction's reads.
 #[derive(Default)]
 pub(crate) struct Footprint {
-    /// Serializable validation reads the record.
-    validated: bool,
+    /// Serializable validation reads the record: a statement then hands
+    /// [`Footprint::open`] its table entry.
+    pub(crate) validated: bool,
     /// The auditor samples this transaction.
     pub(crate) audited: bool,
     reads: Vec<Read>,
-    /// The name hash of each write an audited transaction commits, in
-    /// the order of its write summary.
-    written: Vec<u64>,
 }
 
 /// One statement's read.
@@ -33,6 +33,9 @@ pub(crate) struct Read {
     /// The table's `TableEntry::name_hash`: the auditor's and the
     /// explorer's name for it.
     pub(crate) name_hash: u64,
+    /// The table as the statement read it — its heap and the indexes it
+    /// had — kept for validation only.
+    entry: Option<Arc<TableEntry>>,
     read_ts: u64,
     /// The committed rows it returned.
     rows: Vec<RowId>,
@@ -56,22 +59,42 @@ pub(crate) fn note_table_access(name_hash: u64, mode: AccessMode) {
 }
 
 impl Read {
-    /// Why one of `writes` overwrote what this read saw — one of its
-    /// rows, or a row its predicate matches before or after the write —
-    /// if one did.
-    pub(crate) fn overwritten_by(&self, writes: &[CommittedWrite]) -> Option<String> {
-        let t = self.table.0;
-        let written = || writes.iter().filter(|(table, ..)| *table == self.table);
-        if let Some((_, row, ..)) = written().find(|(_, row, ..)| self.rows.contains(row)) {
+    /// Why a commit after `snapshot` overwrote what this read saw — one
+    /// of its rows, or a row its predicate matches before or after the
+    /// write — if one did. The versions answer: the caller holds the
+    /// commit latch of the read's table, so no install interleaves, and
+    /// vacuum keeps every version and posting a snapshot still open can
+    /// reach.
+    pub(crate) fn overwritten_since(&self, snapshot: u64) -> Option<String> {
+        let entry = self
+            .entry
+            .as_deref()
+            .expect("a validated read keeps its table");
+        let (heap, t) = (&entry.heap, self.table.0);
+        let written = |row: &&RowId| heap.row_written_since(**row, snapshot, |_| true);
+        if let Some(row) = self.rows.iter().find(written) {
             return Some(format!("row {t}.{row} was concurrently written"));
         }
         let pairs = self.pred.as_deref().filter(|_| self.pred_validated)?;
-        let matches = |image: &Row| {
+        let matches = |image: &[Datum]| {
             pairs
                 .iter()
                 .all(|(c, v)| image.get(*c).is_some_and(|d| d.sql_eq(v) == Some(true)))
         };
-        let hit = written().any(|(_, _, old, new)| old.iter().chain(new).any(matches));
+        let value_of = |col| pairs.iter().find(|(c, _)| *c == col).map(|(_, v)| v);
+        let probe = entry
+            .indexes
+            .iter()
+            .find_map(|idx| Some((idx, idx.probe_key(value_of)?)));
+        let hit = match (pairs, probe) {
+            ([], _) => heap.written_since(snapshot),
+            // a write moving a row out of the key leaves its old posting,
+            // so the probe finds rows that left the predicate as well
+            (_, Some((idx, key))) => {
+                idx.any_row(&key, |row| heap.row_written_since(row, snapshot, matches))
+            }
+            (_, None) => heap.any_written_since(snapshot, matches),
+        };
         hit.then(|| match pairs {
             [] => format!("table {t} was concurrently written under a full-scan read"),
             _ => format!("predicate read on table {t} was concurrently invalidated"),
@@ -91,13 +114,22 @@ impl Footprint {
     }
 
     /// A statement reads `table`, whose name hashes to `name_hash`, at
-    /// `read_ts`; a schedule hook is told of a `mode` access.
-    pub(crate) fn open(&mut self, table: TableId, name_hash: u64, mode: AccessMode, read_ts: u64) {
+    /// `read_ts`; a schedule hook is told of a `mode` access. `entry`,
+    /// the table as the statement read it, is kept for validation.
+    pub(crate) fn open(
+        &mut self,
+        table: TableId,
+        name_hash: u64,
+        entry: Option<Arc<TableEntry>>,
+        mode: AccessMode,
+        read_ts: u64,
+    ) {
         note_table_access(name_hash, mode);
         if self.validated || self.audited {
             self.reads.push(Read {
                 table,
                 name_hash,
+                entry: entry.filter(|_| self.validated),
                 read_ts,
                 rows: Vec::new(),
                 pred: None,
@@ -120,14 +152,6 @@ impl Footprint {
         if let (Some(read), true) = (self.reads.last_mut(), self.audited || validated) {
             read.pred = Some(pred.equality_fingerprint());
             read.pred_validated = validated;
-        }
-    }
-
-    /// The transaction commits writes to tables with these name hashes,
-    /// one per write, in the order its write summary lists them.
-    pub(crate) fn wrote(&mut self, name_hashes: impl Iterator<Item = u64>) {
-        if self.audited {
-            self.written.extend(name_hashes);
         }
     }
 
@@ -155,10 +179,8 @@ impl Footprint {
             })
         });
         let image = |tuple: &[Datum]| column_hashes(tuple.iter().enumerate());
-        debug_assert_eq!(writes.len(), self.written.len(), "one name per write");
-        let named = writes.iter().zip(&self.written);
-        let writes = named.map(|((_, row, old, new), &table)| WriteRecord {
-            table,
+        let writes = writes.iter().map(|(table, row, old, new)| WriteRecord {
+            table: *table,
             row: *row as u64,
             old: old.as_deref().map(image),
             new: new.as_deref().map(image),

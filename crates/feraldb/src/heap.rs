@@ -10,7 +10,7 @@
 
 use crate::value::{Datum, Row};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Position of a row chain within a table's heap.
@@ -82,6 +82,16 @@ impl RowChain {
     fn live(&self) -> bool {
         self.newest.end == 0
     }
+
+    /// Whether a version a commit after `ts` made or closed — a new or an
+    /// old image of a write a snapshot at `ts` did not see — satisfies
+    /// `filter`. Those are the newest versions: a chain's stamps only grow.
+    fn written_after(&self, ts: u64, mut filter: impl FnMut(&[Datum]) -> bool) -> bool {
+        let mut since = self
+            .newest_first()
+            .take_while(|v| v.begin > ts || v.end > ts);
+        since.any(|v| filter(&v.tuple))
+    }
 }
 
 /// Rows per heap segment. Unit tests run on four-row segments, so every
@@ -114,6 +124,10 @@ type Segment = RwLock<Vec<RowChain>>;
 pub struct Heap {
     directory: [OnceLock<Box<[Segment]>>; DIRECTORY_SLOTS],
     len: AtomicUsize,
+    /// The newest commit timestamp that installed a version here (0:
+    /// none), raised under the table's commit latch, which a validator
+    /// reading it holds too.
+    written_at: AtomicU64,
 }
 
 impl Default for Heap {
@@ -121,6 +135,7 @@ impl Default for Heap {
         Heap {
             directory: std::array::from_fn(|_| OnceLock::new()),
             len: AtomicUsize::new(0),
+            written_at: AtomicU64::new(0),
         }
     }
 }
@@ -179,6 +194,7 @@ impl Heap {
 
     /// Install a brand-new row committed at `commit_ts`; returns its id.
     pub fn install_insert(&self, commit_ts: u64, tuple: Row) -> RowId {
+        self.written_at.fetch_max(commit_ts, Ordering::Relaxed);
         let chain = RowChain {
             newest: RowVersion {
                 begin: commit_ts,
@@ -204,6 +220,7 @@ impl Heap {
     /// Close the current version of `row` (a delete) at `commit_ts`.
     /// Returns `false` if the row had no open version (already deleted).
     pub fn install_delete(&self, row: RowId, commit_ts: u64) -> bool {
+        self.written_at.fetch_max(commit_ts, Ordering::Relaxed);
         self.write_chain(row, |chain| {
             let live = chain.live();
             if live {
@@ -216,6 +233,7 @@ impl Heap {
     /// Supersede the current version of `row` with `tuple` at `commit_ts`.
     /// Returns `false` if the row had no open version.
     pub fn install_update(&self, row: RowId, commit_ts: u64, tuple: Row) -> bool {
+        self.written_at.fetch_max(commit_ts, Ordering::Relaxed);
         self.write_chain(row, |chain| {
             if !chain.live() {
                 return false;
@@ -254,6 +272,33 @@ impl Heap {
     /// replay may use this: it runs before the clock is set.
     pub fn newest(&self, row: RowId) -> Option<Row> {
         self.read_chain(row, |c| Some(c.newest.tuple.clone()))
+    }
+
+    /// Whether a commit after `ts` installed a version here.
+    pub fn written_since(&self, ts: u64) -> bool {
+        self.written_at.load(Ordering::Relaxed) > ts
+    }
+
+    /// Whether a commit after `ts` wrote `row` with an old or a new image
+    /// that satisfies `filter` (which runs under a leaf latch).
+    pub fn row_written_since(
+        &self,
+        row: RowId,
+        ts: u64,
+        filter: impl Fn(&[Datum]) -> bool,
+    ) -> bool {
+        self.read_chain(row, |c| Some(c.written_after(ts, filter)))
+            .unwrap_or(false)
+    }
+
+    /// Whether a commit after `ts` wrote any row with an old or a new
+    /// image that satisfies `filter`: every chain is walked, if anything
+    /// was installed after `ts`.
+    pub fn any_written_since(&self, ts: u64, filter: impl Fn(&[Datum]) -> bool) -> bool {
+        let rows_written = |(_, segment): (RowId, &Segment)| {
+            segment.read().iter().any(|c| c.written_after(ts, &filter))
+        };
+        self.written_since(ts) && self.segments().any(rows_written)
     }
 
     /// Collect `(row_id, tuple)` for every row visible at `ts` that matches
@@ -629,8 +674,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Inserts, updates, deletes and vacuums on the heap and on the
         /// version vector it replaced agree on every read at every
-        /// timestamp, and on what vacuum reclaims — over as many as a
-        /// dozen four-row segments.
+        /// timestamp — including which rows a commit after it wrote —
+        /// and on what vacuum reclaims, over as many as a dozen four-row
+        /// segments.
         #[test]
         fn the_heap_chain_agrees_with_a_version_vector(
             ops in proptest::collection::vec(arb_op(), 1..48),
@@ -661,10 +707,14 @@ mod tests {
                     _ => {}
                 }
                 for at in 0..=ts + 1 {
+                    let written = |row: RowId| model.rows[row].iter().any(|v| v.begin > at || v.end > at);
                     for row in 0..model.rows.len() {
                         prop_assert_eq!(heap.visible(row, at), model.visible(row, at), "row {} at {}", row, at);
                         prop_assert_eq!(heap.latest(row, at), model.latest(row, at), "row {} at {}", row, at);
+                        prop_assert_eq!(heap.row_written_since(row, at, |_| true), written(row), "row {} at {}", row, at);
                     }
+                    let any = (0..model.rows.len()).any(written);
+                    prop_assert_eq!(heap.any_written_since(at, |_| true), any, "at {}", at);
                     prop_assert_eq!(heap.dead_rows(at), model.dead_rows(at));
                     let visible: Vec<RowId> = heap.scan_visible(at, |_| true).into_iter().map(|(r, _)| r).collect();
                     let want: Vec<RowId> = (0..model.rows.len()).filter(|&r| model.visible(r, at).is_some()).collect();

@@ -335,6 +335,17 @@ impl IndexData {
         })
     }
 
+    /// The key an equality probe of this index reads, when `value_of`
+    /// pins every indexed column, encoded in place (on the stack, for a
+    /// key of up to 23 bytes).
+    pub fn probe_key<'a>(&self, value_of: impl Fn(usize) -> Option<&'a Datum>) -> Option<IndexKey> {
+        let mut key = IndexKey::default();
+        for &col in &self.def.cols {
+            value_of(col)?.encode_key_into(&mut key);
+        }
+        Some(key)
+    }
+
     /// Whether any indexed column of `tuple` is NULL (unique indexes admit
     /// any number of NULL keys, as in SQL).
     pub fn key_has_null(&self, tuple: &[Datum]) -> bool {

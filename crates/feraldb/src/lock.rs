@@ -22,10 +22,10 @@ use crate::error::{DbError, DbResult};
 use crate::index::IndexKey;
 use crate::schema::{IndexId, TableId};
 use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::time::{Duration, Instant};
 
 /// Identifier of a transaction for lock-ownership purposes.
@@ -135,19 +135,25 @@ impl LockState {
 /// Stripes of the lock table.
 const STRIPES: usize = 16;
 
+/// How the lock table hashes a key, to pick its stripe and its slot in
+/// the stripe's map: SipHash, whose spread keys taken from client data
+/// need, under fixed keys, so a fresh database touches — and allocates
+/// — its stripes the same way on every run.
+type KeyHasher = BuildHasherDefault<DefaultHasher>;
+
 /// One stripe, padded to its own cache lines: the entries of the keys that
 /// hash here and the condition variable their waiters share (each woken
 /// waiter re-checks its own key).
 #[repr(align(128))]
 struct LockStripe {
-    table: Mutex<HashMap<LockKey, LockState>>,
+    table: Mutex<HashMap<LockKey, LockState, KeyHasher>>,
     cv: Condvar,
 }
 
 impl Default for LockStripe {
     fn default() -> Self {
         LockStripe {
-            table: Mutex::leaf(HashMap::new()),
+            table: Mutex::leaf(HashMap::default()),
             cv: Condvar::new(),
         }
     }
@@ -157,7 +163,6 @@ impl Default for LockStripe {
 /// locks the one stripe its key hashes to and nothing else under it.
 pub struct LockManager {
     stripes: [LockStripe; STRIPES],
-    hasher: RandomState,
     timeout: Duration,
 }
 
@@ -181,13 +186,12 @@ impl LockManager {
     pub fn new(timeout: Duration) -> Self {
         LockManager {
             stripes: Default::default(),
-            hasher: RandomState::new(),
             timeout,
         }
     }
 
     fn stripe_of(&self, key: &LockKey) -> &LockStripe {
-        &self.stripes[self.hasher.hash_one(key) as usize % STRIPES]
+        &self.stripes[KeyHasher::default().hash_one(key) as usize % STRIPES]
     }
 
     /// Acquire `key` in `mode` on behalf of `txn`, blocking up to the

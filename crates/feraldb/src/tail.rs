@@ -26,10 +26,9 @@ use crate::error::{DbError, DbResult};
 use crate::footprint::Footprint;
 use crate::lock::{LockKey, TxnId};
 use crate::stats::Stats;
-use crate::txn::CommittedTxn;
+use crate::txn::CommittedWrite;
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// A stamped, installed, not yet acknowledged commit. `complete` must run
 /// exactly once: it is what releases the transaction's locks. The tail
@@ -44,9 +43,9 @@ pub(crate) struct CommitTail {
     /// Sequence number of the WAL record; 0 when nothing was logged.
     pub(crate) wal_seq: u64,
     pub(crate) locks: Vec<LockKey>,
-    /// The installed write summary; `None` for a read-only commit, which
-    /// has nothing to wait for or publish.
-    pub(crate) summary: Option<Arc<CommittedTxn>>,
+    /// The installed images of a commit the auditor samples; empty
+    /// otherwise.
+    pub(crate) writes: Vec<CommittedWrite>,
     pub(crate) isolation: IsolationLevel,
     pub(crate) snapshot: u64,
     pub(crate) label: Option<&'static str>,
@@ -99,8 +98,7 @@ impl CommitTail {
             auditor.observe_commit_marker(self.label, self.isolation.name());
             return;
         }
-        let installed = self.summary.as_ref().map_or(&[][..], |s| &s.writes);
-        let (reads, writes) = self.footprint.audit_records(installed);
+        let (reads, writes) = self.footprint.audit_records(&self.writes);
         let outcome = auditor.observe_commit(feral_audit::TxnFootprint {
             txn: self.txn,
             begin_ts: self.snapshot,

@@ -161,15 +161,9 @@ impl WriteBuffer {
     }
 }
 
-/// One committed write: `(table, row, old image, new image)`.
-pub(crate) type CommittedWrite = (TableId, RowId, Option<Row>, Option<Row>);
-
-/// Write summary of a committed transaction, retained for backward
-/// validation of serializable transactions.
-pub(crate) struct CommittedTxn {
-    pub(crate) commit_ts: u64,
-    pub(crate) writes: Vec<CommittedWrite>,
-}
+/// One committed write, as the auditor is told of it: `(table name hash,
+/// row, old image, new image)`.
+pub(crate) type CommittedWrite = (u64, RowId, Option<Row>, Option<Row>);
 
 /// A savepoint: a snapshot of the transaction's buffered write state
 /// (see [`Transaction::savepoint`]). Row images are `Arc`-shared, so the
@@ -432,7 +426,7 @@ impl Transaction {
         // range and full-table paths take handles out and let the catalog
         // go (they can run long, and a queued DDL writer would stall
         // readers).
-        let (tid, name_hash, read_ts, unprobed) = self.with_table(table.into(), |tid, entry| {
+        let scanned = self.with_table(table.into(), |tid, entry| {
             feral_trace::record(
                 feral_trace::EventKind::Site(feral_hooks::Site::TxnScan),
                 self.id,
@@ -444,7 +438,7 @@ impl Transaction {
             let covering = entry
                 .indexes
                 .iter()
-                .find_map(|idx| equality_key(idx, pred).map(|key| (idx, key)));
+                .find_map(|idx| Some((idx, idx.probe_key(|col| pred.equality_on(col))?)));
             let unprobed = match covering {
                 Some((idx, key)) => {
                     idx.any_row(&key, |row| {
@@ -458,12 +452,16 @@ impl Transaction {
                     Stats::bump(&self.inner().stats.local().index_probes);
                     None
                 }
-                None => Some((entry.clone(), range_bounds(entry, pred))),
+                None => Some(range_bounds(entry, pred)),
             };
-            Ok((tid, entry.name_hash, read_ts, unprobed))
+            // the entry leaves the closure only if it is still needed
+            let kept = (unprobed.is_some() || self.footprint.validated).then(|| entry.clone());
+            Ok((tid, entry.name_hash, read_ts, kept, unprobed))
         })?;
+        let (tid, name_hash, read_ts, kept, unprobed) = scanned;
         let used_index = unprobed.is_none();
-        if let Some((entry, range)) = unprobed {
+        if let Some(range) = unprobed {
+            let entry = kept.as_ref().expect("an unprobed scan keeps its table");
             let committed = match range {
                 // an index *range* scan: a single-column index covers a
                 // top-level range conjunct
@@ -491,7 +489,7 @@ impl Transaction {
 
         // no hook runs between the scan and this report of it
         let mode = self.read_mode();
-        self.footprint.open(tid, name_hash, mode, read_ts);
+        self.footprint.open(tid, name_hash, kept, mode, read_ts);
         for (r, _) in &out {
             if let RowRef::Committed(row) = r {
                 self.footprint.row(*row);
@@ -538,7 +536,9 @@ impl Transaction {
         // always a committed-latest read (the post-lock re-read), even
         // under snapshot isolation
         let mode = feral_hooks::AccessMode::Read;
-        self.footprint.open(tid, entry.name_hash, mode, read_ts);
+        let kept = self.footprint.validated.then(|| entry.clone());
+        self.footprint
+            .open(tid, entry.name_hash, kept, mode, read_ts);
         let candidates = entry.heap.scan_visible(read_ts, |t| pred.matches(t));
         let mut out = Vec::new();
         for (row, _) in candidates {
@@ -1041,38 +1041,26 @@ impl Transaction {
         self.buf.writes.iter().filter(|p| !p.dead)
     }
 
-    /// Serializable backward validation: abort if any transaction that
+    /// Serializable backward validation: abort if a transaction that
     /// committed after our snapshot wrote something we read.
     ///
-    /// Runs against the committed-history slices of the *held* shard
-    /// latches. The shard set includes every table this transaction
-    /// read, so every conflicting summary is in one of these slices
-    /// (a spanning committer pushes its summary to each shard it
-    /// wrote). Summaries may appear in several slices; re-checking a
-    /// duplicate is harmless. Per-slice order is timestamp order, so
-    /// the walk stops at the first summary at or below our snapshot.
+    /// Runs under `_latched`, the shard latches of every table this
+    /// transaction read, and asks each read of the versions themselves
+    /// (`Read::overwritten_since`): no commit installs into those tables
+    /// while the validator looks, and one that installs after it lets go
+    /// is stamped after this commit.
     ///
-    /// After a failed flush the failed batch's summaries stay in the
-    /// histories above every later snapshot; a conflict is then reported
-    /// as the poisoned log it is, not as a retryable failure.
-    fn validate_serializable(&self, held: &ShardGuards<'_>) -> DbResult<()> {
-        let Err(detail) = self.find_rw_conflict(held) else {
+    /// After a failed flush the failed batch's versions stay installed
+    /// above every later snapshot; a conflict is then reported as the
+    /// poisoned log it is, not as a retryable failure.
+    fn validate_serializable(&self, _latched: &ShardGuards<'_>) -> DbResult<()> {
+        let mut reads = self.footprint.validated_reads();
+        let Some(detail) = reads.find_map(|read| read.overwritten_since(self.snapshot)) else {
             return Ok(());
         };
         self.inner().pipeline.check_unbroken()?;
         Stats::bump(&self.inner().stats.local().serialization_failures);
         Err(DbError::SerializationFailure { detail })
-    }
-
-    fn find_rw_conflict(&self, held: &ShardGuards<'_>) -> Result<(), String> {
-        let mut committed_since = held
-            .histories()
-            .flat_map(|h| h.iter().rev().take_while(|c| c.commit_ts > self.snapshot));
-        let conflict = committed_since.find_map(|c| {
-            let mut reads = self.footprint.validated_reads();
-            reads.find_map(|read| read.overwritten_by(&c.writes))
-        });
-        conflict.map_or(Ok(()), Err)
     }
 
     // ------------------------------------------------------------------
@@ -1113,20 +1101,20 @@ impl Transaction {
             // transaction anomaly under snapshot isolation). Their
             // "commit timestamp" is the clock at commit.
             let read_ts = self.inner().clock.load(Ordering::SeqCst);
-            self.tail(read_ts, 0, None).complete(self.db(), true);
+            self.tail(read_ts, 0, Vec::new()).complete(self.db(), true);
             return Ok(());
         }
         let db = self.db.as_ref().expect(LENT);
         let pipeline = &db.inner.pipeline;
         // Shard set, one bit per shard: every table written, plus — under
-        // Serializable — every table read, so validation runs against
-        // exactly the histories its latches protect.
+        // Serializable — every table read, so no commit installs into a
+        // table while validation reads its versions.
         let shard_bit = |table: TableId| 1u64 << pipeline.shard_of(table);
         let written = self.effects().fold(0, |mask, p| mask | shard_bit(p.table));
         let reads = self.footprint.validated_reads();
         let latched = reads.fold(written, |mask, r| mask | shard_bit(r.table));
         // Canonical (ascending) acquisition order — no latch deadlock.
-        let mut held = pipeline.lock_shards(latched, &db.inner.stats);
+        let held = pipeline.lock_shards(latched, &db.inner.stats);
         feral_trace::record(
             feral_trace::EventKind::Site(feral_hooks::Site::CommitShard),
             self.id,
@@ -1222,17 +1210,19 @@ impl Transaction {
                 return Err(e);
             }
         };
-        // Installed at `commit_ts > clock`: invisible until `publish`.
-        let mut writes = Vec::with_capacity(self.buf.writes.len());
+        // Installed at `commit_ts > clock`: invisible until `publish`. The
+        // images are copied out only for the auditor.
+        let audited = self.footprint.audited;
+        let mut writes = Vec::new();
         for p in self.effects() {
             let entry = &p.entry;
-            match &p.op {
+            let (row, old, new) = match &p.op {
                 PendingOp::Insert { tuple } => {
                     let row = entry.heap.install_insert(commit_ts, tuple.clone());
                     for idx in &entry.indexes {
                         idx.insert_entry(idx.key_of(tuple), row);
                     }
-                    writes.push((p.table, row, None, Some(tuple.clone())));
+                    (row, None, Some(tuple))
                 }
                 PendingOp::Update { row, base, new } => {
                     entry.heap.install_update(*row, commit_ts, new.clone());
@@ -1246,27 +1236,20 @@ impl Transaction {
                             idx.insert_entry(idx.key_of(new), *row);
                         }
                     }
-                    writes.push((p.table, *row, Some(base.clone()), Some(new.clone())));
+                    (*row, Some(base), Some(new))
                 }
                 PendingOp::Delete { row, base } => {
                     // postings survive the delete for the same reason: the
                     // row is dead committed-latest, but snapshots begun
                     // before this commit still index into its version chain
                     entry.heap.install_delete(*row, commit_ts);
-                    writes.push((p.table, *row, Some(base.clone()), None));
+                    (*row, Some(base), None)
                 }
+            };
+            if audited {
+                writes.push((entry.name_hash, row, old.cloned(), new.cloned()));
             }
         }
-        // Every shard this transaction wrote gets the summary (and the
-        // one that outgrew its retention is pruned, under this latch).
-        let summary = Arc::new(CommittedTxn { commit_ts, writes });
-        pipeline.push_history(
-            &mut held,
-            written,
-            &summary,
-            &db.inner.clock,
-            crate::commit::COMMITTED_HISTORY_FLOOR,
-        );
         // Everything the latches order is fixed: what is left — durable
         // wait, publish, audit, lock release — is the commit tail,
         // settled here with no latch held (one flush covers every
@@ -1275,7 +1258,7 @@ impl Transaction {
         // the versions stay installed above a clock that never reaches
         // them.
         drop(held);
-        let tail = self.tail(commit_ts, wal_seq, Some(summary));
+        let tail = self.tail(commit_ts, wal_seq, writes);
         match crate::tail::defer(self.db(), tail) {
             None => Ok(()),
             Some(tail) => tail.settle(self.db()),
@@ -1283,23 +1266,18 @@ impl Transaction {
     }
 
     /// Close the transaction and move what its commit still owes into a
-    /// [`CommitTail`]; `Vec`s are moved, nothing is allocated.
-    fn tail(
-        &mut self,
-        commit_ts: u64,
-        wal_seq: u64,
-        summary: Option<Arc<CommittedTxn>>,
-    ) -> CommitTail {
+    /// [`CommitTail`]; `Vec`s are moved, nothing is allocated. `writes`
+    /// are the installed images of an audited commit.
+    fn tail(&mut self, commit_ts: u64, wal_seq: u64, writes: Vec<CommittedWrite>) -> CommitTail {
         self.open = false;
-        let mut footprint = std::mem::take(&mut self.footprint);
-        footprint.wrote(self.effects().map(|p| p.entry.name_hash));
+        let footprint = std::mem::take(&mut self.footprint);
         CommitTail {
             txn: self.id,
             active_stripe: self.active_stripe,
             commit_ts,
             wal_seq,
             locks: std::mem::take(&mut self.locks),
-            summary,
+            writes,
             isolation: self.isolation,
             snapshot: self.snapshot,
             label: self.label,
@@ -1341,17 +1319,6 @@ impl Drop for Transaction {
             self.abort();
         }
     }
-}
-
-/// The probe key of `idx` when top-level equality conjuncts of `pred` pin
-/// every indexed column, encoded straight from the predicate's values (on
-/// the stack, for a key of up to 23 bytes).
-fn equality_key(idx: &IndexData, pred: &Predicate) -> Option<IndexKey> {
-    let mut key = IndexKey::default();
-    for &col in &idx.def.cols {
-        pred.equality_on(col)?.encode_key_into(&mut key);
-    }
-    Some(key)
 }
 
 type RangeBounds = (Arc<IndexData>, Bound<IndexKey>, Bound<IndexKey>);
@@ -1675,37 +1642,6 @@ mod tests {
             });
             assert!(here.is_disjoint(&there), "{here:?} and {there:?}");
         }
-    }
-
-    /// A commit computes the pruning horizon — every active-stripe lock —
-    /// only when it pushes a history slice past twice the retention
-    /// floor, not on every commit.
-    #[test]
-    fn a_commit_takes_no_stripe_lock_for_pruning_until_a_slice_doubles() {
-        let floor = crate::commit::COMMITTED_HISTORY_FLOOR;
-        let db = Database::new(Config::default());
-        db.create_table(TableSchema::new(
-            "t",
-            vec![ColumnDef::new("v", DataType::Int)],
-        ))
-        .unwrap();
-        let scans = || db.inner.pipeline.horizon_scans.load(Ordering::Relaxed);
-        let commit_one = |v: i64| {
-            db.txn()
-                .isolation(IsolationLevel::Serializable)
-                .run(|tx| tx.insert_pairs("t", &[("v", Datum::Int(v))]).map(|_| ()))
-                .unwrap()
-        };
-        for v in 0..2 * floor as i64 {
-            commit_one(v);
-        }
-        assert_eq!(scans(), 0, "every slice is still within twice the floor");
-        commit_one(-1);
-        assert_eq!(scans(), 1, "the commit that outgrew the slice pruned it");
-        for v in 0..floor as i64 {
-            commit_one(v);
-        }
-        assert_eq!(scans(), 1, "and the next {floor} commits look at no stripe");
     }
 
     /// The linear walk over the write buffer that `unique_key_taken`'s

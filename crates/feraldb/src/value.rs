@@ -386,7 +386,7 @@ pub type Tuple = Vec<Datum>;
 
 /// A stored row image: the datums and their reference count in one
 /// allocation, shared by the heap version, the readers it was handed to
-/// and the commit history. `Row::from(tuple)` freezes a [`Tuple`].
+/// and an audited commit's tail. `Row::from(tuple)` freezes a [`Tuple`].
 pub type Row = Arc<[Datum]>;
 
 // A datum is three words: `Text`'s variant byte leaves a niche that holds

@@ -1,7 +1,7 @@
 //! What the commit shard latches do not cover. A committer validates,
-//! enqueues its WAL record, installs its versions and pushes its history
-//! summary under the latches of the tables it wrote, then drops them and
-//! only afterwards waits for the flush and publishes. These tests stall
+//! enqueues its WAL record and installs its versions under the latches
+//! of the tables it wrote, then drops them and only afterwards waits for
+//! the flush and publishes. These tests stall
 //! the WAL writer (`Database::with_wal_stalled`) to hold commits in that
 //! installed-but-unpublished state deterministically.
 //!

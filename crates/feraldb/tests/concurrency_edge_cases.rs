@@ -228,8 +228,11 @@ fn index_stays_consistent_across_interleaved_key_updates() {
     }
 }
 
+/// Serializable validation after 500 commits: it reads versions, not a
+/// commit history, so a reader begun after them commits, and one that a
+/// later insert overtook aborts.
 #[test]
-fn committed_history_is_pruned() {
+fn serializable_validation_after_many_commits() {
     let db = kv_db(500);
     seed(&db, 1);
     // run many committed writers with no long-lived snapshots
@@ -249,4 +252,16 @@ fn committed_history_is_pruned() {
     tx.insert_pairs("kv", &[("k", Datum::text("final")), ("v", Datum::Int(-1))])
         .unwrap();
     tx.commit().unwrap();
+    // a full-scan reader overtaken by an insert does not commit
+    let mut tx = db.txn().isolation(IsolationLevel::Serializable).begin();
+    assert_eq!(tx.scan("kv", &Predicate::True).unwrap().len(), 502);
+    db.txn()
+        .run(|tx| tx.insert_pairs("kv", &[("k", Datum::text("late")), ("v", Datum::Int(0))]))
+        .unwrap();
+    tx.insert_pairs("kv", &[("k", Datum::text("doomed")), ("v", Datum::Int(0))])
+        .unwrap();
+    assert!(matches!(
+        tx.commit(),
+        Err(DbError::SerializationFailure { .. })
+    ));
 }

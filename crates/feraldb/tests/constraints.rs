@@ -535,6 +535,60 @@ fn fk_is_race_free_under_concurrent_insert_and_cascade_delete() {
     assert_eq!(db.count_rows("users").unwrap(), 0);
 }
 
+/// A foreign key is refused over a committed child row that names no
+/// parent, as a unique index is over duplicates, and the table stays
+/// without one: the orphan can still be written, and deleting a
+/// department cascades to nobody. Once the orphan is repaired, the same
+/// key is accepted and enforced.
+#[test]
+fn a_foreign_key_over_an_orphan_is_refused() {
+    let db = fresh_db();
+    users_departments(&db, None);
+    insert_department(&db, 1);
+    let user = |dept: i64, name: &str| {
+        db.txn().run(|tx| {
+            tx.insert_pairs(
+                "users",
+                &[
+                    ("department_id", Datum::Int(dept)),
+                    ("name", Datum::text(name)),
+                ],
+            )
+        })
+    };
+    user(1, "kept").unwrap();
+    user(99, "orphan").unwrap();
+    let add = || db.add_foreign_key("users", "department_id", "departments", OnDelete::Cascade);
+    match add() {
+        Err(DbError::ForeignKeyViolation { constraint, detail }) => {
+            assert_eq!(constraint, "fk_users_department_id");
+            assert!(detail.contains("99"), "{detail}");
+        }
+        other => panic!("a key over an orphan must be refused, got {other:?}"),
+    }
+    assert_eq!(db.foreign_key_count(), 0);
+    user(98, "another orphan").unwrap();
+    // repair both orphans: the key is accepted, and holds from then on
+    db.txn()
+        .run(|tx| {
+            for (row, t) in tx.scan("users", &Predicate::eq(1, 99i64))? {
+                tx.update(
+                    "users",
+                    row,
+                    vec![t[0].clone(), Datum::Int(1), t[2].clone()],
+                )?;
+            }
+            tx.delete_where("users", &Predicate::eq(1, 98i64))
+                .map(|_| ())
+        })
+        .unwrap();
+    add().unwrap();
+    assert!(matches!(
+        user(99, "late orphan"),
+        Err(DbError::ForeignKeyViolation { .. })
+    ));
+}
+
 #[test]
 fn index_backfill_on_existing_data_and_unique_failure() {
     let db = fresh_db();

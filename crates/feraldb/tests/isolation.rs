@@ -271,6 +271,163 @@ fn serializable_aborts_racing_uniqueness_probes() {
     assert!(!run(db.clone()).unwrap());
 }
 
+/// `kv` holding `a = 1` and `b = 2`, with or without an index on `k`,
+/// and an empty `log` table a reader writes so its commit is validated.
+fn validation_db(indexed: bool) -> Database {
+    let db = db_with(IsolationLevel::Serializable);
+    if indexed {
+        db.create_index("kv", &["k"], false).unwrap();
+    }
+    db.create_table(TableSchema::new(
+        "log",
+        vec![ColumnDef::new("n", DataType::Int)],
+    ))
+    .unwrap();
+    put(&db, "a", 1);
+    put(&db, "b", 2);
+    db
+}
+
+/// Commit `write` on `kv` in a transaction of its own.
+fn commit_kv(db: &Database, write: impl Fn(&mut feral_db::Transaction) -> Result<(), DbError>) {
+    db.txn().run(|tx| write(tx)).unwrap();
+}
+
+/// Commit a row `k = v`.
+fn insert_kv(db: &Database, k: &str, v: i64) {
+    commit_kv(db, |tx| {
+        tx.insert_pairs("kv", &[("k", Datum::text(k)), ("v", Datum::Int(v))])
+            .map(|_| ())
+    });
+}
+
+/// Commit a re-key (or re-value) of the row whose `k` is `from`.
+fn rewrite(db: &Database, from: &str, k: &str, v: i64) {
+    commit_kv(db, |tx| {
+        let (row, t) = tx.scan("kv", &Predicate::eq(1, from))?.remove(0);
+        tx.update("kv", row, vec![t[0].clone(), Datum::text(k), Datum::Int(v)])
+    });
+}
+
+/// Serializable validation against each kind of conflicting commit, with
+/// an index serving the reader's equality predicate and without one: the
+/// reader reads, other transactions commit, and the reader's commit fails
+/// with the conflict named — or, for writes its read does not depend on,
+/// commits.
+#[test]
+fn serializable_validation_sees_every_conflict_kind_with_and_without_an_index() {
+    // the reader's predicate, the writes, the conflict its commit names
+    type Case = (&'static str, Predicate, fn(&Database), Option<&'static str>);
+    let cases: [Case; 9] = [
+        (
+            "a read row overwritten",
+            Predicate::eq(1, "a"),
+            |db| rewrite(db, "a", "a", 10),
+            Some("row"),
+        ),
+        (
+            "a read row deleted",
+            Predicate::eq(1, "a"),
+            |db| {
+                commit_kv(db, |tx| {
+                    let (row, _) = tx.scan("kv", &Predicate::eq(1, "a"))?.remove(0);
+                    tx.delete("kv", row)
+                })
+            },
+            Some("row"),
+        ),
+        (
+            "an insert into the predicate",
+            Predicate::eq(1, "c"),
+            |db| insert_kv(db, "c", 3),
+            Some("predicate"),
+        ),
+        (
+            "an update moving a row into the predicate",
+            Predicate::eq(1, "c"),
+            |db| rewrite(db, "b", "c", 2),
+            Some("predicate"),
+        ),
+        (
+            "an update moving a row out of the predicate",
+            Predicate::eq(1, "a"),
+            |db| rewrite(db, "a", "z", 1),
+            Some("row"),
+        ),
+        (
+            // no row of the read moves: only the version that left the
+            // key (found through its old posting, with an index) conflicts
+            "a row inserted into the predicate, then moved out of it",
+            Predicate::eq(1, "c"),
+            |db| {
+                insert_kv(db, "c", 3);
+                rewrite(db, "c", "d", 3);
+            },
+            Some("predicate"),
+        ),
+        (
+            "a full-scan read under an insert",
+            Predicate::True,
+            |db| insert_kv(db, "c", 3),
+            Some("full-scan"),
+        ),
+        (
+            "a write outside the predicate",
+            Predicate::eq(1, "a"),
+            |db| rewrite(db, "b", "b", 20),
+            None,
+        ),
+        (
+            "a write that leaves the predicate unmatched",
+            Predicate::eq(1, "c"),
+            |db| rewrite(db, "b", "d", 2),
+            None,
+        ),
+    ];
+    for indexed in [false, true] {
+        for (name, pred, write, conflict) in &cases {
+            let db = validation_db(indexed);
+            let mut reader = db.txn().begin();
+            reader.scan("kv", pred).unwrap();
+            reader.insert_pairs("log", &[("n", Datum::Int(1))]).unwrap();
+            write(&db);
+            let outcome = reader.commit();
+            let case = format!("{name} (indexed: {indexed})");
+            match (conflict, outcome) {
+                (None, Ok(())) => {}
+                (Some(kind), Err(DbError::SerializationFailure { detail })) => {
+                    assert!(detail.contains(kind), "{case}: {detail}");
+                }
+                (want, got) => panic!("{case}: want a {want:?} conflict, got {got:?}"),
+            }
+        }
+    }
+}
+
+/// A serializable reader whose snapshot is older than 2 × 64 + 1 commits
+/// on another table — past the point where a bounded commit history
+/// would have been pruned — still aborts on a conflicting write that
+/// committed after it began.
+#[test]
+fn a_conflict_behind_many_unrelated_commits_still_aborts_the_reader() {
+    let db = validation_db(true);
+    let mut reader = db.txn().begin();
+    assert_eq!(reader.scan("kv", &Predicate::eq(1, "a")).unwrap().len(), 1);
+    rewrite(&db, "a", "a", 10);
+    for n in 0..2 * 64 + 1 {
+        db.txn()
+            .run(|tx| tx.insert_pairs("log", &[("n", Datum::Int(n))]).map(|_| ()))
+            .unwrap();
+    }
+    reader
+        .insert_pairs("log", &[("n", Datum::Int(-1))])
+        .unwrap();
+    assert!(matches!(
+        reader.commit(),
+        Err(DbError::SerializationFailure { .. })
+    ));
+}
+
 #[test]
 fn pg_ssi_bug_mode_admits_duplicates_under_serializable() {
     // Paper footnote 8 / bug #11732: with the compatibility mode on,

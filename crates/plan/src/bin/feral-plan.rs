@@ -73,7 +73,7 @@ fn cmd_certify(args: &Args) -> ExitCode {
                 eprintln!("{TOOL}: certification FAILED: {msg}");
             }
             eprintln!("{TOOL}: {} certification failure(s)", failures.len());
-            return ExitCode::from(1);
+            return ExitCode::from(feral_cli::EXIT_DEVIATION);
         }
     };
     let rendered = render_json(&plan, Some(&certs));
@@ -85,7 +85,7 @@ fn cmd_certify(args: &Args) -> ExitCode {
                 "{TOOL}: certified plan drifted from golden `{golden}` — regenerate it with \
                  `feral-plan certify --out {golden}` and review the diff"
             );
-            return ExitCode::from(1);
+            return ExitCode::from(feral_cli::EXIT_DEVIATION);
         }
         eprintln!(
             "{TOOL}: validated {} cells ({} escalated witnesses) against `{golden}`",
@@ -184,7 +184,7 @@ fn cmd_diff(paths: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("{differences} difference(s)");
-        ExitCode::from(1)
+        ExitCode::from(feral_cli::EXIT_DEVIATION)
     }
 }
 

@@ -77,7 +77,7 @@ fn cmd_matrix(args: &Args) -> ExitCode {
         }
         if failures > 0 {
             eprintln!("feral-sdg: {failures} validation failure(s)");
-            return ExitCode::from(1);
+            return ExitCode::from(feral_cli::EXIT_DEVIATION);
         }
         Some(collected)
     } else {

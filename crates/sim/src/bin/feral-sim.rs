@@ -158,7 +158,7 @@ fn cmd_systematic(cfg: ScenarioSpec, args: &Args) -> ExitCode {
                 report.scenario, report.runs, report.strategy, v.message
             );
             println!("  {}", v.replay_command());
-            ExitCode::from(1)
+            ExitCode::from(feral_cli::EXIT_DEVIATION)
         }
         None => {
             println!(
@@ -192,7 +192,7 @@ fn cmd_random(cfg: ScenarioSpec, seeds: u64) -> ExitCode {
                 v.message
             );
             println!("  {}", cfg.replay_command(v.seed, &v.choices));
-            ExitCode::from(1)
+            ExitCode::from(feral_cli::EXIT_DEVIATION)
         }
         None => {
             println!("{}: no anomaly in {} seeded runs", label, outcome.runs);
@@ -230,7 +230,7 @@ fn cmd_replay(cfg: ScenarioSpec, args: &Args) -> ExitCode {
         }
         Err(message) => {
             println!("{label}: oracle fired: {message}");
-            ExitCode::from(1)
+            ExitCode::from(feral_cli::EXIT_DEVIATION)
         }
     }
 }
@@ -293,7 +293,7 @@ fn cmd_matrix(args: &Args) -> ExitCode {
         if !json {
             println!("safety matrix: {failures} cell(s) deviate");
         }
-        ExitCode::from(1)
+        ExitCode::from(feral_cli::EXIT_DEVIATION)
     }
 }
 

@@ -50,7 +50,13 @@ stanza "test suite"
 # eighth of what full auditing adds to a committing thread
 # (feraldb/tests/audit_live.rs). A live two-thread read-modify-write race
 # loses no update at Snapshot or Serializable
-# (feraldb/tests/isolation.rs). Tests build with debug assertions, so every lock they take
+# (feraldb/tests/isolation.rs). Serializable validation reads version
+# chains, not a commit history: isolation.rs's
+# serializable_validation_sees_every_conflict_kind_with_and_without_an_index
+# and a_conflict_behind_many_unrelated_commits_still_aborts_the_reader
+# check each conflict kind, and commit.rs's
+# a_commit_never_computes_the_horizon that no commit takes another
+# thread's active-stripe lock. Tests build with debug assertions, so every lock they take
 # goes through the parking_lot shim's lock validator: an acquisition
 # that could deadlock against an order seen earlier aborts the test
 # binary naming both sites (vendor/parking_lot/tests/lockdep.rs). The
