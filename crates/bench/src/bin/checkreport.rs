@@ -3,23 +3,21 @@
 //! schema-validate, and enforce the smoke-gate invariants from the
 //! outside, independent of the writer's self-validation. The logic (and
 //! its failure-path tests) lives in the library; this wrapper only maps
-//! results onto exit codes. Any `--flag` is a usage error, so a retired
-//! mode (`--load`, `--audit`) cannot quietly gate its file as a table1
-//! report.
+//! results onto exit codes. Any `--flag` is a usage error
+//! (`feral_cli::EXIT_USAGE`), so a retired mode (`--load`, `--audit`)
+//! cannot quietly gate its file as a table1 report.
 
 use feral_bench::checkgate::check_report_file;
 
-const USAGE: &str = "checkreport: usage: checkreport <report.json>";
+const USAGE: &str = "usage: checkreport <report.json>";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        eprintln!("checkreport: unknown flag `{flag}`\n{USAGE}");
-        std::process::exit(1);
+        feral_cli::die("checkreport", &format!("unknown flag `{flag}`\n{USAGE}"));
     }
     let Some(path) = args.first() else {
-        eprintln!("{USAGE}");
-        std::process::exit(1);
+        feral_cli::die("checkreport", USAGE);
     };
     match check_report_file(path) {
         Ok(s) => println!(

@@ -1,7 +1,7 @@
 //! Pins `checkreport`'s flag handling: a flag it does not know is a
-//! usage error (exit 1, usage on stderr), never silently ignored — a
-//! stale `checkreport --load x.json` or `checkreport --audit x.json`
-//! must not gate `x.json` as a table1 report. The fixture is the
+//! usage error (exit 2, `feral_cli::EXIT_USAGE`, usage on stderr), never
+//! silently ignored — a stale `checkreport --load x.json` or
+//! `checkreport --audit x.json` must not gate `x.json` as a table1 report. The fixture is the
 //! checked-in table1 golden, which passes the default gate, so only the
 //! flag can fail these runs.
 
@@ -20,7 +20,11 @@ fn checkreport(args: &[&str]) -> Output {
 }
 
 fn assert_usage_error(out: &Output, flag: &str) {
-    assert_eq!(out.status.code(), Some(1), "{flag} must exit 1");
+    assert_eq!(
+        out.status.code(),
+        Some(feral_cli::EXIT_USAGE.into()),
+        "{flag} must exit with the usage code"
+    );
     assert!(out.stdout.is_empty(), "{flag} must not report a verdict");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -2,6 +2,7 @@
 
 use crate::commit::CommitPipeline;
 use crate::error::{DbError, DbResult};
+use crate::hash::WordHash;
 use crate::heap::Heap;
 use crate::index::{IndexData, IndexKey};
 use crate::lock::LockManager;
@@ -229,6 +230,9 @@ pub(crate) struct TableEntry {
     /// what a schedule hook's table access, the trace and the auditor
     /// name the table by.
     pub(crate) name_hash: u64,
+    /// The table's name as a logged write names it: shared by every
+    /// `WalWrite` of the table, not copied into each.
+    pub(crate) log_name: Arc<str>,
     pub(crate) heap: Arc<Heap>,
     /// Auto-increment sequence for the `id` column, shared by every copy
     /// of the entry DDL makes.
@@ -278,14 +282,16 @@ fn first_orphan(child: &TableEntry, col: usize, parent: &TableEntry) -> Option<D
     values.find(|id| !ids.contains(&IndexKey::encode([id])))
 }
 
-/// Catalog: names → tables/indexes/constraints.
+/// Catalog: names → tables/indexes/constraints. The name maps hash with
+/// the engine's seedless [`WordHash`]: every statement that names its table
+/// looks it up.
 #[derive(Default)]
 pub(crate) struct Catalog {
     pub(crate) tables: Vec<Arc<TableEntry>>,
-    pub(crate) table_names: HashMap<String, TableId>,
+    pub(crate) table_names: HashMap<String, TableId, WordHash>,
     /// Index name → id. Ids are dense in creation order; the data hangs
     /// off the owning table's entry.
-    pub(crate) index_names: HashMap<String, IndexId>,
+    pub(crate) index_names: HashMap<String, IndexId, WordHash>,
 }
 
 impl Catalog {
@@ -713,6 +719,7 @@ impl Database {
         cat.table_names.insert(schema.name.clone(), id);
         cat.tables.push(Arc::new(TableEntry {
             name_hash: feral_hooks::fnv64(schema.name.as_bytes()),
+            log_name: schema.name.as_str().into(),
             schema,
             heap: Arc::new(Heap::new()),
             id_seq: Arc::new(AtomicI64::new(1)),
@@ -806,21 +813,24 @@ impl Database {
                 unique,
             },
         ));
-        // Backfill from the latest committed rows. If uniqueness is violated
-        // by existing data, index creation fails (as ALTER TABLE would).
-        let existing = entry.heap.scan_latest(|_| true);
-        let mut seen: HashMap<IndexKey, usize> = HashMap::new();
-        for (row, tuple) in &existing {
-            let key = data.key_of(tuple);
-            if unique && !data.key_has_null(tuple) {
-                if let Some(_prev) = seen.insert(key.clone(), *row) {
+        // A unique index over duplicate live rows fails (as ALTER TABLE
+        // would). The backfill then posts the key of every version, not
+        // only the newest live one: a snapshot older than the index still
+        // reaches the rows it sees, and readers re-verify what a posting
+        // resolves to, as they do the old-key postings an update leaves.
+        if unique {
+            let mut seen = HashSet::new();
+            for (_, tuple) in entry.heap.scan_latest(|t| !data.key_has_null(t)) {
+                if let Some(key) = seen.replace(data.key_of(&tuple)) {
                     return Err(DbError::UniqueViolation {
                         index: name.into(),
                         key: format!("{:?}", key),
                     });
                 }
             }
-            data.insert_entry(key, *row);
+        }
+        for (row, tuple) in entry.heap.scan_versions() {
+            data.insert_entry(data.key_of(&tuple), row);
         }
         cat.index_names.insert(name.into(), id);
         let wal_record = WalRecord::CreateIndex {

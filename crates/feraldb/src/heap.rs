@@ -323,9 +323,10 @@ impl Heap {
 
     /// Collect `(row_id, tuple)` for every row whose newest installed
     /// version — published or not — is live and matches `filter`. Only
-    /// index backfill may use this (a posting for a version still above
-    /// the clock is harmless: readers resolve visibility in the heap);
-    /// constraint checks read `scan_visible` at the clock instead.
+    /// DDL reads this, under the table's commit latch: the duplicate check
+    /// of a new unique index and the orphan check of a new foreign key;
+    /// a transaction's constraint checks read `scan_visible` at the clock
+    /// instead.
     pub fn scan_latest<F>(&self, mut filter: F) -> Vec<(RowId, Row)>
     where
         F: FnMut(&[Datum]) -> bool,
@@ -336,6 +337,19 @@ impl Heap {
                 if chain.live() && filter(&chain.newest.tuple) {
                     out.push((first + at, chain.newest.tuple.clone()));
                 }
+            }
+        }
+        out
+    }
+
+    /// Every version of every chain, deleted rows' too: what an index
+    /// built over a live table posts, so a snapshot that predates the
+    /// index reaches every row it sees through it.
+    pub fn scan_versions(&self) -> Vec<(RowId, Row)> {
+        let mut out = Vec::new();
+        for (first, segment) in self.segments() {
+            for (at, chain) in segment.read().iter().enumerate() {
+                out.extend(chain.newest_first().map(|v| (first + at, v.tuple.clone())));
             }
         }
         out

@@ -51,6 +51,7 @@ pub(crate) mod commit;
 pub mod db;
 pub mod error;
 pub(crate) mod footprint;
+pub(crate) mod hash;
 pub mod heap;
 pub mod index;
 pub mod lock;

@@ -5,6 +5,7 @@ use crate::commit::ShardGuards;
 use crate::db::{Database, DbInner, IsolationLevel, TableEntry, TableHandle};
 use crate::error::{DbError, DbResult};
 use crate::footprint::{note_table_access, Footprint};
+use crate::hash::WordHash;
 use crate::heap::RowId;
 use crate::index::{IndexData, IndexKey};
 use crate::lock::{LockKey, LockMode, TxnId};
@@ -97,22 +98,23 @@ type UniqueKey = (IndexId, IndexKey);
 
 /// A transaction's buffered writes, and the keys that find one without
 /// walking the rest: what a statement costs does not depend on how many
-/// writes the transaction already holds.
+/// writes the transaction already holds. The maps hash with the engine's
+/// seedless [`WordHash`]: they hold one transaction's own writes.
 #[derive(Clone, Default)]
 struct WriteBuffer {
     /// One slot per write, in statement order. [`RowRef::Own`] names an
     /// insert by its slot.
     writes: Vec<Pending>,
     /// Committed row → slot of its pending update or delete.
-    by_row: HashMap<(TableId, RowId), usize>,
+    by_row: HashMap<(TableId, RowId), usize, WordHash>,
     /// Table → slots of this transaction's inserts into it, in statement
     /// order: the overlay a read of the table adds.
-    own_inserts: HashMap<TableId, Vec<usize>>,
+    own_inserts: HashMap<TableId, Vec<usize>, WordHash>,
     /// Unique key → the slot whose image took it, recorded when the key's
     /// check passes and never cleaned: at most one live image holds a key
     /// and the last to pass the check is the one recorded, so a stale
     /// entry is told apart by re-reading its slot (`recorded_holder`).
-    unique_keys: HashMap<UniqueKey, usize>,
+    unique_keys: HashMap<UniqueKey, usize, WordHash>,
 }
 
 impl WriteBuffer {
@@ -1167,7 +1169,7 @@ impl Transaction {
         if wal.is_some() {
             let mut next_row: HashMap<TableId, u64> = HashMap::new();
             for p in self.effects() {
-                let table = p.entry.schema.name.clone();
+                let table = p.entry.log_name.clone();
                 match &p.op {
                     PendingOp::Insert { tuple } => {
                         let next = next_row

@@ -24,6 +24,7 @@ use feral_hooks::fnv64;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One replayable log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +74,7 @@ pub enum WalWrite {
     /// verification during replay).
     Insert {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Heap position assigned at commit.
         row: u64,
         /// Row image.
@@ -82,7 +83,7 @@ pub enum WalWrite {
     /// Row `row` of `table` was replaced with `tuple`.
     Update {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Heap position.
         row: u64,
         /// New row image.
@@ -91,7 +92,7 @@ pub enum WalWrite {
     /// Row `row` of `table` was deleted.
     Delete {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Heap position.
         row: u64,
     },
@@ -348,17 +349,17 @@ impl WalRecord {
                 for _ in 0..n {
                     let w = match r.u8()? {
                         0 => WalWrite::Insert {
-                            table: r.string()?,
+                            table: r.string()?.into(),
                             row: r.u64()?,
                             tuple: r.tuple()?,
                         },
                         1 => WalWrite::Update {
-                            table: r.string()?,
+                            table: r.string()?.into(),
                             row: r.u64()?,
                             tuple: r.tuple()?,
                         },
                         2 => WalWrite::Delete {
-                            table: r.string()?,
+                            table: r.string()?.into(),
                             row: r.u64()?,
                         },
                         t => return Err(DbError::Internal(format!("unknown write tag {t}"))),

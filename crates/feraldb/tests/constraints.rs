@@ -614,6 +614,55 @@ fn index_backfill_on_existing_data_and_unique_failure() {
     assert_eq!(tx.scan("t", &Predicate::eq(1, "a")).unwrap().len(), 2);
 }
 
+/// An index built while a Snapshot reader is open serves that reader the
+/// rows a walk of the table gives it: the backfill posts every version's
+/// key, not only the newest live one. Here the reader's snapshot holds
+/// `k = 'a'` in one row a later commit re-keys to `'b'` and in another a
+/// later commit deletes.
+#[test]
+fn an_index_built_under_an_open_snapshot_serves_it_what_a_walk_does() {
+    let db = fresh_db();
+    db.create_table(TableSchema::new(
+        "kv",
+        vec![ColumnDef::new("k", DataType::Text)],
+    ))
+    .unwrap();
+    for _ in 0..2 {
+        db.txn()
+            .run(|tx| tx.insert_pairs("kv", &[("k", Datum::text("a"))]))
+            .unwrap();
+    }
+    let rows = db.txn().begin().scan("kv", &Predicate::True).unwrap();
+    let (rekeyed, deleted) = (rows[0].0, rows[1].0);
+    let mut reader = db.txn().isolation(IsolationLevel::Snapshot).begin();
+    let a = Predicate::eq(1, "a");
+    let before = reader.scan("kv", &a).unwrap().len();
+    db.txn()
+        .run(|tx| {
+            tx.update("kv", rekeyed, vec![Datum::Null, Datum::text("b")])?;
+            tx.delete("kv", deleted)
+        })
+        .unwrap();
+    let walked = reader.scan("kv", &a).unwrap().len();
+    db.create_index("kv", &["k"], false).unwrap();
+    let probes = db.stats().snapshot().index_probes;
+    let probed = reader.scan("kv", &a).unwrap().len();
+    assert_eq!(
+        db.stats().snapshot().index_probes,
+        probes + 1,
+        "the scan went through the new index"
+    );
+    assert_eq!(
+        (before, walked, probed),
+        (2, 2, 2),
+        "rows with k = 'a' at the reader's snapshot: before, walked, probed"
+    );
+    // a reader that begins now sees neither through the index
+    let mut fresh = db.txn().isolation(IsolationLevel::Snapshot).begin();
+    assert!(fresh.scan("kv", &a).unwrap().is_empty());
+    assert_eq!(fresh.scan("kv", &Predicate::eq(1, "b")).unwrap().len(), 1);
+}
+
 /// A table `t(v)` whose rows take these ids, in this order; `None` draws
 /// the next id from the table's sequence.
 fn table_with_ids(db: &Database, ids: &[Option<i64>]) {

@@ -5,10 +5,9 @@
 //! `inproc_planner_hot` workload.
 //!
 //! Every caller must run the *same* workload or their numbers do not
-//! compare, so the template bodies live here exactly once. Each template
-//! is one `*_at` function that takes its operand (email slot, department
-//! slot, account, post) explicitly — what a wire frontend derives from
-//! the request key.
+//! compare, so the template bodies live here exactly once, as the `*_at`
+//! methods of [`PlannedService`], which name their tables through
+//! handles resolved when the service is built.
 //!
 //! [`PlannedService`] adapts the templates to the transport-agnostic
 //! [`Service`] trait: an [`Op::Template`] request names a template and
@@ -27,7 +26,7 @@
 
 use feral_db::{
     AuditMode, ColumnDef, Config, DataType, Database, Datum, DbError, IsolationLevel,
-    IsolationPlan, Predicate, TableSchema,
+    IsolationPlan, Predicate, TableHandle, TableSchema,
 };
 use feral_orm::OrmError;
 use feral_server::{Op, Request, Response, Service};
@@ -160,145 +159,6 @@ pub fn seeded_database(audit_mode: AuditMode) -> Database {
     db
 }
 
-/// Shared mutable workload state: the live department per slot, the
-/// next fresh department id, and the count of acknowledged deposits
-/// (the lost-update baseline).
-pub struct WorkloadState {
-    /// Live department id per contention slot.
-    pub slots: Vec<AtomicI64>,
-    /// Next fresh department id for disband replacements.
-    pub next_dept: AtomicI64,
-    /// Deposits acknowledged to callers.
-    pub acked_deposits: AtomicU64,
-}
-
-impl WorkloadState {
-    /// State matching [`seeded_database`]'s seed rows.
-    pub fn new() -> WorkloadState {
-        WorkloadState {
-            slots: (0..DEPTS as i64).map(AtomicI64::new).collect(),
-            next_dept: AtomicI64::new(DEPTS as i64),
-            acked_deposits: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Default for WorkloadState {
-    fn default() -> Self {
-        WorkloadState::new()
-    }
-}
-
-/// Uniqueness probe-insert at an explicit email slot: scan for the
-/// email, insert when absent.
-pub fn signup_at(db: &Database, plan: &IsolationPlan, email_slot: i64) -> Result<(), DbError> {
-    let email = format!("user{email_slot}@example.com");
-    db.txn().planned(plan, T_SIGNUP).retries(RETRIES).run(|tx| {
-        let dup = tx.scan("signups", &Predicate::eq(1, email.as_str()))?;
-        // widen the probe/insert race window
-        std::thread::yield_now();
-        if dup.is_empty() {
-            tx.insert_pairs("signups", &[("email", Datum::text(email.as_str()))])?;
-        }
-        Ok(())
-    })
-}
-
-/// Association check-insert against an explicit department slot:
-/// verify the department exists, then insert a user referencing it.
-pub fn hire_at(
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    slot: usize,
-) -> Result<(), DbError> {
-    let dept = state.slots[slot].load(Ordering::SeqCst);
-    db.txn().planned(plan, T_HIRE).retries(RETRIES).run(|tx| {
-        let parent = tx.scan("departments", &Predicate::eq(1, dept))?;
-        std::thread::yield_now();
-        if !parent.is_empty() {
-            tx.insert_pairs(
-                "users",
-                &[
-                    ("email", Datum::text("hire")),
-                    ("department_id", Datum::Int(dept)),
-                ],
-            )?;
-        }
-        Ok(())
-    })
-}
-
-/// Cascade destroy at an explicit slot: delete a department's users,
-/// the department itself, and replace it with a fresh one (so hires
-/// never run dry).
-pub fn disband_at(
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    slot: usize,
-) -> Result<(), DbError> {
-    let old = state.slots[slot].load(Ordering::SeqCst);
-    let fresh = state.next_dept.fetch_add(1, Ordering::SeqCst);
-    let result = db
-        .txn()
-        .planned(plan, T_DISBAND)
-        .retries(RETRIES)
-        .run(|tx| {
-            tx.delete_where("users", &Predicate::eq(2, old))?;
-            tx.delete_where("departments", &Predicate::eq(1, old))?;
-            tx.insert_pairs("departments", &[("did", Datum::Int(fresh))])?;
-            Ok(())
-        });
-    if result.is_ok() {
-        state.slots[slot].store(fresh, Ordering::SeqCst);
-    }
-    result
-}
-
-/// `lock_version` read-modify-write on an explicit shared account.
-pub fn deposit_at(
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    account: i64,
-) -> Result<(), DbError> {
-    let result = db
-        .txn()
-        .planned(plan, T_DEPOSIT)
-        .retries(RETRIES)
-        .run(|tx| {
-            let rows = tx.scan("accounts", &Predicate::eq(1, account))?;
-            let (rref, tuple) = (rows[0].0, rows[0].1.to_vec());
-            let balance = tuple[2].as_int().unwrap_or(0);
-            let version = tuple[3].as_int().unwrap_or(0);
-            std::thread::yield_now();
-            let mut next = tuple;
-            next[2] = Datum::Int(balance + 1);
-            next[3] = Datum::Int(version + 1);
-            tx.update("accounts", rref, next)
-        });
-    if result.is_ok() {
-        state.acked_deposits.fetch_add(1, Ordering::SeqCst);
-    }
-    result
-}
-
-/// Insert-only presence check at an explicit post: posts are never
-/// destroyed, so this template is the plan's read-committed fast path.
-pub fn comment_at(db: &Database, plan: &IsolationPlan, post: i64) -> Result<(), DbError> {
-    db.txn()
-        .planned(plan, T_COMMENT)
-        .retries(RETRIES)
-        .run(|tx| {
-            let parent = tx.scan("posts", &Predicate::eq(1, post))?;
-            if !parent.is_empty() {
-                tx.insert_pairs("comments", &[("post_id", Datum::Int(post))])?;
-            }
-            Ok(())
-        })
-}
-
 /// End-of-run audit counters, one per feral anomaly family.
 #[derive(Clone, Copy)]
 pub struct Anomalies {
@@ -378,22 +238,84 @@ pub fn audit(db: &Database, acked_deposits: u64) -> Anomalies {
     }
 }
 
+/// Shared mutable workload state: the live department per slot, the
+/// next fresh department id, and the count of acknowledged deposits
+/// (the lost-update baseline).
+struct WorkloadState {
+    /// Live department id per contention slot.
+    slots: Vec<AtomicI64>,
+    /// Next fresh department id for disband replacements.
+    next_dept: AtomicI64,
+    /// Deposits acknowledged to callers.
+    acked_deposits: AtomicU64,
+}
+
+impl WorkloadState {
+    /// State matching [`seeded_database`]'s seed rows.
+    fn new() -> WorkloadState {
+        WorkloadState {
+            slots: (0..DEPTS as i64).map(AtomicI64::new).collect(),
+            next_dept: AtomicI64::new(DEPTS as i64),
+            acked_deposits: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The workload's six tables, resolved once: a template names its tables
+/// through these handles, so its statements take no catalog latch and
+/// hash no name.
+struct Tables {
+    departments: TableHandle,
+    signups: TableHandle,
+    users: TableHandle,
+    posts: TableHandle,
+    comments: TableHandle,
+    accounts: TableHandle,
+}
+
+impl Tables {
+    fn resolve(db: &Database) -> Tables {
+        let table = |name| {
+            db.table(name)
+                .expect("a PlannedService serves a seeded_database")
+        };
+        Tables {
+            departments: table("departments"),
+            signups: table("signups"),
+            users: table("users"),
+            posts: table("posts"),
+            comments: table("comments"),
+            accounts: table("accounts"),
+        }
+    }
+}
+
 /// A template-aware [`Service`]: [`Op::Template`] requests execute the
 /// named template through `db.txn().planned(plan, template)`, with the
 /// operand derived from the request key (`key % domain`). Everything
 /// else — model CRUD, customs — is a config error: this frontend serves
 /// the planner workload, not an ORM.
+///
+/// Each template is one `*_at` method that takes its operand (email
+/// slot, department slot, account, post) explicitly — what a wire
+/// frontend derives from the request key.
 pub struct PlannedService {
     db: Database,
     plan: IsolationPlan,
     state: WorkloadState,
+    tables: Tables,
 }
 
 impl PlannedService {
     /// Serve `db` under `plan` with fresh workload state (matching a
     /// freshly [`seeded_database`]).
+    ///
+    /// # Panics
+    ///
+    /// If `db` lacks one of [`seeded_database`]'s tables.
     pub fn new(db: Database, plan: IsolationPlan) -> PlannedService {
         PlannedService {
+            tables: Tables::resolve(&db),
             db,
             plan,
             state: WorkloadState::new(),
@@ -414,6 +336,106 @@ impl PlannedService {
     pub fn integrity_audit(&self) -> Anomalies {
         audit(&self.db, self.acked_deposits())
     }
+
+    /// Uniqueness probe-insert at an explicit email slot: scan for the
+    /// email, insert when absent.
+    pub fn signup_at(&self, email_slot: i64) -> Result<(), DbError> {
+        let signups = &self.tables.signups;
+        let email = format!("user{email_slot}@example.com");
+        let txn = self.db.txn().planned(&self.plan, T_SIGNUP);
+        txn.retries(RETRIES).run(|tx| {
+            let dup = tx.scan(signups, &Predicate::eq(1, email.as_str()))?;
+            // widen the probe/insert race window
+            std::thread::yield_now();
+            if dup.is_empty() {
+                tx.insert_pairs(signups, &[("email", Datum::text(email.as_str()))])?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Association check-insert against an explicit department slot:
+    /// verify the department exists, then insert a user referencing it.
+    pub fn hire_at(&self, slot: usize) -> Result<(), DbError> {
+        let Tables {
+            departments, users, ..
+        } = &self.tables;
+        let dept = self.state.slots[slot].load(Ordering::SeqCst);
+        let txn = self.db.txn().planned(&self.plan, T_HIRE);
+        txn.retries(RETRIES).run(|tx| {
+            let parent = tx.scan(departments, &Predicate::eq(1, dept))?;
+            std::thread::yield_now();
+            if !parent.is_empty() {
+                tx.insert_pairs(
+                    users,
+                    &[
+                        ("email", Datum::text("hire")),
+                        ("department_id", Datum::Int(dept)),
+                    ],
+                )?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Cascade destroy at an explicit slot: delete a department's users,
+    /// the department itself, and replace it with a fresh one (so hires
+    /// never run dry).
+    pub fn disband_at(&self, slot: usize) -> Result<(), DbError> {
+        let Tables {
+            departments, users, ..
+        } = &self.tables;
+        let old = self.state.slots[slot].load(Ordering::SeqCst);
+        let fresh = self.state.next_dept.fetch_add(1, Ordering::SeqCst);
+        let txn = self.db.txn().planned(&self.plan, T_DISBAND);
+        let result = txn.retries(RETRIES).run(|tx| {
+            tx.delete_where(users, &Predicate::eq(2, old))?;
+            tx.delete_where(departments, &Predicate::eq(1, old))?;
+            tx.insert_pairs(departments, &[("did", Datum::Int(fresh))])?;
+            Ok(())
+        });
+        if result.is_ok() {
+            self.state.slots[slot].store(fresh, Ordering::SeqCst);
+        }
+        result
+    }
+
+    /// `lock_version` read-modify-write on an explicit shared account.
+    pub fn deposit_at(&self, account: i64) -> Result<(), DbError> {
+        let accounts = &self.tables.accounts;
+        let txn = self.db.txn().planned(&self.plan, T_DEPOSIT);
+        let result = txn.retries(RETRIES).run(|tx| {
+            let rows = tx.scan(accounts, &Predicate::eq(1, account))?;
+            let (rref, tuple) = (rows[0].0, rows[0].1.to_vec());
+            let balance = tuple[2].as_int().unwrap_or(0);
+            let version = tuple[3].as_int().unwrap_or(0);
+            std::thread::yield_now();
+            let mut next = tuple;
+            next[2] = Datum::Int(balance + 1);
+            next[3] = Datum::Int(version + 1);
+            tx.update(accounts, rref, next)
+        });
+        if result.is_ok() {
+            self.state.acked_deposits.fetch_add(1, Ordering::SeqCst);
+        }
+        result
+    }
+
+    /// Insert-only presence check at an explicit post: posts are never
+    /// destroyed, so this template is the plan's read-committed fast path.
+    pub fn comment_at(&self, post: i64) -> Result<(), DbError> {
+        let Tables {
+            posts, comments, ..
+        } = &self.tables;
+        let txn = self.db.txn().planned(&self.plan, T_COMMENT);
+        txn.retries(RETRIES).run(|tx| {
+            let parent = tx.scan(posts, &Predicate::eq(1, post))?;
+            if !parent.is_empty() {
+                tx.insert_pairs(comments, &[("post_id", Datum::Int(post))])?;
+            }
+            Ok(())
+        })
+    }
 }
 
 impl Service for PlannedService {
@@ -424,26 +446,11 @@ impl Service for PlannedService {
             ));
         };
         let result = match name.as_str() {
-            T_SIGNUP => signup_at(&self.db, &self.plan, (key % EMAILS as u64) as i64),
-            T_HIRE => hire_at(
-                &self.db,
-                &self.plan,
-                &self.state,
-                (key % DEPTS as u64) as usize,
-            ),
-            T_DISBAND => disband_at(
-                &self.db,
-                &self.plan,
-                &self.state,
-                (key % DEPTS as u64) as usize,
-            ),
-            T_DEPOSIT => deposit_at(
-                &self.db,
-                &self.plan,
-                &self.state,
-                (key % ACCOUNTS as u64) as i64,
-            ),
-            T_COMMENT => comment_at(&self.db, &self.plan, (key % POSTS as u64) as i64),
+            T_SIGNUP => self.signup_at((key % EMAILS as u64) as i64),
+            T_HIRE => self.hire_at((key % DEPTS as u64) as usize),
+            T_DISBAND => self.disband_at((key % DEPTS as u64) as usize),
+            T_DEPOSIT => self.deposit_at((key % ACCOUNTS as u64) as i64),
+            T_COMMENT => self.comment_at((key % POSTS as u64) as i64),
             other => {
                 return Response::Error(OrmError::Config(format!("unknown template `{other}`")))
             }

@@ -24,26 +24,25 @@
 mod counting_alloc;
 
 use counting_alloc::allocations_of;
-use feral_db::{AuditMode, Database, DbError, IsolationLevel, IsolationPlan};
+use feral_db::{AuditMode, DbError, IsolationLevel, IsolationPlan};
 use feral_net::planner::{
-    certified_plan, comment_at, deposit_at, disband_at, hire_at, seeded_database, signup_at,
-    WorkloadState, TEMPLATES, T_COMMENT, T_DEPOSIT, T_DISBAND, T_HIRE, T_SIGNUP,
+    certified_plan, seeded_database, PlannedService, TEMPLATES, T_COMMENT, T_DEPOSIT, T_DISBAND,
+    T_HIRE, T_SIGNUP,
 };
 
+/// A service over a fresh [`seeded_database`] under `plan`.
+fn service(plan: &IsolationPlan) -> PlannedService {
+    PlannedService::new(seeded_database(AuditMode::Off), plan.clone())
+}
+
 /// Run `template` once with operand `n` (folded onto the template's domain).
-fn run(
-    template: &str,
-    db: &Database,
-    plan: &IsolationPlan,
-    state: &WorkloadState,
-    n: usize,
-) -> Result<(), DbError> {
+fn run(template: &str, svc: &PlannedService, n: usize) -> Result<(), DbError> {
     match template {
-        T_SIGNUP => signup_at(db, plan, 1_000 + n as i64),
-        T_HIRE => hire_at(db, plan, state, n % 8),
-        T_DISBAND => disband_at(db, plan, state, n % 8),
-        T_DEPOSIT => deposit_at(db, plan, state, (n % 8) as i64),
-        T_COMMENT => comment_at(db, plan, (n % 8) as i64),
+        T_SIGNUP => svc.signup_at(1_000 + n as i64),
+        T_HIRE => svc.hire_at(n % 8),
+        T_DISBAND => svc.disband_at(n % 8),
+        T_DEPOSIT => svc.deposit_at((n % 8) as i64),
+        T_COMMENT => svc.comment_at((n % 8) as i64),
         other => panic!("unknown template {other}"),
     }
 }
@@ -52,16 +51,16 @@ fn run(
 fn every_template_probe_is_index_backed() {
     let plan = certified_plan();
     for template in TEMPLATES {
-        let db = seeded_database(AuditMode::Off);
-        let state = WorkloadState::new();
+        let svc = service(&plan);
+        let db = svc.db();
         if template == T_DISBAND {
             // give the cascade something to delete
             for _ in 0..3 {
-                hire_at(&db, &plan, &state, 0).unwrap();
+                svc.hire_at(0).unwrap();
             }
         }
         let before = db.stats().snapshot();
-        run(template, &db, &plan, &state, 0).unwrap();
+        run(template, &svc, 0).unwrap();
         let spent = db.stats().snapshot().diff(&before);
         assert!(
             spent.scans > 0 && spent.commits == 1,
@@ -92,14 +91,13 @@ fn building_the_served_plan_runs_no_inference() {
 /// growth of every table).
 fn allocations_per_txn(template: &str, plan: &IsolationPlan) -> f64 {
     const CALLS: usize = 64;
-    let db = seeded_database(AuditMode::Off);
-    let state = WorkloadState::new();
+    let svc = service(plan);
     for n in 0..16 {
-        run(template, &db, plan, &state, n).unwrap();
+        run(template, &svc, n).unwrap();
     }
     let allocations = allocations_of(|| {
         for n in 16..16 + CALLS {
-            run(template, &db, plan, &state, n).unwrap();
+            run(template, &svc, n).unwrap();
         }
     });
     allocations as f64 / CALLS as f64

@@ -56,7 +56,15 @@ stanza "test suite"
 # and a_conflict_behind_many_unrelated_commits_still_aborts_the_reader
 # check each conflict kind, and commit.rs's
 # a_commit_never_computes_the_horizon that no commit takes another
-# thread's active-stripe lock. Tests build with debug assertions, so every lock they take
+# thread's active-stripe lock. commit.rs's
+# racing_synchronous_publishes_each_return_at_their_timestamp races
+# committers that yield before they park on a predecessor's publish,
+# lock.rs's sequential_keys_spread_over_every_stripe checks that the
+# seedless lock-table hash spreads sequential keys over every stripe,
+# and constraints.rs's
+# an_index_built_under_an_open_snapshot_serves_it_what_a_walk_does
+# checks that an index backfill posts every version's key. Tests build
+# with debug assertions, so every lock they take
 # goes through the parking_lot shim's lock validator: an acquisition
 # that could deadlock against an order seen earlier aborts the test
 # binary naming both sites (vendor/parking_lot/tests/lockdep.rs). The
