@@ -85,13 +85,7 @@ fn main() {
     println!("I-confluent share under deletions:  {del:.1}% (paper: 36.6%)");
 
     eprintln!("\nlinting the corpus (feral-lint, witnesses off)...");
-    let run = lint_apps(
-        &corpus,
-        &LintOptions {
-            witnesses: false,
-            ..LintOptions::default()
-        },
-    );
+    let run = lint_apps(&corpus, &LintOptions { witnesses: false });
     let mut lint_rows: Vec<Vec<String>> = Vec::new();
     for rule in RULES {
         let findings: Vec<_> = run

@@ -10,8 +10,8 @@
 //! racing transaction pair plus a replayable `feral-sim` witness.
 //!
 //! The witness is found by the search every prediction in the
-//! workspace shares ([`ScenarioSpec::find_witness`]: directed DPOR,
-//! then seeded random search, then a replay check). If a live run
+//! workspace shares ([`ScenarioSpec::find_witness`]: a directed DPOR
+//! sweep, then a replay check). If a live run
 //! happens to produce no duplicates at the weakest level, the witness
 //! schedule itself is replayed with tracing on, so the report always
 //! carries at least one explained race under weak isolation.
@@ -116,7 +116,7 @@ fn witness_for(cache: &mut WitnessCache, isolation: IsolationLevel) -> Option<Wi
                 guard: Guard::Feral,
                 workers: 2,
             };
-            spec.find_witness(256, 50_000).ok()
+            spec.find_witness(50_000).ok()
         })
         .clone()
 }

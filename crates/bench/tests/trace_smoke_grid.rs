@@ -25,7 +25,7 @@ fn smoke_grid_produces_a_valid_report_with_provenance() {
             .map(|(_, v)| *v)
             .unwrap();
         assert!(commits > 0, "cell {} committed nothing", cell.label);
-        assert_eq!(cell.stats.len(), 21, "all engine counters exported");
+        assert_eq!(cell.stats.len(), 20, "all engine counters exported");
     }
 
     // feral cells probe; the serializable/database cells stay clean

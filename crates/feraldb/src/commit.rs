@@ -42,9 +42,10 @@
 //!   the log**, the invariant every snapshot read relies on.
 //! * The **group-commit buffer** batches framed WAL records. Whoever
 //!   wants a record durable and finds no flush in flight becomes the
-//!   *leader* (`lead`): it may linger up to `group_commit_max_wait` for
-//!   its first batch to fill (bounded by `group_commit_max_batch`), then
-//!   writes batch after batch, one flush (+ optional fsync) each. A
+//!   *leader* (`lead`): it writes batch after batch of what is queued
+//!   (at most `group_commit_max_batch` records each), one flush
+//!   (+ optional fsync) each, without waiting for a batch to fill —
+//!   records queued while a flush is in flight make the next batch. A
 //!   synchronous committer sleeps in `wait_durable` until its sequence
 //!   number is durable. A **deferred** commit (`feral_db::defer_durable`)
 //!   sleeps nowhere: its tail is `park`ed in the buffer, and the leader
@@ -86,7 +87,7 @@
 //! future revision makes commit interleavable.
 
 use crate::error::{DbError, DbResult};
-use crate::lock::TxnId;
+use crate::lock::{hooked_wait, TxnId};
 use crate::schema::TableId;
 use crate::stats::Stats;
 use crate::tail::{FlushLead, ParkedTail};
@@ -94,7 +95,6 @@ use crate::wal::{frame_record, WalRecord, WalWriter};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Most commit shards a pipeline runs with: a shard set is one `u64`.
 pub(crate) const MAX_SHARDS: usize = 64;
@@ -122,12 +122,9 @@ struct GroupState {
     /// Records with sequence `<= durable_seq` are flushed (and synced,
     /// when configured).
     durable_seq: u64,
-    /// A leader flush is in flight.
+    /// A leader flush is in flight: records queued meanwhile wait for
+    /// the leader's next batch.
     flushing: bool,
-    /// Size of the most recent batch — the leader's concurrency hint:
-    /// a solo steady state (last batch = 1) skips the fill linger, so
-    /// group commit costs uncontended workloads nothing.
-    last_take: usize,
     /// `Err` after a failed flush: the log tail may be torn, so every later
     /// append must fail (records behind a tear are unrecoverable).
     broken: DbResult<()>,
@@ -135,6 +132,18 @@ struct GroupState {
     /// sequence order. Non-empty only while `flushing`: the leader owns
     /// them until the flush that covers them (or poisons the log).
     parked: VecDeque<Box<ParkedTail>>,
+}
+
+impl GroupState {
+    /// Queue `record` (the caller holds the group guard); returns its
+    /// sequence number.
+    fn push(&mut self, stats: &Stats, record: &WalRecord) -> u64 {
+        self.buf.push_back(frame_record(record));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Stats::bump(&stats.local().wal_appends);
+        seq
+    }
 }
 
 /// Sharded commit state: the shard latches, the active-txn stripes, the
@@ -166,14 +175,11 @@ pub(crate) struct CommitPipeline {
     group: Mutex<GroupState>,
     /// Signaled when a batch flush completes (or the log breaks).
     flushed_cv: Condvar,
-    /// Signaled when a record joins the batch (leader fill wait).
-    fill_cv: Condvar,
     max_batch: usize,
-    max_wait: Duration,
 }
 
 impl CommitPipeline {
-    pub(crate) fn new(shards: usize, max_batch: usize, max_wait: Duration) -> CommitPipeline {
+    pub(crate) fn new(shards: usize, max_batch: usize) -> CommitPipeline {
         let n = shards.clamp(1, MAX_SHARDS);
         CommitPipeline {
             shards: (0..n).map(|_| Mutex::new(())).collect(),
@@ -190,14 +196,11 @@ impl CommitPipeline {
                 next_seq: 1,
                 durable_seq: 0,
                 flushing: false,
-                last_take: 1,
                 broken: Ok(()),
                 parked: VecDeque::new(),
             }),
             flushed_cv: Condvar::new(),
-            fill_cv: Condvar::new(),
             max_batch: max_batch.max(1),
-            max_wait,
         }
     }
 
@@ -291,13 +294,7 @@ impl CommitPipeline {
         let mut g = self.group.lock();
         g.broken.clone()?;
         let ts = self.ts_alloc.fetch_add(1, Ordering::SeqCst) + 1;
-        let framed = frame_record(&build(ts));
-        g.buf.push_back(framed);
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        Stats::bump(&stats.local().wal_appends);
-        self.fill_cv.notify_all();
-        Ok((ts, seq))
+        Ok((ts, g.push(stats, &build(ts))))
     }
 
     /// `Err` once a flush has failed: what a validator that trips over
@@ -315,12 +312,7 @@ impl CommitPipeline {
     fn enqueue_record(&self, stats: &Stats, record: &WalRecord) -> DbResult<u64> {
         let mut g = self.group.lock();
         g.broken.clone()?;
-        g.buf.push_back(frame_record(record));
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        Stats::bump(&stats.local().wal_appends);
-        self.fill_cv.notify_all();
-        Ok(seq)
+        Ok(g.push(stats, record))
     }
 
     /// Sleep until record `my_seq` is durable, leading the flush whenever
@@ -346,15 +338,12 @@ impl CommitPipeline {
                 drop(g);
                 self.lead(writer, stats, clock, Some(my_seq));
                 g = self.group.lock();
-            } else if feral_hooks::active() {
-                // turn-atomic commits make a concurrent flusher
-                // impossible under a scheduler; stay live regardless
-                drop(g);
-                let _ = feral_hooks::wait(feral_hooks::WaitKind::Commit);
-                g = self.group.lock();
             } else {
-                // the leader is writing our batch (or an earlier one)
-                self.flushed_cv.wait(&mut g);
+                // the leader is writing our batch (or an earlier one);
+                // turn-atomic commits make a concurrent flusher
+                // impossible under a scheduler
+                let wait = feral_hooks::WaitKind::Commit;
+                (g, _) = hooked_wait(&self.group, g, &self.flushed_cv, wait, None);
             }
         }
     }
@@ -414,24 +403,8 @@ impl CommitPipeline {
         own: Option<u64>,
     ) {
         let mut g = self.group.lock();
-        let concurrency_hint = g.last_take.max(g.buf.len());
-        if self.max_wait > Duration::ZERO && !feral_hooks::active() && concurrency_hint > 1 {
-            // Linger (first batch only) up to `max_wait` for the batch to
-            // fill, exiting early the moment it reaches `max_batch`. The
-            // previous batch size gates the linger (PostgreSQL's
-            // commit_siblings idea): a solo steady state (last batch = 1)
-            // skips it entirely, so group commit costs uncontended
-            // workloads nothing, while any observed batching makes the
-            // next leader wait and lets the batch grow back to the
-            // offered concurrency.
-            let deadline = Instant::now() + self.max_wait;
-            while g.buf.len() < self.max_batch
-                && !self.fill_cv.wait_until(&mut g, deadline).timed_out()
-            {}
-        }
         loop {
             let take = g.buf.len().min(self.max_batch);
-            g.last_take = take.max(1);
             let mut bytes = Vec::new();
             for framed in g.buf.drain(..take) {
                 bytes.extend_from_slice(&framed);
@@ -453,7 +426,6 @@ impl CommitPipeline {
                 return;
             }
             g.durable_seq += take as u64;
-            Stats::bump(&stats.local().group_commit_batches);
             Stats::bump(&stats.local().wal_flushes);
             feral_trace::record(
                 feral_trace::EventKind::Site(feral_hooks::Site::WalFlush),
@@ -545,14 +517,9 @@ impl CommitPipeline {
         let sleeps = tail.is_none();
         ready.insert(ts, tail);
         while sleeps && clock.load(Ordering::SeqCst) < ts {
-            if feral_hooks::active() {
-                // unreachable under turn-atomic commits; defensive
-                drop(ready);
-                let _ = feral_hooks::wait(feral_hooks::WaitKind::Commit);
-                ready = self.publish_lock.lock();
-            } else {
-                self.publish_cv.wait(&mut ready);
-            }
+            // under turn-atomic commits a scheduler never gets here
+            let wait = feral_hooks::WaitKind::Commit;
+            (ready, _) = hooked_wait(&self.publish_lock, ready, &self.publish_cv, wait, None);
         }
     }
 }
@@ -573,9 +540,10 @@ fn yield_until(clock: &AtomicU64, ts: u64) {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn pipeline(shards: usize) -> CommitPipeline {
-        CommitPipeline::new(shards, 64, Duration::ZERO)
+        CommitPipeline::new(shards, 64)
     }
 
     #[test]

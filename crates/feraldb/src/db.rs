@@ -177,12 +177,10 @@ pub struct Config {
     /// `u64`, so values above 64 are clamped to 64 (and 0 to 1).
     pub commit_shards: usize,
     /// Group commit: most records one WAL flush covers. `1` flushes
-    /// every record individually (the old per-commit behaviour).
+    /// every record individually (the old per-commit behaviour). A flush
+    /// leader never waits for a batch to fill: batches form from the
+    /// records queued while a flush is already in flight.
     pub group_commit_max_batch: usize,
-    /// Group commit: how long a flush leader lingers for followers to
-    /// join its batch. `Duration::ZERO` (the default) never waits —
-    /// batches then only form while a flush is already in flight.
-    pub group_commit_max_wait: Duration,
     /// Call `sync_data` after every WAL flush. Durable against OS
     /// crashes, and the cost group commit exists to amortize.
     pub wal_sync: bool,
@@ -214,7 +212,6 @@ impl Default for Config {
             wal_path: None,
             commit_shards: 8,
             group_commit_max_batch: 64,
-            group_commit_max_wait: Duration::ZERO,
             wal_sync: false,
             audit_mode: AuditMode::Off,
             audit_background: std::thread::available_parallelism().map_or(true, |p| p.get() > 1),
@@ -469,11 +466,7 @@ impl Database {
     }
 
     fn construct(config: Config, wal: Option<WalWriter>) -> Self {
-        let pipeline = CommitPipeline::new(
-            config.commit_shards,
-            config.group_commit_max_batch,
-            config.group_commit_max_wait,
-        );
+        let pipeline = CommitPipeline::new(config.commit_shards, config.group_commit_max_batch);
         let wal = wal.map(|mut w| {
             w.set_sync(config.wal_sync);
             Mutex::leaf(w)

@@ -22,7 +22,7 @@ use crate::error::{DbError, DbResult};
 use crate::hash::WordHash;
 use crate::index::IndexKey;
 use crate::schema::{IndexId, TableId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -175,6 +175,34 @@ fn note_lock_access(key: &LockKey, mode: LockMode) {
     });
 }
 
+/// Sleep on `cv` until notified or `deadline` passes (`None`: no
+/// deadline). Under a schedule hook there is no wall clock and no other
+/// thread to notify: the guard is dropped, the turn goes back to the
+/// scheduler as a `kind` wait, and `mutex` is locked again. Returns the
+/// guard and whether the wait timed out — the deadline passed, or the
+/// scheduler elected this waiter a deadlock victim.
+pub(crate) fn hooked_wait<'a, T>(
+    mutex: &'a Mutex<T>,
+    mut guard: MutexGuard<'a, T>,
+    cv: &Condvar,
+    kind: feral_hooks::WaitKind,
+    deadline: Option<Instant>,
+) -> (MutexGuard<'a, T>, bool) {
+    if feral_hooks::active() {
+        drop(guard);
+        let outcome = feral_hooks::wait(kind);
+        return (mutex.lock(), outcome == feral_hooks::WaitOutcome::TimedOut);
+    }
+    let timed_out = match deadline {
+        Some(deadline) => cv.wait_until(&mut guard, deadline).timed_out(),
+        None => {
+            cv.wait(&mut guard);
+            false
+        }
+    };
+    (guard, timed_out)
+}
+
 impl LockManager {
     /// Create a lock manager with the given wait timeout.
     pub fn new(timeout: Duration) -> Self {
@@ -210,17 +238,19 @@ impl LockManager {
         let mut deadline = None;
         while !state.compatible(txn, mode) {
             state.waiters += 1;
-            let timed_out = if simulated {
-                drop(table);
-                let outcome = feral_hooks::wait(feral_hooks::WaitKind::Lock);
-                table = stripe.table.lock();
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+            let timed_out;
+            (table, timed_out) = hooked_wait(
+                &stripe.table,
+                table,
+                &stripe.cv,
+                feral_hooks::WaitKind::Lock,
+                Some(deadline),
+            );
+            if simulated {
                 // each wake-up re-checks the lock table in a new segment
                 note_lock_access(key, mode);
-                outcome == feral_hooks::WaitOutcome::TimedOut
-            } else {
-                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
-                stripe.cv.wait_until(&mut table, deadline).timed_out()
-            };
+            }
             state = table.get_mut(key).expect("an entry with waiters is kept");
             state.waiters -= 1;
             if timed_out && !state.compatible(txn, mode) {

@@ -142,12 +142,9 @@ counters! {
         /// committing transaction found another commit holding one of its
         /// shards and had to wait).
         commit_shard_conflicts,
-        /// Group-commit batches flushed by a leader (each covers one or
-        /// more WAL records).
-        group_commit_batches,
-        /// Physical WAL flush (+ optional fsync) operations. With group
-        /// commit this grows once per batch while `wal_appends` grows
-        /// once per record; the ratio is the batching factor.
+        /// Physical WAL flush (+ optional fsync) operations: one per
+        /// group-commit batch a flush leader writes, while `wal_appends`
+        /// grows once per record; the ratio is the batching factor.
         wal_flushes,
     }
     plain {
@@ -280,26 +277,24 @@ mod tests {
             validation_probes: 13,
             wal_appends: 14,
             commit_shard_conflicts: 15,
-            group_commit_batches: 16,
-            wal_flushes: 17,
-            audit_edges: 18,
-            audit_cycles: 19,
-            audit_drops: 20,
-            plan_failsafe_escalations: 21,
+            wal_flushes: 16,
+            audit_edges: 17,
+            audit_cycles: 18,
+            audit_drops: 19,
+            plan_failsafe_escalations: 20,
         };
         let fields = snap.fields();
-        assert_eq!(fields.len(), 21);
+        assert_eq!(fields.len(), 20);
         // Every value appears exactly once, in declaration order.
-        assert_eq!(fields.iter().map(|(_, v)| v).sum::<u64>(), (1..=21).sum());
+        assert_eq!(fields.iter().map(|(_, v)| v).sum::<u64>(), (1..=20).sum());
         assert_eq!(fields[0], ("commits", 1));
         assert_eq!(fields[12], ("validation_probes", 13));
         assert_eq!(fields[13], ("wal_appends", 14));
         assert_eq!(fields[14], ("commit_shard_conflicts", 15));
-        assert_eq!(fields[15], ("group_commit_batches", 16));
-        assert_eq!(fields[16], ("wal_flushes", 17));
-        assert_eq!(fields[17], ("audit_edges", 18));
-        assert_eq!(fields[18], ("audit_cycles", 19));
-        assert_eq!(fields[19], ("audit_drops", 20));
-        assert_eq!(fields[20], ("plan_failsafe_escalations", 21));
+        assert_eq!(fields[15], ("wal_flushes", 16));
+        assert_eq!(fields[16], ("audit_edges", 17));
+        assert_eq!(fields[17], ("audit_cycles", 18));
+        assert_eq!(fields[18], ("audit_drops", 19));
+        assert_eq!(fields[19], ("plan_failsafe_escalations", 20));
     }
 }

@@ -134,13 +134,12 @@ fn committers_on_one_table_share_a_flush() {
     });
     let d = db.stats().snapshot().diff(&before);
     assert_eq!((d.commits, d.wal_appends), (N, N));
-    assert_eq!(d.group_commit_batches, d.wal_flushes);
     assert!(
         d.wal_flushes <= 2 && d.wal_flushes < d.wal_appends,
         "{N} appends behind one stalled flush took {} flushes",
         d.wal_flushes
     );
-    let mean_batch = d.wal_appends / d.group_commit_batches;
+    let mean_batch = d.wal_appends / d.wal_flushes;
     assert!(mean_batch >= 2, "some batch held at least two records");
     drop(db);
 
@@ -362,8 +361,8 @@ fn one_thread_fills_a_batch_with_deferred_commits() {
     });
     let d = db.stats().snapshot().diff(&before);
     assert_eq!(
-        (d.wal_appends, d.wal_flushes, d.group_commit_batches),
-        (N as u64, 1, 1),
+        (d.wal_appends, d.wal_flushes),
+        (N as u64, 1),
         "one thread, eight commits, one flush"
     );
     assert_eq!(d.commits, N as u64);
@@ -511,8 +510,6 @@ fn no_tail_is_left_behind_when_leads_run_on_a_thread_that_parks_nothing() {
     let mut fired = fired.lock().unwrap().clone();
     fired.sort_unstable();
     assert_eq!(fired, (0..THREADS * EACH).collect::<Vec<_>>());
-    let d = db.stats().snapshot();
-    assert_eq!(d.wal_flushes, d.group_commit_batches);
 }
 
 /// The active-snapshot registry is striped by the *beginning* thread, and

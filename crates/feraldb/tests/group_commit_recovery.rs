@@ -612,12 +612,12 @@ fn a_visible_row_is_already_in_the_log() {
     assert_eq!(visible_values(&db).len() as i64, THREADS * PER_THREAD);
 }
 
-/// With lingering group commit and commits on distinct shards, leader
-/// flushes cover several commit records each. Runs several barrier-
-/// synchronized rounds and asserts on the aggregate: the very first
-/// leader may flush solo (the concurrency hint starts at 1), but once
-/// any batch forms, later leaders linger and the rounds batch. This is
-/// the count behind "group commit at least doubles a single latch": one
+/// Concurrent commits on distinct shards share leader flushes. In each
+/// of several rounds four commits pile up behind a stalled WAL writer
+/// (`Database::with_wal_stalled`): the first leader's batch is taken
+/// before it parks on the writer, everything queued behind it makes the
+/// next batch, so no round takes more than two flushes. This is the
+/// count behind "group commit at least doubles a single latch": one
 /// flush per commit is the single latch.
 #[test]
 fn group_commit_batches_concurrent_commits() {
@@ -627,11 +627,6 @@ fn group_commit_batches_concurrent_commits() {
     let db = Database::open(Config {
         commit_shards: 8,
         group_commit_max_batch: THREADS,
-        group_commit_max_wait: Duration::from_millis(500),
-        // a synced WAL gives each flush a real fsync window, so
-        // barrier-released followers reliably enqueue while the leader
-        // is in the kernel — the configuration group commit exists for
-        wal_sync: true,
         ..config(&path)
     })
     .unwrap();
@@ -645,31 +640,33 @@ fn group_commit_batches_concurrent_commits() {
         .unwrap();
     }
     let before = db.stats().snapshot();
-    let barrier = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let db = db.clone();
-            let barrier = &barrier;
-            s.spawn(move || {
-                for r in 0..ROUNDS {
-                    let mut tx = db.txn().begin();
-                    tx.insert_pairs(&format!("t{t}"), &[("n", Datum::Int(r as i64))])
-                        .unwrap();
-                    // release each round's four commits together so the
-                    // lingering leader has followers to collect
-                    barrier.wait();
-                    tx.commit().unwrap();
+    for r in 0..ROUNDS {
+        std::thread::scope(|s| {
+            db.with_wal_stalled(|| {
+                for t in 0..THREADS {
+                    let db = db.clone();
+                    s.spawn(move || {
+                        db.txn()
+                            .run(|tx| {
+                                tx.insert_pairs(&format!("t{t}"), &[("n", Datum::Int(r as i64))])
+                            })
+                            .unwrap();
+                    });
                 }
+                let queued = ((r + 1) * THREADS) as u64;
+                assert!(
+                    eventually(|| db.stats().snapshot().diff(&before).wal_appends == queued),
+                    "round {r}: every commit must queue behind the stalled flush"
+                );
             });
-        }
-    });
+        });
+    }
     let total = (THREADS * ROUNDS) as u64;
     let d = db.stats().snapshot().diff(&before);
     assert_eq!(d.commits, total);
     assert_eq!(d.wal_appends, total);
-    assert_eq!(d.group_commit_batches, d.wal_flushes);
     // at least two commits per flush on average: group commit halves
-    // the flushes a single latch makes (measured 10–11 of 40 over 30 runs)
+    // the flushes a single latch makes
     assert!(
         d.wal_flushes <= total / 2,
         "{total} commits in {ROUNDS} concurrent rounds must share batches, \

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! feral-lint report [--seed 42] [--apps N] [--app NAME]
-//!                   [--no-witness] [--witness-seeds 1024]
+//!                   [--no-witness]
 //! feral-lint json   [...same flags] [--out PATH]
 //! feral-lint sarif  [...same flags] [--out PATH]
 //! ```
@@ -20,14 +20,13 @@ fn help() -> String {
         TOOL,
         "semantic safety analyzer over the synthesized Table 2 corpus",
         "  feral-lint report [--seed 42] [--apps N] [--app NAME]\n\
-         \x20     [--no-witness] [--witness-seeds 1024]\n\
+         \x20     [--no-witness]\n\
          \x20 feral-lint json  [...same flags] [--out PATH]\n\
          \x20 feral-lint sarif [...same flags] [--out PATH]\n",
         "  --seed U64            corpus synthesis seed (default 42)\n\
          \x20 --apps N              lint only the first N applications\n\
          \x20 --app NAME            lint only the named application (e.g. spree)\n\
-         \x20 --no-witness          skip feral-sim witness search\n\
-         \x20 --witness-seeds U64   random seeds tried after directed DPOR (default 1024)\n",
+         \x20 --no-witness          skip feral-sim witness search (directed DPOR)\n",
     )
 }
 
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
     if flags.has("no-witness") {
         opts.witnesses = false;
     }
-    opts.witness_seeds = flags.get_u64("witness-seeds", opts.witness_seeds);
     Ok(Args {
         mode: if flags.has("json") && mode == "report" {
             "json".to_string()

@@ -14,7 +14,7 @@
 //! The pipeline: per-app sources + migration DDL → [`graph::ModelGraph`]
 //! (typed IR) → [`rules`] catalog → findings with severity, Table 1
 //! verdict, citation, and — for duplicate-/orphan-admitting constructs —
-//! a searched feral-sim seed that replays the predicted anomaly.
+//! a searched feral-sim schedule that replays the predicted anomaly.
 
 #![warn(missing_docs)]
 
@@ -60,20 +60,15 @@ pub struct CorpusRun {
 /// Options for a lint run.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
-    /// Search feral-sim schedules and attach witnesses to unsafe
-    /// findings.
+    /// Search feral-sim schedules — one directed DPOR sweep of at most
+    /// 50 000 schedules per anomaly kind — and attach witnesses to
+    /// unsafe findings.
     pub witnesses: bool,
-    /// Random seeds to try before falling back to systematic
-    /// enumeration.
-    pub witness_seeds: u64,
 }
 
 impl Default for LintOptions {
     fn default() -> Self {
-        LintOptions {
-            witnesses: true,
-            witness_seeds: 1024,
-        }
+        LintOptions { witnesses: true }
     }
 }
 
@@ -99,7 +94,7 @@ impl LintEngine {
                 let Some(anomaly) = finding.anomaly else {
                     continue;
                 };
-                finding.witness = self.witness_slot(anomaly, opts.witness_seeds);
+                finding.witness = self.witness_slot(anomaly);
             }
         }
         AppReport {
@@ -112,14 +107,14 @@ impl LintEngine {
         }
     }
 
-    fn witness_slot(&mut self, anomaly: rules::Anomaly, max_seeds: u64) -> Option<usize> {
+    fn witness_slot(&mut self, anomaly: rules::Anomaly) -> Option<usize> {
         let slot = match anomaly {
             rules::Anomaly::DuplicateAdmitting => 0,
             rules::Anomaly::OrphanAdmitting => 1,
             rules::Anomaly::LostUpdateAdmitting => 2,
         };
         *self.witness_index[slot].get_or_insert_with(|| {
-            let found = witness::spec_for(anomaly).find_witness(max_seeds, 50_000);
+            let found = witness::spec_for(anomaly).find_witness(50_000);
             found.ok().map(|w| {
                 self.witness_table.push(w);
                 self.witness_table.len() - 1
@@ -195,10 +190,7 @@ mod tests {
 
     #[test]
     fn corpus_lint_is_deterministic_and_witnessed() {
-        let opts = LintOptions {
-            witnesses: true,
-            witness_seeds: 256,
-        };
+        let opts = LintOptions { witnesses: true };
         let apps = feral_corpus::synthesize_corpus(42);
         let one = lint_apps(&apps[..6], &opts);
         let two = lint_apps(&apps[..6], &opts);
@@ -213,7 +205,6 @@ mod tests {
         }
         assert_eq!(one.witnesses.len(), two.witnesses.len());
         for (wa, wb) in one.witnesses.iter().zip(&two.witnesses) {
-            assert_eq!(wa.seed, wb.seed);
             assert_eq!(wa.choices, wb.choices);
         }
     }
@@ -223,10 +214,10 @@ mod tests {
     #[test]
     fn witness_cache_searches_once_per_kind() {
         let mut engine = LintEngine::default();
-        let first = engine.witness_slot(rules::Anomaly::DuplicateAdmitting, 256);
+        let first = engine.witness_slot(rules::Anomaly::DuplicateAdmitting);
         assert_eq!(first, Some(0), "the search fires");
         assert_eq!(
-            engine.witness_slot(rules::Anomaly::DuplicateAdmitting, 256),
+            engine.witness_slot(rules::Anomaly::DuplicateAdmitting),
             first
         );
         assert_eq!(engine.witness_table.len(), 1);
@@ -234,10 +225,7 @@ mod tests {
         // records a miss is not searched again (were it, the orphan
         // search would find its witness)
         engine.witness_index[1] = Some(None);
-        assert_eq!(
-            engine.witness_slot(rules::Anomaly::OrphanAdmitting, 256),
-            None
-        );
+        assert_eq!(engine.witness_slot(rules::Anomaly::OrphanAdmitting), None);
         assert_eq!(engine.witness_table.len(), 1);
     }
 }

@@ -143,10 +143,9 @@ fn render_summary(run: &CorpusRun, out: &mut String) {
 fn json_witness(w: &Witness) -> String {
     let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
     format!(
-        "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\"schedules_searched\":{},\"message\":\"{}\",\"replay\":\"{}\"}}",
+        "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"seed\":null,\"choices\":[{}],\"schedules_searched\":{},\"message\":\"{}\",\"replay\":\"{}\"}}",
         json_escape(&w.spec.label()),
         w.strategy,
-        w.seed.map_or("null".to_string(), |s| s.to_string()),
         choices.join(","),
         w.schedules_searched,
         json_escape(&w.message),

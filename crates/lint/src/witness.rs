@@ -2,7 +2,7 @@
 //! schedule space of its anomaly's canonical scenario ([`spec_for`])
 //! with [`ScenarioSpec::find_witness`] for a concrete interleaving on
 //! which the predicted anomaly fires and replays, and attach the
-//! [`Witness`](feral_sim::Witness) — whose (seed | choices) replay it
+//! [`Witness`](feral_sim::Witness) — whose choices replay it
 //! bit-identically under `feral-sim replay`.
 //!
 //! The search is per anomaly *kind*, not per finding — every
@@ -51,7 +51,7 @@ mod tests {
             Anomaly::LostUpdateAdmitting,
         ] {
             let w = spec_for(anomaly)
-                .find_witness(256, 50_000)
+                .find_witness(50_000)
                 .expect("witness search must fire");
             assert!(w.schedules_searched >= 1);
             assert!(w

@@ -54,13 +54,7 @@ fn lint_safety_cache_rederives_table_one() {
 /// and each witness replays its anomaly bit-identically — twice.
 #[test]
 fn corpus_lint_flags_witnessed_unsafe_constructs() {
-    let run = lint_corpus(
-        42,
-        &LintOptions {
-            witnesses: true,
-            witness_seeds: 1024,
-        },
-    );
+    let run = lint_corpus(42, &LintOptions { witnesses: true });
     assert_eq!(run.apps.len(), 67);
 
     let mut dup = 0usize;
@@ -115,6 +109,8 @@ fn corpus_lint_flags_witnessed_unsafe_constructs() {
         "one shared witness per anomaly kind"
     );
     for w in &run.witnesses {
+        // a witness search is a directed DPOR sweep and nothing else
+        assert_eq!(w.strategy, "directed-dpor", "{}", w.spec.label());
         assert!(
             w.replays(),
             "witness for {} must replay its anomaly: {}",

@@ -13,10 +13,8 @@ use feral_trace::json::{parse, Json};
 fn rendered() -> Json {
     let run = lint_corpus(
         42,
-        &LintOptions {
-            witnesses: false, // shape only; witness content is golden.rs's job
-            witness_seeds: 0,
-        },
+        // shape only; witness content is golden.rs's job
+        &LintOptions { witnesses: false },
     );
     parse(&render_sarif(&run)).expect("feral-lint must emit parseable SARIF")
 }

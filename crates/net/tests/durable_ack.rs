@@ -213,8 +213,7 @@ fn one_worker_fills_a_batch_and_every_ack_is_durable() {
     let d = db.stats().snapshot().diff(&before);
     assert_eq!((d.wal_appends, d.commits), (SENT + 1, SENT));
     assert_eq!(
-        (d.wal_flushes, d.group_commit_batches),
-        (2, 2),
+        d.wal_flushes, 2,
         "the leader's own record, then all 32 signups in one batch"
     );
     server.shutdown();

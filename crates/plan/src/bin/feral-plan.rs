@@ -7,12 +7,13 @@
 //!     inference, and print the plan (text, JSON artifact, or Graphviz
 //!     dot).
 //!
-//! feral-plan certify [--seed 42] [--seeds N] [--max-runs N]
+//! feral-plan certify [--seed 42] [--max-runs N]
 //!         [--out PATH] [--validate GOLDEN]
 //!     Re-derive the plan and validate every cell's certificate: static
 //!     gate + per-slot minimality, a complete silent DPOR sweep at the
 //!     assigned levels, and (for escalated cells) a replaying anomaly
-//!     witness at the next-weaker configuration. Emits the certified
+//!     witness at the next-weaker configuration, found by a directed
+//!     DPOR sweep of at most --max-runs schedules. Emits the certified
 //!     JSON artifact. With --validate, additionally compare it
 //!     byte-for-byte against a checked-in golden file — any drift exits
 //!     non-zero.
@@ -38,11 +39,10 @@ fn help() -> String {
         TOOL,
         "certified weakest-safe-isolation plans",
         "  feral-plan infer [--seed 42] [--dot]\n\
-         \x20 feral-plan certify [--seed 42] [--seeds N] [--max-runs N]\n\
+         \x20 feral-plan certify [--seed 42] [--max-runs N]\n\
          \x20     [--validate GOLDEN]\n\
          \x20 feral-plan diff A.json B.json\n",
         "  --seed U64        corpus synthesis seed (default 42)\n\
-         \x20 --seeds N         random witness seeds tried after directed DPOR\n\
          \x20 --max-runs N      schedule budget per certified cell\n\
          \x20 --dot             Graphviz output for `infer`\n\
          \x20 --validate GOLDEN byte-diff the certified artifact against GOLDEN\n",
@@ -64,9 +64,8 @@ fn cmd_infer(args: &Args) -> ExitCode {
 
 fn cmd_certify(args: &Args) -> ExitCode {
     let plan = build_plan(args.get_u64("seed", 42));
-    let seeds = args.get_u64("seeds", 500);
     let max_runs = args.get_usize("max-runs", 200_000);
-    let certs = match certify_plan(&plan, seeds, max_runs) {
+    let certs = match certify_plan(&plan, max_runs) {
         Ok(certs) => certs,
         Err(failures) => {
             for msg in &failures {

@@ -32,7 +32,7 @@ pub struct CellCert {
 
 /// Certify one cell. Every failure mode returns a message naming the
 /// cell and what broke; the caller decides whether to abort or collect.
-pub fn certify_cell(cell: &PlanCell, seeds: u64, max_runs: usize) -> Result<CellCert, String> {
+pub fn certify_cell(cell: &PlanCell, max_runs: usize) -> Result<CellCert, String> {
     let label = cell.key();
 
     // part 1: static re-check
@@ -93,7 +93,7 @@ pub fn certify_cell(cell: &PlanCell, seeds: u64, max_runs: usize) -> Result<Cell
                 ..spec
             };
             Some(
-                spec.find_witness(seeds, max_runs)
+                spec.find_witness(max_runs)
                     .map_err(|e| format!("{label}: at the demoted configuration, {e}"))?,
             )
         }
@@ -104,15 +104,11 @@ pub fn certify_cell(cell: &PlanCell, seeds: u64, max_runs: usize) -> Result<Cell
 
 /// Certify every cell of a plan, in cell order. Returns the
 /// certificates, or every failure message.
-pub fn certify_plan(
-    plan: &Plan,
-    seeds: u64,
-    max_runs: usize,
-) -> Result<Vec<CellCert>, Vec<String>> {
+pub fn certify_plan(plan: &Plan, max_runs: usize) -> Result<Vec<CellCert>, Vec<String>> {
     let mut certs = Vec::with_capacity(plan.cells.len());
     let mut failures = Vec::new();
     for cell in &plan.cells {
-        match certify_cell(cell, seeds, max_runs) {
+        match certify_cell(cell, max_runs) {
             Ok(cert) => certs.push(cert),
             Err(msg) => failures.push(msg),
         }

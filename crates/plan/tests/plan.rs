@@ -75,7 +75,7 @@ fn every_planned_cell_certifies_and_sweeps_clean() {
     assert!(!plan.cells.is_empty());
     let mut certs = Vec::new();
     for cell in &plan.cells {
-        let cert = certify_cell(cell, 500, 200_000)
+        let cert = certify_cell(cell, 200_000)
             .unwrap_or_else(|msg| panic!("cell failed certification: {msg}"));
         assert!(cert.sweep.runs > 0, "{}: empty sweep", cell.key());
         assert_eq!(
@@ -117,13 +117,7 @@ fn every_planned_cell_certifies_and_sweeps_clean() {
 #[test]
 fn feral009_and_the_planner_agree_template_for_template() {
     let plan = build_plan(42);
-    let run = lint_corpus(
-        42,
-        &LintOptions {
-            witnesses: false,
-            witness_seeds: 0,
-        },
-    );
+    let run = lint_corpus(42, &LintOptions { witnesses: false });
     assert_eq!(plan.apps.len(), run.apps.len());
     let mut advised = 0usize;
     for (app_plan, report) in plan.apps.iter().zip(&run.apps) {

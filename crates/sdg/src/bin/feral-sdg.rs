@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! feral-sdg matrix [--json] [--out PATH] [--validate]
-//!         [--seeds N] [--max-runs N]
+//!         [--max-runs N]
 //!     Print the pair × isolation verdict matrix. With --json, emit the
 //!     BENCH_sdg.json artifact (to stdout or --out). With --validate,
 //!     cross-check every cell: UNSAFE cells must produce a replaying
-//!     feral-sim witness (directed DPOR biased toward the predicted
-//!     cycle's tables, random search as fallback), SAFE cells must
+//!     feral-sim witness (a sleep-set DPOR sweep directed toward the
+//!     predicted cycle's tables), SAFE cells must
 //!     survive a complete partial-order-reduced sweep, and every row
 //!     must agree with its invariant-confluence derivation — any
 //!     disagreement exits non-zero.
@@ -40,12 +40,11 @@ fn help() -> String {
     feral_cli::render_help(
         TOOL,
         "static dependency-graph anomaly prediction",
-        "  feral-sdg matrix [--seeds N] [--max-runs N]\n\
+        "  feral-sdg matrix [--max-runs N]\n\
          \x20 feral-sdg graph --pair P [--isolation LEVEL] [--dot]\n\
          \x20 feral-sdg templates\n",
         "  --pair P          uniqueness|orphans|lock-rmw|sibling-inserts\n\
          \x20 --isolation L     read-committed|repeatable-read|snapshot|serializable\n\
-         \x20 --seeds N         random witness seeds tried after directed DPOR\n\
          \x20 --max-runs N      schedule budget per validated cell\n\
          \x20 --dot             Graphviz output for `graph`\n",
     )
@@ -55,12 +54,11 @@ fn cmd_matrix(args: &Args) -> ExitCode {
     let matrix = build_matrix();
 
     let evidence = if args.has("validate") {
-        let seeds = args.get_u64("seeds", 500);
         let max_runs = args.get_usize("max-runs", 200_000);
         let mut collected = Vec::with_capacity(matrix.len());
         let mut failures = 0;
         for cell in &matrix {
-            match validate_cell(cell, seeds, max_runs) {
+            match validate_cell(cell, max_runs) {
                 Ok(evidence) => collected.push(evidence),
                 Err(msg) => {
                     eprintln!("feral-sdg: validation FAILED: {msg}");

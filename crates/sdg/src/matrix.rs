@@ -355,9 +355,9 @@ pub enum CellEvidence {
 /// oracle ([`ScenarioSpec::sweep`]; the DPOR sweep covers every
 /// Mazurkiewicz class, which `dpor_equivalence.rs` proves
 /// verdict-equivalent to full enumeration).
-pub fn validate_cell(cell: &Cell, seeds: u64, max_runs: usize) -> Result<CellEvidence, String> {
+pub fn validate_cell(cell: &Cell, max_runs: usize) -> Result<CellEvidence, String> {
     let (predicted, evidence) = if cell.verdict.is_unsafe() {
-        let witness = cell.scenario.find_witness(seeds, max_runs);
+        let witness = cell.scenario.find_witness(max_runs);
         ("UNSAFE", witness.map(CellEvidence::Witness))
     } else {
         (

@@ -8,9 +8,8 @@ use feral_sdg::matrix::{
     build_matrix, iconfluence_agreement, validate_cell, Cell, CellEvidence, PairKind,
 };
 use feral_sdg::report::render_json;
-use feral_sim::{run_with_choices, run_with_seed};
+use feral_sim::run_with_choices;
 
-const SEEDS: u64 = 500;
 const MAX_RUNS: usize = 200_000;
 
 #[test]
@@ -27,7 +26,7 @@ fn static_verdicts_match_exhaustive_schedule_exploration() {
     // every cell: UNSAFE must yield a witness schedule, SAFE must sweep
     // exhaustively with a silent oracle — the whole point of the crate
     for cell in build_matrix() {
-        validate_cell(&cell, SEEDS, MAX_RUNS).unwrap_or_else(|msg| {
+        validate_cell(&cell, MAX_RUNS).unwrap_or_else(|msg| {
             panic!("static/dynamic disagreement: {msg}");
         });
     }
@@ -38,14 +37,11 @@ fn every_unsafe_witness_replays_twice() {
     // determinism is the contract: the witness must fire on every
     // replay, not just the first
     for cell in build_matrix().into_iter().filter(|c| c.verdict.is_unsafe()) {
-        let CellEvidence::Witness(w) = validate_cell(&cell, SEEDS, MAX_RUNS).unwrap() else {
+        let CellEvidence::Witness(w) = validate_cell(&cell, MAX_RUNS).unwrap() else {
             panic!("unsafe cell must yield a witness");
         };
         for attempt in 0..2 {
-            let (_, verdict) = match w.seed {
-                Some(seed) => run_with_seed(cell.scenario.build(), seed),
-                None => run_with_choices(cell.scenario.build(), &w.choices),
-            };
+            let (_, verdict) = run_with_choices(cell.scenario.build(), &w.choices);
             assert!(
                 verdict.is_err(),
                 "{}/{} witness went silent on replay {attempt}: {}",
@@ -86,12 +82,12 @@ fn serializable_column_is_entirely_safe() {
 fn golden_artifact_matches_the_checked_in_matrix() {
     // the golden is the --validate artifact: every cell carries its
     // witness or sweep receipt, so render with the same evidence the
-    // binary attaches (defaults match SEEDS / MAX_RUNS)
+    // binary attaches (its default matches MAX_RUNS)
     let matrix = build_matrix();
     let evidence: Vec<CellEvidence> = matrix
         .iter()
         .map(|cell| {
-            validate_cell(cell, SEEDS, MAX_RUNS)
+            validate_cell(cell, MAX_RUNS)
                 .unwrap_or_else(|msg| panic!("cell failed validation: {msg}"))
         })
         .collect();

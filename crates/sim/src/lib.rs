@@ -20,8 +20,8 @@
 //!
 //! Callers outside this crate do not drive the explorers themselves:
 //! [`ScenarioSpec::find_witness`](scenarios::ScenarioSpec::find_witness)
-//! runs the one witness policy (directed DPOR, then seeded random
-//! search, then a replay check) and returns a [`Witness`];
+//! runs the one witness policy (a directed DPOR sweep, then a replay
+//! check) and returns a [`Witness`];
 //! [`ScenarioSpec::sweep`](scenarios::ScenarioSpec::sweep) returns the
 //! [`SweepEvidence`] of a complete, silent DPOR sweep.
 //!

@@ -75,9 +75,8 @@ impl ExplorationReport {
             Some(w) => {
                 let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
                 format!(
-                    "{{\"message\":\"{}\",\"seed\":{},\"choices\":[{}],\"replay\":\"{}\"}}",
+                    "{{\"message\":\"{}\",\"seed\":null,\"choices\":[{}],\"replay\":\"{}\"}}",
                     json_escape(&w.message),
-                    w.seed.map_or("null".to_string(), |s| s.to_string()),
                     choices.join(","),
                     json_escape(&w.replay_command())
                 )

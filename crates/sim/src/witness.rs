@@ -6,7 +6,7 @@
 //! replays, and [`ScenarioSpec::sweep`] proves a predicted-safe scenario
 //! silent on every schedule.
 
-use crate::explore::{explore_random, run_with_choices, run_with_seed, Violation};
+use crate::explore::{run_with_choices, Violation};
 use crate::report::json_escape;
 use crate::scenarios::ScenarioSpec;
 use crate::{explore_dpor, DporExploration};
@@ -17,12 +17,9 @@ use crate::{explore_dpor, DporExploration};
 pub struct Witness {
     /// The scenario configuration the schedule ran under.
     pub spec: ScenarioSpec,
-    /// Search strategy that surfaced the schedule (`directed-dpor`,
-    /// `dpor`, `dfs`, or `random`).
+    /// Search strategy that surfaced the schedule (`directed-dpor`).
     pub strategy: &'static str,
-    /// Seed of the schedule, when random search found it.
-    pub seed: Option<u64>,
-    /// Branch choices of the schedule (always replayable).
+    /// Branch choices of the schedule: what replays it.
     pub choices: Vec<usize>,
     /// What the anomaly oracle reported.
     pub message: String,
@@ -41,7 +38,6 @@ impl Witness {
         Witness {
             spec: *spec,
             strategy: violation.strategy,
-            seed: violation.seed,
             choices: violation.choices.clone(),
             message: violation.message.clone(),
             schedules_searched,
@@ -50,28 +46,24 @@ impl Witness {
 
     /// The `feral-sim replay …` command line reproducing the schedule.
     pub fn replay_command(&self) -> String {
-        self.spec.replay_command(self.seed, &self.choices)
+        self.spec.replay_command(None, &self.choices)
     }
 
     /// Re-run the schedule on a fresh trial and report whether the
     /// oracle fires again.
     pub fn replays(&self) -> bool {
-        let trial = self.spec.build();
-        let (_, verdict) = match self.seed {
-            Some(seed) => run_with_seed(trial, seed),
-            None => run_with_choices(trial, &self.choices),
-        };
+        let (_, verdict) = run_with_choices(self.spec.build(), &self.choices);
         verdict.is_err()
     }
 
-    /// `{"strategy","seed","choices","message","schedules_searched","replay"}`.
+    /// `{"strategy","seed","choices","message","schedules_searched","replay"}`;
+    /// `seed` is always `null`: a witness replays by its choices.
     pub fn to_json(&self) -> String {
         let choices: Vec<String> = self.choices.iter().map(usize::to_string).collect();
         format!(
-            "{{\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\"message\":\"{}\",\
+            "{{\"strategy\":\"{}\",\"seed\":null,\"choices\":[{}],\"message\":\"{}\",\
              \"schedules_searched\":{},\"replay\":\"{}\"}}",
             self.strategy,
-            self.seed.map_or("null".to_string(), |s| s.to_string()),
             choices.join(","),
             json_escape(&self.message),
             self.schedules_searched,
@@ -106,24 +98,30 @@ impl SweepEvidence {
 }
 
 impl ScenarioSpec {
-    /// Search for a schedule on which the oracle fires: DPOR directed
-    /// toward the scenario's critical tables (at most `max_runs`
-    /// schedules), then seeded random search over `0..seeds`. The
-    /// schedule found must fire again on replay before it is returned.
-    pub fn find_witness(&self, seeds: u64, max_runs: usize) -> Result<Witness, String> {
+    /// Search for a schedule on which the oracle fires: a sleep-set DPOR
+    /// sweep directed toward the scenario's critical tables, of at most
+    /// `max_runs` schedules. The schedule found must fire again on replay
+    /// before it is returned. A sweep that completes silent has covered
+    /// every schedule class, so no other search could find one; a sweep
+    /// cut by the budget says so.
+    pub fn find_witness(&self, max_runs: usize) -> Result<Witness, String> {
         let config = self.dpor_config(max_runs).directed(self.direction_hint());
-        let directed = explore_dpor(|| self.build(), &config);
-        let witness = match &directed.violation {
-            Some(v) => Witness::of(self, v, directed.runs),
-            None => {
-                let random = explore_random(|| self.build(), 0..seeds);
-                let searched = directed.runs + random.runs;
-                let Some(v) = random.violation else {
-                    return Err(format!("no witness in {searched} schedules"));
-                };
-                Witness::of(self, &v, searched)
-            }
+        let DporExploration {
+            runs,
+            complete,
+            violation,
+            ..
+        } = explore_dpor(|| self.build(), &config);
+        let Some(v) = violation else {
+            return Err(if complete {
+                format!("no witness: the sweep completed after {runs} schedules, all silent")
+            } else {
+                format!(
+                    "no witness in {runs} schedules: the sweep is incomplete — raise --max-runs"
+                )
+            });
         };
+        let witness = Witness::of(self, &v, runs);
         if !witness.replays() {
             return Err(format!("witness did not replay ({})", witness.message));
         }
@@ -157,5 +155,47 @@ impl ScenarioSpec {
             pruned_exact: stats.pruned_exact,
             sleep_set_blocked: stats.sleep_set_blocked,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::{Guard, ScenarioKind, SessionLevels};
+    use feral_db::IsolationLevel;
+
+    fn uniqueness(isolation: IsolationLevel) -> ScenarioSpec {
+        ScenarioSpec {
+            kind: ScenarioKind::Uniqueness,
+            levels: SessionLevels::Uniform(isolation),
+            guard: Guard::Feral,
+            workers: 2,
+        }
+    }
+
+    /// A SAFE cell: the directed sweep completes silent, and the search
+    /// says so rather than asking for a bigger budget.
+    #[test]
+    fn a_safe_cell_reports_the_complete_sweep() {
+        let err = uniqueness(IsolationLevel::Serializable)
+            .find_witness(50_000)
+            .expect_err("serializable uniqueness admits no duplicate");
+        assert!(err.contains("the sweep completed"), "{err}");
+        assert!(!err.contains("--max-runs"), "{err}");
+    }
+
+    /// An UNSAFE cell whose budget ends before the sweep reaches a firing
+    /// schedule: the search reports the cut sweep and names the flag that
+    /// lifts it. No other search answers in its place.
+    #[test]
+    fn a_cut_sweep_names_its_budget() {
+        let spec = uniqueness(IsolationLevel::ReadCommitted);
+        let err = spec
+            .find_witness(1)
+            .expect_err("one schedule does not reach the race");
+        assert!(err.contains("incomplete"), "{err}");
+        assert!(err.contains("raise --max-runs"), "{err}");
+        let w = spec.find_witness(50_000).expect("a larger budget finds it");
+        assert_eq!(w.strategy, "directed-dpor");
     }
 }

@@ -58,7 +58,7 @@ fn witness_replay_commands_replay_through_the_binary() {
     ];
     for spec in specs {
         let w = spec
-            .find_witness(64, 50_000)
+            .find_witness(50_000)
             .expect("anomaly cell yields a witness");
         assert_fires(&w.replay_command(), &spec.label(), &w.message);
     }

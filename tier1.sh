@@ -42,7 +42,8 @@ stanza "test suite"
 # (crates/net/tests/served_ablation.rs), the ORM's read-path bounds, and
 # the simulator, sdg, plan and audit suites that used to be gated by
 # nothing. Three count tests stand where wall-clock ratios used to gate:
-# concurrent commits share WAL flushes
+# concurrent commits piled up behind a stalled WAL writer share flushes,
+# at most two per round of four
 # (feraldb/tests/group_commit_recovery.rs::group_commit_batches_concurrent_commits),
 # the certified plan allocates no more per transaction than
 # all-serializable and less where it weakens a template
@@ -104,7 +105,7 @@ fi
 stanza "feral-sdg static matrix, cross-validated"
 # Static dependency-graph verdicts for 4 template pairs x 4 isolation
 # levels. --validate replays a feral-sim witness for every UNSAFE cell
-# (directed DPOR, seeded-random fallback), exhaustively sweeps every
+# (a directed DPOR sweep), exhaustively sweeps every
 # SAFE cell under DPOR, and diffs each row against the iconfluence
 # model checker; any disagreement exits non-zero. The JSON artifact —
 # including the per-cell validation evidence: witness provenance and
