@@ -1,8 +1,8 @@
 //! The tier-1 run-report gate as a library: schema-validate a
 //! `BENCH_table1.json` artifact and enforce the smoke-gate invariants
 //! from the *outside*, independent of the writer's self-validation.
-//! The `checkreport` binary is a thin wrapper; the failure paths live
-//! here where they are testable.
+//! `feral-paper check` is a thin wrapper; the failure paths live here
+//! where they are testable.
 
 use feral_trace::json::Json;
 use feral_trace::report::validate_report;

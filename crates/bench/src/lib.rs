@@ -1,11 +1,13 @@
 //! # feral-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (run
-//! with `cargo run -p feral-bench --release --bin <name>`).
+//! The experiment harness behind `feral-paper`, the one binary that
+//! regenerates the paper's results, one subcommand each (run with
+//! `cargo run --release -p feral-bench -- <command>`; sizes are the
+//! default, `--full` for the paper's and `--smoke` for CI).
 //!
-//! | Binary | Regenerates |
+//! | Command | Regenerates |
 //! |---|---|
-//! | `table1` | Table 1 (validator usage + I-confluence verdicts) |
+//! | `table1` | Table 1 (validator usage + I-confluence verdicts) and the `BENCH_table1.json` run report |
 //! | `table2` | Table 2 (per-app survey + aggregates) |
 //! | `fig1` | Figure 1 (per-app mechanism-usage series) |
 //! | `fig2` | Figure 2 (uniqueness stress) |
@@ -16,6 +18,7 @@
 //! | `fig7` | Figure 7 (authorship CDFs) |
 //! | `frameworks` | Section 6 (cross-framework survey, executed) |
 //! | `ablation` | Section 7 (feral vs in-DB vs domesticated) |
+//! | `check` | gates a `table1` run report from the outside ([`checkgate`]) |
 
 #![warn(missing_docs)]
 
@@ -24,10 +27,6 @@ pub mod association;
 pub mod checkgate;
 pub mod trace_report;
 pub mod uniqueness;
-
-/// The shared `--flag value` argument parser (now in [`feral_cli`];
-/// re-exported so the experiment binaries keep their import path).
-pub use feral_cli::Args;
 
 /// Mean and (population) standard deviation of a sample, as the paper
 /// plots "the average and standard deviation of three runs per

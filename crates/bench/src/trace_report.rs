@@ -17,13 +17,12 @@
 //! carries at least one explained race under weak isolation.
 
 use crate::apps::{drive_rounds, key_value_app, Enforcement, ExperimentEnv};
-use crate::uniqueness::stress_rounds;
+use crate::uniqueness::{duplicated_keys, stress_rounds};
 use feral_cli::isolation_flag;
 use feral_db::IsolationLevel;
 use feral_server::PooledService;
 use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
 use feral_sim::Witness;
-use feral_sql::SqlSession;
 use feral_trace::{self as trace, CellReport, HistogramSnapshot, ProvenanceRecord, RunReport};
 use std::collections::HashMap;
 
@@ -84,22 +83,6 @@ fn enforcement_flag(e: Enforcement) -> &'static str {
         Enforcement::Feral => "feral",
         Enforcement::Database => "database",
     }
-}
-
-/// The keys that ended up duplicated, with how many extra rows each
-/// holds — the Appendix C.2 SQL, key values included.
-pub fn duplicated_keys(app: &feral_orm::App) -> Vec<(String, u64)> {
-    let mut sql = SqlSession::new(app.db().clone());
-    sql.execute("SELECT key, COUNT(key) FROM key_values GROUP BY key HAVING COUNT(key) > 1")
-        .expect("duplicate-key query")
-        .rows()
-        .iter()
-        .map(|r| {
-            let key = r[0].as_text().unwrap_or_default().to_string();
-            let extra = (r[1].as_int().unwrap_or(1) - 1) as u64;
-            (key, extra)
-        })
-        .collect()
 }
 
 type WitnessCache = HashMap<u8, Option<Witness>>;

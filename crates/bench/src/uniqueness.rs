@@ -20,20 +20,29 @@ pub struct UniquenessResult {
     pub rejected: u64,
 }
 
-/// Count duplicates with the paper's Appendix C.2 SQL, run through the
-/// SQL front-end for fidelity. Debug builds cross-check the SQL count
-/// against the `feral-sim` duplicate-key oracle, so the harness and the
-/// figures can never silently disagree on what a duplicate is.
-pub fn count_duplicates(app: &feral_orm::App) -> u64 {
+/// The keys that ended up duplicated, with how many extra rows each
+/// holds: the paper's Appendix C.2 SQL, run through the SQL front-end for
+/// fidelity.
+pub fn duplicated_keys(app: &App) -> Vec<(String, u64)> {
     let mut sql = SqlSession::new(app.db().clone());
-    let rows = sql
-        .execute("SELECT key, COUNT(key) FROM key_values GROUP BY key HAVING COUNT(key) > 1")
-        .expect("duplicate-count query")
-        .rows();
-    let total: u64 = rows
+    sql.execute("SELECT key, COUNT(key) FROM key_values GROUP BY key HAVING COUNT(key) > 1")
+        .expect("duplicate-key query")
+        .rows()
         .iter()
-        .map(|r| (r[1].as_int().unwrap_or(0) - 1) as u64)
-        .sum();
+        .map(|r| {
+            let key = r[0].as_text().unwrap_or_default().to_string();
+            let extra = (r[1].as_int().unwrap_or(1) - 1) as u64;
+            (key, extra)
+        })
+        .collect()
+}
+
+/// The extra rows over all [`duplicated_keys`]. Debug builds cross-check
+/// the SQL count against the `feral-sim` duplicate-key oracle, so the
+/// harness and the figures can never silently disagree on what a
+/// duplicate is.
+pub fn count_duplicates(app: &App) -> u64 {
+    let total = duplicated_keys(app).iter().map(|(_, extra)| extra).sum();
     debug_assert_eq!(
         total,
         feral_sim::oracles::duplicate_count(app.db(), "key_values", "key") as u64,

@@ -7,10 +7,10 @@ use std::process::Command;
 
 #[test]
 fn the_ablation_routes_only_uniqueness_to_the_database() {
-    let out = Command::new(env!("CARGO_BIN_EXE_ablation"))
-        .args(["--rounds", "4", "--workers", "4", "--concurrent", "8"])
+    let out = Command::new(env!("CARGO_BIN_EXE_feral-paper"))
+        .args(["ablation", "--smoke"])
         .output()
-        .expect("run ablation");
+        .expect("run feral-paper ablation");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),

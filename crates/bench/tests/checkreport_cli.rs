@@ -1,7 +1,7 @@
-//! Pins `checkreport`'s flag handling: a flag it does not know is a
+//! Pins `feral-paper check`'s flag handling: a flag it does not know is a
 //! usage error (exit 2, `feral_cli::EXIT_USAGE`, usage on stderr), never
-//! silently ignored — a stale `checkreport --load x.json` or
-//! `checkreport --audit x.json` must not gate `x.json` as a table1 report. The fixture is the
+//! silently ignored — a stale `check --load x.json` or `check --audit
+//! x.json` must not gate `x.json` as a table1 report. The fixture is the
 //! checked-in table1 golden, which passes the default gate, so only the
 //! flag can fail these runs.
 
@@ -13,10 +13,11 @@ const GOLDEN: &str = concat!(
 );
 
 fn checkreport(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_checkreport"))
+    Command::new(env!("CARGO_BIN_EXE_feral-paper"))
+        .arg("check")
         .args(args)
         .output()
-        .expect("run checkreport")
+        .expect("run feral-paper check")
 }
 
 fn assert_usage_error(out: &Output, flag: &str) {
@@ -31,7 +32,10 @@ fn assert_usage_error(out: &Output, flag: &str) {
         err.contains(&format!("unknown flag `{flag}`")),
         "names the flag: {err}"
     );
-    assert!(err.contains("usage: checkreport"), "prints usage: {err}");
+    assert!(
+        err.contains("usage: feral-paper check"),
+        "prints usage: {err}"
+    );
 }
 
 #[test]

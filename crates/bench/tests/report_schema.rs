@@ -3,6 +3,7 @@
 //! report must match the golden one structurally (same cells, same
 //! counters, same histogram keys — values differ run to run).
 
+use feral_db::StatsSnapshot;
 use feral_trace::json::Json;
 use feral_trace::report::validate_report;
 
@@ -18,10 +19,24 @@ fn golden_report_validates_against_the_schema() {
     // the golden run carries the acceptance evidence: every cell
     // committed work and at least one weak cell explains a race with a
     // replayable witness
+    let counters: Vec<&str> = StatsSnapshot::default()
+        .fields()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
     let mut explained = 0;
     for cell in cells {
         let stats = cell.get("stats").unwrap();
         assert!(stats.get("commits").unwrap().as_u64().unwrap() > 0);
+        // the golden carries every counter the writer exports, no more
+        let Json::Obj(exported) = stats else {
+            panic!("stats is not an object");
+        };
+        let names: Vec<&str> = exported.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names, counters,
+            "regenerate the golden with `feral-paper table1 --smoke`"
+        );
         let Json::Obj(hists) = cell.get("histograms").unwrap() else {
             panic!("histograms is not an object");
         };

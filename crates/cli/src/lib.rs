@@ -1,11 +1,12 @@
 //! # feral-cli
 //!
 //! The command-line plumbing shared by the tool binaries (`feral-sim`,
-//! `feral-lint`, `feral-sdg`, `feral-plan`, `feral-net`, and the
-//! `feral-bench` experiment binaries): a minimal `--flag value` parser,
-//! the common exit-code conventions, isolation-level parsing, and
-//! `--out` output routing. Each binary keeps its own subcommands and semantics; only
-//! the previously copy-pasted surface lives here.
+//! `feral-lint`, `feral-sdg`, `feral-plan`, `feral-net` and
+//! `feral-paper`): a minimal `--flag value` parser that refuses flags a
+//! tool does not read, the common exit-code conventions, isolation-level
+//! parsing, and `--out` output routing. Each binary keeps its own
+//! subcommands and semantics; only the previously copy-pasted surface
+//! lives here.
 //!
 //! Exit-code convention: `0` success, [`EXIT_DEVIATION`] (`1`) for "ran
 //! fine but the result deviates" (an anomaly found, a validation
@@ -102,6 +103,14 @@ pub fn render_help(tool: &str, about: &str, usage: &str, options: &str) -> Strin
     out
 }
 
+/// The first `--flag` in `args` whose name is not in `known`.
+pub fn unknown_flag<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    args.iter().map(String::as_str).find(|a| {
+        a.strip_prefix("--")
+            .is_some_and(|name| !known.contains(&name))
+    })
+}
+
 /// Minimal `--flag value` argument parser shared by every tool binary.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -110,13 +119,23 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `std::env::args()` (skipping the program name). `--key value`
-    /// populates a flag, a bare `--key` a switch.
-    pub fn from_env() -> Args {
-        Self::from_iter(std::env::args().skip(1))
+    /// Parse the arguments of `tool`, which reads only the flags named in
+    /// `known` (without their leading `--`). Any other `--flag` dies with
+    /// [`EXIT_USAGE`], naming it: a misspelled or retired flag is refused,
+    /// never silently ignored.
+    pub fn parse(tool: &str, args: impl IntoIterator<Item = String>, known: &[&str]) -> Args {
+        let items: Vec<String> = args.into_iter().collect();
+        if let Some(flag) = unknown_flag(&items, known) {
+            die(
+                tool,
+                &format!("unknown flag `{flag}` (--help lists the flags)"),
+            );
+        }
+        Self::from_iter(items)
     }
 
-    /// Parse from an iterator (testable).
+    /// Parse from an iterator, keeping every flag. `--key value`
+    /// populates a flag, a bare `--key` a switch.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter(args: impl IntoIterator<Item = String>) -> Args {
         let mut out = Args::default();
@@ -214,6 +233,22 @@ mod tests {
         assert!(a.has("validate"));
         assert!(a.has("json"));
         assert_eq!(a.get_u64("seeds", 0), 100);
+    }
+
+    #[test]
+    fn a_flag_the_tool_does_not_read_is_named() {
+        let argv = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let known = ["max-runs", "json"];
+        assert_eq!(
+            unknown_flag(&argv(&["--max-runs", "5", "--json"]), &known),
+            None
+        );
+        assert_eq!(
+            unknown_flag(&argv(&["--json", "--seeds", "5", "--bogus"]), &known),
+            Some("--seeds")
+        );
+        // positionals and flag values are not flags
+        assert_eq!(unknown_flag(&argv(&["matrix", "-5"]), &known), None);
     }
 
     #[test]

@@ -15,6 +15,9 @@ use std::process::ExitCode;
 
 const TOOL: &str = "feral-lint";
 
+/// Every flag the subcommands read; any other is a usage error.
+const FLAGS: &[&str] = &["seed", "apps", "app", "no-witness", "smoke", "json", "out"];
+
 fn help() -> String {
     feral_cli::render_help(
         TOOL,
@@ -45,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
     if !matches!(mode.as_str(), "report" | "json" | "sarif") {
         return Err(format!("unknown subcommand `{mode}`"));
     }
-    let flags = feral_cli::Args::from_iter(argv);
+    let flags = feral_cli::Args::parse(TOOL, argv, FLAGS);
     let mut opts = LintOptions::default();
     // --smoke: the fast CI shape — a corpus slice, no witness search
     if flags.has("smoke") {

@@ -16,6 +16,16 @@ use std::sync::Arc;
 
 const TOOL: &str = "feral-net";
 
+/// Every flag `serve` reads; any other is a usage error.
+const FLAGS: &[&str] = &[
+    "addr",
+    "executors",
+    "max-conns",
+    "queue",
+    "inflight",
+    "sample",
+];
+
 fn help() -> String {
     render_help(
         TOOL,
@@ -56,13 +66,12 @@ fn serve(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::from_iter(argv.clone());
-    if args.has("help") {
+    if argv.iter().any(|a| a == "--help") {
         print!("{}", help());
         return ExitCode::SUCCESS;
     }
     match argv.first().map(String::as_str) {
-        Some("serve") => serve(&args),
+        Some("serve") => serve(&Args::parse(TOOL, argv[1..].iter().cloned(), FLAGS)),
         Some(other) if !other.starts_with("--") => {
             die(TOOL, &format!("unknown subcommand `{other}`"))
         }

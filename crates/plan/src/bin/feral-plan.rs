@@ -30,6 +30,9 @@ use std::process::ExitCode;
 
 const TOOL: &str = "feral-plan";
 
+/// Every flag `infer` and `certify` read; any other is a usage error.
+const FLAGS: &[&str] = &["seed", "json", "dot", "out", "max-runs", "validate"];
+
 fn die(msg: &str) -> ! {
     feral_cli::die(TOOL, msg)
 }
@@ -197,8 +200,8 @@ fn main() -> ExitCode {
         die("usage: feral-plan <infer|certify|diff> [flags] (--help for details)")
     };
     match command.as_str() {
-        "infer" => cmd_infer(&Args::from_iter(argv[1..].iter().cloned())),
-        "certify" => cmd_certify(&Args::from_iter(argv[1..].iter().cloned())),
+        "infer" => cmd_infer(&Args::parse(TOOL, argv[1..].iter().cloned(), FLAGS)),
+        "certify" => cmd_certify(&Args::parse(TOOL, argv[1..].iter().cloned(), FLAGS)),
         "diff" => cmd_diff(&argv[1..]),
         other => die(&format!("unknown command `{other}`")),
     }

@@ -32,6 +32,17 @@ use std::process::ExitCode;
 
 const TOOL: &str = "feral-sdg";
 
+/// Every flag a subcommand reads; any other is a usage error.
+const FLAGS: &[&str] = &[
+    "max-runs",
+    "validate",
+    "json",
+    "out",
+    "pair",
+    "isolation",
+    "dot",
+];
+
 fn die(msg: &str) -> ! {
     feral_cli::die(TOOL, msg)
 }
@@ -142,7 +153,7 @@ fn main() -> ExitCode {
     let Some(command) = argv.first() else {
         die("usage: feral-sdg <matrix|graph|templates> [flags] (--help for details)")
     };
-    let args = Args::from_iter(argv[1..].iter().cloned());
+    let args = Args::parse(TOOL, argv[1..].iter().cloned(), FLAGS);
     match command.as_str() {
         "matrix" => cmd_matrix(&args),
         "graph" => cmd_graph(&args),

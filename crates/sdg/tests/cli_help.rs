@@ -22,3 +22,20 @@ fn help_ends_with_the_standard_flags_block() {
         "help must close with the shared standard-flags block verbatim"
     );
 }
+
+/// A flag the tool does not read is refused, naming it: `--seeds` went
+/// with the random witness search, and must not be accepted silently.
+#[test]
+fn a_retired_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_feral-sdg"))
+        .args(["matrix", "--seeds", "5"])
+        .output()
+        .expect("run feral-sdg matrix --seeds 5");
+    assert_eq!(out.status.code(), Some(feral_cli::EXIT_USAGE.into()));
+    assert!(out.stdout.is_empty(), "the matrix must not run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown flag `--seeds`"),
+        "names the flag: {err}"
+    );
+}

@@ -40,6 +40,23 @@ use std::process::ExitCode;
 
 const TOOL: &str = "feral-sim";
 
+/// Every flag a subcommand reads; any other is a usage error.
+const FLAGS: &[&str] = &[
+    "strategy",
+    "max-runs",
+    "smoke",
+    "json",
+    "out",
+    "scenario",
+    "levels",
+    "isolation",
+    "guard",
+    "workers",
+    "seeds",
+    "seed",
+    "choices",
+];
+
 fn die(msg: &str) -> ! {
     feral_cli::die(TOOL, msg)
 }
@@ -318,7 +335,7 @@ fn main() -> ExitCode {
     let Some(command) = argv.first() else {
         die("usage: feral-sim <matrix|systematic|random|replay> [flags] (--help for details)")
     };
-    let args = Args::from_iter(argv[1..].iter().cloned());
+    let args = Args::parse(TOOL, argv[1..].iter().cloned(), FLAGS);
     match command.as_str() {
         "matrix" => cmd_matrix(&args),
         "systematic" => cmd_systematic(scenario_cfg(&args), &args),

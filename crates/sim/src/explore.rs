@@ -32,7 +32,7 @@ pub struct Violation {
     /// What the oracle reported.
     pub message: String,
     /// Search strategy that found the schedule (`"random"`, `"dfs"`,
-    /// `"dpor"`, `"directed-dpor"`) — provenance for checkreport
+    /// `"dpor"`, `"directed-dpor"`) — provenance for run-report
     /// records and witness artifacts.
     pub strategy: &'static str,
     /// The full schedule record.

@@ -209,9 +209,10 @@ mod tests {
         .unwrap();
         tx.commit().unwrap();
         let timeouts = Arc::new(AtomicUsize::new(0));
-        let mk_worker = |first: i64, second: i64| {
+        let victims = timeouts.clone();
+        let mk_worker = move |first: i64, second: i64| {
             let db = db.clone();
-            let timeouts = timeouts.clone();
+            let timeouts = victims.clone();
             Box::new(move || {
                 let mut tx = db.txn().begin();
                 let a = tx.select_for_update("t", &feral_db::Predicate::eq(0, first));
@@ -224,15 +225,25 @@ mod tests {
                 }
             }) as Box<dyn FnOnce() + Send>
         };
-        // systematically search for the deadlocking interleaving
-        let outcome = explore_systematic(
-            || Trial {
-                workers: vec![mk_worker(1, 2), mk_worker(2, 1)],
-                check: Box::new(|| Ok(())),
-            },
-            5_000,
-        );
-        assert!(outcome.complete);
+        // systematically search for the deadlocking interleaving, on a
+        // thread of its own: were no victim ever chosen, a deadlocked
+        // schedule would spin for good, and the test fails at its
+        // deadline instead of hanging the suite
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = explore_systematic(
+                || Trial {
+                    workers: vec![mk_worker(1, 2), mk_worker(2, 1)],
+                    check: Box::new(|| Ok(())),
+                },
+                5_000,
+            );
+            let _ = done_tx.send(outcome.complete);
+        });
+        let complete = done
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the ABBA search did not finish in 60 s: no deadlock victim was chosen");
+        assert!(complete, "enumeration did not finish");
         // at least one schedule must have hit the ABBA deadlock and been
         // resolved by a victim timeout rather than hanging
         assert!(

@@ -171,6 +171,6 @@ fn main() {
         "  {rounds} rounds of destroy-vs-insert races left {orphans} orphaned employee(s)\n\
      \n  the feral `dependent: :destroy` cascade SELECTs the children it can\n\
        see and misses concurrent inserts; an in-database FOREIGN KEY (see\n\
-       `cargo run -p feral-bench --bin fig4`) admits zero."
+       `cargo run -p feral-bench -- fig4`) admits zero."
     );
 }

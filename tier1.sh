@@ -126,12 +126,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace --exclude proptest
 
 stanza "trace smoke gate (table1 --smoke)"
 # table1 self-validates the report (exits non-zero on schema or
-# histogram-integrity failure); re-check the artifact from the outside
-# too: parseable, non-zero commits, well-formed histograms, and at
-# least one explained race with a replayable witness.
+# histogram-integrity failure); `check` re-checks the artifact from the
+# outside too: parseable, non-zero commits, well-formed histograms, and
+# at least one explained race with a replayable witness.
 SMOKE_OUT=$(mktemp /tmp/BENCH_table1.XXXXXX.json)
-cargo run --release -q -p feral-bench --bin table1 -- --smoke --out "$SMOKE_OUT" > /dev/null
-cargo run --release -q -p feral-bench --bin checkreport -- "$SMOKE_OUT"
+cargo run --release -q -p feral-bench --bin feral-paper -- table1 --smoke --out "$SMOKE_OUT" > /dev/null
+cargo run --release -q -p feral-bench --bin feral-paper -- check "$SMOKE_OUT"
 rm -f "$SMOKE_OUT"
 
 stanza "certified isolation plan (feral-plan certify --validate)"
