@@ -15,15 +15,15 @@
 use feral_audit::{
     AuditMode, AuditSnapshot, Auditor, ReadRecord, ReadTarget, TxnFootprint, WriteRecord,
 };
-use feral_trace::json;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: feral-audit report (--in FILE | --demo) [--prom | --json] \
                      [--out PATH] [--validate] (--help for details)";
 
-/// The house `--help` text. The closing block must stay byte-identical
-/// to `feral_cli::STANDARD_FLAGS` — this binary cannot link feral-cli
-/// (dependency cycle), so the `cli_help` integration test pins it.
+/// The house `--help` text. This binary cannot link feral-cli
+/// (dependency cycle), so its closing block is a copy of what
+/// `feral_cli::render_help` prints for the standard flags the parser
+/// below matches; the `cli_help` integration test pins both.
 const HELP: &str = "feral-audit — render and validate saved runtime-audit snapshots
 
 Usage:
@@ -38,7 +38,7 @@ Standard flags:
   --json            emit machine-readable JSON
   --out PATH        write the artifact to PATH instead of stdout
   --validate        self-validate the artifact and exit nonzero on schema drift
-  --smoke           small fast run for CI gates (subset of --full)
+  --smoke           small fast run for CI gates
   --help            this text
 ";
 
@@ -78,7 +78,7 @@ fn main() -> ExitCode {
             "--prom" => format = "prom",
             "--json" => format = "json",
             "--validate" => validate = true,
-            "--smoke" => {} // accepted everywhere; this tool has no slow mode
+            "--smoke" => {} // this tool has no slow mode
             other => {
                 eprintln!("unknown argument '{other}'\n{USAGE}");
                 return ExitCode::FAILURE;
@@ -99,7 +99,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match load_snapshot(&text) {
+        match AuditSnapshot::from_json(&text) {
             Ok(snap) => snap,
             Err(err) => {
                 eprintln!("{path}: {err}");
@@ -108,7 +108,7 @@ fn main() -> ExitCode {
         }
     };
     if validate {
-        if let Err(err) = feral_audit::validate_audit_json(&snap.to_json()) {
+        if let Err(err) = AuditSnapshot::from_json(&snap.to_json()) {
             eprintln!("feral-audit: snapshot fails the export schema: {err}");
             return ExitCode::FAILURE;
         }
@@ -133,11 +133,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Parse a snapshot as [`AuditSnapshot::to_json`] writes it.
-fn load_snapshot(text: &str) -> Result<AuditSnapshot, String> {
-    AuditSnapshot::from_json(&json::parse(text)?)
 }
 
 /// Stage the paper's motivating race — two Read Committed signups

@@ -1,10 +1,10 @@
-//! Export surface: JSON snapshot, Prometheus text, human-readable
-//! rendering, and schema validation of the runtime auditor's snapshot
-//! (`Database::audit_snapshot`).
+//! Export surface of the runtime auditor's snapshot
+//! (`Database::audit_snapshot`): its JSON writer and the one reader
+//! beside it, Prometheus text, and a human-readable rendering.
 
-use crate::graph::AnomalyVerdict;
-use feral_trace::json::{self, escape, require, require_u64, Json};
-use feral_trace::report::escape_label;
+use crate::graph::{AnomalyVerdict, CycleEdge, EdgeKind};
+use feral_trace::escape_label;
+use feral_trace::json::{self, escape, require_arr, require_str, require_u64, Json};
 
 /// Per plan-cell audit counters in export form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,90 +97,60 @@ impl AuditSnapshot {
         out
     }
 
-    /// Rebuild a snapshot from validated JSON (the inverse of
-    /// [`AuditSnapshot::to_json`]); used by `feral-audit report` to
-    /// render saved snapshots. Call [`validate_audit`] first — this
-    /// assumes the schema already checked out.
-    pub fn from_json(doc: &Json) -> Result<AuditSnapshot, String> {
-        validate_audit(doc)?;
-        let u = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let mut cells = Vec::new();
-        for c in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
-            cells.push(CellAudit {
-                template: c
-                    .get("template")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                isolation: c
-                    .get("isolation")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                commits: c.get("commits").and_then(Json::as_u64).unwrap_or(0),
-                anomalies: c.get("anomalies").and_then(Json::as_u64).unwrap_or(0),
-            });
+    /// Read a snapshot as [`AuditSnapshot::to_json`] writes it (what
+    /// `feral-audit report --in` renders). Beyond structure this holds
+    /// the snapshot to its integrity claims: a mode
+    /// [`crate::AuditMode::parse`] knows, per-cell anomalies only with a
+    /// global cycle count, a retained verdict whenever cycles were
+    /// found, and every verdict a cycle of at least two transactions
+    /// with one edge per transaction, at least one rw edge, racing
+    /// endpoints drawn from the cycle, and non-empty templates and
+    /// cells.
+    pub fn from_json(text: &str) -> Result<AuditSnapshot, String> {
+        let doc = json::parse(text)?;
+        let ctx = "audit";
+        let mode = require_str(&doc, "mode", ctx)?.to_string();
+        if crate::AuditMode::parse(&mode).is_none() {
+            return Err(format!("audit: unknown mode '{mode}'"));
         }
-        let mut verdicts = Vec::new();
-        for v in doc.get("verdicts").and_then(Json::as_arr).unwrap_or(&[]) {
-            let racing = v.get("racing").and_then(Json::as_arr).unwrap_or(&[]);
-            let mut cycle = Vec::new();
-            for e in v.get("cycle").and_then(Json::as_arr).unwrap_or(&[]) {
-                let kind = match e.get("kind").and_then(Json::as_str) {
-                    Some("wr") => crate::graph::EdgeKind::WriteRead,
-                    Some("ww") => crate::graph::EdgeKind::WriteWrite,
-                    _ => crate::graph::EdgeKind::ReadWrite,
-                };
-                cycle.push(crate::graph::CycleEdge {
-                    from: e.get("from").and_then(Json::as_u64).unwrap_or(0),
-                    to: e.get("to").and_then(Json::as_u64).unwrap_or(0),
-                    kind,
-                });
-            }
-            let strings = |key: &str| -> Vec<String> {
-                v.get(key)
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            };
-            verdicts.push(AnomalyVerdict {
-                cycle,
-                txns: v
-                    .get("txns")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .collect(),
-                racing: (
-                    racing.first().and_then(Json::as_u64).unwrap_or(0),
-                    racing.get(1).and_then(Json::as_u64).unwrap_or(0),
-                ),
-                templates: strings("templates"),
-                cells: strings("cells"),
-                detected_at: v.get("detected_at").and_then(Json::as_u64).unwrap_or(0),
-            });
-        }
-        Ok(AuditSnapshot {
-            mode: doc
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("off")
-                .to_string(),
-            footprints: u("footprints"),
-            edges: u("edges"),
-            cycles: u("cycles"),
-            drops: u("drops"),
-            gc_reclaims: u("gc_reclaims"),
-            window_depth: u("window_depth"),
-            window_peak: u("window_peak"),
-            watermark: u("watermark"),
+        let cells = require_arr(&doc, "cells", ctx)?
+            .iter()
+            .map(|c| {
+                let template = require_str(c, "template", "audit cell")?.to_string();
+                let cctx = format!("audit cell '{template}'");
+                Ok(CellAudit {
+                    isolation: require_str(c, "isolation", &cctx)?.into(),
+                    commits: require_u64(c, "commits", &cctx)?,
+                    anomalies: require_u64(c, "anomalies", &cctx)?,
+                    template,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let verdicts = require_arr(&doc, "verdicts", ctx)?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| read_verdict(v, &format!("audit verdict #{i}")))
+            .collect::<Result<Vec<_>, String>>()?;
+        let snap = AuditSnapshot {
+            mode,
+            footprints: require_u64(&doc, "footprints", ctx)?,
+            edges: require_u64(&doc, "edges", ctx)?,
+            cycles: require_u64(&doc, "cycles", ctx)?,
+            drops: require_u64(&doc, "drops", ctx)?,
+            gc_reclaims: require_u64(&doc, "gc_reclaims", ctx)?,
+            window_depth: require_u64(&doc, "window_depth", ctx)?,
+            window_peak: require_u64(&doc, "window_peak", ctx)?,
+            watermark: require_u64(&doc, "watermark", ctx)?,
             cells,
             verdicts,
-        })
+        };
+        if snap.cycles == 0 && snap.cells.iter().any(|c| c.anomalies > 0) {
+            return Err("audit: cells carry anomalies but 'cycles' is 0".into());
+        }
+        if snap.cycles > 0 && snap.verdicts.is_empty() {
+            return Err("audit: cycles found but no verdict retained".into());
+        }
+        Ok(snap)
     }
 
     /// Prometheus text exposition of the audit surface, with
@@ -358,121 +328,75 @@ fn verdict_json(v: &AnomalyVerdict) -> String {
     out
 }
 
-/// Schema-check a serialised [`AuditSnapshot`] (an already-parsed JSON
-/// value). Beyond structure this enforces the snapshot's integrity
-/// claims: per-cell anomaly counts require a matching global cycle
-/// count, every verdict's cycle has at least two distinct
-/// transactions, at least one rw edge, and racing endpoints drawn
-/// from the cycle.
-pub fn validate_audit(doc: &Json) -> Result<(), String> {
-    let ctx = "audit";
-    let mode = require(doc, "mode", ctx)?
-        .as_str()
-        .ok_or("audit: 'mode' is not a string")?;
-    if crate::AuditMode::parse(mode).is_none() {
-        return Err(format!("audit: unknown mode '{mode}'"));
+fn read_verdict(v: &Json, ctx: &str) -> Result<AnomalyVerdict, String> {
+    let txns = require_arr(v, "txns", ctx)?
+        .iter()
+        .map(|t| t.as_u64().ok_or(format!("{ctx}: txn id is not an integer")))
+        .collect::<Result<Vec<_>, _>>()?;
+    if txns.len() < 2 {
+        return Err(format!("{ctx}: cycle names fewer than two txns"));
     }
-    for key in [
-        "footprints",
-        "edges",
-        "cycles",
-        "drops",
-        "gc_reclaims",
-        "window_depth",
-        "window_peak",
-        "watermark",
-    ] {
-        require_u64(doc, key, ctx)?;
-    }
-    let cycles = require_u64(doc, "cycles", ctx)?;
-    let cells = require(doc, "cells", ctx)?
-        .as_arr()
-        .ok_or("audit: 'cells' is not an array")?;
-    let mut cell_anomalies = 0u64;
-    for c in cells {
-        let t = require(c, "template", "audit cell")?
-            .as_str()
-            .ok_or("audit cell: 'template' is not a string")?;
-        require(c, "isolation", &format!("audit cell '{t}'"))?
-            .as_str()
-            .ok_or(format!("audit cell '{t}': 'isolation' is not a string"))?;
-        require_u64(c, "commits", &format!("audit cell '{t}'"))?;
-        cell_anomalies += require_u64(c, "anomalies", &format!("audit cell '{t}'"))?;
-    }
-    if cell_anomalies > 0 && cycles == 0 {
-        return Err("audit: cells carry anomalies but 'cycles' is 0".into());
-    }
-    let verdicts = require(doc, "verdicts", ctx)?
-        .as_arr()
-        .ok_or("audit: 'verdicts' is not an array")?;
-    if cycles > 0 && verdicts.is_empty() {
-        return Err("audit: cycles found but no verdict retained".into());
-    }
-    for (i, v) in verdicts.iter().enumerate() {
-        let vctx = format!("audit verdict #{i}");
-        require_u64(v, "detected_at", &vctx)?;
-        let racing = require(v, "racing", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'racing' is not an array"))?;
-        if racing.len() != 2 {
-            return Err(format!("{vctx}: racing pair must have two txns"));
-        }
-        let txns = require(v, "txns", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'txns' is not an array"))?;
-        let ids: Vec<u64> = txns.iter().filter_map(|t| t.as_u64()).collect();
-        if ids.len() < 2 {
-            return Err(format!("{vctx}: cycle names fewer than two txns"));
-        }
-        for r in racing {
+    let racing = require_arr(v, "racing", ctx)?
+        .iter()
+        .map(|r| {
             let r = r
                 .as_u64()
-                .ok_or(format!("{vctx}: racing txn is not an integer"))?;
-            if !ids.contains(&r) {
-                return Err(format!("{vctx}: racing txn {r} not on the cycle"));
+                .ok_or(format!("{ctx}: racing txn is not an integer"))?;
+            if txns.contains(&r) {
+                Ok(r)
+            } else {
+                Err(format!("{ctx}: racing txn {r} not on the cycle"))
             }
-        }
-        let cycle = require(v, "cycle", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'cycle' is not an array"))?;
-        if cycle.len() != ids.len() {
-            return Err(format!("{vctx}: cycle edge count != txn count"));
-        }
-        let mut has_rw = false;
-        for e in cycle {
-            require_u64(e, "from", &vctx)?;
-            require_u64(e, "to", &vctx)?;
-            let kind = require(e, "kind", &vctx)?
-                .as_str()
-                .ok_or(format!("{vctx}: edge 'kind' is not a string"))?;
-            if !["wr", "ww", "rw"].contains(&kind) {
-                return Err(format!("{vctx}: unknown edge kind '{kind}'"));
-            }
-            has_rw |= kind == "rw";
-        }
-        if !has_rw {
-            return Err(format!(
-                "{vctx}: cycle has no rw anti-dependency (impossible in this engine)"
-            ));
-        }
-        for key in ["templates", "cells"] {
-            let arr = require(v, key, &vctx)?
-                .as_arr()
-                .ok_or(format!("{vctx}: '{key}' is not an array"))?;
-            if arr.is_empty() {
-                return Err(format!("{vctx}: '{key}' is empty"));
-            }
-        }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let [reader, writer] = racing[..] else {
+        return Err(format!("{ctx}: racing pair must have two txns"));
+    };
+    let cycle = require_arr(v, "cycle", ctx)?
+        .iter()
+        .map(|e| {
+            let kind = match require_str(e, "kind", ctx)? {
+                "wr" => EdgeKind::WriteRead,
+                "ww" => EdgeKind::WriteWrite,
+                "rw" => EdgeKind::ReadWrite,
+                other => return Err(format!("{ctx}: unknown edge kind '{other}'")),
+            };
+            Ok(CycleEdge {
+                from: require_u64(e, "from", ctx)?,
+                to: require_u64(e, "to", ctx)?,
+                kind,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if cycle.len() != txns.len() {
+        return Err(format!("{ctx}: cycle edge count != txn count"));
     }
-    Ok(())
-}
-
-/// Parse and validate a serialised [`AuditSnapshot`]; returns the
-/// parsed document.
-pub fn validate_audit_json(text: &str) -> Result<Json, String> {
-    let doc = json::parse(text)?;
-    validate_audit(&doc)?;
-    Ok(doc)
+    if !cycle.iter().any(|e| e.kind == EdgeKind::ReadWrite) {
+        return Err(format!(
+            "{ctx}: cycle has no rw anti-dependency (impossible in this engine)"
+        ));
+    }
+    let strings = |key: &str| -> Result<Vec<String>, String> {
+        let arr = require_arr(v, key, ctx)?;
+        if arr.is_empty() {
+            return Err(format!("{ctx}: '{key}' is empty"));
+        }
+        arr.iter()
+            .map(|s| {
+                s.as_str()
+                    .map(str::to_string)
+                    .ok_or(format!("{ctx}: '{key}' entry is not a string"))
+            })
+            .collect()
+    };
+    Ok(AnomalyVerdict {
+        cycle,
+        txns,
+        racing: (reader, writer),
+        templates: strings("templates")?,
+        cells: strings("cells")?,
+        detected_at: require_u64(v, "detected_at", ctx)?,
+    })
 }
 
 #[cfg(test)]
@@ -522,9 +446,18 @@ mod tests {
     #[test]
     fn snapshot_json_roundtrips_through_validation() {
         let snap = sample();
-        let doc = validate_audit_json(&snap.to_json()).expect("valid");
-        assert_eq!(doc.get("cycles").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("mode").unwrap().as_str(), Some("full"),);
+        let text = snap.to_json();
+        let read = AuditSnapshot::from_json(&text).expect("valid");
+        assert_eq!(read, snap);
+        assert_eq!(read.to_json(), text);
+    }
+
+    /// Asserts the reader refuses `snap`'s JSON with an error naming `want`.
+    fn assert_refused(snap: &AuditSnapshot, want: &str) {
+        match AuditSnapshot::from_json(&snap.to_json()) {
+            Ok(_) => panic!("the reader accepted it; wanted '{want}'"),
+            Err(e) => assert!(e.contains(want), "{e}"),
+        }
     }
 
     #[test]
@@ -533,8 +466,7 @@ mod tests {
         for e in &mut snap.verdicts[0].cycle {
             e.kind = EdgeKind::WriteWrite;
         }
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
-        assert!(err.contains("no rw"), "{err}");
+        assert_refused(&snap, "no rw");
     }
 
     #[test]
@@ -542,16 +474,149 @@ mod tests {
         let mut snap = sample();
         snap.cycles = 0;
         snap.verdicts.clear();
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
-        assert!(err.contains("anomalies"), "{err}");
+        assert_refused(&snap, "cells carry anomalies but 'cycles' is 0");
     }
 
     #[test]
     fn validation_rejects_offcycle_racing_txn() {
         let mut snap = sample();
         snap.verdicts[0].racing = (3, 99);
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
-        assert!(err.contains("not on the cycle"), "{err}");
+        assert_refused(&snap, "racing txn 99 not on the cycle");
+    }
+
+    /// Every other document the reader refuses, each with the words its
+    /// refusal must contain. Each case edits one field of `sample()`,
+    /// in the snapshot or in its JSON text.
+    #[test]
+    fn from_json_refuses_every_malformed_snapshot() {
+        type Edit = fn(&mut AuditSnapshot);
+        let snapshot_cases: [(&str, Edit, &str); 6] = [
+            (
+                "unknown mode",
+                |s| s.mode = "bogus".into(),
+                "unknown mode 'bogus'",
+            ),
+            (
+                "cycles without a verdict",
+                |s| s.verdicts.clear(),
+                "no verdict retained",
+            ),
+            (
+                "a one-transaction cycle",
+                |s| s.verdicts[0].txns.truncate(1),
+                "fewer than two txns",
+            ),
+            (
+                "fewer edges than txns",
+                |s| {
+                    s.verdicts[0].cycle.pop();
+                },
+                "cycle edge count != txn count",
+            ),
+            (
+                "no templates",
+                |s| s.verdicts[0].templates.clear(),
+                "'templates' is empty",
+            ),
+            (
+                "no cells",
+                |s| s.verdicts[0].cells.clear(),
+                "'cells' is empty",
+            ),
+        ];
+        let text_cases: [(&str, &str, &str, &str); 14] = [
+            ("not json", "{", "{{", ""),
+            ("no mode", "\"mode\": \"full\",", "", "missing key 'mode'"),
+            (
+                "mode not a string",
+                "\"mode\": \"full\"",
+                "\"mode\": 3",
+                "'mode' is not a string",
+            ),
+            (
+                "no counter",
+                "\"footprints\": 10,",
+                "",
+                "missing key 'footprints'",
+            ),
+            (
+                "negative counter",
+                "\"edges\": 7",
+                "\"edges\": -7",
+                "'edges' is not a non-negative integer",
+            ),
+            (
+                "cells not an array",
+                "  \"cells\": [",
+                "  \"cells\": {}, \"old\": [",
+                "'cells' is not an array",
+            ),
+            (
+                "template not a string",
+                "\"template\": ",
+                "\"template\": 5, \"old\": ",
+                "'template' is not a string",
+            ),
+            (
+                "cell without isolation",
+                "\"isolation\": \"read-committed\", ",
+                "",
+                "missing key 'isolation'",
+            ),
+            (
+                "cell without commits",
+                "\"commits\": 9, ",
+                "",
+                "missing key 'commits'",
+            ),
+            (
+                "no verdicts",
+                "\"verdicts\"",
+                "\"old\"",
+                "missing key 'verdicts'",
+            ),
+            (
+                "verdict without detection",
+                "\"detected_at\": 17, ",
+                "",
+                "missing key 'detected_at'",
+            ),
+            (
+                "three racing txns",
+                "\"racing\": [3, 4]",
+                "\"racing\": [3, 4, 3]",
+                "racing pair must have two txns",
+            ),
+            (
+                "unknown edge kind",
+                "\"kind\": \"rw\"",
+                "\"kind\": \"xx\"",
+                "unknown edge kind 'xx'",
+            ),
+            (
+                "edge without a source",
+                "{\"from\": 3, ",
+                "{",
+                "missing key 'from'",
+            ),
+        ];
+        let mut cases: Vec<(&str, String, &str)> = Vec::new();
+        for (name, edit, want) in snapshot_cases {
+            let mut snap = sample();
+            edit(&mut snap);
+            cases.push((name, snap.to_json(), want));
+        }
+        for (name, from, to, want) in text_cases {
+            let text = sample().to_json();
+            assert!(text.contains(from), "{name}: `{from}` not in the sample");
+            cases.push((name, text.replacen(from, to, 1), want));
+        }
+        for (name, text, want) in cases {
+            match AuditSnapshot::from_json(&text) {
+                Ok(_) => panic!("{name}: the reader accepted it"),
+                Err(e) => assert!(e.contains(want), "{name}: {e}"),
+            }
+        }
     }
 
     #[test]

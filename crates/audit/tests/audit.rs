@@ -84,8 +84,9 @@ fn write_skew_produces_an_anomaly_verdict() {
         v.cells,
         vec!["test-template@snapshot-isolation".to_string()]
     );
-    // The serialised snapshot round-trips through schema validation.
-    feral_audit::validate_audit_json(&snap.to_json()).expect("snapshot validates");
+    // The serialised snapshot reads back as written.
+    let read = feral_audit::AuditSnapshot::from_json(&snap.to_json()).expect("snapshot validates");
+    assert_eq!(read, snap);
 }
 
 /// A serializable-looking history (each txn reads the latest committed
@@ -281,4 +282,19 @@ proptest! {
         // GC may skip edges into reclaimed nodes, never add new ones.
         prop_assert!(sg.edges <= sp.edges);
     }
+}
+
+/// The binary's `--demo` snapshot reads back as written. `to_json`
+/// writes every field, so text that survives `to_json(from_json(_))`
+/// unchanged is a snapshot that survives `from_json(to_json(_))`.
+#[test]
+fn the_demo_snapshot_reads_back_as_written() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_feral-audit"))
+        .args(["report", "--demo", "--json"])
+        .output()
+        .expect("run feral-audit report --demo --json");
+    let text = String::from_utf8(out.stdout).expect("utf-8 snapshot");
+    let snap = feral_audit::AuditSnapshot::from_json(&text).expect("the demo snapshot reads back");
+    assert_eq!(snap.cycles, 1, "the demo stages one race");
+    assert_eq!(format!("{}\n", snap.to_json()), text);
 }

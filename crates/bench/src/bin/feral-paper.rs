@@ -16,12 +16,13 @@
 //!
 //! `table1` also runs the trace-instrumented uniqueness cells and writes
 //! the machine-readable run report (`BENCH_table1.json`, or `--out`;
-//! Prometheus text with `--prom`); `check` gates such a report from the
-//! outside via [`feral_bench::checkgate`].
+//! Prometheus text with `--prom`), once it reads back through
+//! [`RunReport::from_json`]; `check` runs that same reader over a saved
+//! report.
 
 use feral_bench::apps::{Enforcement, ExperimentEnv};
 use feral_bench::association::{association_stress, association_workload};
-use feral_bench::checkgate::check_report_file;
+use feral_bench::report::RunReport;
 use feral_bench::trace_report::{run_trace_cells, CellShape, CELL_GRID};
 use feral_bench::uniqueness::{uniqueness_stress, uniqueness_workload};
 use feral_bench::{mean_std, print_table};
@@ -95,27 +96,40 @@ fn help() -> String {
     feral_cli::render_help(
         TOOL,
         "regenerate the paper's tables and figures",
-        "  feral-paper <command> [--smoke | --full]\n\
-         \x20 feral-paper table1 [--out PATH] [--prom PATH]\n\
-         \x20 feral-paper fig2 [--isolation LEVEL] [--pg-ssi-bug]\n\
+        "  feral-paper <command> [flags]\n\
          \x20 feral-paper check REPORT.json\n\
-         \nCommands:\n\
+         \nCommands (each with the flags it reads):\n\
          \x20 table1      Table 1: validator usage, I-confluence, run report\n\
+         \x20               --smoke --full --out PATH --prom PATH\n\
          \x20 table2      Table 2: the per-application survey and its averages\n\
+         \x20               --smoke --full\n\
          \x20 fig1        Figure 1: per-application mechanism usage\n\
+         \x20               --smoke --full\n\
          \x20 fig2        Figure 2: uniqueness stress\n\
+         \x20               --smoke --full --isolation LEVEL --pg-ssi-bug\n\
          \x20 fig3        Figure 3: uniqueness workload across key distributions\n\
+         \x20               --smoke --full\n\
          \x20 fig4        Figure 4: association stress\n\
+         \x20               --smoke --full\n\
          \x20 fig5        Figure 5: association workload vs #departments\n\
+         \x20               --smoke --full\n\
          \x20 fig6        Figure 6: longitudinal mechanism history\n\
+         \x20               --smoke --full\n\
          \x20 fig7        Figure 7: authorship CDFs\n\
+         \x20               --smoke --full\n\
          \x20 frameworks  Section 6: cross-framework survey, executed\n\
+         \x20               --smoke --full\n\
          \x20 ablation    Section 7: feral vs in-DB vs domesticated\n\
-         \x20 check       gate a table1 run report from the outside\n",
-        "  --full            the paper's sizes (Figures 2-5; the rest run at the default)\n\
-         \x20 --prom PATH       table1: also write the report as Prometheus text\n\
+         \x20               --smoke --full\n\
+         \x20 check       gate a table1 run report\n",
+        "  --smoke           small and fast, for tests and CI\n\
+         \x20 --full            the paper's sizes (Figures 2-5; the rest run at the default)\n\
+         \x20 --out PATH        where table1 writes its run report (default BENCH_table1.json)\n\
+         \x20 --prom PATH       also write table1's report as Prometheus text\n\
          \x20 --isolation L     fig2: read-committed|repeatable-read|snapshot|serializable\n\
          \x20 --pg-ssi-bug      fig2: reproduce PostgreSQL bug #11732 under serializable\n",
+        // each command's flags are listed under it
+        &[],
     )
 }
 
@@ -159,11 +173,15 @@ fn check(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         die(TOOL, CHECK_USAGE)
     };
-    match check_report_file(path) {
-        Ok(s) => {
+    let read = std::fs::read_to_string(path)
+        .map_err(|e| format!("reading {path}: {e}"))
+        .and_then(|text| RunReport::from_json(&text).map_err(|e| format!("{path}: {e}")));
+    match read {
+        Ok(report) => {
             println!(
                 "check: {path} OK ({} cells, {} witnessed provenance records)",
-                s.cells, s.witnessed
+                report.cells.len(),
+                report.witnessed()
             );
             ExitCode::SUCCESS
         }
@@ -382,8 +400,8 @@ fn table1(args: &Args, size: Size) {
     );
 
     let json = report.to_json();
-    if let Err(e) = feral_trace::report::validate_report(&json) {
-        eprintln!("generated run report failed self-validation: {e}");
+    if let Err(e) = RunReport::from_json(&json) {
+        eprintln!("generated run report fails its own reader: {e}");
         std::process::exit(feral_cli::EXIT_DEVIATION.into());
     }
     let out = args.get_str("out").unwrap_or("BENCH_table1.json");

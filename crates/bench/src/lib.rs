@@ -7,7 +7,7 @@
 //!
 //! | Command | Regenerates |
 //! |---|---|
-//! | `table1` | Table 1 (validator usage + I-confluence verdicts) and the `BENCH_table1.json` run report |
+//! | `table1` | Table 1 (validator usage + I-confluence verdicts) and the `BENCH_table1.json` run report ([`report`], [`trace_report`]) |
 //! | `table2` | Table 2 (per-app survey + aggregates) |
 //! | `fig1` | Figure 1 (per-app mechanism-usage series) |
 //! | `fig2` | Figure 2 (uniqueness stress) |
@@ -18,13 +18,15 @@
 //! | `fig7` | Figure 7 (authorship CDFs) |
 //! | `frameworks` | Section 6 (cross-framework survey, executed) |
 //! | `ablation` | Section 7 (feral vs in-DB vs domesticated) |
-//! | `check` | gates a `table1` run report from the outside ([`checkgate`]) |
+//! | `check` | reads back and gates a saved `table1` run report ([`report::RunReport::from_json`]) |
 
 #![warn(missing_docs)]
 
 pub mod apps;
 pub mod association;
-pub mod checkgate;
+mod checkgate;
+pub mod provenance;
+pub mod report;
 pub mod trace_report;
 pub mod uniqueness;
 

@@ -5,16 +5,12 @@
 //! transactions both run the validation probe (`SELECT … LIMIT 1`)
 //! *before* either has written, so both probes pass and both writes
 //! land. Given the recorded [`EventKind::UniqueProbe`] and
-//! [`EventKind::SaveWrite`] events for one key, provenance analysis
+//! [`EventKind::SaveWrite`] events for one key, [`explain_duplicate`]
 //! finds a pair whose probe→write windows overlap and reports exactly
 //! which worker/transaction pair raced and how wide the window was.
-//!
-//! This crate cannot depend on `feral-sim` (the engine depends on this
-//! crate), so the replayable witness is carried as pre-rendered
-//! strings; `feral-bench` fills it in from a real
-//! `feral_sim::scenarios::ScenarioSpec`.
+//! The records travel in the table1 run report ([`crate::report`]).
 
-use crate::event::{Event, EventKind};
+use feral_trace::{fnv64, Event, EventKind};
 
 /// One side of a racing pair: where its probe and its write landed in
 /// the global event order.
@@ -34,8 +30,9 @@ pub struct RacingTxn {
     pub write_ts: u64,
 }
 
-/// A replayable `feral-sim` witness, pre-rendered to strings (this
-/// crate sits below `feral-sim` in the dependency order).
+/// A replayable `feral-sim` witness as the run report records it:
+/// pre-rendered strings, so the report reads back without the
+/// simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     /// Scenario label, e.g. `uniqueness/read-committed/feral/2w`.
@@ -56,11 +53,11 @@ pub struct Witness {
 /// transactions raced, and (once attached) a simulator witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenanceRecord {
-    /// Anomaly class: `duplicate-key` or `orphaned-row`.
+    /// Anomaly class (`duplicate-key`).
     pub anomaly: String,
     /// Table the anomaly materialised in.
     pub table: String,
-    /// The duplicated key value (or orphaned foreign key).
+    /// The duplicated key value.
     pub key: String,
     /// `fnv64` of `key` — matches the event payloads.
     pub key_hash: u64,
@@ -69,7 +66,7 @@ pub struct ProvenanceRecord {
     /// Width of the race window: first write minus second probe
     /// (the span in which both validations had already passed).
     pub overlap_nanos: u64,
-    /// Replayable simulator witness (attached by the bench layer).
+    /// Replayable simulator witness (attached by `trace_report`).
     pub witness: Option<Witness>,
     /// Rendered flight-recorder tail captured when the oracle fired.
     pub flight: Vec<String>,
@@ -83,20 +80,14 @@ struct Span {
     write: Option<(u64, u64)>,
 }
 
-fn collect_spans(
-    events: &[Event],
-    key_hash: u64,
-    table_hash: u64,
-    probe_kind: EventKind,
-    write_kind: EventKind,
-) -> Vec<Span> {
+fn collect_spans(events: &[Event], key_hash: u64, table_hash: u64) -> Vec<Span> {
     let mut spans: Vec<Span> = Vec::new();
     for e in events {
         if e.a != key_hash || e.b != table_hash {
             continue;
         }
-        let is_probe = e.kind == probe_kind;
-        let is_write = e.kind == write_kind;
+        let is_probe = e.kind == EventKind::UniqueProbe;
+        let is_write = e.kind == EventKind::SaveWrite;
         if !is_probe && !is_write {
             continue;
         }
@@ -125,30 +116,17 @@ fn collect_spans(
     spans
 }
 
-/// Walk a flight-recorder dump and explain one anomaly on `key` in
-/// `table`: find two transactions whose probe→write windows overlap
-/// (the second probed before the first wrote). Returns `None` when the
+/// Walk a flight-recorder dump and explain a duplicate `key` in
+/// `table`: find two saves of it whose probe→write windows overlap (the
+/// second probed before the first wrote). Returns `None` when the
 /// recorded tail no longer contains both sides of the race.
-///
-/// `probe_kind`/`write_kind` select the race shape:
-/// [`EventKind::UniqueProbe`] vs [`EventKind::SaveWrite`] for duplicate
-/// keys, [`EventKind::UniqueProbe`] vs [`EventKind::DestroyCascade`]
-/// for orphaned rows (presence probe racing a cascading delete).
-pub fn explain_race(
-    events: &[Event],
-    anomaly: &str,
-    table: &str,
-    key: &str,
-    probe_kind: EventKind,
-    write_kind: EventKind,
-) -> Option<ProvenanceRecord> {
-    let key_hash = crate::event::fnv64(key.as_bytes());
-    let table_hash = crate::event::fnv64(table.as_bytes());
-    let mut complete: Vec<Span> =
-        collect_spans(events, key_hash, table_hash, probe_kind, write_kind)
-            .into_iter()
-            .filter(|s| s.probe.is_some() && s.write.is_some())
-            .collect();
+pub fn explain_duplicate(events: &[Event], table: &str, key: &str) -> Option<ProvenanceRecord> {
+    let key_hash = fnv64(key.as_bytes());
+    let table_hash = fnv64(table.as_bytes());
+    let mut complete: Vec<Span> = collect_spans(events, key_hash, table_hash)
+        .into_iter()
+        .filter(|s| s.probe.is_some() && s.write.is_some())
+        .collect();
     complete.sort_by_key(|s| s.write.unwrap().0);
 
     // Find the first pair (i < j in write order) where j's probe ran
@@ -168,7 +146,7 @@ pub fn explain_race(
                     write_ts: s.write.unwrap().1,
                 };
                 return Some(ProvenanceRecord {
-                    anomaly: anomaly.to_string(),
+                    anomaly: "duplicate-key".to_string(),
                     table: table.to_string(),
                     key: key.to_string(),
                     key_hash,
@@ -183,36 +161,9 @@ pub fn explain_race(
     None
 }
 
-/// [`explain_race`] specialised to duplicate keys: two saves of the
-/// same uniqueness-validated value whose probe→write windows overlap.
-pub fn explain_duplicate(events: &[Event], table: &str, key: &str) -> Option<ProvenanceRecord> {
-    explain_race(
-        events,
-        "duplicate-key",
-        table,
-        key,
-        EventKind::UniqueProbe,
-        EventKind::SaveWrite,
-    )
-}
-
-/// [`explain_race`] specialised to orphaned rows: a presence probe
-/// racing a cascading destroy of the parent row.
-pub fn explain_orphan(events: &[Event], table: &str, key: &str) -> Option<ProvenanceRecord> {
-    explain_race(
-        events,
-        "orphaned-row",
-        table,
-        key,
-        EventKind::UniqueProbe,
-        EventKind::DestroyCascade,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::fnv64;
 
     fn event(seq: u64, worker: u64, txn: u64, kind: EventKind, key: &str, table: &str) -> Event {
         Event {
@@ -266,27 +217,5 @@ mod tests {
             event(4, 1, 1, EventKind::SaveWrite, "k", "t"),
         ];
         assert!(explain_duplicate(&events, "t", "k").is_none());
-    }
-
-    #[test]
-    fn orphan_shape_uses_destroy_cascade() {
-        // Child-inserter probes the parent, destroyer cascades before
-        // the probe's transaction writes — the probe raced the destroy.
-        let events = vec![
-            event(1, 2, 9, EventKind::UniqueProbe, "42", "users"),
-            event(2, 1, 8, EventKind::DestroyCascade, "42", "users"),
-            event(3, 2, 9, EventKind::DestroyCascade, "42", "users"),
-        ];
-        // Need both a probe and a "write" from each side for a pair;
-        // the destroyer has no probe, so this tail alone is not enough.
-        assert!(explain_orphan(&events, "users", "42").is_none());
-        // With both sides complete it is.
-        let events = vec![
-            event(1, 1, 8, EventKind::UniqueProbe, "42", "users"),
-            event(2, 2, 9, EventKind::UniqueProbe, "42", "users"),
-            event(3, 1, 8, EventKind::DestroyCascade, "42", "users"),
-            event(4, 2, 9, EventKind::DestroyCascade, "42", "users"),
-        ];
-        assert!(explain_orphan(&events, "users", "42").is_some());
     }
 }

@@ -1,30 +1,36 @@
-//! Run-report exporters: the machine-readable artifact every
-//! experiment run leaves behind.
+//! The table1 run report (`BENCH_table1.json`): its one writer and its
+//! one reader, side by side; the reader ends in the gate
+//! (`checkgate.rs`).
 //!
 //! A [`RunReport`] is a list of experiment cells, each carrying its
 //! workload shape, anomaly counts, a windowed engine-stats diff,
 //! per-phase latency histogram summaries, and any anomaly provenance
-//! records. Two wire formats:
+//! records ([`crate::provenance`]). Two wire formats:
 //!
-//! - **JSON** ([`RunReport::to_json`]): written as `BENCH_table1.json`
-//!   by the table1 bench; [`validate_report`] re-parses and
-//!   schema-checks a document (used by the tier-1 smoke gate and the
-//!   golden-report test).
+//! - **JSON** ([`RunReport::to_json`]): written by `feral-paper table1`;
+//!   [`RunReport::from_json`] reads it back. The reader rebuilds every
+//!   histogram from its buckets and refuses a claimed mean or quantile
+//!   that does not recompute, then applies the gate: every cell exports exactly
+//!   the engine's counters and committed work, and at least one
+//!   provenance record carries a replayable witness. `table1` reads its
+//!   own output back before writing it, and `feral-paper check` runs the
+//!   same reader over a saved file.
 //! - **Prometheus text** ([`RunReport::to_prometheus`]): counters and
 //!   latency summaries, one labelled series per cell.
 //!
 //! 64-bit hashes are emitted as hex *strings* — the JSON number path
 //! is `f64` and would silently lose precision above 2^53.
 
-use crate::hist::HistogramSnapshot;
-use crate::json::{self, require, require_u64, Json};
-use crate::provenance::ProvenanceRecord;
+use crate::provenance::{ProvenanceRecord, RacingTxn, Witness};
+use feral_trace::escape_label;
+use feral_trace::json::{self, require, require_arr, require_str, require_u64, Json};
+use feral_trace::HistogramSnapshot;
 
 /// Report schema version (bump on breaking JSON shape changes).
 pub const REPORT_VERSION: u64 = 1;
 
 /// One experiment cell: a workload run under one configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// Human label, e.g. `read-committed/feral`.
     pub label: String,
@@ -44,7 +50,8 @@ pub struct CellReport {
     pub rows: u64,
     /// Requests rejected by validation/constraints.
     pub rejected: u64,
-    /// Windowed engine-stats diff, `(counter name, delta)` pairs.
+    /// Windowed engine-stats diff, `(counter name, delta)` pairs in
+    /// [`feral_db::StatsSnapshot::fields`] order.
     pub stats: Vec<(String, u64)>,
     /// Per-phase latency histograms, `(phase name, snapshot)` pairs.
     pub histograms: Vec<(String, HistogramSnapshot)>,
@@ -53,7 +60,7 @@ pub struct CellReport {
 }
 
 /// A full run report: metadata plus one entry per cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Report name, e.g. `table1`.
     pub report: String,
@@ -223,6 +230,39 @@ impl RunReport {
         out
     }
 
+    /// Read a report as [`RunReport::to_json`] writes it, then gate it.
+    /// Refuses a document that is malformed, names an unknown schema
+    /// version or no cells, carries a histogram whose buckets do not
+    /// sum to its count or whose claimed mean or quantiles do not
+    /// recompute from its buckets, or a provenance record with fewer than two
+    /// racing transactions or an empty replay command; and refuses a
+    /// well-formed report that fails the gate: a cell whose counters
+    /// are not exactly [`feral_db::StatsSnapshot::fields`], a cell that committed
+    /// nothing, or no witnessed provenance record anywhere.
+    pub fn from_json(text: &str) -> Result<RunReport, String> {
+        let doc = json::parse(text)?;
+        let version = require_u64(&doc, "version", "report")?;
+        if version != REPORT_VERSION {
+            return Err(format!(
+                "report: unsupported version {version} (expected {REPORT_VERSION})"
+            ));
+        }
+        let cells = require_arr(&doc, "cells", "report")?;
+        if cells.is_empty() {
+            return Err("report: no cells".into());
+        }
+        let report = RunReport {
+            report: require_str(&doc, "report", "report")?.into(),
+            smoke: require(&doc, "smoke", "report")?
+                .as_bool()
+                .ok_or("report: 'smoke' is not a boolean")?,
+            seed: require_u64(&doc, "seed", "report")?,
+            cells: cells.iter().map(read_cell).collect::<Result<_, _>>()?,
+        };
+        report.gate()?;
+        Ok(report)
+    }
+
     /// Serialise to Prometheus text exposition format: anomaly and
     /// engine counters plus latency summaries, one labelled series per
     /// cell. Every metric carries `# HELP`/`# TYPE` headers and label
@@ -295,36 +335,60 @@ impl RunReport {
     }
 }
 
-/// Escape a Prometheus label value: backslash, double-quote, and
-/// line-feed must be backslash-escaped per the text exposition format.
-pub fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
+/// The members of object `key` of `obj`, in document order.
+fn require_obj<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j [(String, Json)], String> {
+    match require(obj, key, ctx)? {
+        Json::Obj(pairs) => Ok(pairs),
+        _ => Err(format!("{ctx}: '{key}' is not an object")),
     }
-    out
 }
 
-fn require_str<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j str, String> {
-    require(obj, key, ctx)?
-        .as_str()
-        .ok_or(format!("{ctx}: '{key}' is not a string"))
+fn read_cell(cell: &Json) -> Result<CellReport, String> {
+    let label = require_str(cell, "label", "cell")?.to_string();
+    let ctx = format!("cell '{label}'");
+    let stats = require_obj(cell, "stats", &ctx)?
+        .iter()
+        .map(|(name, v)| {
+            v.as_u64()
+                .map(|v| (name.clone(), v))
+                .ok_or(format!("{ctx}: stat '{name}' is not an integer"))
+        })
+        .collect::<Result<_, _>>()?;
+    let histograms = require_obj(cell, "histograms", &ctx)?
+        .iter()
+        .map(|(name, h)| {
+            Ok((
+                name.clone(),
+                read_histogram(h, &format!("{ctx} histogram '{name}'"))?,
+            ))
+        })
+        .collect::<Result<_, String>>()?;
+    let provenance = require_arr(cell, "provenance", &ctx)?
+        .iter()
+        .map(|p| read_provenance(p, &format!("{ctx} provenance")))
+        .collect::<Result<_, _>>()?;
+    Ok(CellReport {
+        isolation: require_str(cell, "isolation", &ctx)?.into(),
+        enforcement: require_str(cell, "enforcement", &ctx)?.into(),
+        workers: require_u64(cell, "workers", &ctx)? as usize,
+        rounds: require_u64(cell, "rounds", &ctx)? as usize,
+        concurrent: require_u64(cell, "concurrent", &ctx)? as usize,
+        duplicates: require_u64(cell, "duplicates", &ctx)?,
+        rows: require_u64(cell, "rows", &ctx)?,
+        rejected: require_u64(cell, "rejected", &ctx)?,
+        label,
+        stats,
+        histograms,
+        provenance,
+    })
 }
 
-fn validate_histogram(h: &Json, ctx: &str) -> Result<(), String> {
+/// Rebuild a histogram from its sparse buckets; the claimed `mean`,
+/// `p50`, `p95` and `p99` must be what those buckets give.
+fn read_histogram(h: &Json, ctx: &str) -> Result<HistogramSnapshot, String> {
     let count = require_u64(h, "count", ctx)?;
-    let sum = require_u64(h, "sum", ctx)?;
-    let max = require_u64(h, "max", ctx)?;
-    let buckets = require(h, "buckets", ctx)?
-        .as_arr()
-        .ok_or(format!("{ctx}: 'buckets' is not an array"))?;
     let mut pairs = Vec::new();
-    for b in buckets {
+    for b in require_arr(h, "buckets", ctx)? {
         let pair = b
             .as_arr()
             .filter(|p| p.len() == 2)
@@ -337,150 +401,120 @@ fn validate_histogram(h: &Json, ctx: &str) -> Result<(), String> {
             .ok_or(format!("{ctx}: bucket count is not an integer"))?;
         pairs.push((idx as usize, c));
     }
-    let snap = HistogramSnapshot::from_sparse(&pairs, count, sum, max)
-        .map_err(|e| format!("{ctx}: {e}"))?;
+    let snap = HistogramSnapshot::from_sparse(
+        &pairs,
+        count,
+        require_u64(h, "sum", ctx)?,
+        require_u64(h, "max", ctx)?,
+    )
+    .map_err(|e| format!("{ctx}: {e}"))?;
     if !snap.well_formed() {
         return Err(format!(
             "{ctx}: bucket counts do not sum to 'count' ({count})"
         ));
     }
-    let (p50, p95, p99) = (
-        require_u64(h, "p50", ctx)?,
-        require_u64(h, "p95", ctx)?,
-        require_u64(h, "p99", ctx)?,
-    );
-    if !(p50 <= p95 && p95 <= p99 && p99 <= max.max(p99)) {
+    let mean = require(h, "mean", ctx)?
+        .as_f64()
+        .ok_or(format!("{ctx}: 'mean' is not a number"))?;
+    if format!("{mean:.3}") != format!("{:.3}", snap.mean()) {
         return Err(format!(
-            "{ctx}: quantiles not monotone (p50 {p50}, p95 {p95}, p99 {p99})"
+            "{ctx}: mean mismatch (claimed {mean}, recomputed {:.3})",
+            snap.mean()
         ));
     }
-    for (q, claimed) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
+    for (q, key) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
+        let claimed = require_u64(h, key, ctx)?;
         let recomputed = snap.quantile(q);
         if recomputed != claimed {
             return Err(format!(
-                "{ctx}: q{q} mismatch (claimed {claimed}, recomputed {recomputed})"
+                "{ctx}: {key} mismatch (claimed {claimed}, recomputed {recomputed})"
             ));
         }
     }
-    Ok(())
+    Ok(snap)
 }
 
-fn validate_provenance(p: &Json, ctx: &str) -> Result<(), String> {
-    for key in ["anomaly", "table", "key", "key_hash"] {
-        require_str(p, key, ctx)?;
-    }
-    require_u64(p, "overlap_nanos", ctx)?;
-    let racing = require(p, "racing", ctx)?
-        .as_arr()
-        .ok_or(format!("{ctx}: 'racing' is not an array"))?;
+fn read_provenance(p: &Json, ctx: &str) -> Result<ProvenanceRecord, String> {
+    let key_hash = require_str(p, "key_hash", ctx)?;
+    let key_hash = key_hash
+        .strip_prefix("0x")
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or(format!("{ctx}: 'key_hash' {key_hash} is not a hex u64"))?;
+    let racing = require_arr(p, "racing", ctx)?;
     if racing.len() < 2 {
         return Err(format!(
             "{ctx}: provenance names fewer than two racing txns"
         ));
     }
-    for r in racing {
-        for key in [
-            "worker",
-            "txn",
-            "probe_seq",
-            "probe_ts",
-            "write_seq",
-            "write_ts",
-        ] {
-            require_u64(r, key, ctx)?;
-        }
-    }
-    let witness = require(p, "witness", ctx)?;
-    if *witness != Json::Null {
-        for key in ["scenario", "isolation", "guard", "replay", "message"] {
-            require_str(witness, key, &format!("{ctx} witness"))?;
-        }
-        require_u64(witness, "workers", &format!("{ctx} witness"))?;
-        if require_str(witness, "replay", ctx)?.is_empty() {
-            return Err(format!("{ctx}: witness replay command is empty"));
-        }
-    }
-    Ok(())
-}
-
-/// Parse and schema-check a serialised run report. Beyond structure,
-/// this enforces the report's core integrity claims: every histogram
-/// is internally consistent (bucket counts sum to `count`, quantiles
-/// re-derivable and monotone) and every provenance record names at
-/// least two racing transactions. Returns the parsed document.
-pub fn validate_report(text: &str) -> Result<Json, String> {
-    let doc = json::parse(text)?;
-    require_str(&doc, "report", "report")?;
-    let version = require_u64(&doc, "version", "report")?;
-    if version != REPORT_VERSION {
-        return Err(format!(
-            "report: unsupported version {version} (expected {REPORT_VERSION})"
-        ));
-    }
-    require(&doc, "smoke", "report")?;
-    require_u64(&doc, "seed", "report")?;
-    let cells = require(&doc, "cells", "report")?
-        .as_arr()
-        .ok_or("report: 'cells' is not an array")?;
-    if cells.is_empty() {
-        return Err("report: no cells".into());
-    }
-    for cell in cells {
-        let label = require_str(cell, "label", "cell")?.to_string();
-        let ctx = format!("cell '{label}'");
-        for key in ["isolation", "enforcement"] {
-            require_str(cell, key, &ctx)?;
-        }
-        for key in [
-            "workers",
-            "rounds",
-            "concurrent",
-            "duplicates",
-            "rows",
-            "rejected",
-        ] {
-            require_u64(cell, key, &ctx)?;
-        }
-        let stats = require(cell, "stats", &ctx)?;
-        match stats {
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                for (name, v) in pairs {
-                    v.as_u64()
-                        .ok_or(format!("{ctx}: stat '{name}' is not an integer"))?;
-                }
+    let racing = racing
+        .iter()
+        .map(|r| {
+            Ok(RacingTxn {
+                worker: require_u64(r, "worker", ctx)?,
+                txn: require_u64(r, "txn", ctx)?,
+                probe_seq: require_u64(r, "probe_seq", ctx)?,
+                probe_ts: require_u64(r, "probe_ts", ctx)?,
+                write_seq: require_u64(r, "write_seq", ctx)?,
+                write_ts: require_u64(r, "write_ts", ctx)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let witness = match require(p, "witness", ctx)? {
+        Json::Null => None,
+        w => {
+            let wctx = format!("{ctx} witness");
+            let replay = require_str(w, "replay", &wctx)?.to_string();
+            if replay.is_empty() {
+                return Err(format!("{ctx}: witness replay command is empty"));
             }
-            _ => return Err(format!("{ctx}: 'stats' is not a non-empty object")),
+            Some(Witness {
+                scenario: require_str(w, "scenario", &wctx)?.into(),
+                isolation: require_str(w, "isolation", &wctx)?.into(),
+                guard: require_str(w, "guard", &wctx)?.into(),
+                workers: require_u64(w, "workers", &wctx)? as usize,
+                replay,
+                message: require_str(w, "message", &wctx)?.into(),
+            })
         }
-        let hists = require(cell, "histograms", &ctx)?;
-        match hists {
-            Json::Obj(pairs) => {
-                for (name, h) in pairs {
-                    validate_histogram(h, &format!("{ctx} histogram '{name}'"))?;
-                }
-            }
-            _ => return Err(format!("{ctx}: 'histograms' is not an object")),
-        }
-        let provenance = require(cell, "provenance", &ctx)?
-            .as_arr()
-            .ok_or(format!("{ctx}: 'provenance' is not an array"))?;
-        for p in provenance {
-            validate_provenance(p, &format!("{ctx} provenance"))?;
-        }
-    }
-    Ok(doc)
+    };
+    let flight = require_arr(p, "flight", ctx)?
+        .iter()
+        .map(|line| {
+            line.as_str()
+                .map(str::to_string)
+                .ok_or(format!("{ctx}: flight line is not a string"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ProvenanceRecord {
+        anomaly: require_str(p, "anomaly", ctx)?.into(),
+        table: require_str(p, "table", ctx)?.into(),
+        key: require_str(p, "key", ctx)?.into(),
+        key_hash,
+        racing,
+        overlap_nanos: require_u64(p, "overlap_nanos", ctx)?,
+        witness,
+        flight,
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::hist::Histogram;
-    use crate::provenance::{RacingTxn, Witness};
+    use feral_db::StatsSnapshot;
+    use feral_trace::Histogram;
 
-    fn sample_report() -> RunReport {
+    /// A report that passes the reader and the gate: one committed
+    /// cell, one witnessed provenance record.
+    pub(crate) fn sample_report() -> RunReport {
         let h = Histogram::new();
         for v in [120u64, 450, 900, 88_000] {
             h.record(v);
         }
+        let stats = StatsSnapshot {
+            commits: 40,
+            validation_probes: 80,
+            ..StatsSnapshot::default()
+        };
         RunReport {
             report: "table1".into(),
             smoke: true,
@@ -495,7 +529,11 @@ mod tests {
                 duplicates: 3,
                 rows: 13,
                 rejected: 0,
-                stats: vec![("commits".into(), 40), ("validation_probes".into(), 80)],
+                stats: stats
+                    .fields()
+                    .into_iter()
+                    .map(|(n, v)| (n.to_string(), v))
+                    .collect(),
                 histograms: vec![("request".into(), h.snapshot())],
                 provenance: vec![ProvenanceRecord {
                     anomaly: "duplicate-key".into(),
@@ -526,7 +564,7 @@ mod tests {
                         isolation: "read-committed".into(),
                         guard: "feral".into(),
                         workers: 2,
-                        replay: "feral-sim replay --scenario uniqueness --seed 3".into(),
+                        replay: "feral-sim replay --scenario uniqueness --choices 0,1".into(),
                         message: "duplicate key: key-1".into(),
                     }),
                     flight: vec!["seq=10 t=1000ns w1 txn=7 unique-probe a=0x1 b=0x2".into()],
@@ -539,29 +577,97 @@ mod tests {
     fn json_roundtrips_and_validates() {
         let report = sample_report();
         let text = report.to_json();
-        let doc = validate_report(&text).expect("valid report");
-        let cells = doc.get("cells").unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].get("duplicates").unwrap().as_u64(), Some(3));
-        let prov = cells[0].get("provenance").unwrap().as_arr().unwrap();
-        assert_eq!(
-            prov[0].get("key_hash").unwrap().as_str(),
-            Some("0xdeadbeefcafef00d")
-        );
+        assert!(text.contains("\"key_hash\": \"0xdeadbeefcafef00d\""));
+        let read = RunReport::from_json(&text).expect("valid report");
+        assert_eq!(read, report);
+        assert_eq!(read.to_json(), text);
+    }
+
+    fn assert_refused(report: &RunReport, want: &str) {
+        match RunReport::from_json(&report.to_json()) {
+            Ok(_) => panic!("the reader accepted it; wanted '{want}'"),
+            Err(e) => assert!(e.contains(want), "{e}"),
+        }
     }
 
     #[test]
     fn validation_catches_corrupted_histograms() {
         let mut report = sample_report();
         report.cells[0].histograms[0].1.count += 1; // no longer sums
-        assert!(validate_report(&report.to_json()).is_err());
+        assert_refused(&report, "do not sum");
     }
 
     #[test]
     fn validation_catches_singleton_racing_set() {
         let mut report = sample_report();
         report.cells[0].provenance[0].racing.truncate(1);
-        assert!(validate_report(&report.to_json()).is_err());
+        assert_refused(&report, "fewer than two racing");
+    }
+
+    /// Every other document the reader refuses, each with the words its
+    /// refusal must contain (the gate's own refusals are tested in
+    /// [`crate::checkgate`]). Each case edits one field of a report that
+    /// passes.
+    #[test]
+    fn from_json_refuses_every_malformed_or_ungated_report() {
+        type Edit = fn(&mut RunReport);
+        let text_cases: [(&str, String, &str); 1] = [(
+            "no version",
+            sample_report().to_json().replace("\"version\": 1,", ""),
+            "missing key 'version'",
+        )];
+        let report_cases: [(&str, Edit, &str); 4] = [
+            (
+                "empty replay",
+                |r| r.cells[0].provenance[0].witness.as_mut().unwrap().replay = String::new(),
+                "replay command is empty",
+            ),
+            (
+                "a cell lacking one engine counter",
+                |r| {
+                    r.cells[0].stats.pop();
+                },
+                "missing counter",
+            ),
+            (
+                "a counter the engine does not have",
+                |r| r.cells[0].stats.push(("bogus".into(), 1)),
+                "unknown counter 'bogus'",
+            ),
+            ("no cells", |r| r.cells.clear(), "no cells"),
+        ];
+        let mut cases: Vec<(&str, String, &str)> = text_cases.into_iter().collect();
+        for (name, edit, want) in report_cases {
+            let mut report = sample_report();
+            edit(&mut report);
+            cases.push((name, report.to_json(), want));
+        }
+        // a mean or a quantile that does not recompute from the buckets
+        let text = sample_report().to_json();
+        let hist = &sample_report().cells[0].histograms[0].1;
+        let p95 = hist.quantile(0.95);
+        cases.push((
+            "a quantile that does not recompute",
+            text.replace(
+                &format!("\"p95\": {p95},"),
+                &format!("\"p95\": {},", p95 + 1),
+            ),
+            "p95 mismatch",
+        ));
+        cases.push((
+            "a mean that does not recompute",
+            text.replace(
+                &format!("\"mean\": {:.3},", hist.mean()),
+                "\"mean\": 1.000,",
+            ),
+            "mean mismatch",
+        ));
+        for (name, text, want) in cases {
+            match RunReport::from_json(&text) {
+                Ok(_) => panic!("{name}: the reader accepted it"),
+                Err(e) => assert!(e.contains(want), "{name}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //! carries at least one explained race under weak isolation.
 
 use crate::apps::{drive_rounds, key_value_app, Enforcement, ExperimentEnv};
+use crate::provenance::{self, explain_duplicate, ProvenanceRecord};
+use crate::report::{CellReport, RunReport};
 use crate::uniqueness::{duplicated_keys, stress_rounds};
 use feral_cli::isolation_flag;
 use feral_db::IsolationLevel;
 use feral_server::PooledService;
 use feral_sim::scenarios::{Guard, ScenarioKind, ScenarioSpec, SessionLevels};
 use feral_sim::Witness;
-use feral_trace::{self as trace, CellReport, HistogramSnapshot, ProvenanceRecord, RunReport};
+use feral_trace::{self as trace, HistogramSnapshot};
 use std::collections::HashMap;
 
 /// Flight-recorder window used for provenance analysis.
@@ -105,8 +107,8 @@ fn witness_for(cache: &mut WitnessCache, isolation: IsolationLevel) -> Option<Wi
 }
 
 /// The witness as the provenance schema records it.
-fn provenance_witness(w: &Witness) -> trace::Witness {
-    trace::Witness {
+fn provenance_witness(w: &Witness) -> provenance::Witness {
+    provenance::Witness {
         scenario: format!("{}/{}w", w.spec.label(), w.spec.workers),
         isolation: w.spec.levels.flag_value(),
         guard: "feral".into(),
@@ -131,7 +133,7 @@ fn replayed_witness_provenance(w: &Witness) -> Option<ProvenanceRecord> {
     }
     let flight = trace::flight_recorder(FLIGHT_WINDOW);
     // the sim's uniqueness scenario always races on the literal key "dup"
-    let mut rec = trace::provenance::explain_duplicate(&flight, "key_values", "dup")?;
+    let mut rec = explain_duplicate(&flight, "key_values", "dup")?;
     rec.flight = render_tail(&flight, FLIGHT_TAIL);
     rec.witness = Some(provenance_witness(w));
     Some(rec)
@@ -182,7 +184,7 @@ pub fn run_cell(
     let flight = trace::flight_recorder(FLIGHT_WINDOW);
     let mut provenance = Vec::new();
     for (key, _) in dup_keys.iter().take(PROVENANCE_CAP) {
-        if let Some(mut rec) = trace::provenance::explain_duplicate(&flight, "key_values", key) {
+        if let Some(mut rec) = explain_duplicate(&flight, "key_values", key) {
             rec.flight = render_tail(&flight, FLIGHT_TAIL);
             rec.witness = witness_for(cache, iso).map(|w| provenance_witness(&w));
             provenance.push(rec);

@@ -59,3 +59,14 @@ fn the_retired_load_mode_is_a_usage_error() {
         assert_usage_error(&checkreport(&[flag, GOLDEN]), flag);
     }
 }
+
+#[test]
+fn a_missing_file_is_a_gate_failure() {
+    let out = checkreport(&["/nonexistent/BENCH_table1.json"]);
+    assert_eq!(out.status.code(), Some(feral_cli::EXIT_DEVIATION.into()));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("reading /nonexistent/BENCH_table1.json"),
+        "{err}"
+    );
+}

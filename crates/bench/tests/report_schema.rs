@@ -1,20 +1,19 @@
 //! Run-report schema tests: the golden report checked into `results/`
-//! must validate against the current schema, and a freshly generated
-//! report must match the golden one structurally (same cells, same
-//! counters, same histogram keys — values differ run to run).
+//! must read back through `RunReport::from_json` (the reader
+//! `feral-paper check` runs) and write back byte for byte, and it must
+//! carry the acceptance evidence a fresh run does.
 
+use feral_bench::report::RunReport;
 use feral_db::StatsSnapshot;
-use feral_trace::json::Json;
-use feral_trace::report::validate_report;
 
 const GOLDEN: &str = include_str!("../../../results/BENCH_table1.golden.json");
 
 #[test]
 fn golden_report_validates_against_the_schema() {
-    let doc = validate_report(GOLDEN).expect("golden report must validate");
-    assert_eq!(doc.get("report").unwrap().as_str(), Some("table1"));
-    let cells = doc.get("cells").unwrap().as_arr().unwrap();
-    assert_eq!(cells.len(), 5, "one cell per grid entry");
+    let report = RunReport::from_json(GOLDEN).expect("golden report must read back");
+    assert_eq!(report.to_json(), GOLDEN, "the writer reproduces the golden");
+    assert_eq!(report.report, "table1");
+    assert_eq!(report.cells.len(), 5, "one cell per grid entry");
 
     // the golden run carries the acceptance evidence: every cell
     // committed work and at least one weak cell explains a race with a
@@ -25,32 +24,23 @@ fn golden_report_validates_against_the_schema() {
         .map(|(name, _)| name)
         .collect();
     let mut explained = 0;
-    for cell in cells {
-        let stats = cell.get("stats").unwrap();
-        assert!(stats.get("commits").unwrap().as_u64().unwrap() > 0);
+    for cell in &report.cells {
         // the golden carries every counter the writer exports, no more
-        let Json::Obj(exported) = stats else {
-            panic!("stats is not an object");
-        };
-        let names: Vec<&str> = exported.iter().map(|(k, _)| k.as_str()).collect();
+        let names: Vec<&str> = cell.stats.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names, counters,
             "regenerate the golden with `feral-paper table1 --smoke`"
         );
-        let Json::Obj(hists) = cell.get("histograms").unwrap() else {
-            panic!("histograms is not an object");
-        };
-        let keys: Vec<&str> = hists.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = cell.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(keys, ["request", "save", "validate", "write", "commit"]);
-        for p in cell.get("provenance").unwrap().as_arr().unwrap() {
+        for p in &cell.provenance {
             explained += 1;
-            let witness = p.get("witness").unwrap();
-            assert_ne!(*witness, Json::Null, "golden provenance carries a witness");
+            let witness = p
+                .witness
+                .as_ref()
+                .expect("golden provenance carries a witness");
             assert!(witness
-                .get("replay")
-                .unwrap()
-                .as_str()
-                .unwrap()
+                .replay
                 .starts_with("feral-sim replay --scenario uniqueness"));
         }
     }
@@ -59,22 +49,28 @@ fn golden_report_validates_against_the_schema() {
 
 #[test]
 fn serializable_and_database_cells_are_clean_in_the_golden_run() {
-    let doc = validate_report(GOLDEN).unwrap();
-    for cell in doc.get("cells").unwrap().as_arr().unwrap() {
-        let label = cell.get("label").unwrap().as_str().unwrap();
-        let duplicates = cell.get("duplicates").unwrap().as_u64().unwrap();
-        if label == "serializable/feral" || label == "read-committed/database" {
-            assert_eq!(duplicates, 0, "cell {label} must admit no duplicates");
+    let report = RunReport::from_json(GOLDEN).unwrap();
+    for cell in &report.cells {
+        if cell.label == "serializable/feral" || cell.label == "read-committed/database" {
+            assert_eq!(
+                cell.duplicates, 0,
+                "cell {} must admit no duplicates",
+                cell.label
+            );
         }
     }
 }
 
 #[test]
 fn corrupting_the_golden_report_fails_validation() {
-    // drop the version field: schema must notice
+    // drop the version field: the reader must notice
     let broken = GOLDEN.replace("\"version\": 1,", "");
-    assert!(validate_report(&broken).is_err());
-    // corrupt a histogram count: integrity check must notice
+    assert!(RunReport::from_json(&broken).is_err());
+    // corrupt a histogram count: the integrity check must notice
     let broken = GOLDEN.replacen("\"count\": ", "\"count\": 9", 1);
-    assert!(validate_report(&broken).is_err());
+    assert!(RunReport::from_json(&broken).is_err());
+    // drop the first engine counter from one cell: the gate names it
+    let broken = GOLDEN.replacen("\"commits\": ", "\"commitz\": ", 1);
+    let err = RunReport::from_json(&broken).unwrap_err();
+    assert!(err.contains("missing counter 'commits'"), "{err}");
 }

@@ -76,30 +76,38 @@ pub fn write_out(tool: &str, path: Option<&str>, rendered: &str) {
     }
 }
 
-/// The standard flags every tool binary accepts, rendered as the
-/// closing block of its `--help` text. Binaries that hand-roll their
-/// argument parsing (dependency cycles) must reproduce this block
-/// verbatim; the per-crate `cli_help` integration tests pin it.
-pub const STANDARD_FLAGS: &str = "\
-Standard flags:
-  --json            emit machine-readable JSON
-  --out PATH        write the artifact to PATH instead of stdout
-  --validate        self-validate the artifact and exit nonzero on schema drift
-  --smoke           small fast run for CI gates (subset of --full)
-  --help            this text
-";
+/// The standard flags: a tool that reads one means this by it.
+const STANDARD: [(&str, &str); 4] = [
+    ("json", "  --json            emit machine-readable JSON\n"),
+    (
+        "out",
+        "  --out PATH        write the artifact to PATH instead of stdout\n",
+    ),
+    (
+        "validate",
+        "  --validate        self-validate the artifact and exit nonzero on schema drift\n",
+    ),
+    ("smoke", "  --smoke           small fast run for CI gates\n"),
+];
 
 /// Render a tool's `--help` text in the house format: a one-line
-/// summary, a usage block, tool-specific options, then the
-/// [`STANDARD_FLAGS`] block shared by every binary.
-pub fn render_help(tool: &str, about: &str, usage: &str, options: &str) -> String {
+/// summary, a usage block, tool-specific options, then a standard-flags
+/// block with the standard flags among `flags` — the list the tool's
+/// parser reads ([`Args::parse`]) — that `options` does not describe
+/// itself, and `--help`.
+pub fn render_help(tool: &str, about: &str, usage: &str, options: &str, flags: &[&str]) -> String {
     let mut out = format!("{tool} — {about}\n\nUsage:\n{usage}");
     if !options.is_empty() {
         out.push_str("\nOptions:\n");
         out.push_str(options);
     }
-    out.push('\n');
-    out.push_str(STANDARD_FLAGS);
+    out.push_str("\nStandard flags:\n");
+    for (name, line) in STANDARD {
+        if flags.contains(&name) && !options.contains(&format!("  --{name} ")) {
+            out.push_str(line);
+        }
+    }
+    out.push_str("  --help            this text\n");
     out
 }
 
@@ -198,16 +206,22 @@ mod tests {
             "feral-x",
             "does x",
             "  feral-x run [--n N]\n",
-            "  --n N    how many\n",
+            "  --n N    how many\n  --validate GOLDEN  diff against GOLDEN\n",
+            &["n", "json", "validate"],
         );
         assert!(text.starts_with("feral-x — does x"));
         assert!(text.contains("Usage:\n  feral-x run"));
         assert!(text.contains("Options:\n  --n N"));
-        assert!(text.ends_with(STANDARD_FLAGS));
-        // no options block when there are no tool-specific options
-        let bare = render_help("feral-y", "does y", "  feral-y\n", "");
+        // the standard flags the parser reads, unless an option line
+        // already describes them
+        assert!(text.ends_with(
+            "\nStandard flags:\n  --json            emit machine-readable JSON\n  --help            this text\n"
+        ));
+        // no options block when there are no tool-specific options, and
+        // only `--help` when the tool reads no standard flag
+        let bare = render_help("feral-y", "does y", "  feral-y\n", "", &[]);
         assert!(!bare.contains("Options:"));
-        assert!(bare.ends_with(STANDARD_FLAGS));
+        assert!(bare.ends_with("\n\nStandard flags:\n  --help            this text\n"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   worker until it is granted the next turn; with no hook installed it
 //!   is a no-op after one thread-local lookup.
 //! * [`wait(kind)`](wait) — "this worker cannot proceed until another
-//!   worker acts" (a lock is held by someone else, a channel is empty).
+//!   worker acts" (a lock is held by someone else).
 //!   The scheduler hands the turn elsewhere and later re-grants it so the
 //!   caller can re-check its condition, or returns
 //!   [`WaitOutcome::TimedOut`] when the worker was chosen as a deadlock
@@ -87,8 +87,6 @@ impl Site {
 pub enum WaitKind {
     /// A lock held by another transaction.
     Lock,
-    /// An empty channel.
-    Channel,
     /// The commit pipeline — an earlier commit timestamp must publish (or
     /// a WAL batch must flush) before this worker can proceed. Defensive:
     /// commits are turn-atomic under a scheduler, so this wait is never
@@ -101,7 +99,6 @@ impl WaitKind {
     pub fn name(self) -> &'static str {
         match self {
             WaitKind::Lock => "lock-wait",
-            WaitKind::Channel => "chan-wait",
             WaitKind::Commit => "commit-wait",
         }
     }

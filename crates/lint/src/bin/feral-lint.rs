@@ -30,6 +30,7 @@ fn help() -> String {
          \x20 --apps N              lint only the first N applications\n\
          \x20 --app NAME            lint only the named application (e.g. spree)\n\
          \x20 --no-witness          skip feral-sim witness search (directed DPOR)\n",
+        FLAGS,
     )
 }
 

@@ -38,6 +38,7 @@ fn help() -> String {
          \x20 --queue Q         bound on replies parked on a WAL flush, server-wide (default 1024)\n\
          \x20 --inflight K      per-connection bound on replies not yet written (default 64)\n\
          \x20 --sample N        the runtime auditor audits 1 transaction in N (default 64)\n",
+        FLAGS,
     )
 }
 

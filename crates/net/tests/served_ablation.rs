@@ -11,7 +11,6 @@
 //! and zero observed dependency cycles, and export an audit snapshot
 //! that passes the audit schema.
 
-use feral_audit::validate_audit_json;
 use feral_db::{AuditMode, IsolationLevel, IsolationPlan};
 use feral_net::planner::{certified_plan, seeded_database, PlannedService, TemplateMix};
 use feral_net::{NetClient, Server, ServerConfig};
@@ -104,7 +103,7 @@ fn serve_and_gate(config: &str, plan: IsolationPlan, audit_mode: AuditMode) {
         snapshot.cycles, 0,
         "{config}: the runtime auditor observed dependency cycles"
     );
-    if let Err(e) = validate_audit_json(&snapshot.to_json()) {
+    if let Err(e) = feral_audit::AuditSnapshot::from_json(&snapshot.to_json()) {
         panic!("{config}: audit snapshot fails its schema: {e}");
     }
 }

@@ -49,6 +49,7 @@ fn help() -> String {
          \x20 --max-runs N      schedule budget per certified cell\n\
          \x20 --dot             Graphviz output for `infer`\n\
          \x20 --validate GOLDEN byte-diff the certified artifact against GOLDEN\n",
+        FLAGS,
     )
 }
 

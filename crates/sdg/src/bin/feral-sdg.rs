@@ -58,6 +58,7 @@ fn help() -> String {
          \x20 --isolation L     read-committed|repeatable-read|snapshot|serializable\n\
          \x20 --max-runs N      schedule budget per validated cell\n\
          \x20 --dot             Graphviz output for `graph`\n",
+        FLAGS,
     )
 }
 

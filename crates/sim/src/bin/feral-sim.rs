@@ -75,6 +75,7 @@ fn help() -> String {
          \x20 --levels L0,L1    run the pair's two template slots at different levels\n\
          \x20 --strategy S      dfs|dpor|directed schedule exploration\n\
          \x20 --max-runs N      schedule budget before declaring the sweep bounded\n",
+        FLAGS,
     )
 }
 

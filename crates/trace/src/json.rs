@@ -1,7 +1,7 @@
 //! Minimal JSON support: escaping for the exporters and a small
-//! recursive-descent parser for report validation and golden tests.
+//! recursive-descent parser for the report readers and golden tests.
 //! The workspace is offline-vendored and has no serde_json; this
-//! covers exactly what the run-report pipeline needs.
+//! covers exactly what the reports need.
 
 /// Escape a string for embedding in a JSON document (no surrounding
 /// quotes).
@@ -99,7 +99,7 @@ impl Json {
 }
 
 /// Member `key` of `obj`, or a validation error naming `ctx` and the
-/// missing key — the schema validators' shared field accessor.
+/// missing key — the report readers' shared field accessor.
 pub fn require<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j Json, String> {
     obj.get(key).ok_or(format!("{ctx}: missing key '{key}'"))
 }
@@ -110,6 +110,22 @@ pub fn require_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
     require(obj, key, ctx)?
         .as_u64()
         .ok_or(format!("{ctx}: '{key}' is not a non-negative integer"))
+}
+
+/// Member `key` of `obj` as a string, or a validation error naming `ctx`
+/// and the key.
+pub fn require_str<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j str, String> {
+    require(obj, key, ctx)?
+        .as_str()
+        .ok_or(format!("{ctx}: '{key}' is not a string"))
+}
+
+/// Member `key` of `obj` as an array, or a validation error naming `ctx`
+/// and the key.
+pub fn require_arr<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j [Json], String> {
+    require(obj, key, ctx)?
+        .as_arr()
+        .ok_or(format!("{ctx}: '{key}' is not an array"))
 }
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.

@@ -3,10 +3,9 @@
 //! Low-overhead observability for the feral stack: structured
 //! per-transaction event spans recorded into per-thread lock-free ring
 //! buffers, log-scale latency histograms around request dispatch and
-//! every save phase, a global flight recorder that can dump the last N
-//! events when an anomaly oracle fires, and anomaly provenance that
-//! names the racing transaction pair behind a duplicate key or
-//! orphaned row.
+//! every save phase, and a global flight recorder that can dump the
+//! last N events when an anomaly oracle fires. The JSON parser ([`json`])
+//! and [`escape_label`] serve the reports built on top of it.
 //!
 //! Tracing is **off by default**. Every hook threaded through
 //! `feraldb`, `feral-orm`, `feral-server`, and `feral-workloads` is a
@@ -30,18 +29,29 @@
 pub mod event;
 pub mod hist;
 pub mod json;
-pub mod provenance;
-pub mod report;
 pub mod ring;
 
 pub use event::{fnv64, Event, EventKind, Phase, PHASES};
 pub use hist::{Histogram, HistogramSnapshot};
-pub use provenance::{ProvenanceRecord, RacingTxn, Witness};
-pub use report::{CellReport, RunReport};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Escape a Prometheus label value: backslash, double-quote, and
+/// line-feed must be backslash-escaped per the text exposition format.
+pub fn escape_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for ch in value.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            other => out.push(other),
+        }
+    }
+    out
+}
 
 /// Master switch. Off by default; every hook below checks it first.
 static ENABLED: AtomicBool = AtomicBool::new(false);

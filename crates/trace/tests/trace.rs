@@ -1,6 +1,7 @@
 //! Integration tests for feral-trace: histogram merge/quantile
 //! properties, ring-buffer wraparound under concurrent writers, and
-//! the end-to-end record → flight-recorder → provenance path.
+//! the end-to-end record → flight-recorder path (the provenance
+//! analysis over a recorded race is tested in `feral-bench`).
 //!
 //! These tests share the crate's global tracing state (ENABLED, the
 //! sequence counter, thread rings), so everything that needs tracing
@@ -199,21 +200,6 @@ fn live_tracing_end_to_end() {
             ..
         })
     ));
-
-    // --- a staged feral race is explained by provenance ---
-    feral_trace::reset();
-    let key = fnv64(b"dup-key");
-    let table = fnv64(b"key_values");
-    feral_trace::record(EventKind::UniqueProbe, 7, key, table);
-    feral_trace::record(EventKind::UniqueProbe, 8, key, table);
-    feral_trace::record(EventKind::SaveWrite, 7, key, table);
-    feral_trace::record(EventKind::SaveWrite, 8, key, table);
-    let events = feral_trace::flight_recorder(usize::MAX);
-    let rec = feral_trace::provenance::explain_duplicate(&events, "key_values", "dup-key")
-        .expect("staged race is explained");
-    assert_eq!(rec.racing.len(), 2);
-    assert_eq!(rec.racing[0].txn, 7);
-    assert_eq!(rec.racing[1].txn, 8);
 
     // --- disabling makes every hook inert again ---
     feral_trace::set_enabled(false);

@@ -125,10 +125,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace --exclude proptest
   --exclude crossbeam --exclude rand
 
 stanza "trace smoke gate (table1 --smoke)"
-# table1 self-validates the report (exits non-zero on schema or
-# histogram-integrity failure); `check` re-checks the artifact from the
-# outside too: parseable, non-zero commits, well-formed histograms, and
-# at least one explained race with a replayable witness.
+# table1 and `check` run the same reader, the run report's one
+# (feral_bench::report::RunReport::from_json): table1 on its own output
+# before writing it, `check` on the saved file. It refuses a report
+# that does not parse, a histogram whose buckets or quantiles do not
+# recompute, a cell without every engine counter or without commits,
+# and a report with no explained race carrying a replayable witness.
 SMOKE_OUT=$(mktemp /tmp/BENCH_table1.XXXXXX.json)
 cargo run --release -q -p feral-bench --bin feral-paper -- table1 --smoke --out "$SMOKE_OUT" > /dev/null
 cargo run --release -q -p feral-bench --bin feral-paper -- check "$SMOKE_OUT"
